@@ -7,8 +7,8 @@ closed forms for noiseless / memoryless invariant / unifilar product
 channels plus a numeric lower bound for everything else.
 """
 
-from .agents import (AgentSpec, build_identity, build_last_action,
-                     build_memoryless, build_predictive, build_uniform)
+from .agents import (build_identity, build_last_action, build_memoryless,
+                     build_predictive, build_uniform)
 from .bayesnet import Dag, build_loop_dag, d_separated, validate_compatibility
 from .capacity import (CapacityResult, capacity_lower_bound, capacity_memoryless,
                        capacity_noiseless, capacity_unifilar_product,

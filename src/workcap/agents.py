@@ -9,8 +9,6 @@ so composition stays uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import (AgentModel, EnvironmentModel, has_action_invariant_kernel,
@@ -165,32 +163,3 @@ def build_predictive(base: AgentModel, env: EnvironmentModel,
                 init[a, midx2(m, z0)] = base.initial_joint[a, m]
 
     return AgentModel(env.alphabet, labels, theta, init)
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """Declarative recipe for an agent family, used by the CLI dispatcher."""
-
-    kind: str  # identity | memoryless | uniform | last_action | predictive
-    p: tuple[float, ...] | None = None
-    initial_action: str | None = None
-
-
-def build(spec: AgentSpec, alphabet, env: EnvironmentModel | None = None,
-          base: AgentModel | None = None) -> AgentModel:
-    alphabet = tuple(alphabet)
-    if spec.kind == "identity":
-        return build_identity(alphabet, spec.initial_action)
-    if spec.kind == "uniform":
-        return build_uniform(alphabet)
-    if spec.kind == "memoryless":
-        p = spec.p if spec.p is not None else _uniform(len(alphabet))
-        return build_memoryless(alphabet, p)
-    if spec.kind == "last_action":
-        p = spec.p if spec.p is not None else _uniform(len(alphabet))
-        return build_last_action(alphabet, p, spec.initial_action)
-    if spec.kind == "predictive":
-        if env is None:
-            raise DomainError("predictive agents need an environment model")
-        return build_predictive(base if base is not None else build_uniform(alphabet), env)
-    raise DomainError(f"unknown agent kind {spec.kind!r}")

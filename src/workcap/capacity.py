@@ -25,6 +25,8 @@ CLOSED_FORM_MEMORYLESS = "closed_form_memoryless"
 CLOSED_FORM_UNIFILAR_PRODUCT = "closed_form_unifilar_product"
 NUMERIC_LOWER_BOUND = "numeric_lower_bound"
 
+NM_STEPS = 4000  # iteration cap of one Nelder-Mead run
+
 
 @dataclass(frozen=True)
 class CapacityResult:
@@ -293,9 +295,9 @@ class _TrackedObjective:
 
 
 def _nelder_mead_run(objective, x0: np.ndarray, window: int = 50,
-                     min_gain: float = 1e-9, max_iter: int = 4000):
+                     min_gain: float = 1e-9):
     """One local search; stops when ``window`` iterations improve the best
-    objective by less than ``min_gain``."""
+    objective by less than ``min_gain``; NM_STEPS iterations count as a stall."""
     tracked = _TrackedObjective(objective)
     history: list[float] = []
 
@@ -305,9 +307,9 @@ def _nelder_mead_run(objective, x0: np.ndarray, window: int = 50,
             raise StopIteration  # scipy terminates the run cleanly
 
     res = minimize(tracked, x0, method="Nelder-Mead", callback=stop_when_flat,
-                   options={"maxiter": max_iter, "xatol": 1e-10, "fatol": 1e-12})
+                   options={"maxiter": NM_STEPS, "xatol": 1e-10, "fatol": 1e-12})
     x = tracked.best_x if tracked.best_x is not None else res.x
-    stalled = len(history) >= max_iter
+    stalled = len(history) >= NM_STEPS
     return x, tracked.best, stalled
 
 
@@ -336,13 +338,8 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     dim = rows * rows + rows
 
     def rate_nats(model: agents.AgentModel) -> float:
-        try:
-            report = loop.work_rate(loop.PerceptActionLoop(model, env),
-                                    tol=1e-11, max_iter=200_000, rounds=0,
-                                    base="nats")
-        except Exception:
-            return -math.inf
-        return report.rate
+        return loop.work_rate(loop.PerceptActionLoop(model, env), rounds=0,
+                              base="nats").rate
 
     def objective(x: np.ndarray) -> float:
         return -rate_nats(_agent_from_params(x, alphabet, memory))

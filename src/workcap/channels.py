@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetError, DimensionError, ModelFormatError
-from .markov import ROW_SUM_TOL, Distribution, TransitionKernel
+from .markov import ROW_SUM_TOL, Distribution, TransitionKernel, bfs_levels
 
 DEFAULT_PRODUCT_HORIZON = 4
 ENUMERATION_BUDGET = 20_000_000
@@ -186,14 +186,8 @@ def require_valid(model: Model) -> Model:
 def reachable_hidden(env: EnvironmentModel) -> np.ndarray:
     """Boolean mask of hidden states reachable from the initial distribution
     under arbitrary action sequences."""
-    reach = env.initial > 0.0
-    # step[z, z2]: some action/percept pair moves z to z2
-    step = (env.phi.sum(axis=(0, 2)) > 0.0).astype(float)
-    while True:
-        new = reach | (reach.astype(float) @ step > 0.0)
-        if np.array_equal(new, reach):
-            return reach
-        reach = new
+    # edge z -> z2: some action/percept pair moves z to z2
+    return bfs_levels(env.initial > 0.0, env.phi.sum(axis=(0, 2)) > 0.0) >= 0
 
 
 def is_noiseless(env: EnvironmentModel) -> bool:
@@ -459,16 +453,15 @@ def loads_model(text: str) -> Model:
             raise ModelFormatError(f"missing field {field!r}")
     if not isinstance(doc["alphabet"], list):
         raise ModelFormatError("'alphabet' must be a list of symbol strings")
-    state_key = "hidden_states" if kind == "environment" else "memory_states"
-    if not isinstance(doc[state_key], list):
-        raise ModelFormatError(f"{state_key!r} must be a list of labels")
+    state_field = "hidden_states" if kind == "environment" else "memory_states"
+    if not isinstance(doc[state_field], list):
+        raise ModelFormatError(f"{state_field!r} must be a list of labels")
     if not isinstance(doc["initial"], dict) or not isinstance(doc["transitions"], dict):
         raise ModelFormatError("'initial' and 'transitions' must be objects")
 
     alphabet = tuple(sorted(str(x) for x in doc["alphabet"]))
     if len(set(alphabet)) != len(alphabet):
         raise ModelFormatError("alphabet has duplicate symbols")
-    state_field = "hidden_states" if kind == "environment" else "memory_states"
     states = tuple(sorted(str(x) for x in doc[state_field]))
     if len(set(states)) != len(states):
         raise ModelFormatError(f"{state_field} has duplicate labels")
@@ -492,31 +485,26 @@ def loads_model(text: str) -> Model:
     if missing:
         raise ModelFormatError(f"transitions: missing row for {missing[0]!r}")
 
-    if kind == "environment":
-        init = np.zeros(n_state)
-        for key, value in doc["initial"].items():
+    # environments start from a hidden state, agents from an (action, memory) pair
+    init = np.zeros(n_state if kind == "environment" else (n_sym, n_state))
+    for key, value in doc["initial"].items():
+        if kind == "environment":
             if key not in state_index:
                 raise ModelFormatError(f"initial: unknown state {key!r}")
-            init[state_index[key]] = _parse_prob(value, f"initial[{key}]")
-        s = init.sum()
-        if abs(s - 1.0) >= _NORMALIZE_BELOW:
-            raise ModelFormatError(f"initial: sums to {float(s)!r}")
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            init /= s
-        model: Model = EnvironmentModel(alphabet, states, table, init)
-    else:
-        init = np.zeros((n_sym, n_state))
-        for key, value in doc["initial"].items():
+            index = state_index[key]
+        else:
             sym, state = _split_key(key, "initial")
             if sym not in sym_index or state not in state_index:
                 raise ModelFormatError(f"initial: unknown key {key!r}")
-            init[sym_index[sym], state_index[state]] = _parse_prob(value, f"initial[{key}]")
-        s = init.sum()
-        if abs(s - 1.0) >= _NORMALIZE_BELOW:
-            raise ModelFormatError(f"initial: sums to {float(s)!r}")
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            init /= s
-        model = AgentModel(alphabet, states, table, init)
+            index = (sym_index[sym], state_index[state])
+        init[index] = _parse_prob(value, f"initial[{key}]")
+    s = init.sum()
+    if abs(s - 1.0) >= _NORMALIZE_BELOW:
+        raise ModelFormatError(f"initial: sums to {float(s)!r}")
+    if abs(s - 1.0) > ROW_SUM_TOL:
+        init /= s
+    model_type = EnvironmentModel if kind == "environment" else AgentModel
+    model: Model = model_type(alphabet, states, table, init)
     require_valid(model)
     return model
 

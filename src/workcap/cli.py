@@ -132,8 +132,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
         agent = _load_agent(args.agent)
         pal = _make_loop(env, agent)
         chain = loop.build_global_chain(pal)
-        asym = loop._ReachableAsymptotics(chain, min(config.tol, 1e-10), 10 ** 6)
-        profile = asym.profile
+        profile = loop.work_rate(pal, rounds=0).profile
         pi = chain.initial.probs[chain.reachable] @ profile.cesaro_matrix
         top = np.argsort(pi)[::-1][:5]
         reach_idx = np.flatnonzero(chain.reachable)
@@ -163,8 +162,7 @@ def cmd_work_rate(args, config: RunConfig) -> int:
     env = _load_env(args.env)
     agent = _load_agent(args.agent)
     pal = _make_loop(env, agent)
-    report = loop.work_rate(pal, tol=min(config.tol, 1e-10),
-                            rounds=config.horizon, base=config.units)
+    report = loop.work_rate(pal, rounds=config.horizon, base=config.units)
     doc = {
         "units": config.units,
         "per_round": [_json_num(w) for w in report.per_round],

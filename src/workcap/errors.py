@@ -18,10 +18,8 @@ class DomainError(WorkcapError, ValueError):
 class ConvergenceError(WorkcapError, RuntimeError):
     """An iterative computation did not converge within its budget."""
 
-    def __init__(self, message: str, residual: float | None = None,
-                 estimates: tuple[float, float] | None = None):
+    def __init__(self, message: str, estimates: tuple[float, float] | None = None):
         super().__init__(message)
-        self.residual = residual
         self.estimates = estimates
 
 

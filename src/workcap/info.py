@@ -209,8 +209,7 @@ def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
         # hidden-state chain under the fixed action; unifilarity makes the
         # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)
         hidden_step = env.phi[0].sum(axis=1)  # [z, z']
-        profile = asymptotic_profile(TransitionKernel(hidden_step),
-                                     tol=min(tol, 1e-10))
+        profile = asymptotic_profile(TransitionKernel(hidden_step))
         pi = env.initial @ profile.cesaro_matrix
         emission = env.phi[0].sum(axis=2)  # [z, s]
         h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))

@@ -14,7 +14,7 @@ S_0..S_{t-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
                    _entropy_nats, conditional_mutual_information)
-from .markov import Distribution, TransitionKernel, asymptotic_profile
+from .markov import (AsymptoticProfile, Distribution, TransitionKernel,
+                     asymptotic_profile, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
 
@@ -103,16 +104,8 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
                       loop.env.initial, emission)
     init = init4.reshape(n)
 
-    reachable = init > 0.0
-    support = K > 0.0
-    while True:
-        new = reachable | (reachable.astype(float) @ support > 0.0)
-        if np.array_equal(new, reachable):
-            break
-        reachable = new
-
     return GlobalChain(loop.shape, TransitionKernel(K), Distribution(init),
-                       feasible, reachable)
+                       feasible, bfs_levels(init > 0.0, K > 0.0) >= 0)
 
 
 @dataclass(frozen=True)
@@ -194,8 +187,9 @@ def _work_term_nats(p4: np.ndarray) -> float:
 class WorkReport:
     """Per-round work terms and the asymptotic rate.
 
-    Values are in units of k_B T ln 2 when ``units`` is "bits".  ``residual``
-    is the worst max-norm gap between the final subsequence-limit iterates.
+    Values are in units of k_B T ln 2 when ``units`` is "bits".  ``profile``
+    belongs to the reachable global subchain (states in the order of
+    ``np.flatnonzero(chain.reachable)``); ``residual`` is its ``residual``.
     """
 
     per_round: tuple[float, ...]
@@ -203,37 +197,25 @@ class WorkReport:
     period_used: int
     residual: float
     units: str
+    profile: AsymptoticProfile = field(repr=False, compare=False)
 
 
-class _ReachableAsymptotics:
-    """Cesàro averaging of entropy functionals over the reachable subchain."""
-
-    def __init__(self, chain: GlobalChain, tol: float, max_iter: int):
-        self.chain = chain
-        reach = np.flatnonzero(chain.reachable)
-        self.reach = reach
-        sub = chain.kernel.probs[np.ix_(reach, reach)]
-        self.profile = asymptotic_profile(TransitionKernel(sub), tol, max_iter)
-        self.init_sub = chain.initial.probs[reach]
-
-    def limit_state_tables(self) -> list[np.ndarray]:
-        """Full-shape p(m, a, s, z) under each subsequence limit."""
-        tables = []
-        full = np.zeros(self.chain.n_states)
-        for limit in self.profile.subsequence_limits:
-            p_sub = self.init_sub @ limit
-            full[:] = 0.0
-            full[self.reach] = p_sub
-            tables.append(full.reshape(self.chain.shape).copy())
-        return tables
-
-    def cesaro_mean(self, functional) -> float:
-        values = [functional(p4) for p4 in self.limit_state_tables()]
-        return float(sum(values) / len(values))
+def _limit_state_tables(chain: GlobalChain):
+    """The reachable subchain's profile and the full-shape p(m, a, s, z)
+    under each of its subsequence limits."""
+    reach = np.flatnonzero(chain.reachable)
+    sub = chain.kernel.probs[np.ix_(reach, reach)]
+    profile = asymptotic_profile(TransitionKernel(sub))
+    init = chain.initial.probs[reach]
+    tables = []
+    for limit in profile.subsequence_limits:
+        full = np.zeros(chain.n_states)
+        full[reach] = init @ limit
+        tables.append(full.reshape(chain.shape))
+    return profile, tables
 
 
-def work_rate(loop: PerceptActionLoop, tol: float = 1e-10, max_iter: int = 10 ** 6,
-              rounds: int = 8, base: str = BITS) -> WorkReport:
+def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> WorkReport:
     """Asymptotic expected work per round, H(A_t|M_t) - H(S_t|M_t) averaged.
 
     The rate is the exact Cesàro limit obtained from the subsequence limits
@@ -247,30 +229,27 @@ def work_rate(loop: PerceptActionLoop, tol: float = 1e-10, max_iter: int = 10 **
     for _ in range(rounds):
         per_round.append(_work_term_nats(p.reshape(chain.shape)) * factor)
         p = p @ chain.kernel.probs
-    asym = _ReachableAsymptotics(chain, tol, max_iter)
-    rate = asym.cesaro_mean(_work_term_nats) * factor
-    return WorkReport(tuple(per_round), rate, asym.profile.period_lcm,
-                      asym.profile.residual, base)
+    profile, tables = _limit_state_tables(chain)
+    rate = sum(_work_term_nats(p4) for p4 in tables) / len(tables) * factor
+    return WorkReport(tuple(per_round), rate, profile.period_lcm, profile.residual,
+                      base, profile)
 
 
-def mean_action_entropy(loop: PerceptActionLoop, tol: float = 1e-10,
-                        max_iter: int = 10 ** 6, base: str = BITS) -> float:
+def mean_action_entropy(loop: PerceptActionLoop, base: str = BITS) -> float:
     """Exact Cesàro limit of H(A_t | M_t)."""
-    chain = build_global_chain(loop)
-    asym = _ReachableAsymptotics(chain, tol, max_iter)
-    value = asym.cesaro_mean(lambda p4: _cond_entropy_of_state(p4, 1))
+    _, tables = _limit_state_tables(build_global_chain(loop))
+    value = sum(_cond_entropy_of_state(p4, 1) for p4 in tables) / len(tables)
     return _clamp_nonneg(value, "mean action entropy") * _base_factor(base)
 
 
-def has_max_entropy_actions(loop: PerceptActionLoop, tol: float = 1e-9,
-                            iter_tol: float = 1e-12,
-                            max_iter: int = 10 ** 6) -> tuple[bool, float]:
+def has_max_entropy_actions(loop: PerceptActionLoop,
+                            tol: float = 1e-9) -> tuple[bool, float]:
     """Whether the Cesàro limit of H(A_t|M_t) attains log |A| within ``tol``.
 
     Returns (verdict, estimate) with the estimate in nats.  The limit is
     computed exactly from the asymptotic profile, not by truncation.
     """
-    value = mean_action_entropy(loop, tol=iter_tol, max_iter=max_iter, base="nats")
+    value = mean_action_entropy(loop, base="nats")
     target = math.log(len(loop.env.alphabet))
     return bool(abs(value - target) <= tol), value
 

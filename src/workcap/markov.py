@@ -4,9 +4,10 @@ Communication structure, periods, first-passage statistics, subsequence
 limits of matrix powers, and the Cesàro (time-average) limit matrix, for
 arbitrary finite row-stochastic kernels including reducible and periodic
 ones.  Periods come from graph structure (BFS level coloring per strongly
-connected component), so no tolerance is involved; limit matrices come from
-fixed-point iteration, which avoids complex arithmetic and treats reducible
-chains uniformly.
+connected component), so no tolerance is involved.  Limit matrices come from
+direct, cancellation-free linear algebra (GTH elimination and an outflow-form
+absorption solve), so sticky, slowly leaking, periodic and reducible chains
+are handled exactly and uniformly, with no iteration or tolerance.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 
 ROW_SUM_TOL = 1e-12
 
@@ -113,29 +114,40 @@ class StateClassification:
         raise DomainError(f"state {state} out of range")
 
 
+def _classify(support: np.ndarray) -> StateClassification:
+    n_comp, labels = connected_components(csr_matrix(support), directed=True,
+                                          connection="strong")
+    rows, cols = np.nonzero(support)
+    closed = np.ones(n_comp, dtype=bool)
+    closed[labels[rows[labels[rows] != labels[cols]]]] = False  # an edge leaves
+    _, first = np.unique(labels, return_index=True)
+    order = np.argsort(first)  # classes by their smallest state
+    return StateClassification(
+        tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in order),
+        tuple(closed[order].tolist()), closed[labels])
+
+
 def classify_states(kernel: TransitionKernel) -> StateClassification:
     """Partition states into communicating classes and mark the recurrent ones.
 
     Classes are the strongly connected components of the positive-probability
     digraph; a class is recurrent iff it is closed (no edge leaves it).
     """
-    P = kernel.require_square()
-    n = P.shape[0]
-    support = P > 0.0
-    n_comp, labels = connected_components(csr_matrix(support), directed=True,
-                                          connection="strong")
-    classes = [tuple(int(s) for s in np.flatnonzero(labels == c)) for c in range(n_comp)]
-    classes.sort(key=lambda cls: cls[0])
-    class_recurrent = []
-    recurrent = np.zeros(n, dtype=bool)
-    for cls in classes:
-        members = np.asarray(cls)
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        closed = not support[np.ix_(members, np.flatnonzero(outside))].any()
-        class_recurrent.append(closed)
-        recurrent[members] = closed
-    return StateClassification(tuple(classes), tuple(class_recurrent), recurrent)
+    return _classify(kernel.require_square() > 0.0)
+
+
+def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Fewest steps from the ``start`` mask to each state along the edges
+    ``support[i, j]`` (from i to j); -1 for states never reached, so
+    ``bfs_levels(start, support) >= 0`` is the reachable set."""
+    frontier = np.array(start, dtype=bool)
+    level = np.where(frontier, 0, -1)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = support[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
 
 
 def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int | None:
@@ -146,23 +158,13 @@ def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int | None:
     """
     members_arr = np.asarray(members)
     sub = support[np.ix_(members_arr, members_arr)]
-    m = len(members)
     if not sub.any():
         return None
-    # BFS level coloring from an arbitrary root; each internal edge (u, v)
+    # BFS levels from an arbitrary root; each internal edge (u, v)
     # contributes gcd term level[u] + 1 - level[v].
-    level = np.full(m, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in np.flatnonzero(sub[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return g
+    level = bfs_levels(np.arange(len(members)) == 0, sub)
+    u, v = np.nonzero(sub)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 def state_period(kernel: TransitionKernel, state: int) -> int:
@@ -184,6 +186,11 @@ class AsymptoticProfile:
     ``subsequence_limits[r - 1]`` is the limit of the powers ``n*d + r`` for
     r = 1..d, where d is the lcm of the recurrent-state periods;
     ``cesaro_matrix`` is their arithmetic mean, the time-average limit.
+    ``residual`` is an a-posteriori backward check: the largest max-norm gap
+    in the equations ``L_r P = L_{r+1}`` (r mod d) and ``P^d L = L`` that the
+    exact limits satisfy, with ``L = L_d``.  It shows how well the computed
+    limits solve their defining equations; it is not a bound on the error of
+    a rate computed from them.
     """
 
     period_lcm: int
@@ -194,20 +201,84 @@ class AsymptoticProfile:
     residual: float
 
 
-def asymptotic_profile(kernel: TransitionKernel, tol: float = 1e-10,
-                       max_iter: int = 10 ** 6) -> AsymptoticProfile:
+_GTH_BLOCK = 32
+
+
+def _gth_stationary(block: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible kernel by GTH elimination.
+
+    Grassmann, Taksar & Heyman (1985): states are censored out one at a
+    time from the last, and each elimination divides by the censored row's
+    off-diagonal sum instead of forming ``1 - p_kk``, so only nonnegative
+    numbers are ever added and no digits cancel.  The diagonal is never
+    read.  Eliminations run in blocks of ``_GTH_BLOCK`` states, with the
+    update of the states still to come applied as one matrix product.
+    """
+    A = np.array(block, dtype=float)
+    n = A.shape[0]
+    for hi in range(n, 1, -_GTH_BLOCK):
+        lo = max(hi - _GTH_BLOCK, 0)
+        for k in range(hi - 1, max(lo, 1) - 1, -1):
+            A[:k, k] /= A[k, :k].sum()
+            # entries (i, j) below k in the block's columns or rows; the
+            # rest waits for the block update below
+            A[:k, lo:k] += np.outer(A[:k, k], A[k, lo:k])
+            if lo:
+                A[lo:k, :lo] += np.outer(A[lo:k, k], A[k, :lo])
+        if lo:
+            A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
+    x = np.empty(n)
+    x[0] = 1.0
+    for j in range(1, n):
+        x[j] = x[:j] @ A[:j, j]
+    return x / x.sum()
+
+
+def _power_limit(Q: np.ndarray, closed: list[np.ndarray]) -> np.ndarray:
+    """``lim Q^n`` for a kernel whose closed classes ``closed`` are aperiodic.
+
+    Transient rows mix the classes' stationary vectors with the absorption
+    probabilities H from ``(I - Q_TT) H = R``, whose diagonal is each row's
+    outflow (off-diagonal sum) rather than ``1 - q_ii``, so slow leaks keep
+    their digits.
+    """
+    n = Q.shape[0]
+    L = np.zeros((n, n))
+    transient = np.ones(n, dtype=bool)
+    stationary = []
+    for members in closed:
+        transient[members] = False
+        pi = _gth_stationary(Q[np.ix_(members, members)])
+        L[np.ix_(members, members)] = pi
+        stationary.append(pi)
+    t = np.flatnonzero(transient)
+    if t.size:
+        rows = Q[t]
+        rows[np.arange(t.size), t] = 0.0
+        A = -rows[:, t]
+        A[np.diag_indices(t.size)] = rows.sum(axis=1)
+        R = np.stack([rows[:, members].sum(axis=1) for members in closed], axis=1)
+        H = np.linalg.solve(A, R)
+        for k, (members, pi) in enumerate(zip(closed, stationary)):
+            L[np.ix_(t, members)] = np.outer(H[:, k], pi)
+    return L
+
+
+def asymptotic_profile(kernel: TransitionKernel) -> AsymptoticProfile:
     """Compute the d subsequence limit matrices and the Cesàro matrix.
 
-    Each limit is obtained by iterating multiplication with the d-th kernel
-    power until successive iterates differ by less than ``tol`` in max-norm.
-    Raises ConvergenceError (carrying the last residual) if ``max_iter`` is
-    exhausted.
+    With d the lcm of the closed-class periods, the closed classes of
+    ``Q = P^d`` are the cyclic subclasses, each aperiodic under Q, so
+    ``L = lim Q^n`` follows directly (see ``_power_limit``) and the
+    subsequence limits are ``P^r L``.  Nothing is iterated, so there is no
+    tolerance and no convergence failure.
     """
     P = kernel.require_square()
     support = P > 0.0
-    cls = classify_states(kernel)
+    cls = _classify(support)
     periods: dict[int, int] = {}
     d = 1
+    closed = []
     for members, is_rec in zip(cls.classes, cls.class_recurrent):
         if not is_rec:
             continue
@@ -217,27 +288,26 @@ def asymptotic_profile(kernel: TransitionKernel, tol: float = 1e-10,
         for s in members:
             periods[s] = p
         d = d * p // math.gcd(d, p)
+        closed.append(np.asarray(members))
 
-    Pd = np.linalg.matrix_power(P, d)
+    if d == 1:
+        Q = P
+    else:
+        Q = np.linalg.matrix_power(P, d)
+        q_cls = _classify(Q > 0.0)
+        closed = [np.asarray(m) for m, c in zip(q_cls.classes, q_cls.class_recurrent) if c]
+    L = _power_limit(Q, closed)
+
     limits = []
-    worst = 0.0
-    for r in range(1, d + 1):
-        X = np.linalg.matrix_power(P, r)
-        residual = np.inf
-        for _ in range(max_iter):
-            X_next = X @ Pd
-            residual = float(np.max(np.abs(X_next - X)))
-            X = X_next
-            if residual < tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"subsequence limit r={r} did not converge within {max_iter} iterations",
-                residual=residual,
-            )
-        X.setflags(write=False)
+    X = L
+    for _ in range(d - 1):
+        X = P @ X
         limits.append(X)
-        worst = max(worst, residual)
+    limits.append(L)
+    gaps = [P @ X - L] + [limits[r] @ P - limits[(r + 1) % d] for r in range(d)]
+    residual = max(float(np.max(np.abs(gap))) for gap in gaps)
+    for limit in limits:
+        limit.setflags(write=False)
 
     cesaro = sum(limits) / d
     cesaro.setflags(write=False)
@@ -247,7 +317,7 @@ def asymptotic_profile(kernel: TransitionKernel, tol: float = 1e-10,
         cesaro_matrix=cesaro,
         recurrent=cls.recurrent,
         state_period=periods,
-        residual=worst,
+        residual=residual,
     )
 
 

@@ -1,8 +1,7 @@
 """Seeded random model generators for property sweeps and verification.
 
 All entries are kept strictly positive (Dirichlet draws with a floor) unless
-stated otherwise, so entropy functionals stay Lipschitz and limit iterations
-converge quickly.
+stated otherwise, so entropy functionals stay Lipschitz.
 """
 
 from __future__ import annotations

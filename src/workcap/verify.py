@@ -72,7 +72,7 @@ def check_fig5_mea_rate(seed: int = 0, tol: float = 1e-9) -> str:
     """Uniform memoryless agent on the fig5 channel: rate within 1e-9 bits."""
     env = load_bundled("fig5")
     agent = agents.build_uniform(env.alphabet)
-    report = loop.work_rate(loop.PerceptActionLoop(agent, env), tol=min(tol, 1e-12))
+    report = loop.work_rate(loop.PerceptActionLoop(agent, env))
     err = abs(report.rate - FIG5_MEA_RATE_BITS)
     _require(err < 1e-9, f"rate off by {err:.3g} bits")
     return f"rate {report.rate:.12f} bits (err {err:.2e})"
@@ -89,7 +89,7 @@ def check_identity_and_noiseless(seed: int = 0, tol: float = 1e-9) -> str:
         env = random_environment(rng, n_symbols=n_sym, n_hidden=n_hid)
         agent = agents.build_identity(env.alphabet)
         report = loop.work_rate(loop.PerceptActionLoop(agent, env),
-                                tol=1e-13, rounds=0, base="nats")
+                                rounds=0, base="nats")
         worst = max(worst, abs(report.rate))
     _require(worst <= 1e-10, f"identity rate as large as {worst:.3g}")
     noiseless = capacity.capacity_noiseless(load_bundled("identity"))
@@ -105,8 +105,7 @@ def check_golden_mean_realizability(seed: int = 0, tol: float = 1e-9) -> str:
     result = capacity.capacity_unifilar_product(env, tol=tol)
     err = abs(result.value_bits - 1.0 / 3.0)
     _require(err < 1e-5, f"capacity off by {err:.3g} bits")
-    witness_rate = loop.work_rate(
-        loop.PerceptActionLoop(result.witness, env), tol=min(tol, 1e-12)).rate
+    witness_rate = loop.work_rate(loop.PerceptActionLoop(result.witness, env)).rate
     gap = abs(witness_rate - result.value_bits)
     _require(gap < 1e-5, f"witness misses capacity by {gap:.3g} bits")
     return (f"capacity {result.value_bits:.8f} bits (err {err:.2e}); "

@@ -6,7 +6,6 @@ import pytest
 from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      build_identity, build_last_action, build_memoryless,
                      build_predictive, build_uniform)
-from workcap.agents import AgentSpec, build
 from workcap.loop import (predictiveness_score, trajectory_distribution,
                           work_rate)
 from workcap.random_models import random_agent, random_environment
@@ -56,11 +55,6 @@ class TestBuilders:
         for t in range(4):
             pam = traj.marginal((f"M{t}", f"A{t}")).probs
             assert pam[0, 1] + pam[1, 0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_spec_dispatcher(self, fig5):
-        assert build(AgentSpec("identity"), fig5.alphabet).n_memory == 1
-        assert build(AgentSpec("uniform"), fig5.alphabet).n_memory == 1
-        assert build(AgentSpec("last_action"), fig5.alphabet).n_memory == 2
 
 
 class TestPredictiveConstruction:

@@ -223,3 +223,48 @@ class TestAgainstPathOracle:
                 c = tuple(picks[2: 2 + int(gen.integers(0, 3))])
                 assert d_separated(dag, a, b, c) == \
                     enumerate_paths_oracle(dag, a, b, c)
+
+    # networkx is a second, independent oracle for what the path-oracle tests
+    # above leave out: multi-node endpoint sets and templates beyond horizon 2
+    def test_multi_node_sets_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        gen = np.random.default_rng(41)
+        for _ in range(40):
+            dag = random_dag(gen, int(gen.integers(6, 11)))
+            graph = networkx_graph(nx, dag)
+            for _ in range(10):
+                a, b, c = disjoint_sets(gen, dag, 3, 3, 3)
+                assert d_separated(dag, a, b, c) == nx.is_d_separator(graph, a, b, c), \
+                    (dag.edges, a, b, c)
+
+    @pytest.mark.parametrize("horizon", [3, 4])
+    @pytest.mark.parametrize("variant", ["general", "memoryless_env", "product_env"])
+    def test_long_loop_templates_match_networkx(self, horizon, variant):
+        nx = pytest.importorskip("networkx")
+        gen = np.random.default_rng(horizon)
+        dag = build_loop_dag(horizon, variant)
+        graph = networkx_graph(nx, dag)
+        separated = 0
+        for _ in range(100):
+            a, b, c = disjoint_sets(gen, dag, 2, 2, 5)
+            verdict = d_separated(dag, a, b, c)
+            assert verdict == nx.is_d_separator(graph, a, b, c), (variant, a, b, c)
+            separated += verdict
+        assert 0 < separated < 100  # both verdicts exercised
+
+
+def networkx_graph(nx, dag: Dag):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dag.nodes)
+    graph.add_edges_from(dag.edges)
+    return graph
+
+
+def disjoint_sets(gen, dag: Dag, max_a: int, max_b: int, max_c: int):
+    """Random pairwise disjoint node sets, the first two nonempty."""
+    nodes = list(dag.nodes)
+    gen.shuffle(nodes)
+    n_a, n_b = int(gen.integers(1, max_a + 1)), int(gen.integers(1, max_b + 1))
+    n_c = int(gen.integers(0, max_c + 1))
+    return (set(nodes[:n_a]), set(nodes[n_a:n_a + n_b]),
+            set(nodes[n_a + n_b:n_a + n_b + n_c]))

@@ -37,7 +37,7 @@ class TestNoiseless:
         result = capacity_noiseless(identity_env)
         assert result.value_nats == 0.0
         rate = work_rate(PerceptActionLoop(result.witness, identity_env),
-                         tol=1e-13, base="nats").rate
+                         base="nats").rate
         assert abs(rate) < 1e-12
 
     def test_ternary_identity(self):

@@ -106,7 +106,7 @@ class TestWorkRate:
         for _ in range(5):
             env = random_environment(rng, 2, 2)
             pal = PerceptActionLoop(build_identity(env.alphabet), env)
-            assert abs(work_rate(pal, tol=1e-13).rate) < 1e-10
+            assert abs(work_rate(pal).rate) < 1e-10
 
     def test_fig5_uniform_rate(self, fig5):
         pal = PerceptActionLoop(build_uniform(fig5.alphabet), fig5)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from workcap import (ConvergenceError, DimensionError, DomainError,
-                     TransitionKernel, asymptotic_profile, classify_states,
-                     first_passage, state_period)
+from workcap import (DimensionError, DomainError, TransitionKernel,
+                     asymptotic_profile, classify_states, first_passage,
+                     state_period)
 from workcap.random_models import random_kernel, random_structured_kernel
 
 SWAP = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
@@ -142,17 +142,102 @@ class TestAsymptoticProfile:
         rhs = sum(g(L) for L in profile.subsequence_limits) / d
         assert abs(lhs - rhs) < 1e-3
 
-    def test_non_convergence_raises_with_residual(self):
-        k = TransitionKernel([[0.5, 0.5], [0.1, 0.9]])
-        with pytest.raises(ConvergenceError) as excinfo:
-            asymptotic_profile(k, tol=1e-12, max_iter=2)
-        assert excinfo.value.residual is not None
+    def test_residual_is_invariance_check(self, rng):
+        # the residual is the a-posteriori gap in L_r P = L_{r+1} (mod d);
+        # recompute it independently from the returned limits
+        for i in range(6):
+            kernel = (random_structured_kernel(rng, 5) if i % 2
+                      else random_kernel(rng, 4))
+            profile = asymptotic_profile(kernel)
+            limits = profile.subsequence_limits
+            d = profile.period_lcm
+            gap = max(np.max(np.abs(limits[r] @ kernel.probs - limits[(r + 1) % d]))
+                      for r in range(d))
+            assert gap <= profile.residual < 1e-13
 
     def test_power_rows_sum_to_one(self, rng):
         kernel = random_kernel(rng, 5)
         for n in (1, 3, 10, 50):
             rows = kernel.power(n).sum(axis=1)
             assert np.max(np.abs(rows - 1.0)) < 1e-10
+
+
+class TestExactLimits:
+    """Limits of sticky, slowly leaking, periodic and reducible chains match
+    their closed forms to rounding level."""
+
+    @pytest.mark.parametrize("flip", [1e-4, 1e-5, 1e-8])
+    def test_sticky_two_state_chain(self, flip):
+        back = 3.0 * flip
+        P = [[1.0 - flip, flip], [back, 1.0 - back]]
+        profile = asymptotic_profile(TransitionKernel(P))
+        pi = np.array([back, flip]) / (flip + back)
+        assert profile.period_lcm == 1
+        assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
+
+    @pytest.mark.parametrize("leak", [1e-6, 1e-10])
+    def test_slow_leak_into_two_absorbing_states(self, leak):
+        P = [[1.0 - 3.0 * leak, leak, 2.0 * leak], [0, 1, 0], [0, 0, 1]]
+        profile = asymptotic_profile(TransitionKernel(P))
+        expected = [[0.0, 1 / 3, 2 / 3], [0, 1, 0], [0, 0, 1]]
+        assert np.max(np.abs(profile.cesaro_matrix - expected)) <= 1e-14
+
+    def test_long_birth_death_chain(self):
+        # 100 states, several elimination blocks; detailed balance gives
+        # pi_i proportional to 2^-i, matched entrywise to relative 1e-12
+        n = 100
+        P = np.zeros((n, n))
+        for i in range(n):
+            P[i, min(i + 1, n - 1)] += 0.3
+            P[i, max(i - 1, 0)] += 0.6
+            P[i, i] += 0.1
+        pi = 0.5 ** np.arange(n)
+        pi /= pi.sum()
+        profile = asymptotic_profile(TransitionKernel(P))
+        assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
+        assert np.max(np.abs(profile.cesaro_matrix / pi - 1.0)) <= 1e-12
+
+    def test_dense_chain_across_elimination_blocks(self, rng):
+        kernel = random_kernel(rng, 100)
+        profile = asymptotic_profile(kernel)
+        pi = stationary_by_linear_solve(kernel.probs)
+        assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
+
+    def test_cycles_of_lcm_210_fed_by_transient_states(self):
+        # deterministic 2-, 3-, 5- and 7-cycles; t0 leaks slowly into t1 and
+        # the 5- and 7-cycles, t1 splits between the 2- and 3-cycles, and t2
+        # (on no cycle) feeds t0.  Absorption: 1/8, 1/8, 3/8, 3/8 from t0.
+        lengths = (2, 3, 5, 7)
+        starts = np.cumsum((0,) + lengths)[:-1]
+        n = sum(lengths) + 3
+        t0, t1, t2 = n - 3, n - 2, n - 1
+        P = np.zeros((n, n))
+        for start, length in zip(starts, lengths):
+            for i in range(length):
+                P[start + i, start + (i + 1) % length] = 1.0
+        P[t0, [t0, t1, starts[2], starts[3]]] = [1.0 - 8e-6, 2e-6, 3e-6, 3e-6]
+        P[t1, [starts[0], starts[1]]] = 0.5
+        P[t2, t0] = 1.0
+        profile = asymptotic_profile(TransitionKernel(P))
+        assert profile.period_lcm == 210
+
+        def on_cycles(weights):
+            row = np.zeros(n)
+            for start, length, w in zip(starts, lengths, weights):
+                row[start:start + length] = w / length
+            return row
+
+        expected = np.zeros((n, n))
+        for start, length in zip(starts, lengths):
+            expected[start:start + length] = on_cycles(
+                [float(length == other) for other in lengths])
+        expected[t0] = expected[t2] = on_cycles([1 / 8, 1 / 8, 3 / 8, 3 / 8])
+        expected[t1] = on_cycles([1 / 2, 1 / 2, 0, 0])
+        assert np.max(np.abs(profile.cesaro_matrix - expected)) <= 1e-14
+        limits = profile.subsequence_limits
+        for r in range(210):
+            gap = limits[r] @ P - limits[(r + 1) % 210]
+            assert np.max(np.abs(gap)) <= 1e-14
 
 
 class TestFirstPassage:
