@@ -12,8 +12,8 @@ from .agents import (build_identity, build_last_action, build_memoryless,
 from .bayesnet import Dag, build_loop_dag, d_separated, validate_compatibility
 from .capacity import (CapacityResult, capacity_lower_bound, capacity_memoryless,
                        capacity_noiseless, capacity_unifilar_product,
-                       check_capacity_bounds, check_subadditivity,
-                       classify_agent_sets, compute_capacity)
+                       check_subadditivity, classify_agent_sets,
+                       compute_capacity)
 from .channels import (AgentModel, EnvironmentModel, UnifilarityMap, cascade,
                        channel_law, is_memoryless_invariant, is_noiseless,
                        is_product, is_unifilar, load_model, save_model, validate)

@@ -116,50 +116,33 @@ def build_predictive(base: AgentModel, env: EnvironmentModel,
     n_m = base.n_memory
     n_z = env.n_hidden
     z0 = int(np.argmax(env.initial))
+    # memory = (m', y', z'); step: z' <- u(y', z', s), base step, y' <- a2.
+    # The product circuit has one stored-action slot (y' = 0, unlabeled).
+    general = circuit == "general"
+    n_y = n if general else 1
+    slots = [f"{y}," for y in env.alphabet] if general else [""]
+    labels = tuple(
+        f"({m},{y}{z})"
+        for m in base.memory_states for y in slots for z in env.hidden_states
+    )
 
-    if circuit == "general":
-        # memory = (m', y', z'); step: z' <- u(y', z', s), base step, y' <- a2
-        labels = tuple(
-            f"({m},{y},{z})"
-            for m in base.memory_states for y in env.alphabet for z in env.hidden_states
-        )
-        def midx(m, y, z):
-            return (m * n + y) * n_z + z
-        n_mem = n_m * n * n_z
-        theta = np.zeros((n, n_mem, n, n_mem))
-        for s in range(n):
-            for m in range(n_m):
-                for y in range(n):
-                    for z in range(n_z):
-                        z_new = uni(y, z, s)
-                        for a2 in range(n):
-                            for m2 in range(n_m):
-                                theta[s, midx(m, y, z), a2, midx(m2, a2, z_new)] = \
-                                    base.theta[s, m, a2, m2]
-        init = np.zeros((n, n_mem))
-        for a in range(n):
-            for m in range(n_m):
-                init[a, midx(m, a, z0)] = base.initial_joint[a, m]
-    else:
-        # memory = (m', z'); the state update u(s, z) ignores the action
-        labels = tuple(
-            f"({m},{z})" for m in base.memory_states for z in env.hidden_states
-        )
-        def midx2(m, z):
-            return m * n_z + z
-        n_mem = n_m * n_z
-        theta = np.zeros((n, n_mem, n, n_mem))
-        for s in range(n):
-            for m in range(n_m):
+    def midx(m, a, z):  # a % n_y is the slot that stores action a
+        return (m * n_y + a % n_y) * n_z + z
+
+    n_mem = n_m * n_y * n_z
+    theta = np.zeros((n, n_mem, n, n_mem))
+    for s in range(n):
+        for m in range(n_m):
+            for y in range(n_y):
                 for z in range(n_z):
-                    z_new = uni(0, z, s)
+                    z_new = uni(y, z, s)
                     for a2 in range(n):
                         for m2 in range(n_m):
-                            theta[s, midx2(m, z), a2, midx2(m2, z_new)] = \
+                            theta[s, midx(m, y, z), a2, midx(m2, a2, z_new)] = \
                                 base.theta[s, m, a2, m2]
-        init = np.zeros((n, n_mem))
-        for a in range(n):
-            for m in range(n_m):
-                init[a, midx2(m, z0)] = base.initial_joint[a, m]
+    init = np.zeros((n, n_mem))
+    for a in range(n):
+        for m in range(n_m):
+            init[a, midx(m, a, z0)] = base.initial_joint[a, m]
 
     return AgentModel(env.alphabet, labels, theta, init)

@@ -1,11 +1,12 @@
-"""Work capacity: closed forms, numeric lower bounds, and property checks.
+"""Work capacity: closed forms, numeric lower bounds, and a property check.
 
 Closed forms cover the three special channel classes (noiseless, memoryless
 invariant, unifilar product).  For everything else a derivative-free
 optimizer over bounded-memory agent kernels yields an explicitly labeled
 lower bound; the true capacity maximizes over all finite agent models and no
 general algorithm for it is known, so the numeric value is never presented
-as exact.
+as exact.  :func:`check_subadditivity` checks cascade subadditivity of
+memoryless invariant channels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ CLOSED_FORM_UNIFILAR_PRODUCT = "closed_form_unifilar_product"
 NUMERIC_LOWER_BOUND = "numeric_lower_bound"
 
 NM_STEPS = 4000  # iteration cap of one Nelder-Mead run
+MEMORYLESS_RESTARTS = 8  # random Dirichlet starts of the memoryless ascent
 
 
 @dataclass(frozen=True)
@@ -131,36 +133,8 @@ def _refine_binary(reduced: np.ndarray, p_best: float) -> float:
     return max([interior, 0.0, 1.0, best], key=f)
 
 
-def stationarity_bisection(reduced: np.ndarray, lo: float, hi: float,
-                           tol: float = 1e-14) -> float | None:
-    """Independent cross-check for binary alphabets: bisect the first-order
-    stationarity condition of H(A) - H(S) on [lo, hi].  Returns None when the
-    derivative does not change sign on the bracket."""
-    if reduced.shape != (2, 2):
-        raise DomainError("stationarity bisection is for binary alphabets")
-
-    def deriv(p0):
-        p = np.array([p0, 1.0 - p0])
-        q = p @ reduced
-        dq = reduced[0] - reduced[1]
-        dHq = float(-(dq * (np.log(np.maximum(q, 1e-300)) + 1.0)).sum())
-        dHp = float(math.log((1.0 - p0) / p0))
-        return dHp - dHq
-
-    f_lo, f_hi = deriv(lo), deriv(hi)
-    if f_lo * f_hi > 0:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if deriv(lo) * deriv(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def capacity_memoryless(env: channels.EnvironmentModel, tol: float = 1e-9,
-                        seed: int = 0, restarts: int = 8) -> CapacityResult:
+                        seed: int = 0) -> CapacityResult:
     """Maximize the one-shot work term over action distributions.
 
     Multi-start projected ascent on the simplex followed by a dense grid
@@ -175,7 +149,7 @@ def capacity_memoryless(env: channels.EnvironmentModel, tol: float = 1e-9,
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(restarts)]
+    starts += [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
 
     best = max((_ascend(reduced, p0) for p0 in starts),
                key=lambda p: _memoryless_objective(reduced, p))
@@ -199,7 +173,7 @@ def capacity_memoryless(env: channels.EnvironmentModel, tol: float = 1e-9,
                           stalled=stalled)
 
 
-def capacity_unifilar_product(env: channels.EnvironmentModel, tol: float = 1e-9,
+def capacity_unifilar_product(env: channels.EnvironmentModel,
                               product_horizon: int = channels.DEFAULT_PRODUCT_HORIZON
                               ) -> CapacityResult:
     """log |A| minus the percept entropy rate, attained by the predictive
@@ -211,7 +185,7 @@ def capacity_unifilar_product(env: channels.EnvironmentModel, tol: float = 1e-9,
             f"capacity_unifilar_product needs a product channel "
             f"(certificate horizon {product_horizon})"
         )
-    h = info.entropy_rate(env, tol=tol, base="nats", product_horizon=product_horizon)
+    h = info.entropy_rate(env, base="nats", product_horizon=product_horizon)
     value = math.log(len(env.alphabet)) - h
     witness = agents.build_predictive(agents.build_uniform(env.alphabet), env)
     return CapacityResult(float(value), CLOSED_FORM_UNIFILAR_PRODUCT, witness=witness)
@@ -314,7 +288,7 @@ def _nelder_mead_run(objective, x0: np.ndarray, window: int = 50,
 
 
 def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
-                         restarts: int = 32, seed: int = 0, tol: float = 1e-9,
+                         restarts: int = 32, seed: int = 0,
                          warm_starts: tuple[agents.AgentModel, ...] = ()
                          ) -> CapacityResult:
     """Best work rate over agents with ``memory_size`` memory states.
@@ -379,17 +353,9 @@ def compute_capacity(env: channels.EnvironmentModel, tol: float = 1e-9,
     if channels.is_memoryless_invariant(env) is not None:
         return capacity_memoryless(env, tol=tol, seed=seed)
     if channels.is_unifilar(env) is not None and channels.is_product(env):
-        return capacity_unifilar_product(env, tol=tol)
+        return capacity_unifilar_product(env)
     return capacity_lower_bound(env, memory_size=memory_size, restarts=restarts,
-                                seed=seed, tol=tol)
-
-
-def check_capacity_bounds(result: CapacityResult,
-                          env: channels.EnvironmentModel,
-                          slack: float = 1e-9) -> bool:
-    """0 <= capacity <= ln |percept alphabet| (nats)."""
-    upper = math.log(len(env.alphabet))
-    return bool(-slack <= result.value_nats <= upper + slack)
+                                seed=seed)
 
 
 @dataclass(frozen=True)
@@ -438,9 +404,10 @@ def classify_agent_sets(env: channels.EnvironmentModel, agent: agents.AgentModel
     """Bundle the mea test, the truncated predictiveness estimate, the work
     rate, and (optionally) a comparison against a supplied capacity value."""
     pal = loop.PerceptActionLoop(agent, env)
-    in_mea, mea_nats = loop.has_max_entropy_actions(pal, tol=tol)
-    pred = loop.am_predictiveness(pal, horizon=horizon, base=base)
     report = loop.work_rate(pal, base="nats", rounds=0)
+    mea_nats = report.action_entropy
+    in_mea = bool(abs(mea_nats - math.log(len(env.alphabet))) <= tol)
+    pred = loop.am_predictiveness(pal, horizon=horizon, base=base)
     efficient = None
     if reference_capacity_nats is not None:
         efficient = bool(report.rate >= reference_capacity_nats - tol)

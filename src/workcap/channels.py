@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetError, DimensionError, ModelFormatError
-from .markov import ROW_SUM_TOL, Distribution, TransitionKernel, bfs_levels
+from .markov import ROW_SUM_TOL, bfs_levels
 
 DEFAULT_PRODUCT_HORIZON = 4
 ENUMERATION_BUDGET = 20_000_000
@@ -78,14 +78,6 @@ class EnvironmentModel:
     def n_hidden(self) -> int:
         return len(self.hidden_states)
 
-    def kernel(self) -> TransitionKernel:
-        """The flat (|A|*|Z|) x (|S|*|Z|) stochastic matrix."""
-        n = self.n_symbols * self.n_hidden
-        return TransitionKernel(self.phi.reshape(n, n))
-
-    def initial_distribution(self) -> Distribution:
-        return Distribution(self.initial)
-
     def emission(self) -> np.ndarray:
         """emission[a, z, s]: probability of percept s given action a, state z."""
         return self.phi.sum(axis=3)
@@ -133,10 +125,6 @@ class AgentModel:
     @property
     def n_memory(self) -> int:
         return len(self.memory_states)
-
-    def kernel(self) -> TransitionKernel:
-        n = self.n_symbols * self.n_memory
-        return TransitionKernel(self.theta.reshape(n, n))
 
 
 Model = EnvironmentModel | AgentModel

@@ -17,29 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import agents, bayesnet, capacity, channels, loop, verify
 from .errors import WorkcapError
 from .info import BITS, NATS
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    units: str = BITS
-    tol: float = 1e-9
-    horizon: int = 4
-    seed: int = 0
-    memory_size: int = 2
-    restarts: int = 32
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise WorkcapError("tol must be positive")
-        if self.horizon < 1:
-            raise WorkcapError("horizon must be >= 1")
 
 
 class InputError(Exception):
@@ -62,27 +45,22 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _load_env(path) -> channels.EnvironmentModel:
+_EXPECTED = {
+    channels.EnvironmentModel: "an environment model (hidden_states)",
+    channels.AgentModel: "an agent model (memory_states)",
+}
+
+
+def _load(path, kind=channels.EnvironmentModel):
+    """The model in ``path``, which must be of type ``kind``."""
     try:
         model = channels.load_model(path)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except WorkcapError as exc:
         raise InputError(f"{path}: {exc}") from None
-    if not isinstance(model, channels.EnvironmentModel):
-        raise InputError(f"{path}: expected an environment model (hidden_states)")
-    return model
-
-
-def _load_agent(path) -> channels.AgentModel:
-    try:
-        model = channels.load_model(path)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file") from None
-    except WorkcapError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if not isinstance(model, channels.AgentModel):
-        raise InputError(f"{path}: expected an agent model (memory_states)")
+    if not isinstance(model, kind):
+        raise InputError(f"{path}: expected {_EXPECTED[kind]}")
     return model
 
 
@@ -93,11 +71,11 @@ def _make_loop(env, agent) -> loop.PerceptActionLoop:
         raise InputError(str(exc)) from None
 
 
-def cmd_analyze(args, config: RunConfig) -> int:
-    env = _load_env(args.env)
+def cmd_analyze(args) -> int:
+    env = _load(args.env)
     noiseless = channels.is_noiseless(env)
     reduced = channels.is_memoryless_invariant(env)
-    product = channels.is_product(env, horizon=config.horizon)
+    product = channels.is_product(env, horizon=args.horizon)
     uni = channels.is_unifilar(env)
 
     report: dict = {
@@ -106,14 +84,14 @@ def cmd_analyze(args, config: RunConfig) -> int:
         "noiseless": noiseless,
         "memoryless_invariant": reduced is not None,
         "product": product,
-        "product_certificate_horizon": config.horizon,
+        "product_certificate_horizon": args.horizon,
         "unifilar": uni is not None,
     }
     lines = [
         f"alphabet: {{{', '.join(env.alphabet)}}}; hidden states: {len(env.hidden_states)}",
         f"noiseless: {'yes' if noiseless else 'no'}",
         f"memoryless invariant: {'yes' if reduced is not None else 'no'}",
-        f"product: {'yes' if product else 'no'} (horizon-{config.horizon} certificate)",
+        f"product: {'yes' if product else 'no'} (horizon-{args.horizon} certificate)",
         f"unifilar: {'yes' if uni is not None else 'no'}",
     ]
     if uni is not None:
@@ -129,7 +107,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
         lines += [f"  {k} -> {v}" for k, v in sorted(entries.items())]
 
     if args.agent:
-        agent = _load_agent(args.agent)
+        agent = _load(args.agent, channels.AgentModel)
         pal = _make_loop(env, agent)
         chain = loop.build_global_chain(pal)
         profile = loop.work_rate(pal, rounds=0).profile
@@ -158,39 +136,38 @@ def cmd_analyze(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_work_rate(args, config: RunConfig) -> int:
-    env = _load_env(args.env)
-    agent = _load_agent(args.agent)
+def cmd_work_rate(args) -> int:
+    env = _load(args.env)
+    agent = _load(args.agent, channels.AgentModel)
     pal = _make_loop(env, agent)
-    report = loop.work_rate(pal, rounds=config.horizon, base=config.units)
+    report = loop.work_rate(pal, rounds=args.horizon, base=args.units)
     doc = {
-        "units": config.units,
+        "units": args.units,
         "per_round": [_json_num(w) for w in report.per_round],
         "rate": _json_num(report.rate),
         "period": report.period_used,
         "residual": _json_num(report.residual),
     }
-    lines = [f"W_{t} = {_fmt(w)} {config.units}" for t, w in enumerate(report.per_round)]
+    lines = [f"W_{t} = {_fmt(w)} {args.units}" for t, w in enumerate(report.per_round)]
     lines.append(
-        f"asymptotic rate: {_fmt(report.rate)} {config.units} "
+        f"asymptotic rate: {_fmt(report.rate)} {args.units} "
         f"(period {report.period_used}, residual {report.residual:.2e})")
     _emit(doc, args.json, lines)
     return 0
 
 
-def cmd_capacity(args, config: RunConfig) -> int:
-    env = _load_env(args.env)
-    result = capacity.compute_capacity(env, tol=config.tol,
-                                       memory_size=config.memory_size,
-                                       restarts=config.restarts, seed=config.seed)
-    value = result.value(config.units)
+def cmd_capacity(args) -> int:
+    env = _load(args.env)
+    result = capacity.compute_capacity(env, tol=args.tol, memory_size=args.memory_size,
+                                       restarts=args.restarts, seed=args.seed)
+    value = result.value(args.units)
     doc = {
-        "units": config.units,
+        "units": args.units,
         "value": _json_num(value),
         "method": result.method,
         "exact": result.exact,
     }
-    lines = [f"{_fmt(value)} {config.units} ({result.method})"]
+    lines = [f"{_fmt(value)} {args.units} ({result.method})"]
     if result.witness_params:
         p = result.witness_params["action_distribution"]
         doc["witness_action_distribution"] = [_json_num(x) for x in p]
@@ -199,8 +176,8 @@ def cmd_capacity(args, config: RunConfig) -> int:
                                  for sym, x in zip(env.alphabet, p)))
     if result.method == capacity.NUMERIC_LOWER_BOUND:
         doc["note"] = "lower bound (bounded agent memory)"
-        doc["memory_size"] = config.memory_size
-        lines.append(f"note: lower bound with {config.memory_size} memory states")
+        doc["memory_size"] = args.memory_size
+        lines.append(f"note: lower bound with {args.memory_size} memory states")
     if args.out and result.witness is not None:
         channels.save_model(result.witness, args.out)
         doc["witness_file"] = str(args.out)
@@ -212,8 +189,8 @@ def cmd_capacity(args, config: RunConfig) -> int:
 _AGENT_KINDS = ("identity", "memoryless", "uniform", "last-action", "predictive")
 
 
-def cmd_build_agent(args, config: RunConfig) -> int:
-    env = _load_env(args.env)
+def cmd_build_agent(args) -> int:
+    env = _load(args.env)
     kind = args.kind
     try:
         if kind == "identity":
@@ -247,16 +224,16 @@ def _node_set(text: str | None) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
-def cmd_dsep(args, config: RunConfig) -> int:
+def cmd_dsep(args) -> int:
     try:
-        dag = bayesnet.build_loop_dag(config.horizon, args.variant)
+        dag = bayesnet.build_loop_dag(args.horizon, args.variant)
         separated = bayesnet.d_separated(dag, _node_set(args.a), _node_set(args.b),
                                          _node_set(args.c))
     except (WorkcapError, KeyError) as exc:
         raise InputError(str(exc)) from None
     doc = {
         "variant": args.variant,
-        "horizon": config.horizon,
+        "horizon": args.horizon,
         "a": list(_node_set(args.a)),
         "b": list(_node_set(args.b)),
         "c": list(_node_set(args.c)),
@@ -266,13 +243,13 @@ def cmd_dsep(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    results = verify.run_all(seed=config.seed, tol=config.tol)
+def cmd_verify(args) -> int:
+    results = verify.run_all(seed=args.seed)
     # timings stay out of the JSON report so identical inputs and seed give
     # byte-identical machine-readable output
     doc = {
-        "units": config.units,
-        "seed": config.seed,
+        "units": args.units,
+        "seed": args.seed,
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
@@ -290,6 +267,33 @@ def cmd_verify(args, config: RunConfig) -> int:
     return 0 if doc["all_passed"] else 1
 
 
+def _positive(kind):
+    def parse(text: str):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# the valued flags; each subcommand accepts only those it reads
+_FLAGS = {
+    "units": dict(choices=[BITS, NATS], default=BITS),
+    "tol": dict(type=_positive(float), default=1e-9),
+    "horizon": dict(type=_positive(int), default=4),
+    "seed": dict(type=int, default=0),
+    "memory-size": dict(type=int, default=2),
+    "restarts": dict(type=int, default=32),
+}
+
+
+def _add_flags(p, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
+    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workcap",
@@ -298,32 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--units", choices=[BITS, NATS], default=RunConfig.units)
-        p.add_argument("--tol", type=float, default=RunConfig.tol)
-        p.add_argument("--horizon", type=int, default=RunConfig.horizon)
-        p.add_argument("--seed", type=int, default=RunConfig.seed)
-        p.add_argument("--memory-size", type=int, default=RunConfig.memory_size)
-        p.add_argument("--restarts", type=int, default=RunConfig.restarts)
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable JSON output")
-
     p = sub.add_parser("analyze", help="channel-class report for a model file")
     p.add_argument("env")
     p.add_argument("--agent", help="also analyze the global chain with this agent")
-    add_common(p)
+    _add_flags(p, "horizon")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("work-rate", help="per-round and asymptotic work rate")
     p.add_argument("env")
     p.add_argument("agent")
-    add_common(p)
+    _add_flags(p, "units", "horizon")
     p.set_defaults(func=cmd_work_rate)
 
     p = sub.add_parser("capacity", help="work capacity (closed form or lower bound)")
     p.add_argument("env")
     p.add_argument("--out", help="write the witness agent model here")
-    add_common(p)
+    _add_flags(p, "units", "tol", "seed", "memory-size", "restarts")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("build-agent", help="construct an agent model file")
@@ -331,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("env")
     p.add_argument("--out", required=True)
     p.add_argument("--prob", help="comma-separated action distribution")
-    add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_build_agent)
 
     p = sub.add_parser("dsep", help="d-separation query on a loop DAG template")
@@ -340,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated node names")
     p.add_argument("--b", required=True, help="comma-separated node names")
     p.add_argument("--c", default="", help="comma-separated conditioning nodes")
-    add_common(p)
+    _add_flags(p, "horizon")
     p.set_defaults(func=cmd_dsep)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    add_common(p)
+    _add_flags(p, "units", "seed")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -353,14 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(units=args.units, tol=args.tol, horizon=args.horizon,
-                           seed=args.seed, memory_size=args.memory_size,
-                           restarts=args.restarts)
-        return args.func(args, config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WorkcapError as exc:
+        return args.func(args)
+    except (InputError, WorkcapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

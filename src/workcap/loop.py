@@ -70,7 +70,8 @@ class GlobalChain:
         return int(np.prod(self.shape))
 
     def state_label(self, index: int) -> tuple[int, int, int, int]:
-        return tuple(np.unravel_index(index, self.shape))  # type: ignore[return-value]
+        m, a, s, z = np.unravel_index(index, self.shape)
+        return int(m), int(a), int(s), int(z)
 
 
 def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
@@ -187,13 +188,15 @@ def _work_term_nats(p4: np.ndarray) -> float:
 class WorkReport:
     """Per-round work terms and the asymptotic rate.
 
-    Values are in units of k_B T ln 2 when ``units`` is "bits".  ``profile``
-    belongs to the reachable global subchain (states in the order of
-    ``np.flatnonzero(chain.reachable)``); ``residual`` is its ``residual``.
+    Values are in units of k_B T ln 2 when ``units`` is "bits".
+    ``action_entropy`` is the Cesàro limit of H(A_t | M_t) in ``units``.
+    ``profile`` belongs to the reachable global subchain (states in the order
+    of ``np.flatnonzero(chain.reachable)``); ``residual`` is its ``residual``.
     """
 
     per_round: tuple[float, ...]
     rate: float
+    action_entropy: float
     period_used: int
     residual: float
     units: str
@@ -230,16 +233,18 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
         per_round.append(_work_term_nats(p.reshape(chain.shape)) * factor)
         p = p @ chain.kernel.probs
     profile, tables = _limit_state_tables(chain)
-    rate = sum(_work_term_nats(p4) for p4 in tables) / len(tables) * factor
-    return WorkReport(tuple(per_round), rate, profile.period_lcm, profile.residual,
-                      base, profile)
+    h_action = [_cond_entropy_of_state(p4, 1) for p4 in tables]
+    rate = sum(h - _cond_entropy_of_state(p4, 2)
+               for h, p4 in zip(h_action, tables)) / len(tables) * factor
+    action_entropy = _clamp_nonneg(sum(h_action) / len(tables),
+                                   "mean action entropy") * factor
+    return WorkReport(tuple(per_round), rate, action_entropy, profile.period_lcm,
+                      profile.residual, base, profile)
 
 
 def mean_action_entropy(loop: PerceptActionLoop, base: str = BITS) -> float:
     """Exact Cesàro limit of H(A_t | M_t)."""
-    _, tables = _limit_state_tables(build_global_chain(loop))
-    value = sum(_cond_entropy_of_state(p4, 1) for p4 in tables) / len(tables)
-    return _clamp_nonneg(value, "mean action entropy") * _base_factor(base)
+    return work_rate(loop, rounds=0, base=base).action_entropy
 
 
 def has_max_entropy_actions(loop: PerceptActionLoop,

@@ -73,10 +73,6 @@ class TransitionKernel:
             )
         return self.probs
 
-    def power(self, n: int) -> np.ndarray:
-        """n-step transition probabilities (square kernels only)."""
-        return np.linalg.matrix_power(self.require_square(), n)
-
 
 @dataclass(frozen=True)
 class Distribution:

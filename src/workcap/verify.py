@@ -52,11 +52,11 @@ def _require(cond: bool, detail: str):
         raise _Failure(detail)
 
 
-def check_fig5_capacity(seed: int = 0, tol: float = 1e-9) -> str:
+def check_fig5_capacity(seed: int = 0) -> str:
     """Capacity of the bundled fig5 channel: value within 1e-6 nats, argmax
     within 1e-4."""
     env = load_bundled("fig5")
-    result = capacity.compute_capacity(env, tol=tol, seed=seed)
+    result = capacity.compute_capacity(env, seed=seed)
     _require(result.method == capacity.CLOSED_FORM_MEMORYLESS,
              f"dispatched to {result.method}")
     err = abs(result.value_nats - FIG5_CAPACITY_NATS)
@@ -68,7 +68,7 @@ def check_fig5_capacity(seed: int = 0, tol: float = 1e-9) -> str:
             f"(err {err:.2e}), p(0) = {p0:.6f}")
 
 
-def check_fig5_mea_rate(seed: int = 0, tol: float = 1e-9) -> str:
+def check_fig5_mea_rate(seed: int = 0) -> str:
     """Uniform memoryless agent on the fig5 channel: rate within 1e-9 bits."""
     env = load_bundled("fig5")
     agent = agents.build_uniform(env.alphabet)
@@ -78,7 +78,7 @@ def check_fig5_mea_rate(seed: int = 0, tol: float = 1e-9) -> str:
     return f"rate {report.rate:.12f} bits (err {err:.2e})"
 
 
-def check_identity_and_noiseless(seed: int = 0, tol: float = 1e-9) -> str:
+def check_identity_and_noiseless(seed: int = 0) -> str:
     """Identity agent extracts nothing (20 random environments, 1e-10);
     noiseless capacity is exactly zero."""
     rng = np.random.default_rng(seed)
@@ -98,11 +98,11 @@ def check_identity_and_noiseless(seed: int = 0, tol: float = 1e-9) -> str:
     return f"worst |identity rate| {worst:.2e} nats; noiseless capacity exactly 0"
 
 
-def check_golden_mean_realizability(seed: int = 0, tol: float = 1e-9) -> str:
+def check_golden_mean_realizability(seed: int = 0) -> str:
     """Golden-mean source: capacity 1/3 bit within 1e-5 and the constructed
     predictive agent attains it within 1e-5."""
     env = load_bundled("golden_mean")
-    result = capacity.capacity_unifilar_product(env, tol=tol)
+    result = capacity.capacity_unifilar_product(env)
     err = abs(result.value_bits - 1.0 / 3.0)
     _require(err < 1e-5, f"capacity off by {err:.3g} bits")
     witness_rate = loop.work_rate(loop.PerceptActionLoop(result.witness, env)).rate
@@ -112,7 +112,7 @@ def check_golden_mean_realizability(seed: int = 0, tol: float = 1e-9) -> str:
             f"witness rate within {gap:.2e}")
 
 
-def check_fig5_exclusivity(seed: int = 0, tol: float = 1e-9) -> str:
+def check_fig5_exclusivity(seed: int = 0) -> str:
     """Mutual exclusivity of the mea / predictive / efficient classes on the
     fig5 channel, via classify_agent_sets on three agents."""
     env = load_bundled("fig5")
@@ -153,7 +153,7 @@ def check_fig5_exclusivity(seed: int = 0, tol: float = 1e-9) -> str:
             "not mea; p=1/sqrt(2): eff, not mea, not pred")
 
 
-def check_global_markov(seed: int = 0, tol: float = 1e-9) -> str:
+def check_global_markov(seed: int = 0) -> str:
     """Exact T=4 trajectory tables of 10 random loops satisfy the one-step
     Markov and homogeneity conditions within 1e-12."""
     rng = np.random.default_rng(seed)
@@ -198,7 +198,7 @@ def check_global_markov(seed: int = 0, tol: float = 1e-9) -> str:
     return f"worst Markov dev {worst_markov:.2e}, homogeneity dev {worst_homog:.2e}"
 
 
-def check_cesaro_machinery(seed: int = 0, tol: float = 1e-9) -> str:
+def check_cesaro_machinery(seed: int = 0) -> str:
     """On 20 random chains (n <= 6): the Cesàro matrix matches brute-force
     time averaging within 1e-3, and pi = f/m within 1e-6 wherever the
     first-passage truncation residual is below 1e-8."""
@@ -242,7 +242,7 @@ def check_cesaro_machinery(seed: int = 0, tol: float = 1e-9) -> str:
             f"over {checked_fm} pairs")
 
 
-def check_subadditivity(seed: int = 0, tol: float = 1e-9) -> str:
+def check_subadditivity(seed: int = 0) -> str:
     """50 random binary memoryless channel pairs satisfy cascade
     subadditivity with closed-form capacities (slack 1e-8)."""
     rng = np.random.default_rng(seed)
@@ -258,7 +258,7 @@ def check_subadditivity(seed: int = 0, tol: float = 1e-9) -> str:
     return f"max C(cascade) - (C1 + C2) = {worst:.3e} nats over 50 pairs"
 
 
-def check_dsep_soundness(seed: int = 0, tol: float = 1e-9) -> str:
+def check_dsep_soundness(seed: int = 0) -> str:
     """>= 200 sampled d-separated triples across the three templates have
     exact CMI < 1e-9; known-dependent triples exceed 1e-3 (negative controls)."""
     rng = np.random.default_rng(seed)
@@ -319,10 +319,10 @@ ALL_CHECKS = (
 )
 
 
-def run_check(name: str, func, seed: int = 0, tol: float = 1e-9) -> CheckResult:
+def run_check(name: str, func, seed: int = 0) -> CheckResult:
     start = time.perf_counter()
     try:
-        detail = func(seed=seed, tol=tol)
+        detail = func(seed=seed)
         passed = True
     except _Failure as exc:
         detail, passed = str(exc), False
@@ -331,5 +331,5 @@ def run_check(name: str, func, seed: int = 0, tol: float = 1e-9) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
-def run_all(seed: int = 0, tol: float = 1e-9) -> list[CheckResult]:
-    return [run_check(name, func, seed=seed, tol=tol) for name, func in ALL_CHECKS]
+def run_all(seed: int = 0) -> list[CheckResult]:
+    return [run_check(name, func, seed=seed) for name, func in ALL_CHECKS]

@@ -20,7 +20,7 @@ BUDGETS = {
 
 @pytest.mark.parametrize("name,func", verify.ALL_CHECKS, ids=[n for n, _ in verify.ALL_CHECKS])
 def test_criterion(name, func):
-    result = verify.run_check(name, func, seed=0, tol=1e-9)
+    result = verify.run_check(name, func, seed=0)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {name} [{result.seconds:.2f}s] {result.detail}")
     assert result.passed, f"{name}: {result.detail}"

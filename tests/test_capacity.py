@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
-                     check_capacity_bounds, check_subadditivity,
-                     classify_agent_sets, work_rate)
+                     check_subadditivity, classify_agent_sets, work_rate)
 from workcap.capacity import (_agent_from_params, _softmax_rows,
-                              compute_capacity, stationarity_bisection)
+                              compute_capacity)
 from workcap.channels import is_memoryless_invariant
+from workcap.errors import DomainError
 from workcap.info import LN2
 from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
@@ -30,6 +30,68 @@ def grid_search_oracle(reduced: np.ndarray, points: int = 200_001) -> tuple[floa
     values = (-xlogy(p, p).sum(axis=1)) - (-xlogy(q, q).sum(axis=1))
     best = int(np.argmax(values))
     return float(values[best]), float(p0[best])
+
+
+def stationarity_bisection(reduced: np.ndarray, lo: float, hi: float,
+                           tol: float = 1e-14) -> float | None:
+    """Independent cross-check for binary alphabets: bisect the first-order
+    stationarity condition of H(A) - H(S) on [lo, hi].  Returns None when the
+    derivative does not change sign on the bracket."""
+    if reduced.shape != (2, 2):
+        raise DomainError("stationarity bisection is for binary alphabets")
+
+    def deriv(p0):
+        p = np.array([p0, 1.0 - p0])
+        q = p @ reduced
+        dq = reduced[0] - reduced[1]
+        dHq = float(-(dq * (np.log(np.maximum(q, 1e-300)) + 1.0)).sum())
+        dHp = float(math.log((1.0 - p0) / p0))
+        return dHp - dHq
+
+    f_lo, f_hi = deriv(lo), deriv(hi)
+    if f_lo * f_hi > 0:
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if deriv(lo) * deriv(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def simplex_grid_oracle(reduced: np.ndarray, steps: int) -> float:
+    """Best one-shot work term H(A) - H(S) over a grid on the action simplex:
+    ``steps + 1`` points for binary alphabets, the ``steps``-step barycentric
+    grid for ternary ones."""
+    from scipy.special import xlogy
+    if reduced.shape[0] == 2:
+        p0 = np.linspace(0.0, 1.0, steps + 1)
+        p = np.stack([p0, 1.0 - p0], axis=1)
+    else:
+        i, j = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
+        keep = i + j <= steps
+        i, j = i[keep], j[keep]
+        p = np.stack([i, j, steps - i - j], axis=1) / steps
+    q = p @ reduced
+    return float(np.max(-xlogy(p, p).sum(axis=1) + xlogy(q, q).sum(axis=1)))
+
+
+def memoryless_env(reduced: np.ndarray) -> EnvironmentModel:
+    n = reduced.shape[0]
+    return EnvironmentModel(tuple(str(i) for i in range(n)), ("z",),
+                            reduced[:, None, :, None], np.array([1.0]))
+
+
+def sparse_ternary_channel(seed: int) -> np.ndarray:
+    """Dirichlet rows with about 40% of the entries zeroed."""
+    rng = np.random.default_rng(seed)
+    reduced = rng.dirichlet(np.ones(3), size=3)
+    reduced[rng.random((3, 3)) < 0.4] = 0.0
+    for row in reduced:
+        if row.sum() == 0.0:
+            row[rng.integers(3)] = 1.0
+    return reduced / reduced.sum(axis=1, keepdims=True)
 
 
 class TestNoiseless:
@@ -88,6 +150,26 @@ class TestMemoryless:
         reduced = is_memoryless_invariant(fig5)
         p0 = stationarity_bisection(reduced, 0.55, 0.95)
         assert p0 == pytest.approx(2 ** -0.5, abs=1e-12)
+
+    # Hard inputs for the optimizer stages: projected ascent alone falls
+    # 4.6e-8 nats short at eps = 1e-6 (the binary grid and golden section
+    # close it) and 1.6e-5 short on the fixed ternary channel (the
+    # Nelder-Mead polish closes it).
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_near_z_channel_reaches_dense_grid(self, eps):
+        reduced = np.array([[1.0, 0.0], [eps, 1.0 - eps]])
+        value = capacity_memoryless(memoryless_env(reduced)).value_nats
+        assert value >= simplex_grid_oracle(reduced, 2_000_000) - 1e-10
+
+    @pytest.mark.parametrize("reduced", [
+        np.array([[0.0, 0.0, 1.0],
+                  [0.417719, 0.0, 0.582281],
+                  [0.004338, 0.995662, 0.0]]),
+        *(sparse_ternary_channel(seed) for seed in range(6)),
+    ])
+    def test_sparse_ternary_reaches_barycentric_grid(self, reduced):
+        value = capacity_memoryless(memoryless_env(reduced)).value_nats
+        assert value >= simplex_grid_oracle(reduced, 1000) - 1e-10
 
     def test_witness_rate_equals_value(self, fig5, flip_noise):
         for env in (fig5, flip_noise):
@@ -186,7 +268,7 @@ class TestCapacityProperties:
             (fig5, capacity_memoryless(fig5)),
             (golden_mean, capacity_unifilar_product(golden_mean)),
         ):
-            assert check_capacity_bounds(result, env)
+            assert 0.0 <= result.value_nats <= math.log(len(env.alphabet))
 
     def test_subadditivity_fig5_with_itself(self, fig5):
         report = check_subadditivity(fig5, fig5)
@@ -213,6 +295,20 @@ class TestCapacityProperties:
 
 
 class TestClassifyAgentSets:
+    def test_builds_one_chain_and_profile(self, fig5, monkeypatch):
+        import workcap.loop as loop_mod
+        from workcap import build_uniform
+        calls = {"build_global_chain": 0, "asymptotic_profile": 0}
+        for name in calls:
+            original = getattr(loop_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(loop_mod, name, counted)
+        classify_agent_sets(fig5, build_uniform(fig5.alphabet), horizon=2)
+        assert calls == {"build_global_chain": 1, "asymptotic_profile": 1}
+
     def test_fig5_three_agents(self, fig5):
         from workcap import build_last_action, build_memoryless, build_uniform
         cap = capacity_memoryless(fig5).value_nats

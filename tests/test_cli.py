@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -39,6 +40,17 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", FIG5, "--agent", str(agent_file))
         assert code == 0
         assert "global chain: 4 states" in out
+
+    def test_cesaro_state_keys_are_plain_integers(self, capsys, tmp_path):
+        agent_file = tmp_path / "pred.json"
+        assert main(["build-agent", "predictive", GOLDEN, "--out", str(agent_file)]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "analyze", GOLDEN, "--agent", str(agent_file),
+                               "--json")
+        assert code == 0
+        keys = json.loads(out)["global_chain"]["cesaro_top_states"]
+        assert keys
+        assert all(re.fullmatch(r"\(\d+, \d+, \d+, \d+\)", k) for k in keys)
 
     def test_malformed_model_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -196,30 +208,60 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_passed"]
 
-    def test_overtight_tol_leaves_entropy_rate_item_unchanged(self):
-        # the golden-mean limits are computed directly, so a tolerance below
-        # the floating-point floor changes nothing in the realizability check
-        from workcap import verify as v
-        loose, tight = (v.run_check("golden_mean_realizability",
-                                    v.check_golden_mean_realizability, tol=tol)
-                        for tol in (1e-9, 1e-18))
-        assert loose.passed and tight.passed
-        assert tight.detail == loose.detail
-
     def test_any_failure_maps_to_exit_one(self, capsys, monkeypatch):
         from workcap import verify as v
         import workcap.cli as cli_mod
         fake = [v.CheckResult("stub", False, "boom", 0.0)]
-        monkeypatch.setattr(cli_mod.verify, "run_all", lambda seed, tol: fake)
+        monkeypatch.setattr(cli_mod.verify, "run_all", lambda seed: fake)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
 
     def test_verify_json_byte_identical(self, capsys, monkeypatch):
         from workcap import verify as v
-        fake = (("stub", lambda seed=0, tol=1e-9: f"seeded run {seed}"),)
+        fake = (("stub", lambda seed=0: f"seeded run {seed}"),)
         monkeypatch.setattr(v, "ALL_CHECKS", fake)
         code1, out1, _ = run_cli(capsys, "verify", "--json", "--seed", "3")
         code2, out2, _ = run_cli(capsys, "verify", "--json", "--seed", "3")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestFlags:
+    # each subcommand accepts exactly the valued flags it reads
+    VALUED = {
+        "analyze": {"--horizon"},
+        "work-rate": {"--units", "--horizon"},
+        "capacity": {"--units", "--tol", "--seed", "--memory-size", "--restarts"},
+        "build-agent": set(),
+        "dsep": {"--horizon"},
+        "verify": {"--units", "--seed"},
+    }
+    OWN = {
+        "analyze": {"--agent"},
+        "work-rate": set(),
+        "capacity": {"--out"},
+        "build-agent": {"--out", "--prob"},
+        "dsep": {"--variant", "--a", "--b", "--c"},
+        "verify": set(),
+    }
+
+    @pytest.mark.parametrize("command", sorted(VALUED))
+    def test_help_lists_only_read_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == self.VALUED[command] | self.OWN[command] | {"--help", "--json"}
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", FIG5, "--tol", "1e-3"),
+        ("capacity", FIG5, "--tol", "0"),
+        ("analyze", FIG5, "--horizon", "0"),
+    ])
+    def test_unread_or_invalid_flag_exits_two(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the flag or its value
+            code = exc.code
+        assert code == 2
