@@ -109,8 +109,8 @@ def cmd_analyze(args) -> int:
     if args.agent:
         agent = _load(args.agent, channels.AgentModel)
         pal = _make_loop(env, agent)
-        chain = loop.build_global_chain(pal)
-        profile = loop.work_rate(pal, rounds=0).profile
+        work = loop.work_rate(pal, rounds=0)
+        chain, profile = work.chain, work.profile
         pi = chain.initial.probs[chain.reachable] @ profile.cesaro_matrix
         top = np.argsort(pi)[::-1][:5]
         reach_idx = np.flatnonzero(chain.reachable)

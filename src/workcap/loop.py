@@ -190,8 +190,9 @@ class WorkReport:
 
     Values are in units of k_B T ln 2 when ``units`` is "bits".
     ``action_entropy`` is the Cesàro limit of H(A_t | M_t) in ``units``.
-    ``profile`` belongs to the reachable global subchain (states in the order
-    of ``np.flatnonzero(chain.reachable)``); ``residual`` is its ``residual``.
+    ``chain`` is the global chain the report was computed on; ``profile``
+    belongs to its reachable subchain (states in the order of
+    ``np.flatnonzero(chain.reachable)``); ``residual`` is its ``residual``.
     """
 
     per_round: tuple[float, ...]
@@ -200,6 +201,7 @@ class WorkReport:
     period_used: int
     residual: float
     units: str
+    chain: GlobalChain = field(repr=False, compare=False)
     profile: AsymptoticProfile = field(repr=False, compare=False)
 
 
@@ -239,7 +241,7 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     action_entropy = _clamp_nonneg(sum(h_action) / len(tables),
                                    "mean action entropy") * factor
     return WorkReport(tuple(per_round), rate, action_entropy, profile.period_lcm,
-                      profile.residual, base, profile)
+                      profile.residual, base, chain, profile)
 
 
 def mean_action_entropy(loop: PerceptActionLoop, base: str = BITS) -> float:

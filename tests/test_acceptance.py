@@ -15,6 +15,7 @@ BUDGETS = {
     "golden_mean_realizability": 5.0,
     "fig5_agent_set_exclusivity": 5.0,
     "global_markov_chain": 30.0,
+    "cascade_subadditivity": 4.0,
 }
 
 

@@ -9,8 +9,9 @@ from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (_agent_from_params, _softmax_rows,
-                              compute_capacity)
+from workcap.capacity import (MEMORYLESS_RESTARTS, _agent_from_params,
+                              _batched_ascent, _memoryless_objective,
+                              _softmax_rows, compute_capacity)
 from workcap.channels import is_memoryless_invariant
 from workcap.errors import DomainError
 from workcap.info import LN2
@@ -58,6 +59,37 @@ def stationarity_bisection(reduced: np.ndarray, lo: float, hi: float,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.flatnonzero(u * np.arange(1, v.size + 1) > css)[-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def _ascend(reduced: np.ndarray, p0: np.ndarray, iters: int = 2000) -> np.ndarray:
+    """Projected gradient ascent from one start (backtracking step size)."""
+    p = p0.copy()
+    lr = 0.5
+    value = _memoryless_objective(reduced, p)
+    for _ in range(iters):
+        with np.errstate(divide="ignore"):
+            log_q = np.log(np.maximum(p @ reduced, 1e-300))
+            log_p = np.log(np.maximum(p, 1e-300))
+        grad = -(log_p + 1.0) + reduced @ (log_q + 1.0)
+        cand = _project_simplex(p + lr * grad)
+        cand_value = _memoryless_objective(reduced, cand)
+        if cand_value > value + 1e-16:
+            p, value = cand, cand_value
+            lr = min(lr * 1.5, 10.0)
+        else:
+            lr *= 0.5
+            if lr < 1e-13:
+                break
+    return p
 
 
 def simplex_grid_oracle(reduced: np.ndarray, steps: int) -> float:
@@ -170,6 +202,27 @@ class TestMemoryless:
     def test_sparse_ternary_reaches_barycentric_grid(self, reduced):
         value = capacity_memoryless(memoryless_env(reduced)).value_nats
         assert value >= simplex_grid_oracle(reduced, 1000) - 1e-10
+
+    @pytest.mark.parametrize("reduced", [
+        *(np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
+          for n in (2, 3, 5) for seed in range(3)),
+        np.array([[1.0, 0.0], [1e-4, 1.0 - 1e-4]]),
+        np.array([[1.0, 0.0], [1e-6, 1.0 - 1e-6]]),
+        np.array([[0.0, 0.0, 1.0],
+                  [0.417719, 0.0, 0.582281],
+                  [0.004338, 0.995662, 0.0]]),
+    ])
+    def test_batched_ascent_matches_scalar_oracle(self, reduced):
+        # the starts of capacity_memoryless: uniform, near each vertex, and
+        # MEMORYLESS_RESTARTS Dirichlet draws
+        n = reduced.shape[0]
+        rng = np.random.default_rng(0)
+        starts = [np.full(n, 1.0 / n)]
+        starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
+        starts += [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
+        _, values = _batched_ascent(reduced, np.array(starts))
+        for p0, value in zip(starts, values):
+            assert abs(value - _memoryless_objective(reduced, _ascend(reduced, p0))) <= 1e-12
 
     def test_witness_rate_equals_value(self, fig5, flip_noise):
         for env in (fig5, flip_noise):

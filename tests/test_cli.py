@@ -52,6 +52,21 @@ class TestAnalyze:
         assert keys
         assert all(re.fullmatch(r"\(\d+, \d+, \d+, \d+\)", k) for k in keys)
 
+    def test_agent_builds_one_global_chain(self, capsys, tmp_path, monkeypatch):
+        import workcap.loop as loop_mod
+        agent_file = tmp_path / "pred.json"
+        assert main(["build-agent", "predictive", GOLDEN, "--out", str(agent_file)]) == 0
+        calls = []
+        original = loop_mod.build_global_chain
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(loop_mod, "build_global_chain", counted)
+        code, _, _ = run_cli(capsys, "analyze", GOLDEN, "--agent", str(agent_file))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_malformed_model_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -7,6 +7,7 @@ from workcap import (DimensionError, DomainError, TransitionKernel,
                      asymptotic_profile, classify_states, first_passage,
                      state_period)
 from workcap.random_models import random_kernel, random_structured_kernel
+from workcap.verify import _power_sum
 
 SWAP = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
 ABSORB = TransitionKernel([[1.0, 0.0], [1.0, 0.0]])
@@ -238,6 +239,31 @@ class TestExactLimits:
         for r in range(210):
             gap = limits[r] @ P - limits[(r + 1) % 210]
             assert np.max(np.abs(gap)) <= 1e-14
+
+
+class TestPowerSum:
+    """The doubling sum behind verify's Cesàro check equals the explicit
+    N-term loop within 1e-12 N."""
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_every_length_up_to_70(self, rng, structured):
+        make = random_structured_kernel if structured else random_kernel
+        P = make(rng, 6).probs
+        for N in range(1, 71):
+            gap = np.abs(_power_sum(P, N) / N - brute_force_cesaro(P, N))
+            assert gap.max() <= 1e-12, N
+
+    def test_verify_length_on_period_six_chain(self):
+        # a 2-cycle and a 3-cycle fed by one transient state: period lcm 6
+        P = np.zeros((6, 6))
+        P[0, 1] = P[1, 0] = 1.0
+        P[2, 3] = P[3, 4] = P[4, 2] = 1.0
+        P[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
+        d = asymptotic_profile(TransitionKernel(P)).period_lcm
+        assert d == 6
+        N = 20_000 * d
+        gap = np.abs(_power_sum(P, N) / N - brute_force_cesaro(P, N))
+        assert gap.max() <= 1e-12
 
 
 class TestFirstPassage:
