@@ -25,6 +25,8 @@ from .errors import DimensionError, DomainError
 
 AUX_PREFIXES = ("V", "W")
 CMI_SOUNDNESS_TOL = 1e-9
+# rejection-sampling draws allowed per requested d-separated triple
+_ATTEMPTS_PER_TRIPLE = 400
 
 
 @dataclass(frozen=True)
@@ -44,19 +46,24 @@ class Dag:
                 raise DomainError(f"edge ({u!r}, {v!r}) mentions an unknown node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(self.edges))
+        parents: dict[str, set[str]] = {n: set() for n in nodes}
+        children: dict[str, set[str]] = {n: set() for n in nodes}
+        for u, v in self.edges:
+            parents[v].add(u)
+            children[u].add(v)
+        # built once and shared by every query; the public maps are copies
+        object.__setattr__(self, "_parents", {n: frozenset(p) for n, p in parents.items()})
+        object.__setattr__(self, "_children", {n: frozenset(c) for n, c in children.items()})
         self._check_acyclic()
 
     def _check_acyclic(self):
-        indeg = {n: 0 for n in self.nodes}
-        for _, v in self.edges:
-            indeg[v] += 1
+        indeg = {n: len(self._parents[n]) for n in self.nodes}
         frontier = [n for n, d in indeg.items() if d == 0]
         seen = 0
-        children = self.children_map()
         while frontier:
             u = frontier.pop()
             seen += 1
-            for v in children[u]:
+            for v in self._children[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     frontier.append(v)
@@ -64,16 +71,10 @@ class Dag:
             raise DomainError("graph has a directed cycle")
 
     def parents_map(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for u, v in self.edges:
-            out[v].add(u)
-        return out
+        return {n: set(p) for n, p in self._parents.items()}
 
     def children_map(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for u, v in self.edges:
-            out[u].add(v)
-        return out
+        return {n: set(c) for n, c in self._children.items()}
 
 
 def build_loop_dag(horizon: int, variant: str = "general") -> Dag:
@@ -134,8 +135,8 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
     if not a or not b:
         raise DomainError("both endpoint sets must be nonempty")
 
-    parents = dag.parents_map()
-    children = dag.children_map()
+    parents = dag._parents
+    children = dag._children
 
     # ancestors of the conditioning set (inclusive), for collider activation
     anc_c: set[str] = set()
@@ -194,13 +195,10 @@ class CompatibilityReport:
 
 
 def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
-                             rng: np.random.Generator,
-                             max_attempts: int | None = None):
+                             rng: np.random.Generator):
     """Randomly sampled (A, B, C) subsets of ``pool`` that are d-separated."""
-    if max_attempts is None:
-        max_attempts = 400 * n_triples
     found = []
-    for _ in range(max_attempts):
+    for _ in range(_ATTEMPTS_PER_TRIPLE * n_triples):
         if len(found) >= n_triples:
             break
         k_a = int(rng.integers(1, 3))

@@ -319,6 +319,8 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     """
     if memory_size < 1:
         raise DomainError("memory_size must be >= 1")
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
     alphabet = env.alphabet
     memory = tuple(f"m{i}" for i in range(memory_size))
     n_a, n_m = len(alphabet), memory_size
@@ -335,7 +337,7 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)]
     starts += [_params_from_agent(w, memory_size) for w in warm_starts]
-    starts += [rng.normal(scale=1.5, size=dim) for _ in range(max(restarts - 1, 0))]
+    starts += [rng.normal(scale=1.5, size=dim) for _ in range(restarts - 1)]
 
     trace: list[tuple[int, float]] = []
     best_x, best_value = starts[0], -math.inf

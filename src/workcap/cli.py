@@ -283,8 +283,8 @@ _FLAGS = {
     "tol": dict(type=_positive(float), default=1e-9),
     "horizon": dict(type=_positive(int), default=4),
     "seed": dict(type=int, default=0),
-    "memory-size": dict(type=int, default=2),
-    "restarts": dict(type=int, default=32),
+    "memory-size": dict(type=_positive(int), default=2),
+    "restarts": dict(type=_positive(int), default=32),
 }
 
 

@@ -4,10 +4,14 @@ Communication structure, periods, first-passage statistics, subsequence
 limits of matrix powers, and the Cesàro (time-average) limit matrix, for
 arbitrary finite row-stochastic kernels including reducible and periodic
 ones.  Periods come from graph structure (BFS level coloring per strongly
-connected component), so no tolerance is involved.  Limit matrices come from
-direct, cancellation-free linear algebra (GTH elimination and an outflow-form
-absorption solve), so sticky, slowly leaking, periodic and reducible chains
-are handled exactly and uniformly, with no iteration or tolerance.
+connected component), so no tolerance is involved.  Structure (classes,
+closed classes, periods and their lcm) depends only on the support pattern,
+the positions of the nonzero entries, so it is computed once per pattern and
+remembered for the most recent patterns; an optimizer's positive kernels all
+share one pattern.  Limit matrices come from direct, cancellation-free
+linear algebra (GTH elimination and an outflow-form absorption solve), so
+sticky, slowly leaking, periodic and reducible chains are handled exactly and
+uniformly, with no iteration or tolerance.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -15,6 +19,7 @@ to state ``j``; rows sum to one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,9 +123,11 @@ def _classify(support: np.ndarray) -> StateClassification:
     closed[labels[rows[labels[rows] != labels[cols]]]] = False  # an edge leaves
     _, first = np.unique(labels, return_index=True)
     order = np.argsort(first)  # classes by their smallest state
+    recurrent = closed[labels]
+    recurrent.setflags(write=False)
     return StateClassification(
         tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in order),
-        tuple(closed[order].tolist()), closed[labels])
+        tuple(closed[order].tolist()), recurrent)
 
 
 def classify_states(kernel: TransitionKernel) -> StateClassification:
@@ -129,7 +136,7 @@ def classify_states(kernel: TransitionKernel) -> StateClassification:
     Classes are the strongly connected components of the positive-probability
     digraph; a class is recurrent iff it is closed (no edge leaves it).
     """
-    return _classify(kernel.require_square() > 0.0)
+    return _structure_of(kernel.require_square() > 0.0).classification
 
 
 def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -165,14 +172,62 @@ def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int | None:
 
 def state_period(kernel: TransitionKernel, state: int) -> int:
     """Period of a return state: gcd of all return-path lengths."""
-    P = kernel.require_square()
-    if not 0 <= state < P.shape[0]:
+    support = kernel.require_square() > 0.0
+    if not 0 <= state < support.shape[0]:
         raise DomainError(f"state {state} out of range")
-    cls = classify_states(kernel).class_of(state)
-    period = _class_period(P > 0.0, cls)
+    cls = _structure_of(support).classification.class_of(state)
+    period = _class_period(support, cls)
     if period is None:
         raise DomainError(f"state {state} is not a return state (no return path exists)")
     return period
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """What a kernel's support pattern alone decides: its classes, its
+    closed classes (as index arrays), their states' periods and the lcm."""
+
+    classification: StateClassification
+    closed: tuple[np.ndarray, ...]
+    state_period: dict[int, int]
+    period_lcm: int
+
+
+def _structure(support: np.ndarray) -> _Structure:
+    cls = _classify(support)
+    periods: dict[int, int] = {}
+    d = 1
+    closed = []
+    for members, is_rec in zip(cls.classes, cls.class_recurrent):
+        if not is_rec:
+            continue
+        p = _class_period(support, members)
+        # a closed class always contains a cycle
+        assert p is not None and p >= 1
+        for s in members:
+            periods[s] = p
+        d = d * p // math.gcd(d, p)
+        members_arr = np.asarray(members)
+        members_arr.setflags(write=False)
+        closed.append(members_arr)
+    return _Structure(cls, tuple(closed), periods, d)
+
+
+# distinct support patterns remembered; an optimizer's kernels are all
+# positive, so its thousands of evaluations share a handful of patterns
+_STRUCTURE_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_STRUCTURE_MEMO_SIZE)
+def _memo_structure(shape: tuple[int, int], packed: bytes) -> _Structure:
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=shape[0] * shape[1])
+    return _structure(bits.reshape(shape).view(bool))
+
+
+def _structure_of(support: np.ndarray) -> _Structure:
+    """The support pattern's structure, computed once per pattern.  Results
+    are shared between callers, so they must not be mutated."""
+    return _memo_structure(support.shape, np.packbits(support).tobytes())
 
 
 @dataclass(frozen=True)
@@ -270,28 +325,14 @@ def asymptotic_profile(kernel: TransitionKernel) -> AsymptoticProfile:
     tolerance and no convergence failure.
     """
     P = kernel.require_square()
-    support = P > 0.0
-    cls = _classify(support)
-    periods: dict[int, int] = {}
-    d = 1
-    closed = []
-    for members, is_rec in zip(cls.classes, cls.class_recurrent):
-        if not is_rec:
-            continue
-        p = _class_period(support, members)
-        # a closed class always contains a cycle
-        assert p is not None and p >= 1
-        for s in members:
-            periods[s] = p
-        d = d * p // math.gcd(d, p)
-        closed.append(np.asarray(members))
-
+    structure = _structure_of(P > 0.0)
+    d = structure.period_lcm
     if d == 1:
-        Q = P
+        Q, closed = P, structure.closed
     else:
         Q = np.linalg.matrix_power(P, d)
-        q_cls = _classify(Q > 0.0)
-        closed = [np.asarray(m) for m, c in zip(q_cls.classes, q_cls.class_recurrent) if c]
+        # the numeric pattern of Q, so entries that underflow to 0 count as 0
+        closed = _structure_of(Q > 0.0).closed
     L = _power_limit(Q, closed)
 
     limits = []
@@ -311,8 +352,8 @@ def asymptotic_profile(kernel: TransitionKernel) -> AsymptoticProfile:
         period_lcm=d,
         subsequence_limits=tuple(limits),
         cesaro_matrix=cesaro,
-        recurrent=cls.recurrent,
-        state_period=periods,
+        recurrent=structure.classification.recurrent,
+        state_period=dict(structure.state_period),
         residual=residual,
     )
 
@@ -336,27 +377,26 @@ class FirstPassageStats:
 
 
 def first_passage(kernel: TransitionKernel, horizon: int) -> FirstPassageStats:
-    """First-visit dynamic programming (taboo recursion) up to ``horizon``."""
+    """First-visit dynamic programming (taboo recursion) up to ``horizon``.
+
+    Column j of ``V`` holds the probabilities of a first visit to j at the
+    current step; all targets advance together as ``V = P @ V`` with V's
+    diagonal zeroed first, which is the taboo on each column's own target.
+    """
     P = kernel.require_square()
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    n = P.shape[0]
     recurrent = classify_states(kernel).recurrent
 
-    hit = np.zeros((n, n))
-    mean_return = np.full(n, np.inf)
-    for j in range(n):
-        taboo = P.copy()
-        taboo[:, j] = 0.0  # forbid passing through j before the first visit
-        v = P[:, j].copy()
-        hit[:, j] = v
-        m_partial = v[j]
-        for step in range(2, horizon + 1):
-            v = taboo @ v
-            hit[:, j] += v
-            m_partial += step * v[j]
-        if recurrent[j]:
-            mean_return[j] = m_partial
+    V = P.copy()
+    hit = V.copy()
+    m_partial = np.diagonal(V).copy()
+    for step in range(2, horizon + 1):
+        np.fill_diagonal(V, 0.0)  # forbid passing through j before the first visit
+        V = P @ V
+        hit += V
+        m_partial += step * np.diagonal(V)
+    mean_return = np.where(recurrent, m_partial, np.inf)
     residual = np.clip(1.0 - hit, 0.0, 1.0)
     for arr in (hit, mean_return, residual):
         arr.setflags(write=False)

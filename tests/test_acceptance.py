@@ -16,6 +16,8 @@ BUDGETS = {
     "fig5_agent_set_exclusivity": 5.0,
     "global_markov_chain": 30.0,
     "cascade_subadditivity": 4.0,
+    "cesaro_machinery": 2.0,
+    "d_separation_soundness": 3.0,
 }
 
 

@@ -293,6 +293,34 @@ class TestLowerBound:
         rate = work_rate(PerceptActionLoop(result.witness, fig5), base="nats").rate
         assert abs(rate - result.value_nats) < 1e-9
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_non_positive_restarts(self, fig5, restarts):
+        with pytest.raises(DomainError, match="restarts"):
+            capacity_lower_bound(fig5, memory_size=1, restarts=restarts)
+
+    def test_structure_computed_once_per_support_pattern(self, rng, monkeypatch):
+        # softmax kernels are positive, so the search's thousands of chains
+        # share a few support patterns; each pattern is analysed once
+        import workcap.loop as loop_mod
+        from workcap import markov
+        patterns, evals = [], []
+        structure, rate = markov._structure, loop_mod.work_rate
+
+        def spy_structure(support):
+            patterns.append((support.shape, np.packbits(support).tobytes()))
+            return structure(support)
+
+        def spy_rate(*args, **kwargs):
+            evals.append(1)
+            return rate(*args, **kwargs)
+        monkeypatch.setattr(markov, "_structure", spy_structure)
+        monkeypatch.setattr(loop_mod, "work_rate", spy_rate)
+        markov._memo_structure.cache_clear()
+        capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
+                             restarts=3, seed=0)
+        assert len(evals) > 100
+        assert 0 < len(patterns) == len(set(patterns)) <= 10
+
 
 class TestParameterization:
     @settings(max_examples=30, deadline=None)

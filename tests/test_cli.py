@@ -273,6 +273,9 @@ class TestFlags:
         ("analyze", FIG5, "--tol", "1e-3"),
         ("capacity", FIG5, "--tol", "0"),
         ("analyze", FIG5, "--horizon", "0"),
+        ("capacity", FIG5, "--restarts", "-3"),
+        ("capacity", FIG5, "--restarts", "0"),
+        ("capacity", FIG5, "--memory-size", "0"),
     ])
     def test_unread_or_invalid_flag_exits_two(self, capsys, argv):
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from workcap import (DimensionError, DomainError, TransitionKernel,
                      asymptotic_profile, classify_states, first_passage,
-                     state_period)
+                     markov, state_period)
 from workcap.random_models import random_kernel, random_structured_kernel
 from workcap.verify import _power_sum
 
@@ -22,6 +22,46 @@ def stationary_by_linear_solve(P: np.ndarray) -> np.ndarray:
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
     return pi
+
+
+def first_passage_per_target(P: np.ndarray, horizon: int):
+    """Independent oracle: one taboo recursion per target state, each with
+    its own kernel whose column j is zeroed.  Returns the hit probabilities
+    and the truncated mean return times (for every state)."""
+    n = P.shape[0]
+    hit = np.zeros((n, n))
+    mean_return = np.zeros(n)
+    for j in range(n):
+        taboo = P.copy()
+        taboo[:, j] = 0.0  # forbid passing through j before the first visit
+        v = P[:, j].copy()
+        hit[:, j] = v
+        m_partial = v[j]
+        for step in range(2, horizon + 1):
+            v = taboo @ v
+            hit[:, j] += v
+            m_partial += step * v[j]
+        mean_return[j] = m_partial
+    return hit, mean_return
+
+
+def cycles_fed_by_transients():
+    """Deterministic 2-, 3-, 5- and 7-cycles (period lcm 210); t0 leaks
+    slowly into t1 and the 5- and 7-cycles, t1 splits between the 2- and
+    3-cycles, and t2 (on no cycle) feeds t0.  Returns the kernel and each
+    cycle's first state and length."""
+    lengths = (2, 3, 5, 7)
+    starts = np.cumsum((0,) + lengths)[:-1]
+    n = sum(lengths) + 3
+    t0, t1, t2 = n - 3, n - 2, n - 1
+    P = np.zeros((n, n))
+    for start, length in zip(starts, lengths):
+        for i in range(length):
+            P[start + i, start + (i + 1) % length] = 1.0
+    P[t0, [t0, t1, starts[2], starts[3]]] = [1.0 - 8e-6, 2e-6, 3e-6, 3e-6]
+    P[t1, [starts[0], starts[1]]] = 0.5
+    P[t2, t0] = 1.0
+    return P, starts, lengths
 
 
 def brute_force_cesaro(P: np.ndarray, N: int) -> np.ndarray:
@@ -205,20 +245,10 @@ class TestExactLimits:
         assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
 
     def test_cycles_of_lcm_210_fed_by_transient_states(self):
-        # deterministic 2-, 3-, 5- and 7-cycles; t0 leaks slowly into t1 and
-        # the 5- and 7-cycles, t1 splits between the 2- and 3-cycles, and t2
-        # (on no cycle) feeds t0.  Absorption: 1/8, 1/8, 3/8, 3/8 from t0.
-        lengths = (2, 3, 5, 7)
-        starts = np.cumsum((0,) + lengths)[:-1]
-        n = sum(lengths) + 3
+        # absorption from t0: 1/8, 1/8, 3/8, 3/8
+        P, starts, lengths = cycles_fed_by_transients()
+        n = P.shape[0]
         t0, t1, t2 = n - 3, n - 2, n - 1
-        P = np.zeros((n, n))
-        for start, length in zip(starts, lengths):
-            for i in range(length):
-                P[start + i, start + (i + 1) % length] = 1.0
-        P[t0, [t0, t1, starts[2], starts[3]]] = [1.0 - 8e-6, 2e-6, 3e-6, 3e-6]
-        P[t1, [starts[0], starts[1]]] = 0.5
-        P[t2, t0] = 1.0
         profile = asymptotic_profile(TransitionKernel(P))
         assert profile.period_lcm == 210
 
@@ -239,6 +269,68 @@ class TestExactLimits:
         for r in range(210):
             gap = limits[r] @ P - limits[(r + 1) % 210]
             assert np.max(np.abs(gap)) <= 1e-14
+
+
+def _underflow_chains():
+    # a softmax row whose smallest entry underflowed to exactly 0
+    logits = np.array([[0.0, 1.0, -800.0], [0.5, 0.0, 0.0], [0.0, 2.0, 1.0]])
+    softmax = np.exp(logits - logits.max(axis=1, keepdims=True))
+    softmax /= softmax.sum(axis=1, keepdims=True)
+    assert softmax[0, 2] == 0.0
+    # a period-2 chain whose square loses the entry (0, 1) to underflow, so
+    # its numeric pattern closes {0} where the graph closes {0, 1}
+    tiny = 1e-200
+    bipartite = np.array([[0, 0, 1 - tiny, tiny], [0, 0, 0.5, 0.5],
+                          [1, 0, 0, 0], [1 - tiny, tiny, 0, 0]])
+    assert (bipartite @ bipartite)[0, 1] == 0.0
+    return [softmax, bipartite]
+
+
+class TestStructureMemo:
+    """Structure depends only on the support pattern and is shared between
+    calls; results from a cold memo and a warm one are identical."""
+
+    def test_shared_recurrent_arrays_are_read_only(self, rng):
+        kernel = random_structured_kernel(rng, 5)
+        for recurrent in (classify_states(kernel).recurrent,
+                          asymptotic_profile(kernel).recurrent):
+            assert not recurrent.flags.writeable
+            with pytest.raises(ValueError):
+                recurrent[0] = not recurrent[0]
+
+    def test_cold_and_warm_memo_agree(self, rng):
+        chains = [np.array([[1.0 - f, f], [3.0 * f, 1.0 - 3.0 * f]])
+                  for f in (1e-4, 1e-5, 1e-8)]
+        chains += [np.array([[1.0 - 3.0 * leak, leak, 2.0 * leak], [0, 1, 0], [0, 0, 1]])
+                   for leak in (1e-6, 1e-10)]
+        chains += [random_kernel(rng, 100).probs, cycles_fed_by_transients()[0]]
+        chains += _underflow_chains()
+
+        def fields(profile):
+            return (profile.period_lcm, profile.state_period, profile.residual,
+                    profile.recurrent.tolist(),
+                    [limit.tobytes() for limit in profile.subsequence_limits],
+                    profile.cesaro_matrix.tobytes())
+
+        cold = []
+        for P in chains:
+            markov._memo_structure.cache_clear()
+            cold.append(fields(asymptotic_profile(TransitionKernel(P))))
+        for P in chains:  # fill the memo with every pattern, then reuse it
+            asymptotic_profile(TransitionKernel(P))
+        hits = markov._memo_structure.cache_info().hits
+        warm = [fields(asymptotic_profile(TransitionKernel(P))) for P in chains]
+        assert markov._memo_structure.cache_info().hits > hits
+        assert warm == cold
+
+    def test_state_period_and_classes_follow_the_pattern(self):
+        # same pattern, different numbers: one memo entry serves both
+        markov._memo_structure.cache_clear()
+        a = TransitionKernel([[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]])
+        b = TransitionKernel([[0.9, 0.1, 0], [0, 0, 1], [1, 0, 0]])
+        assert classify_states(a) is classify_states(b)
+        assert state_period(a, 1) == state_period(b, 1) == 1
+        assert markov._memo_structure.cache_info().misses == 1
 
 
 class TestPowerSum:
@@ -295,6 +387,29 @@ class TestFirstPassage:
     def test_horizon_validation(self):
         with pytest.raises(DomainError):
             first_passage(SWAP, horizon=0)
+
+    @pytest.mark.parametrize("kind", ["random", "periodic", "reducible"])
+    def test_batched_matches_per_target_recursion(self, rng, kind):
+        if kind == "random":
+            kernels = [random_kernel(rng, n) for n in (2, 4, 7)]
+        elif kind == "periodic":
+            kernels = [SWAP, CYCLE3] + [random_structured_kernel(rng, n) for n in (4, 5, 6)]
+        else:
+            P = np.zeros((6, 6))
+            P[0, 1] = P[1, 0] = 1.0
+            P[2, 3] = P[3, 4] = P[4, 2] = 1.0
+            P[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
+            kernels = [ABSORB, TransitionKernel(P),
+                       TransitionKernel([[1.0 - 3e-6, 1e-6, 2e-6], [0, 1, 0], [0, 0, 1]])]
+        for kernel in kernels:
+            horizon = 300
+            hit, mean_return = first_passage_per_target(kernel.probs, horizon)
+            fp = first_passage(kernel, horizon)
+            recurrent = classify_states(kernel).recurrent
+            assert np.max(np.abs(fp.hit_prob - hit)) <= 1e-14
+            assert np.all(np.isinf(fp.mean_return[~recurrent]))
+            gap = np.abs(fp.mean_return[recurrent] - mean_return[recurrent])
+            assert np.max(gap) <= 1e-14
 
 
 class TestKernelValidation:
