@@ -25,7 +25,7 @@ from .errors import DimensionError, DomainError
 
 AUX_PREFIXES = ("V", "W")
 CMI_SOUNDNESS_TOL = 1e-9
-# rejection-sampling draws allowed per requested d-separated triple
+# draws of (A, C) allowed per requested d-separated triple
 _ATTEMPTS_PER_TRIPLE = 400
 
 
@@ -124,8 +124,7 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
 
     Standard rules: a chain or fork is blocked when its middle node is in the
     conditioning set; a collider is blocked when neither it nor any of its
-    descendants is.  Implemented as the textbook active-trail reachability
-    walk over (node, travel-direction) pairs.
+    descendants is.
     """
     a = frozenset(_node_names(dag, set_a))
     b = frozenset(_node_names(dag, set_b))
@@ -134,7 +133,12 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
         raise DomainError("node sets must be pairwise disjoint")
     if not a or not b:
         raise DomainError("both endpoint sets must be nonempty")
+    return not (_d_connected(dag, a, c) & b)
 
+
+def _d_connected(dag: Dag, a: frozenset[str], c: frozenset[str]) -> set[str]:
+    """Nodes outside ``c`` (``a`` included) on an active trail from ``a`` given
+    ``c``, by the textbook walk over (node, travel-direction) pairs."""
     parents = dag._parents
     children = dag._children
 
@@ -157,8 +161,6 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
         if (node, direction) in visited:
             continue
         visited.add((node, direction))
-        if node in b and node not in c:
-            return False
         if direction == "up":
             if node not in c:
                 frontier += [(p, "up") for p in parents[node]]
@@ -168,7 +170,7 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
                 frontier += [(ch, "down") for ch in children[node]]
             if node in anc_c:  # collider at this node can be active
                 frontier += [(p, "up") for p in parents[node]]
-    return True
+    return {node for node, _ in visited if node not in c}
 
 
 def _node_names(dag: Dag, names) -> tuple[str, ...]:
@@ -196,7 +198,8 @@ class CompatibilityReport:
 
 def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
                              rng: np.random.Generator):
-    """Randomly sampled (A, B, C) subsets of ``pool`` that are d-separated."""
+    """Randomly sampled (A, B, C) subsets of ``pool`` that are d-separated:
+    each draw picks A and C, then B among the nodes d-separated from A."""
     found = []
     for _ in range(_ATTEMPTS_PER_TRIPLE * n_triples):
         if len(found) >= n_triples:
@@ -204,12 +207,13 @@ def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
         k_a = int(rng.integers(1, 3))
         k_b = int(rng.integers(1, 3))
         k_c = int(rng.integers(0, 3))
-        picks = rng.permutation(len(pool))[: k_a + k_b + k_c]
-        names = [pool[i] for i in picks]
-        trip = (tuple(names[:k_a]), tuple(names[k_a:k_a + k_b]),
-                tuple(names[k_a + k_b:]))
-        if d_separated(dag, *trip):
-            found.append(trip)
+        names = [pool[i] for i in rng.permutation(len(pool))[: k_a + k_c]]
+        a, c = tuple(names[:k_a]), tuple(names[k_a:])
+        blocked = _d_connected(dag, frozenset(a), frozenset(c)).union(c)
+        rest = [n for n in pool if n not in blocked]
+        if len(rest) >= k_b:
+            b = tuple(rest[i] for i in rng.permutation(len(rest))[:k_b])
+            found.append((a, b, c))
     return found
 
 

@@ -36,10 +36,10 @@ ASCENT_STEPS = 2000  # step cap of each row of the memoryless ascent
 class CapacityResult:
     """A work-capacity value (nats) plus how it was obtained.
 
-    ``witness`` is an agent model whose work rate attains the value within the
-    method's reported tolerance; ``optimizer_trace`` records (restart, value)
-    pairs for the numeric method.  ``exact`` distinguishes closed forms from
-    the numeric lower bound.
+    ``witness`` is an agent model whose work rate is the value; the numeric
+    method records (restart, value) pairs in ``optimizer_trace``.  ``exact``
+    tells closed forms from the numeric lower bound; ``stalled`` is set when
+    an optimizer ran out of steps while still improving.
     """
 
     value_nats: float
@@ -78,83 +78,89 @@ def _memoryless_objective(reduced: np.ndarray, p: np.ndarray) -> float | np.ndar
     return xlogy(q, q).sum(axis=-1) - xlogy(p, p).sum(axis=-1)
 
 
-def _project_rows(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    n = v.shape[1]
-    # the last index where u_j * (j + 1) > css_j; index 0 always qualifies
-    rho = n - 1 - np.argmax((u * np.arange(1, n + 1) > css)[:, ::-1], axis=1)
-    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
+def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the objective at ``cand`` minus that at ``p``, and the
+    worst-case rounding of that sum.
+
+    Each entry x of p and of pR that moves by d adds d log(x + d) +
+    x log1p(d / x) with the sign of its entropy, so a gain too small to
+    survive the difference of two values is kept.  The objective is
+    homogeneous of degree one, so the change of mass (rows sum to 1 up to
+    rounding) times the value at ``p`` is taken off.
+    """
+    d = cand - p
+    x = np.concatenate([p @ reduced, p], axis=1)
+    dx = np.concatenate([d @ reduced, d], axis=1)
+    moved = np.maximum(x + dx, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = xlogy(dx, moved) + x * np.log1p(dx / x)
+    terms = np.where((x > 0) & (moved > 0), near, xlogy(moved, moved) - xlogy(x, x))
+    sign = np.repeat([1.0, -1.0], p.shape[1])
+    gain = terms @ sign - d.sum(axis=1) * _memoryless_objective(reduced, p)
+    return gain, x.shape[1] * np.finfo(float).eps * np.abs(terms).sum(axis=1)
 
 
-def _batched_ascent(reduced: np.ndarray, starts: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent from every row of ``starts`` at once.
+def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Maximize H(p) - H(pR) from every row of ``starts`` at once.
 
-    Each row backtracks on its own: a step that gains more than 1e-16 is
-    taken and the row's step size grows by 1.5 (capped at 10), otherwise it
-    halves.  A row stops once its step size falls below 1e-13 or after
-    ASCENT_STEPS steps.  Returns the final rows and their values.
+    Stationary points satisfy p ∝ exp(c), c = R log(pR) (0 log 0 = 0).  Each
+    step offers every row that fixed-point step, which never lowers the
+    value (alternating maximization; Blahut 1972, Arimoto 1972), and a
+    Newton step dp on the same condition tangent to the simplex, Hessian
+    -diag(1/p) + R diag(1/q) R^T, taken as p ∝ p exp(dp / p) so it stays in
+    the simplex.  Rows with an empty entry or a tangent Hessian that is not
+    numerically negative definite (e.g. every p on the identity channel)
+    get no Newton step.  A row keeps the better candidate while one gains:
+    the fixed-point step by its computed value, so it stops crawling on a
+    flat objective; the Newton step by its exact gain (:func:`_gain`) above
+    rounding, since its last steps gain less than a rounding step of the
+    value and judging them by value leaves the argmax about 1e-9 off.
+    Returns the rows and whether ASCENT_STEPS ran out while a row gained.
     """
     p = starts.copy()
-    lr = np.full(p.shape[0], 0.5)
-    value = _memoryless_objective(reduced, p)
+    n = p.shape[1]
+    tangent = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    active = np.ones(p.shape[0], dtype=bool)
     for _ in range(ASCENT_STEPS):
-        active = lr >= 1e-13
+        q = p @ reduced
+        c = xlogy(reduced, q[:, None, :]).sum(axis=-1)
+        fixed = _softmax_rows(c)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            hess = (reduced * np.where(q > 0, 1.0 / q, 0.0)[:, None, :]) @ reduced.T
+            hess -= np.eye(n) / p[:, :, None]
+            grad = c - np.log(p)
+            curv = tangent.T @ hess @ tangent
+        ok = np.isfinite(curv).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+        lam = np.linalg.eigvalsh(np.where(ok[:, None, None], curv, 0.0))
+        # negative definite, with condition number below 1 / eps
+        ok &= lam.max(axis=1, initial=-np.inf) < np.finfo(float).eps * lam.min(axis=1, initial=0.0)
+        curv[~ok] = -np.eye(n - 1)
+        rhs = -np.where(ok[:, None], grad, 0.0) @ tangent
+        step = np.linalg.solve(curv, rhs[..., None])[..., 0] @ tangent.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(ok[:, None], _softmax_rows(np.log(p) + step / p), p)
+
+        fixed_gain = _memoryless_objective(reduced, fixed) - _memoryless_objective(reduced, p)
+        gain, bound = _gain(reduced, p, newton)
+        newton_gain = np.where(gain > bound, gain, 0.0)
+        active &= np.maximum(fixed_gain, newton_gain) > 0
         if not active.any():
-            break
-        log_q = np.log(np.maximum(p @ reduced, 1e-300))
-        log_p = np.log(np.maximum(p, 1e-300))
-        grad = -(log_p + 1.0) + (log_q + 1.0) @ reduced.T
-        cand = _project_rows(p + lr[:, None] * grad)
-        cand_value = _memoryless_objective(reduced, cand)
-        accept = active & (cand_value > value + 1e-16)
-        p[accept] = cand[accept]
-        value[accept] = cand_value[accept]
-        # a stopped row stays below 1e-13 as it halves, so it stays stopped
-        lr = np.where(accept, np.minimum(lr * 1.5, 10.0), lr * 0.5)
-    return p, value
+            return p, False
+        chosen = np.where((newton_gain > fixed_gain)[:, None], newton, fixed)
+        p[active] = chosen[active]
+    return p, True
 
 
-def _refine_binary(reduced: np.ndarray, p_best: float) -> float:
-    """Dense grid plus golden-section polish on the 1-D simplex."""
-    def f(p0):
-        return _memoryless_objective(reduced, np.array([p0, 1.0 - p0]))
-
-    grid = np.linspace(0.0, 1.0, 4097)
-    values = _memoryless_objective(reduced, np.stack([grid, 1.0 - grid], axis=1))
-    candidates = [p_best, float(grid[int(np.argmax(values))])]
-    best = max(candidates, key=f)
-    lo, hi = max(0.0, best - 5e-3), min(1.0, best + 5e-3)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-13:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    interior = 0.5 * (a + b)
-    return max([interior, 0.0, 1.0, best], key=f)
-
-
-def capacity_memoryless(env: channels.EnvironmentModel, tol: float = 1e-9,
-                        seed: int = 0) -> CapacityResult:
+def capacity_memoryless(env: channels.EnvironmentModel, seed: int = 0) -> CapacityResult:
     """Maximize the one-shot work term over action distributions.
 
-    A projected ascent from n + 9 starts (uniform, one near each of the n
-    vertices, and MEMORYLESS_RESTARTS Dirichlet draws) runs as one batch;
-    its best row is then refined by a 4097-point grid plus golden-section
-    search for binary alphabets, or by a Nelder-Mead polish for three or
-    more symbols.  The witness is the memoryless agent playing the argmax
-    distribution, whose work rate equals the value by construction.
+    :func:`_ascent` runs from n + 9 starts at once (uniform, one near each
+    of the n vertices, and MEMORYLESS_RESTARTS Dirichlet draws), and the
+    first start attaining the maximum gives the argmax.  The objective is
+    not concave, so this is a multistart optimum, not a certified one.  The
+    witness is the memoryless agent playing the argmax distribution, whose
+    work rate equals the value by construction.
     """
     reduced = channels.is_memoryless_invariant(env)
     if reduced is None:
@@ -165,24 +171,11 @@ def capacity_memoryless(env: channels.EnvironmentModel, tol: float = 1e-9,
     starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
     starts += [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
 
-    rows, values = _batched_ascent(reduced, np.array(starts))
+    rows, stalled = _ascent(reduced, np.array(starts))
+    values = _memoryless_objective(reduced, rows)
     best = rows[int(np.argmax(values))]  # the first start attaining the maximum
-    stalled = False
-    if n == 2:
-        p0 = _refine_binary(reduced, float(best[0]))
-        best = np.array([p0, 1.0 - p0])
-    else:
-        res = minimize(lambda x: -_memoryless_objective(reduced, _softmax(x)),
-                       np.log(np.maximum(best, 1e-12)), method="Nelder-Mead",
-                       options={"fatol": tol * 1e-3, "xatol": 1e-10, "maxiter": 4000})
-        cand = _softmax(res.x)
-        if _memoryless_objective(reduced, cand) > _memoryless_objective(reduced, best):
-            best = cand
-        stalled = not res.success
-
-    value = _memoryless_objective(reduced, best)
     witness = agents.build_memoryless(env.alphabet, best)
-    return CapacityResult(float(value), CLOSED_FORM_MEMORYLESS, witness=witness,
+    return CapacityResult(float(values.max()), CLOSED_FORM_MEMORYLESS, witness=witness,
                           witness_params={"action_distribution": tuple(float(x) for x in best)},
                           stalled=stalled)
 
@@ -360,14 +353,13 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
                           stalled=bool(stalls))
 
 
-def compute_capacity(env: channels.EnvironmentModel, tol: float = 1e-9,
-                     memory_size: int = 2, restarts: int = 32,
-                     seed: int = 0) -> CapacityResult:
+def compute_capacity(env: channels.EnvironmentModel, memory_size: int = 2,
+                     restarts: int = 32, seed: int = 0) -> CapacityResult:
     """Dispatch: noiseless > memoryless invariant > unifilar product > numeric."""
     if channels.is_noiseless(env):
         return capacity_noiseless(env)
     if channels.is_memoryless_invariant(env) is not None:
-        return capacity_memoryless(env, tol=tol, seed=seed)
+        return capacity_memoryless(env, seed=seed)
     if channels.is_unifilar(env) is not None and channels.is_product(env):
         return capacity_unifilar_product(env)
     return capacity_lower_bound(env, memory_size=memory_size, restarts=restarts,
@@ -387,7 +379,9 @@ def check_subadditivity(env1: channels.EnvironmentModel,
                         env2: channels.EnvironmentModel,
                         slack: float = 1e-8) -> SubadditivityReport:
     """C(second o first) <= C(first) + C(second) for memoryless invariant
-    channels, where all three capacities are closed-form exact."""
+    channels.  All three capacities are multistart optima of
+    :func:`capacity_memoryless`, not certified maxima, so a missed maximum
+    of the cascade could hide a violation."""
     for which, env in (("first", env1), ("second", env2)):
         if channels.is_memoryless_invariant(env) is None:
             raise ChannelClassError(f"{which} channel is not memoryless invariant")

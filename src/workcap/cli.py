@@ -158,7 +158,7 @@ def cmd_work_rate(args) -> int:
 
 def cmd_capacity(args) -> int:
     env = _load(args.env)
-    result = capacity.compute_capacity(env, tol=args.tol, memory_size=args.memory_size,
+    result = capacity.compute_capacity(env, memory_size=args.memory_size,
                                        restarts=args.restarts, seed=args.seed)
     value = result.value(args.units)
     doc = {
@@ -248,7 +248,6 @@ def cmd_verify(args) -> int:
     # timings stay out of the JSON report so identical inputs and seed give
     # byte-identical machine-readable output
     doc = {
-        "units": args.units,
         "seed": args.seed,
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -280,7 +279,6 @@ def _positive(kind):
 # the valued flags; each subcommand accepts only those it reads
 _FLAGS = {
     "units": dict(choices=[BITS, NATS], default=BITS),
-    "tol": dict(type=_positive(float), default=1e-9),
     "horizon": dict(type=_positive(int), default=4),
     "seed": dict(type=int, default=0),
     "memory-size": dict(type=_positive(int), default=2),
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="work capacity (closed form or lower bound)")
     p.add_argument("env")
     p.add_argument("--out", help="write the witness agent model here")
-    _add_flags(p, "units", "tol", "seed", "memory-size", "restarts")
+    _add_flags(p, "units", "seed", "memory-size", "restarts")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("build-agent", help="construct an agent model file")
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dsep)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    _add_flags(p, "units", "seed")
+    _add_flags(p, "seed")
     p.set_defaults(func=cmd_verify)
 
     return parser

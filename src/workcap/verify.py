@@ -254,7 +254,7 @@ def check_cesaro_machinery(seed: int = 0) -> str:
 
 def check_subadditivity(seed: int = 0) -> str:
     """50 random binary memoryless channel pairs satisfy cascade
-    subadditivity with closed-form capacities (slack 1e-8)."""
+    subadditivity with multistart-optimal capacities (slack 1e-8)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(50):

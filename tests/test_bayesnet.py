@@ -252,6 +252,17 @@ class TestAgainstPathOracle:
             separated += verdict
         assert 0 < separated < 100  # both verdicts exercised
 
+    @pytest.mark.parametrize("variant", ["general", "memoryless_env", "product_env"])
+    def test_sampled_triples_match_networkx(self, variant):
+        nx = pytest.importorskip("networkx")
+        dag = build_loop_dag(4, variant)
+        graph = networkx_graph(nx, dag)
+        pool = [n for n in dag.nodes if n[0] in "MASZ"]
+        triples = sample_separated_triples(dag, pool, 200, np.random.default_rng(0))
+        assert len(triples) == 200
+        for a, b, c in triples:
+            assert nx.is_d_separator(graph, set(a), set(b), set(c)), (variant, a, b, c)
+
 
 def networkx_graph(nx, dag: Dag):
     graph = nx.DiGraph()

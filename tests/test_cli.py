@@ -217,12 +217,6 @@ class TestVerify:
         assert doc["all_passed"]
         assert len(doc["checks"]) == 9
 
-    def test_units_do_not_change_pass_set(self, capsys):
-        # units only affect printing; the pass set is computed in fixed units
-        code, out, _ = run_cli(capsys, "verify", "--units", "nats", "--json")
-        assert code == 0
-        assert json.loads(out)["all_passed"]
-
     def test_any_failure_maps_to_exit_one(self, capsys, monkeypatch):
         from workcap import verify as v
         import workcap.cli as cli_mod
@@ -247,10 +241,10 @@ class TestFlags:
     VALUED = {
         "analyze": {"--horizon"},
         "work-rate": {"--units", "--horizon"},
-        "capacity": {"--units", "--tol", "--seed", "--memory-size", "--restarts"},
+        "capacity": {"--units", "--seed", "--memory-size", "--restarts"},
         "build-agent": set(),
         "dsep": {"--horizon"},
-        "verify": {"--units", "--seed"},
+        "verify": {"--seed"},
     }
     OWN = {
         "analyze": {"--agent"},
@@ -276,6 +270,7 @@ class TestFlags:
         ("capacity", FIG5, "--restarts", "-3"),
         ("capacity", FIG5, "--restarts", "0"),
         ("capacity", FIG5, "--memory-size", "0"),
+        ("verify", "--units", "nats"),
     ])
     def test_unread_or_invalid_flag_exits_two(self, capsys, argv):
         try:
