@@ -1,12 +1,13 @@
 """Work capacity: closed forms, numeric lower bounds, and a property check.
 
 Closed forms cover the three special channel classes (noiseless, memoryless
-invariant, unifilar product).  For everything else a derivative-free
-optimizer over bounded-memory agent kernels yields an explicitly labeled
-lower bound; the true capacity maximizes over all finite agent models and no
-general algorithm for it is known, so the numeric value is never presented
-as exact.  :func:`check_subadditivity` checks cascade subadditivity of
-memoryless invariant channels.
+invariant, unifilar product).  For everything else a quasi-Newton search
+(L-BFGS-B on central-difference gradients of exact work rates, evaluated a
+stack of agents at a time) over bounded-memory agent kernels yields an
+explicitly labeled lower bound; the true capacity maximizes over all finite
+agent models and no general algorithm for it is known, so the numeric value
+is never presented as exact.  :func:`check_subadditivity` checks cascade
+subadditivity of memoryless invariant channels.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ CLOSED_FORM_MEMORYLESS = "closed_form_memoryless"
 CLOSED_FORM_UNIFILAR_PRODUCT = "closed_form_unifilar_product"
 NUMERIC_LOWER_BOUND = "numeric_lower_bound"
 
-NM_STEPS = 4000  # iteration cap of one Nelder-Mead run
+LBFGS_STEPS = 500  # iteration cap of one L-BFGS-B run
+LBFGS_FTOL = 1e-12  # a run stops when a step gains less than this times max(1, |value|)
+LBFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
+FD_STEP = 6e-6  # central-difference step, relative to max(1, |x_i|)
 MEMORYLESS_RESTARTS = 8  # random Dirichlet starts of the memoryless ascent
 ASCENT_STEPS = 2000  # step cap of each row of the memoryless ascent
+FACE_TOL = 1e-12  # memoryless witness entries below this are tried at 0
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class CapacityResult:
     ``witness`` is an agent model whose work rate is the value; the numeric
     method records (restart, value) pairs in ``optimizer_trace``.  ``exact``
     tells closed forms from the numeric lower bound; ``stalled`` is set when
-    an optimizer ran out of steps while still improving.
+    an optimizer's step or iteration cap ran out before it stopped.
     """
 
     value_nats: float
@@ -152,6 +157,26 @@ def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
     return p, True
 
 
+def _snap_face(reduced: np.ndarray, p: np.ndarray, value: float
+               ) -> tuple[np.ndarray, float]:
+    """Set the entries of ``p`` below FACE_TOL to 0 and renormalize, unless
+    the exact gain of doing so (:func:`_gain`) is negative beyond rounding;
+    returns the row and its value.
+
+    The fixed-point step only approaches a face of the simplex
+    geometrically, so an optimum on a face is reached with entries such as
+    1e-22 for actions it never plays.
+    """
+    if not (p < FACE_TOL).any():
+        return p, value
+    snapped = np.where(p < FACE_TOL, 0.0, p)
+    snapped /= snapped.sum()
+    gain, bound = _gain(reduced, p[None], snapped[None])
+    if gain[0] < -bound[0]:
+        return p, value
+    return snapped, max(value, float(_memoryless_objective(reduced, snapped)))
+
+
 def capacity_memoryless(env: channels.EnvironmentModel, seed: int = 0) -> CapacityResult:
     """Maximize the one-shot work term over action distributions.
 
@@ -173,9 +198,10 @@ def capacity_memoryless(env: channels.EnvironmentModel, seed: int = 0) -> Capaci
 
     rows, stalled = _ascent(reduced, np.array(starts))
     values = _memoryless_objective(reduced, rows)
-    best = rows[int(np.argmax(values))]  # the first start attaining the maximum
+    k = int(np.argmax(values))  # the first start attaining the maximum
+    best, value = _snap_face(reduced, rows[k], float(values[k]))
     witness = agents.build_memoryless(env.alphabet, best)
-    return CapacityResult(float(values.max()), CLOSED_FORM_MEMORYLESS, witness=witness,
+    return CapacityResult(value, CLOSED_FORM_MEMORYLESS, witness=witness,
                           witness_params={"action_distribution": tuple(float(x) for x in best)},
                           stalled=stalled)
 
@@ -198,24 +224,26 @@ def capacity_unifilar_product(env: channels.EnvironmentModel,
     return CapacityResult(float(value), CLOSED_FORM_UNIFILAR_PRODUCT, witness=witness)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _kernels_from_params(x: np.ndarray, n_a: int, n_m: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Agent kernels ``(B, |A|, M, |A|, M)`` and opening joints ``(B, |A|,
+    M)`` from a ``(B, dim)`` stack of unconstrained coordinates: one
+    normalized exponential per kernel row and one for the opening joint."""
+    rows = n_a * n_m
+    theta = _softmax_rows(x[:, : rows * rows].reshape(-1, n_a, n_m, rows))
+    init = _softmax_rows(x[:, rows * rows:])
+    return theta.reshape(-1, n_a, n_m, n_a, n_m), init.reshape(-1, n_a, n_m)
+
+
 def _agent_from_params(x: np.ndarray, alphabet: tuple[str, ...],
                        memory: tuple[str, ...]) -> agents.AgentModel:
-    n_a, n_m = len(alphabet), len(memory)
-    rows = n_a * n_m
-    theta = _softmax_rows(x[: rows * rows].reshape(n_a, n_m, rows)).reshape(
-        n_a, n_m, n_a, n_m)
-    init = _softmax(x[rows * rows:]).reshape(n_a, n_m)
-    return agents.AgentModel(alphabet, memory, theta, init)
+    theta, init = _kernels_from_params(x[None], len(alphabet), len(memory))
+    return agents.AgentModel(alphabet, memory, theta[0], init[0])
 
 
 def _snap_vertices(model: agents.AgentModel, eps: float = 1e-6) -> agents.AgentModel:
@@ -257,43 +285,6 @@ def _params_from_agent(model: agents.AgentModel, memory_size: int) -> np.ndarray
     return np.log(np.maximum(flat, 1e-12))
 
 
-class _TrackedObjective:
-    """Remembers the best point seen across all evaluations of one run."""
-
-    def __init__(self, func):
-        self.func = func
-        self.best = math.inf
-        self.best_x: np.ndarray | None = None
-        self.evals = 0
-
-    def __call__(self, x):
-        value = self.func(x)
-        self.evals += 1
-        if value < self.best:
-            self.best = value
-            self.best_x = np.array(x)
-        return value
-
-
-def _nelder_mead_run(objective, x0: np.ndarray, window: int = 50,
-                     min_gain: float = 1e-9):
-    """One local search; stops when ``window`` iterations improve the best
-    objective by less than ``min_gain``; NM_STEPS iterations count as a stall."""
-    tracked = _TrackedObjective(objective)
-    history: list[float] = []
-
-    def stop_when_flat(xk):
-        history.append(tracked.best)
-        if len(history) > window and history[-window - 1] - history[-1] < min_gain:
-            raise StopIteration  # scipy terminates the run cleanly
-
-    res = minimize(tracked, x0, method="Nelder-Mead", callback=stop_when_flat,
-                   options={"maxiter": NM_STEPS, "xatol": 1e-10, "fatol": 1e-12})
-    x = tracked.best_x if tracked.best_x is not None else res.x
-    stalled = len(history) >= NM_STEPS
-    return x, tracked.best, stalled
-
-
 def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
                          restarts: int = 32, seed: int = 0,
                          warm_starts: tuple[agents.AgentModel, ...] = ()
@@ -302,8 +293,12 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
 
     Agent kernels are parameterized on the product of simplices through
     normalized exponentials of unconstrained coordinates, searched by
-    restarted Nelder-Mead (stopping a run when 50 iterations improve the
-    objective by less than 1e-9).  Deterministic rows exist only in the
+    restarted L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).  Each objective call
+    evaluates the point and its 2 dim central-difference neighbours (step
+    ``FD_STEP * max(1, |x_i|)``) as one stack of exact work rates
+    (:func:`loop._work_rates`), and the best point seen in a run, neighbours
+    included, is that run's result.  A run is ``stalled`` when it reaches
+    ``LBFGS_STEPS`` iterations.  Deterministic rows exist only in the
     parameterization's limit, so a final vertex-snapping pass rounds
     near-deterministic rows and re-evaluates.  The result is a lower bound on
     the work capacity, which maximizes over unbounded memory; passing the
@@ -320,12 +315,8 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     rows = n_a * n_m
     dim = rows * rows + rows
 
-    def rate_nats(model: agents.AgentModel) -> float:
-        return loop.work_rate(loop.PerceptActionLoop(model, env), rounds=0,
-                              base="nats").rate
-
-    def objective(x: np.ndarray) -> float:
-        return -rate_nats(_agent_from_params(x, alphabet, memory))
+    def rates(points: np.ndarray) -> np.ndarray:
+        return loop._work_rates(env, *_kernels_from_params(points, n_a, n_m))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)]
@@ -336,16 +327,31 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     best_x, best_value = starts[0], -math.inf
     stalls = 0
     for restart, x0 in enumerate(starts):
-        x, neg_value, stalled = _nelder_mead_run(objective, x0)
-        value = -neg_value
-        stalls += stalled
+        run_best = [-math.inf, x0]
+
+        def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+            step = np.diag(FD_STEP * np.maximum(1.0, np.abs(x)))
+            ahead, behind = x + step, x - step
+            points = np.concatenate([x[None], ahead, behind])
+            values = rates(points)
+            i = int(np.argmax(values))  # the first point attaining the maximum
+            if values[i] > run_best[0]:
+                run_best[:] = values[i], points[i]
+            slope = (values[1:dim + 1] - values[dim + 1:]) / (ahead - behind).diagonal()
+            return -values[0], -slope
+
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": LBFGS_STEPS, "ftol": LBFGS_FTOL,
+                                "gtol": LBFGS_GTOL})
+        stalls += res.nit >= LBFGS_STEPS
+        value, x = run_best
         trace.append((restart, float(value)))
         if value > best_value:  # strict: ties keep the lowest restart index
             best_x, best_value = x, value
 
     model = _agent_from_params(best_x, alphabet, memory)
     snapped = _snap_vertices(model)
-    snapped_value = rate_nats(snapped)
+    snapped_value = loop._work_rates(env, snapped.theta[None], snapped.initial_joint[None])[0]
     if snapped_value >= best_value - 1e-12:
         model, best_value = snapped, max(best_value, snapped_value)
     return CapacityResult(float(best_value), NUMERIC_LOWER_BOUND, witness=model,

@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
-                   _entropy_nats, conditional_mutual_information)
+                   conditional_mutual_information)
 from .markov import (AsymptoticProfile, Distribution, TransitionKernel,
+                     _check_stochastic, _power_limit, _structure_of,
                      asymptotic_profile, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
@@ -74,6 +76,32 @@ class GlobalChain:
         return int(m), int(a), int(s), int(z)
 
 
+def _global_kernels(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global kernels ``(B, n, n)``, round-0 vectors ``(B, n)`` and the
+    feasible-state mask of a stack of B agents (``theta`` ``(B, |A|, M, |A|,
+    M)``, ``init`` ``(B, |A|, M)``) on one environment; see
+    :func:`build_global_chain`."""
+    phi = env.phi
+    n_b, n_a, n_m = init.shape
+    emission = phi.sum(axis=3)  # [a, z, s]
+    den = emission.transpose(0, 2, 1)  # [a, s, z]
+    feasible4 = den > 0.0
+    den_safe = np.where(feasible4, den, 1.0)
+
+    # X[a, z, s, z2] = phi / den; theta[B, s, m, a2, m2]; E[a2, z2, s2] = emission
+    X = phi / den_safe.transpose(0, 2, 1)[:, :, :, None]
+    K9 = np.einsum("azsw,Bsmbn,bwt->Bmasznbtw", X, theta, emission)
+
+    n = n_m * den.size
+    K = K9.reshape(n_b, n, n)
+    feasible = np.broadcast_to(feasible4, (n_m, *feasible4.shape)).reshape(n)
+    K[:, ~feasible] = 1.0 / n  # uniform placeholder; never entered
+
+    init5 = np.einsum("Bam,z,azs->Bmasz", init, env.initial, emission)
+    return K, init5.reshape(n_b, n), feasible
+
+
 def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
     """Assemble the one-step kernel and the round-0 distribution.
 
@@ -84,29 +112,10 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
 
     and the round-0 distribution is agent_init(a, m) * env_init(z) * e(s|a, z).
     """
-    theta = loop.agent.theta
-    phi = loop.env.phi
-    n_m, n_a, n_s, n_z = loop.shape
-    emission = phi.sum(axis=3)  # [a, z, s]
-    den = emission.transpose(0, 2, 1)  # [a, s, z]
-    feasible4 = den > 0.0
-    den_safe = np.where(feasible4, den, 1.0)
-
-    # X[a, z, s, z2] = phi / den; Y[s, m, a2, m2] = theta; E[a2, z2, s2] = emission
-    X = phi / den_safe.transpose(0, 2, 1)[:, :, :, None]
-    K8 = np.einsum("azsw,smbn,bwt->masznbtw", X, theta, emission)
-
-    n = n_m * n_a * n_s * n_z
-    K = K8.reshape(n, n)
-    feasible = np.broadcast_to(feasible4[None, :, :, :], loop.shape).reshape(n)
-    K[~feasible] = 1.0 / n  # uniform placeholder; never entered
-
-    init4 = np.einsum("am,z,azs->masz", loop.agent.initial_joint,
-                      loop.env.initial, emission)
-    init = init4.reshape(n)
-
-    return GlobalChain(loop.shape, TransitionKernel(K), Distribution(init),
-                       feasible, bfs_levels(init > 0.0, K > 0.0) >= 0)
+    K, init, feasible = _global_kernels(loop.env, loop.agent.theta[None],
+                                        loop.agent.initial_joint[None])
+    return GlobalChain(loop.shape, TransitionKernel(K[0]), Distribution(init[0]),
+                       feasible, bfs_levels(init[0] > 0.0, K[0] > 0.0) >= 0)
 
 
 @dataclass(frozen=True)
@@ -172,16 +181,26 @@ def trajectory_distribution(loop: PerceptActionLoop, horizon: int,
 # Work rate and entropy functionals of the asymptotic profile
 # ---------------------------------------------------------------------------
 
-def _cond_entropy_of_state(p4: np.ndarray, keep_axis: int) -> float:
-    """H(X | M) in nats from p(m, a, s, z), X the variable on ``keep_axis``."""
-    axes = tuple(ax for ax in (1, 2, 3) if ax != keep_axis)
-    pm_x = p4.sum(axis=axes)  # [m, x]
-    pm = pm_x.sum(axis=1)
-    return _entropy_nats(pm_x) - _entropy_nats(pm)
+def _cond_entropy_of_state(p4: np.ndarray, keep_axis: int) -> np.ndarray:
+    """H(X | M) in nats from p(m, a, s, z) on the last four axes, X the
+    variable on ``keep_axis`` (1, 2 or 3); leading axes stack tables."""
+    axes = tuple(ax - 4 for ax in (1, 2, 3) if ax != keep_axis)
+    pm_x = p4.sum(axis=axes)  # [..., m, x]
+    pm = pm_x.sum(axis=-1)
+    return xlogy(pm, pm).sum(axis=-1) - xlogy(pm_x, pm_x).sum(axis=(-2, -1))
 
 
 def _work_term_nats(p4: np.ndarray) -> float:
-    return _cond_entropy_of_state(p4, 1) - _cond_entropy_of_state(p4, 2)
+    return float(_cond_entropy_of_state(p4, 1) - _cond_entropy_of_state(p4, 2))
+
+
+def _cesaro_terms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cesàro means, in nats, of the work term H(A|M) - H(S|M) and of
+    H(A|M) over tables p(m, a, s, z) of the subsequence limits, stacked on
+    the fifth axis from the end."""
+    h_action = _cond_entropy_of_state(tables, 1)
+    work = h_action - _cond_entropy_of_state(tables, 2)
+    return work.mean(axis=-1), h_action.mean(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -235,13 +254,60 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
         per_round.append(_work_term_nats(p.reshape(chain.shape)) * factor)
         p = p @ chain.kernel.probs
     profile, tables = _limit_state_tables(chain)
-    h_action = [_cond_entropy_of_state(p4, 1) for p4 in tables]
-    rate = sum(h - _cond_entropy_of_state(p4, 2)
-               for h, p4 in zip(h_action, tables)) / len(tables) * factor
-    action_entropy = _clamp_nonneg(sum(h_action) / len(tables),
-                                   "mean action entropy") * factor
-    return WorkReport(tuple(per_round), rate, action_entropy, profile.period_lcm,
-                      profile.residual, base, chain, profile)
+    rate, h_action = _cesaro_terms(np.stack(tables))
+    action_entropy = _clamp_nonneg(float(h_action), "mean action entropy") * factor
+    return WorkReport(tuple(per_round), float(rate) * factor, action_entropy,
+                      profile.period_lcm, profile.residual, base, chain, profile)
+
+
+def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
+                ) -> np.ndarray:
+    """Exact Cesàro work rates, in nats, of a stack of B agents on ``env``.
+
+    ``theta`` is ``(B, |A|, M, |A|, M)`` and ``init`` ``(B, |A|, M)``; member
+    b's rate is ``work_rate`` of that agent in nats, computed the same way,
+    but the stack shares one kernel einsum and one validation, members with
+    the same support pattern share one reachability search and one chain
+    structure, and the limits are solved over each such group at once.
+    """
+    K, p0, _ = _global_kernels(env, theta, init)
+    _check_stochastic(K, name="kernel")
+    _check_stochastic(p0, name="initial distribution")
+    support, start = K > 0.0, p0 > 0.0
+    n_b, n_a, n_m = init.shape
+    shape = (n_m, n_a, n_a, env.n_hidden)
+    rates = np.empty(n_b)
+    for members in _by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
+        reach = np.flatnonzero(bfs_levels(start[members[0]], support[members[0]]) >= 0)
+        P = K[np.ix_(members, reach, reach)]
+        structure = _structure_of(P[0] > 0.0)
+        d = structure.period_lcm
+        if d == 1:
+            L = _power_limit(P, structure.closed)
+        else:
+            # closed classes of P^d from each member's numeric pattern, as
+            # in asymptotic_profile
+            Q = np.linalg.matrix_power(P, d)
+            L = np.empty_like(Q)
+            for idx in _by_pattern(Q > 0.0):
+                L[idx] = _power_limit(Q[idx], _structure_of(Q[idx[0]] > 0.0).closed)
+        # the subsequence limits P^r L, r = 0..d-1, applied to the start
+        u = p0[np.ix_(members, reach)][:, None, :]
+        tables = np.zeros((len(members), d, K.shape[1]))
+        for r in range(d):
+            tables[:, r, reach] = (u @ L)[:, 0]
+            u = u @ P
+        rates[members] = _cesaro_terms(tables.reshape(len(members), d, *shape))[0]
+    return rates
+
+
+def _by_pattern(patterns: np.ndarray) -> list[list[int]]:
+    """Indices of a stack's members grouped by equal boolean pattern, in
+    order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for i, bits in enumerate(np.packbits(patterns.reshape(len(patterns), -1), axis=1)):
+        groups.setdefault(bits.tobytes(), []).append(i)
+    return list(groups.values())
 
 
 def mean_action_entropy(loop: PerceptActionLoop, base: str = BITS) -> float:

@@ -11,7 +11,9 @@ remembered for the most recent patterns; an optimizer's positive kernels all
 share one pattern.  Limit matrices come from direct, cancellation-free
 linear algebra (GTH elimination and an outflow-form absorption solve), so
 sticky, slowly leaking, periodic and reducible chains are handled exactly and
-uniformly, with no iteration or tolerance.
+uniformly, with no iteration or tolerance.  Both act on a stack of kernels
+with one support pattern, so a batch of evaluations shares their
+Python-level steps; :func:`asymptotic_profile` passes a stack of one.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -32,20 +34,29 @@ from .errors import DimensionError, DomainError
 ROW_SUM_TOL = 1e-12
 
 
+def _check_stochastic(arr: np.ndarray, *, name: str) -> None:
+    """Raise DomainError unless every row (last axis) of ``arr`` is a
+    probability vector within ROW_SUM_TOL; leading axes stack members."""
+    if np.any(arr < -ROW_SUM_TOL) or np.any(arr > 1.0 + ROW_SUM_TOL):
+        raise DomainError(f"{name}: entries must lie in [0, 1]")
+    row_sums = arr.sum(axis=-1)
+    bad = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        *member, row = bad[0]
+        where = f"member {int(member[0])} " if member else ""
+        raise DomainError(
+            f"{name}: {where}row {int(row)} sums to "
+            f"{float(row_sums[tuple(bad[0])])!r}, expected 1"
+        )
+
+
 def _validated_probs(probs, *, name: str) -> np.ndarray:
     arr = np.array(probs, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D table, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{name}: empty table")
-    if np.any(arr < -ROW_SUM_TOL) or np.any(arr > 1.0 + ROW_SUM_TOL):
-        raise DomainError(f"{name}: entries must lie in [0, 1]")
-    row_sums = arr.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        raise DomainError(
-            f"{name}: row {int(bad[0])} sums to {float(row_sums[bad[0]])!r}, expected 1"
-        )
+    _check_stochastic(arr, name=name)
     arr.setflags(write=False)
     return arr
 
@@ -255,63 +266,68 @@ class AsymptoticProfile:
 _GTH_BLOCK = 32
 
 
-def _gth_stationary(block: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible kernel by GTH elimination.
+def _gth_stationary(blocks: np.ndarray) -> np.ndarray:
+    """Stationary vectors of a ``(B, n, n)`` stack of irreducible kernels
+    by GTH elimination, one row of the ``(B, n)`` result per kernel.
 
     Grassmann, Taksar & Heyman (1985): states are censored out one at a
     time from the last, and each elimination divides by the censored row's
     off-diagonal sum instead of forming ``1 - p_kk``, so only nonnegative
     numbers are ever added and no digits cancel.  The diagonal is never
     read.  Eliminations run in blocks of ``_GTH_BLOCK`` states, with the
-    update of the states still to come applied as one matrix product.
+    update of the states still to come applied as one matrix product.  Each
+    step acts on the whole stack, so the n Python-level steps are shared by
+    its B kernels.
     """
-    A = np.array(block, dtype=float)
-    n = A.shape[0]
+    A = np.array(blocks, dtype=float)
+    n = A.shape[-1]
     for hi in range(n, 1, -_GTH_BLOCK):
         lo = max(hi - _GTH_BLOCK, 0)
         for k in range(hi - 1, max(lo, 1) - 1, -1):
-            A[:k, k] /= A[k, :k].sum()
+            A[:, :k, k] /= A[:, k, :k].sum(axis=1, keepdims=True)
             # entries (i, j) below k in the block's columns or rows; the
             # rest waits for the block update below
-            A[:k, lo:k] += np.outer(A[:k, k], A[k, lo:k])
+            A[:, :k, lo:k] += A[:, :k, k, None] * A[:, k, None, lo:k]
             if lo:
-                A[lo:k, :lo] += np.outer(A[lo:k, k], A[k, :lo])
+                A[:, lo:k, :lo] += A[:, lo:k, k, None] * A[:, k, None, :lo]
         if lo:
-            A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
-    x = np.empty(n)
-    x[0] = 1.0
+            A[:, :lo, :lo] += A[:, :lo, lo:hi] @ A[:, lo:hi, :lo]
+    x = np.empty(A.shape[:2])
+    x[:, 0] = 1.0
     for j in range(1, n):
-        x[j] = x[:j] @ A[:j, j]
-    return x / x.sum()
+        x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+    return x / x.sum(axis=1, keepdims=True)
 
 
-def _power_limit(Q: np.ndarray, closed: list[np.ndarray]) -> np.ndarray:
-    """``lim Q^n`` for a kernel whose closed classes ``closed`` are aperiodic.
+def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``lim Q^n`` for each kernel of a ``(B, n, n)`` stack whose closed
+    classes ``closed``, shared by the stack, are aperiodic.
 
     Transient rows mix the classes' stationary vectors with the absorption
     probabilities H from ``(I - Q_TT) H = R``, whose diagonal is each row's
     outflow (off-diagonal sum) rather than ``1 - q_ii``, so slow leaks keep
     their digits.
     """
-    n = Q.shape[0]
-    L = np.zeros((n, n))
+    n = Q.shape[-1]
+    L = np.zeros(Q.shape)
     transient = np.ones(n, dtype=bool)
     stationary = []
     for members in closed:
         transient[members] = False
-        pi = _gth_stationary(Q[np.ix_(members, members)])
-        L[np.ix_(members, members)] = pi
+        pi = _gth_stationary(Q[:, members[:, None], members])
+        L[:, members[:, None], members] = pi[:, None, :]
         stationary.append(pi)
     t = np.flatnonzero(transient)
     if t.size:
-        rows = Q[t]
-        rows[np.arange(t.size), t] = 0.0
-        A = -rows[:, t]
-        A[np.diag_indices(t.size)] = rows.sum(axis=1)
-        R = np.stack([rows[:, members].sum(axis=1) for members in closed], axis=1)
+        diag = np.arange(t.size)
+        rows = Q[:, t]
+        rows[:, diag, t] = 0.0
+        A = -rows[:, :, t]
+        A[:, diag, diag] = rows.sum(axis=2)
+        R = np.stack([rows[:, :, members].sum(axis=2) for members in closed], axis=2)
         H = np.linalg.solve(A, R)
         for k, (members, pi) in enumerate(zip(closed, stationary)):
-            L[np.ix_(t, members)] = np.outer(H[:, k], pi)
+            L[:, t[:, None], members] = H[:, :, k, None] * pi[:, None, :]
     return L
 
 
@@ -333,7 +349,7 @@ def asymptotic_profile(kernel: TransitionKernel) -> AsymptoticProfile:
         Q = np.linalg.matrix_power(P, d)
         # the numeric pattern of Q, so entries that underflow to 0 count as 0
         closed = _structure_of(Q > 0.0).closed
-    L = _power_limit(Q, closed)
+    L = _power_limit(Q[None], closed)[0]
 
     limits = []
     X = L

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (MEMORYLESS_RESTARTS, _agent_from_params,
+from workcap.capacity import (MEMORYLESS_RESTARTS, _agent_from_params, _ascent,
                               _memoryless_objective, _softmax_rows,
                               compute_capacity)
-from workcap.channels import is_memoryless_invariant
+from workcap.channels import dumps_model, is_memoryless_invariant, save_model
 from workcap.errors import DomainError
 from workcap.info import LN2
 from workcap.random_models import (random_environment,
@@ -109,6 +109,15 @@ def simplex_grid_oracle(reduced: np.ndarray, steps: int) -> float:
     return float(np.max(-xlogy(p, p).sum(axis=1) + xlogy(q, q).sum(axis=1)))
 
 
+def memoryless_starts(n: int) -> list[np.ndarray]:
+    """The starts of capacity_memoryless at seed 0: uniform, near each
+    vertex, MEMORYLESS_RESTARTS Dirichlet draws."""
+    rng = np.random.default_rng(0)
+    starts = [np.full(n, 1.0 / n)]
+    starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
+    return starts + [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
+
+
 def memoryless_env(reduced: np.ndarray) -> EnvironmentModel:
     n = reduced.shape[0]
     return EnvironmentModel(tuple(str(i) for i in range(n)), ("z",),
@@ -203,6 +212,19 @@ class TestMemoryless:
         value = capacity_memoryless(memoryless_env(reduced)).value_nats
         assert value >= simplex_grid_oracle(reduced, 1000) - 1e-10
 
+    def test_face_optimum_witness_has_exact_zero(self):
+        # the ascent ends with p(2) ~ 4e-22 on this channel; the witness
+        # plays action 2 with probability exactly 0 at no loss of value
+        reduced = np.array([[0.0, 0.0, 1.0],
+                            [0.417719, 0.0, 0.582281],
+                            [0.004338, 0.995662, 0.0]])
+        result = capacity_memoryless(memoryless_env(reduced))
+        p = result.witness_params["action_distribution"]
+        assert p[2] == 0.0 and p[0] > 0.5
+        rows, _ = _ascent(reduced, np.array(memoryless_starts(3)))
+        assert 0.0 < rows[np.argmax(_memoryless_objective(reduced, rows)), 2] < 1e-12
+        assert result.value_nats >= _memoryless_objective(reduced, rows).max()
+
     @pytest.mark.parametrize("reduced", [
         *(np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
           for n in (2, 3, 5) for seed in range(3)),
@@ -223,12 +245,8 @@ class TestMemoryless:
     def test_batched_ascent_matches_scalar_oracle(self, reduced):
         # the scalar projected ascent from each start of capacity_memoryless
         # (uniform, near each vertex, MEMORYLESS_RESTARTS Dirichlet draws)
-        n = reduced.shape[0]
-        rng = np.random.default_rng(0)
-        starts = [np.full(n, 1.0 / n)]
-        starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
-        starts += [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
-        oracle = max(_memoryless_objective(reduced, _ascend(reduced, p0)) for p0 in starts)
+        oracle = max(_memoryless_objective(reduced, _ascend(reduced, p0))
+                     for p0 in memoryless_starts(reduced.shape[0]))
         assert capacity_memoryless(memoryless_env(reduced)).value_nats >= oracle - 1e-12
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
@@ -322,36 +340,60 @@ class TestLowerBound:
         # share a few support patterns; each pattern is analysed once
         import workcap.loop as loop_mod
         from workcap import markov
-        patterns, evals = [], []
-        structure, rate = markov._structure, loop_mod.work_rate
+        patterns, points = [], []
+        structure, rates = markov._structure, loop_mod._work_rates
 
         def spy_structure(support):
             patterns.append((support.shape, np.packbits(support).tobytes()))
             return structure(support)
 
-        def spy_rate(*args, **kwargs):
-            evals.append(1)
-            return rate(*args, **kwargs)
+        def spy_rates(env, theta, init):
+            points.append(len(theta))
+            return rates(env, theta, init)
         monkeypatch.setattr(markov, "_structure", spy_structure)
-        monkeypatch.setattr(loop_mod, "work_rate", spy_rate)
+        monkeypatch.setattr(loop_mod, "_work_rates", spy_rates)
         markov._memo_structure.cache_clear()
         capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
                              restarts=3, seed=0)
-        assert len(evals) > 100
+        assert sum(points) > 1000
         assert 0 < len(patterns) == len(set(patterns)) <= 10
+
+    def test_same_seed_same_result(self, rng):
+        env = random_environment(rng, 2, 2)
+        first, second = (capacity_lower_bound(env, memory_size=2, restarts=3, seed=7)
+                         for _ in range(2))
+        assert first.value_nats == second.value_nats
+        assert first.optimizer_trace == second.optimizer_trace
+        assert dumps_model(first.witness) == dumps_model(second.witness)
+
+    def test_cli_json_and_witness_byte_identical(self, tmp_path, capsys):
+        from workcap import cli
+        env_path, witness = tmp_path / "env.json", tmp_path / "witness.json"
+        save_model(random_environment(np.random.default_rng(0), 2, 2), env_path)
+        runs = []
+        for _ in range(2):
+            assert cli.main(["capacity", str(env_path), "--json", "--memory-size", "1",
+                             "--restarts", "2", "--seed", "0", "--out", str(witness)]) == 0
+            runs.append((capsys.readouterr().out, witness.read_bytes()))
+        assert '"numeric_lower_bound"' in runs[0][0]
+        assert runs[0] == runs[1]
 
 
 class TestParameterization:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-4, 4), min_size=20, max_size=20),
            st.sampled_from([0.5, 2.0, 7.0]))
+    # near-tied logits: rounding may break the tie differently in the two
+    # softmax rows, so the rows' own argmaxes can differ
+    @example([0.0, 0.0, 2.220446049250313e-16, -1.5] + [0.0] * 16, 0.5)
     def test_scaling_preserves_rowwise_argmax(self, values, scale):
+        # the entry at each row's logit argmax is maximal in both rows
         x = np.array(values)
         a = _agent_from_params(x, ("0", "1"), ("m0", "m1"))
         b = _agent_from_params(scale * x, ("0", "1"), ("m0", "m1"))
-        rows_a = a.theta.reshape(4, 4)
-        rows_b = b.theta.reshape(4, 4)
-        assert (rows_a.argmax(axis=1) == rows_b.argmax(axis=1)).all()
+        top = x[:16].reshape(4, 4).argmax(axis=1)
+        for rows in (a.theta.reshape(4, 4), b.theta.reshape(4, 4)):
+            assert (rows[np.arange(4), top] == rows.max(axis=1)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-4, 4), min_size=8, max_size=8),

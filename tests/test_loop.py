@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from workcap import (BudgetError, DimensionError, PerceptActionLoop,
-                     build_global_chain, build_identity, build_memoryless,
-                     build_predictive, build_uniform, build_last_action,
-                     trajectory_distribution, work_rate)
+from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
+                     EnvironmentModel, PerceptActionLoop, build_global_chain,
+                     build_identity, build_memoryless, build_predictive,
+                     build_uniform, build_last_action, trajectory_distribution,
+                     work_rate)
+from workcap.capacity import _kernels_from_params, _params_from_agent
 from workcap.info import entropy_rate
-from workcap.loop import (am_predictiveness, future_predictiveness,
+from workcap.loop import (_work_rates, am_predictiveness, future_predictiveness,
                           has_max_entropy_actions, mean_action_entropy,
                           predictiveness_score)
+from workcap.markov import TransitionKernel, classify_states
 from workcap.random_models import random_agent, random_environment
 
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
@@ -237,3 +240,126 @@ class TestMaxEntropyActions:
             PerceptActionLoop(build_memoryless(fig5.alphabet, [1.0, 0.0]), fig5))
         assert not verdict
         assert estimate == pytest.approx(0.0, abs=1e-12)
+
+
+def stack(agents):
+    return (np.stack([a.theta for a in agents]),
+            np.stack([a.initial_joint for a in agents]))
+
+
+def agents_of(alphabet, theta, init):
+    memory = tuple(f"m{i}" for i in range(theta.shape[2]))
+    return [AgentModel(alphabet, memory, th, ini) for th, ini in zip(theta, init)]
+
+
+def assert_matches_scalar(env, agents):
+    """Each member of the batched rates equals the scalar work_rate."""
+    rates = _work_rates(env, *stack(agents))
+    scalar = [work_rate(PerceptActionLoop(a, env), rounds=0, base="nats").rate
+              for a in agents]
+    assert rates.shape == (len(agents),)
+    assert np.max(np.abs(rates - scalar)) <= 1e-12
+
+
+def cycles_env(rng, cycles=(2, 3)):
+    """A transient start state entering one of several deterministic hidden
+    cycles with seeded emissions; class periods are the cycle lengths."""
+    n_z = 1 + sum(cycles)
+    move = np.zeros((n_z, n_z))
+    offset = 1
+    for length in cycles:
+        for i in range(length):
+            move[offset + i, offset + (i + 1) % length] = 1.0
+        offset += length
+    move[0, np.cumsum((1,) + cycles)[:-1]] = 1.0 / len(cycles)
+    emit = rng.dirichlet(np.ones(2), size=(2, n_z))
+    init = np.zeros(n_z)
+    init[0] = 1.0
+    return EnvironmentModel(("0", "1"), tuple(f"z{i}" for i in range(n_z)),
+                            emit[..., None] * move[None, :, None, :], init)
+
+
+def echo_after_random_first_action(q):
+    """Memory m0 plays 1 with probability q and moves to m1, which echoes the
+    percept forever; on a noiseless channel the loop has transient states
+    and two closed classes."""
+    theta = np.zeros((2, 2, 2, 2))
+    theta[:, 0, 0, 1], theta[:, 0, 1, 1] = 1.0 - q, q
+    for s in range(2):
+        theta[s, 1, s, 1] = 1.0
+    init = np.array([[1.0 - q, 0.0], [q, 0.0]])
+    return AgentModel(("0", "1"), ("m0", "m1"), theta, init)
+
+
+class TestBatchedWorkRates:
+    def test_random_dense_loops(self, rng):
+        for n_z, n_m in ((1, 1), (2, 2), (3, 2), (2, 3)):
+            env = random_environment(rng, 2, n_z)
+            assert_matches_scalar(env, [random_agent(rng, 2, n_m) for _ in range(6)])
+        env = random_environment(rng, 3, 2)
+        assert_matches_scalar(env, [random_agent(rng, 3, 2) for _ in range(4)])
+
+    def test_periodic_loop(self, rng):
+        env = cycles_env(rng)
+        agents = [random_agent(rng, 2, 2) for _ in range(4)]
+        assert work_rate(PerceptActionLoop(agents[0], env)).period_used == 6
+        assert_matches_scalar(env, agents)
+
+    def test_reducible_loops(self, rng, golden_mean, identity_env):
+        agents = [echo_after_random_first_action(q) for q in (0.5, 0.1, 1e-9)]
+        chain = build_global_chain(PerceptActionLoop(agents[0], identity_env))
+        reach = np.flatnonzero(chain.reachable)
+        classes = classify_states(TransitionKernel(chain.kernel.probs[np.ix_(reach, reach)]))
+        assert sum(classes.class_recurrent) == 2 and not classes.recurrent.all()
+        assert_matches_scalar(identity_env, agents)
+        assert_matches_scalar(identity_env, [build_identity(("0", "1")),
+                                             build_memoryless(("0", "1"), [0.2, 0.8])])
+        assert_matches_scalar(golden_mean, [
+            build_predictive(build_uniform(golden_mean.alphabet), golden_mean),
+            build_predictive(build_memoryless(golden_mean.alphabet, [0.3, 0.7]),
+                             golden_mean),
+        ])
+        assert_matches_scalar(golden_mean, [random_agent(rng, 2, 2) for _ in range(3)]
+                              + [build_last_action(golden_mean.alphabet, [0.5, 0.5])])
+
+    def test_padded_agents(self, rng):
+        # padded memory states mirror the original rows and are never
+        # entered: exactly, or with the 1e-12 logit floor of a warm start
+        env = random_environment(rng, 2, 2)
+        base = [random_agent(rng, 2, 1), random_agent(rng, 2, 2),
+                build_last_action(("0", "1"), [0.3, 0.7])]
+        padded = []
+        for agent in base:
+            theta = np.zeros((2, 3, 2, 3))
+            for m in range(3):
+                theta[:, m, :, :agent.n_memory] = agent.theta[:, m % agent.n_memory]
+            init = np.zeros((2, 3))
+            init[:, :agent.n_memory] = agent.initial_joint
+            padded.append(AgentModel(("0", "1"), ("m0", "m1", "m2"), theta, init))
+        x = np.stack([_params_from_agent(agent, 3) for agent in base])
+        warm = agents_of(env.alphabet, *_kernels_from_params(x, 2, 3))
+        assert_matches_scalar(env, padded + warm)
+
+    def test_underflowing_softmax_agents(self, rng):
+        # logits of +-800 underflow kernel entries to exactly 0, so members
+        # of one stack have different support patterns
+        env = random_environment(rng, 2, 2)
+        dim = 4 * 4 + 4
+        x = rng.normal(scale=1.5, size=(8, dim))
+        extreme = rng.random((8, dim)) < 0.4
+        x[extreme] = rng.choice([-800.0, 800.0], size=int(extreme.sum()))
+        x[:3] = rng.normal(size=(3, dim))  # positive agents ...
+        # ... but the third never changes its memory state, so its opening
+        # pattern is theirs and its reachable chain has two closed classes
+        x[2, :16].reshape(2, 2, 4)[:, 0, 1::2] = -800.0
+        x[2, :16].reshape(2, 2, 4)[:, 1, 0::2] = -800.0
+        theta, init = _kernels_from_params(x, 2, 2)
+        assert (theta == 0.0).any() and (theta[:2] > 0.0).all() and (init[:3] > 0.0).all()
+        assert_matches_scalar(env, agents_of(env.alphabet, theta, init))
+
+    def test_non_stochastic_member_raises(self, rng):
+        env = random_environment(rng, 2, 2)
+        theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
+        theta[1, 0, 1] *= 1.1
+        with pytest.raises(DomainError, match="member 1"):
+            _work_rates(env, theta, init)
