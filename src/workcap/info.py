@@ -72,8 +72,9 @@ class JointTable:
             raise DimensionError(
                 f"table has {arr.ndim} axes for {len(variables)} variables"
             )
-        if np.any(arr < -JOINT_SUM_TOL):
-            raise DomainError("joint table has a negative entry")
+        # NaN fails this check and +inf the sum below
+        if not (arr >= -JOINT_SUM_TOL).all():
+            raise DomainError("joint table has a negative or NaN entry")
         if abs(arr.sum() - 1.0) > JOINT_SUM_TOL:
             raise DomainError(f"joint table sums to {float(arr.sum())!r}, expected 1")
         arr.setflags(write=False)

@@ -2,9 +2,16 @@
 
 Composing an agent model with an environment model yields a homogeneous
 Markov chain over tuples (memory, action, percept, hidden state).  This
-module builds that chain, computes exact finite-horizon trajectory joint
-tables, per-round work terms and the asymptotic work rate, and the
-predictiveness scores that decide membership in the predictive agent class.
+module builds that chain, computes per-round work terms and the asymptotic
+work rate, and the predictiveness scores that decide membership in the
+predictive agent class.
+
+Every finite-horizon trajectory quantity comes from one contraction engine,
+``_trajectory_marginal``: it multiplies in the product-form factors in round
+order and sums out each variable the caller did not ask for as soon as no
+later factor reads it.  ``trajectory_distribution`` asks for every variable;
+the predictiveness scores ask only for the ones their conditional mutual
+information reads, so their tables stay near the size of that marginal.
 
 Index convention throughout: a range subscript l:m includes l and excludes m,
 so the action block relevant at round t is A_0..A_t and the percept past is
@@ -126,55 +133,81 @@ class TrajectoryDistribution:
     joint: JointTable
 
 
-def _axis_placed(x: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
-    """View of x broadcast into an ndim-dimensional tensor at ``axes``."""
-    order = np.argsort(axes)
-    xt = np.transpose(x, order)
-    shape = [1] * ndim
-    for pos, size in zip(sorted(axes), xt.shape):
-        shape[pos] = size
-    return xt.reshape(shape)
+_ROUND_VARS = ("M", "A", "S", "Z")
+
+
+def _elimination_plan(horizon: int, keep: set[str]) -> list[list[str]]:
+    """Per round, the einsum subscripts that multiply the message by the
+    round's factors and sum out its variables outside ``keep``.
+
+    The message is indexed ``pmaz``: p the kept past, flattened, and m a z
+    the memory, action and hidden state of round t.  A round before the last
+    multiplies in phi[a, s, z, w] and then theta[m, s, n, b], where n b w
+    are the memory, action and hidden state of round t + 1; the last round
+    multiplies in the emission e[a, s, z].  An unkept A_t or Z_t is summed
+    out by the phi product, an unkept M_t or S_t by the theta product, after
+    which no factor reads them.
+    """
+    plan = []
+    for t in range(horizon):
+        m, a, s, z = (v.lower() if f"{v}{t}" in keep else "" for v in _ROUND_VARS)
+        if t < horizon - 1:
+            plan.append([f"pmaz,aszw->pm{a}s{z}w", f"pm{a}s{z}w,msnb->p{m}{a}{s}{z}nbw"])
+        else:
+            plan.append([f"pmaz,asz->p{m}{a}{s}{z}"])
+    return plan
+
+
+def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep,
+                         budget: int) -> JointTable:
+    """Exact marginal over ``keep`` (names such as ``"S3"``) of the joint
+    of the first ``horizon`` rounds, by variable elimination in round order
+    (Zhang & Poole 1994): the forward message over the kept past and the
+    current (M_t, A_t, Z_t) takes in one factor at a time and loses each
+    unkept variable as soon as no later factor reads it.  ``budget`` bounds
+    the largest table formed, which is computed from the shapes first.
+    """
+    if horizon < 1:
+        raise DimensionError("horizon must be >= 1")
+    names = [f"{v}{t}" for t in range(horizon) for v in _ROUND_VARS]
+    keep = set(keep)
+    unknown = keep.difference(names)
+    if unknown:
+        raise KeyError(f"unknown variable {sorted(unknown)[0]!r}")
+    n_m, n_a, n_s, n_z = loop.shape
+    size = dict(zip("masznbw", (n_m, n_a, n_s, n_z, n_m, n_a, n_z)))
+    plan = _elimination_plan(horizon, keep)
+
+    past, required = 1, n_m * n_a * n_z
+    for steps in plan:
+        outs = [subscripts.split("->")[1][1:] for subscripts in steps]
+        required = max(required, *(past * math.prod(size[c] for c in out) for out in outs))
+        past *= math.prod(size[c] for c in outs[-1] if c in "masz")
+    if required > budget:
+        raise BudgetError(
+            f"trajectory contraction would form a table of {required} entries "
+            f"(budget {budget})", required=required, budget=budget,
+        )
+
+    phi = loop.env.phi.transpose(0, 2, 1, 3)  # [a, s, z, w]
+    theta = loop.agent.theta.transpose(1, 0, 3, 2)  # [m, s, n, b]
+    emission = loop.env.phi.sum(axis=3).transpose(0, 2, 1)  # [a, s, z]
+    msg = np.einsum("am,z->maz", loop.agent.initial_joint, loop.env.initial)[None]
+    for to_env, to_agent in plan[:-1]:
+        msg = np.einsum(to_agent, np.einsum(to_env, msg, phi), theta)
+        msg = msg.reshape(-1, n_m, n_a, n_z)
+    # rebinding msg frees the last message before JointTable copies the result
+    msg = np.einsum(plan[-1][0], msg, emission)
+    kept = tuple(name for name in names if name in keep)
+    return JointTable(kept, msg.reshape([size[name[0].lower()] for name in kept]))
 
 
 def trajectory_distribution(loop: PerceptActionLoop, horizon: int,
                             budget: int = TRAJECTORY_BUDGET) -> TrajectoryDistribution:
-    """Exact product-form joint table for ``horizon`` rounds."""
-    if horizon < 1:
-        raise DimensionError("horizon must be >= 1")
-    n_m, n_a, n_s, n_z = loop.shape
-    per_round = n_m * n_a * n_s * n_z
-    required = per_round ** horizon
-    if required > budget:
-        raise BudgetError(
-            f"trajectory table would need {required} entries (budget {budget})",
-            required=required, budget=budget,
-        )
-
-    T = horizon
-    dims = (n_m, n_a, n_s, n_z) * T
-    ndim = 4 * T
-
-    def pos(var: str, t: int) -> int:
-        return 4 * t + {"M": 0, "A": 1, "S": 2, "Z": 3}[var]
-
-    emission = loop.env.phi.sum(axis=3)
-    factors = [
-        (loop.agent.initial_joint, (pos("A", 0), pos("M", 0))),
-        (loop.env.initial, (pos("Z", 0),)),
-        (emission, (pos("A", T - 1), pos("Z", T - 1), pos("S", T - 1))),
-    ]
-    for t in range(T - 1):
-        factors.append((loop.agent.theta,
-                        (pos("S", t), pos("M", t), pos("A", t + 1), pos("M", t + 1))))
-        factors.append((loop.env.phi,
-                        (pos("A", t), pos("Z", t), pos("S", t), pos("Z", t + 1))))
-
-    table = np.ones(dims)
-    for x, axes in factors:
-        table *= _axis_placed(x, axes, ndim)
-
-    names = tuple(f"{v}{t}" for t in range(T) for v in ("M", "A", "S", "Z"))
-    return TrajectoryDistribution(T, JointTable(names, table))
+    """Exact joint table of the first ``horizon`` rounds, variables ordered
+    M_0, A_0, S_0, Z_0, M_1, ...; ``budget`` bounds its entries."""
+    names = [f"{v}{t}" for t in range(horizon) for v in _ROUND_VARS]
+    return TrajectoryDistribution(horizon, _trajectory_marginal(loop, horizon, names, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +372,17 @@ def _past_vars(t: int) -> list[str]:
 def predictiveness_score(loop: PerceptActionLoop, t: int,
                          budget: int = TRAJECTORY_BUDGET, base: str = BITS) -> float:
     """Exact I[A_0..A_t, S_0..S_{t-1}; S_t | M_t]; zero iff the memory is a
-    sufficient statistic of the past for the current percept."""
+    sufficient statistic of the past for the current percept.
+
+    Only the marginal over those variables is formed, so ``budget`` bounds
+    the largest table of its contraction, not the full joint of t + 1 rounds.
+    """
     if t < 0:
         raise DimensionError("round index must be >= 0")
-    traj = trajectory_distribution(loop, t + 1, budget=budget)
-    keep = set(_past_vars(t)) | {f"S{t}", f"M{t}"}
-    joint = traj.joint.marginal(keep)
+    past = _past_vars(t)
+    joint = _trajectory_marginal(loop, t + 1, {*past, f"S{t}", f"M{t}"}, budget)
     return conditional_mutual_information(
-        joint, _past_vars(t), (f"S{t}",), (f"M{t}",), base=base)
+        joint, past, (f"S{t}",), (f"M{t}",), base=base)
 
 
 @dataclass(frozen=True)
@@ -387,9 +423,7 @@ def future_predictiveness(loop: PerceptActionLoop, t: int, future_len: int,
     ``future_len``; nondecreasing in k by the chain rule."""
     if t < 0 or future_len < 1:
         raise DimensionError("need t >= 0 and future_len >= 1")
-    traj = trajectory_distribution(loop, t + future_len, budget=budget)
+    past = _past_vars(t)
     future = [f"S{i}" for i in range(t, t + future_len)]
-    keep = set(_past_vars(t)) | set(future) | {f"M{t}"}
-    joint = traj.joint.marginal(keep)
-    return conditional_mutual_information(
-        joint, _past_vars(t), future, (f"M{t}",), base=base)
+    joint = _trajectory_marginal(loop, t + future_len, {*past, *future, f"M{t}"}, budget)
+    return conditional_mutual_information(joint, past, future, (f"M{t}",), base=base)

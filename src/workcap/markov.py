@@ -37,7 +37,8 @@ ROW_SUM_TOL = 1e-12
 def _check_stochastic(arr: np.ndarray, *, name: str) -> None:
     """Raise DomainError unless every row (last axis) of ``arr`` is a
     probability vector within ROW_SUM_TOL; leading axes stack members."""
-    if np.any(arr < -ROW_SUM_TOL) or np.any(arr > 1.0 + ROW_SUM_TOL):
+    # written so that NaN fails it too: every comparison with NaN is false
+    if not ((arr >= -ROW_SUM_TOL).all() and (arr <= 1.0 + ROW_SUM_TOL).all()):
         raise DomainError(f"{name}: entries must lie in [0, 1]")
     row_sums = arr.sum(axis=-1)
     bad = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
@@ -100,8 +101,9 @@ class Distribution:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError(f"distribution: expected a nonempty vector, got shape {arr.shape}")
-        if np.any(arr < -ROW_SUM_TOL):
-            raise DomainError("distribution: negative entry")
+        # NaN fails this check and +inf the sum below
+        if not (arr >= -ROW_SUM_TOL).all():
+            raise DomainError("distribution: negative or NaN entry")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
             raise DomainError(f"distribution: sums to {float(arr.sum())!r}, expected 1")
         arr.setflags(write=False)

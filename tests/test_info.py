@@ -51,6 +51,11 @@ class TestEntropy:
         with pytest.raises(KeyError):
             entropy(j, "Y")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(DomainError):
+            JointTable(("X", "Y"), [[bad, 0.5], [0.25, 0.25]])
+
     def test_base_consistency(self):
         j = make_joint(["X"], [0.6, 0.3, 0.1])
         assert entropy(j, "X", base="bits") * LN2 == pytest.approx(

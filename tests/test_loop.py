@@ -9,14 +9,77 @@ from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      build_uniform, build_last_action, trajectory_distribution,
                      work_rate)
 from workcap.capacity import _kernels_from_params, _params_from_agent
-from workcap.info import entropy_rate
-from workcap.loop import (_work_rates, am_predictiveness, future_predictiveness,
+from workcap.info import JointTable, conditional_mutual_information, entropy_rate
+from workcap.loop import (_trajectory_marginal, _work_rates, am_predictiveness,
+                          future_predictiveness,
                           has_max_entropy_actions, mean_action_entropy,
                           predictiveness_score)
 from workcap.markov import TransitionKernel, classify_states
 from workcap.random_models import random_agent, random_environment
 
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
+
+
+def _axis_placed(x: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
+    """View of x broadcast into an ndim-dimensional tensor at ``axes``."""
+    order = np.argsort(axes)
+    xt = np.transpose(x, order)
+    shape = [1] * ndim
+    for pos, size in zip(sorted(axes), xt.shape):
+        shape[pos] = size
+    return xt.reshape(shape)
+
+
+def full_trajectory_table(loop: PerceptActionLoop, horizon: int) -> JointTable:
+    """Oracle: the joint of ``horizon`` rounds as the product of every factor
+    broadcast over the full (M, A, S, Z)^T table, with nothing summed out."""
+    n_m, n_a, n_s, n_z = loop.shape
+    T = horizon
+    dims = (n_m, n_a, n_s, n_z) * T
+    ndim = 4 * T
+
+    def pos(var: str, t: int) -> int:
+        return 4 * t + {"M": 0, "A": 1, "S": 2, "Z": 3}[var]
+
+    emission = loop.env.phi.sum(axis=3)
+    factors = [
+        (loop.agent.initial_joint, (pos("A", 0), pos("M", 0))),
+        (loop.env.initial, (pos("Z", 0),)),
+        (emission, (pos("A", T - 1), pos("Z", T - 1), pos("S", T - 1))),
+    ]
+    for t in range(T - 1):
+        factors.append((loop.agent.theta,
+                        (pos("S", t), pos("M", t), pos("A", t + 1), pos("M", t + 1))))
+        factors.append((loop.env.phi,
+                        (pos("A", t), pos("Z", t), pos("S", t), pos("Z", t + 1))))
+
+    table = np.ones(dims)
+    for x, axes in factors:
+        table *= _axis_placed(x, axes, ndim)
+
+    names = tuple(f"{v}{t}" for t in range(T) for v in ("M", "A", "S", "Z"))
+    return JointTable(names, table)
+
+
+def oracle_loops(rng, fig5, golden_mean):
+    """Random dense loops with memory and hidden sizes 1-3, and loops on
+    fig5 and golden mean whose tables have zero entries."""
+    loops = [PerceptActionLoop(random_agent(rng, 2, n_m), random_environment(rng, 2, n_z))
+             for n_m in (1, 2, 3) for n_z in (1, 2, 3)]
+    loops += [
+        PerceptActionLoop(build_last_action(fig5.alphabet, [0.5, 0.5]), fig5),
+        PerceptActionLoop(build_uniform(fig5.alphabet), fig5),
+        PerceptActionLoop(build_predictive(build_uniform(golden_mean.alphabet),
+                                           golden_mean, circuit="general"), golden_mean),
+        PerceptActionLoop(random_agent(rng, 2, 2), golden_mean),
+    ]
+    return loops
+
+
+def oracle_horizon(loop: PerceptActionLoop, most: int, entries: int = 2 * 10 ** 6) -> int:
+    """The longest horizon up to ``most`` whose full table fits ``entries``."""
+    per_round = math.prod(loop.shape)
+    return max(h for h in range(1, most + 1) if per_round ** h <= entries)
 
 
 class TestGlobalChain:
@@ -102,6 +165,83 @@ class TestTrajectory:
         with pytest.raises(BudgetError) as excinfo:
             trajectory_distribution(pal, 5)
         assert excinfo.value.required == (3 * 2 * 2 * 3) ** 5
+
+
+class TestContraction:
+    def test_keep_all_matches_full_product(self, rng, fig5, golden_mean):
+        for pal in oracle_loops(rng, fig5, golden_mean):
+            for horizon in range(1, oracle_horizon(pal, 3) + 1):
+                got = trajectory_distribution(pal, horizon).joint
+                want = full_trajectory_table(pal, horizon)
+                assert got.variables == want.variables
+                assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+
+    def test_any_keep_set_matches_oracle_marginal(self, rng, fig5, golden_mean):
+        for pal in oracle_loops(rng, fig5, golden_mean):
+            horizon = oracle_horizon(pal, 3)
+            oracle = full_trajectory_table(pal, horizon)
+            for _ in range(4):
+                keep = [v for v in oracle.variables if rng.random() < 0.4]
+                got = _trajectory_marginal(pal, horizon, keep, budget=10 ** 7)
+                want = oracle.marginal(keep)
+                assert got.variables == want.variables
+                assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+
+    def test_scores_match_oracle_cmi(self, rng, fig5, golden_mean):
+        def oracle_cmi(oracle, t, k):
+            past = [f"A{i}" for i in range(t + 1)] + [f"S{i}" for i in range(t)]
+            future = [f"S{i}" for i in range(t, t + k)]
+            joint = oracle.marginal([*past, *future, f"M{t}"])
+            return conditional_mutual_information(joint, past, future, (f"M{t}",))
+
+        for pal in oracle_loops(rng, fig5, golden_mean):
+            # the first rounds' joint is a marginal of a longer horizon's
+            horizon = oracle_horizon(pal, 6)
+            oracle = full_trajectory_table(pal, horizon)
+            scores = []
+            for t in range(min(4, horizon)):
+                scores.append(oracle_cmi(oracle, t, 1))
+                assert abs(predictiveness_score(pal, t) - scores[-1]) <= 1e-13
+                assert abs(am_predictiveness(pal, t + 1).mean - np.mean(scores)) <= 1e-13
+                for k in range(1, min(3, horizon - t) + 1):
+                    assert abs(future_predictiveness(pal, t, k)
+                               - oracle_cmi(oracle, t, k)) <= 1e-13
+
+    def test_budget_bounds_largest_table_formed(self, golden_mean):
+        # shape (4, 2, 2, 2); the score at t = 8 keeps A_0..A_8, S_0..S_8
+        # and M_8.  Round 7's agent step forms [A_0..A_7, S_0..S_7, M_8, A_8,
+        # Z_8] and the last round [A_0..A_8, S_0..S_8, M_8]: 2^16 * 16 = 2^20
+        # entries each, against 16^9 = 2^36 for the full joint.
+        pal = PerceptActionLoop(build_predictive(build_uniform(golden_mean.alphabet),
+                                                 golden_mean, circuit="general"),
+                                golden_mean)
+        assert pal.shape == (4, 2, 2, 2)
+        with pytest.raises(BudgetError) as excinfo:
+            predictiveness_score(pal, 8, budget=2 ** 20 - 1)
+        assert excinfo.value.required == 2 ** 20
+        assert excinfo.value.budget == 2 ** 20 - 1
+        assert predictiveness_score(pal, 8, budget=2 ** 20) <= 1e-10
+
+    def test_budget_counts_hidden_state_summed_early(self, rng):
+        # shape (1, 2, 2, 3), keeping S_0..S_3: before round t's agent step
+        # the table is [S_0..S_t, Z_{t+1}] (Z_t and A_t summed out), 2^t * 6
+        # entries; after it [S_0..S_t, A_{t+1}, Z_{t+1}], 2^t * 12, which at
+        # t = 2 is the largest, 48.  Keeping Z_t one product longer would
+        # form 2^t * 18 = 72 entries.
+        pal = PerceptActionLoop(build_uniform(("0", "1")), random_environment(rng, 2, 3))
+        assert pal.shape == (1, 2, 2, 3)
+        percepts = {"S0", "S1", "S2", "S3"}
+        with pytest.raises(BudgetError) as excinfo:
+            _trajectory_marginal(pal, 4, percepts, budget=47)
+        assert excinfo.value.required == 48
+        got = _trajectory_marginal(pal, 4, percepts, budget=48)
+        want = full_trajectory_table(pal, 4).marginal(percepts)
+        assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+
+    def test_unknown_variable_rejected(self, rng):
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
+        with pytest.raises(KeyError):
+            _trajectory_marginal(pal, 2, {"S2"}, budget=10 ** 7)
 
 
 class TestWorkRate:
@@ -215,11 +355,22 @@ class TestPredictiveness:
         value = future_predictiveness(pal, t=1, future_len=1)
         assert value > 1e-3
 
-    def test_future_predictiveness_monotone_in_k(self, golden_mean):
-        pal = PerceptActionLoop(build_uniform(golden_mean.alphabet), golden_mean)
-        values = [future_predictiveness(pal, t=1, future_len=k) for k in (1, 2, 3)]
-        assert values[0] <= values[1] + 1e-12
-        assert values[1] <= values[2] + 1e-12
+    @pytest.mark.parametrize("circuit", ["general", "product"])
+    def test_golden_mean_predictive_agent_scores_zero(self, golden_mean, circuit):
+        # the full joint of t + 1 rounds would need 16^(t+1) or more entries,
+        # beyond the default budget from t = 5; its marginals stay small
+        pred = build_predictive(build_uniform(golden_mean.alphabet), golden_mean,
+                                circuit=circuit)
+        pal = PerceptActionLoop(pred, golden_mean)
+        for t in range(9):
+            assert 0.0 <= predictiveness_score(pal, t) <= 1e-10
+
+    def test_future_predictiveness_monotone_in_k(self, golden_mean, rng):
+        for pal in (PerceptActionLoop(build_uniform(golden_mean.alphabet), golden_mean),
+                    PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))):
+            values = [future_predictiveness(pal, t=1, future_len=k) for k in (1, 2, 3, 4)]
+            assert values[0] > 1e-6
+            assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestMaxEntropyActions:
@@ -362,4 +513,11 @@ class TestBatchedWorkRates:
         theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
         theta[1, 0, 1] *= 1.1
         with pytest.raises(DomainError, match="member 1"):
+            _work_rates(env, theta, init)
+
+    def test_nan_member_raises(self, rng):
+        env = random_environment(rng, 2, 2)
+        theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
+        theta[2, 1, 0, 0, 1] = np.nan
+        with pytest.raises(DomainError):
             _work_rates(env, theta, init)

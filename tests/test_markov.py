@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from workcap import (DimensionError, DomainError, TransitionKernel,
+from workcap import (DimensionError, Distribution, DomainError, TransitionKernel,
                      asymptotic_profile, classify_states, first_passage,
                      markov, state_period)
 from workcap.random_models import random_kernel, random_structured_kernel
@@ -420,6 +420,15 @@ class TestKernelValidation:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             TransitionKernel([[1.2, -0.2], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # every comparison with NaN is false, so a check written as
+        # "any entry out of range" would let it through
+        with pytest.raises(DomainError):
+            TransitionKernel([[bad, 1.0], [0.0, 1.0]])
+        with pytest.raises(DomainError):
+            Distribution([bad, 1.0])
 
     def test_immutable(self):
         with pytest.raises(ValueError):
