@@ -64,10 +64,24 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self):
+        # a copy, so no array the caller keeps (or a view of one) aliases the table
+        self._take(np.array(self.probs, dtype=float))
+
+    @classmethod
+    def _owning(cls, variables, probs: np.ndarray) -> "JointTable":
+        """A table around ``probs`` itself, without the constructor's copy;
+        only for a fresh array nothing else references, such as a
+        computed result."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "variables", variables)
+        table._take(np.asarray(probs, dtype=float))
+        return table
+
+    def _take(self, arr: np.ndarray) -> None:
+        """Validate ``arr`` against the variables, freeze it and hold it."""
         variables = _names(self.variables)
         if len(set(variables)) != len(variables):
             raise DimensionError("duplicate variable names")
-        arr = np.array(self.probs, dtype=float)
         if arr.ndim != len(variables):
             raise DimensionError(
                 f"table has {arr.ndim} axes for {len(variables)} variables"
@@ -99,7 +113,7 @@ class JointTable:
         if unknown:
             raise KeyError(f"unknown variable {sorted(unknown)[0]!r}")
         kept = tuple(n for n in self.variables if n in keep_set)
-        return JointTable(kept, self.probs.sum(axis=axes) if axes else self.probs)
+        return JointTable._owning(kept, self.probs.sum(axis=axes))
 
 
 def _marginal_entropy_nats(joint: JointTable, vars: tuple[str, ...]) -> float:

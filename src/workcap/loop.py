@@ -196,10 +196,9 @@ def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep,
     for to_env, to_agent in plan[:-1]:
         msg = np.einsum(to_agent, np.einsum(to_env, msg, phi), theta)
         msg = msg.reshape(-1, n_m, n_a, n_z)
-    # rebinding msg frees the last message before JointTable copies the result
     msg = np.einsum(plan[-1][0], msg, emission)
     kept = tuple(name for name in names if name in keep)
-    return JointTable(kept, msg.reshape([size[name[0].lower()] for name in kept]))
+    return JointTable._owning(kept, msg.reshape([size[name[0].lower()] for name in kept]))
 
 
 def trajectory_distribution(loop: PerceptActionLoop, horizon: int,

@@ -216,7 +216,8 @@ def check_cesaro_machinery(seed: int = 0) -> str:
     """On 20 random chains (n <= 6): the Cesàro matrix matches the finite
     time average sum_{k<N} P^k / N, N = 20000 d (d the period lcm), within
     1e-3, and pi = f/m within 1e-6 wherever the first-passage truncation
-    residual is below 1e-8.  The N-term sum is formed by binary doubling."""
+    residual is below 1e-8.  Both N-term sums, the time average and the
+    3000-step first-passage sums, are formed by binary doubling."""
     rng = np.random.default_rng(seed)
     worst_avg = 0.0
     worst_fm = 0.0

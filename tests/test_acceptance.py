@@ -16,7 +16,7 @@ BUDGETS = {
     "fig5_agent_set_exclusivity": 5.0,
     "global_markov_chain": 30.0,
     "cascade_subadditivity": 4.0,
-    "cesaro_machinery": 2.0,
+    "cesaro_machinery": 0.5,
     "d_separation_soundness": 3.0,
 }
 

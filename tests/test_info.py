@@ -62,6 +62,29 @@ class TestEntropy:
             entropy(j, "X", base="nats"), abs=1e-12)
 
 
+class TestJointTable:
+    @pytest.mark.parametrize("view", ["array", "read_only_view"])
+    def test_caller_array_never_aliased(self, view):
+        base = np.full((2, 2), 0.25)
+        probs = base
+        if view == "read_only_view":
+            probs = base.view()
+            probs.setflags(write=False)  # the base stays writable
+        j = JointTable(("X", "Y"), probs)
+        base[0] = [0.5, 0.0]
+        assert not np.shares_memory(j.probs, base)
+        assert not j.probs.flags.writeable
+        np.testing.assert_array_equal(j.probs, np.full((2, 2), 0.25))
+        assert entropy(j) == pytest.approx(2.0, abs=1e-12)
+
+    def test_marginal_is_frozen(self):
+        j = make_joint(["X", "Y"], [[0.5, 0.25], [0.125, 0.125]])
+        for keep, expected in ((["X"], [0.75, 0.25]), (["X", "Y"], j.probs)):
+            m = j.marginal(keep)
+            assert not m.probs.flags.writeable
+            np.testing.assert_array_equal(m.probs, expected)
+
+
 class TestConditionalEntropy:
     def test_independent(self):
         p = np.outer([0.3, 0.7], [0.25, 0.75])

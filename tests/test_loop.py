@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ class TestTrajectory:
         pal = PerceptActionLoop(random_agent(rng, 2, 2), golden_mean)
         traj = trajectory_distribution(pal, 4).joint
         assert traj.probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_keep_all_table_is_not_copied(self, rng):
+        # the computed table becomes the JointTable as it is; a copy would put
+        # the peak at twice the table (the last message adds a quarter here)
+        loop = PerceptActionLoop(random_agent(rng, 4, 1), random_environment(rng, 4, 1))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            probs = trajectory_distribution(loop, 5).joint.probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.size == 16 ** 5
+        assert not probs.flags.writeable
+        assert peak < 1.6 * probs.nbytes
 
     def test_budget_error_reports_required_size(self, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 3),

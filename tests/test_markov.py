@@ -388,12 +388,16 @@ class TestFirstPassage:
         with pytest.raises(DomainError):
             first_passage(SWAP, horizon=0)
 
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 255, 256, 300])
     @pytest.mark.parametrize("kind", ["random", "periodic", "reducible"])
-    def test_batched_matches_per_target_recursion(self, rng, kind):
+    def test_batched_matches_per_target_recursion(self, rng, kind, horizon):
+        # horizons 1, 2 and 3 are the leading bit alone, one doubling and one
+        # doubling plus one; 255 and 256 are all ones and a lone power of two
         if kind == "random":
             kernels = [random_kernel(rng, n) for n in (2, 4, 7)]
         elif kind == "periodic":
-            kernels = [SWAP, CYCLE3] + [random_structured_kernel(rng, n) for n in (4, 5, 6)]
+            kernels = [TransitionKernel([[1.0]]), SWAP, CYCLE3] + [
+                random_structured_kernel(rng, n) for n in (4, 5, 6)]
         else:
             P = np.zeros((6, 6))
             P[0, 1] = P[1, 0] = 1.0
@@ -402,7 +406,6 @@ class TestFirstPassage:
             kernels = [ABSORB, TransitionKernel(P),
                        TransitionKernel([[1.0 - 3e-6, 1e-6, 2e-6], [0, 1, 0], [0, 0, 1]])]
         for kernel in kernels:
-            horizon = 300
             hit, mean_return = first_passage_per_target(kernel.probs, horizon)
             fp = first_passage(kernel, horizon)
             recurrent = classify_states(kernel).recurrent
