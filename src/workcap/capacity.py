@@ -206,19 +206,15 @@ def capacity_memoryless(env: channels.EnvironmentModel, seed: int = 0) -> Capaci
                           stalled=stalled)
 
 
-def capacity_unifilar_product(env: channels.EnvironmentModel,
-                              product_horizon: int = channels.DEFAULT_PRODUCT_HORIZON
-                              ) -> CapacityResult:
+def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
     """log |A| minus the percept entropy rate, attained by the predictive
-    extension of the uniform memoryless agent."""
+    extension of the uniform memoryless agent.  Raises ChannelClassError
+    unless the model is unifilar and ``channels.is_product``."""
     if channels.is_unifilar(env) is None:
         raise ChannelClassError("capacity_unifilar_product needs a unifilar model")
-    if not channels.is_product(env, horizon=product_horizon):
-        raise ChannelClassError(
-            f"capacity_unifilar_product needs a product channel "
-            f"(certificate horizon {product_horizon})"
-        )
-    h = info.entropy_rate(env, base="nats", product_horizon=product_horizon)
+    if not channels.is_product(env):
+        raise ChannelClassError("capacity_unifilar_product needs a product channel")
+    h = info.entropy_rate(env, base="nats")
     value = math.log(len(env.alphabet)) - h
     witness = agents.build_predictive(agents.build_uniform(env.alphabet), env)
     return CapacityResult(float(value), CLOSED_FORM_UNIFILAR_PRODUCT, witness=witness)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import BudgetError, DimensionError, ModelFormatError
 from .markov import ROW_SUM_TOL, bfs_levels
 
-DEFAULT_PRODUCT_HORIZON = 4
 ENUMERATION_BUDGET = 20_000_000
 
 
@@ -155,11 +154,12 @@ def validate(model: Model) -> list[str]:
         if np.any(row > 1.0 + ROW_SUM_TOL):
             violations.append(f"row {label}: entry above 1 ({row.max()!r})")
         s = row.sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        # written so that NaN fails it too: every comparison with NaN is false
+        if not abs(s - 1.0) <= ROW_SUM_TOL:
             violations.append(f"row {label}: sums to {float(s)!r}, expected 1")
     if np.any(init < -ROW_SUM_TOL):
         violations.append(f"{init_what}: negative entry")
-    if abs(init.sum() - 1.0) > ROW_SUM_TOL:
+    if not abs(init.sum() - 1.0) <= ROW_SUM_TOL:
         violations.append(f"{init_what}: sums to {float(init.sum())!r}, expected 1")
     return violations
 
@@ -180,25 +180,17 @@ def reachable_hidden(env: EnvironmentModel) -> np.ndarray:
 
 def is_noiseless(env: EnvironmentModel) -> bool:
     """True iff every reachable state echoes the action back as the percept."""
-    e = env.emission()
-    reach = reachable_hidden(env)
-    eye = np.eye(env.n_symbols)
-    for z in np.flatnonzero(reach):
-        if np.max(np.abs(e[:, z, :] - eye)) > ROW_SUM_TOL:
-            return False
-    return True
+    e = env.emission()[:, reachable_hidden(env), :]
+    return bool(np.max(np.abs(e - np.eye(env.n_symbols)[:, None, :])) <= ROW_SUM_TOL)
 
 
 def is_memoryless_invariant(env: EnvironmentModel) -> np.ndarray | None:
     """The reduced |A| x |S| kernel phi(s|a), when the marginal output law is
     the same for every reachable hidden state; None otherwise."""
-    e = env.emission()
-    reach = np.flatnonzero(reachable_hidden(env))
-    ref = e[:, reach[0], :]
-    for z in reach[1:]:
-        if np.max(np.abs(e[:, z, :] - ref)) > ROW_SUM_TOL:
-            return None
-    reduced = ref.copy()
+    e = env.emission()[:, reachable_hidden(env), :]
+    if np.max(np.abs(e - e[:, :1, :])) > ROW_SUM_TOL:
+        return None
+    reduced = e[:, 0, :].copy()
     reduced.setflags(write=False)
     return reduced
 
@@ -224,47 +216,55 @@ def channel_law(env: EnvironmentModel, actions: tuple[int, ...],
     return alpha.sum(axis=-1)
 
 
-def is_product(env: EnvironmentModel, horizon: int = DEFAULT_PRODUCT_HORIZON,
-               budget: int = ENUMERATION_BUDGET) -> bool:
-    """Finite-horizon product-channel certificate.
+# is_product's zero, for relative sizes: a unit vector's residual off the span
+# and |p - q| / (p + q).  Word vectors are sums of nonnegative products, so
+# rounding stays below about 2 n_z^2 eps (1e-10 at n_z = 500); model files
+# give probabilities only to 1e-9 (the loader's normalization threshold), so
+# a smaller action dependence is not a property of the file.
+_SPAN_TOL = 1e-9
 
-    True iff the channel law nu(s_{0:T} | a_{0:T}) is identical across all
-    |A|^T action sequences with T = ``horizon`` (which implies equality at all
-    shorter horizons too).  This is a certificate for the given horizon, not a
-    proof for all T; the default horizon matches the CLI default.
+
+def is_product(env: EnvironmentModel) -> bool:
+    """Whether the percept law nu(s_{0:T} | a_{0:T}) is the same for every
+    action sequence and every T; decided exactly (Tzeng 1992).
+
+    Letters (a, s) act on vectors (x, y) of length 2 n_z, from (pi, pi),
+    by ``x -> x phi[a, :, s, :]`` and ``y -> y phi[0, :, s, :]``; the channel
+    is product iff ``sum(x) - sum(y)`` vanishes on the reachable span.  At
+    most 2 n_z spanning vectors (words shorter than 2 n_z, Paz 1971) are
+    extended, by |A|^2 letters each: O(|A|^2 n_z^3).  Vectors are normalized
+    before testing, so improbable words count like probable ones.
     """
-    if horizon < 1:
-        raise DimensionError("horizon must be >= 1")
-    n_a = env.n_symbols
-    required = (n_a * env.n_symbols) ** horizon * env.n_hidden
-    if required > budget:
-        raise BudgetError(
-            f"product check would enumerate {required} entries (budget {budget})",
-            required=required, budget=budget,
-        )
-    reference = None
-    for flat in range(n_a ** horizon):
-        actions, rest = [], flat
-        for _ in range(horizon):
-            actions.append(rest % n_a)
-            rest //= n_a
-        law = channel_law(env, tuple(actions), budget=budget)
-        if reference is None:
-            reference = law
-        elif np.max(np.abs(law - reference)) > ROW_SUM_TOL:
+    n_z = env.n_hidden
+    start = np.concatenate([env.initial, env.initial])
+    spanning = [start / np.linalg.norm(start)]  # grows while it is read
+    basis = np.zeros((2 * n_z, 2 * n_z))  # orthonormal rows; the first k are set
+    basis[0], k = spanning[0], 1
+    for v in spanning:
+        x = np.einsum("z,azsw->asw", v[:n_z], env.phi)
+        y = np.broadcast_to(np.einsum("z,zsw->sw", v[n_z:], env.phi[0]), x.shape)
+        # nonnegative halves: p and q are the two laws' probabilities of
+        # one percept word, each summed without cancellation
+        p, q = x.sum(axis=-1).ravel(), y.sum(axis=-1).ravel()
+        if np.any(np.abs(p - q) > _SPAN_TOL * (p + q)):
             return False
+        words = np.concatenate([x, y], axis=-1).reshape(-1, 2 * n_z)[p + q > 0.0]
+        for w in words / np.linalg.norm(words, axis=1, keepdims=True):
+            r = w - (w @ basis[:k].T) @ basis[:k]
+            # twice is enough: the rows stay orthonormal, so k never passes 2 n_z
+            r -= (r @ basis[:k].T) @ basis[:k]
+            norm = np.linalg.norm(r)
+            if norm > _SPAN_TOL:
+                basis[k], k = r / norm, k + 1
+                spanning.append(w)
     return True
 
 
 def has_action_invariant_kernel(env: EnvironmentModel) -> bool:
     """Strong (kernel-level) product witness: phi does not depend on the
     action at any reachable hidden state."""
-    reach = np.flatnonzero(reachable_hidden(env))
-    ref = env.phi[0]
-    for a in range(1, env.n_symbols):
-        if np.max(np.abs(env.phi[a][reach] - ref[reach])) > ROW_SUM_TOL:
-            return False
-    return True
+    phi = env.phi[:, reachable_hidden(env)]
+    return bool(np.max(np.abs(phi - phi[:1])) <= ROW_SUM_TOL)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
     env = _load(args.env)
     noiseless = channels.is_noiseless(env)
     reduced = channels.is_memoryless_invariant(env)
-    product = channels.is_product(env, horizon=args.horizon)
+    product = channels.is_product(env)
     uni = channels.is_unifilar(env)
 
     report: dict = {
@@ -84,14 +84,13 @@ def cmd_analyze(args) -> int:
         "noiseless": noiseless,
         "memoryless_invariant": reduced is not None,
         "product": product,
-        "product_certificate_horizon": args.horizon,
         "unifilar": uni is not None,
     }
     lines = [
         f"alphabet: {{{', '.join(env.alphabet)}}}; hidden states: {len(env.hidden_states)}",
         f"noiseless: {'yes' if noiseless else 'no'}",
         f"memoryless invariant: {'yes' if reduced is not None else 'no'}",
-        f"product: {'yes' if product else 'no'} (horizon-{args.horizon} certificate)",
+        f"product: {'yes' if product else 'no'}",
         f"unifilar: {'yes' if uni is not None else 'no'}",
     ]
     if uni is not None:
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="channel-class report for a model file")
     p.add_argument("env")
     p.add_argument("--agent", help="also analyze the global chain with this agent")
-    _add_flags(p, "horizon")
+    _add_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("work-rate", help="per-round and asymptotic work rate")

@@ -205,21 +205,19 @@ def _percept_block_entropies(env, max_len: int, budget: int):
 
 
 def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
-                 base: str = BITS, product_horizon: int = channels.DEFAULT_PRODUCT_HORIZON,
-                 budget: int = channels.ENUMERATION_BUDGET) -> float:
-    """Per-symbol entropy of the percept process of a product channel.
+                 base: str = BITS, budget: int = channels.ENUMERATION_BUDGET) -> float:
+    """Per-symbol entropy of the percept process of a product channel, as
+    decided by ``channels.is_product`` (ChannelClassError otherwise).
 
     For unifilar models the Cesàro chain rule collapses to the closed form
     sum_z pi(z) H(emission | z) with pi the time-averaged hidden-state
     distribution.  Otherwise increasing-horizon conditional block entropies
     H(S_{0:n+1}) - H(S_{0:n}) are used until two successive estimates differ
-    by less than ``tol``.
+    by less than ``tol``; ``budget`` bounds their prefix tables.
     """
     factor = _base_factor(base)
-    if not channels.is_product(env, horizon=product_horizon, budget=budget):
-        raise ChannelClassError(
-            f"entropy rate needs a product channel (certificate horizon {product_horizon})"
-        )
+    if not channels.is_product(env):
+        raise ChannelClassError("entropy rate needs a product channel")
     if channels.is_unifilar(env) is not None:
         # hidden-state chain under the fixed action; unifilarity makes the
         # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)

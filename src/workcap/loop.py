@@ -31,7 +31,7 @@ from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
                    conditional_mutual_information)
 from .markov import (AsymptoticProfile, Distribution, TransitionKernel,
-                     _check_stochastic, _power_limit, _structure_of,
+                     _by_pattern, _check_stochastic, _limit_stack,
                      asymptotic_profile, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
@@ -312,17 +312,8 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     for members in _by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
         reach = np.flatnonzero(bfs_levels(start[members[0]], support[members[0]]) >= 0)
         P = K[np.ix_(members, reach, reach)]
-        structure = _structure_of(P[0] > 0.0)
+        structure, L = _limit_stack(P)
         d = structure.period_lcm
-        if d == 1:
-            L = _power_limit(P, structure.closed)
-        else:
-            # closed classes of P^d from each member's numeric pattern, as
-            # in asymptotic_profile
-            Q = np.linalg.matrix_power(P, d)
-            L = np.empty_like(Q)
-            for idx in _by_pattern(Q > 0.0):
-                L[idx] = _power_limit(Q[idx], _structure_of(Q[idx[0]] > 0.0).closed)
         # the subsequence limits P^r L, r = 0..d-1, applied to the start
         u = p0[np.ix_(members, reach)][:, None, :]
         tables = np.zeros((len(members), d, K.shape[1]))
@@ -331,15 +322,6 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
             u = u @ P
         rates[members] = _cesaro_terms(tables.reshape(len(members), d, *shape))[0]
     return rates
-
-
-def _by_pattern(patterns: np.ndarray) -> list[list[int]]:
-    """Indices of a stack's members grouped by equal boolean pattern, in
-    order of first appearance."""
-    groups: dict[bytes, list[int]] = {}
-    for i, bits in enumerate(np.packbits(patterns.reshape(len(patterns), -1), axis=1)):
-        groups.setdefault(bits.tobytes(), []).append(i)
-    return list(groups.values())
 
 
 def mean_action_entropy(loop: PerceptActionLoop, base: str = BITS) -> float:

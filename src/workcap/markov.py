@@ -333,25 +333,42 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...]) -> np.ndarray:
     return L
 
 
+def _by_pattern(patterns: np.ndarray) -> list[list[int]]:
+    """Indices of a stack's members grouped by equal boolean pattern, in
+    order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for i, bits in enumerate(np.packbits(patterns.reshape(len(patterns), -1), axis=1)):
+        groups.setdefault(bits.tobytes(), []).append(i)
+    return list(groups.values())
+
+
+def _limit_stack(P: np.ndarray) -> tuple[_Structure, np.ndarray]:
+    """The structure of a ``(B, n, n)`` stack of kernels with one support
+    pattern, and ``L = lim Q^n`` for each, ``Q = P^d`` with d its period
+    lcm.  Q's closed classes, the cyclic subclasses, are aperiodic; they
+    come from each member's numeric pattern of Q, so underflow counts as 0.
+    """
+    structure = _structure_of(P[0] > 0.0)
+    d = structure.period_lcm
+    if d == 1:
+        return structure, _power_limit(P, structure.closed)
+    Q = np.linalg.matrix_power(P, d)
+    L = np.empty_like(Q)
+    for idx in _by_pattern(Q > 0.0):
+        L[idx] = _power_limit(Q[idx], _structure_of(Q[idx[0]] > 0.0).closed)
+    return structure, L
+
+
 def asymptotic_profile(kernel: TransitionKernel) -> AsymptoticProfile:
     """Compute the d subsequence limit matrices and the Cesàro matrix.
 
-    With d the lcm of the closed-class periods, the closed classes of
-    ``Q = P^d`` are the cyclic subclasses, each aperiodic under Q, so
-    ``L = lim Q^n`` follows directly (see ``_power_limit``) and the
-    subsequence limits are ``P^r L``.  Nothing is iterated, so there is no
-    tolerance and no convergence failure.
+    With d the lcm of the closed-class periods and ``L = lim P^{nd}`` (see
+    ``_limit_stack``), the subsequence limits are ``P^r L``.  Nothing is
+    iterated, so there is no tolerance and no convergence failure.
     """
     P = kernel.require_square()
-    structure = _structure_of(P > 0.0)
+    structure, (L,) = _limit_stack(P[None])
     d = structure.period_lcm
-    if d == 1:
-        Q, closed = P, structure.closed
-    else:
-        Q = np.linalg.matrix_power(P, d)
-        # the numeric pattern of Q, so entries that underflow to 0 count as 0
-        closed = _structure_of(Q > 0.0).closed
-    L = _power_limit(Q[None], closed)[0]
 
     limits = []
     X = L

@@ -30,3 +30,20 @@ def flip_noise() -> EnvironmentModel:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def delayed_echo():
+    """Factory of unifilar channels that emit a fair coin from z0 .. z{delay-1},
+    stepping to the next state, and from z{delay} on echo the action forever:
+    not product, though the first ``delay`` percepts ignore the actions."""
+    def build(delay: int) -> EnvironmentModel:
+        n = delay + 1
+        phi = np.zeros((2, n, 2, n))
+        for z in range(delay):
+            phi[:, z, :, z + 1] = 0.5
+        for a in range(2):
+            phi[a, delay, a, delay] = 1.0
+        return EnvironmentModel(("0", "1"), tuple(f"z{z}" for z in range(n)), phi,
+                                np.eye(n)[0])
+    return build

@@ -293,6 +293,16 @@ class TestUnifilarProduct:
         with pytest.raises(ChannelClassError):
             capacity_unifilar_product(fig5)
 
+    def test_delayed_echo_gets_no_closed_form(self, delayed_echo):
+        # unifilar, and its first four percepts ignore the actions, but the
+        # echo from round 4 on makes it not product
+        env = delayed_echo(4)
+        with pytest.raises(ChannelClassError):
+            capacity_unifilar_product(env)
+        result = compute_capacity(env, memory_size=1, restarts=2)
+        assert result.method == "numeric_lower_bound"
+        assert not result.exact
+
 
 class TestLowerBound:
     def test_fig5_recovers_memoryless_optimum(self, fig5):

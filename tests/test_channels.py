@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from workcap import (DimensionError, EnvironmentModel, ModelFormatError,
 from workcap.channels import (AgentModel, dumps_model, embed_alphabets,
                               has_action_invariant_kernel, loads_model,
                               reachable_hidden)
-from workcap.errors import BudgetError
 from workcap.random_models import random_agent, random_environment
 
 
@@ -40,6 +41,24 @@ class TestValidate:
         env = EnvironmentModel(("0", "1"), ("z",), phi, np.array([1.0]))
         assert any("negative" in v for v in validate(env))
 
+    def test_nan_entry_names_row(self, rng):
+        env = random_environment(rng, 2, 2)
+        phi = np.array(env.phi)
+        phi[1, 0, 0, 1] = np.nan
+        bad = EnvironmentModel(env.alphabet, env.hidden_states, phi, env.initial)
+        violations = validate(bad)
+        assert len(violations) == 1
+        assert f"('1', '{env.hidden_states[0]}')" in violations[0]
+
+    def test_nan_initial_entry(self, rng):
+        env = random_environment(rng, 2, 2)
+        initial = np.array(env.initial)
+        initial[0] = np.nan
+        bad = EnvironmentModel(env.alphabet, env.hidden_states, env.phi, initial)
+        violations = validate(bad)
+        assert len(violations) == 1
+        assert "initial" in violations[0]
+
 
 class TestPredicates:
     def test_identity_is_noiseless(self, identity_env):
@@ -68,17 +87,132 @@ class TestPredicates:
         assert is_memoryless_invariant(env) is not None
 
     def test_product_when_action_ignored(self, golden_mean):
-        assert is_product(golden_mean, horizon=4)
+        assert is_product(golden_mean)
 
     def test_fig5_not_product_at_horizon_one(self, fig5):
-        assert not is_product(fig5, horizon=1)
+        assert not is_product(fig5)
 
     def test_noiseless_not_product(self, identity_env):
-        assert not is_product(identity_env, horizon=1)
+        assert not is_product(identity_env)
 
-    def test_product_budget_error(self, golden_mean):
-        with pytest.raises(BudgetError):
-            is_product(golden_mean, horizon=12, budget=1000)
+
+def enumerated_product(env):
+    """Oracle: is the law identical across all action words of length
+    2 n_z - 1 (Paz's bound for two n_z-state automata)?"""
+    horizon = 2 * env.n_hidden - 1
+    reference = channel_law(env, (0,) * horizon)
+    return all(
+        np.max(np.abs(channel_law(env, actions) - reference)) <= 1e-12
+        for actions in itertools.product(range(env.n_symbols), repeat=horizon)
+    )
+
+
+def late_dependence(rng, n_a, n_z):
+    """States 0 .. n_z-2 form a chain with random action-free emissions; the
+    last state's emissions depend on the action, first visible at round n_z - 1."""
+    phi = np.zeros((n_a, n_z, n_a, n_z))
+    for z in range(n_z - 1):
+        phi[:, z, :, z + 1] = rng.dirichlet(np.ones(n_a))
+    phi[:, n_z - 1, :, n_z - 1] = rng.dirichlet(np.ones(n_a), size=n_a)
+    return EnvironmentModel(tuple(str(i) for i in range(n_a)),
+                            tuple(f"z{z}" for z in range(n_z)), phi, np.eye(n_z)[0])
+
+
+def hidden_permutation(rng, n_a, n_classes, reveal):
+    """Hidden states (c, b): emissions and class moves read only c, and
+    action a flips the bit b when odd, so the actions permute hidden states.
+    With ``reveal`` one class's emissions read b too."""
+    n_z = 2 * n_classes
+    emit = rng.dirichlet(np.ones(n_a), size=(n_classes, 2))
+    if not reveal:
+        emit[:, 1] = emit[:, 0]
+    move = rng.dirichlet(np.ones(n_classes), size=(n_classes, n_a))
+    phi = np.zeros((n_a, n_z, n_a, n_z))
+    for a, c, b, s, c2 in itertools.product(range(n_a), range(n_classes), range(2),
+                                            range(n_a), range(n_classes)):
+        phi[a, 2 * c + b, s, 2 * c2 + (b ^ (a % 2))] = emit[c, b, s] * move[c, s, c2]
+    return EnvironmentModel(tuple(str(i) for i in range(n_a)),
+                            tuple(f"z{z}" for z in range(n_z)), phi,
+                            rng.dirichlet(np.ones(n_z)))
+
+
+def unreachable_dependence(rng, n_a, n_z):
+    """An action-free channel on states 0 .. n_z-2 plus an unreachable last
+    state whose kernel depends on the action."""
+    phi = np.zeros((n_a, n_z, n_a, n_z))
+    phi[:, : n_z - 1, :, : n_z - 1] = rng.dirichlet(
+        np.ones(n_a * (n_z - 1)), size=n_z - 1).reshape(n_z - 1, n_a, n_z - 1)
+    phi[:, n_z - 1] = rng.dirichlet(np.ones(n_a * n_z), size=n_a).reshape(n_a, n_a, n_z)
+    initial = np.append(rng.dirichlet(np.ones(n_z - 1)), 0.0)
+    return EnvironmentModel(tuple(str(i) for i in range(n_a)),
+                            tuple(f"z{z}" for z in range(n_z)), phi, initial)
+
+
+def action_free(env, rng):
+    """``env`` with every action's kernel replaced by action 0's, then one
+    random (action, state) row redrawn half the time."""
+    phi = np.broadcast_to(env.phi[0], env.phi.shape).copy()
+    if rng.random() < 0.5:
+        a, z = rng.integers(1, env.n_symbols), rng.integers(env.n_hidden)
+        phi[a, z] = rng.dirichlet(np.ones(phi[a, z].size)).reshape(phi[a, z].shape)
+    return EnvironmentModel(env.alphabet, env.hidden_states, phi, env.initial)
+
+
+class TestExactProduct:
+    SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("n_a,n_z", SIZES)
+    def test_random_channels_match_enumeration(self, rng, n_a, n_z):
+        verdicts = []
+        for _ in range(8):
+            env = random_environment(rng, n_a, n_z)
+            for candidate in (env, action_free(env, rng)):
+                verdicts.append(is_product(candidate))
+                assert verdicts[-1] == enumerated_product(candidate)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n_a,n_z", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_late_action_dependence(self, rng, n_a, n_z):
+        for _ in range(4):
+            env = late_dependence(rng, n_a, n_z)
+            assert not is_product(env)
+            assert not enumerated_product(env)
+
+    @pytest.mark.parametrize("n_a,n_classes", [(2, 1), (2, 2), (3, 1)])
+    def test_hidden_permutation(self, rng, n_a, n_classes):
+        for reveal in (False, True):
+            for _ in range(4):
+                env = hidden_permutation(rng, n_a, n_classes, reveal)
+                assert is_product(env) == enumerated_product(env)
+                if not reveal:
+                    assert is_product(env)
+
+    @pytest.mark.parametrize("n_a,n_z", [(2, 2), (2, 3), (3, 3)])
+    def test_dependence_only_in_unreachable_states(self, rng, n_a, n_z):
+        for _ in range(4):
+            env = unreachable_dependence(rng, n_a, n_z)
+            assert is_product(env)
+            assert enumerated_product(env)
+
+    def test_sticky_product_channels(self, rng):
+        # near-deterministic rows give nearly parallel word vectors, which a
+        # basis that loses orthogonality overfills
+        for _ in range(20):
+            env = random_environment(rng, 2, int(rng.integers(5, 30)))
+            phi = np.broadcast_to(env.phi[0] ** 20, env.phi.shape)
+            phi = phi / phi.sum(axis=(2, 3), keepdims=True)
+            assert is_product(EnvironmentModel(env.alphabet, env.hidden_states, phi,
+                                               env.initial))
+
+    @pytest.mark.parametrize("delay", [1, 4, 63])
+    def test_delayed_echo_not_product(self, delayed_echo, delay):
+        # at delay 63 each percept word has probability 2^-63, so only a
+        # scale-free test sees the echo
+        assert not is_product(delayed_echo(delay))
+
+    def test_bundled_verdicts(self, fig5, identity_env, golden_mean, flip_noise):
+        assert [is_product(env) for env in (fig5, identity_env, golden_mean,
+                                            flip_noise)] == [False, False, True, False]
 
 
 class TestUnifilar:

@@ -30,8 +30,16 @@ class TestAnalyze:
     def test_golden_mean_predicates(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", GOLDEN)
         assert code == 0
-        assert "product: yes (horizon-4 certificate)" in out
+        assert "product: yes\n" in out
         assert "unifilar: yes" in out
+
+    @pytest.mark.parametrize("path,product", [(GOLDEN, True), (FIG5, False)])
+    def test_json_product_verdict(self, capsys, path, product):
+        code, out, _ = run_cli(capsys, "analyze", path, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["product"] is product
+        assert "product_certificate_horizon" not in report
 
     def test_with_agent_reports_global_chain(self, capsys, tmp_path):
         agent_file = tmp_path / "agent.json"
@@ -239,7 +247,7 @@ class TestVerify:
 class TestFlags:
     # each subcommand accepts exactly the valued flags it reads
     VALUED = {
-        "analyze": {"--horizon"},
+        "analyze": set(),
         "work-rate": {"--units", "--horizon"},
         "capacity": {"--units", "--seed", "--memory-size", "--restarts"},
         "build-agent": set(),
