@@ -29,6 +29,6 @@ from .loop import (GlobalChain, PerceptActionLoop, TrajectoryDistribution,
                    predictiveness_score, trajectory_distribution, work_rate)
 from .markov import (AsymptoticProfile, Distribution, FirstPassageStats,
                      StateClassification, TransitionKernel, asymptotic_profile,
-                     classify_states, first_passage, state_period)
+                     classify_states, first_passage)
 
 __version__ = "0.1.0"

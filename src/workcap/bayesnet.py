@@ -5,9 +5,9 @@ joint-output nodes V_t = (A_t, M_t) and W_t = (S_t, Z_{t+1}) that make the
 channel factorization graphical), the memoryless-environment reduction
 (direct A_t -> S_t wiring, no hidden chain), and the product-environment
 variant (no action input into the W chain).  d-separation uses the standard
-active-trail reachability with collider logic, and separations can be
-cross-validated against exact conditional mutual information on trajectory
-tables.
+active-trail reachability with collider logic, run on node bitmasks (one
+Python int per node set), and separations can be cross-validated against
+exact conditional mutual information on trajectory tables.
 
 Truncation at a finite horizon is sound for queries whose conditioning set
 contains no node beyond the horizon: any path escaping into the future must
@@ -46,35 +46,40 @@ class Dag:
                 raise DomainError(f"edge ({u!r}, {v!r}) mentions an unknown node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(self.edges))
-        parents: dict[str, set[str]] = {n: set() for n in nodes}
-        children: dict[str, set[str]] = {n: set() for n in nodes}
+        # node i is bit i of a node-set mask; the adjacency masks are built
+        # once and shared by every query, and the public maps are copies
+        index = {n: i for i, n in enumerate(nodes)}
+        parents, children = [0] * len(nodes), [0] * len(nodes)
         for u, v in self.edges:
-            parents[v].add(u)
-            children[u].add(v)
-        # built once and shared by every query; the public maps are copies
-        object.__setattr__(self, "_parents", {n: frozenset(p) for n, p in parents.items()})
-        object.__setattr__(self, "_children", {n: frozenset(c) for n, c in children.items()})
+            parents[index[v]] |= 1 << index[u]
+            children[index[u]] |= 1 << index[v]
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_parent_bits", tuple(parents))
+        object.__setattr__(self, "_child_bits", tuple(children))
         self._check_acyclic()
 
     def _check_acyclic(self):
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        frontier = [n for n, d in indeg.items() if d == 0]
+        indeg = [bin(bits).count("1") for bits in self._parent_bits]
+        frontier = [i for i, d in enumerate(indeg) if d == 0]
         seen = 0
         while frontier:
             u = frontier.pop()
             seen += 1
-            for v in self._children[u]:
+            for v in _bits(self._child_bits[u]):
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     frontier.append(v)
         if seen != len(self.nodes):
             raise DomainError("graph has a directed cycle")
 
+    def _names(self, mask: int) -> set[str]:
+        return {self.nodes[i] for i in _bits(mask)}
+
     def parents_map(self) -> dict[str, set[str]]:
-        return {n: set(p) for n, p in self._parents.items()}
+        return {n: self._names(bits) for n, bits in zip(self.nodes, self._parent_bits)}
 
     def children_map(self) -> dict[str, set[str]]:
-        return {n: set(c) for n, c in self._children.items()}
+        return {n: self._names(bits) for n, bits in zip(self.nodes, self._child_bits)}
 
 
 def build_loop_dag(horizon: int, variant: str = "general") -> Dag:
@@ -124,11 +129,11 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
 
     Standard rules: a chain or fork is blocked when its middle node is in the
     conditioning set; a collider is blocked when neither it nor any of its
-    descendants is.
+    descendants is.  The sets are walked as bitmasks (:func:`_d_connected`).
     """
-    a = frozenset(_node_names(dag, set_a))
-    b = frozenset(_node_names(dag, set_b))
-    c = frozenset(_node_names(dag, set_c))
+    a = _mask(dag, set_a)
+    b = _mask(dag, set_b)
+    c = _mask(dag, set_c)
     if (a & b) or (a & c) or (b & c):
         raise DomainError("node sets must be pairwise disjoint")
     if not a or not b:
@@ -136,50 +141,57 @@ def d_separated(dag: Dag, set_a, set_b, set_c) -> bool:
     return not (_d_connected(dag, a, c) & b)
 
 
-def _d_connected(dag: Dag, a: frozenset[str], c: frozenset[str]) -> set[str]:
-    """Nodes outside ``c`` (``a`` included) on an active trail from ``a`` given
-    ``c``, by the textbook walk over (node, travel-direction) pairs."""
-    parents = dag._parents
-    children = dag._children
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _d_connected(dag: Dag, a: int, c: int) -> int:
+    """Mask of the nodes outside ``c`` (``a`` included) on an active trail
+    from ``a`` given ``c``, by the textbook walk over (node, travel-direction)
+    pairs, one mask of visited nodes per direction."""
+    parents = dag._parent_bits
+    children = dag._child_bits
 
     # ancestors of the conditioning set (inclusive), for collider activation
-    anc_c: set[str] = set()
-    stack = list(c)
-    while stack:
-        n = stack.pop()
-        if n in anc_c:
-            continue
-        anc_c.add(n)
-        stack.extend(parents[n])
+    anc_c, new = 0, c
+    while new:
+        anc_c |= new
+        up_one = 0
+        for i in _bits(new):
+            up_one |= parents[i]
+        new = up_one & ~anc_c
 
-    # walk states: (node, "up") entered against edge direction (from a child),
-    # (node, "down") entered along edge direction (from a parent)
-    visited: set[tuple[str, str]] = set()
-    frontier = [(n, "up") for n in a]
-    while frontier:
-        node, direction = frontier.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if direction == "up":
-            if node not in c:
-                frontier += [(p, "up") for p in parents[node]]
-                frontier += [(ch, "down") for ch in children[node]]
-        else:
-            if node not in c:
-                frontier += [(ch, "down") for ch in children[node]]
-            if node in anc_c:  # collider at this node can be active
-                frontier += [(p, "up") for p in parents[node]]
-    return {node for node, _ in visited if node not in c}
+    # "up": entered against edge direction (from a child); "down": entered
+    # along edge direction (from a parent)
+    seen_up = seen_down = 0
+    up, down = a, 0
+    while up or down:
+        seen_up |= up
+        seen_down |= down
+        next_up = next_down = 0
+        for i in _bits(up & ~c):
+            next_up |= parents[i]
+            next_down |= children[i]
+        for i in _bits(down & ~c):
+            next_down |= children[i]
+        for i in _bits(down & anc_c):  # collider at this node can be active
+            next_up |= parents[i]
+        up, down = next_up & ~seen_up, next_down & ~seen_down
+    return (seen_up | seen_down) & ~c
 
 
-def _node_names(dag: Dag, names) -> tuple[str, ...]:
+def _mask(dag: Dag, names) -> int:
     names = (names,) if isinstance(names, str) else tuple(names)
-    known = set(dag.nodes)
+    mask = 0
     for n in names:
-        if n not in known:
+        if n not in dag._index:
             raise KeyError(f"unknown node {n!r}")
-    return names
+        mask |= 1 << dag._index[n]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -209,8 +221,9 @@ def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
         k_c = int(rng.integers(0, 3))
         names = [pool[i] for i in rng.permutation(len(pool))[: k_a + k_c]]
         a, c = tuple(names[:k_a]), tuple(names[k_a:])
-        blocked = _d_connected(dag, frozenset(a), frozenset(c)).union(c)
-        rest = [n for n in pool if n not in blocked]
+        c_mask = _mask(dag, c)
+        blocked = _d_connected(dag, _mask(dag, a), c_mask) | c_mask
+        rest = [n for n in pool if not blocked >> dag._index[n] & 1]
         if len(rest) >= k_b:
             b = tuple(rest[i] for i in rng.permutation(len(rest))[:k_b])
             found.append((a, b, c))

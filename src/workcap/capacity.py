@@ -32,7 +32,6 @@ LBFGS_STEPS = 500  # iteration cap of one L-BFGS-B run
 LBFGS_FTOL = 1e-12  # a run stops when a step gains less than this times max(1, |value|)
 LBFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
 FD_STEP = 6e-6  # central-difference step, relative to max(1, |x_i|)
-MEMORYLESS_RESTARTS = 8  # random Dirichlet starts of the memoryless ascent
 ASCENT_STEPS = 2000  # step cap of each row of the memoryless ascent
 FACE_TOL = 1e-12  # memoryless witness entries below this are tried at 0
 
@@ -45,6 +44,10 @@ class CapacityResult:
     method records (restart, value) pairs in ``optimizer_trace``.  ``exact``
     tells closed forms from the numeric lower bound; ``stalled`` is set when
     an optimizer's step or iteration cap ran out before it stopped.
+    ``upper_nats`` is a certified upper bound on the capacity: the value
+    itself for the noiseless and unifilar product forms, the Frank–Wolfe
+    bound of :func:`capacity_memoryless` for memoryless channels, and None
+    for the numeric lower bound.
     """
 
     value_nats: float
@@ -54,6 +57,7 @@ class CapacityResult:
     optimizer_trace: tuple[tuple[int, float], ...] = ()
     exact: bool = True
     stalled: bool = False
+    upper_nats: float | None = None
 
     @property
     def value_bits(self) -> float:
@@ -68,7 +72,7 @@ def capacity_noiseless(env: channels.EnvironmentModel) -> CapacityResult:
     if not channels.is_noiseless(env):
         raise ChannelClassError("capacity_noiseless needs a noiseless environment")
     witness = agents.build_identity(env.alphabet)
-    return CapacityResult(0.0, CLOSED_FORM_NOISELESS, witness=witness)
+    return CapacityResult(0.0, CLOSED_FORM_NOISELESS, witness=witness, upper_nats=0.0)
 
 
 def _memoryless_objective(reduced: np.ndarray, p: np.ndarray) -> float | np.ndarray:
@@ -81,6 +85,17 @@ def _memoryless_objective(reduced: np.ndarray, p: np.ndarray) -> float | np.ndar
     """
     q = p @ reduced
     return xlogy(q, q).sum(axis=-1) - xlogy(p, p).sum(axis=-1)
+
+
+def _rounding(terms: np.ndarray) -> np.ndarray:
+    """Worst-case rounding of summing ``terms`` along the last axis."""
+    return terms.shape[-1] * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
+
+
+def _value_rounding(reduced: np.ndarray, p: np.ndarray) -> float:
+    """Worst-case rounding of :func:`_memoryless_objective` at one row."""
+    q = p @ reduced
+    return float(_rounding(np.concatenate([xlogy(q, q), xlogy(p, p)])))
 
 
 def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
@@ -103,7 +118,7 @@ def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
     terms = np.where((x > 0) & (moved > 0), near, xlogy(moved, moved) - xlogy(x, x))
     sign = np.repeat([1.0, -1.0], p.shape[1])
     gain = terms @ sign - d.sum(axis=1) * _memoryless_objective(reduced, p)
-    return gain, x.shape[1] * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    return gain, _rounding(terms)
 
 
 def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -116,7 +131,8 @@ def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
     -diag(1/p) + R diag(1/q) R^T, taken as p ∝ p exp(dp / p) so it stays in
     the simplex.  Rows with an empty entry or a tangent Hessian that is not
     numerically negative definite (e.g. every p on the identity channel)
-    get no Newton step.  A row keeps the better candidate while one gains:
+    get no Newton step, nor do rows whose Newton step underflows an entry
+    to 0: no step leaves such a face again.  A row keeps the better candidate while one gains:
     the fixed-point step by its computed value, so it stops crawling on a
     flat objective; the Newton step by its exact gain (:func:`_gain`) above
     rounding, since its last steps gain less than a rounding step of the
@@ -137,14 +153,19 @@ def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
             grad = c - np.log(p)
             curv = tangent.T @ hess @ tangent
         ok = np.isfinite(curv).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
-        lam = np.linalg.eigvalsh(np.where(ok[:, None, None], curv, 0.0))
+        lam, vec = np.linalg.eigh(np.where(ok[:, None, None], curv, -np.eye(n - 1)))
         # negative definite, with condition number below 1 / eps
         ok &= lam.max(axis=1, initial=-np.inf) < np.finfo(float).eps * lam.min(axis=1, initial=0.0)
-        curv[~ok] = -np.eye(n - 1)
+        lam[~ok] = -1.0
+        # solved in the eigenbasis: an LU solve can meet an exact zero pivot
+        # on a Hessian that passes the test above by a rounding step
         rhs = -np.where(ok[:, None], grad, 0.0) @ tangent
-        step = np.linalg.solve(curv, rhs[..., None])[..., 0] @ tangent.T
+        coef = (rhs[:, None, :] @ vec)[:, 0] / lam
+        step = (vec @ coef[..., None])[..., 0] @ tangent.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(ok[:, None], _softmax_rows(np.log(p) + step / p), p)
+            newton = _softmax_rows(np.log(p) + step / p)
+        ok &= (newton > 0).all(axis=1)
+        newton = np.where(ok[:, None], newton, p)
 
         fixed_gain = _memoryless_objective(reduced, fixed) - _memoryless_objective(reduced, p)
         gain, bound = _gain(reduced, p, newton)
@@ -160,50 +181,68 @@ def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
 def _snap_face(reduced: np.ndarray, p: np.ndarray, value: float
                ) -> tuple[np.ndarray, float]:
     """Set the entries of ``p`` below FACE_TOL to 0 and renormalize, unless
-    the exact gain of doing so (:func:`_gain`) is negative beyond rounding;
-    returns the row and its value.
+    the exact loss of doing so (:func:`_gain`) exceeds the rounding of the
+    value beyond the loss's own rounding; returns the row and its value.
 
     The fixed-point step only approaches a face of the simplex
-    geometrically, so an optimum on a face is reached with entries such as
-    1e-22 for actions it never plays.
+    geometrically, so an optimum on or next to a face is reached with
+    entries such as 1e-22 for actions it never plays.
     """
     if not (p < FACE_TOL).any():
         return p, value
     snapped = np.where(p < FACE_TOL, 0.0, p)
     snapped /= snapped.sum()
     gain, bound = _gain(reduced, p[None], snapped[None])
-    if gain[0] < -bound[0]:
+    if gain[0] < -(bound[0] + _value_rounding(reduced, p)):
         return p, value
     return snapped, max(value, float(_memoryless_objective(reduced, snapped)))
 
 
-def capacity_memoryless(env: channels.EnvironmentModel, seed: int = 0) -> CapacityResult:
+def _upper_bound(reduced: np.ndarray, p: np.ndarray, value: float) -> float:
+    """``value`` (the objective at ``p``) plus the Frank–Wolfe gap at ``p``
+    and their rounding, capped at log n: a certified upper bound on the
+    maximum of the concave objective over the simplex.
+
+    With g = ∇(H(p) - H(pR)), g_a = sum_s R_as log q_s - log p_a, concavity
+    gives max f <= f(p) + max_a g_a - g·p.  Percepts an action never emits
+    add 0 to its g_a; an entry p_a = 0 makes g_a, and so the gap, infinite.
+    """
+    n = p.size
+    if not (p > 0).all():
+        return math.log(n)
+    q = p @ reduced
+    terms = np.concatenate([xlogy(reduced, q), -np.log(p)[:, None]], axis=1)
+    g = terms.sum(axis=1)
+    gap = g.max() - g @ p
+    # each g_a is within its row's rounding; g·p is within the largest of
+    # those plus the value's rounding, since sum_a p_a |g_a| <= H(p) + H(pR)
+    slack = 2.0 * (_rounding(terms).max() + _value_rounding(reduced, p))
+    return min(math.log(n), float(value + gap + slack))
+
+
+def capacity_memoryless(env: channels.EnvironmentModel) -> CapacityResult:
     """Maximize the one-shot work term over action distributions.
 
-    :func:`_ascent` runs from n + 9 starts at once (uniform, one near each
-    of the n vertices, and MEMORYLESS_RESTARTS Dirichlet draws), and the
-    first start attaining the maximum gives the argmax.  The objective is
-    not concave, so this is a multistart optimum, not a certified one.  The
-    witness is the memoryless agent playing the argmax distribution, whose
-    work rate equals the value by construction.
+    The objective is concave: H(p) - H(pR) = H(A|S) - H(S|A), where H(S|A)
+    = sum_a p_a H(R_a) is linear in p and H(A|S) is concave in the joint
+    p_a R_as, which is linear in p.  So :func:`_ascent` runs from the
+    uniform start alone, and ``upper_nats`` certifies how close it came
+    (:func:`_upper_bound`, taken at the ascent's last row, before
+    :func:`_snap_face`).  The witness is the memoryless agent playing the
+    argmax distribution, whose work rate equals the value by construction.
     """
     reduced = channels.is_memoryless_invariant(env)
     if reduced is None:
         raise ChannelClassError("capacity_memoryless needs a memoryless invariant environment")
     n = reduced.shape[0]
-    rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / n)]
-    starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
-
-    rows, stalled = _ascent(reduced, np.array(starts))
-    values = _memoryless_objective(reduced, rows)
-    k = int(np.argmax(values))  # the first start attaining the maximum
-    best, value = _snap_face(reduced, rows[k], float(values[k]))
+    rows, stalled = _ascent(reduced, np.full((1, n), 1.0 / n))
+    value = float(_memoryless_objective(reduced, rows[0]))
+    upper = _upper_bound(reduced, rows[0], value)
+    best, value = _snap_face(reduced, rows[0], value)
     witness = agents.build_memoryless(env.alphabet, best)
     return CapacityResult(value, CLOSED_FORM_MEMORYLESS, witness=witness,
                           witness_params={"action_distribution": tuple(float(x) for x in best)},
-                          stalled=stalled)
+                          stalled=stalled, upper_nats=upper)
 
 
 def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
@@ -217,7 +256,8 @@ def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
     h = info.entropy_rate(env, base="nats")
     value = math.log(len(env.alphabet)) - h
     witness = agents.build_predictive(agents.build_uniform(env.alphabet), env)
-    return CapacityResult(float(value), CLOSED_FORM_UNIFILAR_PRODUCT, witness=witness)
+    return CapacityResult(float(value), CLOSED_FORM_UNIFILAR_PRODUCT, witness=witness,
+                          upper_nats=float(value))
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -361,7 +401,7 @@ def compute_capacity(env: channels.EnvironmentModel, memory_size: int = 2,
     if channels.is_noiseless(env):
         return capacity_noiseless(env)
     if channels.is_memoryless_invariant(env) is not None:
-        return capacity_memoryless(env, seed=seed)
+        return capacity_memoryless(env)
     if channels.is_unifilar(env) is not None and channels.is_product(env):
         return capacity_unifilar_product(env)
     return capacity_lower_bound(env, memory_size=memory_size, restarts=restarts,
@@ -373,6 +413,7 @@ class SubadditivityReport:
     value_first_nats: float
     value_second_nats: float
     value_cascade_nats: float
+    upper_cascade_nats: float
     slack: float
     holds: bool
 
@@ -381,17 +422,18 @@ def check_subadditivity(env1: channels.EnvironmentModel,
                         env2: channels.EnvironmentModel,
                         slack: float = 1e-8) -> SubadditivityReport:
     """C(second o first) <= C(first) + C(second) for memoryless invariant
-    channels.  All three capacities are multistart optima of
-    :func:`capacity_memoryless`, not certified maxima, so a missed maximum
-    of the cascade could hide a violation."""
+    channels.  The two factors enter by their attained values, which are at
+    most their capacities, and the cascade by its certified upper bound, so
+    ``holds`` is False whenever the capacities violate the inequality by
+    more than ``slack``."""
     for which, env in (("first", env1), ("second", env2)):
         if channels.is_memoryless_invariant(env) is None:
             raise ChannelClassError(f"{which} channel is not memoryless invariant")
     c1 = capacity_memoryless(env1).value_nats
     c2 = capacity_memoryless(env2).value_nats
-    composite = channels.cascade(env1, env2)
-    cc = capacity_memoryless(composite).value_nats
-    return SubadditivityReport(c1, c2, cc, slack, bool(cc <= c1 + c2 + slack))
+    cascade = capacity_memoryless(channels.cascade(env1, env2))
+    return SubadditivityReport(c1, c2, cascade.value_nats, cascade.upper_nats, slack,
+                               bool(cascade.upper_nats <= c1 + c2 + slack))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import agents, bayesnet, capacity, channels, loop, verify
 from .errors import WorkcapError
-from .info import BITS, NATS
+from .info import BITS, NATS, _base_factor
 
 
 class InputError(Exception):
@@ -167,6 +167,10 @@ def cmd_capacity(args) -> int:
         "exact": result.exact,
     }
     lines = [f"{_fmt(value)} {args.units} ({result.method})"]
+    if result.upper_nats is not None:
+        upper = result.upper_nats * _base_factor(args.units)
+        doc["upper"] = _json_num(upper)
+        lines.append(f"certified upper bound: {_fmt(upper)} {args.units}")
     if result.witness_params:
         p = result.witness_params["action_distribution"]
         doc["witness_action_distribution"] = [_json_num(x) for x in p]

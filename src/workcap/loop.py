@@ -324,11 +324,6 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     return rates
 
 
-def mean_action_entropy(loop: PerceptActionLoop, base: str = BITS) -> float:
-    """Exact Cesàro limit of H(A_t | M_t)."""
-    return work_rate(loop, rounds=0, base=base).action_entropy
-
-
 def has_max_entropy_actions(loop: PerceptActionLoop,
                             tol: float = 1e-9) -> tuple[bool, float]:
     """Whether the Cesàro limit of H(A_t|M_t) attains log |A| within ``tol``.
@@ -336,7 +331,7 @@ def has_max_entropy_actions(loop: PerceptActionLoop,
     Returns (verdict, estimate) with the estimate in nats.  The limit is
     computed exactly from the asymptotic profile, not by truncation.
     """
-    value = mean_action_entropy(loop, base="nats")
+    value = work_rate(loop, rounds=0, base="nats").action_entropy
     target = math.log(len(loop.env.alphabet))
     return bool(abs(value - target) <= tol), value
 

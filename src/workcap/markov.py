@@ -121,12 +121,6 @@ class StateClassification:
     class_recurrent: tuple[bool, ...]
     recurrent: np.ndarray  # bool per state
 
-    def class_of(self, state: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if state in cls:
-                return cls
-        raise DomainError(f"state {state} out of range")
-
 
 def _classify(support: np.ndarray) -> StateClassification:
     n_comp, labels = connected_components(csr_matrix(support), directed=True,
@@ -166,33 +160,16 @@ def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
     return level
 
 
-def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int | None:
-    """gcd of cycle lengths within one strongly connected component.
-
-    Returns None when the component contains no cycle at all (a transient
-    singleton without a self-loop, i.e. not a return state).
-    """
+def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int:
+    """gcd of cycle lengths within one closed class, which always has a
+    cycle since every row of the kernel has mass."""
     members_arr = np.asarray(members)
     sub = support[np.ix_(members_arr, members_arr)]
-    if not sub.any():
-        return None
     # BFS levels from an arbitrary root; each internal edge (u, v)
     # contributes gcd term level[u] + 1 - level[v].
     level = bfs_levels(np.arange(len(members)) == 0, sub)
     u, v = np.nonzero(sub)
     return int(np.gcd.reduce(level[u] + 1 - level[v]))
-
-
-def state_period(kernel: TransitionKernel, state: int) -> int:
-    """Period of a return state: gcd of all return-path lengths."""
-    support = kernel.require_square() > 0.0
-    if not 0 <= state < support.shape[0]:
-        raise DomainError(f"state {state} out of range")
-    cls = _structure_of(support).classification.class_of(state)
-    period = _class_period(support, cls)
-    if period is None:
-        raise DomainError(f"state {state} is not a return state (no return path exists)")
-    return period
 
 
 @dataclass(frozen=True)
@@ -215,8 +192,6 @@ def _structure(support: np.ndarray) -> _Structure:
         if not is_rec:
             continue
         p = _class_period(support, members)
-        # a closed class always contains a cycle
-        assert p is not None and p >= 1
         for s in members:
             periods[s] = p
         d = d * p // math.gcd(d, p)

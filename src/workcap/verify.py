@@ -25,6 +25,9 @@ from .random_models import (random_agent, random_environment, random_kernel,
 FIG5_CAPACITY_NATS = 0.5 * math.log(0.75 + 2 ** -0.5)
 FIG5_OPT_ACTION = 2 ** -0.5
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
+# errors and deviations below this print as "< 1e-12": their digits are
+# rounding, and any reordering of floating-point operations changes them
+REPORT_FLOOR = 1e-12
 
 
 def bundled_model_path(name: str):
@@ -52,6 +55,11 @@ def _require(cond: bool, detail: str):
         raise _Failure(detail)
 
 
+def _small(x: float) -> str:
+    """A nonnegative error for a detail string, floored at REPORT_FLOOR."""
+    return f"< {REPORT_FLOOR:g}" if x < REPORT_FLOOR else f"{x:.2e}"
+
+
 def check_fig5_capacity(seed: int = 0) -> str:
     """Capacity of the bundled fig5 channel: value within 1e-6 nats, argmax
     within 1e-4."""
@@ -65,7 +73,7 @@ def check_fig5_capacity(seed: int = 0) -> str:
     _require(abs(p0 - FIG5_OPT_ACTION) < 1e-4,
              f"argmax p(0) = {p0}, expected {FIG5_OPT_ACTION}")
     return (f"value {result.value_nats:.9f} nats "
-            f"(err {err:.2e}), p(0) = {p0:.6f}")
+            f"(err {_small(err)}), p(0) = {p0:.6f}")
 
 
 def check_fig5_mea_rate(seed: int = 0) -> str:
@@ -75,7 +83,7 @@ def check_fig5_mea_rate(seed: int = 0) -> str:
     report = loop.work_rate(loop.PerceptActionLoop(agent, env))
     err = abs(report.rate - FIG5_MEA_RATE_BITS)
     _require(err < 1e-9, f"rate off by {err:.3g} bits")
-    return f"rate {report.rate:.12f} bits (err {err:.2e})"
+    return f"rate {report.rate:.12f} bits (err {_small(err)})"
 
 
 def check_identity_and_noiseless(seed: int = 0) -> str:
@@ -95,7 +103,7 @@ def check_identity_and_noiseless(seed: int = 0) -> str:
     noiseless = capacity.capacity_noiseless(load_bundled("identity"))
     _require(noiseless.value_nats == 0.0,
              f"noiseless capacity {noiseless.value_nats!r} != 0")
-    return f"worst |identity rate| {worst:.2e} nats; noiseless capacity exactly 0"
+    return f"worst |identity rate| {_small(worst)} nats; noiseless capacity exactly 0"
 
 
 def check_golden_mean_realizability(seed: int = 0) -> str:
@@ -108,8 +116,8 @@ def check_golden_mean_realizability(seed: int = 0) -> str:
     witness_rate = loop.work_rate(loop.PerceptActionLoop(result.witness, env)).rate
     gap = abs(witness_rate - result.value_bits)
     _require(gap < 1e-5, f"witness misses capacity by {gap:.3g} bits")
-    return (f"capacity {result.value_bits:.8f} bits (err {err:.2e}); "
-            f"witness rate within {gap:.2e}")
+    return (f"capacity {result.value_bits:.8f} bits (err {_small(err)}); "
+            f"witness rate off by {_small(gap)}")
 
 
 def check_fig5_exclusivity(seed: int = 0) -> str:
@@ -195,7 +203,8 @@ def check_global_markov(seed: int = 0) -> str:
                               float(np.abs(cond[positive] - kernel[positive]).max()))
     _require(worst_markov <= 1e-12, f"Markov deviation {worst_markov:.3g}")
     _require(worst_homog <= 1e-12, f"homogeneity deviation {worst_homog:.3g}")
-    return f"worst Markov dev {worst_markov:.2e}, homogeneity dev {worst_homog:.2e}"
+    return (f"worst Markov dev {_small(worst_markov)}, "
+            f"homogeneity dev {_small(worst_homog)}")
 
 
 def _power_sum(P: np.ndarray, N: int) -> np.ndarray:
@@ -249,23 +258,24 @@ def check_cesaro_machinery(seed: int = 0) -> str:
     _require(worst_avg <= 1e-3, f"Cesàro brute-force gap {worst_avg:.3g}")
     _require(checked_fm > 0, "no (i, j) pair reached residual < 1e-8")
     _require(worst_fm <= 1e-6, f"pi = f/m gap {worst_fm:.3g}")
-    return (f"brute-force gap {worst_avg:.2e}; f/m gap {worst_fm:.2e} "
+    return (f"brute-force gap {_small(worst_avg)}; f/m gap {_small(worst_fm)} "
             f"over {checked_fm} pairs")
 
 
 def check_subadditivity(seed: int = 0) -> str:
     """50 random binary memoryless channel pairs satisfy cascade
-    subadditivity with multistart-optimal capacities (slack 1e-8)."""
+    subadditivity: the cascade's certified upper bound is at most the sum of
+    the two attained capacities (slack 1e-8)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(50):
         env1 = random_memoryless_environment(rng)
         env2 = random_memoryless_environment(rng)
         report = capacity.check_subadditivity(env1, env2)
-        slack_used = report.value_cascade_nats - (
-            report.value_first_nats + report.value_second_nats)
-        worst = max(worst, slack_used)
-        _require(report.holds, f"violated by {slack_used:.3g} nats")
+        both = report.value_first_nats + report.value_second_nats
+        worst = max(worst, report.value_cascade_nats - both)
+        excess = report.upper_cascade_nats - both
+        _require(report.holds, f"cascade upper bound exceeds C1 + C2 by {excess:.3g} nats")
     return f"max C(cascade) - (C1 + C2) = {worst:.3e} nats over 50 pairs"
 
 

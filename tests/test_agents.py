@@ -44,8 +44,7 @@ class TestBuilders:
 
     def test_delta_action_zero_entropy(self, fig5):
         agent = build_memoryless(fig5.alphabet, [1.0, 0.0])
-        from workcap.loop import mean_action_entropy
-        assert mean_action_entropy(PerceptActionLoop(agent, fig5)) == pytest.approx(
+        assert work_rate(PerceptActionLoop(agent, fig5)).action_entropy == pytest.approx(
             0.0, abs=1e-12)
 
     def test_last_action_memory_mirrors_action(self, fig5):

@@ -3,7 +3,8 @@ import pytest
 
 from workcap import (Dag, DomainError, PerceptActionLoop, build_loop_dag,
                      build_uniform, d_separated, validate_compatibility)
-from workcap.bayesnet import sample_separated_triples
+from workcap.bayesnet import (_ATTEMPTS_PER_TRIPLE, _d_connected, _mask,
+                              sample_separated_triples)
 from workcap.errors import DimensionError
 from workcap.info import conditional_mutual_information
 from workcap.loop import trajectory_distribution
@@ -262,6 +263,78 @@ class TestAgainstPathOracle:
         assert len(triples) == 200
         for a, b, c in triples:
             assert nx.is_d_separator(graph, set(a), set(b), set(c)), (variant, a, b, c)
+
+
+def set_walk_oracle(dag: Dag, a, c) -> set[str]:
+    """Nodes outside ``c`` (``a`` included) on an active trail from ``a``
+    given ``c``: the textbook walk over (node, travel-direction) pairs on
+    name sets, a depth-first reference for the bitmask walk."""
+    parents, children = dag.parents_map(), dag.children_map()
+    c = set(c)
+    anc_c: set[str] = set()
+    stack = list(c)
+    while stack:
+        n = stack.pop()
+        if n not in anc_c:
+            anc_c.add(n)
+            stack.extend(parents[n])
+    visited: set[tuple[str, str]] = set()
+    frontier = [(n, "up") for n in a]
+    while frontier:
+        node, direction = frontier.pop()
+        if (node, direction) in visited:
+            continue
+        visited.add((node, direction))
+        if direction == "up":
+            if node not in c:
+                frontier += [(p, "up") for p in parents[node]]
+                frontier += [(ch, "down") for ch in children[node]]
+        else:
+            if node not in c:
+                frontier += [(ch, "down") for ch in children[node]]
+            if node in anc_c:
+                frontier += [(p, "up") for p in parents[node]]
+    return {node for node, _ in visited if node not in c}
+
+
+def sample_with_set_walk(dag: Dag, pool: list[str], n_triples: int, rng):
+    """``sample_separated_triples`` on :func:`set_walk_oracle`, with the same
+    draws from ``rng`` in the same order."""
+    found = []
+    for _ in range(_ATTEMPTS_PER_TRIPLE * n_triples):
+        if len(found) >= n_triples:
+            break
+        k_a = int(rng.integers(1, 3))
+        k_b = int(rng.integers(1, 3))
+        k_c = int(rng.integers(0, 3))
+        names = [pool[i] for i in rng.permutation(len(pool))[: k_a + k_c]]
+        a, c = tuple(names[:k_a]), tuple(names[k_a:])
+        blocked = set_walk_oracle(dag, a, c).union(c)
+        rest = [n for n in pool if n not in blocked]
+        if len(rest) >= k_b:
+            found.append((a, tuple(rest[i] for i in rng.permutation(len(rest))[:k_b]), c))
+    return found
+
+
+class TestAgainstSetWalk:
+    def test_bitmask_walk_matches_on_templates_and_random_dags(self):
+        gen = np.random.default_rng(8)
+        dags = [build_loop_dag(h, v) for h in range(1, 6)
+                for v in ("general", "memoryless_env", "product_env")]
+        dags += [random_dag(gen, int(gen.integers(4, 12))) for _ in range(20)]
+        for dag in dags:
+            for _ in range(50):
+                a, _, c = disjoint_sets(gen, dag, 3, 1, 4)
+                mask = _d_connected(dag, _mask(dag, a), _mask(dag, c))
+                assert dag._names(mask) == set_walk_oracle(dag, a, c), (dag.edges, a, c)
+
+    @pytest.mark.parametrize("variant", ["general", "memoryless_env", "product_env"])
+    def test_sampler_draws_the_set_walk_triples(self, variant):
+        dag = build_loop_dag(3, variant)
+        pool = [n for n in dag.nodes if n[0] in "MASZ"]
+        for seed in range(10):
+            fast = sample_separated_triples(dag, pool, 40, np.random.default_rng(seed))
+            assert fast == sample_with_set_walk(dag, pool, 40, np.random.default_rng(seed))
 
 
 def networkx_graph(nx, dag: Dag):

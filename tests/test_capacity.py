@@ -9,7 +9,7 @@ from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (MEMORYLESS_RESTARTS, _agent_from_params, _ascent,
+from workcap.capacity import (_agent_from_params, _ascent,
                               _memoryless_objective, _softmax_rows,
                               compute_capacity)
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
@@ -19,6 +19,7 @@ from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
 
 FIG5_CAPACITY_NATS = 0.5 * math.log(0.75 + 2 ** -0.5)
+MEMORYLESS_RESTARTS = 8  # random Dirichlet starts of the multistart oracle
 
 
 def grid_search_oracle(reduced: np.ndarray, points: int = 200_001) -> tuple[float, float]:
@@ -110,12 +111,18 @@ def simplex_grid_oracle(reduced: np.ndarray, steps: int) -> float:
 
 
 def memoryless_starts(n: int) -> list[np.ndarray]:
-    """The starts of capacity_memoryless at seed 0: uniform, near each
-    vertex, MEMORYLESS_RESTARTS Dirichlet draws."""
+    """n + 9 starts for the multistart oracles: uniform, near each vertex,
+    MEMORYLESS_RESTARTS Dirichlet draws."""
     rng = np.random.default_rng(0)
     starts = [np.full(n, 1.0 / n)]
     starts += [np.eye(n)[i] * (1 - 1e-6) + 1e-6 / n for i in range(n)]
     return starts + [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
+
+
+def multistart_oracle(reduced: np.ndarray) -> float:
+    """Best value of the batched ascent over the n + 9 starts."""
+    rows, _ = _ascent(reduced, np.array(memoryless_starts(reduced.shape[0])))
+    return float(_memoryless_objective(reduced, rows).max())
 
 
 def memoryless_env(reduced: np.ndarray) -> EnvironmentModel:
@@ -162,6 +169,7 @@ class TestMemoryless:
         p0 = result.witness_params["action_distribution"][0]
         assert abs(p0 - 2 ** -0.5) < 1e-9
         assert not result.stalled
+        assert 0.0 <= result.upper_nats - result.value_nats <= 1e-12
 
     def test_matches_grid_oracle_on_random_channels(self, rng):
         for _ in range(6):
@@ -181,12 +189,14 @@ class TestMemoryless:
         assert oracle_value == pytest.approx(0.0, abs=1e-10)
         assert oracle_p0 == pytest.approx(0.5, abs=1e-4)
         assert result.value_nats == pytest.approx(0.0, abs=1e-10)
+        assert result.value_nats <= result.upper_nats
         assert result.witness_params["action_distribution"][0] == pytest.approx(
             0.5, abs=1e-4)
 
     def test_identity_reduced_kernel_gives_zero(self, identity_env):
         result = capacity_memoryless(identity_env)
         assert abs(result.value_nats) < 1e-12
+        assert result.value_nats <= result.upper_nats
 
     def test_bisection_cross_check(self, fig5):
         reduced = is_memoryless_invariant(fig5)
@@ -199,8 +209,9 @@ class TestMemoryless:
     @pytest.mark.parametrize("eps", [1e-4, 1e-6])
     def test_near_z_channel_reaches_dense_grid(self, eps):
         reduced = np.array([[1.0, 0.0], [eps, 1.0 - eps]])
-        value = capacity_memoryless(memoryless_env(reduced)).value_nats
-        assert value >= simplex_grid_oracle(reduced, 2_000_000) - 1e-10
+        result = capacity_memoryless(memoryless_env(reduced))
+        oracle = simplex_grid_oracle(reduced, 2_000_000)
+        assert oracle - 1e-10 <= result.value_nats <= result.upper_nats
 
     @pytest.mark.parametrize("reduced", [
         np.array([[0.0, 0.0, 1.0],
@@ -209,11 +220,12 @@ class TestMemoryless:
         *(sparse_ternary_channel(seed) for seed in range(6)),
     ])
     def test_sparse_ternary_reaches_barycentric_grid(self, reduced):
-        value = capacity_memoryless(memoryless_env(reduced)).value_nats
-        assert value >= simplex_grid_oracle(reduced, 1000) - 1e-10
+        result = capacity_memoryless(memoryless_env(reduced))
+        oracle = simplex_grid_oracle(reduced, 1000)
+        assert oracle - 1e-10 <= result.value_nats <= result.upper_nats
 
     def test_face_optimum_witness_has_exact_zero(self):
-        # the ascent ends with p(2) ~ 4e-22 on this channel; the witness
+        # the ascent ends with p(2) ~ 2.5e-25 on this channel; the witness
         # plays action 2 with probability exactly 0 at no loss of value
         reduced = np.array([[0.0, 0.0, 1.0],
                             [0.417719, 0.0, 0.582281],
@@ -223,7 +235,18 @@ class TestMemoryless:
         assert p[2] == 0.0 and p[0] > 0.5
         rows, _ = _ascent(reduced, np.array(memoryless_starts(3)))
         assert 0.0 < rows[np.argmax(_memoryless_objective(reduced, rows)), 2] < 1e-12
-        assert result.value_nats >= _memoryless_objective(reduced, rows).max()
+        best = _memoryless_objective(reduced, rows).max()
+        assert result.upper_nats > best
+        assert result.value_nats >= best - 1e-15
+
+    def test_flat_channel_stops_unstalled(self):
+        # from a start near vertex 2 the ascent crawls on this channel and
+        # runs out of steps; the single uniform start stops on its own
+        eps = 1e-10
+        reduced = np.array([[1.0, 0.0, 0.0], [eps, 1.0 - eps, 0.0], [0.0, eps, 1.0 - eps]])
+        result = capacity_memoryless(memoryless_env(reduced))
+        assert not result.stalled
+        assert multistart_oracle(reduced) - 1e-15 <= result.value_nats <= result.upper_nats
 
     @pytest.mark.parametrize("reduced", [
         *(np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
@@ -241,13 +264,30 @@ class TestMemoryless:
                   [0.2, 0.5, 0.3],
                   [0.7, 0.1, 0.2]]),
         np.eye(3),  # the objective is 0 for every p
+        # the tangent Hessian passes the definiteness test by a rounding
+        # step at one point, and an LU solve meets an exact zero pivot there
+        np.array([[0.0, 0.6413027290225687, 0.0, 0.35869727097743137],
+                  [0.41014311490486727, 0.147266343118668, 0.0, 0.4425905419764647],
+                  [0.0, 0.28963748507763587, 0.0, 0.7103625149223641],
+                  [0.0, 0.0, 1.0, 0.0]]),
+        # the first Newton step from uniform underflows three entries to 0,
+        # a face the fixed-point step never leaves; the optimum is interior
+        np.array([[0.6127530362542185, 0.0, 0.2569854847948309, 0.0, 0.13026147895095055],
+                  [0.00027476182865979, 0.9994665448836431, 0.0, 0.00025869328769717, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 1.0],
+                  [0.05738445280883171, 0.0, 0.9426048061630513, 6.92640980802e-06,
+                   3.81461830874e-06],
+                  [1.0018e-13, 0.9999999999998996, 0.0, 0.0, 0.0]]),
     ])
     def test_batched_ascent_matches_scalar_oracle(self, reduced):
-        # the scalar projected ascent from each start of capacity_memoryless
-        # (uniform, near each vertex, MEMORYLESS_RESTARTS Dirichlet draws)
+        # the scalar projected ascent from each of the n + 9 starts (uniform,
+        # near each vertex, MEMORYLESS_RESTARTS Dirichlet draws)
         oracle = max(_memoryless_objective(reduced, _ascend(reduced, p0))
                      for p0 in memoryless_starts(reduced.shape[0]))
-        assert capacity_memoryless(memoryless_env(reduced)).value_nats >= oracle - 1e-12
+        result = capacity_memoryless(memoryless_env(reduced))
+        assert oracle - 1e-12 <= result.value_nats <= result.upper_nats
+        # the loosest is the face channel's 8e-9, left by its p(2) ~ 2.5e-25
+        assert result.upper_nats - result.value_nats <= 1e-8
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
     def test_near_z_witness_is_stationary(self, eps):
@@ -259,7 +299,10 @@ class TestMemoryless:
     def test_stalled_only_when_step_cap_runs_out(self, fig5, monkeypatch):
         import workcap.capacity as capacity_mod
         monkeypatch.setattr(capacity_mod, "ASCENT_STEPS", 1)
-        assert capacity_memoryless(fig5).stalled
+        result = capacity_memoryless(fig5)
+        assert result.stalled
+        # one step falls short, and the certificate still covers the capacity
+        assert result.value_nats < FIG5_CAPACITY_NATS <= result.upper_nats
 
     def test_witness_rate_equals_value(self, fig5, flip_noise):
         for env in (fig5, flip_noise):
@@ -267,6 +310,25 @@ class TestMemoryless:
             rate = work_rate(PerceptActionLoop(result.witness, env),
                              base="nats").rate
             assert abs(rate - result.value_nats) < 1e-9
+            assert result.value_nats <= result.upper_nats
+
+    def test_upper_bound_certifies_random_channels(self):
+        # Dirichlet rows from spiky to flat; every third channel has about
+        # 40% of its entries zeroed, which puts optima on or next to faces
+        gen = np.random.default_rng(2024)
+        for k in range(300):
+            n = 2 + k % 5
+            reduced = gen.dirichlet(np.full(n, gen.choice([0.1, 0.5, 1.0, 5.0])), size=n)
+            if k % 3 == 0:
+                reduced[gen.random((n, n)) < 0.4] = 0.0
+                for row in reduced:
+                    if row.sum() == 0.0:
+                        row[gen.integers(n)] = 1.0
+                reduced /= reduced.sum(axis=1, keepdims=True)
+            result = capacity_memoryless(memoryless_env(reduced))
+            assert result.value_nats <= result.upper_nats <= math.log(n), reduced
+            if (reduced > 0).all():
+                assert result.upper_nats - result.value_nats <= 1e-12, reduced
 
 
 class TestUnifilarProduct:
@@ -436,6 +498,17 @@ class TestCapacityProperties:
             report = check_subadditivity(random_memoryless_environment(rng),
                                          random_memoryless_environment(rng))
             assert report.holds
+
+    def test_subadditivity_judged_by_cascade_upper_bound(self, fig5, flip_noise,
+                                                         monkeypatch):
+        # with no ascent step the cascade's value says nothing about its
+        # capacity; its certified upper bound decides the verdict
+        import workcap.capacity as capacity_mod
+        monkeypatch.setattr(capacity_mod, "ASCENT_STEPS", 0)
+        report = check_subadditivity(flip_noise, fig5)
+        assert report.value_cascade_nats <= report.value_first_nats + report.value_second_nats
+        assert report.upper_cascade_nats > report.value_first_nats + report.value_second_nats
+        assert not report.holds
 
     def test_dispatch_priority(self, fig5, identity_env, golden_mean, rng):
         assert compute_capacity(identity_env).method == "closed_form_noiseless"

@@ -6,7 +6,7 @@ import pytest
 
 from workcap.channels import load_model, save_model
 from workcap.cli import main
-from workcap.verify import bundled_model_path
+from workcap.verify import REPORT_FLOOR, bundled_model_path
 
 FIG5 = str(bundled_model_path("fig5"))
 IDENTITY = str(bundled_model_path("identity"))
@@ -125,6 +125,7 @@ class TestCapacity:
         assert doc["value"] == pytest.approx(expected_bits, abs=1e-6)
         assert doc["witness_action_distribution"][0] == pytest.approx(
             2 ** -0.5, abs=1e-4)
+        assert 0.0 <= doc["upper"] - doc["value"] <= 1e-12
 
     def test_identity_zero(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", IDENTITY)
@@ -224,6 +225,10 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["all_passed"]
         assert len(doc["checks"]) == 9
+        # rounding-level errors print as "< 1e-12", not as their digits
+        printed = [float(x) for check in doc["checks"]
+                   for x in re.findall(r"-?\d\.\d+e[-+]\d+", check["detail"])]
+        assert printed and all(abs(x) >= REPORT_FLOOR for x in printed)
 
     def test_any_failure_maps_to_exit_one(self, capsys, monkeypatch):
         from workcap import verify as v

@@ -243,23 +243,17 @@ class TestEntropyRate:
 def block_entropy_oracle(env, n: int) -> float:
     """Independent oracle: Aitken-accelerated limit of the conditional block
     entropies H(S_{0:k}) - H(S_{0:k-1}), computed by explicit enumeration of
-    percept sequences under the all-zeros action sequence."""
-    def block_entropy(length):
-        stack = [((), env.initial.copy())]
-        probs = []
-        while stack:
-            prefix, alpha = stack.pop()
-            if len(prefix) == length:
-                probs.append(alpha.sum())
-                continue
-            for s in range(env.n_symbols):
-                nxt = alpha @ env.phi[0, :, s, :]
-                if nxt.sum() > 0:
-                    stack.append((prefix + (s,), nxt))
-        probs = np.array(probs)
-        return float(-(probs * np.log2(probs)).sum())
-
-    blocks = [block_entropy(k) for k in range(n - 3, n + 1)]
+    percept sequences under the all-zeros action sequence.  Level k holds one
+    forward vector per positive-probability word of length k as a
+    ``(words, n_z)`` array."""
+    alpha = env.initial[None, :]
+    blocks = []
+    for length in range(n + 1):
+        if length >= n - 3:
+            probs = alpha.sum(axis=1)
+            blocks.append(float(-(probs * np.log2(probs)).sum()))
+        alpha = np.einsum("wy,ysz->wsz", alpha, env.phi[0]).reshape(-1, env.n_hidden)
+        alpha = alpha[alpha.sum(axis=1) > 0]
     h = [b2 - b1 for b1, b2 in zip(blocks, blocks[1:])]
     # Aitken delta-squared on the geometric tail of the estimates
     d1, d2 = h[1] - h[0], h[2] - h[1]

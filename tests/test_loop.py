@@ -13,8 +13,7 @@ from workcap.capacity import _kernels_from_params, _params_from_agent
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
 from workcap.loop import (_trajectory_marginal, _work_rates, am_predictiveness,
                           future_predictiveness,
-                          has_max_entropy_actions, mean_action_entropy,
-                          predictiveness_score)
+                          has_max_entropy_actions, predictiveness_score)
 from workcap.markov import TransitionKernel, classify_states
 from workcap.random_models import random_agent, random_environment
 
@@ -307,8 +306,8 @@ class TestWorkRate:
         # own route, for a loop whose scores vanish identically
         agent = build_predictive(build_uniform(golden_mean.alphabet), golden_mean)
         pal = PerceptActionLoop(agent, golden_mean)
-        lhs = work_rate(pal, base="nats").rate
-        action_term = mean_action_entropy(pal, base="nats")
+        report = work_rate(pal, base="nats")
+        lhs, action_term = report.rate, report.action_entropy
         h = entropy_rate(golden_mean, base="nats")
         cmi_term = am_predictiveness(pal, horizon=4, base="nats").mean
         assert abs(lhs - (action_term - h - cmi_term)) < 1e-6

@@ -5,7 +5,7 @@ import pytest
 
 from workcap import (DimensionError, Distribution, DomainError, TransitionKernel,
                      asymptotic_profile, classify_states, first_passage,
-                     markov, state_period)
+                     markov)
 from workcap.random_models import random_kernel, random_structured_kernel
 from workcap.verify import _power_sum
 
@@ -99,19 +99,18 @@ class TestClassify:
 
 class TestPeriod:
     def test_swap_period_two(self):
-        assert state_period(SWAP, 0) == 2
+        assert asymptotic_profile(SWAP).state_period[0] == 2
 
     def test_three_cycle(self):
-        for s in range(3):
-            assert state_period(CYCLE3, s) == 3
+        assert asymptotic_profile(CYCLE3).state_period == {0: 3, 1: 3, 2: 3}
 
     def test_self_loop_gives_one(self):
         k = TransitionKernel([[0.5, 0.5], [1.0, 0.0]])
-        assert state_period(k, 0) == 1
+        assert asymptotic_profile(k).state_period[0] == 1
 
     def test_non_return_state_rejected(self):
-        with pytest.raises(DomainError, match="state 1"):
-            state_period(ABSORB, 1)
+        # state 1 is transient, so the profile gives it no period
+        assert asymptotic_profile(ABSORB).state_period == {0: 1}
 
 
 class TestAsymptoticProfile:
@@ -329,7 +328,8 @@ class TestStructureMemo:
         a = TransitionKernel([[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]])
         b = TransitionKernel([[0.9, 0.1, 0], [0, 0, 1], [1, 0, 0]])
         assert classify_states(a) is classify_states(b)
-        assert state_period(a, 1) == state_period(b, 1) == 1
+        assert asymptotic_profile(a).state_period == asymptotic_profile(b).state_period
+        assert asymptotic_profile(a).state_period[1] == 1
         assert markov._memo_structure.cache_info().misses == 1
 
 
