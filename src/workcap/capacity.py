@@ -32,8 +32,10 @@ LBFGS_STEPS = 500  # iteration cap of one L-BFGS-B run
 LBFGS_FTOL = 1e-12  # a run stops when a step gains less than this times max(1, |value|)
 LBFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
 FD_STEP = 6e-6  # central-difference step, relative to max(1, |x_i|)
-ASCENT_STEPS = 2000  # step cap of each row of the memoryless ascent
-FACE_TOL = 1e-12  # memoryless witness entries below this are tried at 0
+ASCENT_STEPS = 2000  # step cap of the memoryless ascent
+FACE_TOL = 1e-12  # memoryless entries below this get a Newton step alone; witness ones are tried at 0
+NEWTON_FLAT = 1e-12  # relative singular values the memoryless Newton step drops
+DUST = 1e-100  # least weight a memoryless ascent step leaves a played action
 
 
 @dataclass(frozen=True)
@@ -121,61 +123,100 @@ def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
     return gain, _rounding(terms)
 
 
-def _ascent(reduced: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Maximize H(p) - H(pR) from every row of ``starts`` at once.
+def _certain_gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray) -> float:
+    """The exact gain of moving from ``p`` to ``cand`` where it exceeds its
+    rounding and DUST, else 0."""
+    gain, bound = _gain(reduced, p[None], cand[None])
+    return float(gain[0]) if gain[0] > max(bound[0], DUST) else 0.0
 
-    Stationary points satisfy p ∝ exp(c), c = R log(pR) (0 log 0 = 0).  Each
-    step offers every row that fixed-point step, which never lowers the
-    value (alternating maximization; Blahut 1972, Arimoto 1972), and a
-    Newton step dp on the same condition tangent to the simplex, Hessian
-    -diag(1/p) + R diag(1/q) R^T, taken as p ∝ p exp(dp / p) so it stays in
-    the simplex.  Rows with an empty entry or a tangent Hessian that is not
-    numerically negative definite (e.g. every p on the identity channel)
-    get no Newton step, nor do rows whose Newton step underflows an entry
-    to 0: no step leaves such a face again.  A row keeps the better candidate while one gains:
-    the fixed-point step by its computed value, so it stops crawling on a
-    flat objective; the Newton step by its exact gain (:func:`_gain`) above
-    rounding, since its last steps gain less than a rounding step of the
-    value and judging them by value leaves the argmax about 1e-9 off.
-    Returns the rows and whether ASCENT_STEPS ran out while a row gained.
+
+def _lift(row: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """``row`` with every entry raised to at least ``floor``, renormalized."""
+    if (row >= floor).all():
+        return row
+    row = np.maximum(row, floor)
+    return row / row.sum()
+
+
+def _ascent(reduced: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Maximize the concave H(p) - H(pR) over the simplex from ``start``.
+
+    With c = R log(pR) (0 log 0 = 0) and g_a = c_a - log p_a, the maximum is
+    where g_a equals its mean g·p on every played action.  Each step tries
+    three moves and takes the one that gains most:
+
+    - the fixed-point step p ∝ exp(c) (alternating maximization; Blahut
+      1972, Arimoto 1972), counted only when its computed value rises, so it
+      stops crawling on a flat objective;
+    - a Newton step on g_a = g·p in log p, taken as p ∝ p exp(du) so it stays
+      in the simplex.  Its Jacobian P - I, P_ab = sum_s R_as p_b R_bs / q_s
+      with P row-stochastic, stays well scaled where an entry is 1e-40,
+      unlike the Hessian in p.  It is solved by least squares without the
+      singular values below NEWTON_FLAT (the constant shift of log p, and
+      directions along which the objective is linear).  While some played
+      entries are below FACE_TOL, the step restricted to them is tried too,
+      since rounding of the large entries' move can hide what they gain;
+    - emptying a block: the played actions split into blocks that share no
+      percept, the objective is linear in the blocks' masses, and a block's
+      capacity is at most its largest g_a (:func:`_upper_bound`), so the
+      block of the least g_a is emptied when that bound is below the mean.
+      The fixed-point step alone shrinks such a block by a factor of about
+      exp(bound - mean) per step.
+
+    The first two moves are lifted so that no played entry falls below
+    min(p_a, DUST): an entry at 0 is a face no step leaves again, and a
+    subnormal one has no precision left.  A move counts when its exact gain
+    (:func:`_gain`) exceeds its rounding and DUST, since the last Newton
+    steps gain less than a rounding step of the value.  Returns the last
+    row; the weights for :func:`_upper_bound`, which are the row with each
+    emptied block at DUST times its last relative weights; and whether
+    ASCENT_STEPS ran out while a move gained.
     """
-    p = starts.copy()
-    n = p.shape[1]
-    tangent = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
-    active = np.ones(p.shape[0], dtype=bool)
+    p = start.copy()
+    ghost = np.ones(p.size)  # relative weights of the emptied blocks
     for _ in range(ASCENT_STEPS):
+        played = p > 0
         q = p @ reduced
-        c = xlogy(reduced, q[:, None, :]).sum(axis=-1)
-        fixed = _softmax_rows(c)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            hess = (reduced * np.where(q > 0, 1.0 / q, 0.0)[:, None, :]) @ reduced.T
-            hess -= np.eye(n) / p[:, :, None]
-            grad = c - np.log(p)
-            curv = tangent.T @ hess @ tangent
-        ok = np.isfinite(curv).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
-        lam, vec = np.linalg.eigh(np.where(ok[:, None, None], curv, -np.eye(n - 1)))
-        # negative definite, with condition number below 1 / eps
-        ok &= lam.max(axis=1, initial=-np.inf) < np.finfo(float).eps * lam.min(axis=1, initial=0.0)
-        lam[~ok] = -1.0
-        # solved in the eigenbasis: an LU solve can meet an exact zero pivot
-        # on a Hessian that passes the test above by a rounding step
-        rhs = -np.where(ok[:, None], grad, 0.0) @ tangent
-        coef = (rhs[:, None, :] @ vec)[:, 0] / lam
-        step = (vec @ coef[..., None])[..., 0] @ tangent.T
+        c = xlogy(reduced, q).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = _softmax_rows(np.log(p) + step / p)
-        ok &= (newton > 0).all(axis=1)
-        newton = np.where(ok[:, None], newton, p)
+            log_p = np.log(p)
+            g = np.where(played, c - log_p, 0.0)
+        mean = g @ p
+        floor = np.where(played, np.minimum(p, DUST), 0.0)
+        moves = []  # (exact gain, row, whether it empties a block)
 
-        fixed_gain = _memoryless_objective(reduced, fixed) - _memoryless_objective(reduced, p)
-        gain, bound = _gain(reduced, p, newton)
-        newton_gain = np.where(gain > bound, gain, 0.0)
-        active &= np.maximum(fixed_gain, newton_gain) > 0
-        if not active.any():
-            return p, False
-        chosen = np.where((newton_gain > fixed_gain)[:, None], newton, fixed)
-        p[active] = chosen[active]
-    return p, True
+        fixed = _lift(_softmax_rows(c), floor)
+        if _memoryless_objective(reduced, fixed) > _memoryless_objective(reduced, p):
+            moves.append((_certain_gain(reduced, p, fixed), fixed, False))
+
+        post = np.where(q > 0, p[:, None] * reduced / np.where(q > 0, q, 1.0), 0.0)
+        jac = (reduced @ post.T - np.eye(p.size))[np.ix_(played, played)]
+        du = np.zeros(p.size)
+        du[played] = np.linalg.lstsq(jac, mean - g[played], rcond=NEWTON_FLAT)[0]
+        tiny = played & (p < FACE_TOL)
+        for direction in (du, np.where(tiny, du, 0.0))[: 1 + tiny.any()]:
+            with np.errstate(invalid="ignore"):
+                newton = _softmax_rows(np.where(played, log_p + direction, -np.inf))
+            newton = _lift(newton, floor)
+            moves.append((_certain_gain(reduced, p, newton), newton, False))
+
+        block = np.arange(p.size) == np.argmin(np.where(played, g, np.inf))
+        while True:  # the played actions that share a percept with the block
+            grown = played & (reduced[:, reduced[block].sum(axis=0) > 0].sum(axis=1) > 0)
+            if (grown == block).all():
+                break
+            block = grown
+        if (block != played).any() and g[block].max() < mean:
+            emptied = np.where(block, 0.0, p) / p[~block].sum()
+            moves.append((_certain_gain(reduced, p, emptied), emptied, True))
+
+        gain, row, empties = max(moves, key=lambda move: move[0], default=(0.0, p, False))
+        if gain <= 0:
+            return p, np.where(played, p, DUST * ghost), False
+        if empties:
+            ghost = np.where(block, p / p[block].max(), ghost)
+        p = row
+    return p, np.where(p > 0, p, DUST * ghost), True
 
 
 def _snap_face(reduced: np.ndarray, p: np.ndarray, value: float
@@ -198,26 +239,20 @@ def _snap_face(reduced: np.ndarray, p: np.ndarray, value: float
     return snapped, max(value, float(_memoryless_objective(reduced, snapped)))
 
 
-def _upper_bound(reduced: np.ndarray, p: np.ndarray, value: float) -> float:
-    """``value`` (the objective at ``p``) plus the Frank–Wolfe gap at ``p``
-    and their rounding, capped at log n: a certified upper bound on the
-    maximum of the concave objective over the simplex.
+def _upper_bound(reduced: np.ndarray, w: np.ndarray) -> float:
+    """A certified upper bound on the capacity from positive weights ``w``:
+    max_a g_a(w) plus its rounding.
 
-    With g = ∇(H(p) - H(pR)), g_a = sum_s R_as log q_s - log p_a, concavity
-    gives max f <= f(p) + max_a g_a - g·p.  Percepts an action never emits
-    add 0 to its g_a; an entry p_a = 0 makes g_a, and so the gap, infinite.
+    With W(a|s) = w_a R_as / (wR)_s, H(A|S) <= -sum p_a R_as log W(a|s) for
+    every p, so the capacity is at most max_a g_a(w), g_a(w) = sum_s R_as
+    log (wR)_s - log w_a (0 log 0 = 0).  At w = p this is the Frank–Wolfe
+    bound f(p) + max_a g_a - g·p, since f(p) = g·p.  The bound does not
+    change when all the weights of a block of actions sharing no percept
+    with the others are scaled, so a block :func:`_ascent` emptied enters
+    at DUST times its last weights and keeps its bound.
     """
-    n = p.size
-    if not (p > 0).all():
-        return math.log(n)
-    q = p @ reduced
-    terms = np.concatenate([xlogy(reduced, q), -np.log(p)[:, None]], axis=1)
-    g = terms.sum(axis=1)
-    gap = g.max() - g @ p
-    # each g_a is within its row's rounding; g·p is within the largest of
-    # those plus the value's rounding, since sum_a p_a |g_a| <= H(p) + H(pR)
-    slack = 2.0 * (_rounding(terms).max() + _value_rounding(reduced, p))
-    return min(math.log(n), float(value + gap + slack))
+    terms = np.concatenate([xlogy(reduced, w @ reduced), -np.log(w)[:, None]], axis=1)
+    return float((terms.sum(axis=1) + _rounding(terms)).max())
 
 
 def capacity_memoryless(env: channels.EnvironmentModel) -> CapacityResult:
@@ -227,22 +262,22 @@ def capacity_memoryless(env: channels.EnvironmentModel) -> CapacityResult:
     = sum_a p_a H(R_a) is linear in p and H(A|S) is concave in the joint
     p_a R_as, which is linear in p.  So :func:`_ascent` runs from the
     uniform start alone, and ``upper_nats`` certifies how close it came
-    (:func:`_upper_bound`, taken at the ascent's last row, before
-    :func:`_snap_face`).  The witness is the memoryless agent playing the
-    argmax distribution, whose work rate equals the value by construction.
+    (:func:`_upper_bound` at the weights the ascent returns, plus the
+    rounding of the value, capped at log n).  The witness is the memoryless
+    agent playing the argmax distribution, whose work rate equals the value
+    by construction.
     """
     reduced = channels.is_memoryless_invariant(env)
     if reduced is None:
         raise ChannelClassError("capacity_memoryless needs a memoryless invariant environment")
     n = reduced.shape[0]
-    rows, stalled = _ascent(reduced, np.full((1, n), 1.0 / n))
-    value = float(_memoryless_objective(reduced, rows[0]))
-    upper = _upper_bound(reduced, rows[0], value)
-    best, value = _snap_face(reduced, rows[0], value)
+    last, weights, stalled = _ascent(reduced, np.full(n, 1.0 / n))
+    best, value = _snap_face(reduced, last, float(_memoryless_objective(reduced, last)))
+    upper = _upper_bound(reduced, weights) + _value_rounding(reduced, best)
     witness = agents.build_memoryless(env.alphabet, best)
     return CapacityResult(value, CLOSED_FORM_MEMORYLESS, witness=witness,
                           witness_params={"action_distribution": tuple(float(x) for x in best)},
-                          stalled=stalled, upper_nats=upper)
+                          stalled=stalled, upper_nats=min(math.log(n), upper))
 
 
 def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
@@ -413,27 +448,36 @@ class SubadditivityReport:
     value_first_nats: float
     value_second_nats: float
     value_cascade_nats: float
+    upper_first_nats: float
+    upper_second_nats: float
     upper_cascade_nats: float
     slack: float
-    holds: bool
+    holds: bool | None
 
 
 def check_subadditivity(env1: channels.EnvironmentModel,
                         env2: channels.EnvironmentModel,
                         slack: float = 1e-8) -> SubadditivityReport:
     """C(second o first) <= C(first) + C(second) for memoryless invariant
-    channels.  The two factors enter by their attained values, which are at
-    most their capacities, and the cascade by its certified upper bound, so
-    ``holds`` is False whenever the capacities violate the inequality by
-    more than ``slack``."""
+    channels, decided from certified bounds.  Each capacity lies between
+    its attained value and its ``upper_nats``, so ``holds`` is True when the
+    cascade's upper bound is at most the factors' values plus ``slack``,
+    False when the cascade's value exceeds the factors' upper bounds plus
+    ``slack``, and None when the bounds decide neither."""
     for which, env in (("first", env1), ("second", env2)):
         if channels.is_memoryless_invariant(env) is None:
             raise ChannelClassError(f"{which} channel is not memoryless invariant")
-    c1 = capacity_memoryless(env1).value_nats
-    c2 = capacity_memoryless(env2).value_nats
+    first = capacity_memoryless(env1)
+    second = capacity_memoryless(env2)
     cascade = capacity_memoryless(channels.cascade(env1, env2))
-    return SubadditivityReport(c1, c2, cascade.value_nats, cascade.upper_nats, slack,
-                               bool(cascade.upper_nats <= c1 + c2 + slack))
+    holds = None
+    if cascade.upper_nats <= first.value_nats + second.value_nats + slack:
+        holds = True
+    elif cascade.value_nats > first.upper_nats + second.upper_nats + slack:
+        holds = False
+    return SubadditivityReport(first.value_nats, second.value_nats, cascade.value_nats,
+                               first.upper_nats, second.upper_nats, cascade.upper_nats,
+                               slack, holds)
 
 
 @dataclass(frozen=True)

@@ -275,7 +275,9 @@ def check_subadditivity(seed: int = 0) -> str:
         both = report.value_first_nats + report.value_second_nats
         worst = max(worst, report.value_cascade_nats - both)
         excess = report.upper_cascade_nats - both
-        _require(report.holds, f"cascade upper bound exceeds C1 + C2 by {excess:.3g} nats")
+        verdict = "violated" if report.holds is False else "undecided"
+        _require(report.holds, f"{verdict}: cascade upper bound exceeds C1 + C2 by "
+                               f"{excess:.3g} nats")
     return f"max C(cascade) - (C1 + C2) = {worst:.3e} nats over 50 pairs"
 
 

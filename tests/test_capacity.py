@@ -119,10 +119,60 @@ def memoryless_starts(n: int) -> list[np.ndarray]:
     return starts + [rng.dirichlet(np.ones(n)) for _ in range(MEMORYLESS_RESTARTS)]
 
 
+def multistart_rows(reduced: np.ndarray) -> np.ndarray:
+    """The last rows of the ascent from each of the n + 9 starts."""
+    return np.array([_ascent(reduced, start)[0] for start in memoryless_starts(reduced.shape[0])])
+
+
 def multistart_oracle(reduced: np.ndarray) -> float:
-    """Best value of the batched ascent over the n + 9 starts."""
-    rows, _ = _ascent(reduced, np.array(memoryless_starts(reduced.shape[0])))
-    return float(_memoryless_objective(reduced, rows).max())
+    """Best value of the ascent over the n + 9 starts."""
+    return float(_memoryless_objective(reduced, multistart_rows(reduced)).max())
+
+
+# action 1 alone emits percept 1, so the objective is linear in p(1) and the
+# optimum is on the face p(1) = 0
+LINEAR_COORDINATE = np.array([[0.4985281874059936, 0.0, 0.5014718125940064],
+                              [0.0, 1.0, 0.0],
+                              [0.42425037824447015, 0.0, 0.5757496217555298]])
+# the optimum plays action 1 with probability 2.5e-14, so the 1/p(1) term
+# of the Hessian in p puts its condition number past 1e13
+TINY_ENTRY = np.array([
+    [0.9997282841796845, 0.0002717158203155115, 0.0, 0.0],
+    [0.00010127899366700252, 0.0, 0.039270100977116924, 0.9606286200292161],
+    [9.797257265079788e-07, 0.24953514334328436, 0.7504638769309891, 0.0],
+    [1.0, 0.0, 0.0, 0.0]])
+# action 0 alone emits percept 2, so it is a block of its own with bound 0
+# and the optimum does not play it; on the way an entry passes 1e-20
+PRIVATE_ACTION = np.array([
+    [0.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0010524524846682014, 0.9989469547614643, 0.0, 5.927538675123242e-07],
+    [0.0, 0.0, 0.0, 1.0]])
+# actions {0, 1} and {2, 3, 4} share no percept; the second block's bound
+# falls below the first's value on the way, and the block is emptied
+EMPTIED_BLOCK = np.array([
+    [0.0, 0.0, 0.0, 0.6628839236353841, 0.3371160763646159],
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+    [0.3609934849452368, 0.4067520131665795, 0.23225450188818372, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0]])
+
+# actions 1 and 2 are identical and the optimum plays only them; the others
+# end at 1e-17 to 1e-43, where rounding of the large entries' Newton move
+# hides what the small ones gain, so they get a Newton step of their own
+IDENTICAL_PAIR = np.array([
+    [0.012987397710745389, 0.0, 0.0, 0.9870126022892547, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.9837205209858315, 0.016279479014168555, 0.0],
+    [0.0, 0.9565819297012444, 0.0, 1.3855294172203712e-18, 0.043418070298755676]])
+# nearly equal rows make the objective flat: near the optimum a Newton step
+# gains less than the computed value's rounding, and a fixed-point step back
+# gains by computed value alone, a cycle that counting exact gains breaks
+FLAT_FULL_SUPPORT = np.array([
+    [0.490001372481213, 0.22152332600945995, 0.2884753015093269],
+    [0.5565099729828591, 0.17309670006782413, 0.27039332694931667],
+    [0.42869514426756006, 0.24895322549207533, 0.32235163024036484]])
 
 
 def memoryless_env(reduced: np.ndarray) -> EnvironmentModel:
@@ -233,7 +283,7 @@ class TestMemoryless:
         result = capacity_memoryless(memoryless_env(reduced))
         p = result.witness_params["action_distribution"]
         assert p[2] == 0.0 and p[0] > 0.5
-        rows, _ = _ascent(reduced, np.array(memoryless_starts(3)))
+        rows = multistart_rows(reduced)
         assert 0.0 < rows[np.argmax(_memoryless_objective(reduced, rows)), 2] < 1e-12
         best = _memoryless_objective(reduced, rows).max()
         assert result.upper_nats > best
@@ -278,16 +328,24 @@ class TestMemoryless:
                   [0.05738445280883171, 0.0, 0.9426048061630513, 6.92640980802e-06,
                    3.81461830874e-06],
                   [1.0018e-13, 0.9999999999998996, 0.0, 0.0, 0.0]]),
+        LINEAR_COORDINATE,
+        TINY_ENTRY,
+        PRIVATE_ACTION,
+        EMPTIED_BLOCK,
+        IDENTICAL_PAIR,
+        FLAT_FULL_SUPPORT,
     ])
     def test_batched_ascent_matches_scalar_oracle(self, reduced):
         # the scalar projected ascent from each of the n + 9 starts (uniform,
-        # near each vertex, MEMORYLESS_RESTARTS Dirichlet draws)
+        # near each vertex, MEMORYLESS_RESTARTS Dirichlet draws), and the
+        # ascent itself from those starts
         oracle = max(_memoryless_objective(reduced, _ascend(reduced, p0))
                      for p0 in memoryless_starts(reduced.shape[0]))
         result = capacity_memoryless(memoryless_env(reduced))
         assert oracle - 1e-12 <= result.value_nats <= result.upper_nats
-        # the loosest is the face channel's 8e-9, left by its p(2) ~ 2.5e-25
-        assert result.upper_nats - result.value_nats <= 1e-8
+        assert multistart_oracle(reduced) - 1e-15 <= result.value_nats
+        assert not result.stalled
+        assert result.upper_nats - result.value_nats <= 1e-12
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
     def test_near_z_witness_is_stationary(self, eps):
@@ -329,6 +387,7 @@ class TestMemoryless:
             assert result.value_nats <= result.upper_nats <= math.log(n), reduced
             if (reduced > 0).all():
                 assert result.upper_nats - result.value_nats <= 1e-12, reduced
+                assert not result.stalled, reduced
 
 
 class TestUnifilarProduct:
@@ -501,14 +560,25 @@ class TestCapacityProperties:
 
     def test_subadditivity_judged_by_cascade_upper_bound(self, fig5, flip_noise,
                                                          monkeypatch):
-        # with no ascent step the cascade's value says nothing about its
-        # capacity; its certified upper bound decides the verdict
+        # with no ascent step the values and the bounds are far apart, and
+        # neither the cascade's bound nor its value decides the inequality
         import workcap.capacity as capacity_mod
         monkeypatch.setattr(capacity_mod, "ASCENT_STEPS", 0)
         report = check_subadditivity(flip_noise, fig5)
         assert report.value_cascade_nats <= report.value_first_nats + report.value_second_nats
         assert report.upper_cascade_nats > report.value_first_nats + report.value_second_nats
-        assert not report.holds
+        assert report.value_cascade_nats <= report.upper_first_nats + report.upper_second_nats
+        assert report.holds is None
+
+    @pytest.mark.parametrize("reduced", [LINEAR_COORDINATE, TINY_ENTRY, PRIVATE_ACTION])
+    def test_subadditivity_sparse_channel_then_identity(self, reduced):
+        # the cascade is the channel itself and the identity adds 0, so the
+        # verdict rests on the sparse channel's certificate alone
+        n = reduced.shape[0]
+        report = check_subadditivity(memoryless_env(reduced), memoryless_env(np.eye(n)))
+        assert report.value_second_nats == 0.0 and report.upper_second_nats <= 1e-14
+        assert report.value_cascade_nats == report.value_first_nats
+        assert report.holds is True
 
     def test_dispatch_priority(self, fig5, identity_env, golden_mean, rng):
         assert compute_capacity(identity_env).method == "closed_form_noiseless"
