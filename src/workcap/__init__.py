@@ -21,8 +21,7 @@ from .errors import (BudgetError, ChannelClassError, ConvergenceError,
                      DimensionError, DomainError, InternalConsistencyError,
                      ModelFormatError, WorkcapError)
 from .info import (BITS, NATS, JointTable, conditional_entropy,
-                   conditional_mutual_information, entropy, entropy_rate,
-                   interaction_information)
+                   conditional_mutual_information, entropy, entropy_rate)
 from .loop import (GlobalChain, PerceptActionLoop, TrajectoryDistribution,
                    WorkReport, am_predictiveness, build_global_chain,
                    future_predictiveness, has_max_entropy_actions,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (AgentModel, EnvironmentModel, has_action_invariant_kernel,
-                       is_unifilar)
+from .channels import (AgentModel, EnvironmentModel, UnifilarityMap,
+                       has_action_invariant_kernel, is_unifilar)
 from .errors import ChannelClassError, DimensionError, DomainError
 
 
@@ -24,7 +24,8 @@ def _check_dist(p, n: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise DimensionError(f"action distribution: expected shape ({n},), got {arr.shape}")
-    if np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-12:
+    # written so that NaN fails it too: every comparison with NaN is false
+    if not ((arr >= 0).all() and abs(arr.sum() - 1.0) <= 1e-12):
         raise DomainError("action distribution must be a probability vector")
     return arr
 
@@ -103,11 +104,17 @@ def build_predictive(base: AgentModel, env: EnvironmentModel,
     uni = is_unifilar(env)
     if uni is None:
         raise ChannelClassError("build_predictive needs a unifilar environment model")
+    return _predictive(base, env, uni, circuit)
+
+
+def _predictive(base: AgentModel, env: EnvironmentModel, uni: UnifilarityMap,
+                circuit: str) -> AgentModel:
+    """:func:`build_predictive` on ``env``, whose unifilarity map is ``uni``."""
     if circuit not in ("auto", "general", "product"):
         raise DomainError(f"unknown circuit {circuit!r}")
     if circuit == "auto":
         circuit = "product" if has_action_invariant_kernel(env) else "general"
-    if circuit == "product" and not has_action_invariant_kernel(env):
+    elif circuit == "product" and not has_action_invariant_kernel(env):
         raise ChannelClassError(
             "the product-form circuit needs an action-invariant environment kernel"
         )

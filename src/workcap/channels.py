@@ -41,8 +41,7 @@ class EnvironmentModel:
 
     ``phi[a, z, s, z2]`` is the probability of emitting percept s and moving
     to hidden state z2 when receiving action a in hidden state z.  The action
-    and percept alphabets coincide (embed the smaller one first if they do
-    not; see :func:`embed_alphabets`).
+    and percept alphabets coincide.
     """
 
     alphabet: tuple[str, ...]
@@ -329,41 +328,6 @@ def cascade(first: EnvironmentModel, second: EnvironmentModel) -> EnvironmentMod
     )
     initial = np.outer(first.initial, second.initial).reshape(n)
     return EnvironmentModel(first.alphabet, labels, phi, initial)
-
-
-def embed_alphabets(action_symbols, percept_symbols, phi, initial,
-                    hidden_states, pad_action: str | None = None) -> EnvironmentModel:
-    """Build an EnvironmentModel from distinct action/percept alphabets.
-
-    The common alphabet is the sorted union.  Percept symbols that the
-    original channel never emits keep probability zero; new action symbols
-    get an explicit padding row copied from ``pad_action`` (default: the
-    first original action), never an implicit one.
-    """
-    action_symbols = _check_labels(action_symbols, "action alphabet")
-    percept_symbols = _check_labels(percept_symbols, "percept alphabet")
-    hidden_states = _check_labels(hidden_states, "hidden_states")
-    union = tuple(sorted(set(action_symbols) | set(percept_symbols)))
-    phi = np.asarray(phi, dtype=float)
-    n_a, n_s, n_z = len(action_symbols), len(percept_symbols), len(hidden_states)
-    if phi.shape != (n_a, n_z, n_s, n_z):
-        raise DimensionError(
-            f"phi: expected shape {(n_a, n_z, n_s, n_z)}, got {phi.shape}"
-        )
-    if pad_action is None:
-        pad_action = action_symbols[0]
-    if pad_action not in action_symbols:
-        raise DimensionError(f"pad_action {pad_action!r} is not an original action")
-
-    n_u = len(union)
-    out = np.zeros((n_u, n_z, n_u, n_z))
-    a_index = {sym: i for i, sym in enumerate(action_symbols)}
-    s_index = {sym: i for i, sym in enumerate(percept_symbols)}
-    for ui, sym in enumerate(union):
-        src = a_index.get(sym, a_index[pad_action])
-        for sj, sym_out in enumerate(percept_symbols):
-            out[ui, :, union.index(sym_out), :] = phi[src, :, sj, :]
-    return EnvironmentModel(union, hidden_states, out, initial)
 
 
 # ---------------------------------------------------------------------------

@@ -109,28 +109,23 @@ def cmd_analyze(args) -> int:
         agent = _load(args.agent, channels.AgentModel)
         pal = _make_loop(env, agent)
         work = loop.work_rate(pal, rounds=0)
-        chain, profile = work.chain, work.profile
-        pi = chain.initial.probs[chain.reachable] @ profile.cesaro_matrix
-        top = np.argsort(pi)[::-1][:5]
-        reach_idx = np.flatnonzero(chain.reachable)
+        reach_idx = np.flatnonzero(work.reachable)
+        pi = work.cesaro_law[reach_idx]
+        top = [(str(tuple(int(x) for x in np.unravel_index(reach_idx[i], pal.shape))), pi[i])
+               for i in np.argsort(pi)[::-1][:5]]
         report["global_chain"] = {
-            "states": chain.n_states,
-            "reachable_states": int(chain.reachable.sum()),
-            "period": profile.period_lcm,
-            "recurrent_reachable_states": int(profile.recurrent.sum()),
-            "cesaro_top_states": {
-                str(chain.state_label(int(reach_idx[i]))): _json_num(pi[i]) for i in top
-            },
+            "states": work.reachable.size,
+            "reachable_states": reach_idx.size,
+            "period": work.period_used,
+            "recurrent_reachable_states": work.recurrent_states,
+            "cesaro_top_states": {label: _json_num(p) for label, p in top},
         }
         lines += [
-            f"global chain: {chain.n_states} states "
-            f"({int(chain.reachable.sum())} reachable), period {profile.period_lcm}, "
-            f"{int(profile.recurrent.sum())} recurrent reachable states",
+            f"global chain: {work.reachable.size} states ({reach_idx.size} reachable), "
+            f"period {work.period_used}, {work.recurrent_states} recurrent reachable states",
             "Cesàro-weightiest states (memory, action, percept, hidden):",
         ]
-        lines += [
-            f"  {chain.state_label(int(reach_idx[i]))}: {_fmt(pi[i])}" for i in top
-        ]
+        lines += [f"  {label}: {_fmt(p)}" for label, p in top]
     _emit(report, args.json, lines)
     return 0
 
@@ -202,7 +197,11 @@ def cmd_build_agent(args) -> int:
             agent = agents.build_uniform(env.alphabet)
         elif kind in ("memoryless", "last-action"):
             if args.prob:
-                p = [float(x) for x in args.prob.split(",")]
+                try:
+                    p = [float(x) for x in args.prob.split(",")]
+                except ValueError:
+                    raise InputError(f"--prob {args.prob!r}: expected comma-separated "
+                                     "numbers") from None
             else:
                 p = [1.0 / len(env.alphabet)] * len(env.alphabet)
             builder = (agents.build_memoryless if kind == "memoryless"

@@ -1,10 +1,9 @@
 """Discrete information measures over exact joint tables.
 
-Entropy, conditional entropy, (conditional) mutual information, interaction
-information, and the entropy rate of product-channel sources.  All internal
-arithmetic is in nats; the ``base`` argument ("bits" or "nats") only converts
-the returned value.  Zero-probability outcomes are skipped in every sum
-(0 log 0 = 0).
+Entropy, conditional entropy, (conditional) mutual information, and the
+entropy rate of product-channel sources.  All internal arithmetic is in
+nats; the ``base`` argument ("bits" or "nats") only converts the returned
+value.  Zero-probability outcomes are skipped in every sum (0 log 0 = 0).
 """
 
 from __future__ import annotations
@@ -152,8 +151,10 @@ def conditional_entropy(joint: JointTable, target_vars, given_vars,
     return _clamp_nonneg(h_joint - h_given, "conditional entropy") * _base_factor(base)
 
 
-def _cmi_nats(joint: JointTable, a, b, c) -> float:
-    a, b, c = _names(a), _names(b), _names(c)
+def conditional_mutual_information(joint: JointTable, set_a, set_b, set_c=(),
+                                   base: str = BITS) -> float:
+    """I[A; B | C]; ``set_c`` may be empty, giving plain mutual information."""
+    a, b, c = _names(set_a), _names(set_b), _names(set_c)
     if (set(a) & set(b)) or (set(a) & set(c)) or (set(b) & set(c)):
         raise DomainError("the three variable sets must be pairwise disjoint")
     if not a or not b:
@@ -164,25 +165,8 @@ def _cmi_nats(joint: JointTable, a, b, c) -> float:
     h_bc = _marginal_entropy_nats(joint, b + c)
     h_abc = _marginal_entropy_nats(joint, a + b + c)
     h_c = _marginal_entropy_nats(joint, c) if c else 0.0
-    return h_ac + h_bc - h_abc - h_c
-
-
-def conditional_mutual_information(joint: JointTable, set_a, set_b, set_c=(),
-                                   base: str = BITS) -> float:
-    """I[A; B | C]; ``set_c`` may be empty, giving plain mutual information."""
-    v = _cmi_nats(joint, set_a, set_b, set_c)
+    v = h_ac + h_bc - h_abc - h_c
     return _clamp_nonneg(v, "conditional mutual information") * _base_factor(base)
-
-
-def interaction_information(joint: JointTable, set_a, set_b, set_c,
-                            base: str = BITS) -> float:
-    """I[A; B; C] = I[A; B] - I[A; B | C].  May legitimately be negative."""
-    c = _names(set_c)
-    if not c:
-        raise DomainError("interaction information needs a nonempty third set")
-    plain = _cmi_nats(joint, set_a, set_b, ())
-    conditioned = _cmi_nats(joint, set_a, set_b, c)
-    return (plain - conditioned) * _base_factor(base)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +188,18 @@ def _percept_block_entropies(env, max_len: int, budget: int):
         yield _entropy_nats(alpha.sum(axis=-1))
 
 
+def _unifilar_entropy_rate(env) -> float:
+    """:func:`entropy_rate` in nats of a unifilar product channel."""
+    # hidden-state chain under the fixed action; unifilarity makes the
+    # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)
+    hidden_step = env.phi[0].sum(axis=1)  # [z, z']
+    profile = asymptotic_profile(TransitionKernel(hidden_step))
+    pi = env.initial @ profile.cesaro_matrix
+    emission = env.phi[0].sum(axis=2)  # [z, s]
+    h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))
+    return _clamp_nonneg(h, "entropy rate")
+
+
 def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
                  base: str = BITS, budget: int = channels.ENUMERATION_BUDGET) -> float:
     """Per-symbol entropy of the percept process of a product channel, as
@@ -219,14 +215,7 @@ def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
     if not channels.is_product(env):
         raise ChannelClassError("entropy rate needs a product channel")
     if channels.is_unifilar(env) is not None:
-        # hidden-state chain under the fixed action; unifilarity makes the
-        # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)
-        hidden_step = env.phi[0].sum(axis=1)  # [z, z']
-        profile = asymptotic_profile(TransitionKernel(hidden_step))
-        pi = env.initial @ profile.cesaro_matrix
-        emission = env.phi[0].sum(axis=2)  # [z, s]
-        h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))
-        return _clamp_nonneg(h, "entropy rate") * factor
+        return _unifilar_entropy_rate(env) * factor
 
     prev_block = 0.0
     prev_estimate = None

@@ -6,6 +6,11 @@ module builds that chain, computes per-round work terms and the asymptotic
 work rate, and the predictiveness scores that decide membership in the
 predictive agent class.
 
+Every asymptotic rate comes from one Cesàro engine, ``_cesaro_tables``,
+which keeps the state's law under each subsequence limit, not the chain's
+limit matrices: ``work_rate`` runs it on one agent and the capacity
+search's ``_work_rates`` on a stack of them.
+
 Every finite-horizon trajectory quantity comes from one contraction engine,
 ``_trajectory_marginal``: it multiplies in the product-form factors in round
 order and sums out each variable the caller did not ask for as soon as no
@@ -30,9 +35,8 @@ from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
                    conditional_mutual_information)
-from .markov import (AsymptoticProfile, Distribution, TransitionKernel,
-                     _by_pattern, _check_stochastic, _limit_stack,
-                     asymptotic_profile, bfs_levels)
+from .markov import (Distribution, TransitionKernel, _by_pattern,
+                     _check_stochastic, _limit_stack, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
 
@@ -77,10 +81,6 @@ class GlobalChain:
     @property
     def n_states(self) -> int:
         return int(np.prod(self.shape))
-
-    def state_label(self, index: int) -> tuple[int, int, int, int]:
-        m, a, s, z = np.unravel_index(index, self.shape)
-        return int(m), int(a), int(s), int(z)
 
 
 def _global_kernels(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
@@ -241,9 +241,14 @@ class WorkReport:
 
     Values are in units of k_B T ln 2 when ``units`` is "bits".
     ``action_entropy`` is the Cesàro limit of H(A_t | M_t) in ``units``.
-    ``chain`` is the global chain the report was computed on; ``profile``
-    belongs to its reachable subchain (states in the order of
-    ``np.flatnonzero(chain.reachable)``); ``residual`` is its ``residual``.
+    The global chain's states are indexed as in :class:`GlobalChain`:
+    ``reachable`` marks the closure of the round-0 support,
+    ``recurrent_states`` counts the reachable states in closed classes, and
+    ``cesaro_law`` is the Cesàro limit of the law of U_t, zero off
+    ``reachable``.  ``residual`` is the invariance gap ``max_r |t_r P -
+    t_{r+1 mod d}|`` of the d subsequence-limit laws t_r the rate is read
+    from, d = ``period_used``; it shows how well they solve their defining
+    equations, not a bound on the rate's error.
     """
 
     per_round: tuple[float, ...]
@@ -252,75 +257,80 @@ class WorkReport:
     period_used: int
     residual: float
     units: str
-    chain: GlobalChain = field(repr=False, compare=False)
-    profile: AsymptoticProfile = field(repr=False, compare=False)
+    reachable: np.ndarray = field(repr=False, compare=False)
+    recurrent_states: int
+    cesaro_law: np.ndarray = field(repr=False, compare=False)
 
 
-def _limit_state_tables(chain: GlobalChain):
-    """The reachable subchain's profile and the full-shape p(m, a, s, z)
-    under each of its subsequence limits."""
-    reach = np.flatnonzero(chain.reachable)
-    sub = chain.kernel.probs[np.ix_(reach, reach)]
-    profile = asymptotic_profile(TransitionKernel(sub))
-    init = chain.initial.probs[reach]
-    tables = []
-    for limit in profile.subsequence_limits:
-        full = np.zeros(chain.n_states)
-        full[reach] = init @ limit
-        tables.append(full.reshape(chain.shape))
-    return profile, tables
+def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
+    """The Cesàro engine behind every work rate, for a stack of B agents on
+    ``env`` (``theta`` ``(B, |A|, M, |A|, M)``, ``init`` ``(B, |A|, M)``).
 
-
-def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> WorkReport:
-    """Asymptotic expected work per round, H(A_t|M_t) - H(S_t|M_t) averaged.
-
-    The rate is the exact Cesàro limit obtained from the subsequence limits
-    of the reachable global subchain; ``per_round`` lists the first ``rounds``
-    finite-t work terms from propagating the initial distribution.
-    """
-    factor = _base_factor(base)
-    chain = build_global_chain(loop)
-    per_round = []
-    p = chain.initial.probs.copy()
-    for _ in range(rounds):
-        per_round.append(_work_term_nats(p.reshape(chain.shape)) * factor)
-        p = p @ chain.kernel.probs
-    profile, tables = _limit_state_tables(chain)
-    rate, h_action = _cesaro_terms(np.stack(tables))
-    action_entropy = _clamp_nonneg(float(h_action), "mean action entropy") * factor
-    return WorkReport(tuple(per_round), float(rate) * factor, action_entropy,
-                      profile.period_lcm, profile.residual, base, chain, profile)
-
-
-def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
-                ) -> np.ndarray:
-    """Exact Cesàro work rates, in nats, of a stack of B agents on ``env``.
-
-    ``theta`` is ``(B, |A|, M, |A|, M)`` and ``init`` ``(B, |A|, M)``; member
-    b's rate is ``work_rate`` of that agent in nats, computed the same way,
-    but the stack shares one kernel einsum and one validation, members with
-    the same support pattern share one reachability search and one chain
-    structure, and the limits are solved over each such group at once.
+    Returns the global kernels ``(B, n, n)``, the round-0 vectors ``(B, n)``
+    and, for each group of members with one support pattern (kernel and
+    round-0 vector), ``(members, reach, structure, tables)``: the mask of
+    reachable states, the structure of the reachable subchain, and
+    ``tables[i, r] = u P^r L`` for r < d, the laws of U_{nd+r} as n grows
+    (zero off ``reach``), with u the round-0 vector, P the reachable
+    subchain, d its period lcm and L = lim P^{nd}.  The stack shares one
+    kernel einsum and one validation; a group shares one reachability
+    search and one chain structure, and its limits are solved at once.
     """
     K, p0, _ = _global_kernels(env, theta, init)
     _check_stochastic(K, name="kernel")
     _check_stochastic(p0, name="initial distribution")
     support, start = K > 0.0, p0 > 0.0
-    n_b, n_a, n_m = init.shape
-    shape = (n_m, n_a, n_a, env.n_hidden)
-    rates = np.empty(n_b)
-    for members in _by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
-        reach = np.flatnonzero(bfs_levels(start[members[0]], support[members[0]]) >= 0)
+    groups = []
+    for members in _by_pattern(np.concatenate([support.reshape(len(K), -1), start], axis=1)):
+        reach = bfs_levels(start[members[0]], support[members[0]]) >= 0
         P = K[np.ix_(members, reach, reach)]
         structure, L = _limit_stack(P)
         d = structure.period_lcm
-        # the subsequence limits P^r L, r = 0..d-1, applied to the start
         u = p0[np.ix_(members, reach)][:, None, :]
         tables = np.zeros((len(members), d, K.shape[1]))
         for r in range(d):
             tables[:, r, reach] = (u @ L)[:, 0]
             u = u @ P
-        rates[members] = _cesaro_terms(tables.reshape(len(members), d, *shape))[0]
+        groups.append((members, reach, structure, tables))
+    return K, p0, groups
+
+
+def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> WorkReport:
+    """Asymptotic expected work per round, H(A_t|M_t) - H(S_t|M_t) averaged.
+
+    The rate is the exact Cesàro limit, the mean of the work terms of the
+    subsequence-limit laws from :func:`_cesaro_tables` on a stack of one;
+    ``per_round`` lists the first ``rounds`` finite-t work terms from
+    propagating the round-0 vector through the same kernel.
+    """
+    factor = _base_factor(base)
+    K, p0, ((_, reach, structure, tables),) = _cesaro_tables(
+        loop.env, loop.agent.theta[None], loop.agent.initial_joint[None])
+    P, p, t = K[0], p0[0], tables[0]
+    per_round = []
+    for _ in range(rounds):
+        per_round.append(_work_term_nats(p.reshape(loop.shape)) * factor)
+        p = p @ P
+    d = len(t)
+    rate, h_action = _cesaro_terms(t.reshape(d, *loop.shape))
+    action_entropy = _clamp_nonneg(float(h_action), "mean action entropy") * factor
+    residual = float(np.max(np.abs(t @ P - np.roll(t, -1, axis=0))))
+    return WorkReport(tuple(per_round), float(rate) * factor, action_entropy, d, residual,
+                      base, reach, int(structure.classification.recurrent.sum()),
+                      t.mean(axis=0))
+
+
+def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
+                ) -> np.ndarray:
+    """Exact Cesàro work rates, in nats, of a stack of B agents on ``env``
+    (shapes as in :func:`_cesaro_tables`); member b's rate is ``work_rate``
+    of that agent in nats, read from the same tables."""
+    _, _, groups = _cesaro_tables(env, theta, init)
+    n_b, n_a, n_m = init.shape
+    shape = (n_m, n_a, n_a, env.n_hidden)
+    rates = np.empty(n_b)
+    for members, _, _, tables in groups:
+        rates[members] = _cesaro_terms(tables.reshape(len(members), -1, *shape))[0]
     return rates
 
 
@@ -329,7 +339,7 @@ def has_max_entropy_actions(loop: PerceptActionLoop,
     """Whether the Cesàro limit of H(A_t|M_t) attains log |A| within ``tol``.
 
     Returns (verdict, estimate) with the estimate in nats.  The limit is
-    computed exactly from the asymptotic profile, not by truncation.
+    computed exactly by :func:`work_rate`, not by truncation.
     """
     value = work_rate(loop, rounds=0, base="nats").action_entropy
     target = math.log(len(loop.env.alphabet))

@@ -44,7 +44,7 @@ def _check_stochastic(arr: np.ndarray, *, name: str) -> None:
     bad = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         *member, row = bad[0]
-        where = f"member {int(member[0])} " if member else ""
+        where = f"member {int(member[0])} " if member and len(arr) > 1 else ""
         raise DomainError(
             f"{name}: {where}row {int(row)} sums to "
             f"{float(row_sums[tuple(bad[0])])!r}, expected 1"

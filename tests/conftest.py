@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,25 @@ def delayed_echo():
         return EnvironmentModel(("0", "1"), tuple(f"z{z}" for z in range(n)), phi,
                                 np.eye(n)[0])
     return build
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """Spy factory: ``call_counts("loop.work_rate", ...)`` wraps each named
+    function, in every workcap module that binds it, with a call counter,
+    and returns the counts by function name."""
+    def spy(*qualified: str) -> dict[str, int]:
+        counts = {}
+        for qualified_name in qualified:
+            module_name, name = qualified_name.rsplit(".", 1)
+            original = getattr(importlib.import_module(f"workcap.{module_name}"), name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            for bound_in, module in list(sys.modules.items()):
+                if bound_in.split(".")[0] == "workcap" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+    return spy

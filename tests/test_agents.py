@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
-                     build_identity, build_last_action, build_memoryless,
-                     build_predictive, build_uniform)
+from workcap import (ChannelClassError, DomainError, EnvironmentModel,
+                     PerceptActionLoop, build_identity, build_last_action,
+                     build_memoryless, build_predictive, build_uniform)
 from workcap.loop import (predictiveness_score, trajectory_distribution,
                           work_rate)
 from workcap.random_models import random_agent, random_environment
@@ -41,6 +41,13 @@ class TestBuilders:
         assert agent.n_memory == 1
         assert np.allclose(agent.theta[:, 0, :, 0], [[0.7, 0.3]] * 2)
         assert np.allclose(agent.initial_joint[:, 0], [0.7, 0.3])
+
+    @pytest.mark.parametrize("builder", [build_memoryless, build_last_action])
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf],
+                                   [1.2, -0.2], [0.5, 0.6]])
+    def test_rejects_non_distribution(self, builder, p):
+        with pytest.raises(DomainError):
+            builder(("0", "1"), p)
 
     def test_delta_action_zero_entropy(self, fig5):
         agent = build_memoryless(fig5.alphabet, [1.0, 0.0])

@@ -589,20 +589,26 @@ class TestCapacityProperties:
         assert general.method == "numeric_lower_bound"
 
 
-class TestClassifyAgentSets:
-    def test_builds_one_chain_and_profile(self, fig5, monkeypatch):
-        import workcap.loop as loop_mod
-        from workcap import build_uniform
-        calls = {"build_global_chain": 0, "asymptotic_profile": 0}
-        for name in calls:
-            original = getattr(loop_mod, name)
+    def test_each_channel_class_decided_once(self, fig5, golden_mean, call_counts):
+        # the dispatch hands its verdicts to the closed forms
+        names = ("is_noiseless", "is_memoryless_invariant", "is_unifilar", "is_product",
+                 "has_action_invariant_kernel")
+        calls = call_counts(*(f"channels.{name}" for name in names))
+        assert compute_capacity(golden_mean).method == "closed_form_unifilar_product"
+        assert calls == dict.fromkeys(names, 1)
+        calls.update(dict.fromkeys(names, 0))
+        assert compute_capacity(fig5).method == "closed_form_memoryless"
+        assert calls == {"is_noiseless": 1, "is_memoryless_invariant": 1, "is_unifilar": 0,
+                         "is_product": 0, "has_action_invariant_kernel": 0}
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(loop_mod, name, counted)
+class TestClassifyAgentSets:
+    def test_builds_one_chain_and_profile(self, fig5, call_counts):
+        # one call of the Cesàro engine, and no full-matrix path
+        from workcap import build_uniform
+        calls = call_counts("loop._cesaro_tables", "loop.build_global_chain",
+                            "markov.asymptotic_profile")
         classify_agent_sets(fig5, build_uniform(fig5.alphabet), horizon=2)
-        assert calls == {"build_global_chain": 1, "asymptotic_profile": 1}
+        assert calls == {"_cesaro_tables": 1, "build_global_chain": 0, "asymptotic_profile": 0}
 
     def test_fig5_three_agents(self, fig5):
         from workcap import build_last_action, build_memoryless, build_uniform

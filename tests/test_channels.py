@@ -6,7 +6,7 @@ import pytest
 from workcap import (DimensionError, EnvironmentModel, ModelFormatError,
                      cascade, channel_law, is_memoryless_invariant,
                      is_noiseless, is_product, is_unifilar, validate)
-from workcap.channels import (AgentModel, dumps_model, embed_alphabets,
+from workcap.channels import (AgentModel, dumps_model,
                               has_action_invariant_kernel, loads_model,
                               reachable_hidden)
 from workcap.random_models import random_agent, random_environment
@@ -299,18 +299,6 @@ class TestReachability:
         env = EnvironmentModel(("0", "1"), ("r", "u"), phi, np.array([1.0, 0.0]))
         assert reachable_hidden(env).tolist() == [True, False]
         assert is_memoryless_invariant(env) is not None
-
-
-class TestEmbedding:
-    def test_union_alphabet_and_padding(self):
-        phi = np.zeros((1, 1, 2, 1))
-        phi[0, 0, 0, 0] = 0.25
-        phi[0, 0, 1, 0] = 0.75
-        env = embed_alphabets(("go",), ("0", "1"), phi, np.array([1.0]), ("z",))
-        assert env.alphabet == ("0", "1", "go")
-        # padding rows copy the designated action explicitly
-        assert np.allclose(env.emission()[0], env.emission()[2])
-        assert validate(env) == []
 
 
 class TestFileFormat:

@@ -60,20 +60,14 @@ class TestAnalyze:
         assert keys
         assert all(re.fullmatch(r"\(\d+, \d+, \d+, \d+\)", k) for k in keys)
 
-    def test_agent_builds_one_global_chain(self, capsys, tmp_path, monkeypatch):
-        import workcap.loop as loop_mod
+    def test_agent_builds_one_global_chain(self, capsys, tmp_path, call_counts):
+        # the chain summary comes from one call of the Cesàro engine
         agent_file = tmp_path / "pred.json"
         assert main(["build-agent", "predictive", GOLDEN, "--out", str(agent_file)]) == 0
-        calls = []
-        original = loop_mod.build_global_chain
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(loop_mod, "build_global_chain", counted)
+        calls = call_counts("loop._cesaro_tables", "loop.build_global_chain")
         code, _, _ = run_cli(capsys, "analyze", GOLDEN, "--agent", str(agent_file))
         assert code == 0
-        assert len(calls) == 1
+        assert calls == {"_cesaro_tables": 1, "build_global_chain": 0}
 
     def test_malformed_model_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -199,6 +193,18 @@ class TestBuildAgent:
         assert code == 2
         assert "unifilar" in err
 
+
+    @pytest.mark.parametrize("kind,prob", [("memoryless", "abc,1"), ("memoryless", "0.5,"),
+                                           ("last-action", "nan,nan"),
+                                           ("memoryless", "nan,nan"),
+                                           ("memoryless", "inf,-inf")])
+    def test_bad_prob_exits_two_without_file(self, capsys, tmp_path, kind, prob):
+        out_file = tmp_path / "agent.json"
+        code, _, err = run_cli(capsys, "build-agent", kind, FIG5, "--out", str(out_file),
+                               "--prob", prob)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_file.exists()
 
 class TestDsep:
     def test_memoryless_separation(self, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from workcap import (ChannelClassError, DomainError, JointTable,
                      conditional_entropy, conditional_mutual_information,
-                     entropy, entropy_rate, interaction_information)
+                     entropy, entropy_rate)
 from workcap.errors import ConvergenceError
 from workcap.info import LN2
 from workcap.random_models import random_environment
@@ -132,30 +132,6 @@ class TestCMI:
         j = make_joint(["A", "B"], np.full((2, 2), 0.25))
         with pytest.raises(DomainError):
             conditional_mutual_information(j, "A", "B", "A")
-
-
-class TestInteractionInformation:
-    def xor_table(self):
-        p = np.zeros((2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                p[a, b, a ^ b] = 0.25
-        return make_joint(["A", "B", "C"], p)
-
-    def test_xor_is_minus_one_bit(self):
-        assert interaction_information(self.xor_table(), "A", "B", "C") == pytest.approx(
-            -1.0, abs=1e-12)
-
-    def test_triple_copy_is_plus_one_bit(self):
-        p = np.zeros((2, 2, 2))
-        p[0, 0, 0] = p[1, 1, 1] = 0.5
-        j = make_joint(["A", "B", "C"], p)
-        assert interaction_information(j, "A", "B", "C") == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_triple_is_zero(self):
-        p = np.full((2, 2, 2), 1 / 8)
-        j = make_joint(["A", "B", "C"], p)
-        assert interaction_information(j, "A", "B", "C") == pytest.approx(0.0, abs=1e-12)
 
 
 class TestChainRules:

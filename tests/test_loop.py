@@ -11,10 +11,10 @@ from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      work_rate)
 from workcap.capacity import _kernels_from_params, _params_from_agent
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
-from workcap.loop import (_trajectory_marginal, _work_rates, am_predictiveness,
-                          future_predictiveness,
+from workcap.loop import (GlobalChain, _cesaro_terms, _trajectory_marginal,
+                          _work_rates, am_predictiveness, future_predictiveness,
                           has_max_entropy_actions, predictiveness_score)
-from workcap.markov import TransitionKernel, classify_states
+from workcap.markov import TransitionKernel, asymptotic_profile, classify_states
 from workcap.random_models import random_agent, random_environment
 
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
@@ -418,13 +418,49 @@ def agents_of(alphabet, theta, init):
     return [AgentModel(alphabet, memory, th, ini) for th, ini in zip(theta, init)]
 
 
+def limit_state_tables(chain: GlobalChain):
+    """The reachable subchain's profile and the full-shape p(m, a, s, z)
+    under each of its subsequence limits."""
+    reach = np.flatnonzero(chain.reachable)
+    sub = chain.kernel.probs[np.ix_(reach, reach)]
+    profile = asymptotic_profile(TransitionKernel(sub))
+    init = chain.initial.probs[reach]
+    tables = []
+    for limit in profile.subsequence_limits:
+        full = np.zeros(chain.n_states)
+        full[reach] = init @ limit
+        tables.append(full.reshape(chain.shape))
+    return profile, tables
+
+
+def full_matrix_work_rate(loop: PerceptActionLoop):
+    """Oracle: the Cesàro work rate and action entropy, in nats, read from
+    the n x n subsequence limits and Cesàro matrix of the reachable global
+    subchain's ``asymptotic_profile``, with the chain and the profile."""
+    chain = build_global_chain(loop)
+    profile, tables = limit_state_tables(chain)
+    rate, h_action = _cesaro_terms(np.stack(tables))
+    return float(rate), float(h_action), chain, profile
+
+
 def assert_matches_scalar(env, agents):
-    """Each member of the batched rates equals the scalar work_rate."""
+    """Each member of the batched rates, and each scalar work_rate with its
+    chain summary, matches the full-matrix oracle."""
     rates = _work_rates(env, *stack(agents))
-    scalar = [work_rate(PerceptActionLoop(a, env), rounds=0, base="nats").rate
-              for a in agents]
     assert rates.shape == (len(agents),)
-    assert np.max(np.abs(rates - scalar)) <= 1e-12
+    for agent, batched in zip(agents, rates):
+        pal = PerceptActionLoop(agent, env)
+        report = work_rate(pal, rounds=0, base="nats")
+        rate, h_action, chain, profile = full_matrix_work_rate(pal)
+        assert abs(batched - rate) <= 1e-12
+        assert abs(report.rate - rate) <= 1e-12
+        assert abs(report.action_entropy - h_action) <= 1e-12
+        assert report.period_used == profile.period_lcm
+        assert (report.reachable == chain.reachable).all()
+        assert report.recurrent_states == int(profile.recurrent.sum())
+        law = chain.initial.probs[chain.reachable] @ profile.cesaro_matrix
+        assert np.max(np.abs(report.cesaro_law[chain.reachable] - law)) <= 1e-12
+        assert (report.cesaro_law[~chain.reachable] == 0.0).all()
 
 
 def cycles_env(rng, cycles=(2, 3)):
@@ -536,3 +572,50 @@ class TestBatchedWorkRates:
         theta[2, 1, 0, 0, 1] = np.nan
         with pytest.raises(DomainError):
             _work_rates(env, theta, init)
+
+
+def invariance_gap(P: np.ndarray, tables: np.ndarray) -> float:
+    """max_r |t_r P - t_{r+1 mod d}| over the d rows t_r of ``tables``."""
+    d = len(tables)
+    return max(float(np.max(np.abs(tables[r] @ P - tables[(r + 1) % d])))
+               for r in range(d))
+
+
+def residual_loops(rng):
+    """Dense random loops and periodic ones, with period lcm 6 and 210."""
+    loops = [PerceptActionLoop(random_agent(rng, n_a, n_m), random_environment(rng, n_a, n_z))
+             for n_a, n_m, n_z in ((2, 1, 1), (2, 2, 3), (3, 2, 2))]
+    loops += [PerceptActionLoop(random_agent(rng, 2, 2), cycles_env(rng, cycles))
+              for cycles in ((2, 3), (2, 3, 5, 7))]
+    return loops
+
+
+class TestResidual:
+    def test_small_on_random_and_periodic_loops(self, rng):
+        periods = []
+        for pal in residual_loops(rng):
+            report = work_rate(pal, rounds=0)
+            periods.append(report.period_used)
+            assert report.residual < 1e-13
+        assert periods == [1, 1, 1, 6, 210]
+
+    def test_residual_is_table_invariance_gap(self, rng, monkeypatch):
+        # move 1e-6 of t_0's mass between two reachable states: the residual
+        # must be the gap of exactly the tables the rate is read from
+        import workcap.loop as loop_mod
+        engine, seen = loop_mod._cesaro_tables, []
+
+        def perturbed(*args):
+            K, p0, groups = engine(*args)
+            ((_, reach, _, tables),) = groups
+            first, last = np.flatnonzero(reach)[[0, -1]]
+            tables[0, 0, first] += 1e-6
+            tables[0, 0, last] -= 1e-6
+            seen.append((K[0], tables[0]))
+            return K, p0, groups
+        monkeypatch.setattr(loop_mod, "_cesaro_tables", perturbed)
+        for pal in residual_loops(rng):
+            residual = work_rate(pal, rounds=0).residual
+            P, tables = seen[-1]
+            assert residual > 1e-8
+            assert abs(residual - invariance_gap(P, tables)) <= 1e-15
