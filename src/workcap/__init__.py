@@ -24,10 +24,9 @@ from .info import (BITS, NATS, JointTable, conditional_entropy,
                    conditional_mutual_information, entropy, entropy_rate)
 from .loop import (GlobalChain, PerceptActionLoop, TrajectoryDistribution,
                    WorkReport, am_predictiveness, build_global_chain,
-                   future_predictiveness, has_max_entropy_actions,
-                   predictiveness_score, trajectory_distribution, work_rate)
-from .markov import (AsymptoticProfile, Distribution, FirstPassageStats,
-                     StateClassification, TransitionKernel, asymptotic_profile,
-                     classify_states, first_passage)
+                   future_predictiveness, predictiveness_score,
+                   trajectory_distribution, work_rate)
+from .markov import (Distribution, FirstPassageStats, StateClassification,
+                     TransitionKernel, classify_states, first_passage)
 
 __version__ = "0.1.0"

@@ -484,11 +484,13 @@ def check_subadditivity(env1: channels.EnvironmentModel,
     cascade's upper bound is at most the factors' values plus ``slack``,
     False when the cascade's value exceeds the factors' upper bounds plus
     ``slack``, and None when the bounds decide neither."""
+    factors = []
     for which, env in (("first", env1), ("second", env2)):
-        if channels.is_memoryless_invariant(env) is None:
+        reduced = channels.is_memoryless_invariant(env)
+        if reduced is None:
             raise ChannelClassError(f"{which} channel is not memoryless invariant")
-    first = capacity_memoryless(env1)
-    second = capacity_memoryless(env2)
+        factors.append(_memoryless_form(env, reduced))
+    first, second = factors
     cascade = capacity_memoryless(channels.cascade(env1, env2))
     holds = None
     if cascade.upper_nats <= first.value_nats + second.value_nats + slack:

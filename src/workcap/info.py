@@ -1,9 +1,11 @@
 """Discrete information measures over exact joint tables.
 
 Entropy, conditional entropy, (conditional) mutual information, and the
-entropy rate of product-channel sources.  All internal arithmetic is in
-nats; the ``base`` argument ("bits" or "nats") only converts the returned
-value.  Zero-probability outcomes are skipped in every sum (0 log 0 = 0).
+entropy rate of product-channel sources, which for unifilar ones reads the
+Cesàro limit law of the hidden state from ``markov._limit_laws``.  All
+internal arithmetic is in nats; the ``base`` argument ("bits" or "nats")
+only converts the returned value.  Zero-probability outcomes are skipped in
+every sum (0 log 0 = 0).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.special import xlogy
 from . import channels
 from .errors import (ChannelClassError, ConvergenceError, DimensionError,
                      DomainError, InternalConsistencyError)
-from .markov import TransitionKernel, asymptotic_profile
+from .markov import _limit_laws
 
 BITS = "bits"
 NATS = "nats"
@@ -193,8 +195,8 @@ def _unifilar_entropy_rate(env) -> float:
     # hidden-state chain under the fixed action; unifilarity makes the
     # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)
     hidden_step = env.phi[0].sum(axis=1)  # [z, z']
-    profile = asymptotic_profile(TransitionKernel(hidden_step))
-    pi = env.initial @ profile.cesaro_matrix
+    _, laws = _limit_laws(hidden_step[None], env.initial[None, None])
+    pi = laws[0, 0].mean(axis=0)  # the Cesàro limit of the hidden state's law
     emission = env.phi[0].sum(axis=2)  # [z, s]
     h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))
     return _clamp_nonneg(h, "entropy rate")

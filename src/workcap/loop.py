@@ -7,9 +7,9 @@ work rate, and the predictiveness scores that decide membership in the
 predictive agent class.
 
 Every asymptotic rate comes from one Cesàro engine, ``_cesaro_tables``,
-which keeps the state's law under each subsequence limit, not the chain's
-limit matrices: ``work_rate`` runs it on one agent and the capacity
-search's ``_work_rates`` on a stack of them.
+which keeps the state's law under each subsequence limit from
+``markov._limit_laws`` and forms no limit matrix: ``work_rate`` runs it on
+one agent and the capacity search's ``_work_rates`` on a stack of them.
 
 Every finite-horizon trajectory quantity comes from one contraction engine,
 ``_trajectory_marginal``: it multiplies in the product-form factors in round
@@ -36,7 +36,7 @@ from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
                    conditional_mutual_information)
 from .markov import (Distribution, TransitionKernel, _by_pattern,
-                     _check_stochastic, _limit_stack, bfs_levels)
+                     _check_stochastic, _limit_laws, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
 
@@ -210,7 +210,7 @@ def trajectory_distribution(loop: PerceptActionLoop, horizon: int,
 
 
 # ---------------------------------------------------------------------------
-# Work rate and entropy functionals of the asymptotic profile
+# Work rate and entropy functionals of the limit laws
 # ---------------------------------------------------------------------------
 
 def _cond_entropy_of_state(p4: np.ndarray, keep_axis: int) -> np.ndarray:
@@ -272,9 +272,10 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     reachable states, the structure of the reachable subchain, and
     ``tables[i, r] = u P^r L`` for r < d, the laws of U_{nd+r} as n grows
     (zero off ``reach``), with u the round-0 vector, P the reachable
-    subchain, d its period lcm and L = lim P^{nd}.  The stack shares one
-    kernel einsum and one validation; a group shares one reachability
-    search and one chain structure, and its limits are solved at once.
+    subchain, d its period lcm and L = lim P^{nd}, from
+    :func:`markov._limit_laws`.  The stack shares one kernel einsum and one
+    validation; a group shares one reachability search and one chain
+    structure, and its limit laws are solved at once.
     """
     K, p0, _ = _global_kernels(env, theta, init)
     _check_stochastic(K, name="kernel")
@@ -283,14 +284,10 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     groups = []
     for members in _by_pattern(np.concatenate([support.reshape(len(K), -1), start], axis=1)):
         reach = bfs_levels(start[members[0]], support[members[0]]) >= 0
-        P = K[np.ix_(members, reach, reach)]
-        structure, L = _limit_stack(P)
-        d = structure.period_lcm
-        u = p0[np.ix_(members, reach)][:, None, :]
-        tables = np.zeros((len(members), d, K.shape[1]))
-        for r in range(d):
-            tables[:, r, reach] = (u @ L)[:, 0]
-            u = u @ P
+        structure, laws = _limit_laws(K[np.ix_(members, reach, reach)],
+                                      p0[np.ix_(members, reach)][:, None, :])
+        tables = np.zeros((len(members), structure.period_lcm, K.shape[1]))
+        tables[:, :, reach] = laws[:, 0]
         groups.append((members, reach, structure, tables))
     return K, p0, groups
 
@@ -332,18 +329,6 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     for members, _, _, tables in groups:
         rates[members] = _cesaro_terms(tables.reshape(len(members), -1, *shape))[0]
     return rates
-
-
-def has_max_entropy_actions(loop: PerceptActionLoop,
-                            tol: float = 1e-9) -> tuple[bool, float]:
-    """Whether the Cesàro limit of H(A_t|M_t) attains log |A| within ``tol``.
-
-    Returns (verdict, estimate) with the estimate in nats.  The limit is
-    computed exactly by :func:`work_rate`, not by truncation.
-    """
-    value = work_rate(loop, rounds=0, base="nats").action_entropy
-    target = math.log(len(loop.env.alphabet))
-    return bool(abs(value - target) <= tol), value
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Finite-state homogeneous Markov chain asymptotics.
 
-Communication structure, periods, first-passage statistics, subsequence
-limits of matrix powers, and the Cesàro (time-average) limit matrix, for
-arbitrary finite row-stochastic kernels including reducible and periodic
-ones.  Periods come from graph structure (BFS level coloring per strongly
-connected component), so no tolerance is involved.  Structure (classes,
-closed classes, periods and their lcm) depends only on the support pattern,
-the positions of the nonzero entries, so it is computed once per pattern and
-remembered for the most recent patterns; an optimizer's positive kernels all
-share one pattern.  Limit matrices come from direct, cancellation-free
-linear algebra (GTH elimination and an outflow-form absorption solve), so
-sticky, slowly leaking, periodic and reducible chains are handled exactly and
-uniformly, with no iteration or tolerance.  Both act on a stack of kernels
-with one support pattern, so a batch of evaluations shares their
-Python-level steps; :func:`asymptotic_profile` passes a stack of one.
+Communication structure, periods, first-passage statistics, and the
+subsequence-limit laws of given start vectors, whose mean is their Cesàro
+(time-average) limit, for arbitrary finite row-stochastic kernels including
+reducible and periodic ones.  Periods come from graph structure (BFS level
+coloring per strongly connected component), so no tolerance is involved.
+Structure (classes, closed classes, periods and their lcm) depends only on
+the support pattern, the positions of the nonzero entries, so it is computed
+once per pattern and remembered for the most recent patterns; an optimizer's
+positive kernels all share one pattern.  Limit laws come from direct,
+cancellation-free linear algebra (GTH elimination and an outflow-form
+absorption solve), so sticky, slowly leaking, periodic and reducible chains
+are handled exactly and uniformly, with no iteration or tolerance.  Every
+rate needs only the laws of its start vectors, so no n x n limit matrix is
+formed.  :func:`_limit_laws` acts on a stack of kernels with one support
+pattern, so a batch of evaluations shares its Python-level steps.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -218,28 +219,6 @@ def _structure_of(support: np.ndarray) -> _Structure:
     return _memo_structure(support.shape, np.packbits(support).tobytes())
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
-    """Subsequence limits of kernel powers and their Cesàro mean.
-
-    ``subsequence_limits[r - 1]`` is the limit of the powers ``n*d + r`` for
-    r = 1..d, where d is the lcm of the recurrent-state periods;
-    ``cesaro_matrix`` is their arithmetic mean, the time-average limit.
-    ``residual`` is an a-posteriori backward check: the largest max-norm gap
-    in the equations ``L_r P = L_{r+1}`` (r mod d) and ``P^d L = L`` that the
-    exact limits satisfy, with ``L = L_d``.  It shows how well the computed
-    limits solve their defining equations; it is not a bound on the error of
-    a rate computed from them.
-    """
-
-    period_lcm: int
-    subsequence_limits: tuple[np.ndarray, ...]
-    cesaro_matrix: np.ndarray
-    recurrent: np.ndarray
-    state_period: dict[int, int]
-    residual: float
-
-
 _GTH_BLOCK = 32
 
 
@@ -276,24 +255,23 @@ def _gth_stationary(blocks: np.ndarray) -> np.ndarray:
     return x / x.sum(axis=1, keepdims=True)
 
 
-def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``lim Q^n`` for each kernel of a ``(B, n, n)`` stack whose closed
-    classes ``closed``, shared by the stack, are aperiodic.
+def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
+                 V: np.ndarray) -> np.ndarray:
+    """``V lim Q^n`` for a ``(B, n, n)`` stack of kernels whose closed
+    classes ``closed``, shared by the stack, are aperiodic, and a ``(B, k,
+    n)`` stack of row vectors ``V``.
 
-    Transient rows mix the classes' stationary vectors with the absorption
-    probabilities H from ``(I - Q_TT) H = R``, whose diagonal is each row's
-    outflow (off-diagonal sum) rather than ``1 - q_ii``, so slow leaks keep
-    their digits.
+    The limit sends each row to its closed classes' stationary vectors; a
+    class's weight is the row's mass in the class plus its transient mass
+    times the absorption probabilities H from ``(I - Q_TT) H = R``, whose
+    diagonal is each row's outflow (off-diagonal sum) rather than ``1 -
+    q_ii``, so slow leaks keep their digits.  No n x n limit is formed.
     """
-    n = Q.shape[-1]
-    L = np.zeros(Q.shape)
-    transient = np.ones(n, dtype=bool)
-    stationary = []
+    transient = np.ones(Q.shape[-1], dtype=bool)
+    weights = []
     for members in closed:
         transient[members] = False
-        pi = _gth_stationary(Q[:, members[:, None], members])
-        L[:, members[:, None], members] = pi[:, None, :]
-        stationary.append(pi)
+        weights.append(V[:, :, members].sum(axis=2))
     t = np.flatnonzero(transient)
     if t.size:
         diag = np.arange(t.size)
@@ -302,10 +280,13 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...]) -> np.ndarray:
         A = -rows[:, :, t]
         A[:, diag, diag] = rows.sum(axis=2)
         R = np.stack([rows[:, :, members].sum(axis=2) for members in closed], axis=2)
-        H = np.linalg.solve(A, R)
-        for k, (members, pi) in enumerate(zip(closed, stationary)):
-            L[:, t[:, None], members] = H[:, :, k, None] * pi[:, None, :]
-    return L
+        absorbed = V[:, :, t] @ np.linalg.solve(A, R)
+        weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
+    laws = np.zeros(V.shape)
+    for members, w in zip(closed, weights):
+        pi = _gth_stationary(Q[:, members[:, None], members])
+        laws[:, :, members] = w[:, :, None] * pi[:, None, :]
+    return laws
 
 
 def _by_pattern(patterns: np.ndarray) -> list[list[int]]:
@@ -317,55 +298,29 @@ def _by_pattern(patterns: np.ndarray) -> list[list[int]]:
     return list(groups.values())
 
 
-def _limit_stack(P: np.ndarray) -> tuple[_Structure, np.ndarray]:
+def _limit_laws(P: np.ndarray, u: np.ndarray) -> tuple[_Structure, np.ndarray]:
     """The structure of a ``(B, n, n)`` stack of kernels with one support
-    pattern, and ``L = lim Q^n`` for each, ``Q = P^d`` with d its period
-    lcm.  Q's closed classes, the cyclic subclasses, are aperiodic; they
-    come from each member's numeric pattern of Q, so underflow counts as 0.
+    pattern, and the subsequence-limit laws ``u P^r L`` for r < d of each
+    member's ``(k, n)`` start vectors ``u``, as a ``(B, k, d, n)`` array;
+    d is the period lcm and ``L = lim P^{nd}``.  Their mean over r is the
+    Cesàro limit of the law from each start.  ``P^d``'s closed classes, the
+    cyclic subclasses, are aperiodic; they come from each member's numeric
+    pattern of ``P^d``, so underflow counts as 0.  Nothing is iterated, so
+    there is no tolerance and no convergence failure.
     """
     structure = _structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
-        return structure, _power_limit(P, structure.closed)
-    Q = np.linalg.matrix_power(P, d)
-    L = np.empty_like(Q)
-    for idx in _by_pattern(Q > 0.0):
-        L[idx] = _power_limit(Q[idx], _structure_of(Q[idx[0]] > 0.0).closed)
-    return structure, L
-
-
-def asymptotic_profile(kernel: TransitionKernel) -> AsymptoticProfile:
-    """Compute the d subsequence limit matrices and the Cesàro matrix.
-
-    With d the lcm of the closed-class periods and ``L = lim P^{nd}`` (see
-    ``_limit_stack``), the subsequence limits are ``P^r L``.  Nothing is
-    iterated, so there is no tolerance and no convergence failure.
-    """
-    P = kernel.require_square()
-    structure, (L,) = _limit_stack(P[None])
-    d = structure.period_lcm
-
-    limits = []
-    X = L
+        return structure, _power_limit(P, structure.closed, u)[:, :, None]
+    steps = [u]
     for _ in range(d - 1):
-        X = P @ X
-        limits.append(X)
-    limits.append(L)
-    gaps = [P @ X - L] + [limits[r] @ P - limits[(r + 1) % d] for r in range(d)]
-    residual = max(float(np.max(np.abs(gap))) for gap in gaps)
-    for limit in limits:
-        limit.setflags(write=False)
-
-    cesaro = sum(limits) / d
-    cesaro.setflags(write=False)
-    return AsymptoticProfile(
-        period_lcm=d,
-        subsequence_limits=tuple(limits),
-        cesaro_matrix=cesaro,
-        recurrent=structure.classification.recurrent,
-        state_period=dict(structure.state_period),
-        residual=residual,
-    )
+        steps.append(steps[-1] @ P)
+    V = np.stack(steps, axis=2).reshape(len(P), -1, P.shape[-1])
+    Q = np.linalg.matrix_power(P, d)
+    laws = np.empty_like(V)
+    for idx in _by_pattern(Q > 0.0):
+        laws[idx] = _power_limit(Q[idx], _structure_of(Q[idx[0]] > 0.0).closed, V[idx])
+    return structure, laws.reshape(*u.shape[:2], d, -1)
 
 
 @dataclass(frozen=True)

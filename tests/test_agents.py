@@ -127,12 +127,13 @@ class TestPredictiveConstruction:
     def test_uniform_predictive_attains_capacity(self, golden_mean):
         # the extension of the uniform agent is in mea and pred, and reaches
         # log|A| - h(S) on a unifilar product env
-        from workcap.loop import am_predictiveness, has_max_entropy_actions
+        from workcap.capacity import classify_agent_sets
+        from workcap.loop import am_predictiveness
         agent = build_predictive(build_uniform(golden_mean.alphabet), golden_mean)
         pal = PerceptActionLoop(agent, golden_mean)
         rate = work_rate(pal).rate
         assert abs(rate - (1.0 - 2.0 / 3.0)) < 1e-6
-        assert has_max_entropy_actions(pal)[0]
+        assert classify_agent_sets(golden_mean, agent, horizon=1).in_mea
         assert am_predictiveness(pal, horizon=4).settled
 
     def test_non_unifilar_env_rejected(self, rng):

@@ -547,6 +547,16 @@ class TestCapacityProperties:
         report = check_subadditivity(fig5, fig5)
         assert report.holds
 
+    def test_subadditivity_decides_each_class_once(self, fig5, flip_noise, call_counts):
+        # one verdict per factor, handed to its closed form, and one for the cascade
+        calls = call_counts("channels.is_memoryless_invariant")
+        assert check_subadditivity(flip_noise, fig5).holds
+        assert calls == {"is_memoryless_invariant": 3}
+
+    def test_subadditivity_rejects_channel_with_memory(self, fig5, golden_mean):
+        with pytest.raises(ChannelClassError, match="second"):
+            check_subadditivity(fig5, golden_mean)
+
     def test_subadditivity_identities(self, identity_env):
         report = check_subadditivity(identity_env, identity_env)
         assert report.holds
@@ -603,12 +613,12 @@ class TestCapacityProperties:
 
 class TestClassifyAgentSets:
     def test_builds_one_chain_and_profile(self, fig5, call_counts):
-        # one call of the Cesàro engine, and no full-matrix path
+        # one call of the Cesàro engine, which solves one start's limit laws
         from workcap import build_uniform
         calls = call_counts("loop._cesaro_tables", "loop.build_global_chain",
-                            "markov.asymptotic_profile")
+                            "markov._limit_laws")
         classify_agent_sets(fig5, build_uniform(fig5.alphabet), horizon=2)
-        assert calls == {"_cesaro_tables": 1, "build_global_chain": 0, "asymptotic_profile": 0}
+        assert calls == {"_cesaro_tables": 1, "build_global_chain": 0, "_limit_laws": 1}
 
     def test_fig5_three_agents(self, fig5):
         from workcap import build_last_action, build_memoryless, build_uniform

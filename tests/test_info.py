@@ -192,6 +192,33 @@ class TestEntropyRate:
         oracle = block_entropy_oracle(golden_mean, n=18)
         assert abs(h - oracle) < 1e-5
 
+    def test_unifilar_reducible_periodic_source(self):
+        # z0 is transient: it emits 0 (p = .3) into a 2-cycle and 1 into a
+        # 3-cycle, whose states emit 1 with the probabilities below; the
+        # rate is the absorption-weighted mean emission entropy per cycle
+        from workcap import EnvironmentModel
+        from workcap.channels import is_unifilar
+        cycles = ((0.2, 0.5), (0.1, 0.4, 0.9))
+        n_z = 1 + sum(map(len, cycles))
+        phi = np.zeros((2, n_z, 2, n_z))
+        phi[:, 0, 0, 1], phi[:, 0, 1, 3] = 0.3, 0.7
+        offset = 1
+        for emits in cycles:
+            for i, e in enumerate(emits):
+                nxt = offset + (i + 1) % len(emits)
+                phi[:, offset + i, 0, nxt], phi[:, offset + i, 1, nxt] = 1.0 - e, e
+            offset += len(emits)
+        env = EnvironmentModel(("0", "1"), tuple(f"z{i}" for i in range(n_z)), phi,
+                               np.eye(n_z)[0])
+        assert is_unifilar(env) is not None
+
+        def h(e):
+            return -(e * math.log2(e) + (1.0 - e) * math.log2(1.0 - e))
+        expected = 0.3 * np.mean([h(e) for e in cycles[0]]) + 0.7 * np.mean(
+            [h(e) for e in cycles[1]])
+        assert expected == pytest.approx(0.70370896, abs=1e-8)
+        assert abs(entropy_rate(env) - expected) <= 1e-12
+
     def test_non_product_rejected(self, fig5):
         with pytest.raises(ChannelClassError):
             entropy_rate(fig5)

@@ -9,12 +9,12 @@ from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      build_identity, build_memoryless, build_predictive,
                      build_uniform, build_last_action, trajectory_distribution,
                      work_rate)
-from workcap.capacity import _kernels_from_params, _params_from_agent
+from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
 from workcap.loop import (GlobalChain, _cesaro_terms, _trajectory_marginal,
                           _work_rates, am_predictiveness, future_predictiveness,
-                          has_max_entropy_actions, predictiveness_score)
-from workcap.markov import TransitionKernel, asymptotic_profile, classify_states
+                          predictiveness_score)
+from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
 
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
@@ -389,23 +389,25 @@ class TestPredictiveness:
 
 
 class TestMaxEntropyActions:
+    """The mea verdict of ``classify_agent_sets``: the Cesàro limit of
+    H(A_t|M_t) attains log |A| within 1e-9."""
+
     def test_uniform_agent(self, fig5):
-        verdict, estimate = has_max_entropy_actions(
-            PerceptActionLoop(build_uniform(fig5.alphabet), fig5))
-        assert verdict
-        assert estimate == pytest.approx(math.log(2), abs=1e-12)
+        report = classify_agent_sets(fig5, build_uniform(fig5.alphabet), horizon=1)
+        assert report.in_mea
+        assert report.mean_action_entropy_nats == pytest.approx(math.log(2), abs=1e-12)
 
     def test_last_action_agent_limit_zero(self, fig5):
-        verdict, estimate = has_max_entropy_actions(
-            PerceptActionLoop(build_last_action(fig5.alphabet, [0.5, 0.5]), fig5))
-        assert not verdict
-        assert estimate == pytest.approx(0.0, abs=1e-12)
+        report = classify_agent_sets(fig5, build_last_action(fig5.alphabet, [0.5, 0.5]),
+                                     horizon=1)
+        assert not report.in_mea
+        assert report.mean_action_entropy_nats == pytest.approx(0.0, abs=1e-12)
 
     def test_delta_agent(self, fig5):
-        verdict, estimate = has_max_entropy_actions(
-            PerceptActionLoop(build_memoryless(fig5.alphabet, [1.0, 0.0]), fig5))
-        assert not verdict
-        assert estimate == pytest.approx(0.0, abs=1e-12)
+        report = classify_agent_sets(fig5, build_memoryless(fig5.alphabet, [1.0, 0.0]),
+                                     horizon=1)
+        assert not report.in_mea
+        assert report.mean_action_entropy_nats == pytest.approx(0.0, abs=1e-12)
 
 
 def stack(agents):
@@ -419,28 +421,30 @@ def agents_of(alphabet, theta, init):
 
 
 def limit_state_tables(chain: GlobalChain):
-    """The reachable subchain's profile and the full-shape p(m, a, s, z)
-    under each of its subsequence limits."""
+    """The reachable subchain's structure, its n x n Cesàro matrix (the
+    limit laws of all n point starts) and the full-shape p(m, a, s, z)
+    under each subsequence limit, from the point starts' laws contracted
+    with the round-0 vector."""
     reach = np.flatnonzero(chain.reachable)
     sub = chain.kernel.probs[np.ix_(reach, reach)]
-    profile = asymptotic_profile(TransitionKernel(sub))
+    structure, (laws,) = _limit_laws(sub[None], np.eye(reach.size)[None])
     init = chain.initial.probs[reach]
     tables = []
-    for limit in profile.subsequence_limits:
+    for r in range(structure.period_lcm):
         full = np.zeros(chain.n_states)
-        full[reach] = init @ limit
+        full[reach] = init @ laws[:, r]
         tables.append(full.reshape(chain.shape))
-    return profile, tables
+    return structure, laws.mean(axis=1), tables
 
 
 def full_matrix_work_rate(loop: PerceptActionLoop):
     """Oracle: the Cesàro work rate and action entropy, in nats, read from
-    the n x n subsequence limits and Cesàro matrix of the reachable global
-    subchain's ``asymptotic_profile``, with the chain and the profile."""
+    the n x n subsequence limits of the reachable global subchain, with the
+    chain, its structure and its Cesàro matrix."""
     chain = build_global_chain(loop)
-    profile, tables = limit_state_tables(chain)
+    structure, cesaro, tables = limit_state_tables(chain)
     rate, h_action = _cesaro_terms(np.stack(tables))
-    return float(rate), float(h_action), chain, profile
+    return float(rate), float(h_action), chain, structure, cesaro
 
 
 def assert_matches_scalar(env, agents):
@@ -451,14 +455,14 @@ def assert_matches_scalar(env, agents):
     for agent, batched in zip(agents, rates):
         pal = PerceptActionLoop(agent, env)
         report = work_rate(pal, rounds=0, base="nats")
-        rate, h_action, chain, profile = full_matrix_work_rate(pal)
+        rate, h_action, chain, structure, cesaro = full_matrix_work_rate(pal)
         assert abs(batched - rate) <= 1e-12
         assert abs(report.rate - rate) <= 1e-12
         assert abs(report.action_entropy - h_action) <= 1e-12
-        assert report.period_used == profile.period_lcm
+        assert report.period_used == structure.period_lcm
         assert (report.reachable == chain.reachable).all()
-        assert report.recurrent_states == int(profile.recurrent.sum())
-        law = chain.initial.probs[chain.reachable] @ profile.cesaro_matrix
+        assert report.recurrent_states == int(structure.classification.recurrent.sum())
+        law = chain.initial.probs[chain.reachable] @ cesaro
         assert np.max(np.abs(report.cesaro_law[chain.reachable] - law)) <= 1e-12
         assert (report.cesaro_law[~chain.reachable] == 0.0).all()
 

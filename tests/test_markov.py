@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from workcap import (DimensionError, Distribution, DomainError, TransitionKernel,
-                     asymptotic_profile, classify_states, first_passage,
-                     markov)
+                     classify_states, first_passage, markov)
 from workcap.random_models import random_kernel, random_structured_kernel
 from workcap.verify import _power_sum
 
@@ -64,6 +63,30 @@ def cycles_fed_by_transients():
     return P, starts, lengths
 
 
+def limit_laws(kernel: TransitionKernel):
+    """The kernel's structure and the subsequence-limit laws of its n point
+    starts as an ``(n, d, n)`` array: ``laws[i, r]`` is row i of ``P^r L``,
+    L = lim P^{nd}."""
+    P = kernel.probs
+    structure, laws = markov._limit_laws(P[None], np.eye(len(P))[None])
+    return structure, laws[0]
+
+
+def cesaro_matrix(kernel: TransitionKernel) -> np.ndarray:
+    """The Cesàro limit laws of the n point starts, row i from state i."""
+    return limit_laws(kernel)[1].mean(axis=1)
+
+
+def periods(kernel: TransitionKernel) -> dict[int, int]:
+    return markov._structure_of(kernel.probs > 0.0).state_period
+
+
+def invariance_gap(P: np.ndarray, laws: np.ndarray) -> float:
+    """max_r |t_r P - t_{r+1 mod d}| over the laws t_r on the second axis
+    of ``laws``."""
+    return float(np.max(np.abs(laws @ P - np.roll(laws, -1, axis=1))))
+
+
 def brute_force_cesaro(P: np.ndarray, N: int) -> np.ndarray:
     """Independent oracle: (1/N) sum_{t<N} P^t."""
     n = P.shape[0]
@@ -99,43 +122,45 @@ class TestClassify:
 
 class TestPeriod:
     def test_swap_period_two(self):
-        assert asymptotic_profile(SWAP).state_period[0] == 2
+        assert periods(SWAP)[0] == 2
 
     def test_three_cycle(self):
-        assert asymptotic_profile(CYCLE3).state_period == {0: 3, 1: 3, 2: 3}
+        assert periods(CYCLE3) == {0: 3, 1: 3, 2: 3}
 
     def test_self_loop_gives_one(self):
         k = TransitionKernel([[0.5, 0.5], [1.0, 0.0]])
-        assert asymptotic_profile(k).state_period[0] == 1
+        assert periods(k)[0] == 1
 
     def test_non_return_state_rejected(self):
-        # state 1 is transient, so the profile gives it no period
-        assert asymptotic_profile(ABSORB).state_period == {0: 1}
+        # state 1 is transient, so the structure gives it no period
+        assert periods(ABSORB) == {0: 1}
 
 
 class TestAsymptoticProfile:
+    """The limit laws of the point starts: ``laws[:, r]`` is the
+    subsequence limit P^r L and their mean is the Cesàro matrix."""
+
     def test_swap(self):
-        profile = asymptotic_profile(SWAP)
-        assert profile.period_lcm == 2
-        assert np.allclose(profile.cesaro_matrix, 0.5)
-        assert np.allclose(profile.subsequence_limits[1], np.eye(2))
+        structure, laws = limit_laws(SWAP)
+        assert structure.period_lcm == 2
+        assert np.allclose(laws.mean(axis=1), 0.5)
+        assert np.allclose(laws[:, 0], np.eye(2))
 
     def test_absorbing(self):
-        profile = asymptotic_profile(ABSORB)
         # starting from state 1, all time-averaged mass sits on state 0
-        assert np.allclose(profile.cesaro_matrix[1], [1.0, 0.0])
+        assert np.allclose(cesaro_matrix(ABSORB)[1], [1.0, 0.0])
 
     def test_one_state_degenerate(self):
-        profile = asymptotic_profile(TransitionKernel([[1.0]]))
-        assert profile.period_lcm == 1
-        assert np.allclose(profile.cesaro_matrix, [[1.0]])
+        structure, laws = limit_laws(TransitionKernel([[1.0]]))
+        assert structure.period_lcm == 1
+        assert np.allclose(laws.mean(axis=1), [[1.0]])
 
     def test_random_aperiodic_columns_equal_stationary(self, rng):
         kernel = random_kernel(rng, 4)
-        profile = asymptotic_profile(kernel)
-        assert profile.period_lcm == 1
+        structure, laws = limit_laws(kernel)
+        assert structure.period_lcm == 1
         pi = stationary_by_linear_solve(kernel.probs)
-        for row in profile.cesaro_matrix:
+        for row in laws.mean(axis=1):
             assert np.allclose(row, pi, atol=1e-9)
 
     def test_subsequence_relation(self, rng):
@@ -143,23 +168,20 @@ class TestAsymptoticProfile:
         for i in range(6):
             kernel = (random_structured_kernel(rng, 4) if i % 2
                       else random_kernel(rng, 3 + i % 3))
-            profile = asymptotic_profile(kernel)
-            d = profile.period_lcm
-            last = profile.subsequence_limits[d - 1]
-            for r in range(1, d + 1):
-                expected = np.linalg.matrix_power(kernel.probs, r) @ last
-                assert np.max(np.abs(profile.subsequence_limits[r - 1] - expected)) < 1e-9
+            structure, laws = limit_laws(kernel)
+            for r in range(structure.period_lcm):
+                expected = np.linalg.matrix_power(kernel.probs, r) @ laws[:, 0]
+                assert np.max(np.abs(laws[:, r] - expected)) < 1e-9
 
     def test_cesaro_matches_brute_force(self, rng):
         for n in (2, 4, 6):
             kernel = random_kernel(rng, n)
-            profile = asymptotic_profile(kernel)
-            oracle = brute_force_cesaro(kernel.probs, 20_000 * profile.period_lcm)
-            assert np.max(np.abs(oracle - profile.cesaro_matrix)) < 1e-3
+            structure, laws = limit_laws(kernel)
+            oracle = brute_force_cesaro(kernel.probs, 20_000 * structure.period_lcm)
+            assert np.max(np.abs(oracle - laws.mean(axis=1))) < 1e-3
 
     def test_transient_mass_vanishes(self):
-        profile = asymptotic_profile(ABSORB)
-        assert np.max(np.abs(profile.cesaro_matrix[:, 1])) < 1e-12
+        assert np.max(np.abs(cesaro_matrix(ABSORB)[:, 1])) < 1e-12
 
     def test_continuous_functional_cesaro(self, rng):
         # Cesàro mean of g(Phi^t) equals the mean of g over subsequence limits,
@@ -170,8 +192,8 @@ class TestAsymptoticProfile:
             return float(terms.sum(axis=1).mean())
 
         kernel = random_structured_kernel(rng, 5)
-        profile = asymptotic_profile(kernel)
-        d = profile.period_lcm
+        structure, laws = limit_laws(kernel)
+        d = structure.period_lcm
         N = 5000 * d
         power = np.eye(5)
         acc = 0.0
@@ -179,21 +201,16 @@ class TestAsymptoticProfile:
             acc += g(power)
             power = power @ kernel.probs
         lhs = acc / N
-        rhs = sum(g(L) for L in profile.subsequence_limits) / d
+        rhs = sum(g(laws[:, r]) for r in range(d)) / d
         assert abs(lhs - rhs) < 1e-3
 
     def test_residual_is_invariance_check(self, rng):
-        # the residual is the a-posteriori gap in L_r P = L_{r+1} (mod d);
-        # recompute it independently from the returned limits
+        # the laws solve their defining equations t_r P = t_{r+1} (mod d)
         for i in range(6):
             kernel = (random_structured_kernel(rng, 5) if i % 2
                       else random_kernel(rng, 4))
-            profile = asymptotic_profile(kernel)
-            limits = profile.subsequence_limits
-            d = profile.period_lcm
-            gap = max(np.max(np.abs(limits[r] @ kernel.probs - limits[(r + 1) % d]))
-                      for r in range(d))
-            assert gap <= profile.residual < 1e-13
+            _, laws = limit_laws(kernel)
+            assert invariance_gap(kernel.probs, laws) < 1e-13
 
     def test_power_rows_sum_to_one(self, rng):
         kernel = random_kernel(rng, 5)
@@ -210,17 +227,16 @@ class TestExactLimits:
     def test_sticky_two_state_chain(self, flip):
         back = 3.0 * flip
         P = [[1.0 - flip, flip], [back, 1.0 - back]]
-        profile = asymptotic_profile(TransitionKernel(P))
+        structure, laws = limit_laws(TransitionKernel(P))
         pi = np.array([back, flip]) / (flip + back)
-        assert profile.period_lcm == 1
-        assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
+        assert structure.period_lcm == 1
+        assert np.max(np.abs(laws.mean(axis=1) - pi)) <= 1e-14
 
     @pytest.mark.parametrize("leak", [1e-6, 1e-10])
     def test_slow_leak_into_two_absorbing_states(self, leak):
         P = [[1.0 - 3.0 * leak, leak, 2.0 * leak], [0, 1, 0], [0, 0, 1]]
-        profile = asymptotic_profile(TransitionKernel(P))
         expected = [[0.0, 1 / 3, 2 / 3], [0, 1, 0], [0, 0, 1]]
-        assert np.max(np.abs(profile.cesaro_matrix - expected)) <= 1e-14
+        assert np.max(np.abs(cesaro_matrix(TransitionKernel(P)) - expected)) <= 1e-14
 
     def test_long_birth_death_chain(self):
         # 100 states, several elimination blocks; detailed balance gives
@@ -233,23 +249,22 @@ class TestExactLimits:
             P[i, i] += 0.1
         pi = 0.5 ** np.arange(n)
         pi /= pi.sum()
-        profile = asymptotic_profile(TransitionKernel(P))
-        assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
-        assert np.max(np.abs(profile.cesaro_matrix / pi - 1.0)) <= 1e-12
+        cesaro = cesaro_matrix(TransitionKernel(P))
+        assert np.max(np.abs(cesaro - pi)) <= 1e-14
+        assert np.max(np.abs(cesaro / pi - 1.0)) <= 1e-12
 
     def test_dense_chain_across_elimination_blocks(self, rng):
         kernel = random_kernel(rng, 100)
-        profile = asymptotic_profile(kernel)
         pi = stationary_by_linear_solve(kernel.probs)
-        assert np.max(np.abs(profile.cesaro_matrix - pi)) <= 1e-14
+        assert np.max(np.abs(cesaro_matrix(kernel) - pi)) <= 1e-14
 
     def test_cycles_of_lcm_210_fed_by_transient_states(self):
         # absorption from t0: 1/8, 1/8, 3/8, 3/8
         P, starts, lengths = cycles_fed_by_transients()
         n = P.shape[0]
         t0, t1, t2 = n - 3, n - 2, n - 1
-        profile = asymptotic_profile(TransitionKernel(P))
-        assert profile.period_lcm == 210
+        structure, laws = limit_laws(TransitionKernel(P))
+        assert structure.period_lcm == 210
 
         def on_cycles(weights):
             row = np.zeros(n)
@@ -263,11 +278,8 @@ class TestExactLimits:
                 [float(length == other) for other in lengths])
         expected[t0] = expected[t2] = on_cycles([1 / 8, 1 / 8, 3 / 8, 3 / 8])
         expected[t1] = on_cycles([1 / 2, 1 / 2, 0, 0])
-        assert np.max(np.abs(profile.cesaro_matrix - expected)) <= 1e-14
-        limits = profile.subsequence_limits
-        for r in range(210):
-            gap = limits[r] @ P - limits[(r + 1) % 210]
-            assert np.max(np.abs(gap)) <= 1e-14
+        assert np.max(np.abs(laws.mean(axis=1) - expected)) <= 1e-14
+        assert invariance_gap(P, laws) <= 1e-14
 
 
 def _underflow_chains():
@@ -292,7 +304,7 @@ class TestStructureMemo:
     def test_shared_recurrent_arrays_are_read_only(self, rng):
         kernel = random_structured_kernel(rng, 5)
         for recurrent in (classify_states(kernel).recurrent,
-                          asymptotic_profile(kernel).recurrent):
+                          limit_laws(kernel)[0].classification.recurrent):
             assert not recurrent.flags.writeable
             with pytest.raises(ValueError):
                 recurrent[0] = not recurrent[0]
@@ -305,20 +317,19 @@ class TestStructureMemo:
         chains += [random_kernel(rng, 100).probs, cycles_fed_by_transients()[0]]
         chains += _underflow_chains()
 
-        def fields(profile):
-            return (profile.period_lcm, profile.state_period, profile.residual,
-                    profile.recurrent.tolist(),
-                    [limit.tobytes() for limit in profile.subsequence_limits],
-                    profile.cesaro_matrix.tobytes())
+        def fields(P):
+            structure, laws = limit_laws(TransitionKernel(P))
+            return (structure.period_lcm, structure.state_period,
+                    structure.classification.recurrent.tolist(), laws.tobytes())
 
         cold = []
         for P in chains:
             markov._memo_structure.cache_clear()
-            cold.append(fields(asymptotic_profile(TransitionKernel(P))))
+            cold.append(fields(P))
         for P in chains:  # fill the memo with every pattern, then reuse it
-            asymptotic_profile(TransitionKernel(P))
+            limit_laws(TransitionKernel(P))
         hits = markov._memo_structure.cache_info().hits
-        warm = [fields(asymptotic_profile(TransitionKernel(P))) for P in chains]
+        warm = [fields(P) for P in chains]
         assert markov._memo_structure.cache_info().hits > hits
         assert warm == cold
 
@@ -328,8 +339,8 @@ class TestStructureMemo:
         a = TransitionKernel([[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]])
         b = TransitionKernel([[0.9, 0.1, 0], [0, 0, 1], [1, 0, 0]])
         assert classify_states(a) is classify_states(b)
-        assert asymptotic_profile(a).state_period == asymptotic_profile(b).state_period
-        assert asymptotic_profile(a).state_period[1] == 1
+        assert limit_laws(a)[0].state_period == limit_laws(b)[0].state_period
+        assert periods(a)[1] == 1
         assert markov._memo_structure.cache_info().misses == 1
 
 
@@ -351,7 +362,7 @@ class TestPowerSum:
         P[0, 1] = P[1, 0] = 1.0
         P[2, 3] = P[3, 4] = P[4, 2] = 1.0
         P[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
-        d = asymptotic_profile(TransitionKernel(P)).period_lcm
+        d = markov._structure_of(P > 0.0).period_lcm
         assert d == 6
         N = 20_000 * d
         gap = np.abs(_power_sum(P, N) / N - brute_force_cesaro(P, N))
@@ -374,13 +385,14 @@ class TestFirstPassage:
     def test_cesaro_coefficients_formula(self, rng):
         # Pi[i, j] = f(i, j) / m(j, j) for recurrent j, both sides independent
         kernel = random_kernel(rng, 3)
-        profile = asymptotic_profile(kernel)
+        structure, laws = limit_laws(kernel)
+        cesaro = laws.mean(axis=1)
         fp = first_passage(kernel, horizon=2500)
         for j in range(3):
-            assert profile.recurrent[j]
+            assert structure.classification.recurrent[j]
             assert fp.residual[:, j].max() < 1e-8
             for i in range(3):
-                lhs = profile.cesaro_matrix[i, j]
+                lhs = cesaro[i, j]
                 rhs = fp.hit_prob[i, j] / fp.mean_return[j]
                 assert abs(lhs - rhs) < 1e-6
 
