@@ -169,9 +169,10 @@ class TestAsymptoticProfile:
             kernel = (random_structured_kernel(rng, 4) if i % 2
                       else random_kernel(rng, 3 + i % 3))
             structure, laws = limit_laws(kernel)
-            for r in range(structure.period_lcm):
+            d = structure.period_lcm
+            for r in range(1, d + 1):
                 expected = np.linalg.matrix_power(kernel.probs, r) @ laws[:, 0]
-                assert np.max(np.abs(laws[:, r] - expected)) < 1e-9
+                assert np.max(np.abs(laws[:, r % d] - expected)) < 1e-9
 
     def test_cesaro_matches_brute_force(self, rng):
         for n in (2, 4, 6):
@@ -205,12 +206,15 @@ class TestAsymptoticProfile:
         assert abs(lhs - rhs) < 1e-3
 
     def test_residual_is_invariance_check(self, rng):
-        # the laws solve their defining equations t_r P = t_{r+1} (mod d)
+        # the laws solve their defining equations t_r P = t_{r+1} (mod d),
+        # and L = lim P^{nd} absorbs P^d: P^d L = L
         for i in range(6):
             kernel = (random_structured_kernel(rng, 5) if i % 2
                       else random_kernel(rng, 4))
-            _, laws = limit_laws(kernel)
+            structure, laws = limit_laws(kernel)
             assert invariance_gap(kernel.probs, laws) < 1e-13
+            power = np.linalg.matrix_power(kernel.probs, structure.period_lcm)
+            assert np.max(np.abs(power @ laws[:, 0] - laws[:, 0])) < 1e-13
 
     def test_power_rows_sum_to_one(self, rng):
         kernel = random_kernel(rng, 5)
