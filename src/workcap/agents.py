@@ -30,16 +30,9 @@ def _check_dist(p, n: int) -> np.ndarray:
     return arr
 
 
-def _initial_index(alphabet: tuple[str, ...], initial_action: str | None) -> int:
-    if initial_action is None:
-        return 0  # alphabet order; lexicographically first for sorted alphabets
-    if initial_action not in alphabet:
-        raise DomainError(f"initial action {initial_action!r} not in alphabet")
-    return alphabet.index(initial_action)
-
-
-def build_identity(alphabet, initial_action: str | None = None) -> AgentModel:
-    """One memory state; the next action deterministically copies the percept."""
+def build_identity(alphabet) -> AgentModel:
+    """One memory state; the next action deterministically copies the percept.
+    The opening action is the first alphabet symbol."""
     alphabet = tuple(alphabet)
     if not alphabet:
         raise DimensionError("alphabet must be nonempty")
@@ -48,7 +41,7 @@ def build_identity(alphabet, initial_action: str | None = None) -> AgentModel:
     for s in range(n):
         theta[s, 0, s, 0] = 1.0
     init = np.zeros((n, 1))
-    init[_initial_index(alphabet, initial_action), 0] = 1.0
+    init[0, 0] = 1.0
     return AgentModel(alphabet, ("m",), theta, init)
 
 
@@ -68,8 +61,9 @@ def build_uniform(alphabet) -> AgentModel:
     return build_memoryless(alphabet, _uniform(len(tuple(alphabet))))
 
 
-def build_last_action(alphabet, p, initial_action: str | None = None) -> AgentModel:
-    """Memory stores the current action (M_t = A_t always); actions i.i.d. ~ p."""
+def build_last_action(alphabet, p) -> AgentModel:
+    """Memory stores the current action (M_t = A_t always); actions i.i.d. ~ p
+    after an opening with the first alphabet symbol."""
     alphabet = tuple(alphabet)
     n = len(alphabet)
     p = _check_dist(p, n)
@@ -79,8 +73,7 @@ def build_last_action(alphabet, p, initial_action: str | None = None) -> AgentMo
             for a2 in range(n):
                 theta[s, m, a2, a2] = p[a2]
     init = np.zeros((n, n))
-    a0 = _initial_index(alphabet, initial_action)
-    init[a0, a0] = 1.0
+    init[0, 0] = 1.0
     return AgentModel(alphabet, alphabet, theta, init)
 
 

@@ -3,10 +3,13 @@
 An environment model is a transition table phi(s, z' | a, z) over a shared
 action/percept alphabet plus an initial hidden-state distribution; an agent
 model is theta(a', m' | s, m) plus a joint initial distribution over
-(first action, initial memory).  This module provides construction and
-validation, the channel-class predicates (noiseless, memoryless invariant,
-product, unifilar), channel cascade, finite-horizon channel laws, and the
-JSON model file format shared with the CLI.
+(first action, initial memory).  Models are valid by construction: every
+table row and initial law must be a probability vector within
+``markov.ROW_SUM_TOL`` (DomainError naming the table and row otherwise), and
+the arrays are frozen.  This module also provides the channel-class
+predicates (noiseless, memoryless invariant, product, unifilar), channel
+cascade, finite-horizon channel laws, and the JSON model file format shared
+with the CLI.
 
 State labels are strings; file I/O assigns indices by sorted label order so
 serialized models round-trip bit-exactly.
@@ -15,13 +18,13 @@ serialized models round-trip bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BudgetError, DimensionError, ModelFormatError
-from .markov import ROW_SUM_TOL, bfs_levels
+from .markov import ROW_SUM_TOL, _check_stochastic, bfs_levels
 
 ENUMERATION_BUDGET = 20_000_000
 
@@ -35,13 +38,38 @@ def _check_labels(labels, what: str) -> tuple[str, ...]:
     return labels
 
 
+def _check_model(model, joint_initial: bool) -> None:
+    """Check a model's labels, shapes and stochasticity, then freeze its
+    fields (alphabet, states, table, initial) in place.  The table's rows
+    are its (input symbol, state) slices; ``joint_initial`` marks an initial
+    law over (symbol, state) pairs rather than states."""
+    names = [f.name for f in fields(model)]
+    alphabet = _check_labels(model.alphabet, "alphabet")
+    states = _check_labels(getattr(model, names[1]), names[1])
+    n_sym, n_st = len(alphabet), len(states)
+    table = np.array(getattr(model, names[2]), dtype=float)
+    init = np.array(getattr(model, names[3]), dtype=float)
+    expected = ((n_sym, n_st, n_sym, n_st), (n_sym, n_st) if joint_initial else (n_st,))
+    for name, arr, shape in zip(names[2:], (table, init), expected):
+        if arr.shape != shape:
+            raise DimensionError(f"{name}: expected shape {shape}, got {arr.shape}")
+    _check_stochastic(table.reshape(n_sym * n_st, -1), name=names[2])
+    _check_stochastic(init.ravel(), name=names[3])
+    table.setflags(write=False)
+    init.setflags(write=False)
+    for name, value in zip(names, (alphabet, states, table, init)):
+        object.__setattr__(model, name, value)
+
+
 @dataclass(frozen=True)
 class EnvironmentModel:
     """Hidden Markov model of an environment channel.
 
     ``phi[a, z, s, z2]`` is the probability of emitting percept s and moving
     to hidden state z2 when receiving action a in hidden state z.  The action
-    and percept alphabets coincide.
+    and percept alphabets coincide.  Construction checks that every row
+    ``phi[a, z]`` and ``initial`` are probability vectors (DomainError
+    otherwise) and freezes the arrays.
     """
 
     alphabet: tuple[str, ...]
@@ -50,23 +78,7 @@ class EnvironmentModel:
     initial: np.ndarray
 
     def __post_init__(self):
-        alphabet = _check_labels(self.alphabet, "alphabet")
-        hidden = _check_labels(self.hidden_states, "hidden_states")
-        phi = np.array(self.phi, dtype=float)
-        init = np.array(self.initial, dtype=float)
-        n_sym, n_hid = len(alphabet), len(hidden)
-        if phi.shape != (n_sym, n_hid, n_sym, n_hid):
-            raise DimensionError(
-                f"phi: expected shape {(n_sym, n_hid, n_sym, n_hid)}, got {phi.shape}"
-            )
-        if init.shape != (n_hid,):
-            raise DimensionError(f"initial: expected shape ({n_hid},), got {init.shape}")
-        phi.setflags(write=False)
-        init.setflags(write=False)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "hidden_states", hidden)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "initial", init)
+        _check_model(self, joint_initial=False)
 
     @property
     def n_symbols(self) -> int:
@@ -88,6 +100,7 @@ class AgentModel:
     ``theta[s, m, a2, m2]`` is the probability of taking action a2 and moving
     to memory m2 after receiving percept s in memory m.  ``initial_joint[a, m]``
     is the joint distribution of the opening action and initial memory.
+    Construction checks both as :class:`EnvironmentModel` does.
     """
 
     alphabet: tuple[str, ...]
@@ -96,25 +109,7 @@ class AgentModel:
     initial_joint: np.ndarray
 
     def __post_init__(self):
-        alphabet = _check_labels(self.alphabet, "alphabet")
-        memory = _check_labels(self.memory_states, "memory_states")
-        theta = np.array(self.theta, dtype=float)
-        init = np.array(self.initial_joint, dtype=float)
-        n_sym, n_mem = len(alphabet), len(memory)
-        if theta.shape != (n_sym, n_mem, n_sym, n_mem):
-            raise DimensionError(
-                f"theta: expected shape {(n_sym, n_mem, n_sym, n_mem)}, got {theta.shape}"
-            )
-        if init.shape != (n_sym, n_mem):
-            raise DimensionError(
-                f"initial_joint: expected shape {(n_sym, n_mem)}, got {init.shape}"
-            )
-        theta.setflags(write=False)
-        init.setflags(write=False)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "memory_states", memory)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "initial_joint", init)
+        _check_model(self, joint_initial=True)
 
     @property
     def n_symbols(self) -> int:
@@ -126,48 +121,6 @@ class AgentModel:
 
 
 Model = EnvironmentModel | AgentModel
-
-
-def validate(model: Model) -> list[str]:
-    """Check the stochasticity invariants; return violations (empty = ok).
-
-    Violations name the offending row rather than raising, so a loader can
-    report all problems at once.
-    """
-    violations: list[str] = []
-    if isinstance(model, EnvironmentModel):
-        table, init = model.phi, model.initial
-        in_labels = [(a, z) for a in model.alphabet for z in model.hidden_states]
-        rows = table.reshape(model.n_symbols * model.n_hidden, -1)
-        init_what = "initial hidden-state distribution"
-    else:
-        table, init = model.theta, model.initial_joint
-        in_labels = [(s, m) for s in model.alphabet for m in model.memory_states]
-        rows = table.reshape(model.n_symbols * model.n_memory, -1)
-        init_what = "initial (action, memory) distribution"
-
-    for idx, label in enumerate(in_labels):
-        row = rows[idx]
-        if np.any(row < -ROW_SUM_TOL):
-            violations.append(f"row {label}: negative entry {row.min()!r}")
-        if np.any(row > 1.0 + ROW_SUM_TOL):
-            violations.append(f"row {label}: entry above 1 ({row.max()!r})")
-        s = row.sum()
-        # written so that NaN fails it too: every comparison with NaN is false
-        if not abs(s - 1.0) <= ROW_SUM_TOL:
-            violations.append(f"row {label}: sums to {float(s)!r}, expected 1")
-    if np.any(init < -ROW_SUM_TOL):
-        violations.append(f"{init_what}: negative entry")
-    if not abs(init.sum() - 1.0) <= ROW_SUM_TOL:
-        violations.append(f"{init_what}: sums to {float(init.sum())!r}, expected 1")
-    return violations
-
-
-def require_valid(model: Model) -> Model:
-    violations = validate(model)
-    if violations:
-        raise ModelFormatError("; ".join(violations))
-    return model
 
 
 def reachable_hidden(env: EnvironmentModel) -> np.ndarray:
@@ -456,9 +409,7 @@ def loads_model(text: str) -> Model:
     if abs(s - 1.0) > ROW_SUM_TOL:
         init /= s
     model_type = EnvironmentModel if kind == "environment" else AgentModel
-    model: Model = model_type(alphabet, states, table, init)
-    require_valid(model)
-    return model
+    return model_type(alphabet, states, table, init)
 
 
 def load_model(path) -> Model:

@@ -37,7 +37,8 @@ class ChannelClassError(WorkcapError, ValueError):
 
 
 class ModelFormatError(WorkcapError, ValueError):
-    """A model file or in-memory model violates the file-format contract."""
+    """A model file violates the file-format contract.  In-memory models are
+    checked at construction and raise DomainError or DimensionError."""
 
 
 class InternalConsistencyError(WorkcapError, RuntimeError):

@@ -36,20 +36,24 @@ ROW_SUM_TOL = 1e-12
 
 
 def _check_stochastic(arr: np.ndarray, *, name: str) -> None:
-    """Raise DomainError unless every row (last axis) of ``arr`` is a
-    probability vector within ROW_SUM_TOL; leading axes stack members."""
-    # written so that NaN fails it too: every comparison with NaN is false
-    if not ((arr >= -ROW_SUM_TOL).all() and (arr <= 1.0 + ROW_SUM_TOL).all()):
-        raise DomainError(f"{name}: entries must lie in [0, 1]")
-    row_sums = arr.sum(axis=-1)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        *member, row = bad[0]
-        where = f"member {int(member[0])} " if member and len(arr) > 1 else ""
-        raise DomainError(
-            f"{name}: {where}row {int(row)} sums to "
-            f"{float(row_sums[tuple(bad[0])])!r}, expected 1"
-        )
+    """Raise DomainError, naming the first offending row, unless every row
+    (last axis) of ``arr`` is a probability vector within ROW_SUM_TOL; a
+    vector is one row, and leading axes stack members."""
+    keep = arr.ndim == 1  # a vector's one row keeps an index
+    row_sums = arr.sum(axis=-1, keepdims=keep)
+    # written so that NaN fails it too: the min and max of NaN are NaN, and
+    # every comparison with NaN is false
+    if (arr.min() >= -ROW_SUM_TOL and arr.max() <= 1.0 + ROW_SUM_TOL
+            and np.abs(row_sums - 1.0).max() <= ROW_SUM_TOL):
+        return
+    ok = ((arr >= -ROW_SUM_TOL) & (arr <= 1.0 + ROW_SUM_TOL)).all(axis=-1, keepdims=keep)
+    bad = tuple(np.argwhere(~(ok & (np.abs(row_sums - 1.0) <= ROW_SUM_TOL)))[0])
+    *member, row = bad
+    where = f"member {int(member[0])} " if member and len(arr) > 1 else ""
+    where += "" if keep else f"row {int(row)} "
+    if not ok[bad]:
+        raise DomainError(f"{name}: {where}has an entry not in [0, 1]")
+    raise DomainError(f"{name}: {where}sums to {float(row_sums[bad])!r}, expected 1")
 
 
 def _validated_probs(probs, *, name: str) -> np.ndarray:
@@ -102,11 +106,7 @@ class Distribution:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError(f"distribution: expected a nonempty vector, got shape {arr.shape}")
-        # NaN fails this check and +inf the sum below
-        if not (arr >= -ROW_SUM_TOL).all():
-            raise DomainError("distribution: negative or NaN entry")
-        if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
-            raise DomainError(f"distribution: sums to {float(arr.sum())!r}, expected 1")
+        _check_stochastic(arr, name="distribution")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

@@ -1,15 +1,18 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from workcap import (DimensionError, EnvironmentModel, ModelFormatError,
-                     cascade, channel_law, is_memoryless_invariant,
-                     is_noiseless, is_product, is_unifilar, validate)
+from workcap import (DimensionError, DomainError, EnvironmentModel,
+                     ModelFormatError, cascade, channel_law,
+                     is_memoryless_invariant, is_noiseless, is_product,
+                     is_unifilar)
 from workcap.channels import (AgentModel, dumps_model,
                               has_action_invariant_kernel, loads_model,
                               reachable_hidden)
 from workcap.random_models import random_agent, random_environment
+from workcap.verify import load_bundled
 
 
 def bit_flip_env():
@@ -20,44 +23,67 @@ def bit_flip_env():
 
 
 class TestValidate:
-    def test_fig5_ok(self, fig5):
-        assert validate(fig5) == []
+    """Models are checked at construction: a table or initial law that is
+    not stochastic raises DomainError naming it and its first bad row (the
+    flat (input symbol, state) index)."""
+
+    def test_fig5_ok(self):
+        # every bundled model loads, so passes the construction check
+        names = [path.name.removesuffix(".json")
+                 for path in (resources.files("workcap") / "models").iterdir()
+                 if path.name.endswith(".json")]
+        assert "fig5" in names
+        for name in names:
+            assert isinstance(load_bundled(name), EnvironmentModel)
 
     def test_row_sum_violation_names_row(self):
         phi = np.zeros((2, 1, 2, 1))
         phi[0, 0, 0, 0] = 0.9
         phi[1, 0, 0, 0] = 0.5
         phi[1, 0, 1, 0] = 0.5
-        env = EnvironmentModel(("0", "1"), ("z",), phi, np.array([1.0]))
-        violations = validate(env)
-        assert len(violations) == 1
-        assert "('0', 'z')" in violations[0]
+        with pytest.raises(DomainError, match=r"^phi: row 0 sums to 0\.9"):
+            EnvironmentModel(("0", "1"), ("z",), phi, np.array([1.0]))
 
     def test_negative_entry_violation(self):
         phi = np.zeros((2, 1, 2, 1))
         phi[0, 0, 0, 0] = 1.2
         phi[0, 0, 1, 0] = -0.2
         phi[1, 0, :, 0] = 0.5
-        env = EnvironmentModel(("0", "1"), ("z",), phi, np.array([1.0]))
-        assert any("negative" in v for v in validate(env))
+        with pytest.raises(DomainError, match=r"^phi: row 0 has an entry not in \[0, 1\]"):
+            EnvironmentModel(("0", "1"), ("z",), phi, np.array([1.0]))
 
     def test_nan_entry_names_row(self, rng):
         env = random_environment(rng, 2, 2)
         phi = np.array(env.phi)
         phi[1, 0, 0, 1] = np.nan
-        bad = EnvironmentModel(env.alphabet, env.hidden_states, phi, env.initial)
-        violations = validate(bad)
-        assert len(violations) == 1
-        assert f"('1', '{env.hidden_states[0]}')" in violations[0]
+        # row (a, z) = (1, 0) of the 2 x 2 input pairs is flat row 2
+        with pytest.raises(DomainError, match=r"^phi: row 2 has an entry"):
+            EnvironmentModel(env.alphabet, env.hidden_states, phi, env.initial)
 
     def test_nan_initial_entry(self, rng):
         env = random_environment(rng, 2, 2)
         initial = np.array(env.initial)
         initial[0] = np.nan
-        bad = EnvironmentModel(env.alphabet, env.hidden_states, env.phi, initial)
-        violations = validate(bad)
-        assert len(violations) == 1
-        assert "initial" in violations[0]
+        with pytest.raises(DomainError, match=r"^initial: has an entry"):
+            EnvironmentModel(env.alphabet, env.hidden_states, env.phi, initial)
+
+    def test_initial_sum_violation(self, rng):
+        env = random_environment(rng, 2, 2)
+        with pytest.raises(DomainError, match=r"^initial: sums to 0\.9"):
+            EnvironmentModel(env.alphabet, env.hidden_states, env.phi, [0.9, 0.0])
+
+    def test_agent_theta_row_sum_violation(self, rng):
+        agent = random_agent(rng, 2, 2)
+        theta = np.array(agent.theta)
+        theta[1, 1] *= 0.9 / theta[1, 1].sum()
+        with pytest.raises(DomainError, match=r"^theta: row 3 sums to 0\.9"):
+            AgentModel(agent.alphabet, agent.memory_states, theta, agent.initial_joint)
+
+    def test_agent_initial_sum_violation(self, rng):
+        agent = random_agent(rng, 2, 2)
+        initial = 0.9 * agent.initial_joint
+        with pytest.raises(DomainError, match=r"^initial_joint: sums to 0\.9"):
+            AgentModel(agent.alphabet, agent.memory_states, agent.theta, initial)
 
 
 class TestPredicates:

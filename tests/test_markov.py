@@ -449,6 +449,15 @@ class TestKernelValidation:
         with pytest.raises(DomainError):
             Distribution([bad, 1.0])
 
+    def test_vector_is_one_row(self):
+        # a vector's row sum is 0-d, so a check that only looks for bad
+        # indices among the row sums would find none
+        with pytest.raises(DomainError, match="v: sums to 0.9"):
+            markov._check_stochastic(np.array([0.5, 0.4]), name="v")
+        with pytest.raises(DomainError, match="v: has an entry"):
+            markov._check_stochastic(np.array([1.2, -0.2]), name="v")
+        markov._check_stochastic(np.array([0.6, 0.4]), name="v")
+
     def test_immutable(self):
         with pytest.raises(ValueError):
             SWAP.probs[0, 0] = 0.3
