@@ -237,9 +237,10 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     """Check that sampled d-separations hold as exact independences.
 
     Samples ``n_triples`` d-separated triples over the non-auxiliary nodes of
-    the chosen template and asserts CMI below 1e-9 nats on the exact
-    trajectory table.  The memoryless and product templates additionally
-    require the environment to be of the matching class.
+    the chosen template and asserts CMI below 1e-9 nats on the exact joint
+    of the pool they are drawn from, which has no Z in the memoryless
+    template.  The memoryless and product templates additionally require
+    the environment to be of the matching class.
     """
     if variant == "memoryless_env":
         if channels.is_memoryless_invariant(pal.env) is None:
@@ -261,7 +262,7 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     rng = np.random.default_rng(seed)
     triples = sample_separated_triples(dag, pool, n_triples, rng)
 
-    joint = loop.trajectory_distribution(pal, horizon, budget=budget).joint
+    joint = loop._trajectory_marginal(pal, horizon, pool, budget)
     violations = []
     for trip in triples:
         cmi = info.conditional_mutual_information(joint, *trip, base="nats")

@@ -11,10 +11,14 @@ once per pattern and remembered for the most recent patterns; an optimizer's
 positive kernels all share one pattern.  Limit laws come from direct,
 cancellation-free linear algebra (GTH elimination and an outflow-form
 absorption solve), so sticky, slowly leaking, periodic and reducible chains
-are handled exactly and uniformly, with no iteration or tolerance.  Every
-rate needs only the laws of its start vectors, so no n x n limit matrix is
-formed.  :func:`_limit_laws` acts on a stack of kernels with one support
-pattern, so a batch of evaluations shares its Python-level steps.
+are handled exactly and uniformly, with no iteration or tolerance.  GTH
+runs in blocks of ``_GTH_BLOCK`` states whose panel and trailing updates
+are products of nonnegative matrices, so it costs n Python-level steps on
+small arrays plus O(n^3) flops in BLAS-3 products and still adds no
+numbers of opposite sign.  Every rate needs only the laws of its start
+vectors, so no n x n limit matrix is formed.  :func:`_limit_laws` acts on
+a stack of kernels with one support pattern, so a batch of evaluations
+shares its Python-level steps.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -219,39 +224,103 @@ def _structure_of(support: np.ndarray) -> _Structure:
     return _memo_structure(support.shape, np.packbits(support).tobytes())
 
 
-_GTH_BLOCK = 32
+# states per elimination block: above the block that holds state 0, a
+# block's per-state steps run on its own small array and the rest of the
+# elimination is matrix products (blocks of 32 to 64 timed within noise of
+# each other at n = 256 to 1024 on one BLAS thread, 96 and 128 slower)
+_GTH_BLOCK = 64
 
 
-def _gth_stationary(blocks: np.ndarray) -> np.ndarray:
+def _censor(A: np.ndarray) -> list[np.ndarray]:
+    """GTH's per-state steps on a ``(B, n, n)`` stack, in place: states
+    n-1, ..., 1 are censored out in turn, each dividing its column by its
+    outflow into the states below it and then passing its row through that
+    column.  Returns those ``(B, 1)`` outflows, the divisors, from state
+    n-1 down."""
+    divisors = []
+    for k in range(A.shape[-1] - 1, 0, -1):
+        divisors.append(A[:, k, :k].sum(axis=1, keepdims=True))
+        A[:, :k, k] /= divisors[-1]
+        A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
+    return divisors
+
+
+def _triangular_inverses(T: np.ndarray, lower: bool) -> np.ndarray:
+    """Inverses of a ``(B, m, m)`` stack of lower (else upper) triangular
+    M-matrices that are zero off their triangle, by LAPACK ``dtrtri``.  Its
+    substitution adds same-signed terms only, and it leaves the zeros off
+    the triangle as they are."""
+    return np.stack([dtrtri(t, lower=lower)[0] for t in T])
+
+
+def _gth_stationary(A: np.ndarray) -> np.ndarray:
     """Stationary vectors of a ``(B, n, n)`` stack of irreducible kernels
-    by GTH elimination, one row of the ``(B, n)`` result per kernel.
+    by GTH elimination, one row of the ``(B, n)`` result per kernel.  ``A``
+    is work space and may be overwritten.
 
     Grassmann, Taksar & Heyman (1985): states are censored out one at a
     time from the last, and each elimination divides by the censored row's
     off-diagonal sum instead of forming ``1 - p_kk``, so only nonnegative
     numbers are ever added and no digits cancel.  The diagonal is never
-    read.  Eliminations run in blocks of ``_GTH_BLOCK`` states, with the
-    update of the states still to come applied as one matrix product.  Each
-    step acts on the whole stack, so the n Python-level steps are shared by
-    its B kernels.
+    read.  Each step acts on the whole stack, so the n Python-level steps
+    are shared by its B kernels.
+
+    States above the ``_GTH_BLOCK`` that hold state 0 are censored a block
+    K at a time, R being the states below K.  The per-state steps run on
+    the small array ``[outflow of each K row into R | A_KK]``, since a row
+    sum is all a divisor needs from R.  They leave the divisors D, the rows
+    at their elimination L >= 0 (below the diagonal) and the divided columns
+    U >= 0 (above it).  The divided column panel is then ``X = A_RK (D -
+    L)^-1`` and the row panel at elimination ``Z = (I - U)^-1 A_KR``; both
+    factors are triangular M-matrices with nonnegative inverses, so these
+    products, the update ``A_RR += X Z`` and the back-substitution ``x_K =
+    x_R X (I - U)^-1`` add nonnegative numbers only.  Updates are applied
+    left-looking: just before a block is censored, its panels receive the
+    updates of all blocks above it in two matrix products, so no update of
+    the whole trailing matrix is ever formed.  X, Z and ``(I - U)^-1``
+    overwrite A_RK, A_KR and A_KK.  The block holding state 0
+    runs the per-state steps on ``A`` itself, so a chain of at most
+    ``_GTH_BLOCK`` states is censored one state at a time throughout.
+
+    Cost: n Python-level steps on arrays of at most ``_GTH_BLOCK + 1``
+    columns plus O(n^3) flops in matrix products.
     """
-    A = np.array(blocks, dtype=float)
-    n = A.shape[-1]
-    for hi in range(n, 1, -_GTH_BLOCK):
-        lo = max(hi - _GTH_BLOCK, 0)
-        for k in range(hi - 1, max(lo, 1) - 1, -1):
-            A[:, :k, k] /= A[:, k, :k].sum(axis=1, keepdims=True)
-            # entries (i, j) below k in the block's columns or rows; the
-            # rest waits for the block update below
-            A[:, :k, lo:k] += A[:, :k, k, None] * A[:, k, None, lo:k]
-            if lo:
-                A[:, lo:k, :lo] += A[:, lo:k, k, None] * A[:, k, None, :lo]
-        if lo:
-            A[:, :lo, :lo] += A[:, :lo, lo:hi] @ A[:, lo:hi, :lo]
-    x = np.empty(A.shape[:2])
+    B, n = A.shape[:2]
+    m = _GTH_BLOCK
+    if n > m:
+        # BLAS needs each member's rows contiguous.  A single block keeps its
+        # layout: its sums round by layout, and the per-state path must round
+        # as it always has
+        A = np.ascontiguousarray(A)
+    diag = np.arange(m)
+    lo = n
+    while lo > m:
+        hi, lo = lo, lo - m
+        if hi < n:
+            A[:, :hi, lo:hi] += A[:, :hi, hi:] @ A[:, hi:, lo:hi]
+            A[:, lo:hi, :lo] += A[:, lo:hi, hi:] @ A[:, hi:, :lo]
+        # state 0 of W is R merged into one state; it is never censored
+        W = np.zeros((B, m + 1, m + 1))
+        W[:, 1:, 0] = A[:, lo:hi, :lo].sum(axis=2)
+        W[:, 1:, 1:] = A[:, lo:hi, lo:hi]
+        divisors = _censor(W)[::-1]
+        factor = np.tril(-W[:, 1:, 1:], -1)
+        factor[:, diag, diag] = np.concatenate(divisors, axis=1)  # D - L
+        A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ _triangular_inverses(factor, lower=True)
+        factor = np.triu(-W[:, 1:, 1:], 1)
+        factor[:, diag, diag] = 1.0  # I - U
+        # A_KK is spent, so it keeps (I - U)^-1 for the back-substitution
+        A[:, lo:hi, lo:hi] = _triangular_inverses(factor, lower=False)
+        A[:, lo:hi, :lo] = A[:, lo:hi, lo:hi] @ A[:, lo:hi, :lo]
+    if lo < n:
+        A[:, :lo, :lo] += A[:, :lo, lo:] @ A[:, lo:, :lo]
+    _censor(A[:, :lo, :lo])
+    x = np.empty((B, n))
     x[:, 0] = 1.0
-    for j in range(1, n):
+    for j in range(1, lo):
         x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+    for k in range(lo, n, m):
+        x[:, k:k + m] = (x[:, None, :k] @ A[:, :k, k:k + m] @ A[:, k:k + m, k:k + m])[:, 0]
     return x / x.sum(axis=1, keepdims=True)
 
 
@@ -284,6 +353,7 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
         weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
     laws = np.zeros(V.shape)
     for members, w in zip(closed, weights):
+        # a new array, which GTH may overwrite
         pi = _gth_stationary(Q[:, members[:, None], members])
         laws[:, :, members] = w[:, :, None] * pi[:, None, :]
     return laws

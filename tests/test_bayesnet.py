@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from workcap import (Dag, DomainError, PerceptActionLoop, build_loop_dag,
+from workcap import (Dag, DomainError, PerceptActionLoop, bayesnet, build_loop_dag,
                      build_uniform, d_separated, validate_compatibility)
 from workcap.bayesnet import (_ATTEMPTS_PER_TRIPLE, _d_connected, _mask,
                               sample_separated_triples)
@@ -112,6 +112,24 @@ class TestCompatibility:
         pal = PerceptActionLoop(random_agent(rng, 2, 2), golden_mean)
         joint = trajectory_distribution(pal, 2).joint
         assert conditional_mutual_information(joint, "S0", "S1", (), base="nats") > 1e-3
+
+    def test_memoryless_template_matches_full_joint(self, rng, monkeypatch):
+        # the template's pool has no Z, so only the (M, A, S) marginal is
+        # formed; with a negative tolerance every sampled triple is reported,
+        # and each must carry the CMI that the full joint gives it
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), random_memoryless_environment(rng))
+        monkeypatch.setattr(bayesnet, "CMI_SOUNDNESS_TOL", -1.0)
+        report = validate_compatibility(pal, horizon=3, n_triples=40, seed=4,
+                                        variant="memoryless_env")
+        pool = [f"{v}{t}" for t in range(3) for v in "MAS"]
+        triples = sample_separated_triples(build_loop_dag(3, "memoryless_env"), pool, 40,
+                                           np.random.default_rng(4))
+        joint = trajectory_distribution(pal, 3).joint
+        assert report.n_checked == len(triples) == 40
+        assert [violation[:3] for violation in report.violations] == triples
+        for *trip, cmi in report.violations:
+            assert cmi == pytest.approx(
+                conditional_mutual_information(joint, *trip, base="nats"), abs=1e-12)
 
     def test_product_template_requires_invariant_kernel(self, fig5, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 2), fig5)

@@ -23,6 +23,28 @@ def stationary_by_linear_solve(P: np.ndarray) -> np.ndarray:
     return pi
 
 
+def gth_in_blocks_of_32(blocks: np.ndarray) -> np.ndarray:
+    """Oracle: GTH elimination with per-state updates of every panel, the
+    trailing matrix updated once per 32 states; a chain of at most 32
+    states is censored one state at a time throughout."""
+    A = np.array(blocks, dtype=float)
+    n = A.shape[-1]
+    for hi in range(n, 1, -32):
+        lo = max(hi - 32, 0)
+        for k in range(hi - 1, max(lo, 1) - 1, -1):
+            A[:, :k, k] /= A[:, k, :k].sum(axis=1, keepdims=True)
+            A[:, :k, lo:k] += A[:, :k, k, None] * A[:, k, None, lo:k]
+            if lo:
+                A[:, lo:k, :lo] += A[:, lo:k, k, None] * A[:, k, None, :lo]
+        if lo:
+            A[:, :lo, :lo] += A[:, :lo, lo:hi] @ A[:, lo:hi, :lo]
+    x = np.empty(A.shape[:2])
+    x[:, 0] = 1.0
+    for j in range(1, n):
+        x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+    return x / x.sum(axis=1, keepdims=True)
+
+
 def first_passage_per_target(P: np.ndarray, horizon: int):
     """Independent oracle: one taboo recursion per target state, each with
     its own kernel whose column j is zeroed.  Returns the hit probabilities
@@ -242,15 +264,16 @@ class TestExactLimits:
         expected = [[0.0, 1 / 3, 2 / 3], [0, 1, 0], [0, 0, 1]]
         assert np.max(np.abs(cesaro_matrix(TransitionKernel(P)) - expected)) <= 1e-14
 
-    def test_long_birth_death_chain(self):
-        # 100 states, several elimination blocks; detailed balance gives
-        # pi_i proportional to 2^-i, matched entrywise to relative 1e-12
-        n = 100
+    @pytest.mark.parametrize("n, up, down, stay", [(100, 0.3, 0.6, 0.1), (300, 0.3, 0.6, 0.1),
+                                                   (300, 3e-10, 6e-10, 1.0 - 9e-10)])
+    def test_long_birth_death_chain(self, n, up, down, stay):
+        # several elimination blocks, the last case sticky; detailed balance
+        # gives pi_i proportional to 2^-i, matched entrywise to relative 1e-12
         P = np.zeros((n, n))
         for i in range(n):
-            P[i, min(i + 1, n - 1)] += 0.3
-            P[i, max(i - 1, 0)] += 0.6
-            P[i, i] += 0.1
+            P[i, min(i + 1, n - 1)] += up
+            P[i, max(i - 1, 0)] += down
+            P[i, i] += stay
         pi = 0.5 ** np.arange(n)
         pi /= pi.sum()
         cesaro = cesaro_matrix(TransitionKernel(P))
@@ -284,6 +307,38 @@ class TestExactLimits:
         expected[t1] = on_cycles([1 / 2, 1 / 2, 0, 0])
         assert np.max(np.abs(laws.mean(axis=1) - expected)) <= 1e-14
         assert invariance_gap(P, laws) <= 1e-14
+
+
+class TestBlockedGTH:
+    """Blocked GTH against the per-state oracle: the block holding state 0
+    is censored one state at a time, so short chains agree bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 32])
+    def test_short_chains_bit_identical(self, rng, n):
+        # the capacity search's stacks: 13 positive kernels of at most 32
+        # states.  The limit engine gathers a closed class with a fancy index,
+        # so the stack axis varies fastest; sums round differently in that
+        # layout, and its laws must be the oracle's in that layout
+        P = np.stack([random_kernel(rng, n).probs for _ in range(13)])
+        np.testing.assert_array_equal(markov._gth_stationary(P.copy()),
+                                      gth_in_blocks_of_32(P))
+        states = np.arange(n)
+        start = np.zeros((13, 1, n))
+        start[:, 0, 0] = 1.0
+        _, laws = markov._limit_laws(P, start)
+        np.testing.assert_array_equal(laws[:, 0, 0],
+                                      gth_in_blocks_of_32(P[:, states[:, None], states]))
+
+    @pytest.mark.parametrize("n", [33, 100, 257, 600])
+    def test_long_chains_within_rounding(self, rng, n):
+        P = random_kernel(rng, n).probs[None]
+        expected = gth_in_blocks_of_32(P)
+        assert np.max(np.abs(markov._gth_stationary(P.copy()) - expected)) <= 1e-15
+
+    def test_stack_matches_members(self, rng):
+        P = np.stack([random_kernel(rng, 150).probs for _ in range(3)])
+        alone = [markov._gth_stationary(member[None].copy())[0] for member in P]
+        np.testing.assert_array_equal(markov._gth_stationary(P), alone)
 
 
 def _underflow_chains():
