@@ -9,7 +9,13 @@ predictive agent class.
 Every asymptotic rate comes from one Cesàro engine, ``_cesaro_tables``,
 which keeps the state's law under each subsequence limit from
 ``markov._limit_laws`` and forms no limit matrix: ``work_rate`` runs it on
-one agent and the capacity search's ``_work_rates`` on a stack of them.
+one agent and the capacity search's ``_work_rates`` on a stack of them.  It
+runs on the pre-percept chain (memory, action, hidden state), |S| times
+smaller than the global chain: the percept is a fresh draw from the
+emission e(s | a, z), so each law of the global chain is a law of that
+chain times the emission (Kemeny & Snell 1960, functions of a Markov
+chain), and ``_lift`` forms it before any entropy is read.
+``build_global_chain`` keeps the global chain for inspection and checks.
 
 Every finite-horizon trajectory quantity comes from one contraction engine,
 ``_trajectory_marginal``: it multiplies in the product-form factors in round
@@ -83,32 +89,6 @@ class GlobalChain:
         return int(np.prod(self.shape))
 
 
-def _global_kernels(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global kernels ``(B, n, n)``, round-0 vectors ``(B, n)`` and the
-    feasible-state mask of a stack of B agents (``theta`` ``(B, |A|, M, |A|,
-    M)``, ``init`` ``(B, |A|, M)``) on one environment; see
-    :func:`build_global_chain`."""
-    phi = env.phi
-    n_b, n_a, n_m = init.shape
-    emission = phi.sum(axis=3)  # [a, z, s]
-    den = emission.transpose(0, 2, 1)  # [a, s, z]
-    feasible4 = den > 0.0
-    den_safe = np.where(feasible4, den, 1.0)
-
-    # X[a, z, s, z2] = phi / den; theta[B, s, m, a2, m2]; E[a2, z2, s2] = emission
-    X = phi / den_safe.transpose(0, 2, 1)[:, :, :, None]
-    K9 = np.einsum("azsw,Bsmbn,bwt->Bmasznbtw", X, theta, emission)
-
-    n = n_m * den.size
-    K = K9.reshape(n_b, n, n)
-    feasible = np.broadcast_to(feasible4, (n_m, *feasible4.shape)).reshape(n)
-    K[:, ~feasible] = 1.0 / n  # uniform placeholder; never entered
-
-    init5 = np.einsum("Bam,z,azs->Bmasz", init, env.initial, emission)
-    return K, init5.reshape(n_b, n), feasible
-
-
 def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
     """Assemble the one-step kernel and the round-0 distribution.
 
@@ -119,10 +99,18 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
 
     and the round-0 distribution is agent_init(a, m) * env_init(z) * e(s|a, z).
     """
-    K, init, feasible = _global_kernels(loop.env, loop.agent.theta[None],
-                                        loop.agent.initial_joint[None])
-    return GlobalChain(loop.shape, TransitionKernel(K[0]), Distribution(init[0]),
-                       feasible, bfs_levels(init[0] > 0.0, K[0] > 0.0) >= 0)
+    phi = loop.env.phi
+    emission = phi.sum(axis=3)  # [a, z, s]
+    feasible4 = emission > 0.0
+    X = phi / np.where(feasible4, emission, 1.0)[..., None]
+    n = int(np.prod(loop.shape))
+    K = np.einsum("azsw,smbn,bwt->masznbtw", X, loop.agent.theta, emission).reshape(n, n)
+    feasible = np.broadcast_to(feasible4.transpose(0, 2, 1), loop.shape).reshape(n)
+    K[~feasible] = 1.0 / n  # uniform placeholder; never entered
+    init = np.einsum("am,z,azs->masz", loop.agent.initial_joint, loop.env.initial,
+                     emission).reshape(n)
+    return GlobalChain(loop.shape, TransitionKernel(K), Distribution(init),
+                       feasible, bfs_levels(init > 0.0, K > 0.0) >= 0)
 
 
 @dataclass(frozen=True)
@@ -247,7 +235,9 @@ class WorkReport:
     ``cesaro_law`` is the Cesàro limit of the law of U_t, zero off
     ``reachable``.  ``residual`` is the invariance gap ``max_r |t_r P -
     t_{r+1 mod d}|`` of the d subsequence-limit laws t_r the rate is read
-    from, d = ``period_used``; it shows how well they solve their defining
+    from, d = ``period_used``, with P the kernel of the pre-percept chain
+    (memory, action, hidden state) those laws are solved on (see
+    :func:`_cesaro_tables`); it shows how well they solve their defining
     equations, not a bound on the rate's error.
     """
 
@@ -266,30 +256,50 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     """The Cesàro engine behind every work rate, for a stack of B agents on
     ``env`` (``theta`` ``(B, |A|, M, |A|, M)``, ``init`` ``(B, |A|, M)``).
 
-    Returns the global kernels ``(B, n, n)``, the round-0 vectors ``(B, n)``
-    and, for each group of members with one support pattern (kernel and
-    round-0 vector), ``(members, reach, structure, tables)``: the mask of
-    reachable states, the structure of the reachable subchain, and
-    ``tables[i, r] = u P^r L`` for r < d, the laws of U_{nd+r} as n grows
+    It runs on the pre-percept chain W_t = (M_t, A_t, Z_t), states indexed
+    row-major in that order: the percept S_t is a fresh draw from e(s | a,
+    z), so W_t is a Markov chain with kernel ``Kw[(m, a, z), (n, b, w)] =
+    sum_s phi(s, w | a, z) theta(b, n | s, m)``, and the law of U_t = (M_t,
+    A_t, S_t, Z_t) is the law of W_t times e(s | a, z) at every t and in
+    every subsequence limit (:func:`_lift`).  This chain is |S| times
+    smaller than the global one, and it has no infeasible states.
+
+    Returns the kernels ``Kw`` ``(B, n, n)``, the round-0 vectors ``(B,
+    n)`` and, for each group of members with one support pattern (kernel
+    and round-0 vector), ``(members, reach, structure, tables)``: the mask
+    of reachable W states, the structure of the reachable subchain, and
+    ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as n grows
     (zero off ``reach``), with u the round-0 vector, P the reachable
     subchain, d its period lcm and L = lim P^{nd}, from
     :func:`markov._limit_laws`.  The stack shares one kernel einsum and one
     validation; a group shares one reachability search and one chain
     structure, and its limit laws are solved at once.
     """
-    K, p0, _ = _global_kernels(env, theta, init)
+    n_b, n_a, n_m = init.shape
+    n = n_m * n_a * env.n_hidden
+    K = np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta).reshape(n_b, n, n)
+    p0 = np.einsum("Bam,z->Bmaz", init, env.initial).reshape(n_b, n)
     _check_stochastic(K, name="kernel")
     _check_stochastic(p0, name="initial distribution")
     support, start = K > 0.0, p0 > 0.0
     groups = []
-    for members in _by_pattern(np.concatenate([support.reshape(len(K), -1), start], axis=1)):
+    for members in _by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
         reach = bfs_levels(start[members[0]], support[members[0]]) >= 0
         structure, laws = _limit_laws(K[np.ix_(members, reach, reach)],
                                       p0[np.ix_(members, reach)][:, None, :])
-        tables = np.zeros((len(members), structure.period_lcm, K.shape[1]))
+        tables = np.zeros((len(members), structure.period_lcm, n))
         tables[:, :, reach] = laws[:, 0]
         groups.append((members, reach, structure, tables))
     return K, p0, groups
+
+
+def _lift(laws: np.ndarray, env: EnvironmentModel) -> np.ndarray:
+    """Tables p(m, a, s, z) = p(m, a, z) e(s | a, z) from laws over the
+    pre-percept states (m, a, z) of :func:`_cesaro_tables`, flattened on
+    the last axis; leading axes stack laws."""
+    emission = env.phi.sum(axis=3)  # [a, z, s]
+    w = laws.reshape(*laws.shape[:-1], -1, *emission.shape[:2])
+    return np.einsum("...maz,azs->...masz", w, emission)
 
 
 def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> WorkReport:
@@ -298,7 +308,8 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     The rate is the exact Cesàro limit, the mean of the work terms of the
     subsequence-limit laws from :func:`_cesaro_tables` on a stack of one;
     ``per_round`` lists the first ``rounds`` finite-t work terms from
-    propagating the round-0 vector through the same kernel.
+    propagating the round-0 vector through the same kernel.  Every law is
+    lifted to the global chain's states before it is read.
     """
     factor = _base_factor(base)
     K, p0, ((_, reach, structure, tables),) = _cesaro_tables(
@@ -306,15 +317,17 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     P, p, t = K[0], p0[0], tables[0]
     per_round = []
     for _ in range(rounds):
-        per_round.append(_work_term_nats(p.reshape(loop.shape)) * factor)
+        per_round.append(_work_term_nats(_lift(p, loop.env)) * factor)
         p = p @ P
-    d = len(t)
-    rate, h_action = _cesaro_terms(t.reshape(d, *loop.shape))
+    rate, h_action = _cesaro_terms(_lift(t, loop.env))
     action_entropy = _clamp_nonneg(float(h_action), "mean action entropy") * factor
     residual = float(np.max(np.abs(t @ P - np.roll(t, -1, axis=0))))
-    return WorkReport(tuple(per_round), float(rate) * factor, action_entropy, d, residual,
-                      base, reach, int(structure.classification.recurrent.sum()),
-                      t.mean(axis=0))
+    recurrent = np.zeros_like(reach)
+    recurrent[np.flatnonzero(reach)[structure.classification.recurrent]] = True
+    return WorkReport(tuple(per_round), float(rate) * factor, action_entropy, len(t), residual,
+                      base, _lift(reach, loop.env).reshape(-1) > 0.0,
+                      int(np.count_nonzero(_lift(recurrent, loop.env))),
+                      _lift(t.mean(axis=0), loop.env).reshape(-1))
 
 
 def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
@@ -323,11 +336,9 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     (shapes as in :func:`_cesaro_tables`); member b's rate is ``work_rate``
     of that agent in nats, read from the same tables."""
     _, _, groups = _cesaro_tables(env, theta, init)
-    n_b, n_a, n_m = init.shape
-    shape = (n_m, n_a, n_a, env.n_hidden)
-    rates = np.empty(n_b)
+    rates = np.empty(len(init))
     for members, _, _, tables in groups:
-        rates[members] = _cesaro_terms(tables.reshape(len(members), -1, *shape))[0]
+        rates[members] = _cesaro_terms(_lift(tables, env))[0]
     return rates
 
 

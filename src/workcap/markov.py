@@ -61,44 +61,19 @@ def _check_stochastic(arr: np.ndarray, *, name: str) -> None:
     raise DomainError(f"{name}: {where}sums to {float(row_sums[bad])!r}, expected 1")
 
 
-def _validated_probs(probs, *, name: str) -> np.ndarray:
-    arr = np.array(probs, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name}: expected a 2-D table, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name}: empty table")
-    _check_stochastic(arr, name=name)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class TransitionKernel:
-    """A conditional probability table over finite input/output index sets."""
+    """A Markov chain's one-step kernel: a square row-stochastic table."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _validated_probs(self.probs, name="kernel"))
-
-    @property
-    def n_in(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_in == self.n_out
-
-    def require_square(self) -> np.ndarray:
-        if not self.is_square:
-            raise DimensionError(
-                f"operation needs a square kernel, got {self.n_in}x{self.n_out}"
-            )
-        return self.probs
+        arr = np.array(self.probs, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise DimensionError(f"kernel: expected a nonempty square table, got shape {arr.shape}")
+        _check_stochastic(arr, name="kernel")
+        arr.setflags(write=False)
+        object.__setattr__(self, "probs", arr)
 
 
 @dataclass(frozen=True)
@@ -149,7 +124,7 @@ def classify_states(kernel: TransitionKernel) -> StateClassification:
     Classes are the strongly connected components of the positive-probability
     digraph; a class is recurrent iff it is closed (no edge leaves it).
     """
-    return _structure_of(kernel.require_square() > 0.0).classification
+    return _structure_of(kernel.probs > 0.0).classification
 
 
 def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -256,7 +231,7 @@ def _triangular_inverses(T: np.ndarray, lower: bool) -> np.ndarray:
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
     """Stationary vectors of a ``(B, n, n)`` stack of irreducible kernels
     by GTH elimination, one row of the ``(B, n)`` result per kernel.  ``A``
-    is work space and may be overwritten.
+    is C-ordered work space and may be overwritten.
 
     Grassmann, Taksar & Heyman (1985): states are censored out one at a
     time from the last, and each elimination divides by the censored row's
@@ -287,11 +262,6 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     """
     B, n = A.shape[:2]
     m = _GTH_BLOCK
-    if n > m:
-        # BLAS needs each member's rows contiguous.  A single block keeps its
-        # layout: its sums round by layout, and the per-state path must round
-        # as it always has
-        A = np.ascontiguousarray(A)
     diag = np.arange(m)
     lo = n
     while lo > m:
@@ -335,26 +305,28 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
     times the absorption probabilities H from ``(I - Q_TT) H = R``, whose
     diagonal is each row's outflow (off-diagonal sum) rather than ``1 -
     q_ii``, so slow leaks keep their digits.  No n x n limit is formed.
+    Every gather (``take``, ``ix_``) is a new C-ordered array, so each
+    member's sums round as they do for that member alone.
     """
     transient = np.ones(Q.shape[-1], dtype=bool)
     weights = []
     for members in closed:
         transient[members] = False
-        weights.append(V[:, :, members].sum(axis=2))
+        weights.append(V.take(members, axis=2).sum(axis=2))
     t = np.flatnonzero(transient)
     if t.size:
         diag = np.arange(t.size)
-        rows = Q[:, t]
+        rows = Q.take(t, axis=1)
         rows[:, diag, t] = 0.0
-        A = -rows[:, :, t]
+        A = -rows.take(t, axis=2)
         A[:, diag, diag] = rows.sum(axis=2)
-        R = np.stack([rows[:, :, members].sum(axis=2) for members in closed], axis=2)
-        absorbed = V[:, :, t] @ np.linalg.solve(A, R)
+        R = np.stack([rows.take(members, axis=2).sum(axis=2) for members in closed], axis=2)
+        absorbed = V.take(t, axis=2) @ np.linalg.solve(A, R)
         weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
     laws = np.zeros(V.shape)
     for members, w in zip(closed, weights):
-        # a new array, which GTH may overwrite
-        pi = _gth_stationary(Q[:, members[:, None], members])
+        # GTH may overwrite this new array
+        pi = _gth_stationary(Q[np.ix_(np.arange(len(Q)), members, members)])
         laws[:, :, members] = w[:, :, None] * pi[:, None, :]
     return laws
 
@@ -431,7 +403,7 @@ def first_passage(kernel: TransitionKernel, horizon: int) -> FirstPassageStats:
     wins only at short horizons (T <= 10, and T <= 30 at n = 16) and on
     large chains (n >= 50 at T = 3000).
     """
-    P = kernel.require_square()
+    P = kernel.probs
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     recurrent = classify_states(kernel).recurrent

@@ -11,9 +11,9 @@ from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      work_rate)
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
-from workcap.loop import (GlobalChain, _cesaro_terms, _trajectory_marginal,
-                          _work_rates, am_predictiveness, future_predictiveness,
-                          predictiveness_score)
+from workcap.loop import (GlobalChain, _cesaro_tables, _cesaro_terms, _lift,
+                          _trajectory_marginal, _work_rates, am_predictiveness,
+                          future_predictiveness, predictiveness_score)
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
 
@@ -497,6 +497,18 @@ def echo_after_random_first_action(q):
     return AgentModel(("0", "1"), ("m0", "m1"), theta, init)
 
 
+def sparse_emission_env(rng, n_a=2, n_z=3):
+    """A random environment with about a third of its emissions e(s | a, z)
+    zeroed, at least one percept kept per (action, hidden state), so the
+    global chain has infeasible states."""
+    env = random_environment(rng, n_a, n_z)
+    keep = rng.random((n_a, n_z, n_a)) >= 1 / 3
+    keep[np.arange(n_a)[:, None], np.arange(n_z), rng.integers(n_a, size=(n_a, n_z))] = True
+    phi = env.phi * keep[..., None]
+    phi /= phi.sum(axis=(2, 3), keepdims=True)
+    return EnvironmentModel(env.alphabet, env.hidden_states, phi, env.initial)
+
+
 class TestBatchedWorkRates:
     def test_random_dense_loops(self, rng):
         for n_z, n_m in ((1, 1), (2, 2), (3, 2), (2, 3)):
@@ -563,6 +575,38 @@ class TestBatchedWorkRates:
         assert (theta == 0.0).any() and (theta[:2] > 0.0).all() and (init[:3] > 0.0).all()
         assert_matches_scalar(env, agents_of(env.alphabet, theta, init))
 
+    def test_zeroed_emissions(self, rng):
+        # reach, period and recurrent counts over the global chain's states
+        # are read off the pre-percept chain; infeasible states must stay out
+        for n_a, n_z in ((3, 2), (2, 4), (2, 3)):
+            env = sparse_emission_env(rng, n_a, n_z)
+            assert (env.phi.sum(axis=3) == 0.0).any()
+            assert_matches_scalar(env, [random_agent(rng, n_a, 2) for _ in range(3)])
+            for agent in (build_identity(env.alphabet), random_agent(rng, n_a, 1),
+                          build_last_action(env.alphabet, np.full(n_a, 1 / n_a))):
+                assert_matches_scalar(env, [agent])
+        assert_matches_scalar(sparse_emission_env(rng),
+                              [echo_after_random_first_action(q) for q in (0.3, 1e-9)])
+
+    def test_member_equals_solo_rate(self, rng):
+        # each member's rate is that agent's work_rate bit for bit, whatever
+        # else its stack holds
+        dim = 4 * 4 + 4
+        x = rng.normal(scale=1.5, size=(10, dim))
+        extreme = rng.random((10, dim)) < 0.3
+        extreme[:4] = False
+        x[extreme] = rng.choice([-800.0, 800.0], size=int(extreme.sum()))
+        stacks = [(random_environment(rng, 2, 3), agents_of(("0", "1"),
+                                                           *_kernels_from_params(x, 2, 2))),
+                  (random_environment(rng, 3, 2), [random_agent(rng, 3, 2) for _ in range(5)]),
+                  (cycles_env(rng), [random_agent(rng, 2, 2) for _ in range(4)]),
+                  (sparse_emission_env(rng), [random_agent(rng, 2, 3) for _ in range(4)])]
+        for env, agents in stacks:
+            rates = _work_rates(env, *stack(agents))
+            for agent, batched in zip(agents, rates):
+                assert batched == work_rate(PerceptActionLoop(agent, env), rounds=0,
+                                            base="nats").rate
+
     def test_non_stochastic_member_raises(self, rng):
         env = random_environment(rng, 2, 2)
         theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
@@ -623,3 +667,42 @@ class TestResidual:
             P, tables = seen[-1]
             assert residual > 1e-8
             assert abs(residual - invariance_gap(P, tables)) <= 1e-15
+
+
+class TestPrePerceptChain:
+    """Every rate is solved on W_t = (M_t, A_t, Z_t); the law of U_t is the
+    law of W_t times the emission e(s | a, z)."""
+
+    def test_round_laws_lift_to_global_chain_laws(self, rng, fig5, identity_env,
+                                                  golden_mean):
+        loops = [PerceptActionLoop(random_agent(rng, 2, 2), env)
+                 for env in (fig5, identity_env, golden_mean, cycles_env(rng))]
+        loops += [PerceptActionLoop(build_identity(("0", "1")), identity_env),
+                  PerceptActionLoop(echo_after_random_first_action(0.1), identity_env)]
+        for pal in loops:
+            chain = build_global_chain(pal)
+            K, p0, _ = _cesaro_tables(pal.env, pal.agent.theta[None],
+                                      pal.agent.initial_joint[None])
+            u, w = chain.initial.probs, p0[0]
+            for _ in range(6):
+                assert np.max(np.abs(u - _lift(w, pal.env).reshape(-1))) <= 1e-15
+                u, w = u @ chain.kernel.probs, w @ K[0]
+        assert not build_global_chain(loops[1]).feasible.all()
+
+    def test_limit_engine_sees_pre_percept_chains(self, rng, monkeypatch):
+        import workcap.loop as loop_mod
+        engine, sizes = loop_mod._limit_laws, []
+
+        def spy(P, u):
+            sizes.append(P.shape[1:])
+            return engine(P, u)
+        monkeypatch.setattr(loop_mod, "_limit_laws", spy)
+        for n_a, n_m, n_z in ((2, 1, 1), (2, 2, 3), (3, 2, 2)):
+            env = random_environment(rng, n_a, n_z)
+            agents = [random_agent(rng, n_a, n_m) for _ in range(3)]
+            _work_rates(env, *stack(agents))
+            work_rate(PerceptActionLoop(agents[0], env), rounds=0)
+            n = n_m * n_a * n_z
+            assert sizes == [(n, n)] * 2
+            assert build_global_chain(PerceptActionLoop(agents[0], env)).n_states == n * n_a
+            sizes.clear()

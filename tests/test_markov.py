@@ -137,9 +137,8 @@ class TestClassify:
         assert all(cls.class_recurrent)
 
     def test_non_square_rejected(self):
-        rect = TransitionKernel([[0.5, 0.25, 0.25]])
         with pytest.raises(DimensionError):
-            classify_states(rect)
+            TransitionKernel([[0.5, 0.25, 0.25]])
 
 
 class TestPeriod:
@@ -316,18 +315,19 @@ class TestBlockedGTH:
     @pytest.mark.parametrize("n", [1, 2, 7, 20, 32])
     def test_short_chains_bit_identical(self, rng, n):
         # the capacity search's stacks: 13 positive kernels of at most 32
-        # states.  The limit engine gathers a closed class with a fancy index,
-        # so the stack axis varies fastest; sums round differently in that
-        # layout, and its laws must be the oracle's in that layout
+        # states.  The limit engine gathers each closed class in C order, so
+        # its laws are the oracle's on the C-ordered stack, and each member's
+        # are those of that member alone
         P = np.stack([random_kernel(rng, n).probs for _ in range(13)])
-        np.testing.assert_array_equal(markov._gth_stationary(P.copy()),
-                                      gth_in_blocks_of_32(P))
-        states = np.arange(n)
+        expected = gth_in_blocks_of_32(P)
+        np.testing.assert_array_equal(markov._gth_stationary(P.copy()), expected)
         start = np.zeros((13, 1, n))
         start[:, 0, 0] = 1.0
         _, laws = markov._limit_laws(P, start)
-        np.testing.assert_array_equal(laws[:, 0, 0],
-                                      gth_in_blocks_of_32(P[:, states[:, None], states]))
+        np.testing.assert_array_equal(laws[:, 0, 0], expected)
+        for member, law in zip(P, laws[:, 0, 0]):
+            np.testing.assert_array_equal(markov._limit_laws(member[None], start[:1])[1][0, 0, 0],
+                                          law)
 
     @pytest.mark.parametrize("n", [33, 100, 257, 600])
     def test_long_chains_within_rounding(self, rng, n):
