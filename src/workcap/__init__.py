@@ -15,8 +15,8 @@ from .capacity import (CapacityResult, capacity_lower_bound, capacity_memoryless
                        check_subadditivity, classify_agent_sets,
                        compute_capacity)
 from .channels import (AgentModel, EnvironmentModel, UnifilarityMap, cascade,
-                       channel_law, is_memoryless_invariant, is_noiseless,
-                       is_product, is_unifilar, load_model, save_model)
+                       is_memoryless_invariant, is_noiseless, is_product,
+                       is_unifilar, load_model, save_model)
 from .errors import (BudgetError, ChannelClassError, ConvergenceError,
                      DimensionError, DomainError, InternalConsistencyError,
                      ModelFormatError, WorkcapError)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import xlogy
 
 from . import agents, channels, info, loop
@@ -81,15 +80,21 @@ def _noiseless_form(env: channels.EnvironmentModel) -> CapacityResult:
     return CapacityResult(0.0, CLOSED_FORM_NOISELESS, witness=witness, upper_nats=0.0)
 
 
+def _percepts(reduced: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The percept law pR of each row of ``p``; ``reduced`` is one kernel or
+    a stack with one kernel per row."""
+    return (p[..., None, :] @ reduced)[..., 0, :]
+
+
 def _memoryless_objective(reduced: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     """One-shot work term H(action) - H(induced percept), in nats.
 
     This is the work rate of the memoryless agent that plays ``p`` every
     round, so its maximum over the simplex is the capacity of a memoryless
-    invariant channel.  ``p`` may stack one distribution per row; the result
-    then has one value per row.
+    invariant channel.  ``p`` may stack one distribution per row, and
+    ``reduced`` one kernel per row; the result then has one value per row.
     """
-    q = p @ reduced
+    q = _percepts(reduced, p)
     return xlogy(q, q).sum(axis=-1) - xlogy(p, p).sum(axis=-1)
 
 
@@ -107,7 +112,8 @@ def _value_rounding(reduced: np.ndarray, p: np.ndarray) -> float:
 def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the objective at ``cand`` minus that at ``p``, and the
-    worst-case rounding of that sum.
+    worst-case rounding of that sum; ``reduced`` broadcasts against the
+    rows' leading axes, one kernel or one per row.
 
     Each entry x of p and of pR that moves by d adds d log(x + d) +
     x log1p(d / x) with the sign of its entropy, so a gain too small to
@@ -116,38 +122,40 @@ def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
     rounding) times the value at ``p`` is taken off.
     """
     d = cand - p
-    x = np.concatenate([p @ reduced, p], axis=1)
-    dx = np.concatenate([d @ reduced, d], axis=1)
+    x = np.concatenate([_percepts(reduced, p), p], axis=-1)
+    dx = np.concatenate([_percepts(reduced, d), d], axis=-1)
     moved = np.maximum(x + dx, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         near = xlogy(dx, moved) + x * np.log1p(dx / x)
     terms = np.where((x > 0) & (moved > 0), near, xlogy(moved, moved) - xlogy(x, x))
-    sign = np.repeat([1.0, -1.0], p.shape[1])
-    gain = terms @ sign - d.sum(axis=1) * _memoryless_objective(reduced, p)
+    sign = np.repeat([1.0, -1.0], p.shape[-1])
+    gain = terms @ sign - d.sum(axis=-1) * _memoryless_objective(reduced, p)
     return gain, _rounding(terms)
 
 
-def _certain_gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray) -> float:
-    """The exact gain of moving from ``p`` to ``cand`` where it exceeds its
-    rounding and DUST, else 0."""
-    gain, bound = _gain(reduced, p[None], cand[None])
-    return float(gain[0]) if gain[0] > max(bound[0], DUST) else 0.0
+def _certain_gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Per row, the exact gain of moving from ``p`` to ``cand`` where it
+    exceeds its rounding and DUST, else 0."""
+    gain, bound = _gain(reduced, p, cand)
+    return np.where(gain > np.maximum(bound, DUST), gain, 0.0)
 
 
-def _lift(row: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """``row`` with every entry raised to at least ``floor``, renormalized."""
-    if (row >= floor).all():
-        return row
-    row = np.maximum(row, floor)
-    return row / row.sum()
+def _lift(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Each row with every entry raised to at least ``floor``, renormalized;
+    a row already above its floor is returned as it is."""
+    lifted = np.maximum(rows, floor)
+    low = ~(rows >= floor).all(axis=-1, keepdims=True)
+    return np.where(low, lifted / lifted.sum(axis=-1, keepdims=True), rows)
 
 
-def _ascent(reduced: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Maximize the concave H(p) - H(pR) over the simplex from ``start``.
+def _ascent(reduced: np.ndarray, start: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize the concave H(p) - H(pR) over the simplex, for a stack of
+    channels ``reduced`` ``(B, n, n)`` from the rows of ``start`` ``(B, n)``.
 
     With c = R log(pR) (0 log 0 = 0) and g_a = c_a - log p_a, the maximum is
     where g_a equals its mean g·p on every played action.  Each step tries
-    three moves and takes the one that gains most:
+    three moves and takes the one that gains most, the first on a tie:
 
     - the fixed-point step p ∝ exp(c) (alternating maximization; Blahut
       1972, Arimoto 1972), counted only when its computed value rises, so it
@@ -155,11 +163,15 @@ def _ascent(reduced: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndar
     - a Newton step on g_a = g·p in log p, taken as p ∝ p exp(du) so it stays
       in the simplex.  Its Jacobian P - I, P_ab = sum_s R_as p_b R_bs / q_s
       with P row-stochastic, stays well scaled where an entry is 1e-40,
-      unlike the Hessian in p.  It is solved by least squares without the
-      singular values below NEWTON_FLAT (the constant shift of log p, and
-      directions along which the objective is linear).  While some played
-      entries are below FACE_TOL, the step restricted to them is tried too,
-      since rounding of the large entries' move can hide what they gain;
+      unlike the Hessian in p.  The Jacobian and the right-hand side are
+      zeroed off the played block, and the step is the pseudo-inverse
+      solution without the singular values below NEWTON_FLAT (the constant
+      shift of log p, and directions along which the objective is linear);
+      the padding adds only zero singular values, so this is the
+      minimum-norm least-squares step on the played block.  While some
+      played entries are below FACE_TOL, the step restricted to them is
+      tried too, since rounding of the large entries' move can hide what
+      they gain;
     - emptying a block: the played actions split into blocks that share no
       percept, the objective is linear in the blocks' masses, and a block's
       capacity is at most its largest g_a (:func:`_upper_bound`), so the
@@ -171,56 +183,72 @@ def _ascent(reduced: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndar
     min(p_a, DUST): an entry at 0 is a face no step leaves again, and a
     subnormal one has no precision left.  A move counts when its exact gain
     (:func:`_gain`) exceeds its rounding and DUST, since the last Newton
-    steps gain less than a rounding step of the value.  Returns the last
-    row; the weights for :func:`_upper_bound`, which are the row with each
-    emptied block at DUST times its last relative weights; and whether
-    ASCENT_STEPS ran out while a move gained.
+    steps gain less than a rounding step of the value.  A member stops when
+    no move gains, and the later steps run on the members still moving, so
+    each member takes the steps it would take alone.  Returns, with a
+    leading B, the last rows; the weights for :func:`_upper_bound`, which
+    are the rows with each emptied block at DUST times its last relative
+    weights; and whether ASCENT_STEPS ran out while a move gained.
     """
     p = start.copy()
-    ghost = np.ones(p.size)  # relative weights of the emptied blocks
+    ghost = np.ones_like(p)  # relative weights of the emptied blocks
+    stalled = np.ones(len(p), dtype=bool)
+    live = np.arange(len(p))
+    support = reduced > 0
+    n = p.shape[1]
     for _ in range(ASCENT_STEPS):
-        played = p > 0
-        q = p @ reduced
-        c = xlogy(reduced, q).sum(axis=1)
+        if not live.size:
+            break
+        rk, x, hits = reduced[live], p[live], support[live]
+        played = x > 0
+        q = _percepts(rk, x)
+        c = xlogy(rk, q[:, None, :]).sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.log(p)
+            log_p = np.log(x)
             g = np.where(played, c - log_p, 0.0)
-        mean = g @ p
-        floor = np.where(played, np.minimum(p, DUST), 0.0)
-        moves = []  # (exact gain, row, whether it empties a block)
+        mean = (g * x).sum(axis=1)
+        floor = np.where(played, np.minimum(x, DUST), 0.0)
+        # the fixed-point, Newton, tiny-entry Newton and emptying moves
+        rows = np.empty((len(live), 4, n))
 
-        fixed = _lift(_softmax_rows(c), floor)
-        if _memoryless_objective(reduced, fixed) > _memoryless_objective(reduced, p):
-            moves.append((_certain_gain(reduced, p, fixed), fixed, False))
+        rows[:, 0] = _lift(_softmax_rows(c), floor)
+        rises = _memoryless_objective(rk, rows[:, 0]) > _memoryless_objective(rk, x)
 
-        post = np.where(q > 0, p[:, None] * reduced / np.where(q > 0, q, 1.0), 0.0)
-        jac = (reduced @ post.T - np.eye(p.size))[np.ix_(played, played)]
-        du = np.zeros(p.size)
-        du[played] = np.linalg.lstsq(jac, mean - g[played], rcond=NEWTON_FLAT)[0]
-        tiny = played & (p < FACE_TOL)
-        for direction in (du, np.where(tiny, du, 0.0))[: 1 + tiny.any()]:
+        post = np.where(q[:, None, :] > 0,
+                        x[:, :, None] * rk / np.where(q > 0, q, 1.0)[:, None, :], 0.0)
+        both = played[:, :, None] & played[:, None, :]
+        jac = np.where(both, rk @ post.transpose(0, 2, 1) - np.eye(n), 0.0)
+        rhs = np.where(played, mean[:, None] - g, 0.0)
+        du = (np.linalg.pinv(jac, rcond=NEWTON_FLAT) @ rhs[:, :, None])[:, :, 0]
+        tiny = played & (x < FACE_TOL)
+        for k, direction in ((1, du), (2, np.where(tiny, du, 0.0))):
             with np.errstate(invalid="ignore"):
-                newton = _softmax_rows(np.where(played, log_p + direction, -np.inf))
-            newton = _lift(newton, floor)
-            moves.append((_certain_gain(reduced, p, newton), newton, False))
+                rows[:, k] = _lift(_softmax_rows(np.where(played, log_p + direction, -np.inf)),
+                                   floor)
 
-        block = np.arange(p.size) == np.argmin(np.where(played, g, np.inf))
+        block = np.arange(n) == np.argmin(np.where(played, g, np.inf), axis=1)[:, None]
         while True:  # the played actions that share a percept with the block
-            grown = played & (reduced[:, reduced[block].sum(axis=0) > 0].sum(axis=1) > 0)
+            shared = (hits & block[:, :, None]).any(axis=1)
+            grown = played & (hits & shared[:, None, :]).any(axis=2)
             if (grown == block).all():
                 break
             block = grown
-        if (block != played).any() and g[block].max() < mean:
-            emptied = np.where(block, 0.0, p) / p[~block].sum()
-            moves.append((_certain_gain(reduced, p, emptied), emptied, True))
+        empty = (block != played).any(axis=1) & (np.where(block, g, -np.inf).max(axis=1) < mean)
+        kept = np.where(block & empty[:, None], 0.0, x)
+        rows[:, 3] = kept / kept.sum(axis=1, keepdims=True)
 
-        gain, row, empties = max(moves, key=lambda move: move[0], default=(0.0, p, False))
-        if gain <= 0:
-            return p, np.where(played, p, DUST * ghost), False
-        if empties:
-            ghost = np.where(block, p / p[block].max(), ghost)
-        p = row
-    return p, np.where(p > 0, p, DUST * ghost), True
+        # a move not offered gains -inf
+        offered = np.stack([rises, np.ones_like(rises), tiny.any(axis=1), empty], axis=1)
+        gains = np.where(offered, _certain_gain(rk[:, None], x[:, None], rows), -np.inf)
+        best = gains.argmax(axis=1)
+        moving = gains[np.arange(len(live)), best] > 0
+        stalled[live[~moving]] = False
+        empties = moving & (best == 3)
+        top = np.where(block, x, 0.0).max(axis=1, keepdims=True)
+        ghost[live[empties]] = np.where(block, x / top, ghost[live])[empties]
+        p[live[moving]] = rows[moving, best[moving]]
+        live = live[moving]
+    return p, np.where(p > 0, p, DUST * ghost), stalled
 
 
 def _snap_face(reduced: np.ndarray, p: np.ndarray, value: float
@@ -274,19 +302,33 @@ def capacity_memoryless(env: channels.EnvironmentModel) -> CapacityResult:
     reduced = channels.is_memoryless_invariant(env)
     if reduced is None:
         raise ChannelClassError("capacity_memoryless needs a memoryless invariant environment")
-    return _memoryless_form(env, reduced)
+    return _memoryless_forms([env], [reduced])[0]
 
 
-def _memoryless_form(env: channels.EnvironmentModel, reduced: np.ndarray) -> CapacityResult:
-    """:func:`capacity_memoryless` of ``env``, whose reduced kernel is ``reduced``."""
-    n = reduced.shape[0]
-    last, weights, stalled = _ascent(reduced, np.full(n, 1.0 / n))
-    best, value = _snap_face(reduced, last, float(_memoryless_objective(reduced, last)))
-    upper = _upper_bound(reduced, weights) + _value_rounding(reduced, best)
-    witness = agents.build_memoryless(env.alphabet, best)
-    return CapacityResult(value, CLOSED_FORM_MEMORYLESS, witness=witness,
-                          witness_params={"action_distribution": tuple(float(x) for x in best)},
-                          stalled=stalled, upper_nats=min(math.log(n), upper))
+def _memoryless_forms(envs: list[channels.EnvironmentModel], reduceds: list[np.ndarray]
+                      ) -> list[CapacityResult]:
+    """:func:`capacity_memoryless` of each of ``envs``, whose reduced
+    kernels are ``reduceds``.  The channels of each alphabet size run as one
+    stack through :func:`_ascent`, and each member's result is bit for bit
+    the one it gets alone; the face snap and the certificate are per
+    channel."""
+    by_size: dict[int, list[int]] = {}
+    for i, reduced in enumerate(reduceds):
+        by_size.setdefault(reduced.shape[0], []).append(i)
+    results: list[CapacityResult] = [None] * len(envs)
+    for n, members in by_size.items():
+        stack = np.stack([reduceds[i] for i in members])
+        lasts, weights, stalled = _ascent(stack, np.full((len(members), n), 1.0 / n))
+        values = _memoryless_objective(stack, lasts)
+        for k, i in enumerate(members):
+            best, value = _snap_face(stack[k], lasts[k], float(values[k]))
+            upper = _upper_bound(stack[k], weights[k]) + _value_rounding(stack[k], best)
+            witness = agents.build_memoryless(envs[i].alphabet, best)
+            results[i] = CapacityResult(
+                value, CLOSED_FORM_MEMORYLESS, witness=witness,
+                witness_params={"action_distribution": tuple(float(x) for x in best)},
+                stalled=bool(stalled[k]), upper_nats=min(math.log(n), upper))
+    return results
 
 
 def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
@@ -392,6 +434,8 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     witness of a smaller search as a warm start makes the bound monotone in
     ``memory_size`` by construction.
     """
+    from scipy.optimize import minimize  # imported here: no other path needs it
+
     if memory_size < 1:
         raise DomainError("memory_size must be >= 1")
     if restarts < 1:
@@ -455,7 +499,7 @@ def compute_capacity(env: channels.EnvironmentModel, memory_size: int = 2,
         return _noiseless_form(env)
     reduced = channels.is_memoryless_invariant(env)
     if reduced is not None:
-        return _memoryless_form(env, reduced)
+        return _memoryless_forms([env], [reduced])[0]
     uni = channels.is_unifilar(env)
     if uni is not None and channels.is_product(env):
         return _unifilar_product_form(env, uni)
@@ -483,23 +527,41 @@ def check_subadditivity(env1: channels.EnvironmentModel,
     its attained value and its ``upper_nats``, so ``holds`` is True when the
     cascade's upper bound is at most the factors' values plus ``slack``,
     False when the cascade's value exceeds the factors' upper bounds plus
-    ``slack``, and None when the bounds decide neither."""
-    factors = []
-    for which, env in (("first", env1), ("second", env2)):
+    ``slack``, and None when the bounds decide neither.  The three
+    capacities are solved as one stack (:func:`_memoryless_forms`)."""
+    return _subadditivity_reports([(env1, env2)], slack)[0]
+
+
+def _subadditivity_reports(pairs: list[tuple[channels.EnvironmentModel,
+                                             channels.EnvironmentModel]],
+                           slack: float) -> list[SubadditivityReport]:
+    """:func:`check_subadditivity` of each pair, with the factors and
+    cascades of all pairs solved in one call of :func:`_memoryless_forms`."""
+    envs, reduceds = [], []
+
+    def add(env: channels.EnvironmentModel, which: str) -> None:
         reduced = channels.is_memoryless_invariant(env)
         if reduced is None:
             raise ChannelClassError(f"{which} channel is not memoryless invariant")
-        factors.append(_memoryless_form(env, reduced))
-    first, second = factors
-    cascade = capacity_memoryless(channels.cascade(env1, env2))
-    holds = None
-    if cascade.upper_nats <= first.value_nats + second.value_nats + slack:
-        holds = True
-    elif cascade.value_nats > first.upper_nats + second.upper_nats + slack:
-        holds = False
-    return SubadditivityReport(first.value_nats, second.value_nats, cascade.value_nats,
-                               first.upper_nats, second.upper_nats, cascade.upper_nats,
-                               slack, holds)
+        envs.append(env)
+        reduceds.append(reduced)
+
+    for env1, env2 in pairs:
+        add(env1, "first")
+        add(env2, "second")
+        add(channels.cascade(env1, env2), "cascade")
+    forms = _memoryless_forms(envs, reduceds)
+    reports = []
+    for first, second, cascade in zip(forms[0::3], forms[1::3], forms[2::3]):
+        holds = None
+        if cascade.upper_nats <= first.value_nats + second.value_nats + slack:
+            holds = True
+        elif cascade.value_nats > first.upper_nats + second.upper_nats + slack:
+            holds = False
+        reports.append(SubadditivityReport(
+            first.value_nats, second.value_nats, cascade.value_nats,
+            first.upper_nats, second.upper_nats, cascade.upper_nats, slack, holds))
+    return reports
 
 
 @dataclass(frozen=True)

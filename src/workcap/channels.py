@@ -8,8 +8,7 @@ table row and initial law must be a probability vector within
 ``markov.ROW_SUM_TOL`` (DomainError naming the table and row otherwise), and
 the arrays are frozen.  This module also provides the channel-class
 predicates (noiseless, memoryless invariant, product, unifilar), channel
-cascade, finite-horizon channel laws, and the JSON model file format shared
-with the CLI.
+cascade, and the JSON model file format shared with the CLI.
 
 State labels are strings; file I/O assigns indices by sorted label order so
 serialized models round-trip bit-exactly.
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, DimensionError, ModelFormatError
+from .errors import DimensionError, ModelFormatError
 from .markov import ROW_SUM_TOL, _check_stochastic, bfs_levels
 
 ENUMERATION_BUDGET = 20_000_000
@@ -145,27 +144,6 @@ def is_memoryless_invariant(env: EnvironmentModel) -> np.ndarray | None:
     reduced = e[:, 0, :].copy()
     reduced.setflags(write=False)
     return reduced
-
-
-def channel_law(env: EnvironmentModel, actions: tuple[int, ...],
-                budget: int = ENUMERATION_BUDGET) -> np.ndarray:
-    """Exact nu(s_{0:T} | a_{0:T}) for one action sequence.
-
-    Returns an array of shape (|S|,) * T; entry [s_0, ..., s_{T-1}] is the
-    probability of that percept sequence.
-    """
-    n_s, n_z = env.n_symbols, env.n_hidden
-    required = n_s ** len(actions) * n_z
-    if required > budget:
-        raise BudgetError(
-            f"channel law would need a table of {required} entries (budget {budget})",
-            required=required, budget=budget,
-        )
-    # alpha[s_0, ..., s_{t-1}, z]: joint of the percept prefix and the hidden state
-    alpha = env.initial.copy()
-    for a in actions:
-        alpha = np.tensordot(alpha, env.phi[a], axes=([-1], [0]))
-    return alpha.sum(axis=-1)
 
 
 # is_product's zero, for relative sizes: a unit vector's residual off the span

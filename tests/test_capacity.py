@@ -1,17 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (_agent_from_params, _ascent,
-                              _memoryless_objective, _softmax_rows,
-                              compute_capacity)
+from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, NEWTON_FLAT,
+                              _agent_from_params, _ascent, _gain,
+                              _memoryless_forms, _memoryless_objective,
+                              _softmax_rows, _subadditivity_reports,
+                              _upper_bound, compute_capacity)
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
 from workcap.errors import DomainError
 from workcap.info import LN2
@@ -25,7 +32,6 @@ MEMORYLESS_RESTARTS = 8  # random Dirichlet starts of the multistart oracle
 def grid_search_oracle(reduced: np.ndarray, points: int = 200_001) -> tuple[float, float]:
     """Independent oracle for binary channels: dense scan of the one-shot
     work term H(A) - H(S) over the action simplex."""
-    from scipy.special import xlogy
     p0 = np.linspace(0.0, 1.0, points)
     p = np.stack([p0, 1.0 - p0], axis=1)
     q = p @ reduced
@@ -97,7 +103,6 @@ def simplex_grid_oracle(reduced: np.ndarray, steps: int) -> float:
     """Best one-shot work term H(A) - H(S) over a grid on the action simplex:
     ``steps + 1`` points for binary alphabets, the ``steps``-step barycentric
     grid for ternary ones."""
-    from scipy.special import xlogy
     if reduced.shape[0] == 2:
         p0 = np.linspace(0.0, 1.0, steps + 1)
         p = np.stack([p0, 1.0 - p0], axis=1)
@@ -108,6 +113,67 @@ def simplex_grid_oracle(reduced: np.ndarray, steps: int) -> float:
         p = np.stack([i, j, steps - i - j], axis=1) / steps
     q = p @ reduced
     return float(np.max(-xlogy(p, p).sum(axis=1) + xlogy(q, q).sum(axis=1)))
+
+
+def scalar_ascent(reduced: np.ndarray, start: np.ndarray, steps: int = ASCENT_STEPS
+                  ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The ascent on one channel, its Newton step solved by least squares on
+    the played block: the oracle for the stacked :func:`_ascent`, which it
+    matches move for move."""
+    def certain_gain(cand):
+        gain, bound = _gain(reduced, p[None], cand[None])
+        return float(gain[0]) if gain[0] > max(bound[0], DUST) else 0.0
+
+    def lift(row):
+        if (row >= floor).all():
+            return row
+        row = np.maximum(row, floor)
+        return row / row.sum()
+
+    p = start.copy()
+    ghost = np.ones(p.size)
+    for _ in range(steps):
+        played = p > 0
+        q = p @ reduced
+        c = xlogy(reduced, q).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.log(p)
+            g = np.where(played, c - log_p, 0.0)
+        mean = g @ p
+        floor = np.where(played, np.minimum(p, DUST), 0.0)
+        moves = []  # (exact gain, row, whether it empties a block)
+
+        fixed = lift(_softmax_rows(c))
+        if _memoryless_objective(reduced, fixed) > _memoryless_objective(reduced, p):
+            moves.append((certain_gain(fixed), fixed, False))
+
+        post = np.where(q > 0, p[:, None] * reduced / np.where(q > 0, q, 1.0), 0.0)
+        jac = (reduced @ post.T - np.eye(p.size))[np.ix_(played, played)]
+        du = np.zeros(p.size)
+        du[played] = np.linalg.lstsq(jac, mean - g[played], rcond=NEWTON_FLAT)[0]
+        tiny = played & (p < FACE_TOL)
+        for direction in (du, np.where(tiny, du, 0.0))[: 1 + tiny.any()]:
+            with np.errstate(invalid="ignore"):
+                newton = lift(_softmax_rows(np.where(played, log_p + direction, -np.inf)))
+            moves.append((certain_gain(newton), newton, False))
+
+        block = np.arange(p.size) == np.argmin(np.where(played, g, np.inf))
+        while True:
+            grown = played & (reduced[:, reduced[block].sum(axis=0) > 0].sum(axis=1) > 0)
+            if (grown == block).all():
+                break
+            block = grown
+        if (block != played).any() and g[block].max() < mean:
+            emptied = np.where(block, 0.0, p) / p[~block].sum()
+            moves.append((certain_gain(emptied), emptied, True))
+
+        gain, row, empties = max(moves, key=lambda move: move[0], default=(0.0, p, False))
+        if gain <= 0:
+            return p, np.where(played, p, DUST * ghost), False
+        if empties:
+            ghost = np.where(block, p / p[block].max(), ghost)
+        p = row
+    return p, np.where(p > 0, p, DUST * ghost), True
 
 
 def memoryless_starts(n: int) -> list[np.ndarray]:
@@ -121,7 +187,8 @@ def memoryless_starts(n: int) -> list[np.ndarray]:
 
 def multistart_rows(reduced: np.ndarray) -> np.ndarray:
     """The last rows of the ascent from each of the n + 9 starts."""
-    return np.array([_ascent(reduced, start)[0] for start in memoryless_starts(reduced.shape[0])])
+    return np.array([scalar_ascent(reduced, start)[0]
+                     for start in memoryless_starts(reduced.shape[0])])
 
 
 def multistart_oracle(reduced: np.ndarray) -> float:
@@ -179,6 +246,19 @@ def memoryless_env(reduced: np.ndarray) -> EnvironmentModel:
     n = reduced.shape[0]
     return EnvironmentModel(tuple(str(i) for i in range(n)), ("z",),
                             reduced[:, None, :, None], np.array([1.0]))
+
+
+def random_channel(gen: np.random.Generator, n: int, sparse: bool) -> np.ndarray:
+    """Dirichlet rows from spiky to flat; a sparse channel has about 40% of
+    its entries zeroed, which puts optima on or next to faces."""
+    reduced = gen.dirichlet(np.full(n, gen.choice([0.1, 0.5, 1.0, 5.0])), size=n)
+    if sparse:
+        reduced[gen.random((n, n)) < 0.4] = 0.0
+        for row in reduced:
+            if row.sum() == 0.0:
+                row[gen.integers(n)] = 1.0
+        reduced /= reduced.sum(axis=1, keepdims=True)
+    return reduced
 
 
 def sparse_ternary_channel(seed: int) -> np.ndarray:
@@ -371,23 +451,103 @@ class TestMemoryless:
             assert result.value_nats <= result.upper_nats
 
     def test_upper_bound_certifies_random_channels(self):
-        # Dirichlet rows from spiky to flat; every third channel has about
-        # 40% of its entries zeroed, which puts optima on or next to faces
+        # every third channel is sparse
         gen = np.random.default_rng(2024)
         for k in range(300):
             n = 2 + k % 5
-            reduced = gen.dirichlet(np.full(n, gen.choice([0.1, 0.5, 1.0, 5.0])), size=n)
-            if k % 3 == 0:
-                reduced[gen.random((n, n)) < 0.4] = 0.0
-                for row in reduced:
-                    if row.sum() == 0.0:
-                        row[gen.integers(n)] = 1.0
-                reduced /= reduced.sum(axis=1, keepdims=True)
+            reduced = random_channel(gen, n, sparse=k % 3 == 0)
             result = capacity_memoryless(memoryless_env(reduced))
             assert result.value_nats <= result.upper_nats <= math.log(n), reduced
             if (reduced > 0).all():
                 assert result.upper_nats - result.value_nats <= 1e-12, reduced
                 assert not result.stalled, reduced
+
+
+def mixed_stack(n: int, count: int = 24) -> np.ndarray:
+    """The hard channels of size ``n`` above and ``count`` random ones (every
+    third sparse), so the members stop at different steps."""
+    gen = np.random.default_rng(n)
+    hard = [reduced for reduced in (LINEAR_COORDINATE, TINY_ENTRY, PRIVATE_ACTION,
+                                    EMPTIED_BLOCK, IDENTICAL_PAIR, FLAT_FULL_SUPPORT)
+            if reduced.shape[0] == n]
+    return np.stack(hard + [random_channel(gen, n, sparse=k % 3 == 0) for k in range(count)])
+
+
+def uniform_starts(stack: np.ndarray) -> np.ndarray:
+    return np.full(stack.shape[:2], 1.0 / stack.shape[1])
+
+
+def mixed_sizes() -> list[np.ndarray]:
+    """The stacks of sizes 3, 4 and 5, interleaved."""
+    stacks = [list(mixed_stack(n, count=6)) for n in (3, 4, 5)]
+    return [reduced for group in zip(*stacks) for reduced in group]
+
+
+class TestStackedAscent:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_member_equals_stack_of_one(self, n):
+        stack = mixed_stack(n)
+        start = uniform_starts(stack)
+        rows, weights, stalled = _ascent(stack, start)
+        for k in range(len(stack)):
+            alone = _ascent(stack[k:k + 1], start[k:k + 1])
+            assert (alone[0][0] == rows[k]).all() and (alone[1][0] == weights[k]).all()
+            assert alone[2][0] == stalled[k]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_members_match_scalar_oracle(self, n):
+        stack = mixed_stack(n)
+        start = uniform_starts(stack)
+        rows, weights, stalled = _ascent(stack, start)
+        values = _memoryless_objective(stack, rows)
+        for k, reduced in enumerate(stack):
+            last, oracle_weights, oracle_stalled = scalar_ascent(reduced, start[k])
+            assert abs(values[k] - _memoryless_objective(reduced, last)) <= 1e-15
+            assert stalled[k] == oracle_stalled
+            bound = _upper_bound(reduced, weights[k])
+            assert abs(bound - _upper_bound(reduced, oracle_weights)) <= 1e-12
+
+    def test_members_stop_at_different_steps(self):
+        # with a cap of 5 steps some members have stopped and some still
+        # move; each gets the flag and the row it gets from the oracle
+        stack = mixed_stack(4)
+        start = uniform_starts(stack)
+        import workcap.capacity as capacity_mod
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capacity_mod, "ASCENT_STEPS", 5)
+            rows, _, stalled = _ascent(stack, start)
+        assert stalled.any() and not stalled.all()
+        for k, reduced in enumerate(stack):
+            last, _, oracle_stalled = scalar_ascent(reduced, start[k], steps=5)
+            assert stalled[k] == oracle_stalled
+            assert np.abs(rows[k] - last).max() <= 1e-12
+
+    def test_forms_group_sizes_and_equal_solo_results(self):
+        channels = mixed_sizes()
+        forms = _memoryless_forms([memoryless_env(r) for r in channels], channels)
+        for reduced, form in zip(channels, forms):
+            alone = capacity_memoryless(memoryless_env(reduced))
+            assert form.value_nats == alone.value_nats
+            assert form.upper_nats == alone.upper_nats
+            assert form.stalled == alone.stalled
+            assert form.witness_params == alone.witness_params
+            assert form.value_nats <= form.upper_nats <= math.log(reduced.shape[0])
+
+    def test_one_step_stalls_every_member_and_certifies(self, monkeypatch):
+        import workcap.capacity as capacity_mod
+        channels = mixed_sizes()
+        envs = [memoryless_env(r) for r in channels]
+        full = _memoryless_forms(envs, channels)
+        monkeypatch.setattr(capacity_mod, "ASCENT_STEPS", 1)
+        for form, short in zip(full, _memoryless_forms(envs, channels)):
+            assert short.stalled
+            assert short.value_nats <= form.value_nats <= short.upper_nats
+
+    def test_subadditivity_reports_equal_pairwise_checks(self, rng):
+        pairs = [(random_memoryless_environment(rng), random_memoryless_environment(rng))
+                 for _ in range(12)]
+        assert _subadditivity_reports(pairs, 1e-8) == [check_subadditivity(*pair)
+                                                       for pair in pairs]
 
 
 class TestUnifilarProduct:
@@ -488,6 +648,16 @@ class TestLowerBound:
                              restarts=3, seed=0)
         assert sum(points) > 1000
         assert 0 < len(patterns) == len(set(patterns)) <= 10
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the numeric search imports it on first use; no other path needs it
+        import workcap
+        code = ("import sys, workcap, workcap.cli, workcap.verify; "
+                "print('scipy.optimize' in sys.modules)")
+        src = str(Path(workcap.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stdout.strip() == "False"
 
     def test_same_seed_same_result(self, rng):
         env = random_environment(rng, 2, 2)

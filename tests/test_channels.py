@@ -5,14 +5,24 @@ import numpy as np
 import pytest
 
 from workcap import (DimensionError, DomainError, EnvironmentModel,
-                     ModelFormatError, cascade, channel_law,
-                     is_memoryless_invariant, is_noiseless, is_product,
-                     is_unifilar)
+                     ModelFormatError, cascade, is_memoryless_invariant,
+                     is_noiseless, is_product, is_unifilar)
 from workcap.channels import (AgentModel, dumps_model,
                               has_action_invariant_kernel, loads_model,
                               reachable_hidden)
 from workcap.random_models import random_agent, random_environment
 from workcap.verify import load_bundled
+
+
+def channel_law(env: EnvironmentModel, actions: tuple[int, ...]) -> np.ndarray:
+    """Exact nu(s_{0:T} | a_{0:T}) for one action sequence, by forward
+    enumeration: entry [s_0, ..., s_{T-1}] is the probability of that
+    percept sequence.  The oracle for ``is_product`` and ``cascade``."""
+    # alpha[s_0, ..., s_{t-1}, z]: joint of the percept prefix and the hidden state
+    alpha = env.initial.copy()
+    for a in actions:
+        alpha = np.tensordot(alpha, env.phi[a], axes=([-1], [0]))
+    return alpha.sum(axis=-1)
 
 
 def bit_flip_env():
