@@ -308,14 +308,26 @@ def capacity_memoryless(env: channels.EnvironmentModel) -> CapacityResult:
 def _memoryless_forms(envs: list[channels.EnvironmentModel], reduceds: list[np.ndarray]
                       ) -> list[CapacityResult]:
     """:func:`capacity_memoryless` of each of ``envs``, whose reduced
-    kernels are ``reduceds``.  The channels of each alphabet size run as one
-    stack through :func:`_ascent`, and each member's result is bit for bit
-    the one it gets alone; the face snap and the certificate are per
-    channel."""
+    kernels are ``reduceds``, from :func:`_memoryless_bounds`; the witness
+    is the memoryless agent playing the returned distribution."""
+    return [CapacityResult(value, CLOSED_FORM_MEMORYLESS,
+                           witness=agents.build_memoryless(env.alphabet, best),
+                           witness_params={"action_distribution": tuple(float(x) for x in best)},
+                           stalled=stalled, upper_nats=upper)
+            for env, (best, value, upper, stalled) in zip(envs, _memoryless_bounds(reduceds))]
+
+
+def _memoryless_bounds(reduceds: list[np.ndarray]
+                       ) -> list[tuple[np.ndarray, float, float, bool]]:
+    """The distribution, value, certified upper bound and stalled flag of
+    :func:`capacity_memoryless` for each reduced kernel.  The kernels of
+    each alphabet size run as one stack through :func:`_ascent`, and each
+    member's result is bit for bit the one it gets alone; the face snap and
+    the certificate are per channel."""
     by_size: dict[int, list[int]] = {}
     for i, reduced in enumerate(reduceds):
         by_size.setdefault(reduced.shape[0], []).append(i)
-    results: list[CapacityResult] = [None] * len(envs)
+    results: list[tuple[np.ndarray, float, float, bool]] = [None] * len(reduceds)
     for n, members in by_size.items():
         stack = np.stack([reduceds[i] for i in members])
         lasts, weights, stalled = _ascent(stack, np.full((len(members), n), 1.0 / n))
@@ -323,11 +335,7 @@ def _memoryless_forms(envs: list[channels.EnvironmentModel], reduceds: list[np.n
         for k, i in enumerate(members):
             best, value = _snap_face(stack[k], lasts[k], float(values[k]))
             upper = _upper_bound(stack[k], weights[k]) + _value_rounding(stack[k], best)
-            witness = agents.build_memoryless(envs[i].alphabet, best)
-            results[i] = CapacityResult(
-                value, CLOSED_FORM_MEMORYLESS, witness=witness,
-                witness_params={"action_distribution": tuple(float(x) for x in best)},
-                stalled=bool(stalled[k]), upper_nats=min(math.log(n), upper))
+            results[i] = best, value, min(math.log(n), upper), bool(stalled[k])
     return results
 
 
@@ -528,7 +536,7 @@ def check_subadditivity(env1: channels.EnvironmentModel,
     cascade's upper bound is at most the factors' values plus ``slack``,
     False when the cascade's value exceeds the factors' upper bounds plus
     ``slack``, and None when the bounds decide neither.  The three
-    capacities are solved as one stack (:func:`_memoryless_forms`)."""
+    capacities are solved as one stack (:func:`_memoryless_bounds`)."""
     return _subadditivity_reports([(env1, env2)], slack)[0]
 
 
@@ -536,31 +544,31 @@ def _subadditivity_reports(pairs: list[tuple[channels.EnvironmentModel,
                                              channels.EnvironmentModel]],
                            slack: float) -> list[SubadditivityReport]:
     """:func:`check_subadditivity` of each pair, with the factors and
-    cascades of all pairs solved in one call of :func:`_memoryless_forms`."""
-    envs, reduceds = [], []
+    cascades of all pairs solved in one call of :func:`_memoryless_bounds`,
+    which builds no witness agents."""
+    reduceds = []
 
     def add(env: channels.EnvironmentModel, which: str) -> None:
         reduced = channels.is_memoryless_invariant(env)
         if reduced is None:
             raise ChannelClassError(f"{which} channel is not memoryless invariant")
-        envs.append(env)
         reduceds.append(reduced)
 
     for env1, env2 in pairs:
         add(env1, "first")
         add(env2, "second")
         add(channels.cascade(env1, env2), "cascade")
-    forms = _memoryless_forms(envs, reduceds)
+    bounds = _memoryless_bounds(reduceds)
     reports = []
-    for first, second, cascade in zip(forms[0::3], forms[1::3], forms[2::3]):
+    for (_, value1, upper1, _), (_, value2, upper2, _), (_, value, upper, _) in zip(
+            bounds[0::3], bounds[1::3], bounds[2::3]):
         holds = None
-        if cascade.upper_nats <= first.value_nats + second.value_nats + slack:
+        if upper <= value1 + value2 + slack:
             holds = True
-        elif cascade.value_nats > first.upper_nats + second.upper_nats + slack:
+        elif value > upper1 + upper2 + slack:
             holds = False
-        reports.append(SubadditivityReport(
-            first.value_nats, second.value_nats, cascade.value_nats,
-            first.upper_nats, second.upper_nats, cascade.upper_nats, slack, holds))
+        reports.append(SubadditivityReport(value1, value2, value, upper1, upper2, upper,
+                                           slack, holds))
     return reports
 
 

@@ -268,23 +268,24 @@ def cmd_verify(args) -> int:
     return 0 if doc["all_passed"] else 1
 
 
-def _positive(kind):
-    def parse(text: str):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+def _int_from(least: int):
+    """An argparse type: an int of at least ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
         return value
-    parse.__name__ = kind.__name__
+    parse.__name__ = "int"
     return parse
 
 
 # the valued flags; each subcommand accepts only those it reads
 _FLAGS = {
     "units": dict(choices=[BITS, NATS], default=BITS),
-    "horizon": dict(type=_positive(int), default=4),
-    "seed": dict(type=int, default=0),
-    "memory-size": dict(type=_positive(int), default=2),
-    "restarts": dict(type=_positive(int), default=32),
+    "horizon": dict(type=_int_from(1), default=4),
+    "seed": dict(type=_int_from(0), default=0),
+    "memory-size": dict(type=_int_from(1), default=2),
+    "restarts": dict(type=_int_from(1), default=32),
 }
 
 

@@ -41,8 +41,8 @@ from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
                    conditional_mutual_information)
-from .markov import (Distribution, TransitionKernel, _by_pattern,
-                     _check_stochastic, _limit_laws, bfs_levels)
+from .markov import (Distribution, TransitionKernel, _check_stochastic, _limit_laws,
+                     _pattern_groups, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
 
@@ -272,8 +272,13 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     (zero off ``reach``), with u the round-0 vector, P the reachable
     subchain, d its period lcm and L = lim P^{nd}, from
     :func:`markov._limit_laws`.  The stack shares one kernel einsum and one
-    validation; a group shares one reachability search and one chain
-    structure, and its limit laws are solved at once.
+    validation, and a group's limit laws are solved at once.  What the
+    patterns decide (the groups' reachable sets and structures) comes from
+    the one structure memo of :mod:`markov`, so it is worked out once per
+    pattern, not once per call.  When every state is reachable, the group's
+    kernels and round-0 vectors go to ``_limit_laws`` as they are and its
+    laws are the tables; otherwise the reachable subchain is gathered and
+    its laws padded with zeros.
     """
     n_b, n_a, n_m = init.shape
     n = n_m * n_a * env.n_hidden
@@ -281,14 +286,18 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     p0 = np.einsum("Bam,z->Bmaz", init, env.initial).reshape(n_b, n)
     _check_stochastic(K, name="kernel")
     _check_stochastic(p0, name="initial distribution")
-    support, start = K > 0.0, p0 > 0.0
     groups = []
-    for members in _by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
-        reach = bfs_levels(start[members[0]], support[members[0]]) >= 0
-        structure, laws = _limit_laws(K[np.ix_(members, reach, reach)],
-                                      p0[np.ix_(members, reach)][:, None, :])
-        tables = np.zeros((len(members), structure.period_lcm, n))
-        tables[:, :, reach] = laws[:, 0]
+    for members, structure in _pattern_groups(K > 0.0, p0 > 0.0):
+        reach = structure.reach
+        if reach.all():
+            _, laws = _limit_laws(K[members], p0[members][:, None, :], structure)
+            tables = laws[:, 0]
+        else:
+            rows = np.arange(n_b)[members]
+            _, laws = _limit_laws(K[np.ix_(rows, reach, reach)],
+                                  p0[np.ix_(rows, reach)][:, None, :], structure)
+            tables = np.zeros((len(rows), structure.period_lcm, n))
+            tables[:, :, reach] = laws[:, 0]
         groups.append((members, reach, structure, tables))
     return K, p0, groups
 

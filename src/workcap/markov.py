@@ -5,10 +5,13 @@ subsequence-limit laws of given start vectors, whose mean is their Cesàro
 (time-average) limit, for arbitrary finite row-stochastic kernels including
 reducible and periodic ones.  Periods come from graph structure (BFS level
 coloring per strongly connected component), so no tolerance is involved.
-Structure (classes, closed classes, periods and their lcm) depends only on
-the support pattern, the positions of the nonzero entries, so it is computed
-once per pattern and remembered for the most recent patterns; an optimizer's
-positive kernels all share one pattern.  Limit laws come from direct,
+Structure (the states reached from a start pattern, and the classes,
+closed classes, periods and period lcm of the chain on them) depends only
+on the support pattern, the positions of the nonzero entries, and the start
+pattern, so it is computed once per pair of patterns and shared through one
+LRU memo of the ``_STRUCTURE_MEMO_SIZE`` most recent pairs; an optimizer's
+positive kernels all share one pair.  Callers that ask about the whole chain
+start from every state.  Limit laws come from direct,
 cancellation-free linear algebra (GTH elimination and an outflow-form
 absorption solve), so sticky, slowly leaking, periodic and reducible chains
 are handled exactly and uniformly, with no iteration or tolerance.  GTH
@@ -18,7 +21,8 @@ small arrays plus O(n^3) flops in BLAS-3 products and still adds no
 numbers of opposite sign.  Every rate needs only the laws of its start
 vectors, so no n x n limit matrix is formed.  :func:`_limit_laws` acts on
 a stack of kernels with one support pattern, so a batch of evaluations
-shares its Python-level steps.
+shares its Python-level steps, and it gathers no states when one closed
+class holds them all.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -155,9 +159,12 @@ def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class _Structure:
-    """What a kernel's support pattern alone decides: its classes, its
-    closed classes (as index arrays), their states' periods and the lcm."""
+    """What a kernel's support pattern and a start pattern alone decide: the
+    mask ``reach`` of states reached from the start, and the classes, the
+    closed classes (as index arrays), their states' periods and the lcm of
+    the subchain on those states, indexed in their order."""
 
+    reach: np.ndarray
     classification: StateClassification
     closed: tuple[np.ndarray, ...]
     state_period: dict[int, int]
@@ -165,6 +172,9 @@ class _Structure:
 
 
 def _structure(support: np.ndarray) -> _Structure:
+    """The structure of the chain on every state of ``support``."""
+    reach = np.ones(len(support), dtype=bool)
+    reach.setflags(write=False)
     cls = _classify(support)
     periods: dict[int, int] = {}
     d = 1
@@ -179,24 +189,53 @@ def _structure(support: np.ndarray) -> _Structure:
         members_arr = np.asarray(members)
         members_arr.setflags(write=False)
         closed.append(members_arr)
-    return _Structure(cls, tuple(closed), periods, d)
+    return _Structure(reach, cls, tuple(closed), periods, d)
 
 
-# distinct support patterns remembered; an optimizer's kernels are all
-# positive, so its thousands of evaluations share a handful of patterns
+# distinct (support, start) patterns remembered; an optimizer's kernels are
+# all positive, so its thousands of evaluations share a handful of patterns
 _STRUCTURE_MEMO_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_STRUCTURE_MEMO_SIZE)
 def _memo_structure(shape: tuple[int, int], packed: bytes) -> _Structure:
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=shape[0] * shape[1])
-    return _structure(bits.reshape(shape).view(bool))
+    """``packed`` holds the bits of the ``shape`` support pattern, row by
+    row, and then those of the start pattern, one per state."""
+    n = shape[0]
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n + n).view(bool)
+    support, start = bits[:n * n].reshape(shape), bits[n * n:]
+    if start.all():
+        return _structure(support)
+    reach = bfs_levels(start, support) >= 0
+    if reach.all():  # the whole chain's entry, shared with every start that reaches it
+        return _structure_of(support)
+    reach.setflags(write=False)
+    return replace(_structure(support[np.ix_(reach, reach)]), reach=reach)
+
+
+def _pattern_groups(support: np.ndarray, start: np.ndarray | None = None
+                    ) -> list[tuple[list[int] | slice, _Structure]]:
+    """A stack's members grouped by equal support pattern (``support``,
+    ``(B, n, n)``) and start pattern (``start``, ``(B, n)``; every state if
+    None), in order of first appearance, each group with its structure.
+    A stack of one pattern is the one group ``slice(None)``, so taking it
+    copies nothing.  Structures are computed once per pair of patterns and
+    shared between callers, so they must not be mutated."""
+    B, n = support.shape[:2]
+    if start is None:
+        start = np.ones((B, n), dtype=bool)
+    packed = np.packbits(np.concatenate([support.reshape(B, -1), start], axis=1), axis=1)
+    if (packed == packed[0]).all():
+        return [(slice(None), _memo_structure((n, n), packed[0].tobytes()))]
+    groups: dict[bytes, list[int]] = {}
+    for i, bits in enumerate(packed):
+        groups.setdefault(bits.tobytes(), []).append(i)
+    return [(members, _memo_structure((n, n), key)) for key, members in groups.items()]
 
 
 def _structure_of(support: np.ndarray) -> _Structure:
-    """The support pattern's structure, computed once per pattern.  Results
-    are shared between callers, so they must not be mutated."""
-    return _memo_structure(support.shape, np.packbits(support).tobytes())
+    """The structure of the chain on every state of the pattern ``support``."""
+    return _pattern_groups(support[None])[0][1]
 
 
 # states per elimination block: above the block that holds state 0, a
@@ -306,8 +345,13 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
     diagonal is each row's outflow (off-diagonal sum) rather than ``1 -
     q_ii``, so slow leaks keep their digits.  No n x n limit is formed.
     Every gather (``take``, ``ix_``) is a new C-ordered array, so each
-    member's sums round as they do for that member alone.
+    member's sums round as they do for that member alone.  When one closed
+    class holds every state, gathers would copy everything, so there are
+    none: GTH gets a copy of ``Q``, which it overwrites, and each row's law
+    is its sum times the stationary vector.
     """
+    if len(closed) == 1 and len(closed[0]) == Q.shape[-1]:
+        return V.sum(axis=2)[:, :, None] * _gth_stationary(Q.copy())[:, None, :]
     transient = np.ones(Q.shape[-1], dtype=bool)
     weights = []
     for members in closed:
@@ -331,26 +375,21 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
     return laws
 
 
-def _by_pattern(patterns: np.ndarray) -> list[list[int]]:
-    """Indices of a stack's members grouped by equal boolean pattern, in
-    order of first appearance."""
-    groups: dict[bytes, list[int]] = {}
-    for i, bits in enumerate(np.packbits(patterns.reshape(len(patterns), -1), axis=1)):
-        groups.setdefault(bits.tobytes(), []).append(i)
-    return list(groups.values())
-
-
-def _limit_laws(P: np.ndarray, u: np.ndarray) -> tuple[_Structure, np.ndarray]:
+def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None
+                ) -> tuple[_Structure, np.ndarray]:
     """The structure of a ``(B, n, n)`` stack of kernels with one support
     pattern, and the subsequence-limit laws ``u P^r L`` for r < d of each
     member's ``(k, n)`` start vectors ``u``, as a ``(B, k, d, n)`` array;
     d is the period lcm and ``L = lim P^{nd}``.  Their mean over r is the
-    Cesàro limit of the law from each start.  ``P^d``'s closed classes, the
-    cyclic subclasses, are aperiodic; they come from each member's numeric
-    pattern of ``P^d``, so underflow counts as 0.  Nothing is iterated, so
-    there is no tolerance and no convergence failure.
+    Cesàro limit of the law from each start.  A caller that knows the
+    structure of the chain on every state passes it as ``structure``.
+    ``P^d``'s closed classes, the cyclic subclasses, are aperiodic; they
+    come from each member's numeric pattern of ``P^d``, so underflow counts
+    as 0.  Nothing is iterated, so there is no tolerance and no convergence
+    failure.
     """
-    structure = _structure_of(P[0] > 0.0)
+    if structure is None:
+        structure = _structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
         return structure, _power_limit(P, structure.closed, u)[:, :, None]
@@ -360,8 +399,8 @@ def _limit_laws(P: np.ndarray, u: np.ndarray) -> tuple[_Structure, np.ndarray]:
     V = np.stack(steps, axis=2).reshape(len(P), -1, P.shape[-1])
     Q = np.linalg.matrix_power(P, d)
     laws = np.empty_like(V)
-    for idx in _by_pattern(Q > 0.0):
-        laws[idx] = _power_limit(Q[idx], _structure_of(Q[idx[0]] > 0.0).closed, V[idx])
+    for idx, cyclic in _pattern_groups(Q > 0.0):
+        laws[idx] = _power_limit(Q[idx], cyclic.closed, V[idx])
     return structure, laws.reshape(*u.shape[:2], d, -1)
 
 

@@ -649,6 +649,32 @@ class TestLowerBound:
         assert sum(points) > 1000
         assert 0 < len(patterns) == len(set(patterns)) <= 10
 
+    def test_reachability_searched_once_per_pattern(self, rng, monkeypatch):
+        # the states reached from the start pattern are part of the
+        # structure memo, so the search's points share one breadth-first
+        # search per (support, start) pattern instead of running one each
+        import workcap.loop as loop_mod
+        from workcap import markov
+        searches, points = [], []
+        bfs, rates = markov.bfs_levels, loop_mod._work_rates
+
+        def spy_bfs(start, support):
+            searches.append((support.shape, np.packbits(support).tobytes(),
+                             np.packbits(start).tobytes()))
+            return bfs(start, support)
+
+        def spy_rates(env, theta, init):
+            points.append(len(theta))
+            return rates(env, theta, init)
+        monkeypatch.setattr(markov, "bfs_levels", spy_bfs)
+        monkeypatch.setattr(loop_mod, "bfs_levels", spy_bfs)
+        monkeypatch.setattr(loop_mod, "_work_rates", spy_rates)
+        markov._memo_structure.cache_clear()
+        capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
+                             restarts=3, seed=0)
+        assert sum(points) > 1000
+        assert 0 < len(searches) == len(set(searches)) <= 20
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         # the numeric search imports it on first use; no other path needs it
         import workcap

@@ -290,6 +290,8 @@ class TestFlags:
         ("capacity", FIG5, "--restarts", "0"),
         ("capacity", FIG5, "--memory-size", "0"),
         ("verify", "--units", "nats"),
+        ("verify", "--seed", "-1"),
+        ("capacity", FIG5, "--seed", "-1"),
     ])
     def test_unread_or_invalid_flag_exits_two(self, capsys, argv):
         try:

@@ -14,6 +14,7 @@ from workcap.info import JointTable, conditional_mutual_information, entropy_rat
 from workcap.loop import (GlobalChain, _cesaro_tables, _cesaro_terms, _lift,
                           _trajectory_marginal, _work_rates, am_predictiveness,
                           future_predictiveness, predictiveness_score)
+from workcap import markov
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
 
@@ -420,6 +421,99 @@ def agents_of(alphabet, theta, init):
     return [AgentModel(alphabet, memory, th, ini) for th, ini in zip(theta, init)]
 
 
+def by_pattern(patterns: np.ndarray) -> list[list[int]]:
+    """Indices of a stack's members grouped by equal boolean pattern, in
+    order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for i, bits in enumerate(np.packbits(patterns.reshape(len(patterns), -1), axis=1)):
+        groups.setdefault(bits.tobytes(), []).append(i)
+    return list(groups.values())
+
+
+def gather_power_limit(Q, closed, V):
+    """Oracle: the gather path of ``markov._power_limit``, which takes every
+    closed class with ``take`` and ``ix_``, even one holding every state,
+    and assigns its law into a zeroed array."""
+    transient = np.ones(Q.shape[-1], dtype=bool)
+    weights = []
+    for members in closed:
+        transient[members] = False
+        weights.append(V.take(members, axis=2).sum(axis=2))
+    t = np.flatnonzero(transient)
+    if t.size:
+        diag = np.arange(t.size)
+        rows = Q.take(t, axis=1)
+        rows[:, diag, t] = 0.0
+        A = -rows.take(t, axis=2)
+        A[:, diag, diag] = rows.sum(axis=2)
+        R = np.stack([rows.take(members, axis=2).sum(axis=2) for members in closed], axis=2)
+        absorbed = V.take(t, axis=2) @ np.linalg.solve(A, R)
+        weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
+    laws = np.zeros(V.shape)
+    for members, w in zip(closed, weights):
+        pi = markov._gth_stationary(Q[np.ix_(np.arange(len(Q)), members, members)])
+        laws[:, :, members] = w[:, :, None] * pi[:, None, :]
+    return laws
+
+
+def gather_limit_laws(P, u):
+    """Oracle: ``markov._limit_laws`` on :func:`gather_power_limit`, with
+    the structure worked out from ``P`` on every call."""
+    structure = markov._structure_of(P[0] > 0.0)
+    d = structure.period_lcm
+    if d == 1:
+        return structure, gather_power_limit(P, structure.closed, u)[:, :, None]
+    steps = [u]
+    for _ in range(d - 1):
+        steps.append(steps[-1] @ P)
+    V = np.stack(steps, axis=2).reshape(len(P), -1, P.shape[-1])
+    Q = np.linalg.matrix_power(P, d)
+    laws = np.empty_like(V)
+    for idx in by_pattern(Q > 0.0):
+        laws[idx] = gather_power_limit(Q[idx], markov._structure_of(Q[idx[0]] > 0.0).closed,
+                                       V[idx])
+    return structure, laws.reshape(*u.shape[:2], d, -1)
+
+
+def gather_cesaro_tables(env, theta, init):
+    """Oracle: the gather path of ``loop._cesaro_tables``, which searches
+    each group's reachable states on every call, gathers the reachable
+    subchain with ``ix_`` even when it is the whole chain, and pads its
+    laws from :func:`gather_limit_laws` into zeroed tables."""
+    n_b, n_a, n_m = init.shape
+    n = n_m * n_a * env.n_hidden
+    K = np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta).reshape(n_b, n, n)
+    p0 = np.einsum("Bam,z->Bmaz", init, env.initial).reshape(n_b, n)
+    support, start = K > 0.0, p0 > 0.0
+    groups = []
+    for members in by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
+        reach = markov.bfs_levels(start[members[0]], support[members[0]]) >= 0
+        structure, laws = gather_limit_laws(K[np.ix_(members, reach, reach)],
+                                            p0[np.ix_(members, reach)][:, None, :])
+        tables = np.zeros((len(members), structure.period_lcm, n))
+        tables[:, :, reach] = laws[:, 0]
+        groups.append((members, reach, structure, tables))
+    return K, p0, groups
+
+
+def assert_equals_gather_path(env, agents):
+    """The batched rates and each work_rate report equal, bit for bit,
+    those of the gather path (:func:`gather_cesaro_tables`)."""
+    import workcap.loop as loop_mod
+    loops = [PerceptActionLoop(agent, env) for agent in agents]
+    rates = _work_rates(env, *stack(agents))
+    reports = [work_rate(pal, rounds=3, base="nats") for pal in loops]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loop_mod, "_cesaro_tables", gather_cesaro_tables)
+        oracle_rates = _work_rates(env, *stack(agents))
+        oracles = [work_rate(pal, rounds=3, base="nats") for pal in loops]
+    assert rates.tolist() == oracle_rates.tolist()
+    for report, oracle in zip(reports, oracles):
+        assert report == oracle
+        assert np.array_equal(report.reachable, oracle.reachable)
+        assert np.array_equal(report.cesaro_law, oracle.cesaro_law)
+
+
 def limit_state_tables(chain: GlobalChain):
     """The reachable subchain's structure, its n x n Cesàro matrix (the
     limit laws of all n point starts) and the full-shape p(m, a, s, z)
@@ -452,6 +546,7 @@ def assert_matches_scalar(env, agents):
     chain summary, matches the full-matrix oracle."""
     rates = _work_rates(env, *stack(agents))
     assert rates.shape == (len(agents),)
+    assert_equals_gather_path(env, agents)
     for agent, batched in zip(agents, rates):
         pal = PerceptActionLoop(agent, env)
         report = work_rate(pal, rounds=0, base="nats")
@@ -530,6 +625,12 @@ class TestBatchedWorkRates:
         classes = classify_states(TransitionKernel(chain.kernel.probs[np.ix_(reach, reach)]))
         assert sum(classes.class_recurrent) == 2 and not classes.recurrent.all()
         assert_matches_scalar(identity_env, agents)
+        # the same kernel started in the echo state m1 never reaches m0, so
+        # its reachable set is smaller than that of the members after it
+        echo = agents[1]
+        in_echo = AgentModel(echo.alphabet, echo.memory_states, echo.theta,
+                             [[0.0, 0.6], [0.0, 0.4]])
+        assert_matches_scalar(identity_env, [in_echo] + agents)
         assert_matches_scalar(identity_env, [build_identity(("0", "1")),
                                              build_memoryless(("0", "1"), [0.2, 0.8])])
         assert_matches_scalar(golden_mean, [
@@ -693,9 +794,9 @@ class TestPrePerceptChain:
         import workcap.loop as loop_mod
         engine, sizes = loop_mod._limit_laws, []
 
-        def spy(P, u):
+        def spy(P, u, structure=None):
             sizes.append(P.shape[1:])
-            return engine(P, u)
+            return engine(P, u, structure)
         monkeypatch.setattr(loop_mod, "_limit_laws", spy)
         for n_a, n_m, n_z in ((2, 1, 1), (2, 2, 3), (3, 2, 2)):
             env = random_environment(rng, n_a, n_z)

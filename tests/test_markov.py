@@ -357,8 +357,9 @@ def _underflow_chains():
 
 
 class TestStructureMemo:
-    """Structure depends only on the support pattern and is shared between
-    calls; results from a cold memo and a warm one are identical."""
+    """Structure depends only on the support and start patterns and is
+    shared between calls; results from a cold memo and a warm one are
+    identical."""
 
     def test_shared_recurrent_arrays_are_read_only(self, rng):
         kernel = random_structured_kernel(rng, 5)
@@ -401,6 +402,25 @@ class TestStructureMemo:
         assert limit_laws(a)[0].state_period == limit_laws(b)[0].state_period
         assert periods(a)[1] == 1
         assert markov._memo_structure.cache_info().misses == 1
+
+    def test_start_pattern_selects_the_reachable_subchain(self):
+        markov._memo_structure.cache_clear()
+        # a 3-cycle: state 0 alone reaches every state, so that start shares
+        # the entry of the whole chain
+        cycle = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)
+        ((_, whole),) = markov._pattern_groups(cycle[None])
+        ((_, from_0),) = markov._pattern_groups(cycle[None], np.array([[True, False, False]]))
+        assert from_0 is whole and whole.reach.all() and whole.period_lcm == 3
+        # state 2 leaks into the closed class {0, 1}, which never leaves it
+        leaky = np.array([[1, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
+        groups = markov._pattern_groups(np.stack([leaky] * 3),
+                                        np.array([[1, 0, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
+        (first, part), (second, whole) = groups
+        assert (first, second) == ([0, 2], [1])
+        assert part.reach.tolist() == [True, True, False] and not part.reach.flags.writeable
+        assert part.classification.classes == ((0, 1),) and part.classification.recurrent.all()
+        assert whole is markov._structure_of(leaky) and whole.reach.all()
+        assert whole.classification.recurrent.tolist() == [True, True, False]
 
 
 class TestPowerSum:
