@@ -9,12 +9,12 @@ from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      build_identity, build_memoryless, build_predictive,
                      build_uniform, build_last_action, trajectory_distribution,
                      work_rate)
+from workcap import markov
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
 from workcap.loop import (GlobalChain, _cesaro_tables, _cesaro_terms, _lift,
                           _trajectory_marginal, _work_rates, am_predictiveness,
                           future_predictiveness, predictiveness_score)
-from workcap import markov
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
 
