@@ -47,7 +47,7 @@ class Dag:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(self.edges))
         # node i is bit i of a node-set mask; the adjacency masks are built
-        # once and shared by every query, and the public maps are copies
+        # once and shared by every query
         index = {n: i for i, n in enumerate(nodes)}
         parents, children = [0] * len(nodes), [0] * len(nodes)
         for u, v in self.edges:
@@ -71,15 +71,6 @@ class Dag:
                     frontier.append(v)
         if seen != len(self.nodes):
             raise DomainError("graph has a directed cycle")
-
-    def _names(self, mask: int) -> set[str]:
-        return {self.nodes[i] for i in _bits(mask)}
-
-    def parents_map(self) -> dict[str, set[str]]:
-        return {n: self._names(bits) for n, bits in zip(self.nodes, self._parent_bits)}
-
-    def children_map(self) -> dict[str, set[str]]:
-        return {n: self._names(bits) for n, bits in zip(self.nodes, self._child_bits)}
 
 
 def build_loop_dag(horizon: int, variant: str = "general") -> Dag:

@@ -391,7 +391,7 @@ def loads_model(text: str) -> Model:
 
 
 def load_model(path) -> Model:
-    return loads_model(Path(path).read_text())
+    return loads_model(Path(path).read_text(encoding="utf-8"))
 
 
 def dumps_model(model: Model) -> str:

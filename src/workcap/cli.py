@@ -55,13 +55,24 @@ def _load(path, kind=channels.EnvironmentModel):
     """The model in ``path``, which must be of type ``kind``."""
     try:
         model = channels.load_model(path)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     except WorkcapError as exc:
         raise InputError(f"{path}: {exc}") from None
     if not isinstance(model, kind):
         raise InputError(f"{path}: expected {_EXPECTED[kind]}")
     return model
+
+
+def _save(model, path) -> None:
+    """Write ``model`` to ``path``; a path that cannot be written is an
+    input error."""
+    try:
+        channels.save_model(model, path)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror}") from None
 
 
 def _make_loop(env, agent) -> loop.PerceptActionLoop:
@@ -177,7 +188,7 @@ def cmd_capacity(args) -> int:
         doc["memory_size"] = args.memory_size
         lines.append(f"note: lower bound with {args.memory_size} memory states")
     if args.out and result.witness is not None:
-        channels.save_model(result.witness, args.out)
+        _save(result.witness, args.out)
         doc["witness_file"] = str(args.out)
         lines.append(f"witness agent written to {args.out}")
     _emit(doc, args.json, lines)
@@ -213,7 +224,7 @@ def cmd_build_agent(args) -> int:
             raise InputError(f"unknown agent kind {kind!r}")
     except WorkcapError as exc:
         raise InputError(f"cannot build {kind!r} agent: {exc}") from None
-    channels.save_model(agent, args.out)
+    _save(agent, args.out)
     doc = {"kind": kind, "memory_states": len(agent.memory_states), "file": str(args.out)}
     _emit(doc, args.json,
           [f"{kind} agent with {len(agent.memory_states)} memory states -> {args.out}"])

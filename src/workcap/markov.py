@@ -11,18 +11,20 @@ on the support pattern, the positions of the nonzero entries, and the start
 pattern, so it is computed once per pair of patterns and shared through one
 LRU memo of the ``_STRUCTURE_MEMO_SIZE`` most recent pairs; an optimizer's
 positive kernels all share one pair.  Callers that ask about the whole chain
-start from every state.  Limit laws come from direct,
-cancellation-free linear algebra (GTH elimination and an outflow-form
-absorption solve), so sticky, slowly leaking, periodic and reducible chains
-are handled exactly and uniformly, with no iteration or tolerance.  GTH
-runs in blocks of ``_GTH_BLOCK`` states whose panel and trailing updates
-are products of nonnegative matrices, so it costs n Python-level steps on
-small arrays plus O(n^3) flops in BLAS-3 products and still adds no
-numbers of opposite sign.  Every rate needs only the laws of its start
-vectors, so no n x n limit matrix is formed.  :func:`_limit_laws` acts on
-a stack of kernels with one support pattern, so a batch of evaluations
-shares its Python-level steps, and it gathers no states when one closed
-class holds them all.
+start from every state.  Limit laws come from one direct elimination,
+GTH's censoring of states, with no iteration or tolerance: a closed class
+is censored down to one state for its stationary vector, and the transient
+states down to one absorbing state per closed class for absorption.  Every
+sum adds numbers of one sign, so sticky, slowly leaking (also through
+transient states that pass mass among themselves), periodic and reducible
+chains keep their digits.  The elimination runs in blocks of
+``_GTH_BLOCK`` states whose panel and trailing updates are products of
+nonnegative matrices, so it costs n Python-level steps on small arrays
+plus O(n^3) flops in BLAS-3 products.  Every rate needs only the laws of
+its start vectors, so no n x n limit matrix is formed.  :func:`_limit_laws`
+acts on a stack of kernels with one support pattern, so a batch of
+evaluations shares its Python-level steps, and it gathers no states when
+one closed class holds them all.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -160,14 +162,13 @@ def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int:
 @dataclass(frozen=True)
 class _Structure:
     """What a kernel's support pattern and a start pattern alone decide: the
-    mask ``reach`` of states reached from the start, and the classes, the
-    closed classes (as index arrays), their states' periods and the lcm of
-    the subchain on those states, indexed in their order."""
+    mask ``reach`` of states reached from the start and, for the subchain on
+    those states indexed in their order, the classes, the closed classes (as
+    index arrays) and the lcm of the closed classes' periods."""
 
     reach: np.ndarray
     classification: StateClassification
     closed: tuple[np.ndarray, ...]
-    state_period: dict[int, int]
     period_lcm: int
 
 
@@ -176,20 +177,17 @@ def _structure(support: np.ndarray) -> _Structure:
     reach = np.ones(len(support), dtype=bool)
     reach.setflags(write=False)
     cls = _classify(support)
-    periods: dict[int, int] = {}
     d = 1
     closed = []
     for members, is_rec in zip(cls.classes, cls.class_recurrent):
         if not is_rec:
             continue
         p = _class_period(support, members)
-        for s in members:
-            periods[s] = p
         d = d * p // math.gcd(d, p)
         members_arr = np.asarray(members)
         members_arr.setflags(write=False)
         closed.append(members_arr)
-    return _Structure(reach, cls, tuple(closed), periods, d)
+    return _Structure(reach, cls, tuple(closed), d)
 
 
 # distinct (support, start) patterns remembered; an optimizer's kernels are
@@ -245,14 +243,15 @@ def _structure_of(support: np.ndarray) -> _Structure:
 _GTH_BLOCK = 64
 
 
-def _censor(A: np.ndarray) -> list[np.ndarray]:
+def _censor(A: np.ndarray, keep: int) -> list[np.ndarray]:
     """GTH's per-state steps on a ``(B, n, n)`` stack, in place: states
-    n-1, ..., 1 are censored out in turn, each dividing its column by its
+    n-1, ..., keep are censored out in turn, each dividing its column by its
     outflow into the states below it and then passing its row through that
-    column.  Returns those ``(B, 1)`` outflows, the divisors, from state
+    column, so the row left at its elimination holds its moves to the states
+    below it.  Returns those ``(B, 1)`` outflows, the divisors, from state
     n-1 down."""
     divisors = []
-    for k in range(A.shape[-1] - 1, 0, -1):
+    for k in range(A.shape[-1] - 1, keep - 1, -1):
         divisors.append(A[:, k, :k].sum(axis=1, keepdims=True))
         A[:, :k, k] /= divisors[-1]
         A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
@@ -267,10 +266,12 @@ def _triangular_inverses(T: np.ndarray, lower: bool) -> np.ndarray:
     return np.stack([dtrtri(t, lower=lower)[0] for t in T])
 
 
-def _gth_stationary(A: np.ndarray) -> np.ndarray:
-    """Stationary vectors of a ``(B, n, n)`` stack of irreducible kernels
-    by GTH elimination, one row of the ``(B, n)`` result per kernel.  ``A``
-    is C-ordered work space and may be overwritten.
+def _eliminate(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """GTH elimination of states n-1, ..., ``keep`` of a ``(B, n, n)`` stack,
+    in place; states below ``keep`` stay.  Both limit laws read their
+    results back from it: a stationary vector keeps state 0 of its class
+    and absorption keeps one absorbing state per closed class.  ``A`` is
+    C-ordered work space.
 
     Grassmann, Taksar & Heyman (1985): states are censored out one at a
     time from the last, and each elimination divides by the censored row's
@@ -279,31 +280,35 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     read.  Each step acts on the whole stack, so the n Python-level steps
     are shared by its B kernels.
 
-    States above the ``_GTH_BLOCK`` that hold state 0 are censored a block
-    K at a time, R being the states below K.  The per-state steps run on
-    the small array ``[outflow of each K row into R | A_KK]``, since a row
-    sum is all a divisor needs from R.  They leave the divisors D, the rows
-    at their elimination L >= 0 (below the diagonal) and the divided columns
-    U >= 0 (above it).  The divided column panel is then ``X = A_RK (D -
-    L)^-1`` and the row panel at elimination ``Z = (I - U)^-1 A_KR``; both
-    factors are triangular M-matrices with nonnegative inverses, so these
-    products, the update ``A_RR += X Z`` and the back-substitution ``x_K =
-    x_R X (I - U)^-1`` add nonnegative numbers only.  Updates are applied
+    While more than ``_GTH_BLOCK`` states are left to censor, they are
+    censored a block K of that many at a time, R being the states below K.
+    The per-state steps run on the small array ``[outflow of each K row
+    into R | A_KK]``, since a row sum is all a divisor needs from R.  They
+    leave the divisors D, the rows at their elimination L >= 0 (below the
+    diagonal) and the divided columns U >= 0 (above it).  The divided
+    column panel is then ``X = A_RK (D - L)^-1`` and the row panel at
+    elimination ``Z = (I - U)^-1 A_KR``; both factors are triangular
+    M-matrices with nonnegative inverses, so these products and the update
+    ``A_RR += X Z`` add nonnegative numbers only.  Updates are applied
     left-looking: just before a block is censored, its panels receive the
     updates of all blocks above it in two matrix products, so no update of
     the whole trailing matrix is ever formed.  X, Z and ``(I - U)^-1``
-    overwrite A_RK, A_KR and A_KK.  The block holding state 0
-    runs the per-state steps on ``A`` itself, so a chain of at most
-    ``_GTH_BLOCK`` states is censored one state at a time throughout.
+    overwrite A_RK, A_KR and A_KK.  The last states, fewer than
+    ``_GTH_BLOCK``, are censored one at a time on ``A`` itself, so a chain
+    of at most ``_GTH_BLOCK`` states above ``keep`` is censored one state
+    at a time throughout.
 
+    Returns the divisors of the states censored one at a time, from state
+    ``keep`` up, and each block's ``(D - L)^-1``, from the lowest block up.
     Cost: n Python-level steps on arrays of at most ``_GTH_BLOCK + 1``
     columns plus O(n^3) flops in matrix products.
     """
     B, n = A.shape[:2]
     m = _GTH_BLOCK
     diag = np.arange(m)
+    lower_inverses = []
     lo = n
-    while lo > m:
+    while lo - keep >= m:
         hi, lo = lo, lo - m
         if hi < n:
             A[:, :hi, lo:hi] += A[:, :hi, hi:] @ A[:, hi:, lo:hi]
@@ -312,10 +317,11 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
         W = np.zeros((B, m + 1, m + 1))
         W[:, 1:, 0] = A[:, lo:hi, :lo].sum(axis=2)
         W[:, 1:, 1:] = A[:, lo:hi, lo:hi]
-        divisors = _censor(W)[::-1]
+        divisors = _censor(W, 1)[::-1]
         factor = np.tril(-W[:, 1:, 1:], -1)
         factor[:, diag, diag] = np.concatenate(divisors, axis=1)  # D - L
-        A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ _triangular_inverses(factor, lower=True)
+        lower_inverses.append(_triangular_inverses(factor, lower=True))
+        A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ lower_inverses[-1]
         factor = np.triu(-W[:, 1:, 1:], 1)
         factor[:, diag, diag] = 1.0  # I - U
         # A_KK is spent, so it keeps (I - U)^-1 for the back-substitution
@@ -323,7 +329,19 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
         A[:, lo:hi, :lo] = A[:, lo:hi, lo:hi] @ A[:, lo:hi, :lo]
     if lo < n:
         A[:, :lo, :lo] += A[:, :lo, lo:] @ A[:, lo:, :lo]
-    _censor(A[:, :lo, :lo])
+    return _censor(A[:, :lo, :lo], keep)[::-1], lower_inverses[::-1]
+
+
+def _gth_stationary(A: np.ndarray) -> np.ndarray:
+    """Stationary vectors of a ``(B, n, n)`` stack of irreducible kernels
+    by GTH elimination (:func:`_eliminate`) down to state 0, one row of the
+    ``(B, n)`` result per kernel.  ``A`` is C-ordered work space and may be
+    overwritten.  The back-substitution reads each state's divided column:
+    ``x_j = x_{:j} A[:j, j]`` for a state censored alone and ``x_K = x_R X
+    (I - U)^-1`` for a block, so it too adds nonnegative numbers only."""
+    B, n = A.shape[:2]
+    m = _GTH_BLOCK
+    lo = 1 + len(_eliminate(A, 1)[0])
     x = np.empty((B, n))
     x[:, 0] = 1.0
     for j in range(1, lo):
@@ -331,6 +349,37 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     for k in range(lo, n, m):
         x[:, k:k + m] = (x[:, None, :k] @ A[:, :k, k:k + m] @ A[:, k:k + m, k:k + m])[:, 0]
     return x / x.sum(axis=1, keepdims=True)
+
+
+def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
+    """``H[b, i, c]``, the probability that kernel b of a ``(B, n, n)``
+    stack started in transient state ``t[i]`` ends in closed class
+    ``closed[c]``, as a ``(B, |t|, |closed|)`` array.
+
+    The transient states of ``[one absorbing state per closed class |
+    transient states]`` are censored (:func:`_eliminate`) down to the
+    absorbing states; a censored state's row at its elimination, divided by
+    its outflow, is the law of its first move to a state below it, so
+    ``h_k = A[k, :k] h_{:k} / out_k`` from the absorbing states up, and
+    ``h_K = (D - L)^-1 Z h_R`` for a block.  Every sum adds nonnegative
+    numbers, so transient states that pass mass among themselves and leak
+    slowly keep their digits.
+    """
+    c = len(closed)
+    rows = Q.take(t, axis=1)
+    A = np.zeros((len(Q), c + t.size, c + t.size))
+    for j, members in enumerate(closed):
+        A[:, c:, j] = rows.take(members, axis=2).sum(axis=2)
+    A[:, c:, c:] = rows.take(t, axis=2)
+    divisors, lower_inverses = _eliminate(A, c)
+    lo = c + len(divisors)
+    h = np.zeros((len(Q), c + t.size, c))
+    h[:, :c] = np.eye(c)
+    for k, out in zip(range(c, lo), divisors):
+        h[:, k] = (A[:, k, None, :k] @ h[:, :k])[:, 0] / out
+    for k, inverse in zip(range(lo, c + t.size, _GTH_BLOCK), lower_inverses):
+        h[:, k:k + _GTH_BLOCK] = inverse @ (A[:, k:k + _GTH_BLOCK, :k] @ h[:, :k])
+    return h[:, c:]
 
 
 def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
@@ -341,14 +390,17 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
 
     The limit sends each row to its closed classes' stationary vectors; a
     class's weight is the row's mass in the class plus its transient mass
-    times the absorption probabilities H from ``(I - Q_TT) H = R``, whose
-    diagonal is each row's outflow (off-diagonal sum) rather than ``1 -
-    q_ii``, so slow leaks keep their digits.  No n x n limit is formed.
-    Every gather (``take``, ``ix_``) is a new C-ordered array, so each
-    member's sums round as they do for that member alone.  When one closed
-    class holds every state, gathers would copy everything, so there are
-    none: GTH gets a copy of ``Q``, which it overwrites, and each row's law
-    is its sum times the stationary vector.
+    times the absorption probabilities into the class.  Both come from one
+    GTH elimination (:func:`_eliminate`): a class's stationary vector by
+    censoring the class down to its first state, and absorption by
+    censoring the transient states down to one absorbing state per class
+    (:func:`_absorption`), so every sum adds nonnegative numbers and slow
+    leaks keep their digits.  No n x n limit is formed.  Every gather
+    (``take``, ``ix_``) is a new C-ordered array, so each member's sums
+    round as they do for that member alone.  When one closed class holds
+    every state, gathers would copy everything, so there are none: GTH gets
+    a copy of ``Q``, which it overwrites, and each row's law is its sum
+    times the stationary vector.
     """
     if len(closed) == 1 and len(closed[0]) == Q.shape[-1]:
         return V.sum(axis=2)[:, :, None] * _gth_stationary(Q.copy())[:, None, :]
@@ -359,13 +411,7 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
         weights.append(V.take(members, axis=2).sum(axis=2))
     t = np.flatnonzero(transient)
     if t.size:
-        diag = np.arange(t.size)
-        rows = Q.take(t, axis=1)
-        rows[:, diag, t] = 0.0
-        A = -rows.take(t, axis=2)
-        A[:, diag, diag] = rows.sum(axis=2)
-        R = np.stack([rows.take(members, axis=2).sum(axis=2) for members in closed], axis=2)
-        absorbed = V.take(t, axis=2) @ np.linalg.solve(A, R)
+        absorbed = V.take(t, axis=2) @ _absorption(Q, closed, t)
         weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
     laws = np.zeros(V.shape)
     for members, w in zip(closed, weights):

@@ -85,6 +85,26 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "/nonexistent.json")
         assert code == 2
 
+    def test_directory_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert err == f"error: {tmp_path}: cannot read: Is a directory\n"
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"alphabet": ["\xe9"]}')
+        code, _, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err == f"error: {bad}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("argv", [("capacity", FIG5), ("build-agent", "uniform", FIG5)])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv):
+        out = tmp_path / "no" / "such" / "dir" / "agent.json"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {out}: cannot write: No such file or directory\n"
+
 
 class TestWorkRate:
     def test_fig5_uniform(self, capsys, tmp_path):

@@ -433,7 +433,8 @@ def by_pattern(patterns: np.ndarray) -> list[list[int]]:
 def gather_power_limit(Q, closed, V):
     """Oracle: the gather path of ``markov._power_limit``, which takes every
     closed class with ``take`` and ``ix_``, even one holding every state,
-    and assigns its law into a zeroed array."""
+    and assigns its law into a zeroed array.  Absorption is the engine's
+    (``tests/test_markov.py`` checks it against a pivoting solve)."""
     transient = np.ones(Q.shape[-1], dtype=bool)
     weights = []
     for members in closed:
@@ -441,13 +442,7 @@ def gather_power_limit(Q, closed, V):
         weights.append(V.take(members, axis=2).sum(axis=2))
     t = np.flatnonzero(transient)
     if t.size:
-        diag = np.arange(t.size)
-        rows = Q.take(t, axis=1)
-        rows[:, diag, t] = 0.0
-        A = -rows.take(t, axis=2)
-        A[:, diag, diag] = rows.sum(axis=2)
-        R = np.stack([rows.take(members, axis=2).sum(axis=2) for members in closed], axis=2)
-        absorbed = V.take(t, axis=2) @ np.linalg.solve(A, R)
+        absorbed = V.take(t, axis=2) @ markov._absorption(Q, closed, t)
         weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
     laws = np.zeros(V.shape)
     for members, w in zip(closed, weights):

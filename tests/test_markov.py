@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,7 +101,10 @@ def cesaro_matrix(kernel: TransitionKernel) -> np.ndarray:
 
 
 def periods(kernel: TransitionKernel) -> dict[int, int]:
-    return markov._structure_of(kernel.probs > 0.0).state_period
+    """Each recurrent state's period: that of its closed class."""
+    support = kernel.probs > 0.0
+    return {int(s): markov._class_period(support, members)
+            for members in markov._structure_of(support).closed for s in members}
 
 
 def invariance_gap(P: np.ndarray, laws: np.ndarray) -> float:
@@ -341,6 +345,137 @@ class TestBlockedGTH:
         np.testing.assert_array_equal(markov._gth_stationary(P), alone)
 
 
+def solve_absorption(Q, closed, t):
+    """Oracle: absorption probabilities from a pivoting LU solve of the
+    outflow-form system ``(I - Q_TT) H = R``, whose diagonal is each row's
+    off-diagonal sum; elimination still subtracts, so it is exact only on
+    well-conditioned chains."""
+    diag = np.arange(t.size)
+    rows = Q.take(t, axis=1)
+    rows[:, diag, t] = 0.0
+    A = -rows.take(t, axis=2)
+    A[:, diag, diag] = rows.sum(axis=2)
+    R = np.stack([rows.take(members, axis=2).sum(axis=2) for members in closed], axis=2)
+    return np.linalg.solve(A, R)
+
+
+def solved_limit_laws(P, u):
+    """Oracle: ``markov._limit_laws`` with absorption by :func:`solve_absorption`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(markov, "_absorption", solve_absorption)
+        return markov._limit_laws(P, u)[1]
+
+
+def fraction_absorption(P: np.ndarray, closed, t) -> np.ndarray:
+    """Oracle: absorption probabilities of the transient states ``t`` into
+    each closed class, the outflow-form system solved exactly in Fraction on
+    the float entries (with ``1 - eps`` rounded, ``1 - p01 p10`` is not the
+    outflow of a circulating pair)."""
+    q = [[Fraction(float(x)) for x in row] for row in P]
+    M = [[sum(q[i][j] for j in range(len(P)) if j != i) if i == j else -q[i][j] for j in t]
+         + [sum(q[i][s] for s in members) for members in closed] for i in t]
+    for col in range(len(t)):  # Gauss-Jordan; exact, so any nonzero pivot does
+        piv = next(r for r in range(col, len(t)) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [x / M[col][col] for x in M[col]]
+        for r in range(len(t)):
+            if r != col and M[r][col] != 0:
+                M[r] = [a - M[r][col] * b for a, b in zip(M[r], M[col])]
+    return np.array([[float(x) for x in row[len(t):]] for row in M])
+
+
+def circulating_pair(eps: float) -> np.ndarray:
+    """States 0 and 1 flip into each other; 0 leaks eps into the absorbing
+    state 2 and 1 leaks 2 eps into the absorbing state 3."""
+    P = np.zeros((4, 4))
+    P[0, [1, 2]] = [1.0 - eps, eps]
+    P[1, [0, 3]] = [1.0 - 2.0 * eps, 2.0 * eps]
+    P[2, 2] = P[3, 3] = 1.0
+    return P
+
+
+def transient_ladder(rng, n_transient: int) -> np.ndarray:
+    """A ladder of transient states 2, ..., n_transient + 1, each moving to
+    its neighbours, itself and the two aperiodic closed classes {0, 1} and
+    {n - 2, n - 1} with random probabilities."""
+    n = n_transient + 4
+    P = np.zeros((n, n))
+    P[np.ix_([0, 1], [0, 1])] = [[0.3, 0.7], [0.6, 0.4]]
+    P[np.ix_([n - 2, n - 1], [n - 2, n - 1])] = [[0.5, 0.5], [0.9, 0.1]]
+    for i in range(2, n - 2):
+        P[i, [i - 1, i, i + 1, 0, n - 1]] += rng.dirichlet(np.ones(5))
+    return P
+
+
+def leaky_cycles(rng, leak: float) -> np.ndarray:
+    """Two random deterministic cycles (sometimes with a transient state of
+    their own) and 4 transient states that pass mass among themselves and
+    leak ``leak`` into the cycles, the states shuffled."""
+    cycles = [random_structured_kernel(rng, int(k)).probs for k in rng.integers(2, 6, size=2)]
+    n = sum(len(c) for c in cycles) + 4
+    P = np.zeros((n, n))
+    at = 0
+    for c in cycles:
+        P[at:at + len(c), at:at + len(c)] = c
+        at += len(c)
+    P[at:, at:] = (1.0 - leak) * rng.dirichlet(np.ones(4), size=4)
+    P[at:, :at] = leak * rng.dirichlet(np.ones(at), size=4)
+    order = rng.permutation(n)
+    return P[np.ix_(order, order)]
+
+
+class TestAbsorptionByCensoring:
+    """Absorption probabilities come from the GTH elimination that gives
+    stationary vectors: transient states are censored down to one absorbing
+    state per closed class, so every sum adds nonnegative numbers."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+    def test_circulating_pair_keeps_its_digits(self, eps):
+        P = circulating_pair(eps)
+        _, laws = limit_laws(TransitionKernel(P))
+        expected = fraction_absorption(P, [[2], [3]], [0, 1])
+        assert np.max(np.abs(laws[:2, 0, 2:] / expected - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("leak", [1e-3, 1e-10])
+    def test_slow_leaks_through_random_transient_states(self, rng, leak):
+        for _ in range(5):
+            P = leaky_cycles(rng, leak)
+            structure = markov._structure_of(P > 0.0)
+            t = np.flatnonzero(~structure.classification.recurrent)
+            H = markov._absorption(P[None], structure.closed, t)[0]
+            expected = fraction_absorption(P, [c.tolist() for c in structure.closed], t.tolist())
+            assert np.all(np.abs(H - expected) <= 1e-13 * expected)
+
+    @pytest.mark.parametrize("n_transient", [64, 300])
+    def test_ladder_across_elimination_blocks(self, rng, n_transient):
+        # 300 transient states are 4 blocks of 64 and 44 censored alone
+        P = np.stack([transient_ladder(rng, n_transient) for _ in range(3)])
+        u = np.broadcast_to(np.eye(len(P[0])), P.shape)
+        _, laws = markov._limit_laws(P, u)
+        assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
+        assert np.max(np.abs(laws.sum(axis=-1) - 1.0)) <= 1e-14
+        for member, law in zip(P, laws):
+            np.testing.assert_array_equal(markov._limit_laws(member[None], u[:1])[1][0], law)
+
+    def test_periodic_reducible_chains_match_the_solve(self, rng):
+        for _ in range(10):
+            P = leaky_cycles(rng, float(rng.uniform(0.05, 0.5)))[None]
+            u = np.eye(P.shape[-1])[None]
+            structure, laws = markov._limit_laws(P, u)
+            assert not structure.classification.recurrent.all()
+            assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
+
+    def test_no_pivoting_solve(self, rng, monkeypatch):
+        def spy(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        P, _, _ = cycles_fed_by_transients()
+        for chain in (P, circulating_pair(1e-9), transient_ladder(rng, 100)):
+            _, laws = markov._limit_laws(chain[None], np.eye(len(chain))[None])
+            assert np.max(np.abs(laws.sum(axis=-1) - 1.0)) <= 1e-14
+
+
 def _underflow_chains():
     # a softmax row whose smallest entry underflowed to exactly 0
     logits = np.array([[0.0, 1.0, -800.0], [0.5, 0.0, 0.0], [0.0, 2.0, 1.0]])
@@ -379,7 +514,7 @@ class TestStructureMemo:
 
         def fields(P):
             structure, laws = limit_laws(TransitionKernel(P))
-            return (structure.period_lcm, structure.state_period,
+            return (structure.period_lcm, periods(TransitionKernel(P)),
                     structure.classification.recurrent.tolist(), laws.tobytes())
 
         cold = []
@@ -399,7 +534,7 @@ class TestStructureMemo:
         a = TransitionKernel([[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]])
         b = TransitionKernel([[0.9, 0.1, 0], [0, 0, 1], [1, 0, 0]])
         assert classify_states(a) is classify_states(b)
-        assert limit_laws(a)[0].state_period == limit_laws(b)[0].state_period
+        assert periods(a) == periods(b)
         assert periods(a)[1] == 1
         assert markov._memo_structure.cache_info().misses == 1
 
