@@ -365,20 +365,21 @@ def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) ->
     numbers, so transient states that pass mass among themselves and leak
     slowly keep their digits.
     """
-    c = len(closed)
+    B, c, n = len(Q), len(closed), len(closed) + t.size
+    m = _GTH_BLOCK
     rows = Q.take(t, axis=1)
-    A = np.zeros((len(Q), c + t.size, c + t.size))
+    A = np.zeros((B, n, n))
     for j, members in enumerate(closed):
         A[:, c:, j] = rows.take(members, axis=2).sum(axis=2)
     A[:, c:, c:] = rows.take(t, axis=2)
     divisors, lower_inverses = _eliminate(A, c)
     lo = c + len(divisors)
-    h = np.zeros((len(Q), c + t.size, c))
+    h = np.zeros((B, n, c))
     h[:, :c] = np.eye(c)
     for k, out in zip(range(c, lo), divisors):
         h[:, k] = (A[:, k, None, :k] @ h[:, :k])[:, 0] / out
-    for k, inverse in zip(range(lo, c + t.size, _GTH_BLOCK), lower_inverses):
-        h[:, k:k + _GTH_BLOCK] = inverse @ (A[:, k:k + _GTH_BLOCK, :k] @ h[:, :k])
+    for k, inverse in zip(range(lo, n, m), lower_inverses):
+        h[:, k:k + m] = inverse @ (A[:, k:k + m, :k] @ h[:, :k])
     return h[:, c:]
 
 
