@@ -14,9 +14,8 @@ from .capacity import (CapacityResult, capacity_lower_bound, capacity_memoryless
                        capacity_noiseless, capacity_unifilar_product,
                        check_subadditivity, classify_agent_sets,
                        compute_capacity)
-from .channels import (AgentModel, EnvironmentModel, UnifilarityMap, cascade,
-                       is_memoryless_invariant, is_noiseless, is_product,
-                       is_unifilar, load_model, save_model)
+from .channels import (AgentModel, EnvironmentModel, cascade, is_memoryless_invariant,
+                       is_noiseless, is_product, is_unifilar, load_model, save_model)
 from .errors import (BudgetError, ChannelClassError, ConvergenceError,
                      DimensionError, DomainError, InternalConsistencyError,
                      ModelFormatError, WorkcapError)

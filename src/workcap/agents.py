@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (AgentModel, EnvironmentModel, UnifilarityMap,
-                       has_action_invariant_kernel, is_unifilar)
+from .channels import (AgentModel, EnvironmentModel, has_action_invariant_kernel,
+                       is_unifilar)
 from .errors import ChannelClassError, DimensionError, DomainError
 
 
@@ -100,7 +100,7 @@ def build_predictive(base: AgentModel, env: EnvironmentModel,
     return _predictive(base, env, uni, circuit)
 
 
-def _predictive(base: AgentModel, env: EnvironmentModel, uni: UnifilarityMap,
+def _predictive(base: AgentModel, env: EnvironmentModel, uni: np.ndarray,
                 circuit: str) -> AgentModel:
     """:func:`build_predictive` on ``env``, whose unifilarity map is ``uni``."""
     if circuit not in ("auto", "general", "product"):
@@ -135,7 +135,7 @@ def _predictive(base: AgentModel, env: EnvironmentModel, uni: UnifilarityMap,
         for m in range(n_m):
             for y in range(n_y):
                 for z in range(n_z):
-                    z_new = uni(y, z, s)
+                    z_new = uni[y, z, s]
                     for a2 in range(n):
                         for m2 in range(n_m):
                             theta[s, midx(m, y, z), a2, midx(m2, a2, z_new)] = \

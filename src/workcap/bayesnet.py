@@ -223,8 +223,7 @@ def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
 
 def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
                            n_triples: int = 50, seed: int = 0,
-                           variant: str = "general",
-                           budget: int = loop.TRAJECTORY_BUDGET) -> CompatibilityReport:
+                           variant: str = "general") -> CompatibilityReport:
     """Check that sampled d-separations hold as exact independences.
 
     Samples ``n_triples`` d-separated triples over the non-auxiliary nodes of
@@ -253,7 +252,7 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     rng = np.random.default_rng(seed)
     triples = sample_separated_triples(dag, pool, n_triples, rng)
 
-    joint = loop._trajectory_marginal(pal, horizon, pool, budget)
+    joint = loop._trajectory_marginal(pal, horizon, pool)
     violations = []
     for trip in triples:
         cmi = info.conditional_mutual_information(joint, *trip, base="nats")

@@ -35,6 +35,8 @@ ASCENT_STEPS = 2000  # step cap of the memoryless ascent
 FACE_TOL = 1e-12  # memoryless entries below this get a Newton step alone; witness ones are tried at 0
 NEWTON_FLAT = 1e-12  # relative singular values the memoryless Newton step drops
 DUST = 1e-100  # least weight a memoryless ascent step leaves a played action
+VERTEX_TOL = 1e-6  # a witness row whose largest entry is within this of 1 snaps to 0/1
+SUBADDITIVITY_SLACK = 1e-8  # nats between bounds that check_subadditivity still decides
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,7 @@ def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
 
 
 def _unifilar_product_form(env: channels.EnvironmentModel,
-                           uni: channels.UnifilarityMap) -> CapacityResult:
+                           uni: np.ndarray) -> CapacityResult:
     """:func:`capacity_unifilar_product` of the unifilar product channel
     ``env``, whose unifilarity map is ``uni``."""
     value = math.log(len(env.alphabet)) - info._unifilar_entropy_rate(env)
@@ -383,17 +385,17 @@ def _agent_from_params(x: np.ndarray, alphabet: tuple[str, ...],
     return agents.AgentModel(alphabet, memory, theta[0], init[0])
 
 
-def _snap_vertices(model: agents.AgentModel, eps: float = 1e-6) -> agents.AgentModel:
-    """Round near-deterministic rows to exact 0/1 kernels."""
+def _snap_vertices(model: agents.AgentModel) -> agents.AgentModel:
+    """Round rows within VERTEX_TOL of a vertex to exact 0/1 kernels."""
     theta = model.theta.reshape(model.n_symbols * model.n_memory, -1).copy()
     for row in theta:
         j = int(np.argmax(row))
-        if row[j] >= 1.0 - eps:
+        if row[j] >= 1.0 - VERTEX_TOL:
             row[:] = 0.0
             row[j] = 1.0
     init = model.initial_joint.copy()
     j = int(np.argmax(init))
-    if init.flat[j] >= 1.0 - eps:
+    if init.flat[j] >= 1.0 - VERTEX_TOL:
         init[:] = 0.0
         init.flat[j] = 1.0
     return agents.AgentModel(
@@ -523,26 +525,25 @@ class SubadditivityReport:
     upper_first_nats: float
     upper_second_nats: float
     upper_cascade_nats: float
-    slack: float
     holds: bool | None
 
 
 def check_subadditivity(env1: channels.EnvironmentModel,
-                        env2: channels.EnvironmentModel,
-                        slack: float = 1e-8) -> SubadditivityReport:
+                        env2: channels.EnvironmentModel) -> SubadditivityReport:
     """C(second o first) <= C(first) + C(second) for memoryless invariant
     channels, decided from certified bounds.  Each capacity lies between
     its attained value and its ``upper_nats``, so ``holds`` is True when the
-    cascade's upper bound is at most the factors' values plus ``slack``,
-    False when the cascade's value exceeds the factors' upper bounds plus
-    ``slack``, and None when the bounds decide neither.  The three
-    capacities are solved as one stack (:func:`_memoryless_bounds`)."""
-    return _subadditivity_reports([(env1, env2)], slack)[0]
+    cascade's upper bound is at most the factors' values plus
+    SUBADDITIVITY_SLACK, False when the cascade's value exceeds the
+    factors' upper bounds plus SUBADDITIVITY_SLACK, and None when the
+    bounds decide neither.  The three capacities are solved as one stack
+    (:func:`_memoryless_bounds`)."""
+    return _subadditivity_reports([(env1, env2)])[0]
 
 
 def _subadditivity_reports(pairs: list[tuple[channels.EnvironmentModel,
-                                             channels.EnvironmentModel]],
-                           slack: float) -> list[SubadditivityReport]:
+                                             channels.EnvironmentModel]]
+                           ) -> list[SubadditivityReport]:
     """:func:`check_subadditivity` of each pair, with the factors and
     cascades of all pairs solved in one call of :func:`_memoryless_bounds`,
     which builds no witness agents."""
@@ -563,12 +564,12 @@ def _subadditivity_reports(pairs: list[tuple[channels.EnvironmentModel,
     for (_, value1, upper1, _), (_, value2, upper2, _), (_, value, upper, _) in zip(
             bounds[0::3], bounds[1::3], bounds[2::3]):
         holds = None
-        if upper <= value1 + value2 + slack:
+        if upper <= value1 + value2 + SUBADDITIVITY_SLACK:
             holds = True
-        elif value > upper1 + upper2 + slack:
+        elif value > upper1 + upper2 + SUBADDITIVITY_SLACK:
             holds = False
         reports.append(SubadditivityReport(value1, value2, value, upper1, upper2, upper,
-                                           slack, holds))
+                                           holds))
     return reports
 
 

@@ -25,8 +25,6 @@ import numpy as np
 from .errors import DimensionError, ModelFormatError
 from .markov import ROW_SUM_TOL, _check_stochastic, bfs_levels
 
-ENUMERATION_BUDGET = 20_000_000
-
 
 def _check_labels(labels, what: str) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
@@ -197,26 +195,13 @@ def has_action_invariant_kernel(env: EnvironmentModel) -> bool:
     return bool(np.max(np.abs(phi - phi[:1])) <= ROW_SUM_TOL)
 
 
-@dataclass(frozen=True)
-class UnifilarityMap:
-    """Deterministic next-state map (a, z, s) -> z' of a unifilar model.
-
-    ``next_state[a, z, s]`` is the unique successor wherever the triple has
-    positive probability; for zero-probability triples the entry is an
-    arbitrary placeholder (the current state) so the map stays total.
-    """
-
-    next_state: np.ndarray
-
-    def __call__(self, a: int, z: int, s: int) -> int:
-        return int(self.next_state[a, z, s])
-
-
-def is_unifilar(env: EnvironmentModel) -> UnifilarityMap | None:
+def is_unifilar(env: EnvironmentModel) -> np.ndarray | None:
     """The unifilarity map if the model qualifies, else None.
 
     Requires a delta initial distribution and, for every reachable hidden
     state, at most one positive successor per (action, state, percept).
+    The map is a read-only ``(|A|, n_z, |A|)`` int array of those successors,
+    with the current state z where the triple (a, z, s) has none.
     """
     if np.max(env.initial) < 1.0 - ROW_SUM_TOL:
         return None
@@ -235,7 +220,7 @@ def is_unifilar(env: EnvironmentModel) -> UnifilarityMap | None:
                 if succ.size == 1:
                     nxt[a, z, s] = succ[0]
     nxt.setflags(write=False)
-    return UnifilarityMap(nxt)
+    return nxt
 
 
 def cascade(first: EnvironmentModel, second: EnvironmentModel) -> EnvironmentModel:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -75,6 +77,19 @@ def _save(model, path) -> None:
         raise InputError(f"{path}: cannot write: {exc.strerror}") from None
 
 
+def _check_out(path) -> None:
+    """Fail, before any work and creating nothing, on an output path that
+    is a directory or whose parent is not one, with the reason writing would
+    give; :func:`_save` still maps what this cannot see, such as a read-only
+    directory."""
+    if Path(path).is_dir():
+        raise InputError(f"{path}: cannot write: Is a directory")
+    try:
+        os.stat(os.path.join(Path(path).parent, ""))  # the trailing / asks for a directory
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror}") from None
+
+
 def _make_loop(env, agent) -> loop.PerceptActionLoop:
     try:
         return loop.PerceptActionLoop(agent, env)
@@ -107,7 +122,7 @@ def cmd_analyze(args) -> int:
     if uni is not None:
         entries = {
             f"{env.alphabet[a]},{env.hidden_states[z]},{env.alphabet[s]}":
-                env.hidden_states[uni(a, z, s)]
+                env.hidden_states[uni[a, z, s]]
             for a in range(env.n_symbols)
             for z in range(env.n_hidden)
             for s in range(env.n_symbols)
@@ -163,6 +178,8 @@ def cmd_work_rate(args) -> int:
 
 def cmd_capacity(args) -> int:
     env = _load(args.env)
+    if args.out:
+        _check_out(args.out)
     result = capacity.compute_capacity(env, memory_size=args.memory_size,
                                        restarts=args.restarts, seed=args.seed)
     value = result.value(args.units)

@@ -28,6 +28,7 @@ LN2 = math.log(2.0)
 
 JOINT_SUM_TOL = 1e-10
 _CLAMP_RAISE = 1e-9
+ENUMERATION_BUDGET = 20_000_000  # entries a block-entropy prefix table may hold
 
 
 def _base_factor(base: str) -> float:
@@ -175,14 +176,15 @@ def conditional_mutual_information(joint: JointTable, set_a, set_b, set_c=(),
 # Entropy rate of product-channel sources
 # ---------------------------------------------------------------------------
 
-def _percept_block_entropies(env, max_len: int, budget: int):
+def _percept_block_entropies(env, max_len: int):
     """Yields H(S_{0:n}) in nats for n = 1, 2, ... under the fixed all-zeros
     action sequence (the percept law of a product channel does not depend on
-    it).  Stops raising once the prefix table would exceed the budget."""
+    it).  Stops raising once the prefix table would exceed
+    ENUMERATION_BUDGET, read at each call."""
     phi0 = env.phi[0]
     alpha = env.initial.copy()  # joint of the percept prefix and hidden state
     for _ in range(max_len):
-        if alpha.size * env.n_symbols > budget:
+        if alpha.size * env.n_symbols > ENUMERATION_BUDGET:
             raise ConvergenceError(
                 "block-entropy table exceeded the enumeration budget before converging"
             )
@@ -203,7 +205,7 @@ def _unifilar_entropy_rate(env) -> float:
 
 
 def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
-                 base: str = BITS, budget: int = channels.ENUMERATION_BUDGET) -> float:
+                 base: str = BITS) -> float:
     """Per-symbol entropy of the percept process of a product channel, as
     decided by ``channels.is_product`` (ChannelClassError otherwise).
 
@@ -211,7 +213,7 @@ def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
     sum_z pi(z) H(emission | z) with pi the time-averaged hidden-state
     distribution.  Otherwise increasing-horizon conditional block entropies
     H(S_{0:n+1}) - H(S_{0:n}) are used until two successive estimates differ
-    by less than ``tol``; ``budget`` bounds their prefix tables.
+    by less than ``tol``; ENUMERATION_BUDGET bounds their prefix tables.
     """
     factor = _base_factor(base)
     if not channels.is_product(env):
@@ -222,7 +224,7 @@ def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
     prev_block = 0.0
     prev_estimate = None
     estimate = None
-    for block in _percept_block_entropies(env, max_horizon, budget):
+    for block in _percept_block_entropies(env, max_horizon):
         prev_estimate, estimate = estimate, block - prev_block
         prev_block = block
         if prev_estimate is not None and abs(estimate - prev_estimate) < tol:

@@ -100,7 +100,7 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
     and the round-0 distribution is agent_init(a, m) * env_init(z) * e(s|a, z).
     """
     phi = loop.env.phi
-    emission = phi.sum(axis=3)  # [a, z, s]
+    emission = loop.env.emission()  # [a, z, s]
     feasible4 = emission > 0.0
     X = phi / np.where(feasible4, emission, 1.0)[..., None]
     n = int(np.prod(loop.shape))
@@ -146,14 +146,14 @@ def _elimination_plan(horizon: int, keep: set[str]) -> list[list[str]]:
     return plan
 
 
-def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep,
-                         budget: int) -> JointTable:
+def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTable:
     """Exact marginal over ``keep`` (names such as ``"S3"``) of the joint
     of the first ``horizon`` rounds, by variable elimination in round order
     (Zhang & Poole 1994): the forward message over the kept past and the
     current (M_t, A_t, Z_t) takes in one factor at a time and loses each
-    unkept variable as soon as no later factor reads it.  ``budget`` bounds
-    the largest table formed, which is computed from the shapes first.
+    unkept variable as soon as no later factor reads it.  TRAJECTORY_BUDGET,
+    read at each call, bounds the largest table formed, which is computed
+    from the shapes first.
     """
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
@@ -171,15 +171,15 @@ def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep,
         outs = [subscripts.split("->")[1][1:] for subscripts in steps]
         required = max(required, *(past * math.prod(size[c] for c in out) for out in outs))
         past *= math.prod(size[c] for c in outs[-1] if c in "masz")
-    if required > budget:
+    if required > TRAJECTORY_BUDGET:
         raise BudgetError(
             f"trajectory contraction would form a table of {required} entries "
-            f"(budget {budget})", required=required, budget=budget,
+            f"(budget {TRAJECTORY_BUDGET})", required=required, budget=TRAJECTORY_BUDGET,
         )
 
     phi = loop.env.phi.transpose(0, 2, 1, 3)  # [a, s, z, w]
     theta = loop.agent.theta.transpose(1, 0, 3, 2)  # [m, s, n, b]
-    emission = loop.env.phi.sum(axis=3).transpose(0, 2, 1)  # [a, s, z]
+    emission = loop.env.emission().transpose(0, 2, 1)  # [a, s, z]
     msg = np.einsum("am,z->maz", loop.agent.initial_joint, loop.env.initial)[None]
     for to_env, to_agent in plan[:-1]:
         msg = np.einsum(to_agent, np.einsum(to_env, msg, phi), theta)
@@ -189,12 +189,11 @@ def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep,
     return JointTable._owning(kept, msg.reshape([size[name[0].lower()] for name in kept]))
 
 
-def trajectory_distribution(loop: PerceptActionLoop, horizon: int,
-                            budget: int = TRAJECTORY_BUDGET) -> TrajectoryDistribution:
+def trajectory_distribution(loop: PerceptActionLoop, horizon: int) -> TrajectoryDistribution:
     """Exact joint table of the first ``horizon`` rounds, variables ordered
-    M_0, A_0, S_0, Z_0, M_1, ...; ``budget`` bounds its entries."""
+    M_0, A_0, S_0, Z_0, M_1, ...; TRAJECTORY_BUDGET bounds its entries."""
     names = [f"{v}{t}" for t in range(horizon) for v in _ROUND_VARS]
-    return TrajectoryDistribution(horizon, _trajectory_marginal(loop, horizon, names, budget))
+    return TrajectoryDistribution(horizon, _trajectory_marginal(loop, horizon, names))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def _lift(laws: np.ndarray, env: EnvironmentModel) -> np.ndarray:
     """Tables p(m, a, s, z) = p(m, a, z) e(s | a, z) from laws over the
     pre-percept states (m, a, z) of :func:`_cesaro_tables`, flattened on
     the last axis; leading axes stack laws."""
-    emission = env.phi.sum(axis=3)  # [a, z, s]
+    emission = env.emission()  # [a, z, s]
     w = laws.reshape(*laws.shape[:-1], -1, *emission.shape[:2])
     return np.einsum("...maz,azs->...masz", w, emission)
 
@@ -360,18 +359,17 @@ def _past_vars(t: int) -> list[str]:
     return [f"A{i}" for i in range(t + 1)] + [f"S{i}" for i in range(t)]
 
 
-def predictiveness_score(loop: PerceptActionLoop, t: int,
-                         budget: int = TRAJECTORY_BUDGET, base: str = BITS) -> float:
+def predictiveness_score(loop: PerceptActionLoop, t: int, base: str = BITS) -> float:
     """Exact I[A_0..A_t, S_0..S_{t-1}; S_t | M_t]; zero iff the memory is a
     sufficient statistic of the past for the current percept.
 
-    Only the marginal over those variables is formed, so ``budget`` bounds
-    the largest table of its contraction, not the full joint of t + 1 rounds.
+    Only the marginal over those variables is formed, so TRAJECTORY_BUDGET
+    bounds its contraction's largest table, not the full joint of t + 1 rounds.
     """
     if t < 0:
         raise DimensionError("round index must be >= 0")
     past = _past_vars(t)
-    joint = _trajectory_marginal(loop, t + 1, {*past, f"S{t}", f"M{t}"}, budget)
+    joint = _trajectory_marginal(loop, t + 1, {*past, f"S{t}", f"M{t}"})
     return conditional_mutual_information(
         joint, past, (f"S{t}",), (f"M{t}",), base=base)
 
@@ -381,40 +379,35 @@ class PredictivenessEstimate:
     """Truncated Cesàro mean of per-round predictiveness scores.
 
     This is an estimator of the asymptotic mean, not the exact limit; the
-    horizon, the last per-round score, and a settledness verdict (last score
-    below the requested tolerance) are carried so callers cannot mistake the
-    truncation for the limit.
+    horizon and the last per-round score are carried so callers cannot
+    mistake the truncation for the limit.
     """
 
     mean: float
     horizon: int
     last_score: float
-    settled: bool
     units: str
 
     def __float__(self) -> float:
         return self.mean
 
 
-def am_predictiveness(loop: PerceptActionLoop, horizon: int, tol: float = 1e-9,
-                      budget: int = TRAJECTORY_BUDGET,
+def am_predictiveness(loop: PerceptActionLoop, horizon: int,
                       base: str = BITS) -> PredictivenessEstimate:
     """Arithmetic mean of predictiveness scores over rounds t < horizon."""
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
-    scores = [predictiveness_score(loop, t, budget=budget, base=base)
-              for t in range(horizon)]
-    return PredictivenessEstimate(float(np.mean(scores)), horizon, scores[-1],
-                                  bool(scores[-1] <= tol), base)
+    scores = [predictiveness_score(loop, t, base=base) for t in range(horizon)]
+    return PredictivenessEstimate(float(np.mean(scores)), horizon, scores[-1], base)
 
 
 def future_predictiveness(loop: PerceptActionLoop, t: int, future_len: int,
-                          budget: int = TRAJECTORY_BUDGET, base: str = BITS) -> float:
+                          base: str = BITS) -> float:
     """Truncated I[A_0..A_t, S_0..S_{t-1}; S_t..S_{t+k-1} | M_t] with k =
     ``future_len``; nondecreasing in k by the chain rule."""
     if t < 0 or future_len < 1:
         raise DimensionError("need t >= 0 and future_len >= 1")
     past = _past_vars(t)
     future = [f"S{i}" for i in range(t, t + future_len)]
-    joint = _trajectory_marginal(loop, t + future_len, {*past, *future, f"M{t}"}, budget)
+    joint = _trajectory_marginal(loop, t + future_len, {*past, *future, f"M{t}"})
     return conditional_mutual_information(joint, past, future, (f"M{t}",), base=base)

@@ -367,11 +367,11 @@ def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) ->
     """
     B, c, n = len(Q), len(closed), len(closed) + t.size
     m = _GTH_BLOCK
-    rows = Q.take(t, axis=1)
+    stack = np.arange(B)  # ix_ gathers are C-ordered: class sums round as alone
     A = np.zeros((B, n, n))
     for j, members in enumerate(closed):
-        A[:, c:, j] = rows.take(members, axis=2).sum(axis=2)
-    A[:, c:, c:] = rows.take(t, axis=2)
+        A[:, c:, j] = Q[np.ix_(stack, t, members)].sum(axis=2)
+    A[:, c:, c:] = Q[np.ix_(stack, t, t)]
     divisors, lower_inverses = _eliminate(A, c)
     lo = c + len(divisors)
     h = np.zeros((B, n, c))

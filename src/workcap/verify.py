@@ -267,13 +267,13 @@ def check_cesaro_machinery(seed: int = 0) -> str:
 def check_subadditivity(seed: int = 0) -> str:
     """50 random binary memoryless channel pairs satisfy cascade
     subadditivity: the cascade's certified upper bound is at most the sum of
-    the two attained capacities (slack 1e-8).  The 150 capacities are solved
-    as one stack."""
+    the two attained capacities (up to capacity.SUBADDITIVITY_SLACK).  The
+    150 capacities are solved as one stack."""
     rng = np.random.default_rng(seed)
     pairs = [(random_memoryless_environment(rng), random_memoryless_environment(rng))
              for _ in range(50)]
     worst = -math.inf
-    for report in capacity._subadditivity_reports(pairs, slack=1e-8):
+    for report in capacity._subadditivity_reports(pairs):
         both = report.value_first_nats + report.value_second_nats
         worst = max(worst, report.value_cascade_nats - both)
         excess = report.upper_cascade_nats - both

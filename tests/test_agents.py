@@ -134,7 +134,7 @@ class TestPredictiveConstruction:
         rate = work_rate(pal).rate
         assert abs(rate - (1.0 - 2.0 / 3.0)) < 1e-6
         assert classify_agent_sets(golden_mean, agent, horizon=1).in_mea
-        assert am_predictiveness(pal, horizon=4).settled
+        assert am_predictiveness(pal, horizon=4).last_score <= 1e-9
 
     def test_non_unifilar_env_rejected(self, rng):
         env = random_environment(rng, 2, 2)  # dense kernel: branching successors

@@ -546,8 +546,8 @@ class TestStackedAscent:
     def test_subadditivity_reports_equal_pairwise_checks(self, rng):
         pairs = [(random_memoryless_environment(rng), random_memoryless_environment(rng))
                  for _ in range(12)]
-        assert _subadditivity_reports(pairs, 1e-8) == [check_subadditivity(*pair)
-                                                       for pair in pairs]
+        assert _subadditivity_reports(pairs) == [check_subadditivity(*pair)
+                                                 for pair in pairs]
 
 
 class TestUnifilarProduct:

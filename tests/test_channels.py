@@ -258,9 +258,9 @@ class TestUnifilar:
         a_idx = golden_mean.hidden_states.index("a")
         b_idx = golden_mean.hidden_states.index("b")
         # emitting 1 from state a leads to b; emitting 0 returns to a
-        assert uni(0, a_idx, 1) == b_idx
-        assert uni(0, a_idx, 0) == a_idx
-        assert uni(0, b_idx, 0) == a_idx
+        assert uni[0, a_idx, 1] == b_idx
+        assert uni[0, a_idx, 0] == a_idx
+        assert uni[0, b_idx, 0] == a_idx
 
     def test_uniform_initial_not_unifilar(self, golden_mean):
         env = EnvironmentModel(golden_mean.alphabet, golden_mean.hidden_states,
@@ -288,7 +288,7 @@ class TestUnifilar:
                 prob = 1.0
                 for a, s in zip(actions, percepts):
                     prob = prob * emission[a, z, s]
-                    z = uni(a, z, s)
+                    z = uni[a, z, s]
                 assert law[percepts] == prob  # exact, same float products
 
 

@@ -105,6 +105,28 @@ class TestAnalyze:
         assert stdout == ""
         assert err == f"error: {out}: cannot write: No such file or directory\n"
 
+    @pytest.mark.parametrize("out, reason", [
+        ("no/such/dir/w.json", "No such file or directory"),
+        (".", "Is a directory"),
+        ("file/w.json", "Not a directory"),
+    ])
+    def test_capacity_rejects_out_before_the_search(self, capsys, tmp_path, monkeypatch,
+                                                    out, reason):
+        from workcap import capacity
+
+        def search(*args, **kwargs):
+            raise AssertionError("compute_capacity ran before --out was checked")
+
+        monkeypatch.setattr(capacity, "compute_capacity", search)
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / out
+        code, stdout, err = run_cli(capsys, "capacity", FIG5, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {out}: cannot write: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]  # nothing created
+        assert (tmp_path / "file").read_text() == "kept"
+
 
 class TestWorkRate:
     def test_fig5_uniform(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from workcap import (ChannelClassError, DomainError, JointTable,
                      conditional_entropy, conditional_mutual_information,
                      entropy, entropy_rate)
+from workcap import info
 from workcap.errors import ConvergenceError
 from workcap.info import LN2
 from workcap.random_models import random_environment
@@ -233,6 +234,16 @@ class TestEntropyRate:
         h = entropy_rate(env, tol=1e-7)
         oracle = block_entropy_oracle(env, n=16)
         assert abs(h - oracle) < 1e-4
+
+    def test_block_route_reads_the_budget_when_called(self, rng, monkeypatch):
+        # the first prefix table holds n_z * |S| = 4 entries
+        from workcap import EnvironmentModel
+        base = random_environment(rng, 2, 2, action_invariant=True)
+        env = EnvironmentModel(base.alphabet, base.hidden_states, base.phi,
+                               np.array([0.5, 0.5]))
+        monkeypatch.setattr(info, "ENUMERATION_BUDGET", 3)
+        with pytest.raises(ConvergenceError, match="enumeration budget"):
+            entropy_rate(env)
 
     def test_unifilar_vs_block_on_random_sources(self, rng):
         from workcap import EnvironmentModel

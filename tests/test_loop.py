@@ -9,7 +9,9 @@ from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      build_identity, build_memoryless, build_predictive,
                      build_uniform, build_last_action, trajectory_distribution,
                      work_rate)
+from workcap import loop as loop_mod
 from workcap import markov
+from workcap.bayesnet import validate_compatibility
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
 from workcap.loop import (GlobalChain, _cesaro_tables, _cesaro_terms, _lift,
@@ -198,7 +200,7 @@ class TestContraction:
             oracle = full_trajectory_table(pal, horizon)
             for _ in range(4):
                 keep = [v for v in oracle.variables if rng.random() < 0.4]
-                got = _trajectory_marginal(pal, horizon, keep, budget=10 ** 7)
+                got = _trajectory_marginal(pal, horizon, keep)
                 want = oracle.marginal(keep)
                 assert got.variables == want.variables
                 assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
@@ -223,7 +225,7 @@ class TestContraction:
                     assert abs(future_predictiveness(pal, t, k)
                                - oracle_cmi(oracle, t, k)) <= 1e-13
 
-    def test_budget_bounds_largest_table_formed(self, golden_mean):
+    def test_budget_bounds_largest_table_formed(self, golden_mean, monkeypatch):
         # shape (4, 2, 2, 2); the score at t = 8 keeps A_0..A_8, S_0..S_8
         # and M_8.  Round 7's agent step forms [A_0..A_7, S_0..S_7, M_8, A_8,
         # Z_8] and the last round [A_0..A_8, S_0..S_8, M_8]: 2^16 * 16 = 2^20
@@ -232,13 +234,15 @@ class TestContraction:
                                                  golden_mean, circuit="general"),
                                 golden_mean)
         assert pal.shape == (4, 2, 2, 2)
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 2 ** 20 - 1)
         with pytest.raises(BudgetError) as excinfo:
-            predictiveness_score(pal, 8, budget=2 ** 20 - 1)
+            predictiveness_score(pal, 8)
         assert excinfo.value.required == 2 ** 20
         assert excinfo.value.budget == 2 ** 20 - 1
-        assert predictiveness_score(pal, 8, budget=2 ** 20) <= 1e-10
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 2 ** 20)
+        assert predictiveness_score(pal, 8) <= 1e-10
 
-    def test_budget_counts_hidden_state_summed_early(self, rng):
+    def test_budget_counts_hidden_state_summed_early(self, rng, monkeypatch):
         # shape (1, 2, 2, 3), keeping S_0..S_3: before round t's agent step
         # the table is [S_0..S_t, Z_{t+1}] (Z_t and A_t summed out), 2^t * 6
         # entries; after it [S_0..S_t, A_{t+1}, Z_{t+1}], 2^t * 12, which at
@@ -247,17 +251,38 @@ class TestContraction:
         pal = PerceptActionLoop(build_uniform(("0", "1")), random_environment(rng, 2, 3))
         assert pal.shape == (1, 2, 2, 3)
         percepts = {"S0", "S1", "S2", "S3"}
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 47)
         with pytest.raises(BudgetError) as excinfo:
-            _trajectory_marginal(pal, 4, percepts, budget=47)
+            _trajectory_marginal(pal, 4, percepts)
         assert excinfo.value.required == 48
-        got = _trajectory_marginal(pal, 4, percepts, budget=48)
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 48)
+        got = _trajectory_marginal(pal, 4, percepts)
         want = full_trajectory_table(pal, 4).marginal(percepts)
         assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
 
     def test_unknown_variable_rejected(self, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
         with pytest.raises(KeyError):
-            _trajectory_marginal(pal, 2, {"S2"}, budget=10 ** 7)
+            _trajectory_marginal(pal, 2, {"S2"})
+
+    def test_every_entry_point_reads_the_budget_when_called(self, rng, monkeypatch):
+        # the smallest table any contraction forms is the round-0 message,
+        # M * A * Z = 8 entries, so a budget of 7 stops every call
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
+        calls = {
+            "trajectory_distribution": lambda: trajectory_distribution(pal, 2),
+            "predictiveness_score": lambda: predictiveness_score(pal, 1),
+            "am_predictiveness": lambda: am_predictiveness(pal, 2),
+            "future_predictiveness": lambda: future_predictiveness(pal, 0, 2),
+            "validate_compatibility": lambda: validate_compatibility(pal, 2, n_triples=5),
+        }
+        for call in calls.values():
+            call()
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 7)
+        for name, call in calls.items():
+            with pytest.raises(BudgetError) as excinfo:
+                call()
+            assert excinfo.value.budget == 7, name
 
 
 class TestWorkRate:

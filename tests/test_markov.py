@@ -465,6 +465,35 @@ class TestAbsorptionByCensoring:
             assert not structure.classification.recurrent.all()
             assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
 
+    def test_one_gather_gives_the_two_take_elimination_array(self, rng, monkeypatch):
+        # the array _absorption eliminates, built by gathering the transient
+        # rows and then their columns: same entries, same class sums
+        def two_takes(Q, closed, t):
+            c = len(closed)
+            rows = Q.take(t, axis=1)
+            A = np.zeros((len(Q), c + t.size, c + t.size))
+            for j, members in enumerate(closed):
+                A[:, c:, j] = rows.take(members, axis=2).sum(axis=2)
+            A[:, c:, c:] = rows.take(t, axis=2)
+            return A
+
+        seen = []
+        eliminate = markov._eliminate
+        monkeypatch.setattr(markov, "_eliminate",
+                            lambda A, keep: seen.append(A.copy()) or eliminate(A, keep))
+        ladders = np.stack([transient_ladder(rng, 300) for _ in range(3)])
+        # two closed classes of 20 states, whose sums round by pairs
+        # (numpy's pairwise summation) only when the gather is C-ordered
+        wide = np.zeros((3, 60, 60))
+        for lo in (0, 40):
+            wide[:, lo:lo + 20, lo:lo + 20] = rng.dirichlet(np.ones(20), size=(3, 20))
+        wide[:, 20:40] = rng.dirichlet(np.ones(60), size=(3, 20))
+        for P in (circulating_pair(1e-12)[None], ladders, wide):
+            structure = markov._structure_of(P[0] > 0.0)
+            t = np.flatnonzero(~structure.classification.recurrent)
+            markov._absorption(P, structure.closed, t)
+            np.testing.assert_array_equal(seen.pop(), two_takes(P, structure.closed, t))
+
     def test_no_pivoting_solve(self, rng, monkeypatch):
         def spy(*args):
             raise AssertionError("np.linalg.solve called")
