@@ -2,12 +2,13 @@
 
 Closed forms cover the three special channel classes (noiseless, memoryless
 invariant, unifilar product).  For everything else a quasi-Newton search
-(L-BFGS-B on central-difference gradients of exact work rates, evaluated a
-stack of agents at a time) over bounded-memory agent kernels yields an
-explicitly labeled lower bound; the true capacity maximizes over all finite
-agent models and no general algorithm for it is known, so the numeric value
-is never presented as exact.  :func:`check_subadditivity` checks cascade
-subadditivity of memoryless invariant channels.
+over bounded-memory agent kernels (restarted L-BFGS, all restarts as one
+stack, on exact work rates with their exact adjoint gradients, or central
+differences where the chain has several closed classes or a periodic one)
+yields an explicitly labeled lower bound; the true capacity maximizes over
+all finite agent models and no general algorithm for it is known, so the
+numeric value is never presented as exact.  :func:`check_subadditivity`
+checks cascade subadditivity of memoryless invariant channels.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ CLOSED_FORM_MEMORYLESS = "closed_form_memoryless"
 CLOSED_FORM_UNIFILAR_PRODUCT = "closed_form_unifilar_product"
 NUMERIC_LOWER_BOUND = "numeric_lower_bound"
 
-LBFGS_STEPS = 500  # iteration cap of one L-BFGS-B run
-LBFGS_FTOL = 1e-12  # a run stops when a step gains less than this times max(1, |value|)
+LBFGS_STEPS = 500  # iteration cap of one L-BFGS run
+LBFGS_FTOL = 1e-12  # a run stops when a step gains at most this times max(1, |value|)
 LBFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
 FD_STEP = 6e-6  # central-difference step, relative to max(1, |x_i|)
+_HISTORY = 10  # (step, gradient change) pairs an L-BFGS run keeps; L-BFGS-B's default
+_ARMIJO, _CURVATURE = 1e-4, 0.9  # the weak Wolfe conditions' constants
 ASCENT_STEPS = 2000  # step cap of the memoryless ascent
 FACE_TOL = 1e-12  # memoryless entries below this get a Newton step alone; witness ones are tried at 0
 NEWTON_FLAT = 1e-12  # relative singular values the memoryless Newton step drops
@@ -424,6 +427,140 @@ def _params_from_agent(model: agents.AgentModel, memory_size: int) -> np.ndarray
     return np.log(np.maximum(flat, 1e-12))
 
 
+def _direction(g: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``H g`` for each row of ``g`` ``(R, dim)``, H the L-BFGS inverse
+    curvature of the row's pairs: steps ``S`` and gradient changes ``Y``
+    ``(R, _HISTORY, dim)``, newest last, each stored pair with s.y > 0 and
+    each slot not yet filled all zeros.
+
+    The compact form (Byrd, Nocedal & Schnabel 1994) with H0 = γI, γ = s.y
+    / y.y of the newest pair (1 before the first): H g = γ g + S^T u - γ
+    Y^T a, with a = R^-1 S g and u = R^-T ((D + γ Y Y^T) a - γ Y g), where R
+    is the upper triangle of S Y^T and D its diagonal.  An empty slot gets
+    R_ii = 1, so its a_i and u_i are 0 and it adds nothing.  One inverse of
+    R, at most ``_HISTORY`` square, serves both solves.
+    """
+    SY = S @ Y.transpose(0, 2, 1)
+    D = SY.diagonal(axis1=1, axis2=2)
+    gamma = np.divide(D[:, -1], (Y[:, -1] * Y[:, -1]).sum(axis=1), out=np.ones(len(g)),
+                      where=D[:, -1] > 0)[:, None, None]
+    R = np.triu(SY)
+    slot = np.arange(R.shape[-1])
+    R[:, slot, slot] = np.where(D > 0, D, 1.0)
+    R_inv = np.linalg.inv(R)
+    g = g[:, :, None]
+    a = R_inv @ (S @ g)
+    S_t, Y_t = S.transpose(0, 2, 1), Y.transpose(0, 2, 1)
+    u = R_inv.transpose(0, 2, 1) @ (D[:, :, None] * a + gamma * (Y @ (Y_t @ a - g)))
+    return (gamma * g + S_t @ u - gamma * (Y_t @ a))[:, :, 0]
+
+
+def _lbfgs(objective, starts: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize ``objective`` by L-BFGS (Nocedal 1980; Liu & Nocedal 1989)
+    from each row of ``starts`` ``(R, dim)``, all runs as one stack.
+
+    ``objective`` maps a ``(k, dim)`` stack of points to their values and
+    gradients, each row's results those it gets alone.  Each call takes one
+    point of every run still going, and a run leaves the stack when it
+    stops, so its points, and its results, are bit for bit those of its run
+    alone.  A step goes along the L-BFGS direction (:func:`_direction`, the
+    last ``_HISTORY`` pairs; the first along the gradient, from length 1,
+    and later ones from t = 1) and is accepted at the weak Wolfe conditions
+    f(x + t d) >= f(x) + _ARMIJO t g.d and g(x + t d).d <= _CURVATURE g.d:
+    t doubles until it is bracketed and is bisected after that (Lewis &
+    Overton 2013).  Each accepted step raises the value, so a run's last
+    point is the best it accepted.
+
+    A run stops when no gradient entry exceeds LBFGS_GTOL; when a step
+    gains at most LBFGS_FTOL max(1, |value|); when, before a step is
+    accepted, the bracket's width times g.d falls to that size; or, stalled,
+    when it has taken LBFGS_STEPS steps.  Returns per run the last point,
+    its value, the steps taken and whether LBFGS_STEPS ran out.
+    """
+    x = np.array(starts, dtype=float)
+    f, g = objective(x)
+    lasts, values = x.copy(), f.copy()
+    steps, stalled = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
+    run = np.flatnonzero(np.abs(g).max(axis=1) > LBFGS_GTOL)  # the runs going, in order
+    x, f, g = x[run], f[run], g[run]
+    S, Y = np.zeros((2, len(run), _HISTORY, x.shape[1]))
+    d, slope, k = g.copy(), (g * g).sum(axis=1), np.zeros(len(run), dtype=int)
+    t, lo, hi = 1.0 / np.sqrt(slope), np.zeros(len(run)), np.full(len(run), np.inf)
+    while run.size:
+        trial = x + t[:, None] * d
+        f_t, g_t = objective(trial)
+        rises = f_t >= f + _ARMIJO * t * slope
+        flat = (g_t * d).sum(axis=1) <= _CURVATURE * slope
+        accept = rises & flat
+        hi = np.where(rises, hi, t)  # too long at hi, too short at lo
+        lo = np.where(rises & ~flat, t, lo)
+        s, y = trial - x, g - g_t
+        small = f_t - f <= LBFGS_FTOL * np.maximum(1.0, np.maximum(np.abs(f), np.abs(f_t)))
+        x = np.where(accept[:, None], trial, x)
+        f = np.where(accept, f_t, f)
+        g = np.where(accept[:, None], g_t, g)
+        k += accept
+        pair = accept & ((s * y).sum(axis=1) > 0)
+        if pair.any():
+            S[pair] = np.concatenate([S[pair, 1:], s[pair, None]], axis=1)
+            Y[pair] = np.concatenate([Y[pair, 1:], y[pair, None]], axis=1)
+        done = accept & (small | (np.abs(g).max(axis=1) <= LBFGS_GTOL))
+        out = accept & ~done & (k >= LBFGS_STEPS)
+        stalled[run[out]] = True
+        bracketed = hi < np.inf
+        ended = done | out | (~accept & bracketed & (
+            (hi - lo) * slope <= LBFGS_FTOL * np.maximum(1.0, np.abs(f))))
+        go = accept & ~ended
+        if go.any():
+            d = np.where(go[:, None], _direction(g, S, Y), d)
+            slope = (g * d).sum(axis=1)
+        t = np.where(go, 1.0, np.where(bracketed, (lo + hi) / 2, 2 * t))
+        lo, hi = np.where(go, 0.0, lo), np.where(go, np.inf, hi)
+        if ended.any():
+            stop = run[ended]
+            lasts[stop], values[stop], steps[stop] = x[ended], f[ended], k[ended]
+            going = ~ended
+            run, x, f, g, S, Y, d, slope, k, t, lo, hi = (
+                v[going] for v in (run, x, f, g, S, Y, d, slope, k, t, lo, hi))
+    return lasts, values, steps, stalled
+
+
+def _search_objective(env: channels.EnvironmentModel, memory_size: int):
+    """The objective :func:`capacity_lower_bound` maximizes: a ``(k, dim)``
+    stack of coordinates (:func:`_kernels_from_params`) to the agents' work
+    rates, in nats, and their gradients.  One call of
+    :func:`loop._rate_gradients` gives the rates and, where it has them, the
+    exact gradients in the kernels, taken through each row's normalized
+    exponential (the opening joint's part is 0).  The other agents' gradients
+    are central differences (step ``FD_STEP * max(1, |x_i|)``), whose 2 dim
+    points per agent go through one call of :func:`loop._work_rates`."""
+    n_a, n_m = len(env.alphabet), memory_size
+    rows = n_a * n_m
+    dim = rows * rows + rows
+
+    def objective(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta, init = _kernels_from_params(points, n_a, n_m)
+        values, grads, exact = loop._rate_gradients(env, theta, init)
+        theta, grads = theta.reshape(-1, rows, rows), grads.reshape(-1, rows, rows)
+        slope = np.zeros(points.shape)
+        # through each row's normalized exponential; the opening joint's is 0
+        slope[:, :rows * rows] = (theta * (grads - (theta * grads).sum(axis=2, keepdims=True))
+                                  ).reshape(-1, rows * rows)
+        if not exact.all():
+            x = points[~exact]
+            step = FD_STEP * np.maximum(1.0, np.abs(x))[:, :, None] * np.eye(dim)
+            ahead, behind = x[:, None, :] + step, x[:, None, :] - step
+            near = loop._work_rates(env, *_kernels_from_params(
+                np.concatenate([ahead, behind], axis=1).reshape(-1, dim), n_a, n_m))
+            near = near.reshape(len(x), 2, dim)
+            width = (ahead - behind).diagonal(axis1=1, axis2=2)
+            slope[~exact] = (near[:, 0] - near[:, 1]) / width
+        return values, slope
+
+    return objective
+
+
 def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
                          restarts: int = 32, seed: int = 0,
                          warm_starts: tuple[agents.AgentModel, ...] = ()
@@ -431,73 +568,46 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     """Best work rate over agents with ``memory_size`` memory states.
 
     Agent kernels are parameterized on the product of simplices through
-    normalized exponentials of unconstrained coordinates, searched by
-    restarted L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).  Each objective call
-    evaluates the point and its 2 dim central-difference neighbours (step
-    ``FD_STEP * max(1, |x_i|)``) as one stack of exact work rates
-    (:func:`loop._work_rates`), and the best point seen in a run, neighbours
-    included, is that run's result.  A run is ``stalled`` when it reaches
-    ``LBFGS_STEPS`` iterations.  Deterministic rows exist only in the
-    parameterization's limit, so a final vertex-snapping pass rounds
-    near-deterministic rows and re-evaluates.  The result is a lower bound on
-    the work capacity, which maximizes over unbounded memory; passing the
-    witness of a smaller search as a warm start makes the bound monotone in
-    ``memory_size`` by construction.
+    normalized exponentials of unconstrained coordinates.  The uniform
+    agent, the warm starts and ``restarts - 1`` seeded random points start
+    one run each of L-BFGS (:func:`_lbfgs`), all runs as one stack, on the
+    exact work rates and their exact or central-difference gradients
+    (:func:`_search_objective`).  A run's result is its last point; the
+    search is ``stalled`` when a run reaches ``LBFGS_STEPS`` iterations.
+    Deterministic rows exist only in the parameterization's limit, so the
+    best run's agent gets its near-deterministic rows snapped to vertices,
+    and the snapped agent is kept unless its rate is more than 1e-12 nats
+    lower.  The value is the work rate of the agent kept, the witness.  It
+    is a lower bound on the work capacity, which maximizes over unbounded
+    memory; passing the witness of a smaller search as a warm start makes
+    the bound monotone in ``memory_size`` up to rounding and that 1e-12.
     """
-    from scipy.optimize import minimize  # imported here: no other path needs it
-
     if memory_size < 1:
         raise DomainError("memory_size must be >= 1")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     alphabet = env.alphabet
     memory = tuple(f"m{i}" for i in range(memory_size))
-    n_a, n_m = len(alphabet), memory_size
-    rows = n_a * n_m
+    rows = len(alphabet) * memory_size
     dim = rows * rows + rows
-
-    def rates(points: np.ndarray) -> np.ndarray:
-        return loop._work_rates(env, *_kernels_from_params(points, n_a, n_m))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)]
     starts += [_params_from_agent(w, memory_size) for w in warm_starts]
     starts += [rng.normal(scale=1.5, size=dim) for _ in range(restarts - 1)]
 
-    trace: list[tuple[int, float]] = []
-    best_x, best_value = starts[0], -math.inf
-    stalls = 0
-    for restart, x0 in enumerate(starts):
-        run_best = [-math.inf, x0]
-
-        def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-            step = np.diag(FD_STEP * np.maximum(1.0, np.abs(x)))
-            ahead, behind = x + step, x - step
-            points = np.concatenate([x[None], ahead, behind])
-            values = rates(points)
-            i = int(np.argmax(values))  # the first point attaining the maximum
-            if values[i] > run_best[0]:
-                run_best[:] = values[i], points[i]
-            slope = (values[1:dim + 1] - values[dim + 1:]) / (ahead - behind).diagonal()
-            return -values[0], -slope
-
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": LBFGS_STEPS, "ftol": LBFGS_FTOL,
-                                "gtol": LBFGS_GTOL})
-        stalls += res.nit >= LBFGS_STEPS
-        value, x = run_best
-        trace.append((restart, float(value)))
-        if value > best_value:  # strict: ties keep the lowest restart index
-            best_x, best_value = x, value
-
-    model = _agent_from_params(best_x, alphabet, memory)
+    lasts, values, _, stalled = _lbfgs(_search_objective(env, memory_size),
+                                       np.stack(starts))
+    best = int(np.argmax(values))  # ties keep the lowest restart index
+    model = _agent_from_params(lasts[best], alphabet, memory)
     snapped = _snap_vertices(model)
-    snapped_value = loop._work_rates(env, snapped.theta[None], snapped.initial_joint[None])[0]
-    if snapped_value >= best_value - 1e-12:
-        model, best_value = snapped, max(best_value, snapped_value)
-    return CapacityResult(float(best_value), NUMERIC_LOWER_BOUND, witness=model,
-                          optimizer_trace=tuple(trace), exact=False,
-                          stalled=bool(stalls))
+    rates = loop._work_rates(env, np.stack([model.theta, snapped.theta]),
+                             np.stack([model.initial_joint, snapped.initial_joint]))
+    keep = int(rates[1] >= rates[0] - 1e-12)  # 1: the snapped agent
+    return CapacityResult(float(rates[keep]), NUMERIC_LOWER_BOUND,
+                          witness=(model, snapped)[keep],
+                          optimizer_trace=tuple((r, float(v)) for r, v in enumerate(values)),
+                          exact=False, stalled=bool(stalled.any()))
 
 
 def compute_capacity(env: channels.EnvironmentModel, memory_size: int = 2,

@@ -9,7 +9,8 @@ predictive agent class.
 Every asymptotic rate comes from one Cesàro engine, ``_cesaro_tables``,
 which keeps the state's law under each subsequence limit from
 ``markov._limit_laws`` and forms no limit matrix: ``work_rate`` runs it on
-one agent and the capacity search's ``_work_rates`` on a stack of them.  It
+one agent, and ``_work_rates`` and the capacity search's
+``_rate_gradients`` (rates with their exact gradients) on a stack.  It
 runs on the pre-percept chain (memory, action, hidden state), |S| times
 smaller than the global chain: the percept is a fresh draw from the
 emission e(s | a, z), so each law of the global chain is a law of that
@@ -348,6 +349,91 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     for members, _, _, tables in groups:
         rates[members] = _cesaro_terms(_lift(tables, env))[0]
     return rates
+
+
+def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work rates, in nats, of a stack of B agents on ``env`` (shapes as in
+    :func:`_cesaro_tables`) with their exact gradients in ``theta``, and
+    which members have one.
+
+    A member has one when its reachable pre-percept chain has one closed
+    class and that class is aperiodic.  Its Cesàro law is then the
+    stationary vector π, and with p the marginals of π(m, a, z) e(s | a, z)
+    the rate is f = H(M, A) - H(M, S).  Its gradient in π is ``g[m, a, z] =
+    sum_s e(s | a, z) log p(m, s) - log p(m, a)``; a marginal at 0 enters
+    as 0 (0 log 0 = 0), which changes nothing, since the states it touches
+    have π = 0 and keep it to first order.  A move dK of the kernel that
+    keeps its rows stochastic moves π by ``π dK Z``, Z = (I - K + 1π)^-1
+    (Schweitzer 1968), so with ``w = Z g``, solved once on the reachable
+    states (zero off them), ``df/dK[i, j] = π_i w_j`` and through the
+    kernel's einsum ``df/dtheta[s, m, b, n] = sum π(m, a, z) phi(s, w | a,
+    z) w(n, b, w)``.  The rate does not depend on the opening joint.  The
+    LU solve may be ill-conditioned on a sticky chain, where I - K + 1π is
+    nearly singular, or fail on one singular in floating point.  The
+    gradient only sets a search direction: π, and so the rate, still comes
+    from the GTH elimination of :func:`_cesaro_tables`.
+
+    Members with several closed classes or a periodic one get the rate of
+    :func:`_work_rates`.  They and the members whose solve fails get a zero
+    gradient, and ``exact`` is False for them.  Each member's results are
+    those it gets alone, bit for bit.
+    """
+    K, _, groups = _cesaro_tables(env, theta, init)
+    n_b, n_a, n_m = init.shape
+    n_z = env.n_hidden
+    emission = env.emission().reshape(n_a * n_z, -1)  # [(a, z), s]
+    rates = np.empty(n_b)
+    grads = np.zeros(theta.shape)
+    exact = np.zeros(n_b, dtype=bool)
+    for members, reach, structure, tables in groups:
+        if len(structure.closed) > 1 or structure.period_lcm > 1:
+            rates[members] = _cesaro_terms(_lift(tables, env))[0]
+            continue
+        pi = tables[:, 0]
+        p_ma = pi.reshape(-1, n_m, n_a, n_z).sum(axis=3)
+        p_ms = pi.reshape(-1, n_m, n_a * n_z) @ emission
+        rates[members] = (xlogy(p_ms, p_ms).sum(axis=(1, 2))
+                          - xlogy(p_ma, p_ma).sum(axis=(1, 2)))
+        g = ((_log_positive(p_ms) @ emission.T).reshape(-1, n_m, n_a, n_z)
+             - _log_positive(p_ma)[..., None]).reshape(len(pi), -1)
+        K_g = K[members]
+        if not reach.all():
+            K_g = K_g[np.ix_(np.arange(len(pi)), reach, reach)]
+        w = np.zeros_like(pi)
+        w[:, reach], solved = _deviations(K_g, pi[:, reach], g[:, reach])
+        flow = pi.reshape(-1, n_m, n_a * n_z) @ env.phi.reshape(n_a * n_z, -1)  # [m, (s, w)]
+        grad = (flow.reshape(-1, n_m * n_a, n_z)
+                @ w.reshape(-1, n_m * n_a, n_z).transpose(0, 2, 1))  # [(m, s), (n, b)]
+        grads[members] = grad.reshape(-1, n_m, n_a, n_m, n_a).transpose(0, 2, 1, 4, 3)
+        exact[members] = solved
+    return rates, grads, exact
+
+
+def _log_positive(p: np.ndarray) -> np.ndarray:
+    """log p where p > 0, and 0 where p = 0."""
+    return np.log(np.where(p > 0.0, p, 1.0))
+
+
+def _deviations(K: np.ndarray, pi: np.ndarray, g: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``w = (I - K + 1π)^-1 g`` for each member of a ``(B, n, n)`` stack of
+    unichain kernels with stationary vectors ``pi`` ``(B, n)``, by LU, and
+    whether each w is finite; w is 0 where it is not.  When one matrix is
+    singular, the members are solved one at a time, so each gets the
+    solution it gets alone."""
+    A = np.eye(K.shape[-1]) - K + pi[:, None, :]
+    try:
+        w = np.linalg.solve(A, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        w = np.full(g.shape, np.nan)
+        for b in range(len(A)):
+            try:
+                w[b] = np.linalg.solve(A[b], g[b][:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass  # singular: w stays NaN, so the member has no gradient
+    solved = np.isfinite(w).all(axis=1)
+    return np.where(solved[:, None], w, 0.0), solved
 
 
 # ---------------------------------------------------------------------------

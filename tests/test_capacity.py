@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,15 @@ from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
                      capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, NEWTON_FLAT,
-                              _agent_from_params, _ascent, _gain,
-                              _memoryless_forms, _memoryless_objective,
-                              _softmax_rows, _subadditivity_reports,
+from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, FD_STEP, NEWTON_FLAT,
+                              _agent_from_params, _ascent, _gain, _kernels_from_params,
+                              _lbfgs, _memoryless_forms, _memoryless_objective,
+                              _search_objective, _softmax_rows, _subadditivity_reports,
                               _upper_bound, compute_capacity)
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
 from workcap.errors import DomainError
 from workcap.info import LN2
+from workcap.loop import _rate_gradients, _work_rates
 from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
 
@@ -585,6 +587,35 @@ class TestUnifilarProduct:
         assert not result.exact
 
 
+def central_differences(env: EnvironmentModel, x: np.ndarray, memory_size: int) -> np.ndarray:
+    """Oracle: the central-difference gradient of the work rate at the
+    coordinates ``x`` (step FD_STEP max(1, |x_i|)), from exact rates."""
+    step = np.diag(FD_STEP * np.maximum(1.0, np.abs(x)))
+    values = _work_rates(env, *_kernels_from_params(
+        np.concatenate([x + step, x - step]), len(env.alphabet), memory_size))
+    return (values[:len(x)] - values[len(x):]) / (2 * step.diagonal())
+
+
+def periodic_env() -> EnvironmentModel:
+    """The hidden state alternates whatever the agent does, so every
+    agent's pre-percept chain has period 2; the percept is 0 with
+    probability 0.9 in state 0, whatever the action, and echoes the action
+    with probability 0.8 in state 1."""
+    phi = np.zeros((2, 2, 2, 2))
+    for a in range(2):
+        phi[a, 0, :, 1] = 0.9, 0.1
+        phi[a, 1, a, 0], phi[a, 1, 1 - a, 0] = 0.8, 0.2
+    return EnvironmentModel(("0", "1"), ("z0", "z1"), phi, np.array([1.0, 0.0]))
+
+
+def reducible_env() -> EnvironmentModel:
+    """Two hidden states that never change, each started with probability
+    1/2, so every agent's pre-percept chain has two closed classes; the
+    percepts are those of :func:`periodic_env` in the same states."""
+    phi = periodic_env().phi[:, :, :, ::-1].copy()
+    return EnvironmentModel(("0", "1"), ("z0", "z1"), phi, np.array([0.5, 0.5]))
+
+
 class TestLowerBound:
     def test_fig5_recovers_memoryless_optimum(self, fig5):
         result = capacity_lower_bound(fig5, memory_size=1, restarts=32, seed=0)
@@ -627,26 +658,26 @@ class TestLowerBound:
             capacity_lower_bound(fig5, memory_size=1, restarts=restarts)
 
     def test_structure_computed_once_per_support_pattern(self, rng, monkeypatch):
-        # softmax kernels are positive, so the search's thousands of chains
+        # softmax kernels are positive, so the search's many engine calls
         # share a few support patterns; each pattern is analysed once
         import workcap.loop as loop_mod
         from workcap import markov
         patterns, points = [], []
-        structure, rates = markov._structure, loop_mod._work_rates
+        structure, tables = markov._structure, loop_mod._cesaro_tables
 
         def spy_structure(support):
             patterns.append((support.shape, np.packbits(support).tobytes()))
             return structure(support)
 
-        def spy_rates(env, theta, init):
+        def spy_tables(env, theta, init):
             points.append(len(theta))
-            return rates(env, theta, init)
+            return tables(env, theta, init)
         monkeypatch.setattr(markov, "_structure", spy_structure)
-        monkeypatch.setattr(loop_mod, "_work_rates", spy_rates)
+        monkeypatch.setattr(loop_mod, "_cesaro_tables", spy_tables)
         markov._memo_structure.cache_clear()
         capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
                              restarts=3, seed=0)
-        assert sum(points) > 1000
+        assert len(points) > 30 and sum(points) > 60
         assert 0 < len(patterns) == len(set(patterns)) <= 10
 
     def test_reachability_searched_once_per_pattern(self, rng, monkeypatch):
@@ -656,34 +687,131 @@ class TestLowerBound:
         import workcap.loop as loop_mod
         from workcap import markov
         searches, points = [], []
-        bfs, rates = markov.bfs_levels, loop_mod._work_rates
+        bfs, tables = markov.bfs_levels, loop_mod._cesaro_tables
 
         def spy_bfs(start, support):
             searches.append((support.shape, np.packbits(support).tobytes(),
                              np.packbits(start).tobytes()))
             return bfs(start, support)
 
-        def spy_rates(env, theta, init):
+        def spy_tables(env, theta, init):
             points.append(len(theta))
-            return rates(env, theta, init)
+            return tables(env, theta, init)
         monkeypatch.setattr(markov, "bfs_levels", spy_bfs)
         monkeypatch.setattr(loop_mod, "bfs_levels", spy_bfs)
-        monkeypatch.setattr(loop_mod, "_work_rates", spy_rates)
+        monkeypatch.setattr(loop_mod, "_cesaro_tables", spy_tables)
         markov._memo_structure.cache_clear()
         capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
                              restarts=3, seed=0)
-        assert sum(points) > 1000
+        assert len(points) > 30 and sum(points) > 60
         assert 0 < len(searches) == len(set(searches)) <= 20
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the numeric search imports it on first use; no other path needs it
+        # the numeric search has its own L-BFGS, so no path imports it
         import workcap
-        code = ("import sys, workcap, workcap.cli, workcap.verify; "
+        code = ("import sys, numpy as np, workcap, workcap.cli, workcap.verify; "
+                "from workcap.random_models import random_environment; "
+                "workcap.capacity_lower_bound(random_environment(np.random.default_rng(0), 2, 2), "
+                "memory_size=1, restarts=2); "
                 "print('scipy.optimize' in sys.modules)")
         src = str(Path(workcap.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert run.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("n_z", [2, 3])
+    @pytest.mark.parametrize("memory_size", [1, 2, 3])
+    def test_adjoint_matches_central_differences(self, memory_size, n_z):
+        gen = np.random.default_rng(10 * memory_size + n_z)
+        env = random_environment(gen, 2, n_z)
+        objective = _search_objective(env, memory_size)
+        rows = 2 * memory_size
+        points = gen.normal(scale=1.5, size=(3, rows * rows + rows))
+        assert _rate_gradients(env, *_kernels_from_params(points, 2, memory_size))[2].all()
+        values, slopes = objective(points)
+        assert values.tolist() == pytest.approx(
+            _work_rates(env, *_kernels_from_params(points, 2, memory_size)).tolist(), abs=1e-14)
+        for x, slope in zip(points, slopes):
+            oracle = central_differences(env, x, memory_size)
+            assert np.abs(slope - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_adjoint_at_underflowed_rows(self, rng):
+        # row 0 of the kernel is a vertex and no row reaches (action 1,
+        # memory 1), whose entries underflow to 0: those states are never
+        # reached, so marginals p(m, a) are 0 and enter as 0 log 0 = 0
+        env = random_environment(rng, 2, 3)
+        x = rng.normal(scale=1.5, size=20)
+        x[1:4] = -1000.0
+        x[3:16:4] = -1000.0
+        x[19] = -1000.0
+        theta, init = _kernels_from_params(x[None], 2, 2)
+        assert theta[0, 0, 0].ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert (theta[0, :, :, 1, 1] == 0.0).all() and init[0, 1, 1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, exact = _rate_gradients(env, theta, init)
+            _, (slope,) = _search_objective(env, 2)(x[None])
+        assert exact.all() and np.isfinite(slope).all()
+        oracle = central_differences(env, x, 2)
+        assert np.abs(slope - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_singular_deviation_solve_falls_back_alone(self, rng):
+        # memory kept with probability 1 - 4e-18 on a channel that echoes
+        # the action with probability 0.75: the chain is one closed class,
+        # but I - K + 1π is singular in floating point, so that member gets
+        # central differences and the others keep their own exact gradients
+        phi = np.array([[0.75, 0.25], [0.25, 0.75]])[:, None, :, None]
+        env = EnvironmentModel(("0", "1"), ("z",), phi, np.ones(1))
+        logits = np.zeros((2, 2, 2, 2))  # [s, m, b, n]
+        for m in range(2):
+            logits[:, m, :, 1 - m] = -40.0
+        sticky = np.concatenate([logits.ravel(), np.zeros(4)])
+        points = np.stack([rng.normal(size=20), sticky, rng.normal(size=20)])
+        rates, grads, exact = _rate_gradients(env, *_kernels_from_params(points, 2, 2))
+        assert exact.tolist() == [True, False, True]
+        for k in (0, 2):
+            alone = _rate_gradients(env, *_kernels_from_params(points[k:k + 1], 2, 2))
+            assert rates[k] == alone[0][0] and np.array_equal(grads[k], alone[1][0])
+        values, slopes = _search_objective(env, 2)(points)
+        assert np.isfinite(slopes).all()
+        assert np.array_equal(slopes[1], _search_objective(env, 2)(points[1:2])[1][0])
+
+    @pytest.mark.parametrize("make, memory_size", [(None, 2), (periodic_env, 1)])
+    def test_restart_in_stack_equals_run_alone(self, rng, make, memory_size):
+        env = random_environment(rng, 2, 2) if make is None else make()
+        rows = 2 * memory_size
+        starts = rng.normal(scale=1.5, size=(4, rows * rows + rows))
+        objective = _search_objective(env, memory_size)
+        stacked = _lbfgs(objective, starts)
+        assert len(set(stacked[2].tolist())) > 1  # the runs leave the stack at different times
+        for r in range(len(starts)):
+            alone = _lbfgs(objective, starts[r:r + 1])
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[r:r + 1], want)
+
+    @pytest.mark.parametrize("make", [periodic_env, reducible_env])
+    def test_periodic_and_reducible_use_central_differences(self, rng, make):
+        env = make()
+        theta, init = _kernels_from_params(rng.normal(size=(3, 6)), 2, 1)
+        rates, grads, exact = _rate_gradients(env, theta, init)
+        assert not exact.any() and not grads.any()
+        assert rates.tolist() == _work_rates(env, theta, init).tolist()
+        result = capacity_lower_bound(env, memory_size=1, restarts=2, seed=0)
+        rate = work_rate(PerceptActionLoop(result.witness, env), base="nats").rate
+        assert rate == result.value_nats > 0.0
+
+    def test_stalled_exactly_when_step_cap_runs_out(self, rng, monkeypatch):
+        import workcap.capacity as capacity_mod
+        env = random_environment(rng, 2, 2)
+        starts = rng.normal(scale=1.5, size=(4, 20))
+        objective = _search_objective(env, 2)
+        _, _, steps, stalled = _lbfgs(objective, starts)
+        assert not stalled.any() and steps.min() > 3
+        assert not capacity_lower_bound(env, memory_size=2, restarts=4).stalled
+        monkeypatch.setattr(capacity_mod, "LBFGS_STEPS", 3)
+        _, _, capped, stalled = _lbfgs(objective, starts)
+        assert capped.tolist() == [3] * 4 and stalled.all()
+        assert capacity_lower_bound(env, memory_size=2, restarts=4).stalled
 
     def test_same_seed_same_result(self, rng):
         env = random_environment(rng, 2, 2)
