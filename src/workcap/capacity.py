@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import agents, channels, info, loop
-from .errors import ChannelClassError, DomainError
+from .errors import ChannelClassError, DimensionError, DomainError
 from .info import BITS, LN2, _base_factor
 
 CLOSED_FORM_NOISELESS = "closed_form_noiseless"
@@ -587,6 +587,10 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     alphabet = env.alphabet
+    for warm in warm_starts:
+        if warm.alphabet != alphabet:
+            raise DimensionError(f"warm start alphabet {warm.alphabet} does not match "
+                                 f"environment alphabet {alphabet}")
     memory = tuple(f"m{i}" for i in range(memory_size))
     rows = len(alphabet) * memory_size
     dim = rows * rows + rows

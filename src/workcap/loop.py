@@ -15,7 +15,7 @@ runs on the pre-percept chain (memory, action, hidden state), |S| times
 smaller than the global chain: the percept is a fresh draw from the
 emission e(s | a, z), so each law of the global chain is a law of that
 chain times the emission (Kemeny & Snell 1960, functions of a Markov
-chain), and ``_lift`` forms it before any entropy is read.
+chain); every work term is read from its marginals p(m, a) and p(m, s).
 ``build_global_chain`` keeps the global chain for inspection and checks.
 
 Every finite-horizon trajectory quantity comes from one contraction engine,
@@ -201,26 +201,24 @@ def trajectory_distribution(loop: PerceptActionLoop, horizon: int) -> Trajectory
 # Work rate and entropy functionals of the limit laws
 # ---------------------------------------------------------------------------
 
-def _cond_entropy_of_state(p4: np.ndarray, keep_axis: int) -> np.ndarray:
-    """H(X | M) in nats from p(m, a, s, z) on the last four axes, X the
-    variable on ``keep_axis`` (1, 2 or 3); leading axes stack tables."""
-    axes = tuple(ax - 4 for ax in (1, 2, 3) if ax != keep_axis)
-    pm_x = p4.sum(axis=axes)  # [..., m, x]
-    pm = pm_x.sum(axis=-1)
-    return xlogy(pm, pm).sum(axis=-1) - xlogy(pm_x, pm_x).sum(axis=(-2, -1))
+def _marginals(laws: np.ndarray, env: EnvironmentModel) -> tuple[np.ndarray, np.ndarray]:
+    """p(m, a) and p(m, s) = sum_{a, z} p(m, a, z) e(s | a, z) from laws
+    over the pre-percept states (m, a, z) of :func:`_cesaro_tables`,
+    flattened on the last axis; leading axes stack laws."""
+    emission = env.emission()  # [a, z, s]
+    n_a, n_z, n_s = emission.shape
+    w = laws.reshape(*laws.shape[:-1], laws.shape[-1] // (n_a * n_z), n_a, n_z)
+    return w.sum(axis=-1), w.reshape(*w.shape[:-2], n_a * n_z) @ emission.reshape(-1, n_s)
 
 
-def _work_term_nats(p4: np.ndarray) -> float:
-    return float(_cond_entropy_of_state(p4, 1) - _cond_entropy_of_state(p4, 2))
-
-
-def _cesaro_terms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cesàro means, in nats, of the work term H(A|M) - H(S|M) and of
-    H(A|M) over tables p(m, a, s, z) of the subsequence limits, stacked on
-    the fifth axis from the end."""
-    h_action = _cond_entropy_of_state(tables, 1)
-    work = h_action - _cond_entropy_of_state(tables, 2)
-    return work.mean(axis=-1), h_action.mean(axis=-1)
+def _work_terms(p_ma: np.ndarray, p_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The work term H(M, A) - H(M, S) = H(A|M) - H(S|M) and H(A|M), in
+    nats, of each law with marginals p(m, a) and p(m, s) on the last two
+    axes; leading axes stack laws."""
+    neg_h_ma = xlogy(p_ma, p_ma).sum(axis=(-2, -1))
+    p_m = p_ma.sum(axis=-1)
+    return (xlogy(p_ms, p_ms).sum(axis=(-2, -1)) - neg_h_ma,
+            xlogy(p_m, p_m).sum(axis=-1) - neg_h_ma)
 
 
 @dataclass(frozen=True)
@@ -317,24 +315,24 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     The rate is the exact Cesàro limit, the mean of the work terms of the
     subsequence-limit laws from :func:`_cesaro_tables` on a stack of one;
     ``per_round`` lists the first ``rounds`` finite-t work terms from
-    propagating the round-0 vector through the same kernel.  Every law is
-    lifted to the global chain's states before it is read.
+    propagating the round-0 vector through the same kernel.  Every term is
+    read from its law's marginals p(m, a) and p(m, s) (:func:`_work_terms`).
     """
     factor = _base_factor(base)
     K, p0, ((_, reach, structure, tables),) = _cesaro_tables(
         loop.env, loop.agent.theta[None], loop.agent.initial_joint[None])
     P, p, t = K[0], p0[0], tables[0]
-    per_round = []
-    for _ in range(rounds):
-        per_round.append(_work_term_nats(_lift(p, loop.env)) * factor)
-        p = p @ P
-    rate, h_action = _cesaro_terms(_lift(t, loop.env))
-    action_entropy = _clamp_nonneg(float(h_action), "mean action entropy") * factor
+    laws = np.empty((rounds, len(p)))
+    for r in range(rounds):
+        laws[r], p = p, p @ P
+    per_round = _work_terms(*_marginals(laws, loop.env))[0] * factor
+    work, h_action = _work_terms(*_marginals(t, loop.env))
+    action_entropy = _clamp_nonneg(float(h_action.mean()), "mean action entropy") * factor
     residual = float(np.max(np.abs(t @ P - np.roll(t, -1, axis=0))))
     recurrent = np.zeros_like(reach)
     recurrent[np.flatnonzero(reach)[structure.classification.recurrent]] = True
-    return WorkReport(tuple(per_round), float(rate) * factor, action_entropy, len(t), residual,
-                      base, _lift(reach, loop.env).reshape(-1) > 0.0,
+    return WorkReport(tuple(per_round.tolist()), float(work.mean()) * factor, action_entropy,
+                      len(t), residual, base, _lift(reach, loop.env).reshape(-1) > 0.0,
                       int(np.count_nonzero(_lift(recurrent, loop.env))),
                       _lift(t.mean(axis=0), loop.env).reshape(-1))
 
@@ -347,7 +345,7 @@ def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     _, _, groups = _cesaro_tables(env, theta, init)
     rates = np.empty(len(init))
     for members, _, _, tables in groups:
-        rates[members] = _cesaro_terms(_lift(tables, env))[0]
+        rates[members] = _work_terms(*_marginals(tables, env))[0].mean(axis=-1)
     return rates
 
 
@@ -374,10 +372,10 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     gradient only sets a search direction: π, and so the rate, still comes
     from the GTH elimination of :func:`_cesaro_tables`.
 
-    Members with several closed classes or a periodic one get the rate of
-    :func:`_work_rates`.  They and the members whose solve fails get a zero
-    gradient, and ``exact`` is False for them.  Each member's results are
-    those it gets alone, bit for bit.
+    Every rate, whatever the structure, and g come from the marginals that
+    :func:`_work_rates` reads.  Members with several closed classes or a
+    periodic one, and those whose solve fails, get a zero gradient and
+    ``exact`` False.  Each member gets, bit for bit, the results it gets alone.
     """
     K, _, groups = _cesaro_tables(env, theta, init)
     n_b, n_a, n_m = init.shape
@@ -387,16 +385,13 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     grads = np.zeros(theta.shape)
     exact = np.zeros(n_b, dtype=bool)
     for members, reach, structure, tables in groups:
+        p_ma, p_ms = _marginals(tables, env)
+        rates[members] = _work_terms(p_ma, p_ms)[0].mean(axis=-1)
         if len(structure.closed) > 1 or structure.period_lcm > 1:
-            rates[members] = _cesaro_terms(_lift(tables, env))[0]
             continue
         pi = tables[:, 0]
-        p_ma = pi.reshape(-1, n_m, n_a, n_z).sum(axis=3)
-        p_ms = pi.reshape(-1, n_m, n_a * n_z) @ emission
-        rates[members] = (xlogy(p_ms, p_ms).sum(axis=(1, 2))
-                          - xlogy(p_ma, p_ma).sum(axis=(1, 2)))
-        g = ((_log_positive(p_ms) @ emission.T).reshape(-1, n_m, n_a, n_z)
-             - _log_positive(p_ma)[..., None]).reshape(len(pi), -1)
+        g = ((_log_positive(p_ms[:, 0]) @ emission.T).reshape(-1, n_m, n_a, n_z)
+             - _log_positive(p_ma[:, 0])[..., None]).reshape(len(pi), -1)
         K_g = K[members]
         if not reach.all():
             K_g = K_g[np.ix_(np.arange(len(pi)), reach, reach)]

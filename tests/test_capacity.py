@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from workcap import (ChannelClassError, EnvironmentModel, PerceptActionLoop,
-                     capacity_lower_bound, capacity_memoryless,
+from workcap import (AgentModel, ChannelClassError, DimensionError, EnvironmentModel,
+                     PerceptActionLoop, build_uniform, capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
 from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, FD_STEP, NEWTON_FLAT,
@@ -652,6 +652,20 @@ class TestLowerBound:
         rate = work_rate(PerceptActionLoop(result.witness, fig5), base="nats").rate
         assert abs(rate - result.value_nats) < 1e-9
 
+    def test_value_is_best_restart_value(self, fig5):
+        # the witness is not snapped here, so the reported value is the
+        # search's best value itself: both are read by one functional
+        result = capacity_lower_bound(fig5, memory_size=1, restarts=8, seed=0)
+        assert not np.isin(result.witness.theta, (0.0, 1.0)).any()
+        assert result.value_nats == max(value for _, value in result.optimizer_trace)
+
+    @pytest.mark.parametrize("alphabet", [("0", "1", "2"), ("p", "q")],
+                             ids=["three_symbols", "other_labels"])
+    def test_rejects_warm_start_on_another_alphabet(self, fig5, alphabet):
+        with pytest.raises(DimensionError, match="alphabet"):
+            capacity_lower_bound(fig5, memory_size=1, restarts=2,
+                                 warm_starts=(build_uniform(alphabet),))
+
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_rejects_non_positive_restarts(self, fig5, restarts):
         with pytest.raises(DomainError, match="restarts"):
@@ -729,8 +743,8 @@ class TestLowerBound:
         points = gen.normal(scale=1.5, size=(3, rows * rows + rows))
         assert _rate_gradients(env, *_kernels_from_params(points, 2, memory_size))[2].all()
         values, slopes = objective(points)
-        assert values.tolist() == pytest.approx(
-            _work_rates(env, *_kernels_from_params(points, 2, memory_size)).tolist(), abs=1e-14)
+        assert values.tolist() == _work_rates(
+            env, *_kernels_from_params(points, 2, memory_size)).tolist()
         for x, slope in zip(points, slopes):
             oracle = central_differences(env, x, memory_size)
             assert np.abs(slope - oracle).max() <= 1e-6 * np.abs(oracle).max()
@@ -788,6 +802,33 @@ class TestLowerBound:
             alone = _lbfgs(objective, starts[r:r + 1])
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[r:r + 1], want)
+
+    @pytest.mark.parametrize("memory_size", [1, 2])
+    @pytest.mark.parametrize("make", [None, periodic_env, reducible_env])
+    def test_one_rate_per_agent(self, rng, make, memory_size):
+        # random softmax agents (unichain on a random channel) and, at
+        # memory 2, an agent whose memory flips every round (period 2) and
+        # one whose memory never changes (a closed class per memory state):
+        # the stacked rates, the gradient path's rates and each agent's
+        # work_rate are one number
+        env = random_environment(rng, 2, 3) if make is None else make()
+        rows = 2 * memory_size
+        theta, init = _kernels_from_params(rng.normal(scale=1.5, size=(4, rows * rows + rows)),
+                                           2, memory_size)
+        flip, stay = np.zeros((2, memory_size, 2, memory_size)), np.zeros_like(theta[0])
+        for m in range(memory_size):
+            flip[:, m, :, (m + 1) % memory_size] = stay[:, m, :, m] = 0.5
+        theta = np.concatenate([theta, [flip, stay]])
+        init = np.concatenate([init, np.full((2, 2, memory_size), 0.5 / memory_size)])
+        rates = _work_rates(env, theta, init)
+        got, _, exact = _rate_gradients(env, theta, init)
+        assert got.tolist() == rates.tolist()
+        if make is None:
+            assert exact[:4].all() and exact[4:].tolist() == [memory_size == 1] * 2
+        memory = tuple(f"m{i}" for i in range(memory_size))
+        for k in range(len(theta)):
+            agent = AgentModel(env.alphabet, memory, theta[k], init[k])
+            assert work_rate(PerceptActionLoop(agent, env), base="nats").rate == rates[k]
 
     @pytest.mark.parametrize("make", [periodic_env, reducible_env])
     def test_periodic_and_reducible_use_central_differences(self, rng, make):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
                      EnvironmentModel, PerceptActionLoop, build_global_chain,
@@ -14,7 +15,7 @@ from workcap import markov
 from workcap.bayesnet import validate_compatibility
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
-from workcap.loop import (GlobalChain, _cesaro_tables, _cesaro_terms, _lift,
+from workcap.loop import (GlobalChain, _cesaro_tables, _lift,
                           _trajectory_marginal, _work_rates, am_predictiveness,
                           future_predictiveness, predictiveness_score)
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
@@ -551,14 +552,28 @@ def limit_state_tables(chain: GlobalChain):
     return structure, laws.mean(axis=1), tables
 
 
+def four_axis_work_terms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the work term H(A|M) - H(S|M) and H(A|M), in nats, of
+    tables p(m, a, s, z) on the last four axes, each conditional entropy
+    read from the table's (M, X) marginal; leading axes stack tables."""
+    def cond_entropy(keep_axis: int) -> np.ndarray:
+        pm_x = tables.sum(axis=tuple(ax - 4 for ax in (1, 2, 3) if ax != keep_axis))
+        pm = pm_x.sum(axis=-1)
+        return xlogy(pm, pm).sum(axis=-1) - xlogy(pm_x, pm_x).sum(axis=(-2, -1))
+
+    h_action = cond_entropy(1)
+    return h_action - cond_entropy(2), h_action
+
+
 def full_matrix_work_rate(loop: PerceptActionLoop):
     """Oracle: the Cesàro work rate and action entropy, in nats, read from
-    the n x n subsequence limits of the reachable global subchain, with the
-    chain, its structure and its Cesàro matrix."""
+    the global chain's tables p(m, a, s, z) under the n x n subsequence
+    limits of its reachable subchain, with the chain, its structure and its
+    Cesàro matrix."""
     chain = build_global_chain(loop)
     structure, cesaro, tables = limit_state_tables(chain)
-    rate, h_action = _cesaro_terms(np.stack(tables))
-    return float(rate), float(h_action), chain, structure, cesaro
+    work, h_action = four_axis_work_terms(np.stack(tables))
+    return float(work.mean()), float(h_action.mean()), chain, structure, cesaro
 
 
 def assert_matches_scalar(env, agents):
@@ -809,6 +824,23 @@ class TestPrePerceptChain:
                 assert np.max(np.abs(u - _lift(w, pal.env).reshape(-1))) <= 1e-15
                 u, w = u @ chain.kernel.probs, w @ K[0]
         assert not build_global_chain(loops[1]).feasible.all()
+
+    def test_per_round_terms_match_global_chain_laws(self, rng, fig5, identity_env):
+        # each finite-t term, read from p(m, a) and p(m, s) of the
+        # pre-percept law, is the four-axis formula on the global chain's
+        # law u P^t, infeasible states included
+        loops = [PerceptActionLoop(random_agent(rng, 2, 2), env)
+                 for env in (fig5, identity_env, cycles_env(rng))]
+        loops.append(PerceptActionLoop(echo_after_random_first_action(0.1), identity_env))
+        for pal in loops:
+            chain = build_global_chain(pal)
+            u, laws = chain.initial.probs, []
+            for _ in range(6):
+                laws.append(u.reshape(chain.shape))
+                u = u @ chain.kernel.probs
+            oracle = four_axis_work_terms(np.stack(laws))[0]
+            per_round = work_rate(pal, rounds=6, base="nats").per_round
+            assert np.max(np.abs(np.array(per_round) - oracle)) <= 1e-14
 
     def test_limit_engine_sees_pre_percept_chains(self, rng, monkeypatch):
         import workcap.loop as loop_mod
