@@ -7,7 +7,9 @@ channel factorization graphical), the memoryless-environment reduction
 variant (no action input into the W chain).  d-separation uses the standard
 active-trail reachability with collider logic, run on node bitmasks (one
 Python int per node set), and separations can be cross-validated against
-exact conditional mutual information on trajectory tables.
+exact conditional mutual information on trajectory tables.  The three loop
+templates are built once per (horizon, variant) and shared; each keeps a
+memo of the single-source walks that the triple sampler reads.
 
 Truncation at a finite horizon is sound for queries whose conditioning set
 contains no node beyond the horizon: any path escaping into the future must
@@ -16,6 +18,7 @@ pass a collider whose descendants all lie in the future too, hence blocked.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,9 @@ class Dag:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parent_bits", tuple(parents))
         object.__setattr__(self, "_child_bits", tuple(children))
+        # (node index, conditioning mask) -> _d_connected from that one node;
+        # filled by the triple sampler (see _reach)
+        object.__setattr__(self, "_reach_memo", {})
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -73,6 +79,7 @@ class Dag:
             raise DomainError("graph has a directed cycle")
 
 
+@functools.lru_cache(maxsize=16)
 def build_loop_dag(horizon: int, variant: str = "general") -> Dag:
     """DAG template for a ``horizon``-round loop.
 
@@ -80,6 +87,9 @@ def build_loop_dag(horizon: int, variant: str = "general") -> Dag:
                     (M_t, S_t) -> V_{t+1}
     memoryless_env: V_t -> {M_t, A_t}, A_t -> S_t, (M_t, S_t) -> V_{t+1}
     product_env:    like general but Z_t alone feeds W_t
+
+    The (immutable) result is cached, so repeated calls with the same
+    arguments return the same ``Dag`` and share its walk memo.
     """
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
@@ -175,6 +185,18 @@ def _d_connected(dag: Dag, a: int, c: int) -> int:
     return (seen_up | seen_down) & ~c
 
 
+def _reach(dag: Dag, node: int, c: int) -> int:
+    """``_d_connected(dag, 1 << node, c)``, memoised on the dag.  Trails
+    from a set are the union of the trails from its members, so
+    ``_d_connected(dag, a, c)`` is the union of ``_reach`` over the bits
+    of ``a``."""
+    key = (node, c)
+    reach = dag._reach_memo.get(key)
+    if reach is None:
+        reach = dag._reach_memo[key] = _d_connected(dag, 1 << node, c)
+    return reach
+
+
 def _mask(dag: Dag, names) -> int:
     names = (names,) if isinstance(names, str) else tuple(names)
     mask = 0
@@ -201,23 +223,45 @@ class CompatibilityReport:
 
 def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
                              rng: np.random.Generator):
-    """Randomly sampled (A, B, C) subsets of ``pool`` that are d-separated:
-    each draw picks A and C, then B among the nodes d-separated from A."""
+    """Randomly sampled (A, B, C) subsets of ``pool`` that are d-separated.
+
+    Each attempt draws |A|, |B| in {1, 2} and |C| in {0, 1, 2} uniformly and
+    a uniform order of ``pool``: A is its first |A| nodes, C the next |C|,
+    and B the first |B| of the remaining nodes that are d-separated from A
+    given C, a uniform ordered subset of those.  The attempt fails when
+    fewer than |B| remain.  The first ``n_triples`` successes are returned,
+    from at most ``_ATTEMPTS_PER_TRIPLE * n_triples`` attempts.
+
+    Attempts are drawn in blocks of ``n_triples``: one ``rng.integers``
+    call for the sizes and one ``rng.random`` row per attempt whose argsort
+    is the order.  Each attempt has the law of a one-at-a-time draw, but a
+    seed gives other triples than the one-at-a-time sampler of earlier
+    versions did.  Trails are read from the dag's memo of single-source
+    walks (:func:`_reach`), so a walk is run once per dag, not per attempt.
+    """
+    if n_triples < 1:
+        raise DimensionError(f"n_triples must be >= 1, got {n_triples}")
+    index = [dag._index[n] for n in pool]
     found = []
-    for _ in range(_ATTEMPTS_PER_TRIPLE * n_triples):
-        if len(found) >= n_triples:
-            break
-        k_a = int(rng.integers(1, 3))
-        k_b = int(rng.integers(1, 3))
-        k_c = int(rng.integers(0, 3))
-        names = [pool[i] for i in rng.permutation(len(pool))[: k_a + k_c]]
-        a, c = tuple(names[:k_a]), tuple(names[k_a:])
-        c_mask = _mask(dag, c)
-        blocked = _d_connected(dag, _mask(dag, a), c_mask) | c_mask
-        rest = [n for n in pool if not blocked >> dag._index[n] & 1]
-        if len(rest) >= k_b:
-            b = tuple(rest[i] for i in rng.permutation(len(rest))[:k_b])
-            found.append((a, b, c))
+    budget = _ATTEMPTS_PER_TRIPLE * n_triples
+    while budget and len(found) < n_triples:
+        block = min(n_triples, budget)
+        budget -= block
+        sizes = rng.integers((1, 1, 0), 3, size=(block, 3)).tolist()
+        orders = rng.random((block, len(pool))).argsort(axis=1).tolist()
+        for (k_a, k_b, k_c), order in zip(sizes, orders):
+            c = 0
+            for i in order[k_a:k_a + k_c]:
+                c |= 1 << index[i]
+            blocked = c
+            for i in order[:k_a]:
+                blocked |= _reach(dag, index[i], c)
+            b = [pool[i] for i in order[k_a + k_c:] if not blocked >> index[i] & 1][:k_b]
+            if len(b) == k_b:
+                found.append((tuple(pool[i] for i in order[:k_a]), tuple(b),
+                              tuple(pool[i] for i in order[k_a:k_a + k_c])))
+                if len(found) == n_triples:
+                    break
     return found
 
 
@@ -231,6 +275,13 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     of the pool they are drawn from, which has no Z in the memoryless
     template.  The memoryless and product templates additionally require
     the environment to be of the matching class.
+
+    The triples come from :func:`sample_separated_triples` seeded with
+    ``seed``: attempts drawn in blocks, each with the law of a single draw,
+    at most ``_ATTEMPTS_PER_TRIPLE`` per triple, trails read from the
+    template's shared walk memo.  A seed picks other triples than it did in
+    versions that drew one attempt at a time.  ``n_triples < 1`` raises
+    ``DimensionError``, since a check of no triples would pass vacuously.
     """
     if variant == "memoryless_env":
         if channels.is_memoryless_invariant(pal.env) is None:

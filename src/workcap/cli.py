@@ -15,6 +15,7 @@ identical inputs and seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -323,7 +324,11 @@ def _add_flags(p, *names: str) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged and gives each call of
+    :func:`main` a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="workcap",
         description="Percept-action loop analysis: channel classes, work rates, "

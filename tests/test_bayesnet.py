@@ -81,6 +81,15 @@ class TestTemplates:
         with pytest.raises(DimensionError):
             build_loop_dag(0, "general")
 
+    def test_templates_are_shared_and_bad_arguments_raise_every_time(self):
+        for variant in ("general", "memoryless_env", "product_env"):
+            assert build_loop_dag(3, variant) is build_loop_dag(3, variant)
+        for _ in range(2):
+            with pytest.raises(DimensionError):
+                build_loop_dag(0, "general")
+            with pytest.raises(DomainError):
+                build_loop_dag(2, "bogus")
+
 
 class TestCompatibility:
     def test_random_loop_no_violations(self, rng):
@@ -135,6 +144,16 @@ class TestCompatibility:
         pal = PerceptActionLoop(random_agent(rng, 2, 2), fig5)
         with pytest.raises(DomainError):
             validate_compatibility(pal, horizon=3, variant="product_env")
+
+    @pytest.mark.parametrize("n_triples", [0, -3])
+    def test_no_triples_requested_is_rejected(self, rng, n_triples):
+        # a check of no triples would pass vacuously
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
+        with pytest.raises(DimensionError):
+            validate_compatibility(pal, 3, n_triples=n_triples)
+        pool = [f"{v}{t}" for t in range(3) for v in "MASZ"]
+        with pytest.raises(DimensionError):
+            sample_separated_triples(build_loop_dag(3, "general"), pool, n_triples, rng)
 
     def test_sampler_yields_enough_triples(self, rng):
         dag = build_loop_dag(3, "general")
@@ -326,20 +345,44 @@ def set_walk_oracle(dag: Dag, a, c) -> set[str]:
 
 def sample_with_set_walk(dag: Dag, pool: list[str], n_triples: int, rng):
     """``sample_separated_triples`` on :func:`set_walk_oracle`, with the same
-    draws from ``rng`` in the same order."""
+    draws from ``rng`` in the same order: blocks of ``n_triples`` attempts,
+    the sizes from one ``integers`` call and each attempt's order of the pool
+    from the argsort of a row of ``random``."""
     found = []
-    for _ in range(_ATTEMPTS_PER_TRIPLE * n_triples):
-        if len(found) >= n_triples:
-            break
-        k_a = int(rng.integers(1, 3))
-        k_b = int(rng.integers(1, 3))
-        k_c = int(rng.integers(0, 3))
+    budget = _ATTEMPTS_PER_TRIPLE * n_triples
+    while budget and len(found) < n_triples:
+        block = min(n_triples, budget)
+        budget -= block
+        sizes = rng.integers((1, 1, 0), 3, size=(block, 3))
+        keys = rng.random((block, len(pool)))
+        for (k_a, k_b, k_c), row in zip(sizes, keys):
+            names = [pool[i] for i in np.argsort(row)]
+            a, c = tuple(names[:k_a]), tuple(names[k_a:k_a + k_c])
+            blocked = set_walk_oracle(dag, a, c).union(c)
+            b = tuple(n for n in names[k_a + k_c:] if n not in blocked)[:k_b]
+            if len(b) == k_b and len(found) < n_triples:
+                found.append((a, b, c))
+    return found
+
+
+def sample_one_at_a_time(dag: Dag, pool: list[str], n_triples: int, rng):
+    """Reference sampler with the per-attempt law of
+    ``sample_separated_triples``, drawn one attempt at a time: scalar size
+    draws, a permutation for A and C, then a second permutation of the
+    nodes separated from A given C for B."""
+    bit = {n: _mask(dag, n) for n in pool}
+    walks = {}
+    found = []
+    while len(found) < n_triples:
+        k_a, k_b, k_c = (int(rng.integers(low, 3)) for low in (1, 1, 0))
         names = [pool[i] for i in rng.permutation(len(pool))[: k_a + k_c]]
-        a, c = tuple(names[:k_a]), tuple(names[k_a:])
-        blocked = set_walk_oracle(dag, a, c).union(c)
-        rest = [n for n in pool if n not in blocked]
+        a, c = _mask(dag, names[:k_a]), _mask(dag, names[k_a:])
+        if (a, c) not in walks:
+            walks[a, c] = _d_connected(dag, a, c) | c
+        rest = [n for n in pool if not walks[a, c] & bit[n]]
         if len(rest) >= k_b:
-            found.append((a, tuple(rest[i] for i in rng.permutation(len(rest))[:k_b]), c))
+            found.append((names[:k_a], [rest[i] for i in rng.permutation(len(rest))[:k_b]],
+                          names[k_a:]))
     return found
 
 
@@ -363,6 +406,43 @@ class TestAgainstSetWalk:
         for seed in range(10):
             fast = sample_separated_triples(dag, pool, 40, np.random.default_rng(seed))
             assert fast == sample_with_set_walk(dag, pool, 40, np.random.default_rng(seed))
+
+    def test_block_draws_keep_the_size_law(self):
+        # each block attempt must have the law of a one-at-a-time attempt, so
+        # the (|A|, |B|, |C|) frequencies of the accepted triples agree
+        dag = build_loop_dag(3, "general")
+        pool = [f"{v}{t}" for t in range(3) for v in "MASZ"]
+        n = 5000
+        patterns = [tuple(map(len, trip)) for trip in
+                    sample_separated_triples(dag, pool, n, np.random.default_rng(11))]
+        reference = [tuple(map(len, trip)) for trip in
+                     sample_one_at_a_time(dag, pool, n, np.random.default_rng(12))]
+        assert len(patterns) == len(reference) == n
+        for pattern in set(patterns) | set(reference):
+            p_new, p_ref = patterns.count(pattern) / n, reference.count(pattern) / n
+            pooled = (p_new + p_ref) / 2
+            se = np.sqrt(pooled * (1 - pooled) * 2 / n)
+            assert abs(p_new - p_ref) <= 4 * se, (pattern, p_new, p_ref)
+
+    def test_walk_memo_matches_set_walk(self, rng):
+        # after the templates' checks, every memoised single-source walk is
+        # the set walk from that node
+        loops = {
+            "general": random_environment(rng, 2, 2),
+            "memoryless_env": random_memoryless_environment(rng),
+            "product_env": random_environment(rng, 2, 2, action_invariant=True),
+        }
+        for variant, env in loops.items():
+            pal = PerceptActionLoop(random_agent(rng, 2, 2), env)
+            assert validate_compatibility(pal, horizon=3, n_triples=40, seed=1,
+                                          variant=variant).ok
+            dag = build_loop_dag(3, variant)
+            assert dag._reach_memo
+            for (node, c), reach in dag._reach_memo.items():
+                c_names = {n for i, n in enumerate(dag.nodes) if c >> i & 1}
+                names = {n for i, n in enumerate(dag.nodes) if reach >> i & 1}
+                assert names == set_walk_oracle(dag, {dag.nodes[node]}, c_names), \
+                    (variant, dag.nodes[node], c_names)
 
 
 def networkx_graph(nx, dag: Dag):

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from workcap.channels import load_model, save_model
-from workcap.cli import main
+from workcap.cli import build_parser, main
 from workcap.verify import REPORT_FLOOR, bundled_model_path
 
 FIG5 = str(bundled_model_path("fig5"))
@@ -341,3 +341,42 @@ class TestFlags:
         except SystemExit as exc:  # argparse rejects the flag or its value
             code = exc.code
         assert code == 2
+
+
+class TestParserReuse:
+    # the parser is built once per process; calls on the shared parser must
+    # behave as the same calls each on a freshly built one
+    SEQUENCE = [
+        ("dsep", "--variant", "memoryless_env", "--horizon", "2", "--a", "M0", "--b", "S0",
+         "--c", "A0", "--json"),
+        ("dsep", "--a", "A0", "--b", "S0", "--json"),
+        ("dsep", "--horizon", "0", "--a", "A0", "--b", "S0"),
+        ("analyze", FIG5, "--json"),
+        ("verify", "--bogus"),
+        ("dsep", "--a", "M0", "--b", "S1", "--c", "A0,S0", "--json"),
+        ("analyze", GOLDEN),
+        ("dsep", "--a", "A0", "--b", "S0", "--json"),
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the flag or its value
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_match_fresh_ones(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        repeated = [self.call(capsys, argv) for argv in self.SEQUENCE]
+        assert build_parser() is build_parser()
+        assert repeated == fresh
+        assert [code for code, _, _ in repeated] == [0, 0, 2, 0, 2, 0, 0, 0]
+        # no flag value of an earlier command leaks into a later one
+        for out in (repeated[1][1], repeated[-1][1]):
+            doc = json.loads(out)
+            assert (doc["variant"], doc["horizon"], doc["c"]) == ("general", 4, [])
