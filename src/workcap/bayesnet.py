@@ -282,6 +282,11 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     template's shared walk memo.  A seed picks other triples than it did in
     versions that drew one attempt at a time.  ``n_triples < 1`` raises
     ``DimensionError``, since a check of no triples would pass vacuously.
+
+    Each triple's CMI is the one :func:`info.conditional_mutual_information`
+    gives it, bit for bit, but the marginal entropy of each distinct
+    variable set is summed once per call: triples that share H(C), H(AC) or
+    H(BC) read it from a memo local to the call, keyed on the set.
     """
     if variant == "memoryless_env":
         if channels.is_memoryless_invariant(pal.env) is None:
@@ -304,9 +309,17 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     triples = sample_separated_triples(dag, pool, n_triples, rng)
 
     joint = loop._trajectory_marginal(pal, horizon, pool)
+    entropies = {}  # one marginal entropy per variable set, for this call only
+
+    def entropy_of(vars):
+        key = frozenset(vars)
+        if key not in entropies:
+            entropies[key] = info._marginal_entropy_nats(joint, vars)
+        return entropies[key]
+
     violations = []
     for trip in triples:
-        cmi = info.conditional_mutual_information(joint, *trip, base="nats")
+        cmi = info._cmi_nats(entropy_of, *trip)
         if cmi >= CMI_SOUNDNESS_TOL:
             violations.append((*trip, cmi))
     return CompatibilityReport(variant, horizon, len(triples), tuple(violations))

@@ -163,13 +163,21 @@ def conditional_mutual_information(joint: JointTable, set_a, set_b, set_c=(),
     if not a or not b:
         raise DomainError("both primary variable sets must be nonempty")
     joint.axes_of(a + b + c)
+    v = _cmi_nats(lambda vars: _marginal_entropy_nats(joint, vars), a, b, c)
+    return v * _base_factor(base)
+
+
+def _cmi_nats(entropy_of, a: tuple[str, ...], b: tuple[str, ...],
+              c: tuple[str, ...]) -> float:
+    """I[A;B|C] in nats for checked, pairwise disjoint name tuples, each
+    marginal entropy read from ``entropy_of(vars)``; a caller that asks for
+    many CMIs of one table may pass a source that sums each set once."""
     # I[A;B|C] = H(AC) + H(BC) - H(ABC) - H(C)
-    h_ac = _marginal_entropy_nats(joint, a + c)
-    h_bc = _marginal_entropy_nats(joint, b + c)
-    h_abc = _marginal_entropy_nats(joint, a + b + c)
-    h_c = _marginal_entropy_nats(joint, c) if c else 0.0
-    v = h_ac + h_bc - h_abc - h_c
-    return _clamp_nonneg(v, "conditional mutual information") * _base_factor(base)
+    h_ac = entropy_of(a + c)
+    h_bc = entropy_of(b + c)
+    h_abc = entropy_of(a + b + c)
+    h_c = entropy_of(c) if c else 0.0
+    return _clamp_nonneg(h_ac + h_bc - h_abc - h_c, "conditional mutual information")
 
 
 # ---------------------------------------------------------------------------

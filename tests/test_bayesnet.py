@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from workcap import (Dag, DomainError, PerceptActionLoop, bayesnet, build_loop_dag,
-                     build_uniform, d_separated, validate_compatibility)
+                     build_uniform, d_separated, info, validate_compatibility, verify)
 from workcap.bayesnet import (_ATTEMPTS_PER_TRIPLE, _d_connected, _mask,
                               sample_separated_triples)
 from workcap.errors import DimensionError
 from workcap.info import conditional_mutual_information
-from workcap.loop import trajectory_distribution
+from workcap.loop import _trajectory_marginal, trajectory_distribution
 from workcap.random_models import (random_agent, random_environment,
                                    random_memoryless_environment)
 
@@ -139,6 +139,48 @@ class TestCompatibility:
         for *trip, cmi in report.violations:
             assert cmi == pytest.approx(
                 conditional_mutual_information(joint, *trip, base="nats"), abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["general", "memoryless_env", "product_env"])
+    def test_entropy_memo_keeps_each_cmi_and_sums_each_set_once(self, rng, golden_mean,
+                                                                monkeypatch, variant):
+        env = {"general": random_environment(rng, 2, 2),
+               "memoryless_env": random_memoryless_environment(rng),
+               "product_env": golden_mean}[variant]
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), env)
+        summed = []
+        original = info._marginal_entropy_nats
+
+        def spy(joint, vars):
+            summed.append(frozenset(vars))
+            return original(joint, vars)
+        monkeypatch.setattr(info, "_marginal_entropy_nats", spy)
+        # with a negative tolerance every sampled triple is reported with its CMI
+        monkeypatch.setattr(bayesnet, "CMI_SOUNDNESS_TOL", -1.0)
+        report = validate_compatibility(pal, horizon=3, n_triples=40, seed=4, variant=variant)
+        needed = {frozenset(s) for a, b, c in (v[:3] for v in report.violations)
+                  for s in (a + c, b + c, a + b + c, c) if s}
+        assert report.n_checked == len(report.violations) == 40
+        assert len(summed) == len(set(summed)) == len(needed)
+
+        pool = [f"{v}{t}" for t in range(3)
+                for v in ("MAS" if variant == "memoryless_env" else "MASZ")]
+        joint = _trajectory_marginal(pal, 3, pool)
+        for *trip, cmi in report.violations:
+            assert cmi == info.conditional_mutual_information(joint, *trip, base="nats")
+
+    def test_dsep_check_sums_each_entropy_once(self, monkeypatch):
+        # the seven jobs' CMIs and the three controls need 471 distinct
+        # (joint, variable set) entropies; one sum per CMI term made 1,017
+        joints, keys = [], []
+        original = info._marginal_entropy_nats
+
+        def spy(joint, vars):
+            joints.append(joint)  # held, so no id is reused by a later joint
+            keys.append((id(joint), frozenset(vars)))
+            return original(joint, vars)
+        monkeypatch.setattr(info, "_marginal_entropy_nats", spy)
+        verify.check_dsep_soundness(0)
+        assert len(keys) == len(set(keys)) == 471
 
     def test_product_template_requires_invariant_kernel(self, fig5, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 2), fig5)

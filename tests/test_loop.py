@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from workcap.loop import (GlobalChain, _cesaro_tables, _lift,
                           future_predictiveness, predictiveness_score)
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
+from workcap.verify import _markov_deviation, load_bundled
 
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
 
@@ -148,6 +150,47 @@ class TestTrajectory:
                     lhs = flat[u0, u1] / j01[u0, u1]
                     rhs = j12[u1] / j1[u1]
                     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("model,kind", [
+        ("fig5", "identity"), ("fig5", "last_action"),
+        ("identity", "identity"), ("identity", "last_action"), ("random", "random")])
+    def test_markov_deviation_pass_matches_masked_conditionals(self, model, kind, rng):
+        """verify's one-pass Markov deviations, for t = 2 and 3, equal bit for
+        bit the masked-conditional formula: both conditionals divided where
+        their mass is positive, the gap gathered on histories of positive
+        mass.  The pass raises no RuntimeWarning on zero-mass histories."""
+        if model == "random":
+            pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 3))
+        else:
+            env = load_bundled(model)
+            agent = (build_identity(env.alphabet) if kind == "identity"
+                     else build_last_action(env.alphabet, [0.3, 0.7]))
+            pal = PerceptActionLoop(agent, env)
+        n = int(np.prod(pal.shape))
+        flat = trajectory_distribution(pal, 4).joint.probs.reshape(n, n, n, n)
+        p012 = flat.sum(axis=3)
+        # deterministic agents leave most histories at zero mass, which
+        # verify's dense random loops never do
+        assert (p012.sum(axis=-1) == 0).any() == (model != "random")
+
+        def masked(lhs, rhs):
+            joint_hist = lhs.sum(axis=-1)
+            cond_hist = np.divide(lhs, joint_hist[..., None], out=np.zeros_like(lhs),
+                                  where=joint_hist[..., None] > 0)
+            marg_hist = rhs.sum(axis=-1)
+            cond_marg = np.divide(rhs, marg_hist[..., None], out=np.zeros_like(rhs),
+                                  where=marg_hist[..., None] > 0)
+            pad = (1,) * (lhs.ndim - rhs.ndim)
+            diff = np.abs(cond_hist - cond_marg.reshape(pad + rhs.shape))
+            mask = joint_hist[..., None] > 0
+            return float(diff[np.broadcast_to(mask, diff.shape)].max())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = (_markov_deviation(p012, p012.sum(axis=-1), flat.sum(axis=(0, 3))),
+                   _markov_deviation(flat, p012, flat.sum(axis=(0, 1))))
+        assert got == (masked(flat.sum(axis=3), flat.sum(axis=(0, 3))),
+                       masked(flat, flat.sum(axis=(0, 1))))
 
     def test_marginal_matches_kernel_power(self, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 2),
