@@ -3,9 +3,9 @@
 Closed forms cover the three special channel classes (noiseless, memoryless
 invariant, unifilar product).  For everything else a quasi-Newton search
 over bounded-memory agent kernels (restarted L-BFGS, all restarts as one
-stack, on exact work rates with their exact adjoint gradients, or central
-differences where the chain has several closed classes or a periodic one)
-yields an explicitly labeled lower bound; the true capacity maximizes over
+stack, on exact work rates with their exact adjoint gradients, one formula
+for periodic, reducible and every other chain structure) yields an
+explicitly labeled lower bound; the true capacity maximizes over
 all finite agent models and no general algorithm for it is known, so the
 numeric value is never presented as exact.  :func:`check_subadditivity`
 checks cascade subadditivity of memoryless invariant channels.
@@ -31,7 +31,6 @@ NUMERIC_LOWER_BOUND = "numeric_lower_bound"
 LBFGS_STEPS = 500  # iteration cap of one L-BFGS run
 LBFGS_FTOL = 1e-12  # a run stops when a step gains at most this times max(1, |value|)
 LBFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
-FD_STEP = 6e-6  # central-difference step, relative to max(1, |x_i|)
 _HISTORY = 10  # (step, gradient change) pairs an L-BFGS run keeps; L-BFGS-B's default
 _ARMIJO, _CURVATURE = 1e-4, 0.9  # the weak Wolfe conditions' constants
 ASCENT_STEPS = 2000  # step cap of the memoryless ascent
@@ -530,33 +529,19 @@ def _search_objective(env: channels.EnvironmentModel, memory_size: int):
     """The objective :func:`capacity_lower_bound` maximizes: a ``(k, dim)``
     stack of coordinates (:func:`_kernels_from_params`) to the agents' work
     rates, in nats, and their gradients.  One call of
-    :func:`loop._rate_gradients` gives the rates and, where it has them, the
-    exact gradients in the kernels, taken through each row's normalized
-    exponential (the opening joint's part is 0).  The other agents' gradients
-    are central differences (step ``FD_STEP * max(1, |x_i|)``), whose 2 dim
-    points per agent go through one call of :func:`loop._work_rates`."""
+    :func:`loop._rate_gradients` gives the rates and their exact gradients
+    in the kernels and the opening joints, which are taken through each
+    row's normalized exponential; the opening joint is one more row."""
     n_a, n_m = len(env.alphabet), memory_size
     rows = n_a * n_m
-    dim = rows * rows + rows
 
     def objective(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta, init = _kernels_from_params(points, n_a, n_m)
-        values, grads, exact = loop._rate_gradients(env, theta, init)
-        theta, grads = theta.reshape(-1, rows, rows), grads.reshape(-1, rows, rows)
-        slope = np.zeros(points.shape)
-        # through each row's normalized exponential; the opening joint's is 0
-        slope[:, :rows * rows] = (theta * (grads - (theta * grads).sum(axis=2, keepdims=True))
-                                  ).reshape(-1, rows * rows)
-        if not exact.all():
-            x = points[~exact]
-            step = FD_STEP * np.maximum(1.0, np.abs(x))[:, :, None] * np.eye(dim)
-            ahead, behind = x[:, None, :] + step, x[:, None, :] - step
-            near = loop._work_rates(env, *_kernels_from_params(
-                np.concatenate([ahead, behind], axis=1).reshape(-1, dim), n_a, n_m))
-            near = near.reshape(len(x), 2, dim)
-            width = (ahead - behind).diagonal(axis1=1, axis2=2)
-            slope[~exact] = (near[:, 0] - near[:, 1]) / width
-        return values, slope
+        values, (d_theta, d_init) = loop._rate_gradients(env, theta, init)
+        probs = np.concatenate([theta.reshape(-1, rows, rows), init.reshape(-1, 1, rows)], axis=1)
+        grads = np.concatenate([d_theta.reshape(-1, rows, rows), d_init.reshape(-1, 1, rows)], 1)
+        slope = probs * (grads - (probs * grads).sum(axis=2, keepdims=True))
+        return values, slope.reshape(len(points), -1)
 
     return objective
 
@@ -571,7 +556,7 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     normalized exponentials of unconstrained coordinates.  The uniform
     agent, the warm starts and ``restarts - 1`` seeded random points start
     one run each of L-BFGS (:func:`_lbfgs`), all runs as one stack, on the
-    exact work rates and their exact or central-difference gradients
+    exact work rates and their exact gradients on every chain structure
     (:func:`_search_objective`).  A run's result is its last point; the
     search is ``stalled`` when a run reaches ``LBFGS_STEPS`` iterations.
     Deterministic rows exist only in the parameterization's limit, so the
@@ -605,8 +590,8 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     best = int(np.argmax(values))  # ties keep the lowest restart index
     model = _agent_from_params(lasts[best], alphabet, memory)
     snapped = _snap_vertices(model)
-    rates = loop._work_rates(env, np.stack([model.theta, snapped.theta]),
-                             np.stack([model.initial_joint, snapped.initial_joint]))
+    rates = loop._rate_gradients(env, np.stack([model.theta, snapped.theta]),
+                                 np.stack([model.initial_joint, snapped.initial_joint]))[0]
     keep = int(rates[1] >= rates[0] - 1e-12)  # 1: the snapped agent
     return CapacityResult(float(rates[keep]), NUMERIC_LOWER_BOUND,
                           witness=(model, snapped)[keep],

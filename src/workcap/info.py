@@ -50,7 +50,9 @@ def _entropy_nats(p: np.ndarray) -> float:
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
-    """Snap rounding-level negatives to zero; larger negatives are bugs."""
+    """Snap rounding-level negatives to zero; larger negatives and NaN or inf are bugs."""
+    if not math.isfinite(value):
+        raise InternalConsistencyError(f"{what} = {value!r} is not finite")
     if value >= 0.0:
         return value
     if value > -_CLAMP_RAISE:
@@ -205,7 +207,7 @@ def _unifilar_entropy_rate(env) -> float:
     # hidden-state chain under the fixed action; unifilarity makes the
     # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)
     hidden_step = env.phi[0].sum(axis=1)  # [z, z']
-    _, laws = _limit_laws(hidden_step[None], env.initial[None, None])
+    _, laws, _ = _limit_laws(hidden_step[None], env.initial[None, None])
     pi = laws[0, 0].mean(axis=0)  # the Cesàro limit of the hidden state's law
     emission = env.phi[0].sum(axis=2)  # [z, s]
     h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))

@@ -9,8 +9,8 @@ predictive agent class.
 Every asymptotic rate comes from one Cesàro engine, ``_cesaro_tables``,
 which keeps the state's law under each subsequence limit from
 ``markov._limit_laws`` and forms no limit matrix: ``work_rate`` runs it on
-one agent, and ``_work_rates`` and the capacity search's
-``_rate_gradients`` (rates with their exact gradients) on a stack.  It
+one agent, and the capacity search's ``_rate_gradients`` (rates with their
+exact gradients, one formula for every chain structure) on a stack.  It
 runs on the pre-percept chain (memory, action, hidden state), |S| times
 smaller than the global chain: the percept is a fresh draw from the
 emission e(s | a, z), so each law of the global chain is a law of that
@@ -264,12 +264,12 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
 
     Returns the kernels ``Kw`` ``(B, n, n)``, the round-0 vectors ``(B,
     n)`` and, for each group of members with one support pattern (kernel
-    and round-0 vector), ``(members, reach, structure, tables)``: the mask
-    of reachable W states, the structure of the reachable subchain, and
-    ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as n grows
-    (zero off ``reach``), with u the round-0 vector, P the reachable
-    subchain, d its period lcm and L = lim P^{nd}, from
-    :func:`markov._limit_laws`.  The stack shares one kernel einsum and one
+    and round-0 vector), ``(members, reach, structure, tables, limit)``:
+    the mask of reachable W states, the structure of the reachable
+    subchain, ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as
+    n grows (zero off ``reach``), and L's factors on ``reach``, with u the
+    round-0 vector, P the reachable subchain, d its period lcm and L = lim
+    P^{nd}, from :func:`markov._limit_laws`.  The stack shares one kernel einsum and one
     validation, and a group's limit laws are solved at once.  What the
     patterns decide (the groups' reachable sets and structures) comes from
     the one structure memo of :mod:`markov`, so it is worked out once per
@@ -288,15 +288,15 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     for members, structure in _pattern_groups(K > 0.0, p0 > 0.0):
         reach = structure.reach
         if reach.all():
-            _, laws = _limit_laws(K[members], p0[members][:, None, :], structure)
+            _, laws, limit = _limit_laws(K[members], p0[members][:, None, :], structure)
             tables = laws[:, 0]
         else:
             rows = np.arange(n_b)[members]
-            _, laws = _limit_laws(K[np.ix_(rows, reach, reach)],
-                                  p0[np.ix_(rows, reach)][:, None, :], structure)
+            _, laws, limit = _limit_laws(K[np.ix_(rows, reach, reach)],
+                                         p0[np.ix_(rows, reach)][:, None, :], structure)
             tables = np.zeros((len(rows), structure.period_lcm, n))
             tables[:, :, reach] = laws[:, 0]
-        groups.append((members, reach, structure, tables))
+        groups.append((members, reach, structure, tables, limit))
     return K, p0, groups
 
 
@@ -319,7 +319,7 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     read from its law's marginals p(m, a) and p(m, s) (:func:`_work_terms`).
     """
     factor = _base_factor(base)
-    K, p0, ((_, reach, structure, tables),) = _cesaro_tables(
+    K, p0, ((_, reach, structure, tables, _),) = _cesaro_tables(
         loop.env, loop.agent.theta[None], loop.agent.initial_joint[None])
     P, p, t = K[0], p0[0], tables[0]
     laws = np.empty((rounds, len(p)))
@@ -337,72 +337,78 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
                       _lift(t.mean(axis=0), loop.env).reshape(-1))
 
 
-def _work_rates(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
-                ) -> np.ndarray:
-    """Exact Cesàro work rates, in nats, of a stack of B agents on ``env``
-    (shapes as in :func:`_cesaro_tables`); member b's rate is ``work_rate``
-    of that agent in nats, read from the same tables."""
-    _, _, groups = _cesaro_tables(env, theta, init)
-    rates = np.empty(len(init))
-    for members, _, _, tables in groups:
-        rates[members] = _work_terms(*_marginals(tables, env))[0].mean(axis=-1)
-    return rates
-
-
 def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Work rates, in nats, of a stack of B agents on ``env`` (shapes as in
-    :func:`_cesaro_tables`) with their exact gradients in ``theta``, and
-    which members have one.
+    :func:`_cesaro_tables`), each its ``work_rate``, and ``grads``, their
+    exact gradients in ``theta`` and ``init``, each bit for bit as alone.
 
-    A member has one when its reachable pre-percept chain has one closed
-    class and that class is aperiodic.  Its Cesàro law is then the
-    stationary vector π, and with p the marginals of π(m, a, z) e(s | a, z)
-    the rate is f = H(M, A) - H(M, S).  Its gradient in π is ``g[m, a, z] =
-    sum_s e(s | a, z) log p(m, s) - log p(m, a)``; a marginal at 0 enters
-    as 0 (0 log 0 = 0), which changes nothing, since the states it touches
-    have π = 0 and keep it to first order.  A move dK of the kernel that
-    keeps its rows stochastic moves π by ``π dK Z``, Z = (I - K + 1π)^-1
-    (Schweitzer 1968), so with ``w = Z g``, solved once on the reachable
-    states (zero off them), ``df/dK[i, j] = π_i w_j`` and through the
-    kernel's einsum ``df/dtheta[s, m, b, n] = sum π(m, a, z) phi(s, w | a,
-    z) w(n, b, w)``.  The rate does not depend on the opening joint.  The
-    LU solve may be ill-conditioned on a sticky chain, where I - K + 1π is
-    nearly singular, or fail on one singular in floating point.  The
-    gradient only sets a search direction: π, and so the rate, still comes
-    from the GTH elimination of :func:`_cesaro_tables`.
-
-    Every rate, whatever the structure, and g come from the marginals that
-    :func:`_work_rates` reads.  Members with several closed classes or a
-    periodic one, and those whose solve fails, get a zero gradient and
-    ``exact`` False.  Each member gets, bit for bit, the results it gets alone.
+    On a member's reachable pre-percept chain P with round-0 vector u,
+    period lcm d, Q = P^d and L = lim Q^n, the rate is F = (1/d) sum_r
+    f(ℓ_r), ℓ_r = ℓ_0 P^r, ℓ_0 = uL, where f = H(M, A) - H(M, S) of ℓ(m,
+    a, z) e(s | a, z) has gradient ``sum_s e(s | a, z) log p(m, s) - log
+    p(m, a)`` at ``[m, a, z]`` (0 log 0 = 0).  With g_r = ∇f(ℓ_r)/d, the
+    sweep λ_{d-1} = g_{d-1}, λ_{r-1} = g_{r-1} + P λ_r adds ℓ_{r-1} ⊗ λ_r
+    to dF/dP and leaves h = λ_0.  With M = I - Q + L, dL = L dQ A# + A# dQ
+    L (Meyer 1975), A# = M^-1 - L the group inverse of I - Q (Golub &
+    Meyer 1986), is L dQ M^-1 + M^-1 dQ L, since dQ keeps Q's closed
+    classes closed and its rows sum to 0, so L dQ L = 0.  So ℓ_0 adds ℓ_0
+    dQ (M^-1 h) + (u M^-1) dQ (Lh), dQ = sum_k P^k dP P^{d-1-k}, and u
+    adds dF/du = Lh, with L = sum_c a_c π_c from the factors of
+    :func:`markov._limit_laws`.  On one aperiodic class, M = I - K + 1π is
+    Schweitzer's (1968) deviation matrix, and the terms through Lh vanish
+    identically (dQ 1 = 0, and u's slope is constant on the simplex), so
+    they are not formed.  A term x ⊗ y of dF/dP enters ``theta`` as ``sum
+    x(m, a, z) phi(s, w | a, z) y(n, b, w)`` at ``[s, m, b, n]``.  A
+    member whose M is singular in floating point gets a zero gradient.
     """
-    K, _, groups = _cesaro_tables(env, theta, init)
+    K, p0, groups = _cesaro_tables(env, theta, init)
     n_b, n_a, n_m = init.shape
     n_z = env.n_hidden
     emission = env.emission().reshape(n_a * n_z, -1)  # [(a, z), s]
     rates = np.empty(n_b)
-    grads = np.zeros(theta.shape)
-    exact = np.zeros(n_b, dtype=bool)
-    for members, reach, structure, tables in groups:
+    grads = np.zeros(theta.shape), np.zeros(init.shape)
+    for members, reach, structure, tables, (absorb, stationary) in groups:
         p_ma, p_ms = _marginals(tables, env)
         rates[members] = _work_terms(p_ma, p_ms)[0].mean(axis=-1)
-        if len(structure.closed) > 1 or structure.period_lcm > 1:
-            continue
-        pi = tables[:, 0]
-        g = ((_log_positive(p_ms[:, 0]) @ emission.T).reshape(-1, n_m, n_a, n_z)
-             - _log_positive(p_ma[:, 0])[..., None]).reshape(len(pi), -1)
-        K_g = K[members]
+        B, d, n = tables.shape
+        lam = ((_log_positive(p_ms) @ emission.T).reshape(B, d, n_m, n_a, n_z)
+               - _log_positive(p_ma)[..., None]).reshape(B, d, n)
+        P, ell = K[members], tables
         if not reach.all():
-            K_g = K_g[np.ix_(np.arange(len(pi)), reach, reach)]
-        w = np.zeros_like(pi)
-        w[:, reach], solved = _deviations(K_g, pi[:, reach], g[:, reach])
-        flow = pi.reshape(-1, n_m, n_a * n_z) @ env.phi.reshape(n_a * n_z, -1)  # [m, (s, w)]
-        grad = (flow.reshape(-1, n_m * n_a, n_z)
-                @ w.reshape(-1, n_m * n_a, n_z).transpose(0, 2, 1))  # [(m, s), (n, b)]
-        grads[members] = grad.reshape(-1, n_m, n_a, n_m, n_a).transpose(0, 2, 1, 4, 3)
-        exact[members] = solved
-    return rates, grads, exact
+            P = P[np.ix_(np.arange(B), reach, reach)]
+            lam, ell = lam[..., reach], ell[..., reach]
+        lam /= d
+        for r in range(d - 1, 0, -1):  # the reverse sweep turns g into λ
+            lam[:, r - 1] += (P @ lam[:, r, :, None])[..., 0]
+        one_class = len(structure.closed) == 1 and d == 1
+        L = ell[:, :1] if one_class else absorb @ stationary  # on one class, L = 1π = 1ℓ_0
+        M = np.eye(len(P[0])) - (P if d == 1 else np.linalg.matrix_power(P, d)) + L
+        x, solved = _solve(M, lam[:, 0])
+        lefts, rights = ell[:, :1], x[:, None]
+        if not one_class:
+            # ahead[:, :, k] = P^{d-1-k} (M^-1 h, Lh), behind[:, k] = u M^-1 P^k
+            ahead, behind = np.empty((B, 2, d, len(P[0]))), np.empty(ell.shape)
+            ahead[:, :, -1] = np.stack([x, (L @ lam[:, 0, :, None])[..., 0]], axis=1)
+            behind[:, 0], solved_u = _solve(M.transpose(0, 2, 1), p0[members][:, reach])
+            for k in range(d - 1, 0, -1):
+                ahead[:, :, k - 1] = ahead[:, :, k] @ P.transpose(0, 2, 1)
+                behind[:, d - k] = (behind[:, d - k - 1, None] @ P)[:, 0]
+            ahead[:, 0, :-1] += lam[:, 1:]
+            ahead[~(solved & solved_u)] = 0.0
+            lefts, rights = np.concatenate([ell, behind], axis=1), ahead.reshape(B, 2 * d, -1)
+            slope_u = np.zeros((B, n_m, n_a, n_z))
+            slope_u.reshape(B, n)[:, reach] = ahead[:, 1, -1]
+            grads[1][members] = (slope_u @ env.initial).transpose(0, 2, 1)
+        if not reach.all():  # zero off the reachable states
+            terms = np.zeros((2, *lefts.shape[:2], n))
+            terms[..., reach] = lefts, rights
+            lefts, rights = terms
+        flow = lefts.reshape(B, -1, n_m, n_a * n_z) @ env.phi.reshape(n_a * n_z, -1)
+        grad = np.add.reduce(flow.reshape(B, -1, n_m * n_a, n_z)  # [(m, s), (n, b)] per term
+                             @ rights.reshape(B, -1, n_m * n_a, n_z).transpose(0, 1, 3, 2), 1)
+        grads[0][members] = grad.reshape(-1, n_m, n_a, n_m, n_a).transpose(0, 2, 1, 4, 3)
+    return rates, grads
 
 
 def _log_positive(p: np.ndarray) -> np.ndarray:
@@ -410,25 +416,21 @@ def _log_positive(p: np.ndarray) -> np.ndarray:
     return np.log(np.where(p > 0.0, p, 1.0))
 
 
-def _deviations(K: np.ndarray, pi: np.ndarray, g: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``w = (I - K + 1π)^-1 g`` for each member of a ``(B, n, n)`` stack of
-    unichain kernels with stationary vectors ``pi`` ``(B, n)``, by LU, and
-    whether each w is finite; w is 0 where it is not.  When one matrix is
-    singular, the members are solved one at a time, so each gets the
-    solution it gets alone."""
-    A = np.eye(K.shape[-1]) - K + pi[:, None, :]
+def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A^-1 b`` for a ``(B, n, n)`` stack by LU, 0 where it is not
+    finite, and where it is; with a singular matrix in the stack, each
+    member is solved alone, so it gets the solution it gets alone."""
     try:
-        w = np.linalg.solve(A, g[:, :, None])[:, :, 0]
+        x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        w = np.full(g.shape, np.nan)
-        for b in range(len(A)):
+        x = np.full(b.shape, np.nan)
+        for k in range(len(A)):
             try:
-                w[b] = np.linalg.solve(A[b], g[b][:, None])[:, 0]
+                x[k] = np.linalg.solve(A[k], b[k][:, None])[:, 0]
             except np.linalg.LinAlgError:
-                pass  # singular: w stays NaN, so the member has no gradient
-    solved = np.isfinite(w).all(axis=1)
-    return np.where(solved[:, None], w, 0.0), solved
+                pass  # singular: x stays NaN, so the member has no gradient
+    solved = np.isfinite(x).all(axis=1)
+    return np.where(solved[:, None], x, 0.0), solved
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ to state ``j``; rows sum to one.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -249,12 +251,30 @@ def _censor(A: np.ndarray, keep: int) -> list[np.ndarray]:
     outflow into the states below it and then passing its row through that
     column, so the row left at its elimination holds its moves to the states
     below it.  Returns those ``(B, 1)`` outflows, the divisors, from state
-    n-1 down."""
+    n-1 down.
+
+    A column divided by a subnormal outflow may overflow, so it is divided
+    by the outflow times 1/eps, which makes every subnormal normal, and the
+    row passed through it is multiplied by 1/eps, which keeps the update:
+    the column is left lifted, 1/eps times smaller than the quotient, and
+    its readers undo that.  Powers of two scale exactly, so a member whose
+    outflow is normal gets the bits it gets without this.  Censoring only
+    adds to the rows' entries, and state 0 is below every state censored,
+    so when every row to censor moves to state 0 with at least the
+    smallest normal probability, no outflow is subnormal and no step looks."""
+    tiny = sys.float_info.min  # the smallest normal number
+    careful = A.shape[-1] > keep and not A[:, keep:, 0].min() >= tiny
     divisors = []
     for k in range(A.shape[-1] - 1, keep - 1, -1):
-        divisors.append(A[:, k, :k].sum(axis=1, keepdims=True))
-        A[:, :k, k] /= divisors[-1]
-        A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
+        out = A[:, k, :k].sum(axis=1, keepdims=True)
+        divisors.append(out)
+        if careful and not out.min() >= tiny:
+            lift = np.where(out < tiny, 1 / sys.float_info.epsilon, 1.0)
+            A[:, :k, k] /= out * lift
+            A[:, :k, :k] += A[:, :k, k, None] * (A[:, k, None, :k] * lift[:, :, None])
+        else:
+            A[:, :k, k] /= out
+            A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
     return divisors
 
 
@@ -323,6 +343,11 @@ def _eliminate(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], list[np.ndar
         lower_inverses.append(_triangular_inverses(factor, lower=True))
         A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ lower_inverses[-1]
         factor = np.triu(-W[:, 1:, 1:], 1)
+        # U takes the plain quotients, so columns that _censor lifted are
+        # unlifted, and may overflow
+        lifted = np.concatenate(divisors, axis=1) < sys.float_info.min
+        if lifted.any():
+            factor *= np.where(lifted, 1 / sys.float_info.epsilon, 1.0)[:, None, :]
         factor[:, diag, diag] = 1.0  # I - U
         # A_KK is spent, so it keeps (I - U)^-1 for the back-substitution
         A[:, lo:hi, lo:hi] = _triangular_inverses(factor, lower=False)
@@ -338,17 +363,54 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     ``(B, n)`` result per kernel.  ``A`` is C-ordered work space and may be
     overwritten.  The back-substitution reads each state's divided column:
     ``x_j = x_{:j} A[:j, j]`` for a state censored alone and ``x_K = x_R X
-    (I - U)^-1`` for a block, so it too adds nonnegative numbers only."""
+    (I - U)^-1`` for a block, so it too adds nonnegative numbers only.
+
+    A stationary vector is defined up to scale, so where x would overflow,
+    or a column was lifted (:func:`_censor`), the states censored alone are
+    back-substituted again by :func:`_rescaled_substitution`.  Every x_j is
+    π_j / π_0 <= 1 / min_i P[i, 0], so a kernel whose column 0 is at least
+    2n / max everywhere needs no look: nothing overflows, and no column is
+    lifted.  The blocks' back-substitution does not rescale."""
     B, n = A.shape[:2]
     m = _GTH_BLOCK
-    lo = 1 + len(_eliminate(A, 1)[0])
+    careful = not A[:, :, 0].min() >= 2 * n / sys.float_info.max
+    divisors = _eliminate(A, 1)[0]
+    lo = 1 + len(divisors)
     x = np.empty((B, n))
     x[:, 0] = 1.0
-    for j in range(1, lo):
-        x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+    with np.errstate(over="ignore") if careful else contextlib.nullcontext():
+        for j in range(1, lo):
+            x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+    if careful and lo > 1:
+        lifted = np.concatenate(divisors, axis=1) < sys.float_info.min
+        if lifted.any() or not x[:, :lo].max() <= sys.float_info.max / (2 * n):
+            _rescaled_substitution(x, A, lifted)
     for k in range(lo, n, m):
         x[:, k:k + m] = (x[:, None, :k] @ A[:, :k, k:k + m] @ A[:, k:k + m, k:k + m])[:, 0]
     return x / x.sum(axis=1, keepdims=True)
+
+
+def _rescaled_substitution(x: np.ndarray, A: np.ndarray, lifted: np.ndarray) -> None:
+    """The back-substitution of :func:`_gth_stationary` for the states
+    censored alone, 1 to ``lifted.shape[1]``, into ``x``, kept finite by
+    scaling with powers of two, which are exact: while x_j would exceed
+    max/(2n), where x or its sum could overflow, x_{:j} is multiplied by
+    eps and x_j formed again, and where ``lifted`` marks a lifted column
+    (:func:`_censor`), x_{:j} is multiplied by eps after x_j.  Only masses
+    that fall below the smallest normal number relative to the largest
+    lose digits, and a member that needs neither step gets the bits it
+    gets without this."""
+    eps, limit = sys.float_info.epsilon, sys.float_info.max / (2 * x.shape[1])
+    x[:, 0] = 1.0
+    with np.errstate(over="ignore"):
+        for j in range(1, lifted.shape[1] + 1):
+            x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+            high = x[:, j] > limit
+            while high.any():
+                x[high, :j] *= eps
+                x[high, j] = (x[high, None, :j] @ A[high, :j, j, None])[:, 0, 0]
+                high = x[:, j] > limit
+            x[lifted[:, j - 1], :j] *= eps
 
 
 def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
@@ -384,10 +446,12 @@ def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) ->
 
 
 def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
-                 V: np.ndarray) -> np.ndarray:
+                 V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``V lim Q^n`` for a ``(B, n, n)`` stack of kernels whose closed
     classes ``closed``, shared by the stack, are aperiodic, and a ``(B, k,
-    n)`` stack of row vectors ``V``.
+    n)`` stack of row vectors ``V``, with the factors ``(B, n, C)`` and
+    ``(B, C, n)`` of the limit: the absorption into each closed class and
+    the classes' stationary vectors.
 
     The limit sends each row to its closed classes' stationary vectors; a
     class's weight is the row's mass in the class plus its transient mass
@@ -403,52 +467,61 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
     a copy of ``Q``, which it overwrites, and each row's law is its sum
     times the stationary vector.
     """
-    if len(closed) == 1 and len(closed[0]) == Q.shape[-1]:
-        return V.sum(axis=2)[:, :, None] * _gth_stationary(Q.copy())[:, None, :]
-    transient = np.ones(Q.shape[-1], dtype=bool)
+    B, n = Q.shape[0], Q.shape[-1]
+    if len(closed) == 1 and len(closed[0]) == n:
+        pi = _gth_stationary(Q.copy())[:, None, :]
+        return V.sum(axis=2)[:, :, None] * pi, np.ones((B, n, 1)), pi
+    absorb, stationary = np.zeros((B, n, len(closed))), np.zeros((B, len(closed), n))
+    transient = np.ones(n, dtype=bool)
     weights = []
-    for members in closed:
+    for c, members in enumerate(closed):
         transient[members] = False
+        absorb[:, members, c] = 1.0
         weights.append(V.take(members, axis=2).sum(axis=2))
+        # GTH may overwrite this new array
+        stationary[:, c, members] = _gth_stationary(Q[np.ix_(np.arange(B), members, members)])
     t = np.flatnonzero(transient)
     if t.size:
-        absorbed = V.take(t, axis=2) @ _absorption(Q, closed, t)
+        absorb[:, t] = _absorption(Q, closed, t)
+        absorbed = V.take(t, axis=2) @ absorb[:, t]
         weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
-    laws = np.zeros(V.shape)
-    for members, w in zip(closed, weights):
-        # GTH may overwrite this new array
-        pi = _gth_stationary(Q[np.ix_(np.arange(len(Q)), members, members)])
-        laws[:, :, members] = w[:, :, None] * pi[:, None, :]
-    return laws
+    return np.stack(weights, axis=2) @ stationary, absorb, stationary
 
 
 def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None
-                ) -> tuple[_Structure, np.ndarray]:
+                ) -> tuple[_Structure, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The structure of a ``(B, n, n)`` stack of kernels with one support
-    pattern, and the subsequence-limit laws ``u P^r L`` for r < d of each
-    member's ``(k, n)`` start vectors ``u``, as a ``(B, k, d, n)`` array;
-    d is the period lcm and ``L = lim P^{nd}``.  Their mean over r is the
-    Cesàro limit of the law from each start.  A caller that knows the
-    structure of the chain on every state passes it as ``structure``.
-    ``P^d``'s closed classes, the cyclic subclasses, are aperiodic; they
-    come from each member's numeric pattern of ``P^d``, so underflow counts
-    as 0.  Nothing is iterated, so there is no tolerance and no convergence
-    failure.
+    pattern, the subsequence-limit laws ``u P^r L`` for r < d of each
+    member's ``(k, n)`` start vectors ``u``, as a ``(B, k, d, n)`` array,
+    and L's factors from :func:`_power_limit`, padded with zero classes to
+    the most any member has; d is the period lcm and ``L = lim P^{nd}``.
+    Their mean over r is the Cesàro limit of the law from each start.  A
+    caller that knows the structure of the chain on every state passes it
+    as ``structure``.  ``P^d``'s closed classes, the cyclic subclasses, are
+    aperiodic; they come from each member's numeric pattern of ``P^d``, so
+    underflow counts as 0.  Nothing is iterated, so there is no tolerance
+    and no convergence failure.
     """
     if structure is None:
         structure = _structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
-        return structure, _power_limit(P, structure.closed, u)[:, :, None]
+        laws, absorb, stationary = _power_limit(P, structure.closed, u)
+        return structure, laws[:, :, None], (absorb, stationary)
     steps = [u]
     for _ in range(d - 1):
         steps.append(steps[-1] @ P)
     V = np.stack(steps, axis=2).reshape(len(P), -1, P.shape[-1])
     Q = np.linalg.matrix_power(P, d)
+    groups = _pattern_groups(Q > 0.0)
+    C = max(len(cyclic.closed) for _, cyclic in groups)
     laws = np.empty_like(V)
-    for idx, cyclic in _pattern_groups(Q > 0.0):
-        laws[idx] = _power_limit(Q[idx], cyclic.closed, V[idx])
-    return structure, laws.reshape(*u.shape[:2], d, -1)
+    absorb, stationary = np.zeros((*P.shape[:2], C)), np.zeros((len(P), C, P.shape[-1]))
+    for idx, cyclic in groups:
+        c = len(cyclic.closed)
+        laws[idx], absorb[idx, :, :c], stationary[idx, :c] = _power_limit(
+            Q[idx], cyclic.closed, V[idx])
+    return structure, laws.reshape(*u.shape[:2], d, -1), (absorb, stationary)
 
 
 @dataclass(frozen=True)

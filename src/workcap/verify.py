@@ -256,7 +256,7 @@ def check_cesaro_machinery(seed: int = 0) -> str:
         else:
             kernel = random_kernel(rng, n)
         # the Cesàro limit laws of the n point starts, row i from state i
-        structure, laws = markov._limit_laws(kernel.probs[None], np.eye(n)[None])
+        structure, laws, _ = markov._limit_laws(kernel.probs[None], np.eye(n)[None])
         cesaro = laws[0].mean(axis=1)
         d = structure.period_lcm
 

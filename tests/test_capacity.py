@@ -15,7 +15,7 @@ from workcap import (AgentModel, ChannelClassError, DimensionError, EnvironmentM
                      PerceptActionLoop, build_uniform, capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, FD_STEP, NEWTON_FLAT,
+from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, NEWTON_FLAT,
                               _agent_from_params, _ascent, _gain, _kernels_from_params,
                               _lbfgs, _memoryless_forms, _memoryless_objective,
                               _search_objective, _softmax_rows, _subadditivity_reports,
@@ -23,7 +23,7 @@ from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, FD_STEP, NEWTON_FLAT
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
 from workcap.errors import DomainError
 from workcap.info import LN2
-from workcap.loop import _rate_gradients, _work_rates
+from workcap.loop import _rate_gradients
 from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
 
@@ -589,10 +589,10 @@ class TestUnifilarProduct:
 
 def central_differences(env: EnvironmentModel, x: np.ndarray, memory_size: int) -> np.ndarray:
     """Oracle: the central-difference gradient of the work rate at the
-    coordinates ``x`` (step FD_STEP max(1, |x_i|)), from exact rates."""
-    step = np.diag(FD_STEP * np.maximum(1.0, np.abs(x)))
-    values = _work_rates(env, *_kernels_from_params(
-        np.concatenate([x + step, x - step]), len(env.alphabet), memory_size))
+    coordinates ``x`` (step 6e-6 max(1, |x_i|)), from exact rates."""
+    step = np.diag(6e-6 * np.maximum(1.0, np.abs(x)))
+    values = _rate_gradients(env, *_kernels_from_params(
+        np.concatenate([x + step, x - step]), len(env.alphabet), memory_size))[0]
     return (values[:len(x)] - values[len(x):]) / (2 * step.diagonal())
 
 
@@ -614,6 +614,46 @@ def reducible_env() -> EnvironmentModel:
     percepts are those of :func:`periodic_env` in the same states."""
     phi = periodic_env().phi[:, :, :, ::-1].copy()
     return EnvironmentModel(("0", "1"), ("z0", "z1"), phi, np.array([0.5, 0.5]))
+
+
+def cycles_env() -> EnvironmentModel:
+    """A start state that enters a hidden cycle of length 2 or of length 3,
+    whatever the action, so every agent's pre-percept chain has two closed
+    classes and period lcm 6; the percepts are seeded random draws that
+    depend on the action and the hidden state."""
+    gen = np.random.default_rng(11)
+    move = np.zeros((6, 6))
+    move[0, [1, 3]] = gen.dirichlet(np.ones(2))
+    move[1, 2] = move[2, 1] = move[3, 4] = move[4, 5] = move[5, 3] = 1.0
+    emit = gen.dirichlet(np.ones(2), size=(2, 6))  # [a, z, s]
+    return EnvironmentModel(("0", "1"), tuple(f"z{z}" for z in range(6)),
+                            emit[..., None] * move[None, :, None, :], np.eye(6)[0])
+
+
+def choice_env() -> EnvironmentModel:
+    """Hidden state 0 is transient, and action a moves it to the absorbing
+    state a + 1, which has its own percept law, so the opening action picks
+    the closed class the chain ends in."""
+    phi = np.zeros((2, 3, 2, 3))
+    for a in range(2):
+        phi[a, 0, :, a + 1] = 0.5
+        phi[a, 1, :, 1] = (0.9, 0.1) if a == 0 else (0.3, 0.7)
+        phi[a, 2, :, 2] = (0.2, 0.8) if a == 0 else (0.6, 0.4)
+    return EnvironmentModel(("0", "1"), ("z0", "z1", "z2"), phi, np.eye(3)[0])
+
+
+def late_choice_env() -> EnvironmentModel:
+    """Hidden state 0 moves to the transient state 1 whatever the action,
+    and action b moves state 1 to the absorbing state b + 2, so the agent's
+    kernel, not only its opening joint, sets the odds of each closed
+    class."""
+    phi = np.zeros((2, 4, 2, 4))
+    for a in range(2):
+        phi[a, 0, :, 1] = 0.7, 0.3
+        phi[a, 1, :, a + 2] = (0.4, 0.6) if a == 0 else (0.8, 0.2)
+        phi[a, 2, :, 2] = (0.9, 0.1) if a == 0 else (0.3, 0.7)
+        phi[a, 3, :, 3] = (0.2, 0.8) if a == 0 else (0.6, 0.4)
+    return EnvironmentModel(("0", "1"), ("z0", "z1", "z2", "z3"), phi, np.eye(4)[0])
 
 
 class TestLowerBound:
@@ -741,10 +781,9 @@ class TestLowerBound:
         objective = _search_objective(env, memory_size)
         rows = 2 * memory_size
         points = gen.normal(scale=1.5, size=(3, rows * rows + rows))
-        assert _rate_gradients(env, *_kernels_from_params(points, 2, memory_size))[2].all()
         values, slopes = objective(points)
-        assert values.tolist() == _work_rates(
-            env, *_kernels_from_params(points, 2, memory_size)).tolist()
+        assert values.tolist() == _rate_gradients(
+            env, *_kernels_from_params(points, 2, memory_size))[0].tolist()
         for x, slope in zip(points, slopes):
             oracle = central_differences(env, x, memory_size)
             assert np.abs(slope - oracle).max() <= 1e-6 * np.abs(oracle).max()
@@ -763,9 +802,9 @@ class TestLowerBound:
         assert (theta[0, :, :, 1, 1] == 0.0).all() and init[0, 1, 1] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, exact = _rate_gradients(env, theta, init)
+            _, (d_theta, _) = _rate_gradients(env, theta, init)
             _, (slope,) = _search_objective(env, 2)(x[None])
-        assert exact.all() and np.isfinite(slope).all()
+        assert d_theta.any() and np.isfinite(slope).all()
         oracle = central_differences(env, x, 2)
         assert np.abs(slope - oracle).max() <= 1e-6 * np.abs(oracle).max()
 
@@ -773,7 +812,8 @@ class TestLowerBound:
         # memory kept with probability 1 - 4e-18 on a channel that echoes
         # the action with probability 0.75: the chain is one closed class,
         # but I - K + 1π is singular in floating point, so that member gets
-        # central differences and the others keep their own exact gradients
+        # a zero slope, which ends its run, and the others keep, bit for
+        # bit, the rates and gradients they get alone
         phi = np.array([[0.75, 0.25], [0.25, 0.75]])[:, None, :, None]
         env = EnvironmentModel(("0", "1"), ("z",), phi, np.ones(1))
         logits = np.zeros((2, 2, 2, 2))  # [s, m, b, n]
@@ -781,14 +821,18 @@ class TestLowerBound:
             logits[:, m, :, 1 - m] = -40.0
         sticky = np.concatenate([logits.ravel(), np.zeros(4)])
         points = np.stack([rng.normal(size=20), sticky, rng.normal(size=20)])
-        rates, grads, exact = _rate_gradients(env, *_kernels_from_params(points, 2, 2))
-        assert exact.tolist() == [True, False, True]
+        rates, grads = _rate_gradients(env, *_kernels_from_params(points, 2, 2))
+        assert not grads[0][1].any() and not grads[1][1].any()
         for k in (0, 2):
             alone = _rate_gradients(env, *_kernels_from_params(points[k:k + 1], 2, 2))
-            assert rates[k] == alone[0][0] and np.array_equal(grads[k], alone[1][0])
+            assert rates[k] == alone[0][0] and grads[0][k].any()
+            for got, want in zip(grads, alone[1]):
+                assert np.array_equal(got[k], want[0])
         values, slopes = _search_objective(env, 2)(points)
-        assert np.isfinite(slopes).all()
+        assert not slopes[1].any() and np.isfinite(slopes).all()
         assert np.array_equal(slopes[1], _search_objective(env, 2)(points[1:2])[1][0])
+        _, _, steps, _ = _lbfgs(_search_objective(env, 2), points[1:2])
+        assert steps.tolist() == [0]
 
     @pytest.mark.parametrize("make, memory_size", [(None, 2), (periodic_env, 1)])
     def test_restart_in_stack_equals_run_alone(self, rng, make, memory_size):
@@ -820,26 +864,44 @@ class TestLowerBound:
             flip[:, m, :, (m + 1) % memory_size] = stay[:, m, :, m] = 0.5
         theta = np.concatenate([theta, [flip, stay]])
         init = np.concatenate([init, np.full((2, 2, memory_size), 0.5 / memory_size)])
-        rates = _work_rates(env, theta, init)
-        got, _, exact = _rate_gradients(env, theta, init)
-        assert got.tolist() == rates.tolist()
-        if make is None:
-            assert exact[:4].all() and exact[4:].tolist() == [memory_size == 1] * 2
+        rates, grads = _rate_gradients(env, theta, init)
+        assert all(np.isfinite(g).all() for g in grads)
+        assert rates.tolist() == [_rate_gradients(env, theta[k:k + 1], init[k:k + 1])[0][0]
+                                  for k in range(len(theta))]
         memory = tuple(f"m{i}" for i in range(memory_size))
         for k in range(len(theta)):
             agent = AgentModel(env.alphabet, memory, theta[k], init[k])
             assert work_rate(PerceptActionLoop(agent, env), base="nats").rate == rates[k]
 
-    @pytest.mark.parametrize("make", [periodic_env, reducible_env])
-    def test_periodic_and_reducible_use_central_differences(self, rng, make):
+    @pytest.mark.parametrize("memory_size", [1, 2])
+    @pytest.mark.parametrize("make", [periodic_env, reducible_env, cycles_env, choice_env,
+                                      late_choice_env])
+    def test_gradient_on_every_structure(self, rng, call_counts, make, memory_size):
+        # one reverse-mode formula, in one engine call, gives every chain
+        # structure its exact gradient, in the kernels and in the opening
+        # joint: a period-2 class, two closed classes, classes of period 2
+        # and 3 fed by a transient state, classes the opening action picks,
+        # and classes the kernel's later action picks (the term through
+        # u M^-1 dQ L)
         env = make()
-        theta, init = _kernels_from_params(rng.normal(size=(3, 6)), 2, 1)
-        rates, grads, exact = _rate_gradients(env, theta, init)
-        assert not exact.any() and not grads.any()
-        assert rates.tolist() == _work_rates(env, theta, init).tolist()
-        result = capacity_lower_bound(env, memory_size=1, restarts=2, seed=0)
-        rate = work_rate(PerceptActionLoop(result.witness, env), base="nats").rate
-        assert rate == result.value_nats > 0.0
+        rows = 2 * memory_size
+        points = rng.normal(scale=1.5, size=(3, rows * rows + rows))
+        calls = call_counts("loop._cesaro_tables")
+        values, slopes = _search_objective(env, memory_size)(points)
+        assert calls == {"_cesaro_tables": 1}
+        assert values.tolist() == _rate_gradients(
+            env, *_kernels_from_params(points, 2, memory_size))[0].tolist()
+        for x, slope in zip(points, slopes):
+            oracle = central_differences(env, x, memory_size)
+            scale = np.abs(oracle).max()
+            for part in (slice(None, rows * rows), slice(rows * rows, None)):
+                assert np.abs(slope[part] - oracle[part]).max() <= 1e-6 * scale
+            if make is choice_env:
+                assert np.abs(slope[rows * rows:]).max() >= 1e-3 * scale
+        if memory_size == 1:
+            result = capacity_lower_bound(env, memory_size=1, restarts=2, seed=0)
+            rate = work_rate(PerceptActionLoop(result.witness, env), base="nats").rate
+            assert rate == result.value_nats > 0.0
 
     def test_stalled_exactly_when_step_cap_runs_out(self, rng, monkeypatch):
         import workcap.capacity as capacity_mod

@@ -9,7 +9,7 @@ from workcap import (ChannelClassError, DomainError, JointTable,
                      conditional_entropy, conditional_mutual_information,
                      entropy, entropy_rate)
 from workcap import info
-from workcap.errors import ConvergenceError
+from workcap.errors import ConvergenceError, InternalConsistencyError
 from workcap.info import LN2
 from workcap.random_models import random_environment
 
@@ -61,6 +61,20 @@ class TestEntropy:
         j = make_joint(["X"], [0.6, 0.3, 0.1])
         assert entropy(j, "X", base="bits") * LN2 == pytest.approx(
             entropy(j, "X", base="nats"), abs=1e-12)
+
+
+class TestClampNonneg:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_named_as_such(self, bad):
+        # NaN fails every comparison, so it must not be reported as negative
+        with pytest.raises(InternalConsistencyError, match=r"entropy = .* is not finite"):
+            info._clamp_nonneg(bad, "mean action entropy")
+
+    def test_rounding_and_larger_negatives(self):
+        assert info._clamp_nonneg(0.25, "entropy") == 0.25
+        assert info._clamp_nonneg(-1e-12, "entropy") == 0.0
+        with pytest.raises(InternalConsistencyError, match="negative beyond rounding"):
+            info._clamp_nonneg(-1e-3, "entropy")
 
 
 class TestJointTable:

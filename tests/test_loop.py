@@ -17,7 +17,7 @@ from workcap.bayesnet import validate_compatibility
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import JointTable, conditional_mutual_information, entropy_rate
 from workcap.loop import (GlobalChain, _cesaro_tables, _lift,
-                          _trajectory_marginal, _work_rates, am_predictiveness,
+                          _rate_gradients, _trajectory_marginal, am_predictiveness,
                           future_predictiveness, predictiveness_score)
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
@@ -502,22 +502,28 @@ def by_pattern(patterns: np.ndarray) -> list[list[int]]:
 def gather_power_limit(Q, closed, V):
     """Oracle: the gather path of ``markov._power_limit``, which takes every
     closed class with ``take`` and ``ix_``, even one holding every state,
-    and assigns its law into a zeroed array.  Absorption is the engine's
-    (``tests/test_markov.py`` checks it against a pivoting solve)."""
+    and assigns its law and its stationary vector into zeroed arrays.
+    Absorption is the engine's (``tests/test_markov.py`` checks it against
+    a pivoting solve)."""
     transient = np.ones(Q.shape[-1], dtype=bool)
+    absorb = np.zeros((len(Q), Q.shape[-1], len(closed)))
     weights = []
-    for members in closed:
+    for c, members in enumerate(closed):
         transient[members] = False
+        absorb[:, members, c] = 1.0
         weights.append(V.take(members, axis=2).sum(axis=2))
     t = np.flatnonzero(transient)
     if t.size:
-        absorbed = V.take(t, axis=2) @ markov._absorption(Q, closed, t)
+        absorb[:, t] = markov._absorption(Q, closed, t)
+        absorbed = V.take(t, axis=2) @ absorb[:, t]
         weights = [w + absorbed[:, :, c] for c, w in enumerate(weights)]
     laws = np.zeros(V.shape)
-    for members, w in zip(closed, weights):
+    stationary = np.zeros((len(Q), len(closed), Q.shape[-1]))
+    for c, (members, w) in enumerate(zip(closed, weights)):
         pi = markov._gth_stationary(Q[np.ix_(np.arange(len(Q)), members, members)])
         laws[:, :, members] = w[:, :, None] * pi[:, None, :]
-    return laws
+        stationary[:, c, members] = pi
+    return laws, absorb, stationary
 
 
 def gather_limit_laws(P, u):
@@ -526,17 +532,25 @@ def gather_limit_laws(P, u):
     structure = markov._structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
-        return structure, gather_power_limit(P, structure.closed, u)[:, :, None]
+        laws, absorb, stationary = gather_power_limit(P, structure.closed, u)
+        return structure, laws[:, :, None], (absorb, stationary)
     steps = [u]
     for _ in range(d - 1):
         steps.append(steps[-1] @ P)
     V = np.stack(steps, axis=2).reshape(len(P), -1, P.shape[-1])
     Q = np.linalg.matrix_power(P, d)
     laws = np.empty_like(V)
+    parts = []
     for idx in by_pattern(Q > 0.0):
-        laws[idx] = gather_power_limit(Q[idx], markov._structure_of(Q[idx[0]] > 0.0).closed,
-                                       V[idx])
-    return structure, laws.reshape(*u.shape[:2], d, -1)
+        laws[idx], *factors = gather_power_limit(
+            Q[idx], markov._structure_of(Q[idx[0]] > 0.0).closed, V[idx])
+        parts.append((idx, *factors))
+    C = max(a.shape[-1] for _, a, _ in parts)
+    absorb, stationary = np.zeros((*P.shape[:2], C)), np.zeros((len(P), C, P.shape[-1]))
+    for idx, a, s in parts:
+        absorb[idx, :, :a.shape[-1]] = a
+        stationary[idx, :s.shape[1]] = s
+    return structure, laws.reshape(*u.shape[:2], d, -1), (absorb, stationary)
 
 
 def gather_cesaro_tables(env, theta, init):
@@ -552,11 +566,11 @@ def gather_cesaro_tables(env, theta, init):
     groups = []
     for members in by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
         reach = markov.bfs_levels(start[members[0]], support[members[0]]) >= 0
-        structure, laws = gather_limit_laws(K[np.ix_(members, reach, reach)],
-                                            p0[np.ix_(members, reach)][:, None, :])
+        structure, laws, limit = gather_limit_laws(K[np.ix_(members, reach, reach)],
+                                                   p0[np.ix_(members, reach)][:, None, :])
         tables = np.zeros((len(members), structure.period_lcm, n))
         tables[:, :, reach] = laws[:, 0]
-        groups.append((members, reach, structure, tables))
+        groups.append((members, reach, structure, tables, limit))
     return K, p0, groups
 
 
@@ -565,13 +579,15 @@ def assert_equals_gather_path(env, agents):
     those of the gather path (:func:`gather_cesaro_tables`)."""
     import workcap.loop as loop_mod
     loops = [PerceptActionLoop(agent, env) for agent in agents]
-    rates = _work_rates(env, *stack(agents))
+    rates, grads = _rate_gradients(env, *stack(agents))
     reports = [work_rate(pal, rounds=3, base="nats") for pal in loops]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(loop_mod, "_cesaro_tables", gather_cesaro_tables)
-        oracle_rates = _work_rates(env, *stack(agents))
+        oracle_rates, oracle_grads = _rate_gradients(env, *stack(agents))
         oracles = [work_rate(pal, rounds=3, base="nats") for pal in loops]
     assert rates.tolist() == oracle_rates.tolist()
+    for got, want in zip(grads, oracle_grads):
+        np.testing.assert_array_equal(got, want)
     for report, oracle in zip(reports, oracles):
         assert report == oracle
         assert np.array_equal(report.reachable, oracle.reachable)
@@ -585,7 +601,7 @@ def limit_state_tables(chain: GlobalChain):
     with the round-0 vector."""
     reach = np.flatnonzero(chain.reachable)
     sub = chain.kernel.probs[np.ix_(reach, reach)]
-    structure, (laws,) = _limit_laws(sub[None], np.eye(reach.size)[None])
+    structure, (laws,), _ = _limit_laws(sub[None], np.eye(reach.size)[None])
     init = chain.initial.probs[reach]
     tables = []
     for r in range(structure.period_lcm):
@@ -622,7 +638,7 @@ def full_matrix_work_rate(loop: PerceptActionLoop):
 def assert_matches_scalar(env, agents):
     """Each member of the batched rates, and each scalar work_rate with its
     chain summary, matches the full-matrix oracle."""
-    rates = _work_rates(env, *stack(agents))
+    rates = _rate_gradients(env, *stack(agents))[0]
     assert rates.shape == (len(agents),)
     assert_equals_gather_path(env, agents)
     for agent, batched in zip(agents, rates):
@@ -781,7 +797,7 @@ class TestBatchedWorkRates:
                   (cycles_env(rng), [random_agent(rng, 2, 2) for _ in range(4)]),
                   (sparse_emission_env(rng), [random_agent(rng, 2, 3) for _ in range(4)])]
         for env, agents in stacks:
-            rates = _work_rates(env, *stack(agents))
+            rates = _rate_gradients(env, *stack(agents))[0]
             for agent, batched in zip(agents, rates):
                 assert batched == work_rate(PerceptActionLoop(agent, env), rounds=0,
                                             base="nats").rate
@@ -791,14 +807,14 @@ class TestBatchedWorkRates:
         theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
         theta[1, 0, 1] *= 1.1
         with pytest.raises(DomainError, match="member 1"):
-            _work_rates(env, theta, init)
+            _rate_gradients(env, theta, init)
 
     def test_nan_member_raises(self, rng):
         env = random_environment(rng, 2, 2)
         theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
         theta[2, 1, 0, 0, 1] = np.nan
         with pytest.raises(DomainError):
-            _work_rates(env, theta, init)
+            _rate_gradients(env, theta, init)
 
 
 def invariance_gap(P: np.ndarray, tables: np.ndarray) -> float:
@@ -834,7 +850,7 @@ class TestResidual:
 
         def perturbed(*args):
             K, p0, groups = engine(*args)
-            ((_, reach, _, tables),) = groups
+            ((_, reach, _, tables, _),) = groups
             first, last = np.flatnonzero(reach)[[0, -1]]
             tables[0, 0, first] += 1e-6
             tables[0, 0, last] -= 1e-6
@@ -896,7 +912,7 @@ class TestPrePerceptChain:
         for n_a, n_m, n_z in ((2, 1, 1), (2, 2, 3), (3, 2, 2)):
             env = random_environment(rng, n_a, n_z)
             agents = [random_agent(rng, n_a, n_m) for _ in range(3)]
-            _work_rates(env, *stack(agents))
+            _rate_gradients(env, *stack(agents))[0]
             work_rate(PerceptActionLoop(agents[0], env), rounds=0)
             n = n_m * n_a * n_z
             assert sizes == [(n, n)] * 2

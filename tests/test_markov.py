@@ -1,12 +1,15 @@
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from workcap import (DimensionError, Distribution, DomainError, TransitionKernel,
-                     classify_states, first_passage, markov)
-from workcap.random_models import random_kernel, random_structured_kernel
+from workcap import (DimensionError, Distribution, DomainError, PerceptActionLoop,
+                     TransitionKernel, classify_states, first_passage, loop, markov, work_rate)
+from workcap.channels import load_model
+from workcap.random_models import random_environment, random_kernel, random_structured_kernel
 from workcap.verify import _power_sum
 
 SWAP = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
@@ -91,7 +94,7 @@ def limit_laws(kernel: TransitionKernel):
     starts as an ``(n, d, n)`` array: ``laws[i, r]`` is row i of ``P^r L``,
     L = lim P^{nd}."""
     P = kernel.probs
-    structure, laws = markov._limit_laws(P[None], np.eye(len(P))[None])
+    structure, laws, _ = markov._limit_laws(P[None], np.eye(len(P))[None])
     return structure, laws[0]
 
 
@@ -327,7 +330,7 @@ class TestBlockedGTH:
         np.testing.assert_array_equal(markov._gth_stationary(P.copy()), expected)
         start = np.zeros((13, 1, n))
         start[:, 0, 0] = 1.0
-        _, laws = markov._limit_laws(P, start)
+        _, laws, _ = markov._limit_laws(P, start)
         np.testing.assert_array_equal(laws[:, 0, 0], expected)
         for member, law in zip(P, laws[:, 0, 0]):
             np.testing.assert_array_equal(markov._limit_laws(member[None], start[:1])[1][0, 0, 0],
@@ -382,6 +385,33 @@ def fraction_absorption(P: np.ndarray, closed, t) -> np.ndarray:
             if r != col and M[r][col] != 0:
                 M[r] = [a - M[r][col] * b for a, b in zip(M[r], M[col])]
     return np.array([[float(x) for x in row[len(t):]] for row in M])
+
+
+def fraction_stationary(P: np.ndarray) -> list[Fraction]:
+    """Oracle: the stationary law of an irreducible kernel by GTH's
+    elimination in exact Fraction arithmetic on the float entries."""
+    n = len(P)
+    A = [[Fraction(float(x)) for x in row] for row in P]
+    for k in range(n - 1, 0, -1):
+        out = sum(A[k][:k])
+        for i in range(k):
+            A[i][k] /= out
+            for j in range(k):
+                A[i][j] += A[i][k] * A[k][j]
+    x = [Fraction(1)]
+    for j in range(1, n):
+        x.append(sum(x[i] * A[i][j] for i in range(j)))
+    total = sum(x)
+    return [v / total for v in x]
+
+
+def assert_matches_fractions(got: np.ndarray, exact: list[Fraction]) -> None:
+    """Every entry of ``got`` is finite, and each whose exact value is above
+    the smallest normal number is within 1e-12 of it, relatively."""
+    assert np.isfinite(got).all()
+    for g, e in zip(got.tolist(), exact):
+        if e > np.finfo(float).tiny:
+            assert abs(Fraction(g) / e - 1) <= 1e-12
 
 
 def circulating_pair(eps: float) -> np.ndarray:
@@ -451,7 +481,7 @@ class TestAbsorptionByCensoring:
         # 300 transient states are 4 blocks of 64 and 44 censored alone
         P = np.stack([transient_ladder(rng, n_transient) for _ in range(3)])
         u = np.broadcast_to(np.eye(len(P[0])), P.shape)
-        _, laws = markov._limit_laws(P, u)
+        _, laws, _ = markov._limit_laws(P, u)
         assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
         assert np.max(np.abs(laws.sum(axis=-1) - 1.0)) <= 1e-14
         for member, law in zip(P, laws):
@@ -461,7 +491,7 @@ class TestAbsorptionByCensoring:
         for _ in range(10):
             P = leaky_cycles(rng, float(rng.uniform(0.05, 0.5)))[None]
             u = np.eye(P.shape[-1])[None]
-            structure, laws = markov._limit_laws(P, u)
+            structure, laws, _ = markov._limit_laws(P, u)
             assert not structure.classification.recurrent.all()
             assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
 
@@ -501,8 +531,61 @@ class TestAbsorptionByCensoring:
         monkeypatch.setattr(np.linalg, "solve", spy)
         P, _, _ = cycles_fed_by_transients()
         for chain in (P, circulating_pair(1e-9), transient_ladder(rng, 100)):
-            _, laws = markov._limit_laws(chain[None], np.eye(len(chain))[None])
+            _, laws, _ = markov._limit_laws(chain[None], np.eye(len(chain))[None])
             assert np.max(np.abs(laws.sum(axis=-1) - 1.0)) <= 1e-14
+
+
+class TestSubnormalGTH:
+    """Chains whose stationary law spans more than the float range: GTH
+    keeps every law finite by scaling with powers of two."""
+
+    @pytest.mark.parametrize("P", [
+        # the divisor of state 1 is subnormal; the law is about (2e-310, 1)
+        [[0.5, 0.5], [1e-310, 1.0]],
+        # every entry is normal, but x_2 / x_0 is about 5e319
+        [[0.5, 0.5, 0.0], [1e-160, 1 - 1e-10, 1e-10], [0.0, 1e-170, 1.0]],
+    ], ids=["subnormal_divisor", "overflowing_back_substitution"])
+    def test_stationary_law_matches_exact_elimination(self, P):
+        P = np.array(P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = markov._gth_stationary(P[None].copy())[0]
+            _, laws, _ = markov._limit_laws(P[None], np.eye(len(P))[:1][None])
+        assert_matches_fractions(got, fraction_stationary(P))
+        np.testing.assert_array_equal(laws[0, 0, 0], got)
+
+    def test_absorption_through_a_subnormal_outflow(self):
+        # transient state 3 leaves for the absorbing states 0 and 1 with
+        # probability 3e-310 a round, and state 2 enters it with probability
+        # 1/2: censoring state 3 divides by that subnormal outflow
+        P = np.array([[1.0, 0.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0, 0.0],
+                      [0.25, 0.25, 0.0, 0.5],
+                      [2e-310, 1e-310, 0.0, 1.0]])
+        structure = markov._structure_of(P > 0.0)
+        t = np.flatnonzero(~structure.classification.recurrent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = markov._absorption(P[None], structure.closed, t)[0]
+        expected = fraction_absorption(P, [c.tolist() for c in structure.closed], t.tolist())
+        assert np.all(np.abs(H - expected) <= 1e-12 * expected)
+
+    def test_work_rate_of_a_subnormal_agent(self):
+        # the first member whose rate was NaN in the memory-3 search of the
+        # CLI's defaults on random_environment(rng(0), 2, 2): an entry of
+        # 1.4e-311 gives pre-percept kernel entries near 1e-314
+        env = random_environment(np.random.default_rng(0), 2, 2)
+        agent = load_model(Path(__file__).parent / "fixtures" / "subnormal_agent.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = work_rate(PerceptActionLoop(agent, env), base="nats")
+            K, _, ((_, _, _, tables, _),) = loop._cesaro_tables(
+                env, agent.theta[None], agent.initial_joint[None])
+        exact = fraction_stationary(K[0])
+        assert_matches_fractions(tables[0, 0], exact)
+        law = np.array([float(x) for x in exact])
+        rate = float(loop._work_terms(*loop._marginals(law, env))[0])
+        assert abs(report.rate - rate) <= 1e-12
 
 
 def _underflow_chains():
