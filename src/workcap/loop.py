@@ -262,21 +262,21 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     every subsequence limit (:func:`_lift`).  This chain is |S| times
     smaller than the global one, and it has no infeasible states.
 
-    Returns the kernels ``Kw`` ``(B, n, n)``, the round-0 vectors ``(B,
-    n)`` and, for each group of members with one support pattern (kernel
-    and round-0 vector), ``(members, reach, structure, tables, limit)``:
-    the mask of reachable W states, the structure of the reachable
-    subchain, ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as
-    n grows (zero off ``reach``), and L's factors on ``reach``, with u the
-    round-0 vector, P the reachable subchain, d its period lcm and L = lim
-    P^{nd}, from :func:`markov._limit_laws`.  The stack shares one kernel einsum and one
-    validation, and a group's limit laws are solved at once.  What the
-    patterns decide (the groups' reachable sets and structures) comes from
-    the one structure memo of :mod:`markov`, so it is worked out once per
-    pattern, not once per call.  When every state is reachable, the group's
-    kernels and round-0 vectors go to ``_limit_laws`` as they are and its
-    laws are the tables; otherwise the reachable subchain is gathered and
-    its laws padded with zeros.
+    Returns the kernels ``Kw`` ``(B, n, n)``, the round-0 vectors ``(B, n)``
+    and, for each group of members with one support pattern (kernel and
+    round-0 vector), ``(members, reach, structure, tables, limit)``: the
+    mask of reachable W states, the structure of the reachable subchain,
+    ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as n grows
+    (zero off ``reach``), and ``limit``, Q = P^d and L's factors on
+    ``reach``, with u the round-0 vector, P the reachable subchain, d its
+    period lcm and L = lim Q^n, from :func:`markov._limit_laws`.  The stack
+    shares one kernel einsum and one validation, and a group's limit laws
+    are solved at once.  What the patterns decide (the groups' reachable
+    sets and structures) comes from the one structure memo of :mod:`markov`,
+    so it is worked out once per pattern, not once per call.  When every
+    state is reachable, the group's kernels and round-0 vectors go to
+    ``_limit_laws`` as they are and its laws are the tables; otherwise the
+    reachable subchain is gathered and its laws padded with zeros.
     """
     n_b, n_a, n_m = init.shape
     n = n_m * n_a * env.n_hidden
@@ -354,11 +354,12 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     Meyer 1986), is L dQ M^-1 + M^-1 dQ L, since dQ keeps Q's closed
     classes closed and its rows sum to 0, so L dQ L = 0.  So ℓ_0 adds ℓ_0
     dQ (M^-1 h) + (u M^-1) dQ (Lh), dQ = sum_k P^k dP P^{d-1-k}, and u
-    adds dF/du = Lh, with L = sum_c a_c π_c from the factors of
+    adds dF/du = Lh, with Q and L = sum_c a_c π_c from
     :func:`markov._limit_laws`.  On one aperiodic class, M = I - K + 1π is
-    Schweitzer's (1968) deviation matrix, and the terms through Lh vanish
-    identically (dQ 1 = 0, and u's slope is constant on the simplex), so
-    they are not formed.  A term x ⊗ y of dF/dP enters ``theta`` as ``sum
+    Schweitzer's (1968) deviation matrix, and the terms through Lh are
+    constant along each row (dQ 1 = 0), so they are not formed: there the
+    gradients are exact along the simplex of each row, and the ``init``
+    gradient is 0.  A term x ⊗ y of dF/dP enters ``theta`` as ``sum
     x(m, a, z) phi(s, w | a, z) y(n, b, w)`` at ``[s, m, b, n]``.  A
     member whose M is singular in floating point gets a zero gradient.
     """
@@ -368,22 +369,21 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     emission = env.emission().reshape(n_a * n_z, -1)  # [(a, z), s]
     rates = np.empty(n_b)
     grads = np.zeros(theta.shape), np.zeros(init.shape)
-    for members, reach, structure, tables, (absorb, stationary) in groups:
+    for members, reach, structure, tables, (Q, absorb, stationary) in groups:
         p_ma, p_ms = _marginals(tables, env)
         rates[members] = _work_terms(p_ma, p_ms)[0].mean(axis=-1)
         B, d, n = tables.shape
         lam = ((_log_positive(p_ms) @ emission.T).reshape(B, d, n_m, n_a, n_z)
-               - _log_positive(p_ma)[..., None]).reshape(B, d, n)
+               - _log_positive(p_ma)[..., None]).reshape(B, d, n) / d  # g_r
         P, ell = K[members], tables
         if not reach.all():
             P = P[np.ix_(np.arange(B), reach, reach)]
             lam, ell = lam[..., reach], ell[..., reach]
-        lam /= d
         for r in range(d - 1, 0, -1):  # the reverse sweep turns g into λ
             lam[:, r - 1] += (P @ lam[:, r, :, None])[..., 0]
         one_class = len(structure.closed) == 1 and d == 1
         L = ell[:, :1] if one_class else absorb @ stationary  # on one class, L = 1π = 1ℓ_0
-        M = np.eye(len(P[0])) - (P if d == 1 else np.linalg.matrix_power(P, d)) + L
+        M = np.eye(len(P[0])) - Q + L
         x, solved = _solve(M, lam[:, 0])
         lefts, rights = ell[:, :1], x[:, None]
         if not one_class:

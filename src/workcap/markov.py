@@ -32,7 +32,6 @@ to state ``j``; rows sum to one.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -245,13 +244,14 @@ def _structure_of(support: np.ndarray) -> _Structure:
 _GTH_BLOCK = 64
 
 
-def _censor(A: np.ndarray, keep: int) -> list[np.ndarray]:
+def _censor(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], bool]:
     """GTH's per-state steps on a ``(B, n, n)`` stack, in place: states
     n-1, ..., keep are censored out in turn, each dividing its column by its
     outflow into the states below it and then passing its row through that
     column, so the row left at its elimination holds its moves to the states
     below it.  Returns those ``(B, 1)`` outflows, the divisors, from state
-    n-1 down.
+    n-1 down, and ``careful``, whether some row to censor moves to state 0
+    with less than the smallest normal probability.
 
     A column divided by a subnormal outflow may overflow, so it is divided
     by the outflow times 1/eps, which makes every subnormal normal, and the
@@ -260,8 +260,7 @@ def _censor(A: np.ndarray, keep: int) -> list[np.ndarray]:
     its readers undo that.  Powers of two scale exactly, so a member whose
     outflow is normal gets the bits it gets without this.  Censoring only
     adds to the rows' entries, and state 0 is below every state censored,
-    so when every row to censor moves to state 0 with at least the
-    smallest normal probability, no outflow is subnormal and no step looks."""
+    so unless ``careful``, no outflow is subnormal and no step looks."""
     tiny = sys.float_info.min  # the smallest normal number
     careful = A.shape[-1] > keep and not A[:, keep:, 0].min() >= tiny
     divisors = []
@@ -275,7 +274,7 @@ def _censor(A: np.ndarray, keep: int) -> list[np.ndarray]:
         else:
             A[:, :k, k] /= out
             A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
-    return divisors
+    return divisors, careful
 
 
 def _triangular_inverses(T: np.ndarray, lower: bool) -> np.ndarray:
@@ -286,7 +285,8 @@ def _triangular_inverses(T: np.ndarray, lower: bool) -> np.ndarray:
     return np.stack([dtrtri(t, lower=lower)[0] for t in T])
 
 
-def _eliminate(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _eliminate(A: np.ndarray, keep: int
+               ) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
     """GTH elimination of states n-1, ..., ``keep`` of a ``(B, n, n)`` stack,
     in place; states below ``keep`` stay.  Both limit laws read their
     results back from it: a stationary vector keeps state 0 of its class
@@ -319,7 +319,9 @@ def _eliminate(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], list[np.ndar
     at a time throughout.
 
     Returns the divisors of the states censored one at a time, from state
-    ``keep`` up, and each block's ``(D - L)^-1``, from the lowest block up.
+    ``keep`` up, each block's ``(D - L)^-1``, from the lowest block up, and
+    the ``careful`` flag of :func:`_censor` for the states censored one at
+    a time.
     Cost: n Python-level steps on arrays of at most ``_GTH_BLOCK + 1``
     columns plus O(n^3) flops in matrix products.
     """
@@ -337,7 +339,7 @@ def _eliminate(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], list[np.ndar
         W = np.zeros((B, m + 1, m + 1))
         W[:, 1:, 0] = A[:, lo:hi, :lo].sum(axis=2)
         W[:, 1:, 1:] = A[:, lo:hi, lo:hi]
-        divisors = _censor(W, 1)[::-1]
+        divisors = _censor(W, 1)[0][::-1]
         factor = np.tril(-W[:, 1:, 1:], -1)
         factor[:, diag, diag] = np.concatenate(divisors, axis=1)  # D - L
         lower_inverses.append(_triangular_inverses(factor, lower=True))
@@ -354,7 +356,8 @@ def _eliminate(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], list[np.ndar
         A[:, lo:hi, :lo] = A[:, lo:hi, lo:hi] @ A[:, lo:hi, :lo]
     if lo < n:
         A[:, :lo, :lo] += A[:, :lo, lo:] @ A[:, lo:, :lo]
-    return _censor(A[:, :lo, :lo], keep)[::-1], lower_inverses[::-1]
+    divisors, careful = _censor(A[:, :lo, :lo], keep)
+    return divisors[::-1], lower_inverses[::-1], careful
 
 
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
@@ -365,52 +368,40 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     ``x_j = x_{:j} A[:j, j]`` for a state censored alone and ``x_K = x_R X
     (I - U)^-1`` for a block, so it too adds nonnegative numbers only.
 
-    A stationary vector is defined up to scale, so where x would overflow,
-    or a column was lifted (:func:`_censor`), the states censored alone are
-    back-substituted again by :func:`_rescaled_substitution`.  Every x_j is
-    π_j / π_0 <= 1 / min_i P[i, 0], so a kernel whose column 0 is at least
-    2n / max everywhere needs no look: nothing overflows, and no column is
-    lifted.  The blocks' back-substitution does not rescale."""
+    Every x_j is π_j / π_0 for the chain left to the states censored alone,
+    and π_0 is at least its least move to state 0, so unless ``careful``
+    (:func:`_censor`), x and its sum stay below 1 + 1/tiny and no column is
+    lifted.  A stationary vector is defined up to scale, so otherwise x is
+    kept finite by powers of two, which scale exactly.  x_j is at most
+    sum(x_{:j}) / out_j, so sum(x) is at most 2^(lo-1) / prod(out), which
+    a lifted column's subnormal out_j makes large.  Where that may pass
+    2^1020, x_{:j} is scaled before each x_j is formed so that x_j's bound
+    sum(x_{:j}) 2^grow_j stays below 2^1020, 2^grow_j bounding 1/out_j, or
+    eps/out_j for a lifted column, and after a lifted column x_{:j} is
+    multiplied by eps, which undoes the lift.  Only masses that fall below
+    the smallest normal number relative to the largest lose digits, and a
+    member that needs no scaling gets the bits it gets without this.  The
+    blocks' back-substitution does not rescale."""
     B, n = A.shape[:2]
     m = _GTH_BLOCK
-    careful = not A[:, :, 0].min() >= 2 * n / sys.float_info.max
-    divisors = _eliminate(A, 1)[0]
+    divisors, _, careful = _eliminate(A, 1)
     lo = 1 + len(divisors)
+    if careful and lo > 1:
+        careful = not np.concatenate(divisors, axis=1).prod(axis=1).min() >= 2.0 ** (lo - 1021)
     x = np.empty((B, n))
     x[:, 0] = 1.0
-    with np.errstate(over="ignore") if careful else contextlib.nullcontext():
-        for j in range(1, lo):
-            x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
-    if careful and lo > 1:
-        lifted = np.concatenate(divisors, axis=1) < sys.float_info.min
-        if lifted.any() or not x[:, :lo].max() <= sys.float_info.max / (2 * n):
-            _rescaled_substitution(x, A, lifted)
+    for j, out in zip(range(1, lo), divisors):
+        if careful:
+            lifted = out[:, 0] < sys.float_info.min
+            grow = 1 - np.frexp(out[:, 0])[1] - 52 * lifted  # out >= 2^(exponent - 1)
+            total = np.frexp(x[:, :j].sum(axis=1))[1]  # sum(x_{:j}) < 2^total
+            x[:, :j] = np.ldexp(x[:, :j], np.minimum(1020 - total - grow, 0)[:, None])
+        x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+        if careful:
+            x[lifted, :j] *= sys.float_info.epsilon
     for k in range(lo, n, m):
         x[:, k:k + m] = (x[:, None, :k] @ A[:, :k, k:k + m] @ A[:, k:k + m, k:k + m])[:, 0]
     return x / x.sum(axis=1, keepdims=True)
-
-
-def _rescaled_substitution(x: np.ndarray, A: np.ndarray, lifted: np.ndarray) -> None:
-    """The back-substitution of :func:`_gth_stationary` for the states
-    censored alone, 1 to ``lifted.shape[1]``, into ``x``, kept finite by
-    scaling with powers of two, which are exact: while x_j would exceed
-    max/(2n), where x or its sum could overflow, x_{:j} is multiplied by
-    eps and x_j formed again, and where ``lifted`` marks a lifted column
-    (:func:`_censor`), x_{:j} is multiplied by eps after x_j.  Only masses
-    that fall below the smallest normal number relative to the largest
-    lose digits, and a member that needs neither step gets the bits it
-    gets without this."""
-    eps, limit = sys.float_info.epsilon, sys.float_info.max / (2 * x.shape[1])
-    x[:, 0] = 1.0
-    with np.errstate(over="ignore"):
-        for j in range(1, lifted.shape[1] + 1):
-            x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
-            high = x[:, j] > limit
-            while high.any():
-                x[high, :j] *= eps
-                x[high, j] = (x[high, None, :j] @ A[high, :j, j, None])[:, 0, 0]
-                high = x[:, j] > limit
-            x[lifted[:, j - 1], :j] *= eps
 
 
 def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
@@ -434,7 +425,7 @@ def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) ->
     for j, members in enumerate(closed):
         A[:, c:, j] = Q[np.ix_(stack, t, members)].sum(axis=2)
     A[:, c:, c:] = Q[np.ix_(stack, t, t)]
-    divisors, lower_inverses = _eliminate(A, c)
+    divisors, lower_inverses, _ = _eliminate(A, c)
     lo = c + len(divisors)
     h = np.zeros((B, n, c))
     h[:, :c] = np.eye(c)
@@ -489,25 +480,25 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
 
 
 def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None
-                ) -> tuple[_Structure, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+                ) -> tuple[_Structure, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The structure of a ``(B, n, n)`` stack of kernels with one support
     pattern, the subsequence-limit laws ``u P^r L`` for r < d of each
     member's ``(k, n)`` start vectors ``u``, as a ``(B, k, d, n)`` array,
-    and L's factors from :func:`_power_limit`, padded with zero classes to
-    the most any member has; d is the period lcm and ``L = lim P^{nd}``.
-    Their mean over r is the Cesàro limit of the law from each start.  A
-    caller that knows the structure of the chain on every state passes it
-    as ``structure``.  ``P^d``'s closed classes, the cyclic subclasses, are
-    aperiodic; they come from each member's numeric pattern of ``P^d``, so
-    underflow counts as 0.  Nothing is iterated, so there is no tolerance
-    and no convergence failure.
+    and ``Q = P^d`` with L's factors from :func:`_power_limit`, padded with
+    zero classes to the most any member has; d is the period lcm and ``L =
+    lim Q^n``.  Their mean over r is the Cesàro limit of the law from each
+    start.  A caller that knows the structure of the chain on every state
+    passes it as ``structure``.  ``P^d``'s closed classes, the cyclic
+    subclasses, are aperiodic; they come from each member's numeric pattern
+    of ``P^d``, so underflow counts as 0.  Nothing is iterated, so there is
+    no tolerance and no convergence failure.
     """
     if structure is None:
         structure = _structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
         laws, absorb, stationary = _power_limit(P, structure.closed, u)
-        return structure, laws[:, :, None], (absorb, stationary)
+        return structure, laws[:, :, None], (P, absorb, stationary)
     steps = [u]
     for _ in range(d - 1):
         steps.append(steps[-1] @ P)
@@ -521,7 +512,7 @@ def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = Non
         c = len(cyclic.closed)
         laws[idx], absorb[idx, :, :c], stationary[idx, :c] = _power_limit(
             Q[idx], cyclic.closed, V[idx])
-    return structure, laws.reshape(*u.shape[:2], d, -1), (absorb, stationary)
+    return structure, laws.reshape(*u.shape[:2], d, -1), (Q, absorb, stationary)
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,7 @@ def gather_limit_laws(P, u):
     d = structure.period_lcm
     if d == 1:
         laws, absorb, stationary = gather_power_limit(P, structure.closed, u)
-        return structure, laws[:, :, None], (absorb, stationary)
+        return structure, laws[:, :, None], (P, absorb, stationary)
     steps = [u]
     for _ in range(d - 1):
         steps.append(steps[-1] @ P)
@@ -550,7 +550,7 @@ def gather_limit_laws(P, u):
     for idx, a, s in parts:
         absorb[idx, :, :a.shape[-1]] = a
         stationary[idx, :s.shape[1]] = s
-    return structure, laws.reshape(*u.shape[:2], d, -1), (absorb, stationary)
+    return structure, laws.reshape(*u.shape[:2], d, -1), (Q, absorb, stationary)
 
 
 def gather_cesaro_tables(env, theta, init):

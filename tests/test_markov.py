@@ -544,7 +544,11 @@ class TestSubnormalGTH:
         [[0.5, 0.5], [1e-310, 1.0]],
         # every entry is normal, but x_2 / x_0 is about 5e319
         [[0.5, 0.5, 0.0], [1e-160, 1 - 1e-10, 1e-10], [0.0, 1e-170, 1.0]],
-    ], ids=["subnormal_divisor", "overflowing_back_substitution"])
+        # x_2 overflows as above, and state 3 is formed after it with a zero
+        # entry A[2, 3] that would meet an overflowed x_2
+        [[0.25, 0.5, 0.0, 0.25], [1e-160, 1 - 1e-10, 1e-10, 0.0],
+         [0.0, 1e-170, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+    ], ids=["subnormal_divisor", "overflowing_back_substitution", "state_after_overflow"])
     def test_stationary_law_matches_exact_elimination(self, P):
         P = np.array(P)
         with warnings.catch_warnings():
@@ -553,6 +557,19 @@ class TestSubnormalGTH:
             _, laws, _ = markov._limit_laws(P[None], np.eye(len(P))[:1][None])
         assert_matches_fractions(got, fraction_stationary(P))
         np.testing.assert_array_equal(laws[0, 0, 0], got)
+
+    def test_members_that_need_no_scaling_keep_their_bits(self):
+        # the first member overflows as in state_after_overflow; the second
+        # has its zero pattern but needs no scaling, so in the stack it is
+        # scaled by 2^0 at every step
+        P = np.array([[[0.25, 0.5, 0.0, 0.25], [1e-160, 1 - 1e-10, 1e-10, 0.0],
+                       [0.0, 1e-170, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                      [[0.25, 0.5, 0.0, 0.25], [0.3, 0.4, 0.3, 0.0],
+                       [0.0, 0.5, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]]])
+        alone = [markov._gth_stationary(member[None].copy())[0] for member in P]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(markov._gth_stationary(P.copy()), alone)
 
     def test_absorption_through_a_subnormal_outflow(self):
         # transient state 3 leaves for the absorbing states 0 and 1 with
