@@ -26,7 +26,6 @@ import numpy as np
 from . import channels, info, loop
 from .errors import DimensionError, DomainError
 
-AUX_PREFIXES = ("V", "W")
 CMI_SOUNDNESS_TOL = 1e-9
 # draws of (A, C) allowed per requested d-separated triple
 _ATTEMPTS_PER_TRIPLE = 400

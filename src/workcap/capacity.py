@@ -37,7 +37,7 @@ ASCENT_STEPS = 2000  # step cap of the memoryless ascent
 FACE_TOL = 1e-12  # memoryless entries below this get a Newton step alone; witness ones are tried at 0
 NEWTON_FLAT = 1e-12  # relative singular values the memoryless Newton step drops
 DUST = 1e-100  # least weight a memoryless ascent step leaves a played action
-VERTEX_TOL = 1e-6  # a witness row whose largest entry is within this of 1 snaps to 0/1
+VERTEX_TOL = 1e-6  # a searched row whose largest entry is within this of 1 is that vertex
 SUBADDITIVITY_SLACK = 1e-8  # nats between bounds that check_subadditivity still decides
 
 
@@ -374,35 +374,21 @@ def _kernels_from_params(x: np.ndarray, n_a: int, n_m: int
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Agent kernels ``(B, |A|, M, |A|, M)`` and opening joints ``(B, |A|,
     M)`` from a ``(B, dim)`` stack of unconstrained coordinates: one
-    normalized exponential per kernel row and one for the opening joint."""
+    normalized exponential per kernel row and one for the opening joint,
+    each row whose largest entry is at least 1 - VERTEX_TOL set to that
+    vertex, exact 0/1.
+
+    Normalized exponentials reach a vertex only in the limit, so without
+    the vertices a run creeps toward one for hundreds of steps, through
+    subnormal entries.  A vertex row's slope is exactly 0, so the search
+    leaves it only by a step the line search accepts, one that raises the
+    value."""
     rows = n_a * n_m
-    theta = _softmax_rows(x[:, : rows * rows].reshape(-1, n_a, n_m, rows))
-    init = _softmax_rows(x[:, rows * rows:])
-    return theta.reshape(-1, n_a, n_m, n_a, n_m), init.reshape(-1, n_a, n_m)
-
-
-def _agent_from_params(x: np.ndarray, alphabet: tuple[str, ...],
-                       memory: tuple[str, ...]) -> agents.AgentModel:
-    theta, init = _kernels_from_params(x[None], len(alphabet), len(memory))
-    return agents.AgentModel(alphabet, memory, theta[0], init[0])
-
-
-def _snap_vertices(model: agents.AgentModel) -> agents.AgentModel:
-    """Round rows within VERTEX_TOL of a vertex to exact 0/1 kernels."""
-    theta = model.theta.reshape(model.n_symbols * model.n_memory, -1).copy()
-    for row in theta:
-        j = int(np.argmax(row))
-        if row[j] >= 1.0 - VERTEX_TOL:
-            row[:] = 0.0
-            row[j] = 1.0
-    init = model.initial_joint.copy()
-    j = int(np.argmax(init))
-    if init.flat[j] >= 1.0 - VERTEX_TOL:
-        init[:] = 0.0
-        init.flat[j] = 1.0
-    return agents.AgentModel(
-        model.alphabet, model.memory_states,
-        theta.reshape(model.theta.shape), init)
+    probs = _softmax_rows(x.reshape(len(x), rows + 1, rows))
+    top = probs.argmax(axis=-1)[..., None]
+    vertex = np.take_along_axis(probs, top, axis=-1) >= 1.0 - VERTEX_TOL
+    probs = np.where(vertex, np.arange(rows) == top, probs)
+    return probs[:, :rows].reshape(-1, n_a, n_m, n_a, n_m), probs[:, rows].reshape(-1, n_a, n_m)
 
 
 def _params_from_agent(model: agents.AgentModel, memory_size: int) -> np.ndarray:
@@ -527,11 +513,11 @@ def _lbfgs(objective, starts: np.ndarray
 
 def _search_objective(env: channels.EnvironmentModel, memory_size: int):
     """The objective :func:`capacity_lower_bound` maximizes: a ``(k, dim)``
-    stack of coordinates (:func:`_kernels_from_params`) to the agents' work
-    rates, in nats, and their gradients.  One call of
-    :func:`loop._rate_gradients` gives the rates and their exact gradients
-    in the kernels and the opening joints, which are taken through each
-    row's normalized exponential; the opening joint is one more row."""
+    stack of coordinates to the work rates, in nats, of the agents
+    :func:`_kernels_from_params` makes of them, and their gradients: one
+    call of :func:`loop._rate_gradients` gives the exact gradients in the
+    kernels and opening joints, taken through each row's normalized
+    exponential, the opening joint one more row.  A vertex row's slopes are 0."""
     n_a, n_m = len(env.alphabet), memory_size
     rows = n_a * n_m
 
@@ -553,19 +539,20 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     """Best work rate over agents with ``memory_size`` memory states.
 
     Agent kernels are parameterized on the product of simplices through
-    normalized exponentials of unconstrained coordinates.  The uniform
-    agent, the warm starts and ``restarts - 1`` seeded random points start
-    one run each of L-BFGS (:func:`_lbfgs`), all runs as one stack, on the
-    exact work rates and their exact gradients on every chain structure
-    (:func:`_search_objective`).  A run's result is its last point; the
-    search is ``stalled`` when a run reaches ``LBFGS_STEPS`` iterations.
-    Deterministic rows exist only in the parameterization's limit, so the
-    best run's agent gets its near-deterministic rows snapped to vertices,
-    and the snapped agent is kept unless its rate is more than 1e-12 nats
-    lower.  The value is the work rate of the agent kept, the witness.  It
+    normalized exponentials of unconstrained coordinates, each row within
+    VERTEX_TOL of a vertex taken at it (:func:`_kernels_from_params`).
+    The uniform agent, the warm starts and ``restarts - 1`` seeded random
+    points start one run each of L-BFGS (:func:`_lbfgs`), all runs as one
+    stack, on the exact work rates and their exact gradients on every chain
+    structure (:func:`_search_objective`).  A run's result is its last
+    point; the search is ``stalled`` when a run reaches ``LBFGS_STEPS``
+    iterations.  The value is the best run's value, and the witness is the
+    agent the objective evaluated there, so its work rate is the value.  It
     is a lower bound on the work capacity, which maximizes over unbounded
-    memory; passing the witness of a smaller search as a warm start makes
-    the bound monotone in ``memory_size`` up to rounding and that 1e-12.
+    memory.  A warm start's vertex rows are vertex rows again, so passing
+    the witness of a smaller search as a warm start makes the bound
+    monotone in ``memory_size`` up to rounding and the 1e-12 weight
+    :func:`_params_from_agent` gives the zeros of its other rows.
     """
     if memory_size < 1:
         raise DomainError("memory_size must be >= 1")
@@ -576,7 +563,6 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
         if warm.alphabet != alphabet:
             raise DimensionError(f"warm start alphabet {warm.alphabet} does not match "
                                  f"environment alphabet {alphabet}")
-    memory = tuple(f"m{i}" for i in range(memory_size))
     rows = len(alphabet) * memory_size
     dim = rows * rows + rows
 
@@ -588,13 +574,10 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     lasts, values, _, stalled = _lbfgs(_search_objective(env, memory_size),
                                        np.stack(starts))
     best = int(np.argmax(values))  # ties keep the lowest restart index
-    model = _agent_from_params(lasts[best], alphabet, memory)
-    snapped = _snap_vertices(model)
-    rates = loop._rate_gradients(env, np.stack([model.theta, snapped.theta]),
-                                 np.stack([model.initial_joint, snapped.initial_joint]))[0]
-    keep = int(rates[1] >= rates[0] - 1e-12)  # 1: the snapped agent
-    return CapacityResult(float(rates[keep]), NUMERIC_LOWER_BOUND,
-                          witness=(model, snapped)[keep],
+    theta, init = _kernels_from_params(lasts[best:best + 1], len(alphabet), memory_size)
+    witness = agents.AgentModel(alphabet, tuple(f"m{i}" for i in range(memory_size)),
+                                theta[0], init[0])
+    return CapacityResult(float(values[best]), NUMERIC_LOWER_BOUND, witness=witness,
                           optimizer_trace=tuple((r, float(v)) for r, v in enumerate(values)),
                           exact=False, stalled=bool(stalled.any()))
 

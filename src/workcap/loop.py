@@ -263,8 +263,9 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     smaller than the global one, and it has no infeasible states.
 
     Returns the kernels ``Kw`` ``(B, n, n)``, the round-0 vectors ``(B, n)``
-    and, for each group of members with one support pattern (kernel and
-    round-0 vector), ``(members, reach, structure, tables, limit)``: the
+    and, for each group of members with one structure (by their kernels'
+    and round-0 vectors' support patterns; :func:`markov._pattern_groups`),
+    ``(members, reach, structure, tables, limit)``: the
     mask of reachable W states, the structure of the reachable subchain,
     ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as n grows
     (zero off ``reach``), and ``limit``, Q = P^d and L's factors on

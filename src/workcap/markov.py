@@ -22,9 +22,9 @@ chains keep their digits.  The elimination runs in blocks of
 nonnegative matrices, so it costs n Python-level steps on small arrays
 plus O(n^3) flops in BLAS-3 products.  Every rate needs only the laws of
 its start vectors, so no n x n limit matrix is formed.  :func:`_limit_laws`
-acts on a stack of kernels with one support pattern, so a batch of
-evaluations shares its Python-level steps, and it gathers no states when
-one closed class holds them all.
+acts on a stack of kernels with one structure, also where their support
+patterns differ, so a batch of evaluations shares its Python-level steps,
+and it gathers no states when one closed class holds them all.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -214,22 +214,33 @@ def _memo_structure(shape: tuple[int, int], packed: bytes) -> _Structure:
 
 def _pattern_groups(support: np.ndarray, start: np.ndarray | None = None
                     ) -> list[tuple[list[int] | slice, _Structure]]:
-    """A stack's members grouped by equal support pattern (``support``,
-    ``(B, n, n)``) and start pattern (``start``, ``(B, n)``; every state if
-    None), in order of first appearance, each group with its structure.
-    A stack of one pattern is the one group ``slice(None)``, so taking it
-    copies nothing.  Structures are computed once per pair of patterns and
-    shared between callers, so they must not be mutated."""
+    """A stack's members grouped by structure, in order of first
+    appearance, from their support patterns (``support``, ``(B, n, n)``)
+    and start patterns (``start``, ``(B, n)``; every state if None).
+    Members share a group when their structures agree on all the limit
+    engine reads: the reachable states, the closed classes and the period
+    lcm.  A group comes with its first member's structure; the others' may
+    differ from it only in their transient classes.  A stack of one group is
+    the one group ``slice(None)``, so taking it copies nothing.  Structures
+    are computed once per pair of patterns and shared between callers, so
+    they must not be mutated."""
     B, n = support.shape[:2]
     if start is None:
         start = np.ones((B, n), dtype=bool)
     packed = np.packbits(np.concatenate([support.reshape(B, -1), start], axis=1), axis=1)
     if (packed == packed[0]).all():
         return [(slice(None), _memo_structure((n, n), packed[0].tobytes()))]
-    groups: dict[bytes, list[int]] = {}
+    patterns: dict[bytes, list[int]] = {}
     for i, bits in enumerate(packed):
-        groups.setdefault(bits.tobytes(), []).append(i)
-    return [(members, _memo_structure((n, n), key)) for key, members in groups.items()]
+        patterns.setdefault(bits.tobytes(), []).append(i)
+    groups: dict[tuple, tuple[list[int], _Structure]] = {}
+    for key, members in patterns.items():
+        structure = _memo_structure((n, n), key)
+        read = (structure.reach.tobytes(), structure.period_lcm,
+                *map(np.ndarray.tobytes, structure.closed))
+        groups.setdefault(read, ([], structure))[0].extend(members)
+    merged = [(sorted(members), structure) for members, structure in groups.values()]
+    return [(slice(None), merged[0][1])] if len(merged) == 1 else merged
 
 
 def _structure_of(support: np.ndarray) -> _Structure:
@@ -481,17 +492,18 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
 
 def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None
                 ) -> tuple[_Structure, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The structure of a ``(B, n, n)`` stack of kernels with one support
-    pattern, the subsequence-limit laws ``u P^r L`` for r < d of each
-    member's ``(k, n)`` start vectors ``u``, as a ``(B, k, d, n)`` array,
-    and ``Q = P^d`` with L's factors from :func:`_power_limit`, padded with
-    zero classes to the most any member has; d is the period lcm and ``L =
-    lim Q^n``.  Their mean over r is the Cesàro limit of the law from each
-    start.  A caller that knows the structure of the chain on every state
-    passes it as ``structure``.  ``P^d``'s closed classes, the cyclic
-    subclasses, are aperiodic; they come from each member's numeric pattern
-    of ``P^d``, so underflow counts as 0.  Nothing is iterated, so there is
-    no tolerance and no convergence failure.
+    """The structure of a ``(B, n, n)`` stack of kernels with one structure
+    (:func:`_pattern_groups`), the subsequence-limit laws ``u P^r L`` for
+    r < d of each member's ``(k, n)`` start vectors ``u``, as a ``(B, k,
+    d, n)`` array, and ``Q = P^d`` with L's factors from
+    :func:`_power_limit`, padded with zero classes to the most any member
+    has; d is the period lcm and ``L = lim Q^n``.  Their mean over r is the
+    Cesàro limit of the law from each start.  A caller that knows the
+    structure of the chain on every state passes it as ``structure``.
+    ``P^d``'s closed classes, the cyclic subclasses, are aperiodic; they
+    come from each member's numeric pattern of ``P^d``, so underflow counts
+    as 0.  Nothing is iterated, so there is no tolerance and no convergence
+    failure.
     """
     if structure is None:
         structure = _structure_of(P[0] > 0.0)

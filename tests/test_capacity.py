@@ -15,15 +15,15 @@ from workcap import (AgentModel, ChannelClassError, DimensionError, EnvironmentM
                      PerceptActionLoop, build_uniform, capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, NEWTON_FLAT,
-                              _agent_from_params, _ascent, _gain, _kernels_from_params,
+from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, NEWTON_FLAT, VERTEX_TOL,
+                              _ascent, _gain, _kernels_from_params,
                               _lbfgs, _memoryless_forms, _memoryless_objective,
                               _search_objective, _softmax_rows, _subadditivity_reports,
                               _upper_bound, compute_capacity)
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
 from workcap.errors import DomainError
 from workcap.info import LN2
-from workcap.loop import _rate_gradients
+from workcap.loop import _cesaro_tables, _rate_gradients
 from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
 
@@ -684,8 +684,8 @@ class TestLowerBound:
                                               seed=3, warm_starts=warm)
                 values.append(result.value_nats)
                 witness = result.witness
-            assert values[0] <= values[1] + 1e-9
-            assert values[1] <= values[2] + 1e-9
+            assert values[0] <= values[1] + 1e-12
+            assert values[1] <= values[2] + 1e-12
 
     def test_witness_rate_matches_value(self, fig5):
         result = capacity_lower_bound(fig5, memory_size=1, restarts=8, seed=1)
@@ -693,11 +693,21 @@ class TestLowerBound:
         assert abs(rate - result.value_nats) < 1e-9
 
     def test_value_is_best_restart_value(self, fig5):
-        # the witness is not snapped here, so the reported value is the
-        # search's best value itself: both are read by one functional
-        result = capacity_lower_bound(fig5, memory_size=1, restarts=8, seed=0)
-        assert not np.isin(result.witness.theta, (0.0, 1.0)).any()
-        assert result.value_nats == max(value for _, value in result.optimizer_trace)
+        # the value is the search's best value and the witness the agent the
+        # objective evaluated there, whether or not its rows reach a vertex:
+        # none do on fig5, some do with memory on the random channel
+        env = random_environment(np.random.default_rng(0), 2, 2)
+        for channel, memory_size, restarts in ((fig5, 1, 8), (env, 2, 32)):
+            result = capacity_lower_bound(channel, memory_size=memory_size,
+                                          restarts=restarts, seed=0)
+            assert result.value_nats == max(value for _, value in result.optimizer_trace)
+            rate = work_rate(PerceptActionLoop(result.witness, channel), base="nats").rate
+            assert rate == result.value_nats
+            rows = np.concatenate([result.witness.theta.reshape(-1, 2 * memory_size),
+                                   result.witness.initial_joint.reshape(1, -1)])
+            vertex = rows.max(axis=1) >= 1.0 - VERTEX_TOL
+            assert np.isin(rows[vertex], (0.0, 1.0)).all()
+            assert vertex.any() == (channel is env)
 
     @pytest.mark.parametrize("alphabet", [("0", "1", "2"), ("p", "q")],
                              ids=["three_symbols", "other_labels"])
@@ -834,6 +844,47 @@ class TestLowerBound:
         _, _, steps, _ = _lbfgs(_search_objective(env, 2), points[1:2])
         assert steps.tolist() == [0]
 
+    def test_vertex_rows_are_evaluated_at_their_vertex(self, rng):
+        # a kernel row and the opening row past 1 - VERTEX_TOL: the objective
+        # reads the agent with both at their vertices, so its value is that
+        # agent's work rate and those rows' slopes are exactly 0
+        env = random_environment(rng, 2, 2)
+        x = rng.normal(size=20)
+        x[4:8] = 0.0, 0.0, 15.0, 0.0  # the largest entry is 1 - 9.2e-7
+        x[16:20] = 15.0, 0.0, 0.0, 0.0
+        probs = _softmax_rows(x.reshape(5, 4))
+        assert 1.0 - VERTEX_TOL <= probs[[1, 4]].max(axis=1).min() < 1.0
+        probs[1], probs[4] = np.eye(4)[2], np.eye(4)[0]
+        agent = AgentModel(env.alphabet, ("m0", "m1"), probs[:4].reshape(2, 2, 2, 2),
+                           probs[4].reshape(2, 2))
+        (value,), (slope,) = _search_objective(env, 2)(x[None])
+        assert value == work_rate(PerceptActionLoop(agent, env), base="nats").rate
+        assert not slope[4:8].any() and not slope[16:].any()
+        assert np.delete(slope, np.r_[4:8, 16:20]).all()
+
+    def test_one_limit_solve_per_structure(self, rng, call_counts):
+        # a vertex row gives its member another support pattern but keeps
+        # the chain one aperiodic class on every state: the stack solves its
+        # limit laws once, and each member gets the results it gets alone
+        phi = np.zeros((2, 1, 2, 1))
+        phi[0, 0, :, 0] = 1.0, 0.0  # action 0 is echoed
+        phi[1, 0, :, 0] = 0.3, 0.7
+        env = EnvironmentModel(("0", "1"), ("z",), phi, np.ones(1))
+        theta, init = _kernels_from_params(rng.normal(scale=1.5, size=(1, 20)), 2, 2)
+        snapped = theta.copy()
+        snapped[0, 0, 0] = np.eye(4)[3].reshape(2, 2)  # percept 0 in memory 0: action 1, memory 1
+        theta, init = np.concatenate([theta, snapped]), np.concatenate([init, init])
+        K, _, groups = _cesaro_tables(env, theta, init)
+        assert not np.array_equal(K[0] > 0.0, K[1] > 0.0) and len(groups) == 1
+        calls = call_counts("markov._limit_laws")
+        rates, grads = _rate_gradients(env, theta, init)
+        assert calls == {"_limit_laws": 1}
+        for k in range(2):
+            alone = _rate_gradients(env, theta[k:k + 1], init[k:k + 1])
+            assert rates[k] == alone[0][0]
+            for got, want in zip(grads, alone[1]):
+                assert np.array_equal(got[k], want[0])
+
     @pytest.mark.parametrize("make, memory_size", [(None, 2), (periodic_env, 1)])
     def test_restart_in_stack_equals_run_alone(self, rng, make, memory_size):
         env = random_environment(rng, 2, 2) if make is None else make()
@@ -947,18 +998,19 @@ class TestParameterization:
     def test_scaling_preserves_rowwise_argmax(self, values, scale):
         # the entry at each row's logit argmax is maximal in both rows
         x = np.array(values)
-        a = _agent_from_params(x, ("0", "1"), ("m0", "m1"))
-        b = _agent_from_params(scale * x, ("0", "1"), ("m0", "m1"))
-        top = x[:16].reshape(4, 4).argmax(axis=1)
-        for rows in (a.theta.reshape(4, 4), b.theta.reshape(4, 4)):
-            assert (rows[np.arange(4), top] == rows.max(axis=1)).all()
+        top = x.reshape(5, 4).argmax(axis=1)
+        for point in (x, scale * x):
+            theta, init = _kernels_from_params(point[None], 2, 2)
+            rows = np.concatenate([theta[0].reshape(4, 4), init[0].reshape(1, 4)])
+            assert (rows[np.arange(5), top] == rows.max(axis=1)).all()
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(-4, 4), min_size=8, max_size=8),
+    @given(st.lists(st.floats(-4, 4), min_size=20, max_size=20),
            st.floats(-5, 5))
     def test_shift_invariance(self, values, shift):
-        x = np.array(values).reshape(2, 4)
-        assert np.allclose(_softmax_rows(x), _softmax_rows(x + shift), atol=1e-12)
+        x = np.array(values)[None]
+        for a, b in zip(_kernels_from_params(x, 2, 2), _kernels_from_params(x + shift, 2, 2)):
+            assert np.allclose(a, b, atol=1e-12)
 
 
 class TestCapacityProperties:
