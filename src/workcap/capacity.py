@@ -2,12 +2,14 @@
 
 Closed forms cover the three special channel classes (noiseless, memoryless
 invariant, unifilar product).  For everything else a quasi-Newton search
-over bounded-memory agent kernels (restarted L-BFGS, all restarts as one
-stack, on exact work rates with their exact adjoint gradients, one formula
-for periodic, reducible and every other chain structure) yields an
-explicitly labeled lower bound; the true capacity maximizes over
-all finite agent models and no general algorithm for it is known, so the
-numeric value is never presented as exact.  :func:`check_subadditivity`
+over bounded-memory agent kernels (restarted full BFGS, all restarts as one
+stack under one shared weak-Wolfe line search, each keeping a dense inverse
+curvature, 8 R dim² bytes for R restarts plus one update temporary, on
+exact work rates with their exact adjoint gradients, one formula for
+periodic, reducible and every other chain structure) yields an explicitly
+labeled lower bound; the true capacity maximizes over all finite agent
+models and no general algorithm for it is known, so the numeric value is
+never presented as exact.  :func:`check_subadditivity`
 checks cascade subadditivity of memoryless invariant channels.
 """
 
@@ -28,10 +30,9 @@ CLOSED_FORM_MEMORYLESS = "closed_form_memoryless"
 CLOSED_FORM_UNIFILAR_PRODUCT = "closed_form_unifilar_product"
 NUMERIC_LOWER_BOUND = "numeric_lower_bound"
 
-LBFGS_STEPS = 500  # iteration cap of one L-BFGS run
-LBFGS_FTOL = 1e-12  # a run stops when a step gains at most this times max(1, |value|)
-LBFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
-_HISTORY = 10  # (step, gradient change) pairs an L-BFGS run keeps; L-BFGS-B's default
+BFGS_STEPS = 500  # iteration cap of one BFGS run
+BFGS_FTOL = 1e-12  # a run stops when a step gains at most this times max(1, |value|)
+BFGS_GTOL = 1e-9  # ... or when no gradient entry exceeds this
 _ARMIJO, _CURVATURE = 1e-4, 0.9  # the weak Wolfe conditions' constants
 ASCENT_STEPS = 2000  # step cap of the memoryless ascent
 FACE_TOL = 1e-12  # memoryless entries below this get a Newton step alone; witness ones are tried at 0
@@ -385,9 +386,9 @@ def _kernels_from_params(x: np.ndarray, n_a: int, n_m: int
     value."""
     rows = n_a * n_m
     probs = _softmax_rows(x.reshape(len(x), rows + 1, rows))
-    top = probs.argmax(axis=-1)[..., None]
-    vertex = np.take_along_axis(probs, top, axis=-1) >= 1.0 - VERTEX_TOL
-    probs = np.where(vertex, np.arange(rows) == top, probs)
+    top = probs.max(axis=-1, keepdims=True)
+    # an entry of at least 1 - VERTEX_TOL ties no other, so it alone equals top
+    probs = np.where(top >= 1.0 - VERTEX_TOL, probs == top, probs)
     return probs[:, :rows].reshape(-1, n_a, n_m, n_a, n_m), probs[:, rows].reshape(-1, n_a, n_m)
 
 
@@ -412,64 +413,44 @@ def _params_from_agent(model: agents.AgentModel, memory_size: int) -> np.ndarray
     return np.log(np.maximum(flat, 1e-12))
 
 
-def _direction(g: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``H g`` for each row of ``g`` ``(R, dim)``, H the L-BFGS inverse
-    curvature of the row's pairs: steps ``S`` and gradient changes ``Y``
-    ``(R, _HISTORY, dim)``, newest last, each stored pair with s.y > 0 and
-    each slot not yet filled all zeros.
-
-    The compact form (Byrd, Nocedal & Schnabel 1994) with H0 = γI, γ = s.y
-    / y.y of the newest pair (1 before the first): H g = γ g + S^T u - γ
-    Y^T a, with a = R^-1 S g and u = R^-T ((D + γ Y Y^T) a - γ Y g), where R
-    is the upper triangle of S Y^T and D its diagonal.  An empty slot gets
-    R_ii = 1, so its a_i and u_i are 0 and it adds nothing.  One inverse of
-    R, at most ``_HISTORY`` square, serves both solves.
-    """
-    SY = S @ Y.transpose(0, 2, 1)
-    D = SY.diagonal(axis1=1, axis2=2)
-    gamma = np.divide(D[:, -1], (Y[:, -1] * Y[:, -1]).sum(axis=1), out=np.ones(len(g)),
-                      where=D[:, -1] > 0)[:, None, None]
-    R = np.triu(SY)
-    slot = np.arange(R.shape[-1])
-    R[:, slot, slot] = np.where(D > 0, D, 1.0)
-    R_inv = np.linalg.inv(R)
-    g = g[:, :, None]
-    a = R_inv @ (S @ g)
-    S_t, Y_t = S.transpose(0, 2, 1), Y.transpose(0, 2, 1)
-    u = R_inv.transpose(0, 2, 1) @ (D[:, :, None] * a + gamma * (Y @ (Y_t @ a - g)))
-    return (gamma * g + S_t @ u - gamma * (Y_t @ a))[:, :, 0]
-
-
-def _lbfgs(objective, starts: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize ``objective`` by L-BFGS (Nocedal 1980; Liu & Nocedal 1989)
-    from each row of ``starts`` ``(R, dim)``, all runs as one stack.
+def _bfgs(objective, starts: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize ``objective`` by full BFGS (Nocedal & Wright 2006, §6.1)
+    from each row of ``starts`` ``(R, dim)``, all runs as one stack under
+    one shared line search.
 
     ``objective`` maps a ``(k, dim)`` stack of points to their values and
     gradients, each row's results those it gets alone.  Each call takes one
     point of every run still going, and a run leaves the stack when it
     stops, so its points, and its results, are bit for bit those of its run
-    alone.  A step goes along the L-BFGS direction (:func:`_direction`, the
-    last ``_HISTORY`` pairs; the first along the gradient, from length 1,
-    and later ones from t = 1) and is accepted at the weak Wolfe conditions
-    f(x + t d) >= f(x) + _ARMIJO t g.d and g(x + t d).d <= _CURVATURE g.d:
-    t doubles until it is bracketed and is bisected after that (Lewis &
-    Overton 2013).  Each accepted step raises the value, so a run's last
-    point is the best it accepted.
+    alone.  Each run keeps a dense inverse curvature H, ``(R, dim, dim)``
+    for the stack: ``8 R dim²`` bytes plus one update temporary of that
+    size: 100 kB at 32 runs of dim 20 and 1.3 MB at dim 72.  H starts at
+    I, is scaled by s.y / y.y at the run's first pair with s.y > 0 (eq.
+    6.20), and takes the inverse update (eq. 6.17) of every pair with s.y >
+    0 as one product, H += [s, -ρh] [w; s] with h = H y, ρ = 1 / s.y and w
+    = ρ(1 + ρ y.h) s - ρh.  A step goes along d = H g (the first along the
+    gradient, from length 1 / |g|, and later ones from t = 1) and is
+    accepted at the weak Wolfe conditions f(x + t d) >= f(x) + _ARMIJO t
+    g.d and g(x + t d).d <= _CURVATURE g.d: t doubles until it is bracketed
+    and is bisected after that (Lewis & Overton 2013, who run full BFGS
+    with this line search).  Each accepted step raises the value, so a
+    run's last point is the best it accepted.
 
-    A run stops when no gradient entry exceeds LBFGS_GTOL; when a step
-    gains at most LBFGS_FTOL max(1, |value|); when, before a step is
-    accepted, the bracket's width times g.d falls to that size; or, stalled,
-    when it has taken LBFGS_STEPS steps.  Returns per run the last point,
-    its value, the steps taken and whether LBFGS_STEPS ran out.
+    A run stops when no gradient entry exceeds BFGS_GTOL; when a step gains
+    at most BFGS_FTOL max(1, |value|); when, before a step is accepted, the
+    bracket's width times g.d falls to that size; or, stalled, when it has
+    taken BFGS_STEPS steps.  Returns per run the last point, its value, the
+    steps taken and whether BFGS_STEPS ran out.
     """
     x = np.array(starts, dtype=float)
     f, g = objective(x)
     lasts, values = x.copy(), f.copy()
     steps, stalled = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
-    run = np.flatnonzero(np.abs(g).max(axis=1) > LBFGS_GTOL)  # the runs going, in order
+    run = np.flatnonzero(np.abs(g).max(axis=1) > BFGS_GTOL)  # the runs going, in order
     x, f, g = x[run], f[run], g[run]
-    S, Y = np.zeros((2, len(run), _HISTORY, x.shape[1]))
+    H = np.tile(np.eye(x.shape[1]), (len(run), 1, 1))
+    fresh = np.ones(len(run), dtype=bool)  # H is still I
     d, slope, k = g.copy(), (g * g).sum(axis=1), np.zeros(len(run), dtype=int)
     t, lo, hi = 1.0 / np.sqrt(slope), np.zeros(len(run)), np.full(len(run), np.inf)
     while run.size:
@@ -481,24 +462,32 @@ def _lbfgs(objective, starts: np.ndarray
         hi = np.where(rises, hi, t)  # too long at hi, too short at lo
         lo = np.where(rises & ~flat, t, lo)
         s, y = trial - x, g - g_t
-        small = f_t - f <= LBFGS_FTOL * np.maximum(1.0, np.maximum(np.abs(f), np.abs(f_t)))
+        small = f_t - f <= BFGS_FTOL * np.maximum(1.0, np.maximum(np.abs(f), np.abs(f_t)))
         x = np.where(accept[:, None], trial, x)
         f = np.where(accept, f_t, f)
         g = np.where(accept[:, None], g_t, g)
         k += accept
-        pair = accept & ((s * y).sum(axis=1) > 0)
-        if pair.any():
-            S[pair] = np.concatenate([S[pair, 1:], s[pair, None]], axis=1)
-            Y[pair] = np.concatenate([Y[pair, 1:], y[pair, None]], axis=1)
-        done = accept & (small | (np.abs(g).max(axis=1) <= LBFGS_GTOL))
-        out = accept & ~done & (k >= LBFGS_STEPS)
+        sy = (s * y).sum(axis=1)
+        pair = accept & (sy > 0)
+        if pair.any():  # the other runs' s, y and ρ are 0, so their H gains 0
+            s, y = np.where(pair[:, None], s, 0.0), np.where(pair[:, None], y, 0.0)
+            if (pair & fresh).any():
+                H *= np.divide(sy, (y * y).sum(axis=1), out=np.ones(len(run)),
+                               where=pair & fresh)[:, None, None]
+                fresh &= ~pair
+            rho = np.divide(1.0, sy, out=np.zeros(len(run)), where=pair)[:, None]
+            h = (H @ y[:, :, None])[:, :, 0]
+            w = rho * (1.0 + rho * (y * h).sum(axis=1, keepdims=True)) * s - rho * h
+            H += np.stack([s, -rho * h], axis=2) @ np.stack([w, s], axis=1)
+        done = accept & (small | (np.abs(g).max(axis=1) <= BFGS_GTOL))
+        out = accept & ~done & (k >= BFGS_STEPS)
         stalled[run[out]] = True
         bracketed = hi < np.inf
         ended = done | out | (~accept & bracketed & (
-            (hi - lo) * slope <= LBFGS_FTOL * np.maximum(1.0, np.abs(f))))
+            (hi - lo) * slope <= BFGS_FTOL * np.maximum(1.0, np.abs(f))))
         go = accept & ~ended
         if go.any():
-            d = np.where(go[:, None], _direction(g, S, Y), d)
+            d = np.where(go[:, None], (H @ g[:, :, None])[:, :, 0], d)
             slope = (g * d).sum(axis=1)
         t = np.where(go, 1.0, np.where(bracketed, (lo + hi) / 2, 2 * t))
         lo, hi = np.where(go, 0.0, lo), np.where(go, np.inf, hi)
@@ -506,8 +495,8 @@ def _lbfgs(objective, starts: np.ndarray
             stop = run[ended]
             lasts[stop], values[stop], steps[stop] = x[ended], f[ended], k[ended]
             going = ~ended
-            run, x, f, g, S, Y, d, slope, k, t, lo, hi = (
-                v[going] for v in (run, x, f, g, S, Y, d, slope, k, t, lo, hi))
+            run, x, f, g, H, fresh, d, slope, k, t, lo, hi = (
+                v[going] for v in (run, x, f, g, H, fresh, d, slope, k, t, lo, hi))
     return lasts, values, steps, stalled
 
 
@@ -542,12 +531,17 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     normalized exponentials of unconstrained coordinates, each row within
     VERTEX_TOL of a vertex taken at it (:func:`_kernels_from_params`).
     The uniform agent, the warm starts and ``restarts - 1`` seeded random
-    points start one run each of L-BFGS (:func:`_lbfgs`), all runs as one
-    stack, on the exact work rates and their exact gradients on every chain
-    structure (:func:`_search_objective`).  A run's result is its last
-    point; the search is ``stalled`` when a run reaches ``LBFGS_STEPS``
-    iterations.  The value is the best run's value, and the witness is the
-    agent the objective evaluated there, so its work rate is the value.  It
+    points start one run each of full BFGS (:func:`_bfgs`), all runs as
+    one stack under one weak-Wolfe line search, on the exact work rates and
+    their exact gradients on every chain structure
+    (:func:`_search_objective`).  Each run keeps a dense ``dim x dim``
+    inverse curvature, ``dim = (|A| memory_size)² + |A| memory_size``, so
+    the stack holds ``8 restarts dim²`` bytes plus one update temporary of
+    that size: 100 kB at the CLI defaults and 1.3 MB at memory 4 on a
+    binary alphabet.  A run's result is its last point; the search is
+    ``stalled`` when a run reaches ``BFGS_STEPS`` iterations.  The value is
+    the best run's value, and the witness is the agent the objective
+    evaluated there, so its work rate is the value.  It
     is a lower bound on the work capacity, which maximizes over unbounded
     memory.  A warm start's vertex rows are vertex rows again, so passing
     the witness of a smaller search as a warm start makes the bound
@@ -571,8 +565,7 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
     starts += [_params_from_agent(w, memory_size) for w in warm_starts]
     starts += [rng.normal(scale=1.5, size=dim) for _ in range(restarts - 1)]
 
-    lasts, values, _, stalled = _lbfgs(_search_objective(env, memory_size),
-                                       np.stack(starts))
+    lasts, values, _, stalled = _bfgs(_search_objective(env, memory_size), np.stack(starts))
     best = int(np.argmax(values))  # ties keep the lowest restart index
     theta, init = _kernels_from_params(lasts[best:best + 1], len(alphabet), memory_size)
     witness = agents.AgentModel(alphabet, tuple(f"m{i}" for i in range(memory_size)),

@@ -332,7 +332,9 @@ def _eliminate(A: np.ndarray, keep: int
     Returns the divisors of the states censored one at a time, from state
     ``keep`` up, each block's ``(D - L)^-1``, from the lowest block up, and
     the ``careful`` flag of :func:`_censor` for the states censored one at
-    a time.
+    a time.  Only the states censored one at a time are rescaled where an
+    outflow is subnormal, so a block with a subnormal divisor raises
+    DomainError before ``(D - L)^-1`` is formed, where 1/D would overflow.
     Cost: n Python-level steps on arrays of at most ``_GTH_BLOCK + 1``
     columns plus O(n^3) flops in matrix products.
     """
@@ -350,17 +352,15 @@ def _eliminate(A: np.ndarray, keep: int
         W = np.zeros((B, m + 1, m + 1))
         W[:, 1:, 0] = A[:, lo:hi, :lo].sum(axis=2)
         W[:, 1:, 1:] = A[:, lo:hi, lo:hi]
-        divisors = _censor(W, 1)[0][::-1]
+        divisors = np.concatenate(_censor(W, 1)[0][::-1], axis=1)
+        if not divisors.min() >= sys.float_info.min:
+            raise DomainError(f"a subnormal outflow inside a {m}-state GTH elimination "
+                              "block is not supported: blocks are not rescaled")
         factor = np.tril(-W[:, 1:, 1:], -1)
-        factor[:, diag, diag] = np.concatenate(divisors, axis=1)  # D - L
+        factor[:, diag, diag] = divisors  # D - L
         lower_inverses.append(_triangular_inverses(factor, lower=True))
         A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ lower_inverses[-1]
         factor = np.triu(-W[:, 1:, 1:], 1)
-        # U takes the plain quotients, so columns that _censor lifted are
-        # unlifted, and may overflow
-        lifted = np.concatenate(divisors, axis=1) < sys.float_info.min
-        if lifted.any():
-            factor *= np.where(lifted, 1 / sys.float_info.epsilon, 1.0)[:, None, :]
         factor[:, diag, diag] = 1.0  # I - U
         # A_KK is spent, so it keeps (I - U)^-1 for the back-substitution
         A[:, lo:hi, lo:hi] = _triangular_inverses(factor, lower=False)

@@ -15,9 +15,9 @@ from workcap import (AgentModel, ChannelClassError, DimensionError, EnvironmentM
                      PerceptActionLoop, build_uniform, capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (ASCENT_STEPS, DUST, FACE_TOL, NEWTON_FLAT, VERTEX_TOL,
-                              _ascent, _gain, _kernels_from_params,
-                              _lbfgs, _memoryless_forms, _memoryless_objective,
+from workcap.capacity import (ASCENT_STEPS, BFGS_GTOL, DUST, FACE_TOL, NEWTON_FLAT, VERTEX_TOL,
+                              _ascent, _bfgs, _gain, _kernels_from_params,
+                              _memoryless_forms, _memoryless_objective,
                               _search_objective, _softmax_rows, _subadditivity_reports,
                               _upper_bound, compute_capacity)
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
@@ -596,6 +596,20 @@ def central_differences(env: EnvironmentModel, x: np.ndarray, memory_size: int) 
     return (values[:len(x)] - values[len(x):]) / (2 * step.diagonal())
 
 
+def assert_vertices_at_argmax(x: np.ndarray, n_a: int, n_m: int) -> None:
+    """Oracle: :func:`_kernels_from_params` of ``x`` is bit for bit the
+    kernels whose vertex rows put their 1 at the row's argmax, each row's
+    largest entry read by ``take_along_axis``."""
+    rows = n_a * n_m
+    probs = _softmax_rows(x.reshape(len(x), rows + 1, rows))
+    top = probs.argmax(axis=-1)[..., None]
+    vertex = np.take_along_axis(probs, top, axis=-1) >= 1.0 - VERTEX_TOL
+    probs = np.where(vertex, np.arange(rows) == top, probs)
+    theta, init = _kernels_from_params(x, n_a, n_m)
+    assert np.array_equal(theta, probs[:, :rows].reshape(-1, n_a, n_m, n_a, n_m))
+    assert np.array_equal(init, probs[:, rows].reshape(-1, n_a, n_m))
+
+
 def periodic_env() -> EnvironmentModel:
     """The hidden state alternates whatever the agent does, so every
     agent's pre-percept chain has period 2; the percept is 0 with
@@ -709,6 +723,13 @@ class TestLowerBound:
             assert np.isin(rows[vertex], (0.0, 1.0)).all()
             assert vertex.any() == (channel is env)
 
+    def test_cli_defaults_keep_their_value_on_the_ci_channel(self):
+        # the value of the CLI-default search (memory 2, 32 restarts, seed 0)
+        # before the search kept a dense inverse curvature per run
+        result = compute_capacity(random_environment(np.random.default_rng(0), 2, 2))
+        assert result.method == "numeric_lower_bound"
+        assert result.value_nats >= 0.10762852813856494 - 1e-10
+
     @pytest.mark.parametrize("alphabet", [("0", "1", "2"), ("p", "q")],
                              ids=["three_symbols", "other_labels"])
     def test_rejects_warm_start_on_another_alphabet(self, fig5, alphabet):
@@ -771,7 +792,7 @@ class TestLowerBound:
         assert 0 < len(searches) == len(set(searches)) <= 20
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the numeric search has its own L-BFGS, so no path imports it
+        # the numeric search has its own BFGS, so no path imports it
         import workcap
         code = ("import sys, numpy as np, workcap, workcap.cli, workcap.verify; "
                 "from workcap.random_models import random_environment; "
@@ -808,6 +829,7 @@ class TestLowerBound:
         x[3:16:4] = -1000.0
         x[19] = -1000.0
         theta, init = _kernels_from_params(x[None], 2, 2)
+        assert_vertices_at_argmax(x[None], 2, 2)
         assert theta[0, 0, 0].ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
         assert (theta[0, :, :, 1, 1] == 0.0).all() and init[0, 1, 1] == 0.0
         with warnings.catch_warnings():
@@ -841,7 +863,7 @@ class TestLowerBound:
         values, slopes = _search_objective(env, 2)(points)
         assert not slopes[1].any() and np.isfinite(slopes).all()
         assert np.array_equal(slopes[1], _search_objective(env, 2)(points[1:2])[1][0])
-        _, _, steps, _ = _lbfgs(_search_objective(env, 2), points[1:2])
+        _, _, steps, _ = _bfgs(_search_objective(env, 2), points[1:2])
         assert steps.tolist() == [0]
 
     def test_vertex_rows_are_evaluated_at_their_vertex(self, rng):
@@ -857,6 +879,7 @@ class TestLowerBound:
         probs[1], probs[4] = np.eye(4)[2], np.eye(4)[0]
         agent = AgentModel(env.alphabet, ("m0", "m1"), probs[:4].reshape(2, 2, 2, 2),
                            probs[4].reshape(2, 2))
+        assert_vertices_at_argmax(x[None], 2, 2)
         (value,), (slope,) = _search_objective(env, 2)(x[None])
         assert value == work_rate(PerceptActionLoop(agent, env), base="nats").rate
         assert not slope[4:8].any() and not slope[16:].any()
@@ -891,10 +914,10 @@ class TestLowerBound:
         rows = 2 * memory_size
         starts = rng.normal(scale=1.5, size=(4, rows * rows + rows))
         objective = _search_objective(env, memory_size)
-        stacked = _lbfgs(objective, starts)
+        stacked = _bfgs(objective, starts)
         assert len(set(stacked[2].tolist())) > 1  # the runs leave the stack at different times
         for r in range(len(starts)):
-            alone = _lbfgs(objective, starts[r:r + 1])
+            alone = _bfgs(objective, starts[r:r + 1])
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[r:r + 1], want)
 
@@ -954,16 +977,37 @@ class TestLowerBound:
             rate = work_rate(PerceptActionLoop(result.witness, env), base="nats").rate
             assert rate == result.value_nats > 0.0
 
+    def test_bfgs_reaches_the_maximizer_of_concave_quadratics(self):
+        # f = -(x - c) A (x - c) / 2, A's eigenvalues 1e-6 to 3.2e-5: flat
+        # enough that each step up to the maximizer gains more than
+        # BFGS_FTOL, so every run stops on BFGS_GTOL.  The step counts were
+        # measured; dropping the eq. 6.20 scaling, the update's ρ² term or
+        # the update of H before each direction changes them
+        gen = np.random.default_rng(2)
+        Q, _ = np.linalg.qr(gen.normal(size=(6, 6)))
+        A = (Q * np.geomspace(1e-6, 3.2e-5, 6)) @ Q.T
+        c = gen.normal(scale=100.0, size=6)
+
+        def objective(points):
+            r = points - c
+            return -0.5 * np.einsum("ki,ij,kj->k", r, A, r), -r @ A
+
+        starts = c + gen.normal(scale=100.0, size=(4, 6))
+        lasts, values, steps, stalled = _bfgs(objective, starts)
+        assert steps.tolist() == [21, 23, 22, 21] and not stalled.any()
+        assert np.abs(objective(lasts)[1]).max() <= BFGS_GTOL
+        assert np.abs(lasts - c).max() <= 1e-3 and values.min() >= -1e-12
+
     def test_stalled_exactly_when_step_cap_runs_out(self, rng, monkeypatch):
         import workcap.capacity as capacity_mod
         env = random_environment(rng, 2, 2)
         starts = rng.normal(scale=1.5, size=(4, 20))
         objective = _search_objective(env, 2)
-        _, _, steps, stalled = _lbfgs(objective, starts)
+        _, _, steps, stalled = _bfgs(objective, starts)
         assert not stalled.any() and steps.min() > 3
         assert not capacity_lower_bound(env, memory_size=2, restarts=4).stalled
-        monkeypatch.setattr(capacity_mod, "LBFGS_STEPS", 3)
-        _, _, capped, stalled = _lbfgs(objective, starts)
+        monkeypatch.setattr(capacity_mod, "BFGS_STEPS", 3)
+        _, _, capped, stalled = _bfgs(objective, starts)
         assert capped.tolist() == [3] * 4 and stalled.all()
         assert capacity_lower_bound(env, memory_size=2, restarts=4).stalled
 
@@ -1000,6 +1044,7 @@ class TestParameterization:
         x = np.array(values)
         top = x.reshape(5, 4).argmax(axis=1)
         for point in (x, scale * x):
+            assert_vertices_at_argmax(point[None], 2, 2)
             theta, init = _kernels_from_params(point[None], 2, 2)
             rows = np.concatenate([theta[0].reshape(4, 4), init[0].reshape(1, 4)])
             assert (rows[np.arange(5), top] == rows.max(axis=1)).all()

@@ -587,6 +587,24 @@ class TestSubnormalGTH:
         expected = fraction_absorption(P, [c.tolist() for c in structure.closed], t.tolist())
         assert np.all(np.abs(H - expected) <= 1e-12 * expected)
 
+    def test_subnormal_outflow_inside_a_block_raises(self, rng):
+        # the last state leaves only with probability 1e-310.  Of 60 states
+        # it is censored alone, with rescaling; of 70 it is censored inside
+        # a 64-state block, which is not rescaled, so it raises where it
+        # overflowed to NaN
+        for n in (60, 70):
+            P = rng.dirichlet(np.ones(n), size=n)
+            P[-1] = 0.0
+            P[-1, [0, -1]] = 1e-310, 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if n < markov._GTH_BLOCK:
+                    law = markov._gth_stationary(P[None].copy())[0]
+                    assert np.isfinite(law).all() and law[-1] == 1.0 and law[:-1].max() < 1e-300
+                else:
+                    with pytest.raises(DomainError, match="subnormal outflow inside a 64-state"):
+                        markov._gth_stationary(P[None].copy())
+
     def test_work_rate_of_a_subnormal_agent(self):
         # the first member whose rate was NaN in the memory-3 search of the
         # CLI's defaults on random_environment(rng(0), 2, 2): an entry of
