@@ -328,7 +328,8 @@ def _add_flags(p, *names: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one: parsing leaves it unchanged and gives each call of
-    :func:`main` a fresh namespace."""
+    :func:`main` a fresh namespace, whose ``command`` names the
+    subcommand."""
     parser = argparse.ArgumentParser(
         prog="workcap",
         description="Percept-action loop analysis: channel classes, work rates, "
@@ -340,19 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("env")
     p.add_argument("--agent", help="also analyze the global chain with this agent")
     _add_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("work-rate", help="per-round and asymptotic work rate")
     p.add_argument("env")
     p.add_argument("agent")
     _add_flags(p, "units", "horizon")
-    p.set_defaults(func=cmd_work_rate)
 
     p = sub.add_parser("capacity", help="work capacity (closed form or lower bound)")
     p.add_argument("env")
     p.add_argument("--out", help="write the witness agent model here")
     _add_flags(p, "units", "seed", "memory-size", "restarts")
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("build-agent", help="construct an agent model file")
     p.add_argument("kind", choices=_AGENT_KINDS)
@@ -360,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--prob", help="comma-separated action distribution")
     _add_flags(p)
-    p.set_defaults(func=cmd_build_agent)
 
     p = sub.add_parser("dsep", help="d-separation query on a loop DAG template")
     p.add_argument("--variant", choices=["general", "memoryless_env", "product_env"],
@@ -369,19 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="comma-separated node names")
     p.add_argument("--c", default="", help="comma-separated conditioning nodes")
     _add_flags(p, "horizon")
-    p.set_defaults(func=cmd_dsep)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     _add_flags(p, "seed")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its ``cmd_*`` function is looked up on this module
+    at each call, so a wrapper set on the module after the parser was built
+    is the one that runs."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (InputError, WorkcapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,16 @@ chain times the emission (Kemeny & Snell 1960, functions of a Markov
 chain); every work term is read from its marginals p(m, a) and p(m, s).
 ``build_global_chain`` keeps the global chain for inspection and checks.
 
-Every finite-horizon trajectory quantity comes from one contraction engine,
-``_trajectory_marginal``: it multiplies in the product-form factors in round
-order and sums out each variable the caller did not ask for as soon as no
-later factor reads it.  ``trajectory_distribution`` asks for every variable;
-the predictiveness scores ask only for the ones their conditional mutual
-information reads, so their tables stay near the size of that marginal.
+Every finite-horizon trajectory quantity comes from one forward pass,
+``_forward_pass``: its message, a matrix from the kept past to the current
+(M_t, A_t, Z_t), takes in each round by one matrix product against a factor
+built from phi and theta once per pass, and each variable the caller did
+not ask for is summed inside the product that last reads it.  A table is
+read off the message by one product with the emission.
+``trajectory_distribution`` keeps every variable; the predictiveness scores
+keep only the ones their conditional mutual information reads, so their
+tables stay near the size of that marginal, and ``am_predictiveness`` reads
+every round's table off one pass.
 
 Index convention throughout: a range subscript l:m includes l and excludes m,
 so the action block relevant at round t is A_0..A_t and the percept past is
@@ -32,7 +36,6 @@ S_0..S_{t-1}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,37 +128,159 @@ class TrajectoryDistribution:
 _ROUND_VARS = ("M", "A", "S", "Z")
 
 
-def _elimination_plan(horizon: int, keep: set[str]) -> list[list[str]]:
-    """Per round, the einsum subscripts that multiply the message by the
-    round's factors and sum out its variables outside ``keep``.
+def _diagonal(n: int, axes: tuple[int, int], ndim: int) -> np.ndarray:
+    """The n x n identity on ``axes`` of an ndim-axis tensor."""
+    shape = [1] * ndim
+    shape[axes[0]] = shape[axes[1]] = n
+    return np.eye(n).reshape(shape)
 
-    The message is indexed ``pmaz``: p the kept past, flattened, and m a z
-    the memory, action and hidden state of round t.  A round before the last
-    multiplies in phi[a, s, z, w] and then theta[m, s, n, b], where n b w
-    are the memory, action and hidden state of round t + 1; the last round
-    multiplies in the emission e[a, s, z].  An unkept A_t or Z_t is summed
-    out by the phi product, an unkept M_t or S_t by the theta product, after
-    which no factor reads them.
+
+def _env_factor(table: np.ndarray, kept_a: bool, kept_s: bool, kept_z: bool) -> np.ndarray:
+    """``table`` (phi[a, z, s, w] or e[a, z, s]) as a matrix from (a, z) to
+    (A_t, S_t, Z_t, w): a kept A_t or Z_t is copied onto its own column axis
+    (a diagonal), and S_t is summed where it is not kept."""
+    n_a, n_z = table.shape[:2]
+    f = table[:, :, None, :, None]  # [a, z, A_t, s, Z_t, w]
+    if kept_a:
+        f = f * _diagonal(n_a, (0, 2), f.ndim)
+    if kept_z:
+        f = f * _diagonal(n_z, (1, 4), f.ndim)
+    if not kept_s:
+        f = f.sum(axis=3)
+    return f.reshape(n_a * n_z, -1)
+
+
+def _agent_factor(theta: np.ndarray, kept_m: bool, kept_s: bool) -> np.ndarray:
+    """theta[s, m, b, n] as a matrix from (m, s) to (M_t, S_t, n, b), a kept
+    M_t or S_t copied onto its own column axis."""
+    n_s, n_m = theta.shape[:2]
+    f = theta.transpose(1, 0, 3, 2)[:, :, None, None]  # [m, s, M_t, S_t, n, b]
+    if kept_m:
+        f = f * _diagonal(n_m, (0, 2), f.ndim)
+    if kept_s:
+        f = f * _diagonal(n_s, (1, 3), f.ndim)
+    return f.reshape(n_m * n_s, -1)
+
+
+def _two_products(msg: np.ndarray, shape, kept, to_env, to_agent) -> np.ndarray:
+    """One round as phi's product and then theta's: the message, rows by (m,
+    a, z), becomes rows by (the kept M_t, A_t, S_t, Z_t, then n, b, w)."""
+    n_m, n_a, n_s, n_z = shape
+    k_m, k_a, k_s, k_z = (n if k else 1 for n, k in zip(shape, kept))
+    rows = len(msg)
+    x = msg.reshape(rows * n_m, n_a * n_z) @ to_env  # [p, m, A_t, s, Z_t, w]
+    x = x.reshape(rows, n_m, k_a, n_s, k_z, n_z).transpose(0, 2, 4, 5, 1, 3)
+    y = x.reshape(-1, n_m * n_s) @ to_agent  # [p, A_t, Z_t, w, M_t, S_t, (n, b)]
+    y = y.reshape(rows, k_a, k_z, n_z, k_m, k_s, n_m * n_a).transpose(0, 4, 1, 5, 2, 6, 3)
+    return y.reshape(rows, -1)
+
+
+def _forward_pass(loop: PerceptActionLoop, keep, reads: dict[int, set[str]]) -> list[JointTable]:
+    """Tables read off one forward pass over the rounds, in round order.
+
+    The message before round t is a matrix: one row per value of the kept
+    past (the variables of rounds before t in ``keep``, flattened in
+    variable order) and one column per value of (M_t, A_t, Z_t).  At each
+    round t in ``reads`` a read-out product with the emission gives the
+    marginal over the kept past and the round-t variables in ``reads[t]``;
+    up to the last read, round t's product with phi and theta gives the next
+    message, keeping the round-t variables in ``keep`` and summing the rest
+    inside the product (variable elimination in round order, Zhang & Poole
+    1994).  Each factor is built once per pass, one per pattern of kept
+    variables, and a kept variable of the message's state is copied onto
+    its own column axis of the factor.
+
+    A round is one product, against the matrix of phi and theta together,
+    once the past has at least as many rows as (M_t, A_t, Z_t) has values:
+    from there that matrix is no larger than the round's output.  Before,
+    the round is two products, phi's and then theta's, with transposes
+    between them, and the combined matrix is built by running those two on
+    the identity message.  A read-out carries a kept M_t in the message's
+    rows, so its factor never copies M_t onto a diagonal; an unkept M_t is
+    summed by the emission's rows repeated for each memory state.
+
+    TRAJECTORY_BUDGET, read at each call, bounds the largest array the pass
+    forms, factors included, which is computed from the shapes before any
+    product.  Every table is C-contiguous and owned by its JointTable.
     """
-    plan = []
-    for t in range(horizon):
-        m, a, s, z = (v.lower() if f"{v}{t}" in keep else "" for v in _ROUND_VARS)
-        if t < horizon - 1:
-            plan.append([f"pmaz,aszw->pm{a}s{z}w", f"pm{a}s{z}w,msnb->p{m}{a}{s}{z}nbw"])
+    shape = loop.shape
+    n_m, n_a, n_s, n_z = shape
+    state = n_m * n_a * n_z
+    plan, names, read_names = [], [], []
+    past, required = 1, state  # the round-0 message has one row
+    last = max(reads)
+    for t in range(last + 1):
+        here = [f"{v}{t}" for v in _ROUND_VARS]
+        read = step = None
+        if t in reads:
+            read = tuple([name in reads[t] for name in here])
+            k_m, k_a, k_s, k_z = [n if k else 1 for n, k in zip(shape, read)]
+            # the emission's matrix before S_t is summed and as repeated for
+            # each memory state, and the table
+            required = max(required, n_a * n_z * k_a * n_s * k_z,
+                           (1 if read[0] else n_m) * n_a * n_z * k_a * k_s * k_z,
+                           past * k_m * k_a * k_s * k_z)
+            read_names.append((*names, *[name for name, k in zip(here, read) if k]))
+        if t < last:
+            step = tuple([name in keep for name in here])
+            k_m, k_a, k_s, k_z = [n if k else 1 for n, k in zip(shape, step)]
+            # phi's matrix and product (on at most `state` rows: the message,
+            # or the identity the combined matrix is built from), theta's
+            # matrix, and the round's output
+            to_env = k_a * n_s * k_z * n_z
+            required = max(required, n_a * n_z * to_env, min(past, state) * n_m * to_env,
+                           n_m * n_s * k_m * k_s * n_m * n_a,
+                           past * k_m * k_a * k_s * k_z * state)
+            past *= k_m * k_a * k_s * k_z
+            names += [name for name, k in zip(here, step) if k]
+        plan.append((read, step))
+    if required > TRAJECTORY_BUDGET:
+        raise BudgetError(
+            f"trajectory contraction would form a table of {required} entries "
+            f"(budget {TRAJECTORY_BUDGET})", required=required, budget=TRAJECTORY_BUDGET,
+        )
+    sizes = dict(zip(_ROUND_VARS, shape))
+    return [JointTable._owning(kept, table.reshape([sizes[v[0]] for v in kept]))
+            for kept, table in zip(read_names, _run_pass(loop, plan))]
+
+
+def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
+    """The products of :func:`_forward_pass`'s ``plan`` (per round, the
+    variables its read-out and its product keep), returning the read-outs
+    as matrices; the message and factors are gone when it returns."""
+    shape = loop.shape
+    n_m, n_a, _, n_z = shape
+    state = n_m * n_a * n_z
+    factors = {}  # one per kind of product and pattern of kept variables
+    msg = (loop.agent.initial_joint.T[:, :, None] * loop.env.initial).reshape(1, state)
+    tables = []
+    for read, step in plan:
+        if read is not None:
+            if ("read", read) not in factors:
+                factors["read", read] = np.tile(_env_factor(loop.env.emission(), *read[1:]),
+                                                (1 if read[0] else n_m, 1))
+            emit = factors["read", read]
+            tables.append(msg.reshape(-1, len(emit)) @ emit)
+        if step is None:
+            return tables
+        if ("env", step) not in factors:
+            factors["env", step] = _env_factor(loop.env.phi, step[1], True, step[3])
+            factors["agent", step] = _agent_factor(loop.agent.theta, step[0], step[2])
+        to_env, to_agent = factors["env", step], factors["agent", step]
+        if len(msg) < state:
+            msg = _two_products(msg, shape, step, to_env, to_agent)
         else:
-            plan.append([f"pmaz,asz->p{m}{a}{s}{z}"])
-    return plan
+            if ("round", step) not in factors:
+                factors["round", step] = _two_products(np.eye(state), shape, step, to_env,
+                                                       to_agent)
+            msg = msg @ factors["round", step]
+        msg = msg.reshape(-1, state)
 
 
 def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTable:
     """Exact marginal over ``keep`` (names such as ``"S3"``) of the joint
-    of the first ``horizon`` rounds, by variable elimination in round order
-    (Zhang & Poole 1994): the forward message over the kept past and the
-    current (M_t, A_t, Z_t) takes in one factor at a time and loses each
-    unkept variable as soon as no later factor reads it.  TRAJECTORY_BUDGET,
-    read at each call, bounds the largest table formed, which is computed
-    from the shapes first.
-    """
+    of the first ``horizon`` rounds: the last round's read-out of one
+    forward pass (:func:`_forward_pass`)."""
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
     names = [f"{v}{t}" for t in range(horizon) for v in _ROUND_VARS]
@@ -163,31 +288,7 @@ def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTa
     unknown = keep.difference(names)
     if unknown:
         raise KeyError(f"unknown variable {sorted(unknown)[0]!r}")
-    n_m, n_a, n_s, n_z = loop.shape
-    size = dict(zip("masznbw", (n_m, n_a, n_s, n_z, n_m, n_a, n_z)))
-    plan = _elimination_plan(horizon, keep)
-
-    past, required = 1, n_m * n_a * n_z
-    for steps in plan:
-        outs = [subscripts.split("->")[1][1:] for subscripts in steps]
-        required = max(required, *(past * math.prod(size[c] for c in out) for out in outs))
-        past *= math.prod(size[c] for c in outs[-1] if c in "masz")
-    if required > TRAJECTORY_BUDGET:
-        raise BudgetError(
-            f"trajectory contraction would form a table of {required} entries "
-            f"(budget {TRAJECTORY_BUDGET})", required=required, budget=TRAJECTORY_BUDGET,
-        )
-
-    phi = loop.env.phi.transpose(0, 2, 1, 3)  # [a, s, z, w]
-    theta = loop.agent.theta.transpose(1, 0, 3, 2)  # [m, s, n, b]
-    emission = loop.env.emission().transpose(0, 2, 1)  # [a, s, z]
-    msg = np.einsum("am,z->maz", loop.agent.initial_joint, loop.env.initial)[None]
-    for to_env, to_agent in plan[:-1]:
-        msg = np.einsum(to_agent, np.einsum(to_env, msg, phi), theta)
-        msg = msg.reshape(-1, n_m, n_a, n_z)
-    msg = np.einsum(plan[-1][0], msg, emission)
-    kept = tuple(name for name in names if name in keep)
-    return JointTable._owning(kept, msg.reshape([size[name[0].lower()] for name in kept]))
+    return _forward_pass(loop, keep, {horizon - 1: keep})[0]
 
 
 def trajectory_distribution(loop: PerceptActionLoop, horizon: int) -> TrajectoryDistribution:
@@ -443,6 +544,18 @@ def _past_vars(t: int) -> list[str]:
     return [f"A{i}" for i in range(t + 1)] + [f"S{i}" for i in range(t)]
 
 
+def _scores(loop: PerceptActionLoop, rounds, base: str) -> list[float]:
+    """I[A_0..A_t, S_0..S_{t-1}; S_t | M_t] for each t in ``rounds``, each
+    read off one forward pass that keeps the actions and percepts: round
+    t's table over the past, M_t, A_t and S_t is one read-out product."""
+    last = max(rounds)
+    tables = _forward_pass(loop, set(_past_vars(last)), {t: {f"M{t}", f"A{t}", f"S{t}"}
+                                                        for t in rounds})
+    return [conditional_mutual_information(joint, _past_vars(t), (f"S{t}",), (f"M{t}",),
+                                           base=base)
+            for t, joint in zip(sorted(rounds), tables)]
+
+
 def predictiveness_score(loop: PerceptActionLoop, t: int, base: str = BITS) -> float:
     """Exact I[A_0..A_t, S_0..S_{t-1}; S_t | M_t]; zero iff the memory is a
     sufficient statistic of the past for the current percept.
@@ -452,10 +565,7 @@ def predictiveness_score(loop: PerceptActionLoop, t: int, base: str = BITS) -> f
     """
     if t < 0:
         raise DimensionError("round index must be >= 0")
-    past = _past_vars(t)
-    joint = _trajectory_marginal(loop, t + 1, {*past, f"S{t}", f"M{t}"})
-    return conditional_mutual_information(
-        joint, past, (f"S{t}",), (f"M{t}",), base=base)
+    return _scores(loop, [t], base)[0]
 
 
 @dataclass(frozen=True)
@@ -463,14 +573,18 @@ class PredictivenessEstimate:
     """Truncated Cesàro mean of per-round predictiveness scores.
 
     This is an estimator of the asymptotic mean, not the exact limit; the
-    horizon and the last per-round score are carried so callers cannot
-    mistake the truncation for the limit.
+    horizon and the per-round scores ``scores[t]``, t < horizon, are carried
+    so callers cannot mistake the truncation for the limit.
     """
 
     mean: float
     horizon: int
-    last_score: float
+    scores: tuple[float, ...]
     units: str
+
+    @property
+    def last_score(self) -> float:
+        return self.scores[-1]
 
     def __float__(self) -> float:
         return self.mean
@@ -478,11 +592,18 @@ class PredictivenessEstimate:
 
 def am_predictiveness(loop: PerceptActionLoop, horizon: int,
                       base: str = BITS) -> PredictivenessEstimate:
-    """Arithmetic mean of predictiveness scores over rounds t < horizon."""
+    """Arithmetic mean of predictiveness scores over rounds t < horizon.
+
+    The scores come from one forward pass over the horizon, which carries
+    its message from round t to t + 1 and reads each round's table off it
+    (:func:`_forward_pass`), so it contracts each round once; each score is
+    bit for bit ``predictiveness_score``'s.  TRAJECTORY_BUDGET bounds the
+    largest array of the whole pass, before any product is formed.
+    """
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
-    scores = [predictiveness_score(loop, t, base=base) for t in range(horizon)]
-    return PredictivenessEstimate(float(np.mean(scores)), horizon, scores[-1], base)
+    scores = _scores(loop, range(horizon), base)
+    return PredictivenessEstimate(float(np.mean(scores)), horizon, tuple(scores), base)
 
 
 def future_predictiveness(loop: PerceptActionLoop, t: int, future_len: int,

@@ -137,8 +137,7 @@ def check_fig5_exclusivity(seed: int = 0) -> str:
 
     last = agents.build_last_action(env.alphabet, [0.5, 0.5])
     last_pal = loop.PerceptActionLoop(last, env)
-    for t in range(4):
-        score = loop.predictiveness_score(last_pal, t)
+    for t, score in enumerate(loop.am_predictiveness(last_pal, 4).scores):
         _require(abs(score) <= 1e-10, f"last-action score {score:.3g} at t={t}")
     last_report = capacity.classify_agent_sets(
         env, last, horizon=4, reference_capacity_nats=cap_nats)

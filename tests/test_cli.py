@@ -380,3 +380,20 @@ class TestParserReuse:
         for out in (repeated[1][1], repeated[-1][1]):
             doc = json.loads(out)
             assert (doc["variant"], doc["horizon"], doc["c"]) == ("general", 4, [])
+
+    def test_command_patched_after_the_parser_is_built_is_the_one_run(self, monkeypatch):
+        # a tracer wraps module attributes such as cli.cmd_verify; the shared
+        # parser must not hold on to the function it saw when it was built
+        import workcap.cli as cli
+        build_parser()
+        calls = []
+
+        def wrapped(args):
+            calls.append((args.command, args.seed))
+            return 0
+        monkeypatch.setattr(cli, "cmd_verify", wrapped)
+        assert main(["verify", "--seed", "3"]) == 0
+        assert calls == [("verify", 3)]
+        monkeypatch.setattr(cli, "cmd_build_agent", lambda args: calls.append(args.kind) or 0)
+        assert main(["build-agent", "uniform", FIG5, "--out", "unused.json"]) == 0
+        assert calls[-1] == "uniform"

@@ -21,6 +21,7 @@ from workcap.loop import (GlobalChain, _cesaro_tables, _lift,
                           future_predictiveness, predictiveness_score)
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
 from workcap.random_models import random_agent, random_environment
+from workcap import verify as verify_mod
 from workcap.verify import _markov_deviation, load_bundled
 
 FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
@@ -208,18 +209,50 @@ class TestTrajectory:
 
     def test_keep_all_table_is_not_copied(self, rng):
         # the computed table becomes the JointTable as it is; a copy would put
-        # the peak at twice the table (the last message adds a quarter here)
-        loop = PerceptActionLoop(random_agent(rng, 4, 1), random_environment(rng, 4, 1))
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            probs = trajectory_distribution(loop, 5).joint.probs
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert probs.size == 16 ** 5
-        assert not probs.flags.writeable
-        assert peak < 1.6 * probs.nbytes
+        # the peak at twice the table.  The last message adds a quarter on
+        # the first loop and a half on the second, a 16-memory, 16-hidden
+        # binary loop whose one-round factor with every variable kept, by
+        # the count of a dense diagonal embedding, would take 2.1 GB
+        loops = [(PerceptActionLoop(random_agent(rng, 4, 1), random_environment(rng, 4, 1)), 5),
+                 (PerceptActionLoop(random_agent(rng, 2, 16), random_environment(rng, 2, 16)),
+                  2)]
+        for loop, horizon in loops:
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                probs = trajectory_distribution(loop, horizon).joint.probs
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert probs.size == 2 ** 20
+            assert not probs.flags.writeable
+            assert probs.flags.c_contiguous
+            assert peak < 1.6 * probs.nbytes
+
+    def test_global_markov_reshape_is_a_view(self, monkeypatch):
+        # check_global_markov reads each T=4 table as a 4-axis array over
+        # global states; a C-contiguous table makes that reshape a view
+        tables, joints = [], []
+        real_table, real_deviation = loop_mod.trajectory_distribution, _markov_deviation
+
+        def table(pal, horizon):
+            traj = real_table(pal, horizon)
+            tables.append(traj.joint.probs)
+            return traj
+
+        def deviation(joint, *rest):
+            joints.append(joint)
+            return real_deviation(joint, *rest)
+
+        monkeypatch.setattr(loop_mod, "trajectory_distribution", table)
+        monkeypatch.setattr(verify_mod, "_markov_deviation", deviation)
+        verify_mod.check_global_markov(0)
+        assert len(tables) == 10
+        flats = [joint for joint in joints if joint.ndim == 4]  # the t = 3 deviations
+        assert len(flats) == 10
+        for flat, probs in zip(flats, tables):
+            assert probs.flags.c_contiguous
+            assert np.shares_memory(flat, probs)
 
     def test_budget_error_reports_required_size(self, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 3),
@@ -235,6 +268,7 @@ class TestContraction:
             for horizon in range(1, oracle_horizon(pal, 3) + 1):
                 got = trajectory_distribution(pal, horizon).joint
                 want = full_trajectory_table(pal, horizon)
+                assert got.probs.flags.c_contiguous
                 assert got.variables == want.variables
                 assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
 
@@ -246,6 +280,7 @@ class TestContraction:
                 keep = [v for v in oracle.variables if rng.random() < 0.4]
                 got = _trajectory_marginal(pal, horizon, keep)
                 want = oracle.marginal(keep)
+                assert got.probs.flags.c_contiguous
                 assert got.variables == want.variables
                 assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
 
@@ -269,11 +304,67 @@ class TestContraction:
                     assert abs(future_predictiveness(pal, t, k)
                                - oracle_cmi(oracle, t, k)) <= 1e-13
 
+    def test_one_pass_scores_equal_each_score(self, rng, fig5, golden_mean):
+        # am_predictiveness reads every round's table off one pass; each of
+        # its scores is the score of that round computed alone, bit for bit
+        for pal in oracle_loops(rng, fig5, golden_mean):
+            for horizon in range(1, 7):
+                est = am_predictiveness(pal, horizon)
+                assert len(est.scores) == horizon
+                assert est.scores == tuple(predictiveness_score(pal, t) for t in range(horizon))
+                assert est.last_score == est.scores[-1]
+                assert est.mean == float(np.mean(est.scores))
+
+    def test_pass_runs_each_round_once_in_one_of_two_forms(self, rng, monkeypatch):
+        # shape (3, 2, 2, 2): (M_t, A_t, Z_t) has 12 values and each round
+        # keeps A_t and S_t, so the past has 1, 4, 16 and 64 rows before
+        # rounds 0-3.  Rounds 0 and 1 run as two products; the rest are one
+        # product against the combined matrix, built once, by the two
+        # products on the 12-row identity.
+        pal = PerceptActionLoop(random_agent(rng, 2, 3), random_environment(rng, 2, 2))
+        rows = []
+        real = loop_mod._two_products
+
+        def spy(msg, *args):
+            rows.append(len(msg))
+            return real(msg, *args)
+        monkeypatch.setattr(loop_mod, "_two_products", spy)
+        am_predictiveness(pal, 5)
+        assert rows == [1, 4, 12]
+
+    def test_pass_checks_the_budget_before_any_product(self, golden_mean, monkeypatch):
+        # the pass's arrays are those of its rounds' scores together, so its
+        # required size is the largest of theirs, 2^20 at horizon 9 (see
+        # test_budget_bounds_largest_table_formed), and no product is formed
+        # before the budget is checked
+        pal = PerceptActionLoop(build_predictive(build_uniform(golden_mean.alphabet),
+                                                 golden_mean, circuit="general"),
+                                golden_mean)
+
+        def no_products(*args):
+            raise AssertionError("a product was formed before the budget check")
+        monkeypatch.setattr(loop_mod, "_run_pass", no_products)
+
+        def required(call):
+            with pytest.raises(BudgetError) as excinfo:
+                call()
+            return excinfo.value.required
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 0)
+        for horizon in range(1, 10):
+            assert required(lambda: am_predictiveness(pal, horizon)) == max(
+                required(lambda t=t: predictiveness_score(pal, t)) for t in range(horizon))
+        assert required(lambda: am_predictiveness(pal, 9)) == 2 ** 20
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 2 ** 20 - 1)
+        assert required(lambda: am_predictiveness(pal, 9)) == 2 ** 20
+        monkeypatch.undo()
+        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 2 ** 20)
+        assert am_predictiveness(pal, 9).last_score <= 1e-10
+
     def test_budget_bounds_largest_table_formed(self, golden_mean, monkeypatch):
         # shape (4, 2, 2, 2); the score at t = 8 keeps A_0..A_8, S_0..S_8
-        # and M_8.  Round 7's agent step forms [A_0..A_7, S_0..S_7, M_8, A_8,
-        # Z_8] and the last round [A_0..A_8, S_0..S_8, M_8]: 2^16 * 16 = 2^20
-        # entries each, against 16^9 = 2^36 for the full joint.
+        # and M_8.  Round 7's product forms [A_0..A_7, S_0..S_7, M_8, A_8,
+        # Z_8] and round 8's read-out [A_0..A_8, S_0..S_8, M_8]: 2^16 * 16 =
+        # 2^20 entries each, against 16^9 = 2^36 for the full joint.
         pal = PerceptActionLoop(build_predictive(build_uniform(golden_mean.alphabet),
                                                  golden_mean, circuit="general"),
                                 golden_mean)
@@ -287,11 +378,13 @@ class TestContraction:
         assert predictiveness_score(pal, 8) <= 1e-10
 
     def test_budget_counts_hidden_state_summed_early(self, rng, monkeypatch):
-        # shape (1, 2, 2, 3), keeping S_0..S_3: before round t's agent step
-        # the table is [S_0..S_t, Z_{t+1}] (Z_t and A_t summed out), 2^t * 6
-        # entries; after it [S_0..S_t, A_{t+1}, Z_{t+1}], 2^t * 12, which at
-        # t = 2 is the largest, 48.  Keeping Z_t one product longer would
-        # form 2^t * 18 = 72 entries.
+        # shape (1, 2, 2, 3), keeping S_0..S_3: (M_t, A_t, Z_t) has 6 values,
+        # more than the past's 2^t rows before rounds 0-2, so each of them
+        # runs as two products.  Phi's forms [S_0..S_t, Z_{t+1}] (Z_t and A_t
+        # summed inside it), 2^t * 6 entries, and theta's [S_0..S_t, A_{t+1},
+        # Z_{t+1}], 2^t * 12, which at t = 2 is the largest, 48.  Keeping Z_t
+        # one product longer would form 2^t * 18 = 72 entries, as would the
+        # combined matrix of phi and theta.
         pal = PerceptActionLoop(build_uniform(("0", "1")), random_environment(rng, 2, 3))
         assert pal.shape == (1, 2, 2, 3)
         percepts = {"S0", "S1", "S2", "S3"}
