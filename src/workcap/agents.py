@@ -97,12 +97,6 @@ def build_predictive(base: AgentModel, env: EnvironmentModel,
     uni = is_unifilar(env)
     if uni is None:
         raise ChannelClassError("build_predictive needs a unifilar environment model")
-    return _predictive(base, env, uni, circuit)
-
-
-def _predictive(base: AgentModel, env: EnvironmentModel, uni: np.ndarray,
-                circuit: str) -> AgentModel:
-    """:func:`build_predictive` on ``env``, whose unifilarity map is ``uni``."""
     if circuit not in ("auto", "general", "product"):
         raise DomainError(f"unknown circuit {circuit!r}")
     if circuit == "auto":

@@ -77,10 +77,6 @@ def capacity_noiseless(env: channels.EnvironmentModel) -> CapacityResult:
     """Noiseless channels echo actions back, so no work can be extracted."""
     if not channels.is_noiseless(env):
         raise ChannelClassError("capacity_noiseless needs a noiseless environment")
-    return _noiseless_form(env)
-
-
-def _noiseless_form(env: channels.EnvironmentModel) -> CapacityResult:
     witness = agents.build_identity(env.alphabet)
     return CapacityResult(0.0, CLOSED_FORM_NOISELESS, witness=witness, upper_nats=0.0)
 
@@ -348,20 +344,12 @@ def capacity_unifilar_product(env: channels.EnvironmentModel) -> CapacityResult:
     """log |A| minus the percept entropy rate, attained by the predictive
     extension of the uniform memoryless agent.  Raises ChannelClassError
     unless the model is unifilar and ``channels.is_product``."""
-    uni = channels.is_unifilar(env)
-    if uni is None:
+    if channels.is_unifilar(env) is None:
         raise ChannelClassError("capacity_unifilar_product needs a unifilar model")
     if not channels.is_product(env):
         raise ChannelClassError("capacity_unifilar_product needs a product channel")
-    return _unifilar_product_form(env, uni)
-
-
-def _unifilar_product_form(env: channels.EnvironmentModel,
-                           uni: np.ndarray) -> CapacityResult:
-    """:func:`capacity_unifilar_product` of the unifilar product channel
-    ``env``, whose unifilarity map is ``uni``."""
     value = math.log(len(env.alphabet)) - info._unifilar_entropy_rate(env)
-    witness = agents._predictive(agents.build_uniform(env.alphabet), env, uni, "auto")
+    witness = agents.build_predictive(agents.build_uniform(env.alphabet), env)
     return CapacityResult(float(value), CLOSED_FORM_UNIFILAR_PRODUCT, witness=witness,
                           upper_nats=float(value))
 
@@ -578,16 +566,14 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
 def compute_capacity(env: channels.EnvironmentModel, memory_size: int = 2,
                      restarts: int = 32, seed: int = 0) -> CapacityResult:
     """Dispatch: noiseless > memoryless invariant > unifilar product > numeric.
-    Each channel class is decided once, and its closed form reuses the
-    verdict instead of checking it again."""
+    A model decides each channel class once (see :mod:`channels`), so the
+    closed forms read the verdicts the dispatch asked for."""
     if channels.is_noiseless(env):
-        return _noiseless_form(env)
-    reduced = channels.is_memoryless_invariant(env)
-    if reduced is not None:
-        return _memoryless_forms([env], [reduced])[0]
-    uni = channels.is_unifilar(env)
-    if uni is not None and channels.is_product(env):
-        return _unifilar_product_form(env, uni)
+        return capacity_noiseless(env)
+    if channels.is_memoryless_invariant(env) is not None:
+        return capacity_memoryless(env)
+    if channels.is_unifilar(env) is not None and channels.is_product(env):
+        return capacity_unifilar_product(env)
     return capacity_lower_bound(env, memory_size=memory_size, restarts=restarts,
                                 seed=seed)
 

@@ -6,9 +6,17 @@ model is theta(a', m' | s, m) plus a joint initial distribution over
 (first action, initial memory).  Models are valid by construction: every
 table row and initial law must be a probability vector within
 ``markov.ROW_SUM_TOL`` (DomainError naming the table and row otherwise), and
-the arrays are frozen.  This module also provides the channel-class
-predicates (noiseless, memoryless invariant, product, unifilar), channel
-cascade, and the JSON model file format shared with the CLI.
+the arrays are frozen: each is a read-only view of a read-only base, so
+numpy refuses to make it writable again.  This module also provides the
+channel-class predicates (noiseless, memoryless invariant, product,
+unifilar), channel cascade, and the JSON model file format shared with the
+CLI.
+
+What a frozen environment model fixes, its emission, its reachable hidden
+states and each channel-class verdict, is worked out on first use and kept
+on the instance (``functools.cached_property``), so every caller after the
+first reads it back instead of deciding it again.  Arrays kept this way are
+read-only and shared by every caller.
 
 State labels are strings; file I/O assigns indices by sorted label order so
 serialized models round-trip bit-exactly.
@@ -17,7 +25,9 @@ serialized models round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +62,15 @@ def _check_model(model, joint_initial: bool) -> None:
             raise DimensionError(f"{name}: expected shape {shape}, got {arr.shape}")
     _check_stochastic(table.reshape(n_sym * n_st, -1), name=names[2])
     _check_stochastic(init.ravel(), name=names[3])
-    table.setflags(write=False)
-    init.setflags(write=False)
-    for name, value in zip(names, (alphabet, states, table, init)):
+    for name, value in zip(names, (alphabet, states, _frozen(table), _frozen(init))):
         object.__setattr__(model, name, value)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``, which must own its data and is made
+    read-only too, so numpy refuses to make the view writable again."""
+    arr.setflags(write=False)
+    return arr.view()
 
 
 @dataclass(frozen=True)
@@ -86,8 +101,20 @@ class EnvironmentModel:
         return len(self.hidden_states)
 
     def emission(self) -> np.ndarray:
-        """emission[a, z, s]: probability of percept s given action a, state z."""
-        return self.phi.sum(axis=3)
+        """emission[a, z, s]: probability of percept s given action a, state
+        z; read-only, summed once per model."""
+        return self._emission
+
+    # what the model fixes, each worked out on first use and kept; the
+    # module's functions read these
+    _emission = cached_property(lambda self: _frozen(self.phi.sum(axis=3)))
+    _reachable = cached_property(lambda self: _frozen(
+        bfs_levels(self.initial > 0.0, self.phi.sum(axis=(0, 2)) > 0.0) >= 0))
+    _noiseless = cached_property(lambda self: _decide_noiseless(self))
+    _reduced = cached_property(lambda self: _decide_memoryless_invariant(self))
+    _product = cached_property(lambda self: _decide_product(self))
+    _unifilar = cached_property(lambda self: _decide_unifilar(self))
+    _action_invariant = cached_property(lambda self: _decide_action_invariant_kernel(self))
 
 
 @dataclass(frozen=True)
@@ -121,27 +148,33 @@ Model = EnvironmentModel | AgentModel
 
 
 def reachable_hidden(env: EnvironmentModel) -> np.ndarray:
-    """Boolean mask of hidden states reachable from the initial distribution
-    under arbitrary action sequences."""
-    # edge z -> z2: some action/percept pair moves z to z2
-    return bfs_levels(env.initial > 0.0, env.phi.sum(axis=(0, 2)) > 0.0) >= 0
+    """Read-only boolean mask of hidden states reachable from the initial
+    distribution under arbitrary action sequences; edge z -> z2 when some
+    action/percept pair moves z to z2."""
+    return env._reachable
 
 
 def is_noiseless(env: EnvironmentModel) -> bool:
     """True iff every reachable state echoes the action back as the percept."""
+    return env._noiseless
+
+
+def _decide_noiseless(env: EnvironmentModel) -> bool:
     e = env.emission()[:, reachable_hidden(env), :]
     return bool(np.max(np.abs(e - np.eye(env.n_symbols)[:, None, :])) <= ROW_SUM_TOL)
 
 
 def is_memoryless_invariant(env: EnvironmentModel) -> np.ndarray | None:
-    """The reduced |A| x |S| kernel phi(s|a), when the marginal output law is
-    the same for every reachable hidden state; None otherwise."""
+    """The reduced |A| x |S| kernel phi(s|a), read-only, when the marginal
+    output law is the same for every reachable hidden state; None otherwise."""
+    return env._reduced
+
+
+def _decide_memoryless_invariant(env: EnvironmentModel) -> np.ndarray | None:
     e = env.emission()[:, reachable_hidden(env), :]
     if np.max(np.abs(e - e[:, :1, :])) > ROW_SUM_TOL:
         return None
-    reduced = e[:, 0, :].copy()
-    reduced.setflags(write=False)
-    return reduced
+    return _frozen(e[:, 0, :].copy())
 
 
 # is_product's zero, for relative sizes: a unit vector's residual off the span
@@ -154,7 +187,8 @@ _SPAN_TOL = 1e-9
 
 def is_product(env: EnvironmentModel) -> bool:
     """Whether the percept law nu(s_{0:T} | a_{0:T}) is the same for every
-    action sequence and every T; decided exactly (Tzeng 1992).
+    action sequence and every T; decided exactly (Tzeng 1992), by
+    :func:`_decide_product`, once per model.
 
     Letters (a, s) act on vectors (x, y) of length 2 n_z, from (pi, pi),
     by ``x -> x phi[a, :, s, :]`` and ``y -> y phi[0, :, s, :]``; the channel
@@ -163,6 +197,11 @@ def is_product(env: EnvironmentModel) -> bool:
     extended, by |A|^2 letters each: O(|A|^2 n_z^3).  Vectors are normalized
     before testing, so improbable words count like probable ones.
     """
+    return env._product
+
+
+def _decide_product(env: EnvironmentModel) -> bool:
+    """The span procedure of :func:`is_product`."""
     n_z = env.n_hidden
     start = np.concatenate([env.initial, env.initial])
     spanning = [start / np.linalg.norm(start)]  # grows while it is read
@@ -178,10 +217,11 @@ def is_product(env: EnvironmentModel) -> bool:
             return False
         words = np.concatenate([x, y], axis=-1).reshape(-1, 2 * n_z)[p + q > 0.0]
         for w in words / np.linalg.norm(words, axis=1, keepdims=True):
-            r = w - (w @ basis[:k].T) @ basis[:k]
+            span = basis[:k]
+            r = w - (w @ span.T) @ span
             # twice is enough: the rows stay orthonormal, so k never passes 2 n_z
-            r -= (r @ basis[:k].T) @ basis[:k]
-            norm = np.linalg.norm(r)
+            r -= (r @ span.T) @ span
+            norm = math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic, without its checks
             if norm > _SPAN_TOL:
                 basis[k], k = r / norm, k + 1
                 spanning.append(w)
@@ -191,6 +231,10 @@ def is_product(env: EnvironmentModel) -> bool:
 def has_action_invariant_kernel(env: EnvironmentModel) -> bool:
     """Strong (kernel-level) product witness: phi does not depend on the
     action at any reachable hidden state."""
+    return env._action_invariant
+
+
+def _decide_action_invariant_kernel(env: EnvironmentModel) -> bool:
     phi = env.phi[:, reachable_hidden(env)]
     return bool(np.max(np.abs(phi - phi[:1])) <= ROW_SUM_TOL)
 
@@ -203,24 +247,19 @@ def is_unifilar(env: EnvironmentModel) -> np.ndarray | None:
     The map is a read-only ``(|A|, n_z, |A|)`` int array of those successors,
     with the current state z where the triple (a, z, s) has none.
     """
+    return env._unifilar
+
+
+def _decide_unifilar(env: EnvironmentModel) -> np.ndarray | None:
     if np.max(env.initial) < 1.0 - ROW_SUM_TOL:
         return None
     reach = reachable_hidden(env)
-    n_a, n_z = env.n_symbols, env.n_hidden
-    nxt = np.zeros((n_a, n_z, n_a), dtype=int)
-    for z in range(n_z):
-        nxt[:, z, :] = z
-        if not reach[z]:
-            continue
-        for a in range(n_a):
-            for s in range(n_a):
-                succ = np.flatnonzero(env.phi[a, z, s] > 0.0)
-                if succ.size > 1:
-                    return None
-                if succ.size == 1:
-                    nxt[a, z, s] = succ[0]
-    nxt.setflags(write=False)
-    return nxt
+    positive = env.phi > 0.0  # [a, z, s, z2]
+    successors = positive.sum(axis=3)
+    if np.any(successors[:, reach] > 1):
+        return None
+    moves = (successors == 1) & reach[:, None]
+    return _frozen(np.where(moves, positive.argmax(axis=3), np.arange(env.n_hidden)[:, None]))
 
 
 def cascade(first: EnvironmentModel, second: EnvironmentModel) -> EnvironmentModel:

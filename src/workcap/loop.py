@@ -21,13 +21,15 @@ chain); every work term is read from its marginals p(m, a) and p(m, s).
 Every finite-horizon trajectory quantity comes from one forward pass,
 ``_forward_pass``: its message, a matrix from the kept past to the current
 (M_t, A_t, Z_t), takes in each round by one matrix product against a factor
-built from phi and theta once per pass, and each variable the caller did
-not ask for is summed inside the product that last reads it.  A table is
-read off the message by one product with the emission.
+built from phi and theta, and each variable the caller did not ask for is
+summed inside the product that last reads it.  A table is read off the
+message by one product with the emission.  A loop keeps the factors its
+passes build, one per pattern of kept variables.
 ``trajectory_distribution`` keeps every variable; the predictiveness scores
 keep only the ones their conditional mutual information reads, so their
-tables stay near the size of that marginal, and ``am_predictiveness`` reads
-every round's table off one pass.
+tables stay near the size of that marginal, and each score is read off a
+4-axis view of its table.  ``am_predictiveness`` reads every round's table
+off one pass.
 
 Index convention throughout: a range subscript l:m includes l and excludes m,
 so the action block relevant at round t is A_0..A_t and the percept past is
@@ -37,13 +39,14 @@ S_0..S_{t-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
 
 from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
-from .info import (BITS, JointTable, _base_factor, _clamp_nonneg,
+from .info import (BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats,
                    conditional_mutual_information)
 from .markov import (Distribution, TransitionKernel, _check_stochastic, _limit_laws,
                      _pattern_groups, bfs_levels)
@@ -69,6 +72,13 @@ class PerceptActionLoop:
     def shape(self) -> tuple[int, int, int, int]:
         n = len(self.env.alphabet)
         return (self.agent.n_memory, n, n, self.env.n_hidden)
+
+    @cached_property
+    def _factors(self) -> dict:
+        """:func:`_run_pass`'s env, agent and read-out factors, filled on
+        first use, one per pattern of the kept variables each reads: the
+        models are frozen, so the factors never go stale."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -186,9 +196,9 @@ def _forward_pass(loop: PerceptActionLoop, keep, reads: dict[int, set[str]]) -> 
     up to the last read, round t's product with phi and theta gives the next
     message, keeping the round-t variables in ``keep`` and summing the rest
     inside the product (variable elimination in round order, Zhang & Poole
-    1994).  Each factor is built once per pass, one per pattern of kept
-    variables, and a kept variable of the message's state is copied onto
-    its own column axis of the factor.
+    1994).  Each factor is built once per loop, one per pattern of kept
+    variables (:func:`_run_pass`), and a kept variable of the message's
+    state is copied onto its own column axis of the factor.
 
     A round is one product, against the matrix of phi and theta together,
     once the past has at least as many rows as (M_t, A_t, Z_t) has values:
@@ -247,11 +257,15 @@ def _forward_pass(loop: PerceptActionLoop, keep, reads: dict[int, set[str]]) -> 
 def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
     """The products of :func:`_forward_pass`'s ``plan`` (per round, the
     variables its read-out and its product keep), returning the read-outs
-    as matrices; the message and factors are gone when it returns."""
+    as matrices.  The env, agent and read-out factors, one per kind of
+    product and pattern of the kept variables it reads, stay on the loop
+    after its first pass (``loop._factors``); a combined round factor is as
+    large as a round's output, so it is built per pass and is gone, with
+    the message, when the pass returns."""
     shape = loop.shape
     n_m, n_a, _, n_z = shape
     state = n_m * n_a * n_z
-    factors = {}  # one per kind of product and pattern of kept variables
+    factors, combined = loop._factors, {}
     msg = (loop.agent.initial_joint.T[:, :, None] * loop.env.initial).reshape(1, state)
     tables = []
     for read, step in plan:
@@ -263,17 +277,20 @@ def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
             tables.append(msg.reshape(-1, len(emit)) @ emit)
         if step is None:
             return tables
-        if ("env", step) not in factors:
-            factors["env", step] = _env_factor(loop.env.phi, step[1], True, step[3])
-            factors["agent", step] = _agent_factor(loop.agent.theta, step[0], step[2])
-        to_env, to_agent = factors["env", step], factors["agent", step]
+        # each factor is keyed by the kept variables it reads: phi's by A_t
+        # and Z_t, theta's by M_t and S_t
+        kept_m, kept_a, kept_s, kept_z = step
+        if ("env", kept_a, kept_z) not in factors:
+            factors["env", kept_a, kept_z] = _env_factor(loop.env.phi, kept_a, True, kept_z)
+        if ("agent", kept_m, kept_s) not in factors:
+            factors["agent", kept_m, kept_s] = _agent_factor(loop.agent.theta, kept_m, kept_s)
+        to_env, to_agent = factors["env", kept_a, kept_z], factors["agent", kept_m, kept_s]
         if len(msg) < state:
             msg = _two_products(msg, shape, step, to_env, to_agent)
         else:
-            if ("round", step) not in factors:
-                factors["round", step] = _two_products(np.eye(state), shape, step, to_env,
-                                                       to_agent)
-            msg = msg @ factors["round", step]
+            if step not in combined:
+                combined[step] = _two_products(np.eye(state), shape, step, to_env, to_agent)
+            msg = msg @ combined[step]
         msg = msg.reshape(-1, state)
 
 
@@ -547,13 +564,25 @@ def _past_vars(t: int) -> list[str]:
 def _scores(loop: PerceptActionLoop, rounds, base: str) -> list[float]:
     """I[A_0..A_t, S_0..S_{t-1}; S_t | M_t] for each t in ``rounds``, each
     read off one forward pass that keeps the actions and percepts: round
-    t's table over the past, M_t, A_t and S_t is one read-out product."""
-    last = max(rounds)
-    tables = _forward_pass(loop, set(_past_vars(last)), {t: {f"M{t}", f"A{t}", f"S{t}"}
-                                                        for t in rounds})
-    return [conditional_mutual_information(joint, _past_vars(t), (f"S{t}",), (f"M{t}",),
-                                           base=base)
-            for t, joint in zip(sorted(rounds), tables)]
+    t's table is one read-out product over the kept past (A_0..A_{t-1},
+    S_0..S_{t-1}), M_t, A_t and S_t.  Its score is read from a 4-axis view
+    p(x, m, a, s) of that table, x the kept past, as H(X, M) + H(M, S) -
+    H(X, M, S) - H(M) with X the past and A_t together: the entropies of
+    the table's sum over s, of its sum over x and a, of the table, and of
+    its margin over m.  These are the sums ``conditional_mutual_information``
+    takes of the same table, on four axes instead of one per variable.
+    """
+    factor = _base_factor(base)
+    n_m, n_a, n_s, _ = loop.shape
+    tables = _forward_pass(loop, set(_past_vars(max(rounds))),
+                           {t: {f"M{t}", f"A{t}", f"S{t}"} for t in rounds})
+    scores = []
+    for joint in tables:
+        p = joint.probs.reshape(-1, n_m, n_a, n_s)
+        h = (_entropy_nats(p.sum(axis=3)) + _entropy_nats(p.sum(axis=(0, 2)))
+             - _entropy_nats(p) - _entropy_nats(p.sum(axis=(0, 2, 3))))
+        scores.append(_clamp_nonneg(h, "conditional mutual information") * factor)
+    return scores
 
 
 def predictiveness_score(loop: PerceptActionLoop, t: int, base: str = BITS) -> float:

@@ -26,6 +26,7 @@ from workcap.info import LN2
 from workcap.loop import _cesaro_tables, _rate_gradients
 from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
+from workcap.verify import load_bundled
 
 FIG5_CAPACITY_NATS = 0.5 * math.log(0.75 + 2 ** -0.5)
 MEMORYLESS_RESTARTS = 8  # random Dirichlet starts of the multistart oracle
@@ -1123,17 +1124,22 @@ class TestCapacityProperties:
         assert general.method == "numeric_lower_bound"
 
 
-    def test_each_channel_class_decided_once(self, fig5, golden_mean, call_counts):
-        # the dispatch hands its verdicts to the closed forms
-        names = ("is_noiseless", "is_memoryless_invariant", "is_unifilar", "is_product",
-                 "has_action_invariant_kernel")
-        calls = call_counts(*(f"channels.{name}" for name in names))
-        assert compute_capacity(golden_mean).method == "closed_form_unifilar_product"
-        assert calls == dict.fromkeys(names, 1)
-        calls.update(dict.fromkeys(names, 0))
+    def test_each_channel_class_decided_once(self, call_counts):
+        # a model keeps its verdicts, so the dispatch, the closed forms and
+        # the predictive agent's construction ask for them at no cost; fresh
+        # models, since the shared fixtures may have decided theirs
+        names = ("noiseless", "memoryless_invariant", "unifilar", "product",
+                 "action_invariant_kernel")
+        calls = call_counts(*(f"channels._decide_{name}" for name in names))
+        golden_mean, fig5 = load_bundled("golden_mean"), load_bundled("fig5")
+        for _ in range(2):
+            assert compute_capacity(golden_mean).method == "closed_form_unifilar_product"
+        assert calls == {f"_decide_{name}": 1 for name in names}
+        calls.update(dict.fromkeys(calls, 0))
         assert compute_capacity(fig5).method == "closed_form_memoryless"
-        assert calls == {"is_noiseless": 1, "is_memoryless_invariant": 1, "is_unifilar": 0,
-                         "is_product": 0, "has_action_invariant_kernel": 0}
+        assert calls == {"_decide_noiseless": 1, "_decide_memoryless_invariant": 1,
+                         "_decide_unifilar": 0, "_decide_product": 0,
+                         "_decide_action_invariant_kernel": 0}
 
 class TestClassifyAgentSets:
     def test_builds_one_chain_and_profile(self, fig5, call_counts):

@@ -7,9 +7,12 @@ import pytest
 from workcap import (DimensionError, DomainError, EnvironmentModel,
                      ModelFormatError, cascade, is_memoryless_invariant,
                      is_noiseless, is_product, is_unifilar)
+from workcap.capacity import compute_capacity
 from workcap.channels import (AgentModel, dumps_model,
                               has_action_invariant_kernel, loads_model,
                               reachable_hidden)
+from workcap.info import entropy_rate
+from workcap.markov import ROW_SUM_TOL
 from workcap.random_models import random_agent, random_environment
 from workcap.verify import load_bundled
 
@@ -94,6 +97,35 @@ class TestValidate:
         initial = 0.9 * agent.initial_joint
         with pytest.raises(DomainError, match=r"^initial_joint: sums to 0\.9"):
             AgentModel(agent.alphabet, agent.memory_states, agent.theta, initial)
+
+
+    def test_arrays_cannot_be_made_writable(self, rng):
+        # each array is a read-only view of a read-only base, so numpy
+        # refuses to unfreeze it, and the facts a model keeps stay true
+        env, fig5 = load_bundled("golden_mean"), load_bundled("fig5")
+        agent = random_agent(rng, 2, 2)
+        for arr in (env.phi, env.initial, agent.theta, agent.initial_joint, env.emission(),
+                    reachable_hidden(env), is_unifilar(env), is_memoryless_invariant(fig5)):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.setflags(write=True)
+
+
+class TestModelFacts:
+    def test_span_procedure_runs_once_per_model(self, call_counts):
+        # fresh models, since the shared fixtures may have decided theirs
+        calls = call_counts("channels._decide_product")
+        for models in (1, 2):
+            env = load_bundled("golden_mean")
+            for _ in range(2):
+                assert is_product(env)
+                assert entropy_rate(env) == pytest.approx(2.0 / 3.0, abs=1e-9)
+                assert compute_capacity(env).method == "closed_form_unifilar_product"
+            assert calls == {"_decide_product": models}
+
+    def test_facts_are_shared_across_calls(self, golden_mean):
+        assert golden_mean.emission() is golden_mean.emission()
+        assert reachable_hidden(golden_mean) is reachable_hidden(golden_mean)
+        assert is_unifilar(golden_mean) is is_unifilar(golden_mean)
 
 
 class TestPredicates:
@@ -274,6 +306,45 @@ class TestUnifilar:
         phi[:, :, 1, 0] = 0.5
         env = EnvironmentModel(("0", "1"), ("u", "v"), phi, np.array([1.0, 0.0]))
         assert is_unifilar(env) is None
+
+    def test_map_matches_per_triple_oracle(self, rng):
+        # the map is found for all triples at once; the oracle reads each
+        # reachable (a, z, s) triple's successors alone
+        def oracle(env):
+            if np.max(env.initial) < 1.0 - ROW_SUM_TOL:
+                return None
+            reach = reachable_hidden(env)
+            nxt = np.zeros((env.n_symbols, env.n_hidden, env.n_symbols), dtype=int)
+            for z in range(env.n_hidden):
+                nxt[:, z, :] = z
+                for a, s in itertools.product(range(env.n_symbols), repeat=2):
+                    succ = np.flatnonzero(env.phi[a, z, s] > 0.0)
+                    if reach[z] and succ.size > 1:
+                        return None
+                    if reach[z] and succ.size == 1:
+                        nxt[a, z, s] = succ[0]
+            return nxt
+
+        unifilar = 0
+        for _ in range(300):
+            n_a, n_z = rng.integers(1, 4), rng.integers(1, 5)
+            # each (a, z, s) moves to at most one state, a few to two
+            phi = np.zeros((n_a, n_z, n_a, n_z))
+            for a, z, s in itertools.product(range(n_a), range(n_z), range(n_a)):
+                targets = rng.choice(n_z, size=min(n_z, rng.choice(3, p=[0.3, 0.6, 0.1])),
+                                     replace=False)
+                phi[a, z, s, targets] = rng.random(len(targets)) + 0.1
+            phi[..., 0, 0] += (phi.sum(axis=(2, 3)) == 0.0)
+            phi /= phi.sum(axis=(2, 3), keepdims=True)
+            initial = np.eye(n_z)[rng.integers(n_z)] if rng.random() < 0.9 else np.ones(n_z) / n_z
+            env = EnvironmentModel(tuple("abc"[:n_a]), tuple(f"z{i}" for i in range(n_z)),
+                                   phi, initial)
+            got, want = is_unifilar(env), oracle(env)
+            assert (got is None) == (want is None)
+            if want is not None:
+                unifilar += 1
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert 50 < unifilar < 250
 
     def test_map_simulation_matches_full_kernel(self, golden_mean):
         uni = is_unifilar(golden_mean)

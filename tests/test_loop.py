@@ -315,6 +315,49 @@ class TestContraction:
                 assert est.last_score == est.scores[-1]
                 assert est.mean == float(np.mean(est.scores))
 
+    def test_scores_from_views_equal_the_generic_cmi(self, rng, fig5, golden_mean):
+        # each score is read off a 4-axis view of its read-out; the generic
+        # path sums the same table as a JointTable by variable names
+        loops = oracle_loops(rng, fig5, golden_mean)
+        loops.append(PerceptActionLoop(build_predictive(build_uniform(golden_mean.alphabet),
+                                                        golden_mean), golden_mean))
+        for pal in loops:
+            for t in range(6):
+                past = [f"A{i}" for i in range(t + 1)] + [f"S{i}" for i in range(t)]
+                joint = _trajectory_marginal(pal, t + 1, {*past, f"M{t}", f"S{t}"})
+                want = conditional_mutual_information(joint, past, (f"S{t}",), (f"M{t}",))
+                assert abs(predictiveness_score(pal, t) - want) <= 1e-15
+
+    def test_factors_are_built_once_per_loop_and_pattern(self, rng, monkeypatch):
+        # every entry point reuses the env, agent and read-out factors its
+        # loop built before, one per kind and pattern of the kept variables
+        # it reads; a second loop on the same models builds its own, and no
+        # combined round factor (as large as a round's output) stays
+        built = []
+        for name in ("_env_factor", "_agent_factor"):
+            def spy(*args, _name=name, _real=getattr(loop_mod, name)):
+                built.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(loop_mod, name, spy)
+        agent, env = random_agent(rng, 2, 3), random_environment(rng, 2, 2)
+
+        def every_entry_point(pal):
+            am_predictiveness(pal, 5)
+            for t in range(5):
+                predictiveness_score(pal, t)
+            future_predictiveness(pal, 1, 3)
+
+        first, second = PerceptActionLoop(agent, env), PerceptActionLoop(agent, env)
+        every_entry_point(first)
+        once = len(built)
+        assert once == len(first._factors)
+        assert {key[0] for key in first._factors} == {"env", "agent", "read"}
+        every_entry_point(first)
+        assert len(built) == once
+        every_entry_point(second)
+        assert len(built) == 2 * once
+        assert second._factors.keys() == first._factors.keys()
+
     def test_pass_runs_each_round_once_in_one_of_two_forms(self, rng, monkeypatch):
         # shape (3, 2, 2, 2): (M_t, A_t, Z_t) has 12 values and each round
         # keeps A_t and S_t, so the past has 1, 4, 16 and 64 rows before
