@@ -4,13 +4,15 @@ Closed forms cover the three special channel classes (noiseless, memoryless
 invariant, unifilar product).  For everything else a quasi-Newton search
 over bounded-memory agent kernels (restarted full BFGS, all restarts as one
 stack under one shared weak-Wolfe line search, each keeping a dense inverse
-curvature, 8 R dim² bytes for R restarts plus one update temporary, on
-exact work rates with their exact adjoint gradients, one formula for
-periodic, reducible and every other chain structure) yields an explicitly
-labeled lower bound; the true capacity maximizes over all finite agent
-models and no general algorithm for it is known, so the numeric value is
-never presented as exact.  :func:`check_subadditivity`
-checks cascade subadditivity of memoryless invariant channels.
+curvature, 8 R dim² bytes for R restarts plus one update temporary, with
+the points and curvatures stacked in numpy and each run's line-search
+state in Python scalars, on exact work rates with their exact adjoint
+gradients, one formula for periodic, reducible and every other chain
+structure) yields an explicitly labeled lower bound; the true capacity
+maximizes over all finite agent models and no general algorithm for it is
+known, so the numeric value is never presented as exact.
+:func:`check_subadditivity` checks cascade subadditivity of memoryless
+invariant channels.
 """
 
 from __future__ import annotations
@@ -359,25 +361,36 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _kernels_from_params(x: np.ndarray, n_a: int, n_m: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Agent kernels ``(B, |A|, M, |A|, M)`` and opening joints ``(B, |A|,
-    M)`` from a ``(B, dim)`` stack of unconstrained coordinates: one
-    normalized exponential per kernel row and one for the opening joint,
-    each row whose largest entry is at least 1 - VERTEX_TOL set to that
-    vertex, exact 0/1.
+def _agent_rows(x: np.ndarray, rows: int) -> np.ndarray:
+    """The ``(B, rows + 1, rows)`` stack of agent rows from a ``(B, dim)``
+    stack of unconstrained coordinates, ``rows = |A| M``: one normalized
+    exponential per kernel row and one for the opening joint, the last
+    row, each row whose largest entry is at least 1 - VERTEX_TOL set to
+    that vertex, exact 0/1.
 
     Normalized exponentials reach a vertex only in the limit, so without
     the vertices a run creeps toward one for hundreds of steps, through
     subnormal entries.  A vertex row's slope is exactly 0, so the search
     leaves it only by a step the line search accepts, one that raises the
     value."""
-    rows = n_a * n_m
     probs = _softmax_rows(x.reshape(len(x), rows + 1, rows))
     top = probs.max(axis=-1, keepdims=True)
     # an entry of at least 1 - VERTEX_TOL ties no other, so it alone equals top
-    probs = np.where(top >= 1.0 - VERTEX_TOL, probs == top, probs)
+    return np.where(top >= 1.0 - VERTEX_TOL, probs == top, probs)
+
+
+def _agent_kernels(probs: np.ndarray, n_a: int, n_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Agent kernels ``(B, |A|, M, |A|, M)`` and opening joints ``(B, |A|,
+    M)`` as views of a stack of :func:`_agent_rows`."""
+    rows = n_a * n_m
     return probs[:, :rows].reshape(-1, n_a, n_m, n_a, n_m), probs[:, rows].reshape(-1, n_a, n_m)
+
+
+def _kernels_from_params(x: np.ndarray, n_a: int, n_m: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Agent kernels and opening joints (:func:`_agent_kernels`) of the
+    rows :func:`_agent_rows` makes of a ``(B, dim)`` stack of coordinates."""
+    return _agent_kernels(_agent_rows(x, n_a * n_m), n_a, n_m)
 
 
 def _params_from_agent(model: agents.AgentModel, memory_size: int) -> np.ndarray:
@@ -425,6 +438,14 @@ def _bfgs(objective, starts: np.ndarray
     with this line search).  Each accepted step raises the value, so a
     run's last point is the best it accepted.
 
+    The points, gradients, directions and H are stacked numpy arrays, and
+    every vector reduction (g.d, s.y, y.y, y.h, max |g|) runs on the stack.
+    Each run's line-search state (its value, t, the bracket, g.d, the step
+    count and the accept and stop verdicts) is a Python float, int or bool:
+    a few scalar operations per run, each the IEEE operation numpy would
+    do, with no numpy call.  A step where every run accepts, the usual one,
+    merges no arrays.
+
     A run stops when no gradient entry exceeds BFGS_GTOL; when a step gains
     at most BFGS_FTOL max(1, |value|); when, before a step is accepted, the
     bracket's width times g.d falls to that size; or, stalled, when it has
@@ -436,55 +457,79 @@ def _bfgs(objective, starts: np.ndarray
     lasts, values = x.copy(), f.copy()
     steps, stalled = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     run = np.flatnonzero(np.abs(g).max(axis=1) > BFGS_GTOL)  # the runs going, in order
-    x, f, g = x[run], f[run], g[run]
+    x, g, f = x[run], g[run], f[run].tolist()
     H = np.tile(np.eye(x.shape[1]), (len(run), 1, 1))
-    fresh = np.ones(len(run), dtype=bool)  # H is still I
-    d, slope, k = g.copy(), (g * g).sum(axis=1), np.zeros(len(run), dtype=int)
-    t, lo, hi = 1.0 / np.sqrt(slope), np.zeros(len(run)), np.full(len(run), np.inf)
+    fresh = [True] * len(run)  # H is still I
+    d, slope = g.copy(), (g * g).sum(axis=1).tolist()
+    t = [1.0 / math.sqrt(v) for v in slope]
+    lo, hi, k = [0.0] * len(run), [math.inf] * len(run), [0] * len(run)
     while run.size:
-        trial = x + t[:, None] * d
+        trial = x + np.array(t)[:, None] * d
         f_t, g_t = objective(trial)
-        rises = f_t >= f + _ARMIJO * t * slope
-        flat = (g_t * d).sum(axis=1) <= _CURVATURE * slope
-        accept = rises & flat
-        hi = np.where(rises, hi, t)  # too long at hi, too short at lo
-        lo = np.where(rises & ~flat, t, lo)
-        s, y = trial - x, g - g_t
-        small = f_t - f <= BFGS_FTOL * np.maximum(1.0, np.maximum(np.abs(f), np.abs(f_t)))
-        x = np.where(accept[:, None], trial, x)
-        f = np.where(accept, f_t, f)
-        g = np.where(accept[:, None], g_t, g)
-        k += accept
-        sy = (s * y).sum(axis=1)
-        pair = accept & (sy > 0)
-        if pair.any():  # the other runs' s, y and ρ are 0, so their H gains 0
-            s, y = np.where(pair[:, None], s, 0.0), np.where(pair[:, None], y, 0.0)
-            if (pair & fresh).any():
-                H *= np.divide(sy, (y * y).sum(axis=1), out=np.ones(len(run)),
-                               where=pair & fresh)[:, None, None]
-                fresh &= ~pair
-            rho = np.divide(1.0, sy, out=np.zeros(len(run)), where=pair)[:, None]
-            h = (H @ y[:, :, None])[:, :, 0]
-            w = rho * (1.0 + rho * (y * h).sum(axis=1, keepdims=True)) * s - rho * h
-            H += np.stack([s, -rho * h], axis=2) @ np.stack([w, s], axis=1)
-        done = accept & (small | (np.abs(g).max(axis=1) <= BFGS_GTOL))
-        out = accept & ~done & (k >= BFGS_STEPS)
-        stalled[run[out]] = True
-        bracketed = hi < np.inf
-        ended = done | out | (~accept & bracketed & (
-            (hi - lo) * slope <= BFGS_FTOL * np.maximum(1.0, np.abs(f))))
-        go = accept & ~ended
-        if go.any():
-            d = np.where(go[:, None], (H @ g[:, :, None])[:, :, 0], d)
-            slope = (g * d).sum(axis=1)
-        t = np.where(go, 1.0, np.where(bracketed, (lo + hi) / 2, 2 * t))
-        lo, hi = np.where(go, 0.0, lo), np.where(go, np.inf, hi)
-        if ended.any():
-            stop = run[ended]
-            lasts[stop], values[stop], steps[stop] = x[ended], f[ended], k[ended]
-            going = ~ended
-            run, x, f, g, H, fresh, d, slope, k, t, lo, hi = (
-                v[going] for v in (run, x, f, g, H, fresh, d, slope, k, t, lo, hi))
+        f_t, curv = f_t.tolist(), (g_t * d).sum(axis=1).tolist()
+        accept, small = [], []
+        for i, (ft, fi, ti, si, ci) in enumerate(zip(f_t, f, t, slope, curv)):
+            rises, flat = ft >= fi + _ARMIJO * ti * si, ci <= _CURVATURE * si
+            accept.append(rises and flat)
+            small.append(ft - fi <= BFGS_FTOL * max(1.0, abs(fi), abs(ft)))
+            if not rises:  # too long at hi, too short at lo
+                hi[i] = ti
+            elif not flat:
+                lo[i] = ti
+        ended = [False] * len(run)
+        if any(accept):
+            s, y = trial - x, g - g_t
+            sy = (s * y).sum(axis=1).tolist()
+            if all(accept):
+                x, g, f = trial, g_t, f_t
+            else:
+                mask = np.array(accept)[:, None]
+                x, g = np.where(mask, trial, x), np.where(mask, g_t, g)
+                f = [ft if a else fi for a, ft, fi in zip(accept, f_t, f)]
+            pair = [a and v > 0 for a, v in zip(accept, sy)]
+            if any(pair):  # the other runs' s, y and ρ are 0, so their H gains 0
+                if not all(pair):
+                    mask = np.array(pair)[:, None]
+                    s, y = np.where(mask, s, 0.0), np.where(mask, y, 0.0)
+                if any(p and r for p, r in zip(pair, fresh)):
+                    yy = (y * y).sum(axis=1).tolist()
+                    H *= np.array([v / w if p and r else 1.0
+                                   for p, r, v, w in zip(pair, fresh, sy, yy)])[:, None, None]
+                    fresh = [r and not p for p, r in zip(pair, fresh)]
+                rho = np.array([1.0 / v if p else 0.0 for p, v in zip(pair, sy)])[:, None]
+                h = (H @ y[:, :, None])[:, :, 0]
+                rho_h = rho * h
+                w = rho * (1.0 + rho * (y * h).sum(axis=1, keepdims=True)) * s - rho_h
+                # H += [s, -ρh] [w; s], each factor C-ordered as np.stack lays it out
+                left, right = np.empty((*s.shape, 2)), np.empty((len(s), 2, s.shape[1]))
+                left[:, :, 0], left[:, :, 1], right[:, 0], right[:, 1] = s, -rho_h, w, s
+                H += left @ right
+            top = np.abs(g).max(axis=1).tolist()
+            ended = [a and (m or v <= BFGS_GTOL) for a, m, v in zip(accept, small, top)]
+        for i, a in enumerate(accept):
+            if a:
+                k[i] += 1
+                if not ended[i] and k[i] >= BFGS_STEPS:
+                    stalled[run[i]] = ended[i] = True
+                t[i], lo[i], hi[i] = 1.0, 0.0, math.inf
+            elif hi[i] < math.inf:
+                ended[i] = (hi[i] - lo[i]) * slope[i] <= BFGS_FTOL * max(1.0, abs(f[i]))
+                t[i] = (lo[i] + hi[i]) / 2
+            else:
+                t[i] *= 2
+        go = [a and not e for a, e in zip(accept, ended)]
+        if any(go):
+            ahead = (H @ g[:, :, None])[:, :, 0]
+            d = ahead if all(go) else np.where(np.array(go)[:, None], ahead, d)
+            slope = (g * d).sum(axis=1).tolist()
+        if any(ended):
+            stop = [i for i, e in enumerate(ended) if e]
+            lasts[run[stop]], steps[run[stop]] = x[stop], [k[i] for i in stop]
+            values[run[stop]] = [f[i] for i in stop]
+            keep = [i for i, e in enumerate(ended) if not e]
+            run, x, g, H, d = (v[keep] for v in (run, x, g, H, d))
+            f, fresh, slope, k, t, lo, hi = ([v[i] for i in keep]
+                                             for v in (f, fresh, slope, k, t, lo, hi))
     return lasts, values, steps, stalled
 
 
@@ -494,14 +539,15 @@ def _search_objective(env: channels.EnvironmentModel, memory_size: int):
     :func:`_kernels_from_params` makes of them, and their gradients: one
     call of :func:`loop._rate_gradients` gives the exact gradients in the
     kernels and opening joints, taken through each row's normalized
-    exponential, the opening joint one more row.  A vertex row's slopes are 0."""
+    exponential, the opening joint one more row.  The kernels and joints
+    are views of the one stack of rows (:func:`_agent_rows`), which the
+    chain rule reads as it is.  A vertex row's slopes are 0."""
     n_a, n_m = len(env.alphabet), memory_size
     rows = n_a * n_m
 
     def objective(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta, init = _kernels_from_params(points, n_a, n_m)
-        values, (d_theta, d_init) = loop._rate_gradients(env, theta, init)
-        probs = np.concatenate([theta.reshape(-1, rows, rows), init.reshape(-1, 1, rows)], axis=1)
+        probs = _agent_rows(points, rows)
+        values, (d_theta, d_init) = loop._rate_gradients(env, *_agent_kernels(probs, n_a, n_m))
         grads = np.concatenate([d_theta.reshape(-1, rows, rows), d_init.reshape(-1, 1, rows)], 1)
         slope = probs * (grads - (probs * grads).sum(axis=2, keepdims=True))
         return values, slope.reshape(len(points), -1)
@@ -517,7 +563,7 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
 
     Agent kernels are parameterized on the product of simplices through
     normalized exponentials of unconstrained coordinates, each row within
-    VERTEX_TOL of a vertex taken at it (:func:`_kernels_from_params`).
+    VERTEX_TOL of a vertex taken at it (:func:`_agent_rows`).
     The uniform agent, the warm starts and ``restarts - 1`` seeded random
     points start one run each of full BFGS (:func:`_bfgs`), all runs as
     one stack under one weak-Wolfe line search, on the exact work rates and

@@ -389,8 +389,12 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     (zero off ``reach``), and ``limit``, Q = P^d and L's factors on
     ``reach``, with u the round-0 vector, P the reachable subchain, d its
     period lcm and L = lim Q^n, from :func:`markov._limit_laws`.  The stack
-    shares one kernel einsum and one validation, and a group's limit laws
-    are solved at once.  What the patterns decide (the groups' reachable
+    shares one kernel einsum, and a group's limit laws are solved at once.
+    Nothing is validated here: the agents' and the environment's arrays are
+    checked where they enter (at model construction for :func:`work_rate`,
+    and in :func:`_rate_gradients` for a stack), and ``Kw`` and the round-0
+    vectors are their products, whose rows can miss 1 by about twice what
+    their factors' rows do.  What the patterns decide (the groups' reachable
     sets and structures) comes from the one structure memo of :mod:`markov`,
     so it is worked out once per pattern, not once per call.  When every
     state is reachable, the group's kernels and round-0 vectors go to
@@ -401,8 +405,6 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     n = n_m * n_a * env.n_hidden
     K = np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta).reshape(n_b, n, n)
     p0 = np.einsum("Bam,z->Bmaz", init, env.initial).reshape(n_b, n)
-    _check_stochastic(K, name="kernel")
-    _check_stochastic(p0, name="initial distribution")
     groups = []
     for members, structure in _pattern_groups(K > 0.0, p0 > 0.0):
         reach = structure.reach
@@ -481,17 +483,22 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     gradient is 0.  A term x ⊗ y of dF/dP enters ``theta`` as ``sum
     x(m, a, z) phi(s, w | a, z) y(n, b, w)`` at ``[s, m, b, n]``.  A
     member whose M is singular in floating point gets a zero gradient.
+    ``theta`` and ``init`` are checked here, where a stack enters: every
+    row a probability vector within ``markov.ROW_SUM_TOL``, or DomainError
+    naming the member and row.
     """
-    K, p0, groups = _cesaro_tables(env, theta, init)
     n_b, n_a, n_m = init.shape
+    _check_stochastic(theta.reshape(n_b, n_a * n_m, -1), name="theta")
+    _check_stochastic(init.reshape(n_b, -1), name="initial_joint")
+    K, p0, groups = _cesaro_tables(env, theta, init)
     n_z = env.n_hidden
     emission = env.emission().reshape(n_a * n_z, -1)  # [(a, z), s]
     rates = np.empty(n_b)
     grads = np.zeros(theta.shape), np.zeros(init.shape)
     for members, reach, structure, tables, (Q, absorb, stationary) in groups:
-        p_ma, p_ms = _marginals(tables, env)
-        rates[members] = _work_terms(p_ma, p_ms)[0].mean(axis=-1)
         B, d, n = tables.shape
+        p_ma, p_ms = _marginals(tables, env)
+        rates[members] = _work_terms(p_ma, p_ms)[0].sum(axis=-1) / d  # np.mean's sum and quotient
         lam = ((_log_positive(p_ms) @ emission.T).reshape(B, d, n_m, n_a, n_z)
                - _log_positive(p_ma)[..., None]).reshape(B, d, n) / d  # g_r
         P, ell = K[members], tables
@@ -536,9 +543,10 @@ def _log_positive(p: np.ndarray) -> np.ndarray:
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``A^-1 b`` for a ``(B, n, n)`` stack by LU, 0 where it is not
-    finite, and where it is; with a singular matrix in the stack, each
-    member is solved alone, so it gets the solution it gets alone."""
+    """The solutions ``A^-1 b`` of a ``(B, n, n)`` stack, by LU, and the
+    ``(B,)`` mask of the members solved; a member whose solution is not
+    finite is not solved and gets 0.  With a singular matrix in the stack,
+    each member is solved alone, so it gets the solution it gets alone."""
     try:
         x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:

@@ -271,20 +271,23 @@ def _censor(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], bool]:
     its readers undo that.  Powers of two scale exactly, so a member whose
     outflow is normal gets the bits it gets without this.  Censoring only
     adds to the rows' entries, and state 0 is below every state censored,
-    so unless ``careful``, no outflow is subnormal and no step looks."""
+    so unless ``careful``, no outflow is subnormal and no step looks.  A
+    step takes its row, its column and the block below it as views once
+    and writes the divided column and the block's update into them in
+    place, so it costs four ufunc calls."""
     tiny = sys.float_info.min  # the smallest normal number
     careful = A.shape[-1] > keep and not A[:, keep:, 0].min() >= tiny
     divisors = []
     for k in range(A.shape[-1] - 1, keep - 1, -1):
-        out = A[:, k, :k].sum(axis=1, keepdims=True)
+        row, col, block = A[:, k, :k], A[:, :k, k], A[:, :k, :k]
+        out = np.add.reduce(row, axis=1, keepdims=True)
         divisors.append(out)
         if careful and not out.min() >= tiny:
             lift = np.where(out < tiny, 1 / sys.float_info.epsilon, 1.0)
-            A[:, :k, k] /= out * lift
-            A[:, :k, :k] += A[:, :k, k, None] * (A[:, k, None, :k] * lift[:, :, None])
-        else:
-            A[:, :k, k] /= out
-            A[:, :k, :k] += A[:, :k, k, None] * A[:, k, None, :k]
+            row = row * lift
+            out = out * lift
+        np.divide(col, out, out=col)
+        np.add(block, col[:, :, None] * row[:, None, :], out=block)
     return divisors, careful
 
 
@@ -376,8 +379,9 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     by GTH elimination (:func:`_eliminate`) down to state 0, one row of the
     ``(B, n)`` result per kernel.  ``A`` is C-ordered work space and may be
     overwritten.  The back-substitution reads each state's divided column:
-    ``x_j = x_{:j} A[:j, j]`` for a state censored alone and ``x_K = x_R X
-    (I - U)^-1`` for a block, so it too adds nonnegative numbers only.
+    ``x_j = x_{:j} A[:j, j]`` for a state censored alone, one product
+    written into x in place, and ``x_K = x_R X (I - U)^-1`` for a block, so
+    it too adds nonnegative numbers only.
 
     Every x_j is π_j / π_0 for the chain left to the states censored alone,
     and π_0 is at least its least move to state 0, so unless ``careful``
@@ -407,7 +411,7 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
             grow = 1 - np.frexp(out[:, 0])[1] - 52 * lifted  # out >= 2^(exponent - 1)
             total = np.frexp(x[:, :j].sum(axis=1))[1]  # sum(x_{:j}) < 2^total
             x[:, :j] = np.ldexp(x[:, :j], np.minimum(1020 - total - grow, 0)[:, None])
-        x[:, j] = (x[:, None, :j] @ A[:, :j, j, None])[:, 0, 0]
+        np.matmul(x[:, None, :j], A[:, :j, j, None], out=x[:, None, j:j + 1])
         if careful:
             x[lifted, :j] *= sys.float_info.epsilon
     for k in range(lo, n, m):

@@ -15,7 +15,8 @@ from workcap import (AgentModel, ChannelClassError, DimensionError, EnvironmentM
                      PerceptActionLoop, build_uniform, capacity_lower_bound, capacity_memoryless,
                      capacity_noiseless, capacity_unifilar_product,
                      check_subadditivity, classify_agent_sets, work_rate)
-from workcap.capacity import (ASCENT_STEPS, BFGS_GTOL, DUST, FACE_TOL, NEWTON_FLAT, VERTEX_TOL,
+from workcap.capacity import (_ARMIJO, _CURVATURE, ASCENT_STEPS, BFGS_FTOL, BFGS_GTOL,
+                              BFGS_STEPS, DUST, FACE_TOL, NEWTON_FLAT, VERTEX_TOL,
                               _ascent, _bfgs, _gain, _kernels_from_params,
                               _memoryless_forms, _memoryless_objective,
                               _search_objective, _softmax_rows, _subadditivity_reports,
@@ -588,6 +589,83 @@ class TestUnifilarProduct:
         assert not result.exact
 
 
+def scalar_bfgs(objective, start: np.ndarray):
+    """One run of weak-Wolfe BFGS written plainly, one point per call: the
+    oracle for the stacked :func:`_bfgs`, whose runs it matches bit for
+    bit.  Returns the last point, its value, the steps taken, whether the
+    step cap ran out, and a log of each trial's verdict ("accept", "long"
+    when it fails the Armijo condition, "short" when it fails the
+    curvature one) followed by the reason the run stopped."""
+    def evaluate(point):
+        f, g = objective(point[None])
+        return float(f[0]), g[0]
+
+    x = np.array(start, dtype=float)
+    f, g = evaluate(x)
+    if np.abs(g).max() <= BFGS_GTOL:
+        return x, f, 0, False, ["stationary"]
+    H, fresh, log, k = np.eye(len(x)), True, [], 0
+    d, slope = g, (g * g).sum()
+    t, lo, hi = 1.0 / math.sqrt(slope), 0.0, math.inf
+    while True:
+        trial = x + t * d
+        f_t, g_t = evaluate(trial)
+        if f_t < f + _ARMIJO * t * slope:
+            log.append("long")
+            hi = t
+        elif (g_t * d).sum() > _CURVATURE * slope:
+            log.append("short")
+            lo = t
+        else:
+            log.append("accept")
+            s, y = trial - x, g - g_t
+            small = f_t - f <= BFGS_FTOL * max(1.0, abs(f), abs(f_t))
+            x, f, g, k = trial, f_t, g_t, k + 1
+            sy = (s * y).sum()
+            if sy > 0:
+                if fresh:
+                    H, fresh = H * (sy / (y * y).sum()), False
+                rho = 1.0 / sy
+                h = H @ y
+                w = rho * (1.0 + rho * (y * h).sum()) * s - rho * h
+                H = H + np.stack([s, -rho * h], axis=1) @ np.stack([w, s])
+            if small or np.abs(g).max() <= BFGS_GTOL:
+                return x, f, k, False, log + ["ftol" if small else "gtol"]
+            if k >= BFGS_STEPS:
+                return x, f, k, True, log + ["steps"]
+            d = H @ g
+            slope = (g * d).sum()
+            t, lo, hi = 1.0, 0.0, math.inf
+            continue
+        if hi == math.inf:
+            t = 2 * t
+        elif (hi - lo) * slope <= BFGS_FTOL * max(1.0, abs(f)):
+            return x, f, k, False, log + ["bracket"]
+        else:
+            t = (lo + hi) / 2
+
+
+def assert_runs_match_scalar_bfgs(objective, starts: np.ndarray) -> list[list[str]]:
+    """Each run of one stacked :func:`_bfgs` call equals
+    :func:`scalar_bfgs` from its start, bit for bit, and the stack makes
+    one call per step of its longest run; returns the runs' logs."""
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return objective(points)
+
+    lasts, values, steps, stalled = _bfgs(counted, starts)
+    logs = []
+    for r, start in enumerate(starts):
+        x, f, k, cap, log = scalar_bfgs(objective, start)
+        assert np.array_equal(lasts[r], x)
+        assert values[r] == f and steps[r] == k and stalled[r] == cap
+        logs.append(log)
+    assert len(calls) == 1 + max(len(log) - 1 for log in logs)
+    return logs
+
+
 def central_differences(env: EnvironmentModel, x: np.ndarray, memory_size: int) -> np.ndarray:
     """Oracle: the central-difference gradient of the work rate at the
     coordinates ``x`` (step 6e-6 max(1, |x_i|)), from exact rates."""
@@ -998,6 +1076,36 @@ class TestLowerBound:
         assert steps.tolist() == [21, 23, 22, 21] and not stalled.any()
         assert np.abs(objective(lasts)[1]).max() <= BFGS_GTOL
         assert np.abs(lasts - c).max() <= 1e-3 and values.min() >= -1e-12
+
+    def test_bfgs_line_search_branches_match_scalar_oracle(self):
+        # on f = -(x - c) A (x - c) / 2 the first trial goes a distance 1
+        # along the gradient: from 5 away along A's first axis it is
+        # accepted, from 20 away it is too short (t doubles), from 0.3 away
+        # too long (t is bisected), all in the stack's second call; a run
+        # from c is stationary and takes no step
+        A, c = np.diag([1.0, 3.0]), np.array([0.5, -1.25])
+
+        def objective(points):
+            r = points - c
+            return -0.5 * np.einsum("ki,ij,kj->k", r, A, r), -r @ A
+
+        starts = c + np.array([[5.0, 0.0], [20.0, 0.0], [0.3, 0.0], [0.0, 0.0],
+                               [-2.0, 7.0], [0.1, -0.2]])
+        logs = assert_runs_match_scalar_bfgs(objective, starts)
+        assert [log[0] for log in logs[:4]] == ["accept", "short", "long", "stationary"]
+        assert {log[-1] for log in logs} == {"gtol", "ftol", "stationary"}
+
+    def test_bfgs_bracket_width_stop_matches_scalar_oracle(self):
+        # f = sum_i min(x_i, -2 x_i) peaks at a kink, and its gradient
+        # jumps there, so near the peak steps keep failing the Armijo
+        # condition: two runs stop when the bracket's width times g.d falls
+        # below BFGS_FTOL, before a step is accepted, and one on BFGS_FTOL
+        def objective(points):
+            return np.minimum(points, -2 * points).sum(axis=1), np.where(points < 0, 1.0, -2.0)
+
+        starts = np.array([[-0.5, 2.0], [3.0, 0.25], [-1.0, -3.0]])
+        logs = assert_runs_match_scalar_bfgs(objective, starts)
+        assert [log[-1] for log in logs] == ["bracket", "bracket", "ftol"]
 
     def test_stalled_exactly_when_step_cap_runs_out(self, rng, monkeypatch):
         import workcap.capacity as capacity_mod

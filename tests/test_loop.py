@@ -529,6 +529,21 @@ class TestWorkRate:
         rhs = math.log(2) - entropy_rate(env, base="nats") - 0.0
         assert abs(lhs - rhs) < 1e-9
 
+    def test_models_at_the_row_sum_tolerance(self, rng):
+        # every row of both models sums to 1 + 0.9e-12, within ROW_SUM_TOL,
+        # so both construct; the composed kernel's rows miss 1 by about
+        # twice that, and work_rate must not reject what construction took
+        env, agent = random_environment(rng, 2, 2), random_agent(rng, 2, 2)
+        scale = 1.0 + 0.9e-12
+        env_edge = EnvironmentModel(env.alphabet, env.hidden_states, env.phi * scale,
+                                    env.initial)
+        agent_edge = AgentModel(agent.alphabet, agent.memory_states, agent.theta * scale,
+                                agent.initial_joint)
+        assert np.abs(env_edge.phi.sum(axis=(2, 3)) - 1.0).min() > 0.8e-12
+        assert np.abs(agent_edge.theta.sum(axis=(2, 3)) - 1.0).min() > 0.8e-12
+        rate = work_rate(PerceptActionLoop(agent_edge, env_edge), base="nats").rate
+        assert abs(rate - work_rate(PerceptActionLoop(agent, env), base="nats").rate) <= 1e-10
+
 
 class TestPredictiveness:
     def test_uniform_agent_on_fig5_round_zero(self, fig5):
