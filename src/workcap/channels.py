@@ -309,7 +309,7 @@ def _parse_prob(value, where: str) -> float:
             x = float(value)
         except ValueError:
             raise ModelFormatError(f"{where}: {value!r} is not a decimal number") from None
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         x = float(value)
     else:
         raise ModelFormatError(f"{where}: probability must be a decimal string")

@@ -16,7 +16,8 @@ class DomainError(WorkcapError, ValueError):
 
 
 class ConvergenceError(WorkcapError, RuntimeError):
-    """An iterative computation did not converge within its budget."""
+    """A certified computation did not close within its budget;
+    ``estimates`` holds the (lower, upper) interval it reached."""
 
     def __init__(self, message: str, estimates: tuple[float, float] | None = None):
         super().__init__(message)

@@ -1,8 +1,9 @@
 """Discrete information measures over exact joint tables.
 
 Entropy, conditional entropy, (conditional) mutual information, and the
-entropy rate of product-channel sources, which for unifilar ones reads the
-Cesàro limit law of the hidden state from ``markov._limit_laws``.  All
+entropy rate of product-channel sources from the Cesàro limit law of the
+hidden state (``markov._limit_laws``): a closed form for unifilar ones, else
+a block-entropy sandwich whose computed width is at most RATE_WIDTH.  All
 internal arithmetic is in nats; the ``base`` argument ("bits" or "nats")
 only converts the returned value.  Zero-probability outcomes are skipped in
 every sum (0 log 0 = 0).
@@ -28,7 +29,7 @@ LN2 = math.log(2.0)
 
 JOINT_SUM_TOL = 1e-10
 _CLAMP_RAISE = 1e-9
-ENUMERATION_BUDGET = 20_000_000  # entries a block-entropy prefix table may hold
+RATE_WIDTH = 1e-12  # nats: the widest certified interval entropy_rate returns from
 
 
 def _base_factor(base: str) -> float:
@@ -40,9 +41,7 @@ def _base_factor(base: str) -> float:
 
 
 def _names(vars) -> tuple[str, ...]:
-    if isinstance(vars, str):
-        return (vars,)
-    return tuple(vars)
+    return (vars,) if isinstance(vars, str) else tuple(vars)
 
 
 def _entropy_nats(p: np.ndarray) -> float:
@@ -186,44 +185,38 @@ def _cmi_nats(entropy_of, a: tuple[str, ...], b: tuple[str, ...],
 # Entropy rate of product-channel sources
 # ---------------------------------------------------------------------------
 
-def _percept_block_entropies(env, max_len: int):
-    """Yields H(S_{0:n}) in nats for n = 1, 2, ... under the fixed all-zeros
-    action sequence (the percept law of a product channel does not depend on
-    it).  Stops raising once the prefix table would exceed
-    ENUMERATION_BUDGET, read at each call."""
-    phi0 = env.phi[0]
-    alpha = env.initial.copy()  # joint of the percept prefix and hidden state
-    for _ in range(max_len):
-        if alpha.size * env.n_symbols > ENUMERATION_BUDGET:
-            raise ConvergenceError(
-                "block-entropy table exceeded the enumeration budget before converging"
-            )
-        alpha = np.tensordot(alpha, phi0, axes=([-1], [0]))
-        yield _entropy_nats(alpha.sum(axis=-1))
+def _stationary_law(env) -> np.ndarray:
+    """The Cesàro limit of the hidden state's law under action 0."""
+    hidden_step = env.phi[0].sum(axis=1)  # [z, z']
+    _, laws, _ = _limit_laws(hidden_step[None], env.initial[None, None])
+    return laws[0, 0].mean(axis=0)
 
 
 def _unifilar_entropy_rate(env) -> float:
     """:func:`entropy_rate` in nats of a unifilar product channel."""
-    # hidden-state chain under the fixed action; unifilarity makes the
-    # state a function of the percept past, so H(S_t | S_{0:t}) = H(S_t | Z_t)
-    hidden_step = env.phi[0].sum(axis=1)  # [z, z']
-    _, laws, _ = _limit_laws(hidden_step[None], env.initial[None, None])
-    pi = laws[0, 0].mean(axis=0)  # the Cesàro limit of the hidden state's law
+    # the hidden state is a function of the percept past: H(S_t | S_{0:t}) = H(S_t | Z_t)
+    pi = _stationary_law(env)
     emission = env.phi[0].sum(axis=2)  # [z, s]
     h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))
     return _clamp_nonneg(h, "entropy rate")
 
 
-def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
-                 base: str = BITS) -> float:
+def entropy_rate(env, base: str = BITS) -> float:
     """Per-symbol entropy of the percept process of a product channel, as
     decided by ``channels.is_product`` (ChannelClassError otherwise).
 
-    For unifilar models the Cesàro chain rule collapses to the closed form
-    sum_z pi(z) H(emission | z) with pi the time-averaged hidden-state
-    distribution.  Otherwise increasing-horizon conditional block entropies
-    H(S_{0:n+1}) - H(S_{0:n}) are used until two successive estimates differ
-    by less than ``tol``; ENUMERATION_BUDGET bounds their prefix tables.
+    Both routes start from pi, the Cesàro limit of the hidden state's law:
+    the process started from ``env.initial`` is asymptotically mean
+    stationary with the pi-started process as its stationary mean, so both
+    have one rate.  Unifilar models have the closed form sum_z pi(z)
+    H(emission | z).  Otherwise H(S_n | S_{0:n}, Z_0) <= rate <= H(S_n |
+    S_{0:n}) (Cover & Thomas, Thm 4.5.1) is read off the exact table
+    p(Z_0, S_{0:n}, Z_n) for n = 0, 1, ... until the computed interval is
+    at most RATE_WIDTH nats wide, and its upper side is returned; rounding
+    in the entropy sums (about 1e-13 nats at the largest tables) is not in
+    that width.  ConvergenceError carries the interval, in ``base``, as
+    ``estimates`` when the next table would pass ``loop.TRAJECTORY_BUDGET``
+    entries (read at each call).
     """
     factor = _base_factor(base)
     if not channels.is_product(env):
@@ -231,15 +224,20 @@ def entropy_rate(env, tol: float = 1e-9, max_horizon: int = 48,
     if channels.is_unifilar(env) is not None:
         return _unifilar_entropy_rate(env) * factor
 
-    prev_block = 0.0
-    prev_estimate = None
-    estimate = None
-    for block in _percept_block_entropies(env, max_horizon):
-        prev_estimate, estimate = estimate, block - prev_block
-        prev_block = block
-        if prev_estimate is not None and abs(estimate - prev_estimate) < tol:
-            return _clamp_nonneg(estimate, "entropy rate") * factor
-    raise ConvergenceError(
-        f"entropy rate estimates did not settle within horizon {max_horizon}",
-        estimates=(prev_estimate, estimate),
-    )
+    from . import loop  # here, since loop imports this module
+    n_z, n_s = env.n_hidden, env.n_symbols
+    emission = env.emission()[0]  # [z, s]
+    step = env.phi[0].reshape(n_z, n_s * n_z)  # [z, (s, z')]
+    table = np.diag(_stationary_law(env))  # p((Z_0, S_{0:n}), Z_n)
+    h_prev = (_entropy_nats(table), 0.0)  # H(Z_0, S_{0:n}) and H(S_{0:n})
+    lower, upper = 0.0, math.log(n_s)
+    while True:
+        if table.size * n_s > loop.TRAJECTORY_BUDGET:
+            raise ConvergenceError(f"entropy rate not within {RATE_WIDTH} nats at the budget",
+                                   estimates=(lower * factor, upper * factor))
+        z_words = (table @ emission).reshape(n_z, -1)  # p(Z_0, S_{0:n+1})
+        h = (_entropy_nats(z_words), _entropy_nats(z_words.sum(axis=0)))
+        lower, upper = h[0] - h_prev[0], h[1] - h_prev[1]
+        if upper - lower <= RATE_WIDTH:
+            return _clamp_nonneg(upper, "entropy rate") * factor
+        h_prev, table = h, (table @ step).reshape(-1, n_z)

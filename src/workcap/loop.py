@@ -49,7 +49,7 @@ from .errors import BudgetError, DimensionError
 from .info import (BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats,
                    conditional_mutual_information)
 from .markov import (Distribution, TransitionKernel, _check_stochastic, _limit_laws,
-                     _pattern_groups, bfs_levels)
+                     _owning, _pattern_groups, bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
 
@@ -112,6 +112,8 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
         e(s2 | a2, z2) * theta(a2, m2 | s, m) * phi(s, z2 | a, z) / e(s | a, z)
 
     and the round-0 distribution is agent_init(a, m) * env_init(z) * e(s|a, z).
+    Both are products of the models' checked arrays and are not checked
+    again, so a row may miss 1 by a few ROW_SUM_TOL.
     """
     phi = loop.env.phi
     emission = loop.env.emission()  # [a, z, s]
@@ -123,7 +125,7 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
     K[~feasible] = 1.0 / n  # uniform placeholder; never entered
     init = np.einsum("am,z,azs->masz", loop.agent.initial_joint, loop.env.initial,
                      emission).reshape(n)
-    return GlobalChain(loop.shape, TransitionKernel(K), Distribution(init),
+    return GlobalChain(loop.shape, _owning(TransitionKernel, K), _owning(Distribution, init),
                        feasible, bfs_levels(init > 0.0, K > 0.0) >= 0)
 
 

@@ -101,6 +101,15 @@ class Distribution:
         return self.probs.size
 
 
+def _owning(cls, probs: np.ndarray):
+    """A ``cls`` (TransitionKernel or Distribution) around ``probs`` itself,
+    neither copied nor checked: only for a fresh product of checked factors."""
+    held = object.__new__(cls)
+    probs.setflags(write=False)
+    object.__setattr__(held, "probs", probs)
+    return held
+
+
 @dataclass(frozen=True)
 class StateClassification:
     """Communicating classes plus a per-state recurrent/transient verdict."""

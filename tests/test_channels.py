@@ -471,6 +471,19 @@ class TestFileFormat:
         env = loads_model(text)
         assert env.phi[0, 0, 0, 0] == pytest.approx(2 ** -0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("initial, row", [('{"z": true}', '{"0,z": "1"}'),
+                                              ('{"z": "1"}', '{"0,z": true}'),
+                                              ('{"z": "1"}', '{"0,z": false, "1,z": 1}')])
+    def test_probabilities_reject_json_booleans(self, initial, row):
+        # bool is an int in Python, so true would otherwise read as 1.0
+        text = f"""{{
+          "alphabet": ["0", "1"], "hidden_states": ["z"],
+          "initial": {initial},
+          "transitions": {{"0,z": {row}, "1,z": {{"0,z": "0.5", "1,z": "0.5"}}}}
+        }}"""
+        with pytest.raises(ModelFormatError, match="decimal string"):
+            loads_model(text)
+
 
 class TestActionInvariance:
     def test_golden_mean_kernel_action_invariant(self, golden_mean):

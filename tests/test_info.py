@@ -199,6 +199,8 @@ class TestEntropyRate:
             phi[a, 1, 0, 0] = 1.0  # state 1 emits 0, moves back
         env = EnvironmentModel(("0", "1"), ("u", "v"), phi, np.array([1.0, 0.0]))
         assert entropy_rate(env) == pytest.approx(0.0, abs=1e-12)
+        # from the uniform start it is not unifilar; the sandwich closes at 0
+        assert entropy_rate(uniform_start(env)) == 0.0
 
     def test_golden_mean_closed_form_vs_block_oracle(self, golden_mean):
         h = entropy_rate(golden_mean)
@@ -208,31 +210,26 @@ class TestEntropyRate:
         assert abs(h - oracle) < 1e-5
 
     def test_unifilar_reducible_periodic_source(self):
-        # z0 is transient: it emits 0 (p = .3) into a 2-cycle and 1 into a
-        # 3-cycle, whose states emit 1 with the probabilities below; the
-        # rate is the absorption-weighted mean emission entropy per cycle
-        from workcap import EnvironmentModel
         from workcap.channels import is_unifilar
-        cycles = ((0.2, 0.5), (0.1, 0.4, 0.9))
-        n_z = 1 + sum(map(len, cycles))
-        phi = np.zeros((2, n_z, 2, n_z))
-        phi[:, 0, 0, 1], phi[:, 0, 1, 3] = 0.3, 0.7
-        offset = 1
-        for emits in cycles:
-            for i, e in enumerate(emits):
-                nxt = offset + (i + 1) % len(emits)
-                phi[:, offset + i, 0, nxt], phi[:, offset + i, 1, nxt] = 1.0 - e, e
-            offset += len(emits)
-        env = EnvironmentModel(("0", "1"), tuple(f"z{i}" for i in range(n_z)), phi,
-                               np.eye(n_z)[0])
+        env = reducible_periodic_source(np.eye(N_Z_CYCLES)[0])
         assert is_unifilar(env) is not None
-
-        def h(e):
-            return -(e * math.log2(e) + (1.0 - e) * math.log2(1.0 - e))
-        expected = 0.3 * np.mean([h(e) for e in cycles[0]]) + 0.7 * np.mean(
-            [h(e) for e in cycles[1]])
+        expected = cycle_mixture_rate(0.3)
         assert expected == pytest.approx(0.70370896, abs=1e-8)
         assert abs(entropy_rate(env) - expected) <= 1e-12
+
+    def test_reducible_periodic_source_from_a_mixed_start_raises_with_its_interval(self):
+        # half the mass starts in the 2-cycle: that cycle holds 0.5 + 0.5 * 0.3 of
+        # pi; given Z_0 the cycle and its phase are known, so the lower side is
+        # the mixture's rate at once, while the upper side learns the phase of
+        # the 2-cycle (emissions 0.2 and 0.5) too slowly for the budget
+        env = reducible_periodic_source(np.eye(N_Z_CYCLES)[:2].mean(axis=0))
+        expected = cycle_mixture_rate(0.65)
+        with pytest.raises(ConvergenceError, match="budget") as caught:
+            entropy_rate(env)
+        lower, upper = caught.value.estimates
+        assert lower <= expected <= upper
+        assert abs(lower - expected) <= 1e-12
+        assert upper - lower > 1e-3
 
     def test_non_product_rejected(self, fig5):
         with pytest.raises(ChannelClassError):
@@ -241,23 +238,65 @@ class TestEntropyRate:
     def test_nonunifilar_block_route(self, rng):
         # a product channel with uniform initial state is not unifilar; the
         # block-entropy route must still converge for a fast-mixing source
-        from workcap import EnvironmentModel
-        base = random_environment(rng, 2, 2, action_invariant=True)
-        env = EnvironmentModel(base.alphabet, base.hidden_states, base.phi,
-                               np.array([0.5, 0.5]))
-        h = entropy_rate(env, tol=1e-7)
+        env = uniform_start(random_environment(rng, 2, 2, action_invariant=True))
+        h = entropy_rate(env)
         oracle = block_entropy_oracle(env, n=16)
         assert abs(h - oracle) < 1e-4
 
     def test_block_route_reads_the_budget_when_called(self, rng, monkeypatch):
-        # the first prefix table holds n_z * |S| = 4 entries
-        from workcap import EnvironmentModel
-        base = random_environment(rng, 2, 2, action_invariant=True)
-        env = EnvironmentModel(base.alphabet, base.hidden_states, base.phi,
-                               np.array([0.5, 0.5]))
-        monkeypatch.setattr(info, "ENUMERATION_BUDGET", 3)
-        with pytest.raises(ConvergenceError, match="enumeration budget"):
+        # the first table p((Z_0, S_0), Z_1) holds n_z * |S| * n_z = 8 entries
+        from workcap import loop
+        env = uniform_start(random_environment(rng, 2, 2, action_invariant=True))
+        monkeypatch.setattr(loop, "TRAJECTORY_BUDGET", 7)
+        with pytest.raises(ConvergenceError, match="budget") as caught:
             entropy_rate(env)
+        assert caught.value.estimates == (0.0, 1.0)  # no round: 0 <= rate <= log|S|
+        monkeypatch.setattr(loop, "TRAJECTORY_BUDGET", 8)
+        with pytest.raises(ConvergenceError, match="budget") as caught:
+            entropy_rate(env, base="nats")
+        # one round: H(S_0 | Z_0) <= rate <= H(S_0) under the stationary law
+        pi = info._stationary_law(env)
+        emission = env.phi[0].sum(axis=2)
+        lower = float(-(pi[:, None] * emission * np.log(emission)).sum())
+        upper = float(-(pi @ emission * np.log(pi @ emission)).sum())
+        assert caught.value.estimates == pytest.approx((lower, upper), abs=1e-15)
+
+    def test_golden_mean_from_a_uniform_start(self, golden_mean):
+        # a product source that is not unifilar, since is_unifilar needs a
+        # delta start; its rate is still exactly 2/3 bit
+        from workcap.channels import is_unifilar
+        env = uniform_start(golden_mean)
+        assert is_unifilar(env) is None
+        assert abs(entropy_rate(env) - 2.0 / 3.0) <= 1e-12
+
+    def test_block_route_on_random_sources(self):
+        # action-invariant draws with 2, 3 and 4 hidden states, in turn from one rng
+        rng = np.random.default_rng(0)
+        for n_hidden in (2, 3, 4):
+            env = uniform_start(random_environment(rng, 2, n_hidden, action_invariant=True))
+            h = entropy_rate(env)
+            assert abs(h - block_entropy_oracle(env, n=18)) < 1e-5
+
+    def test_sticky_source_raises_with_nested_certified_intervals(self, monkeypatch):
+        # mixes too slowly for the budget (at loop.TRAJECTORY_BUDGET itself the
+        # interval is still about 2.4e-9 nats wide); a larger budget narrows
+        # the interval within the last one, and each holds 0.53082796608,
+        # what the old two-estimate stopping rule returned
+        from workcap import EnvironmentModel, loop
+        emit = np.array([[0.9, 0.1], [0.2, 0.8]])
+        move = np.array([[0.95, 0.05], [0.05, 0.95]])
+        phi = emit[:, :, None] * move[:, None, :]
+        env = EnvironmentModel(("0", "1"), ("u", "v"), np.stack([phi, phi]),
+                               np.array([0.5, 0.5]))
+        intervals = []
+        for budget in (2 ** 12, 2 ** 16):
+            monkeypatch.setattr(loop, "TRAJECTORY_BUDGET", budget)
+            with pytest.raises(ConvergenceError, match="budget") as caught:
+                entropy_rate(env, base="nats")
+            intervals.append(caught.value.estimates)
+        (lo_small, hi_small), (lo_large, hi_large) = intervals
+        assert lo_small < lo_large < 0.53082796608 < hi_large < hi_small
+        assert 1e-6 < hi_large - lo_large < 2e-6
 
     def test_unifilar_vs_block_on_random_sources(self, rng):
         from workcap import EnvironmentModel
@@ -266,6 +305,41 @@ class TestEntropyRate:
             h = entropy_rate(env)
             oracle = block_entropy_oracle(env, n=17)
             assert abs(h - oracle) < 1e-5
+
+
+def uniform_start(env):
+    from workcap import EnvironmentModel
+    return EnvironmentModel(env.alphabet, env.hidden_states, env.phi,
+                            np.full(env.n_hidden, 1.0 / env.n_hidden))
+
+
+# z0 is transient: it emits 0 (p = .3) into a 2-cycle and 1 into a 3-cycle,
+# whose states emit 1 with the probabilities below
+CYCLE_EMISSIONS = ((0.2, 0.5), (0.1, 0.4, 0.9))
+N_Z_CYCLES = 1 + sum(map(len, CYCLE_EMISSIONS))
+
+
+def reducible_periodic_source(initial):
+    from workcap import EnvironmentModel
+    phi = np.zeros((2, N_Z_CYCLES, 2, N_Z_CYCLES))
+    phi[:, 0, 0, 1], phi[:, 0, 1, 3] = 0.3, 0.7
+    offset = 1
+    for emits in CYCLE_EMISSIONS:
+        for i, e in enumerate(emits):
+            nxt = offset + (i + 1) % len(emits)
+            phi[:, offset + i, 0, nxt], phi[:, offset + i, 1, nxt] = 1.0 - e, e
+        offset += len(emits)
+    return EnvironmentModel(("0", "1"), tuple(f"z{i}" for i in range(N_Z_CYCLES)), phi,
+                            initial)
+
+
+def cycle_mixture_rate(weight_2_cycle: float) -> float:
+    """The rate in bits of the reducible periodic source: the mean emission
+    entropy of each cycle, weighted by the law's mass on that cycle."""
+    def h(e):
+        return -(e * math.log2(e) + (1.0 - e) * math.log2(1.0 - e))
+    two, three = (np.mean([h(e) for e in emits]) for emits in CYCLE_EMISSIONS)
+    return weight_2_cycle * two + (1.0 - weight_2_cycle) * three
 
 
 def block_entropy_oracle(env, n: int) -> float:

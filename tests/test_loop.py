@@ -532,7 +532,8 @@ class TestWorkRate:
     def test_models_at_the_row_sum_tolerance(self, rng):
         # every row of both models sums to 1 + 0.9e-12, within ROW_SUM_TOL,
         # so both construct; the composed kernel's rows miss 1 by about
-        # twice that, and work_rate must not reject what construction took
+        # twice that, and neither work_rate nor build_global_chain may
+        # reject what construction took
         env, agent = random_environment(rng, 2, 2), random_agent(rng, 2, 2)
         scale = 1.0 + 0.9e-12
         env_edge = EnvironmentModel(env.alphabet, env.hidden_states, env.phi * scale,
@@ -543,6 +544,12 @@ class TestWorkRate:
         assert np.abs(agent_edge.theta.sum(axis=(2, 3)) - 1.0).min() > 0.8e-12
         rate = work_rate(PerceptActionLoop(agent_edge, env_edge), base="nats").rate
         assert abs(rate - work_rate(PerceptActionLoop(agent, env), base="nats").rate) <= 1e-10
+        chain = build_global_chain(PerceptActionLoop(agent_edge, env_edge))
+        plain = build_global_chain(PerceptActionLoop(agent, env))
+        assert np.abs(chain.kernel.probs.sum(axis=1) - 1.0).max() > markov.ROW_SUM_TOL
+        assert np.abs(chain.kernel.probs - plain.kernel.probs).max() <= 1e-11
+        assert np.abs(chain.initial.probs - plain.initial.probs).max() <= 1e-11
+        assert not (chain.kernel.probs.flags.writeable or chain.initial.probs.flags.writeable)
 
 
 class TestPredictiveness:
