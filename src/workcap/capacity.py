@@ -696,11 +696,12 @@ class AgentSetReport:
 
 
 def classify_agent_sets(env: channels.EnvironmentModel, agent: agents.AgentModel,
-                        horizon: int = 4, tol: float = 1e-9,
-                        reference_capacity_nats: float | None = None,
+                        horizon: int = 4, reference_capacity_nats: float | None = None,
                         base: str = BITS) -> AgentSetReport:
     """Bundle the mea test, the truncated predictiveness estimate, the work
-    rate, and (optionally) a comparison against a supplied capacity value."""
+    rate, and (optionally) a comparison against a supplied capacity value;
+    the mea test and the comparison each allow 1e-9 nats."""
+    tol = 1e-9
     pal = loop.PerceptActionLoop(agent, env)
     report = loop.work_rate(pal, base="nats", rounds=0)
     mea_nats = report.action_entropy

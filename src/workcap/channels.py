@@ -242,17 +242,23 @@ def _decide_action_invariant_kernel(env: EnvironmentModel) -> bool:
 def is_unifilar(env: EnvironmentModel) -> np.ndarray | None:
     """The unifilarity map if the model qualifies, else None.
 
-    Requires a delta initial distribution and, for every reachable hidden
-    state, at most one positive successor per (action, state, percept).
-    The map is a read-only ``(|A|, n_z, |A|)`` int array of those successors,
-    with the current state z where the triple (a, z, s) has none.
+    Requires a delta initial distribution and unifilar transitions
+    (:func:`_unifilar_transitions`), so that the percepts fix the hidden
+    state at every round.
     """
+    return env._unifilar if np.max(env.initial) >= 1.0 - ROW_SUM_TOL else None
+
+
+def _unifilar_transitions(env: EnvironmentModel) -> np.ndarray | None:
+    """The unifilarity map if every reachable hidden state has at most one
+    positive successor per (action, state, percept), from any initial law,
+    else None.  The map is a read-only ``(|A|, n_z, |A|)`` int array of
+    those successors, with the current state z where the triple (a, z, s)
+    has none."""
     return env._unifilar
 
 
 def _decide_unifilar(env: EnvironmentModel) -> np.ndarray | None:
-    if np.max(env.initial) < 1.0 - ROW_SUM_TOL:
-        return None
     reach = reachable_hidden(env)
     positive = env.phi > 0.0  # [a, z, s, z2]
     successors = positive.sum(axis=3)
@@ -266,23 +272,26 @@ def cascade(first: EnvironmentModel, second: EnvironmentModel) -> EnvironmentMod
     """Feed ``first``'s percepts into ``second`` as actions.
 
     Hidden states are pairs (z1, z2); the composite kernel marginalizes the
-    intermediate symbol.
+    intermediate symbol.  Its tables are products of the two checked
+    models' and are not checked again (as ``markov._owning`` does for the
+    global chain), so a row may miss 1 by a few ROW_SUM_TOL; the labels are.
     """
     if first.alphabet != second.alphabet:
         raise DimensionError(
             f"cascade: percept alphabet {first.alphabet} of the first channel must "
             f"equal the action alphabet {second.alphabet} of the second"
         )
+    n = first.n_hidden * second.n_hidden
     # out[a, z1, z2, s, w1, w2] = sum_i phi1[a, z1, i, w1] * phi2[i, z2, s, w2]
-    comp = np.einsum("axiu,iysv->axysuv", first.phi, second.phi)
-    n1, n2 = first.n_hidden, second.n_hidden
-    n = n1 * n2
-    phi = comp.reshape(first.n_symbols, n, first.n_symbols, n)
-    labels = tuple(
-        f"({l1},{l2})" for l1 in first.hidden_states for l2 in second.hidden_states
-    )
-    initial = np.outer(first.initial, second.initial).reshape(n)
-    return EnvironmentModel(first.alphabet, labels, phi, initial)
+    phi = _frozen(np.einsum("axiu,iysv->axysuv", first.phi, second.phi))
+    labels = [f"({l1},{l2})" for l1 in first.hidden_states for l2 in second.hidden_states]
+    env = object.__new__(EnvironmentModel)
+    for name, value in (("alphabet", first.alphabet),
+                        ("hidden_states", _check_labels(labels, "hidden_states")),
+                        ("phi", phi.reshape(first.n_symbols, n, first.n_symbols, n)),
+                        ("initial", _frozen(np.outer(first.initial, second.initial)).reshape(n))):
+        object.__setattr__(env, name, value)
+    return env
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Entropy, conditional entropy, (conditional) mutual information, and the
 entropy rate of product-channel sources from the Cesàro limit law of the
-hidden state (``markov._limit_laws``): a closed form for unifilar ones, else
-a block-entropy sandwich whose computed width is at most RATE_WIDTH.  All
-internal arithmetic is in nats; the ``base`` argument ("bits" or "nats")
-only converts the returned value.  Zero-probability outcomes are skipped in
-every sum (0 log 0 = 0).
+hidden state (``markov._limit_laws``): a closed form for ones whose
+transitions are unifilar, from any start, else a block-entropy sandwich
+whose computed width is at most RATE_WIDTH.  All internal arithmetic is in
+nats; the ``base`` argument ("bits" or "nats") only converts the returned
+value.  Zero-probability outcomes are skipped in every sum (0 log 0 = 0).
 """
 
 from __future__ import annotations
@@ -193,8 +193,10 @@ def _stationary_law(env) -> np.ndarray:
 
 
 def _unifilar_entropy_rate(env) -> float:
-    """:func:`entropy_rate` in nats of a unifilar product channel."""
-    # the hidden state is a function of the percept past: H(S_t | S_{0:t}) = H(S_t | Z_t)
+    """:func:`entropy_rate` in nats of a product channel with unifilar
+    transitions."""
+    # given Z_0 the hidden state is a function of the percept past, so from
+    # the stationary start H(S_n | S_{0:n}, Z_0) = H(S_n | Z_n) at every n
     pi = _stationary_law(env)
     emission = env.phi[0].sum(axis=2)  # [z, s]
     h = float(sum(pi[z] * _entropy_nats(emission[z]) for z in range(env.n_hidden)))
@@ -208,8 +210,10 @@ def entropy_rate(env, base: str = BITS) -> float:
     Both routes start from pi, the Cesàro limit of the hidden state's law:
     the process started from ``env.initial`` is asymptotically mean
     stationary with the pi-started process as its stationary mean, so both
-    have one rate.  Unifilar models have the closed form sum_z pi(z)
-    H(emission | z).  Otherwise H(S_n | S_{0:n}, Z_0) <= rate <= H(S_n |
+    have one rate.  A model whose transitions are unifilar on its reachable
+    states (``channels._unifilar_transitions``), from any start, has the
+    closed form sum_z pi(z) H(emission | z): it is the lower side below at
+    every n.  Otherwise H(S_n | S_{0:n}, Z_0) <= rate <= H(S_n |
     S_{0:n}) (Cover & Thomas, Thm 4.5.1) is read off the exact table
     p(Z_0, S_{0:n}, Z_n) for n = 0, 1, ... until the computed interval is
     at most RATE_WIDTH nats wide, and its upper side is returned; rounding
@@ -221,7 +225,7 @@ def entropy_rate(env, base: str = BITS) -> float:
     factor = _base_factor(base)
     if not channels.is_product(env):
         raise ChannelClassError("entropy rate needs a product channel")
-    if channels.is_unifilar(env) is not None:
+    if channels._unifilar_transitions(env) is not None:
         return _unifilar_entropy_rate(env) * factor
 
     from . import loop  # here, since loop imports this module

@@ -20,16 +20,15 @@ chain); every work term is read from its marginals p(m, a) and p(m, s).
 
 Every finite-horizon trajectory quantity comes from one forward pass,
 ``_forward_pass``: its message, a matrix from the kept past to the current
-(M_t, A_t, Z_t), takes in each round by one matrix product against a factor
-built from phi and theta, and each variable the caller did not ask for is
-summed inside the product that last reads it.  A table is read off the
-message by one product with the emission.  A loop keeps the factors its
-passes build, one per pattern of kept variables.
-``trajectory_distribution`` keeps every variable; the predictiveness scores
-keep only the ones their conditional mutual information reads, so their
-tables stay near the size of that marginal, and each score is read off a
-4-axis view of its table.  ``am_predictiveness`` reads every round's table
-off one pass.
+(M_t, A_t, Z_t), takes in each round by phi's product and then theta's, and
+each variable the caller did not ask for is summed inside the product that
+last reads it.  A table is read off the message by one product with the
+emission.  A loop keeps the factors its passes build, one per pattern of
+kept variables.  ``trajectory_distribution`` keeps every variable; the
+predictiveness quantities keep only the ones their conditional mutual
+information reads, so their tables stay near the size of that marginal,
+and each is read off a 4-axis view (past, M_t, A_t, future) of its table.
+``am_predictiveness`` reads every round's table off one pass.
 
 Index convention throughout: a range subscript l:m includes l and excludes m,
 so the action block relevant at round t is A_0..A_t and the percept past is
@@ -46,10 +45,9 @@ from scipy.special import xlogy
 
 from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
-from .info import (BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats,
-                   conditional_mutual_information)
-from .markov import (Distribution, TransitionKernel, _check_stochastic, _limit_laws,
-                     _owning, _pattern_groups, bfs_levels)
+from .info import BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats
+from .markov import (Distribution, TransitionKernel, _limit_laws, _owning, _pattern_groups,
+                     bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
 
@@ -175,8 +173,9 @@ def _agent_factor(theta: np.ndarray, kept_m: bool, kept_s: bool) -> np.ndarray:
 
 
 def _two_products(msg: np.ndarray, shape, kept, to_env, to_agent) -> np.ndarray:
-    """One round as phi's product and then theta's: the message, rows by (m,
-    a, z), becomes rows by (the kept M_t, A_t, S_t, Z_t, then n, b, w)."""
+    """One round as phi's product and then theta's: the message, columns by
+    (m, a, z), becomes the next one, rows by the past and the kept M_t, A_t,
+    S_t, Z_t, and columns by (n, b, w)."""
     n_m, n_a, n_s, n_z = shape
     k_m, k_a, k_s, k_z = (n if k else 1 for n, k in zip(shape, kept))
     rows = len(msg)
@@ -184,91 +183,70 @@ def _two_products(msg: np.ndarray, shape, kept, to_env, to_agent) -> np.ndarray:
     x = x.reshape(rows, n_m, k_a, n_s, k_z, n_z).transpose(0, 2, 4, 5, 1, 3)
     y = x.reshape(-1, n_m * n_s) @ to_agent  # [p, A_t, Z_t, w, M_t, S_t, (n, b)]
     y = y.reshape(rows, k_a, k_z, n_z, k_m, k_s, n_m * n_a).transpose(0, 4, 1, 5, 2, 6, 3)
-    return y.reshape(rows, -1)
+    return y.reshape(-1, n_m * n_a * n_z)
 
 
-def _forward_pass(loop: PerceptActionLoop, keep, reads: dict[int, set[str]]) -> list[JointTable]:
-    """Tables read off one forward pass over the rounds, in round order.
+def _forward_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
+    """The read-outs of one forward pass over the rounds, in round order.
 
-    The message before round t is a matrix: one row per value of the kept
-    past (the variables of rounds before t in ``keep``, flattened in
-    variable order) and one column per value of (M_t, A_t, Z_t).  At each
-    round t in ``reads`` a read-out product with the emission gives the
-    marginal over the kept past and the round-t variables in ``reads[t]``;
-    up to the last read, round t's product with phi and theta gives the next
-    message, keeping the round-t variables in ``keep`` and summing the rest
-    inside the product (variable elimination in round order, Zhang & Poole
-    1994).  Each factor is built once per loop, one per pattern of kept
-    variables (:func:`_run_pass`), and a kept variable of the message's
-    state is copied onto its own column axis of the factor.
-
-    A round is one product, against the matrix of phi and theta together,
-    once the past has at least as many rows as (M_t, A_t, Z_t) has values:
-    from there that matrix is no larger than the round's output.  Before,
-    the round is two products, phi's and then theta's, with transposes
-    between them, and the combined matrix is built by running those two on
-    the identity message.  A read-out carries a kept M_t in the message's
-    rows, so its factor never copies M_t onto a diagonal; an unkept M_t is
-    summed by the emission's rows repeated for each memory state.
+    ``plan`` holds one ``(read, step)`` per round up to the last read, each
+    None or four flags saying which of (M_t, A_t, S_t, Z_t) it keeps.  The
+    message before round t is a matrix: one row per value of the kept past
+    (the variables the steps of rounds before t keep, in round and variable
+    order) and one column per value of (M_t, A_t, Z_t).  A read is one
+    product with the emission, the marginal over the kept past and the
+    round-t variables it keeps; a step is phi's product and then theta's,
+    which form the next message, keeping the round-t variables it flags
+    and summing the rest inside the product (variable elimination in round
+    order, Zhang & Poole 1994).  Each factor is built once per loop, one
+    per pattern of kept variables (:func:`_run_pass`), and a kept variable
+    of the message's state is copied onto its own column axis of the
+    factor.  A read-out carries a kept M_t in the message's rows, so its
+    factor never copies M_t onto a diagonal; an unkept M_t is summed by
+    the emission's rows repeated for each memory state.
 
     TRAJECTORY_BUDGET, read at each call, bounds the largest array the pass
     forms, factors included, which is computed from the shapes before any
-    product.  Every table is C-contiguous and owned by its JointTable.
+    product; phi's product is never larger than the round's output, since
+    |S| = |A|.  Each read-out is a C-contiguous matrix whose row-major order
+    is the kept past and then round t's kept variables.
     """
     shape = loop.shape
     n_m, n_a, n_s, n_z = shape
     state = n_m * n_a * n_z
-    plan, names, read_names = [], [], []
     past, required = 1, state  # the round-0 message has one row
-    last = max(reads)
-    for t in range(last + 1):
-        here = [f"{v}{t}" for v in _ROUND_VARS]
-        read = step = None
-        if t in reads:
-            read = tuple([name in reads[t] for name in here])
+    for read, step in plan:
+        if read is not None:
             k_m, k_a, k_s, k_z = [n if k else 1 for n, k in zip(shape, read)]
             # the emission's matrix before S_t is summed and as repeated for
             # each memory state, and the table
             required = max(required, n_a * n_z * k_a * n_s * k_z,
                            (1 if read[0] else n_m) * n_a * n_z * k_a * k_s * k_z,
                            past * k_m * k_a * k_s * k_z)
-            read_names.append((*names, *[name for name, k in zip(here, read) if k]))
-        if t < last:
-            step = tuple([name in keep for name in here])
+        if step is not None:
             k_m, k_a, k_s, k_z = [n if k else 1 for n, k in zip(shape, step)]
-            # phi's matrix and product (on at most `state` rows: the message,
-            # or the identity the combined matrix is built from), theta's
-            # matrix, and the round's output
-            to_env = k_a * n_s * k_z * n_z
-            required = max(required, n_a * n_z * to_env, min(past, state) * n_m * to_env,
+            # phi's matrix, theta's matrix and the round's output
+            required = max(required, n_a * n_z * k_a * n_s * k_z * n_z,
                            n_m * n_s * k_m * k_s * n_m * n_a,
                            past * k_m * k_a * k_s * k_z * state)
             past *= k_m * k_a * k_s * k_z
-            names += [name for name, k in zip(here, step) if k]
-        plan.append((read, step))
     if required > TRAJECTORY_BUDGET:
         raise BudgetError(
             f"trajectory contraction would form a table of {required} entries "
             f"(budget {TRAJECTORY_BUDGET})", required=required, budget=TRAJECTORY_BUDGET,
         )
-    sizes = dict(zip(_ROUND_VARS, shape))
-    return [JointTable._owning(kept, table.reshape([sizes[v[0]] for v in kept]))
-            for kept, table in zip(read_names, _run_pass(loop, plan))]
+    return _run_pass(loop, plan)
 
 
 def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
-    """The products of :func:`_forward_pass`'s ``plan`` (per round, the
-    variables its read-out and its product keep), returning the read-outs
-    as matrices.  The env, agent and read-out factors, one per kind of
+    """The products of :func:`_forward_pass`'s ``plan``, returning the
+    read-outs.  The env, agent and read-out factors, one per kind of
     product and pattern of the kept variables it reads, stay on the loop
-    after its first pass (``loop._factors``); a combined round factor is as
-    large as a round's output, so it is built per pass and is gone, with
-    the message, when the pass returns."""
+    after its first pass (``loop._factors``)."""
     shape = loop.shape
     n_m, n_a, _, n_z = shape
-    state = n_m * n_a * n_z
-    factors, combined = loop._factors, {}
-    msg = (loop.agent.initial_joint.T[:, :, None] * loop.env.initial).reshape(1, state)
+    factors = loop._factors
+    msg = (loop.agent.initial_joint.T[:, :, None] * loop.env.initial).reshape(1, -1)
     tables = []
     for read, step in plan:
         if read is not None:
@@ -286,20 +264,14 @@ def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
             factors["env", kept_a, kept_z] = _env_factor(loop.env.phi, kept_a, True, kept_z)
         if ("agent", kept_m, kept_s) not in factors:
             factors["agent", kept_m, kept_s] = _agent_factor(loop.agent.theta, kept_m, kept_s)
-        to_env, to_agent = factors["env", kept_a, kept_z], factors["agent", kept_m, kept_s]
-        if len(msg) < state:
-            msg = _two_products(msg, shape, step, to_env, to_agent)
-        else:
-            if step not in combined:
-                combined[step] = _two_products(np.eye(state), shape, step, to_env, to_agent)
-            msg = msg @ combined[step]
-        msg = msg.reshape(-1, state)
+        msg = _two_products(msg, shape, step, factors["env", kept_a, kept_z],
+                            factors["agent", kept_m, kept_s])
 
 
 def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTable:
     """Exact marginal over ``keep`` (names such as ``"S3"``) of the joint
-    of the first ``horizon`` rounds: the last round's read-out of one
-    forward pass (:func:`_forward_pass`)."""
+    of the first ``horizon`` rounds, its variables in round order: the last
+    round's read-out of one forward pass (:func:`_forward_pass`)."""
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
     names = [f"{v}{t}" for t in range(horizon) for v in _ROUND_VARS]
@@ -307,7 +279,12 @@ def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTa
     unknown = keep.difference(names)
     if unknown:
         raise KeyError(f"unknown variable {sorted(unknown)[0]!r}")
-    return _forward_pass(loop, keep, {horizon - 1: keep})[0]
+    flags = [name in keep for name in names]
+    rounds = [tuple(flags[i:i + 4]) for i in range(0, len(flags), 4)]
+    table, = _forward_pass(loop, [(None, step) for step in rounds[:-1]] + [(rounds[-1], None)])
+    kept = tuple(name for name, k in zip(names, flags) if k)
+    sizes = dict(zip(_ROUND_VARS, loop.shape))
+    return JointTable._owning(kept, table.reshape([sizes[name[0]] for name in kept]))
 
 
 def trajectory_distribution(loop: PerceptActionLoop, horizon: int) -> TrajectoryDistribution:
@@ -393,8 +370,8 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
     period lcm and L = lim Q^n, from :func:`markov._limit_laws`.  The stack
     shares one kernel einsum, and a group's limit laws are solved at once.
     Nothing is validated here: the agents' and the environment's arrays are
-    checked where they enter (at model construction for :func:`work_rate`,
-    and in :func:`_rate_gradients` for a stack), and ``Kw`` and the round-0
+    checked at model construction, or are stochastic by construction in the
+    search's stacks (:func:`_rate_gradients`), and ``Kw`` and the round-0
     vectors are their products, whose rows can miss 1 by about twice what
     their factors' rows do.  What the patterns decide (the groups' reachable
     sets and structures) comes from the one structure memo of :mod:`markov`,
@@ -485,13 +462,10 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     gradient is 0.  A term x ⊗ y of dF/dP enters ``theta`` as ``sum
     x(m, a, z) phi(s, w | a, z) y(n, b, w)`` at ``[s, m, b, n]``.  A
     member whose M is singular in floating point gets a zero gradient.
-    ``theta`` and ``init`` are checked here, where a stack enters: every
-    row a probability vector within ``markov.ROW_SUM_TOL``, or DomainError
-    naming the member and row.
+    Nothing is checked: every row of the search's stacks is a normalized
+    exponential or an exact vertex (``capacity._agent_rows``).
     """
     n_b, n_a, n_m = init.shape
-    _check_stochastic(theta.reshape(n_b, n_a * n_m, -1), name="theta")
-    _check_stochastic(init.reshape(n_b, -1), name="initial_joint")
     K, p0, groups = _cesaro_tables(env, theta, init)
     n_z = env.n_hidden
     emission = env.emission().reshape(n_a * n_z, -1)  # [(a, z), s]
@@ -566,33 +540,29 @@ def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Predictiveness
 # ---------------------------------------------------------------------------
 
-def _past_vars(t: int) -> list[str]:
-    # A_{0:t+1} = A_0..A_t together with S_{0:t} = S_0..S_{t-1}
-    return [f"A{i}" for i in range(t + 1)] + [f"S{i}" for i in range(t)]
+def _view_cmi(p: np.ndarray) -> float:
+    """I[X, A; F | M] in nats of a 4-axis table p(x, m, a, f), as H(X, M, A)
+    + H(M, F) - H(X, M, A, F) - H(M): the entropies of the table's sum over
+    f, of its sum over x and a, of the table, and of its margin over m."""
+    h = (_entropy_nats(p.sum(axis=3)) + _entropy_nats(p.sum(axis=(0, 2)))
+         - _entropy_nats(p) - _entropy_nats(p.sum(axis=(0, 2, 3))))
+    return _clamp_nonneg(h, "conditional mutual information")
 
 
 def _scores(loop: PerceptActionLoop, rounds, base: str) -> list[float]:
     """I[A_0..A_t, S_0..S_{t-1}; S_t | M_t] for each t in ``rounds``, each
     read off one forward pass that keeps the actions and percepts: round
-    t's table is one read-out product over the kept past (A_0..A_{t-1},
-    S_0..S_{t-1}), M_t, A_t and S_t.  Its score is read from a 4-axis view
-    p(x, m, a, s) of that table, x the kept past, as H(X, M) + H(M, S) -
-    H(X, M, S) - H(M) with X the past and A_t together: the entropies of
-    the table's sum over s, of its sum over x and a, of the table, and of
-    its margin over m.  These are the sums ``conditional_mutual_information``
-    takes of the same table, on four axes instead of one per variable.
+    t's read-out is the table over the kept past (A_0..A_{t-1},
+    S_0..S_{t-1}), M_t, A_t and S_t, and its score that of its 4-axis view
+    (:func:`_view_cmi`), with A_t beside the past and S_t the future.
     """
     factor = _base_factor(base)
     n_m, n_a, n_s, _ = loop.shape
-    tables = _forward_pass(loop, set(_past_vars(max(rounds))),
-                           {t: {f"M{t}", f"A{t}", f"S{t}"} for t in rounds})
-    scores = []
-    for joint in tables:
-        p = joint.probs.reshape(-1, n_m, n_a, n_s)
-        h = (_entropy_nats(p.sum(axis=3)) + _entropy_nats(p.sum(axis=(0, 2)))
-             - _entropy_nats(p) - _entropy_nats(p.sum(axis=(0, 2, 3))))
-        scores.append(_clamp_nonneg(h, "conditional mutual information") * factor)
-    return scores
+    last = max(rounds)
+    plan = [((True, True, True, False) if t in rounds else None,
+             (False, True, True, False) if t < last else None) for t in range(last + 1)]
+    return [_view_cmi(table.reshape(-1, n_m, n_a, n_s)) * factor
+            for table in _forward_pass(loop, plan)]
 
 
 def predictiveness_score(loop: PerceptActionLoop, t: int, base: str = BITS) -> float:
@@ -648,10 +618,13 @@ def am_predictiveness(loop: PerceptActionLoop, horizon: int,
 def future_predictiveness(loop: PerceptActionLoop, t: int, future_len: int,
                           base: str = BITS) -> float:
     """Truncated I[A_0..A_t, S_0..S_{t-1}; S_t..S_{t+k-1} | M_t] with k =
-    ``future_len``; nondecreasing in k by the chain rule."""
+    ``future_len``; nondecreasing in k by the chain rule.  It is read, as
+    the scores are, off a 4-axis view of one read-out (:func:`_view_cmi`),
+    so at k = 1 it is ``predictiveness_score``'s bit for bit."""
     if t < 0 or future_len < 1:
         raise DimensionError("need t >= 0 and future_len >= 1")
-    past = _past_vars(t)
-    future = [f"S{i}" for i in range(t, t + future_len)]
-    joint = _trajectory_marginal(loop, t + future_len, {*past, *future, f"M{t}"})
-    return conditional_mutual_information(joint, past, future, (f"M{t}",), base=base)
+    n_m, n_a, n_s, _ = loop.shape
+    # the table over the past, M_t, A_t and the future, in that order
+    keep = {f"M{t}", *(f"A{i}" for i in range(t + 1)), *(f"S{i}" for i in range(t + future_len))}
+    joint = _trajectory_marginal(loop, t + future_len, keep)
+    return _view_cmi(joint.probs.reshape(-1, n_m, n_a, n_s ** future_len)) * _base_factor(base)

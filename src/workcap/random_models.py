@@ -1,7 +1,7 @@
 """Seeded random model generators for property sweeps and verification.
 
-All entries are kept strictly positive (Dirichlet draws with a floor) unless
-stated otherwise, so entropy functionals stay Lipschitz.
+All entries are kept strictly positive (Dirichlet draws with a 1e-3 floor)
+unless stated otherwise, so entropy functionals stay Lipschitz.
 """
 
 from __future__ import annotations
@@ -12,18 +12,16 @@ from .channels import AgentModel, EnvironmentModel
 from .markov import TransitionKernel
 
 
-def _dirichlet_rows(rng: np.random.Generator, shape: tuple[int, ...],
-                    min_prob: float) -> np.ndarray:
+def _dirichlet_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     flat = rng.dirichlet(np.ones(shape[-1]), size=int(np.prod(shape[:-1])))
-    flat = np.maximum(flat, min_prob)
+    flat = np.maximum(flat, 1e-3)
     flat /= flat.sum(axis=1, keepdims=True)
     return flat.reshape(shape)
 
 
-def random_kernel(rng: np.random.Generator, n: int,
-                  min_prob: float = 1e-3) -> TransitionKernel:
+def random_kernel(rng: np.random.Generator, n: int) -> TransitionKernel:
     """Dense row-stochastic kernel (irreducible and aperiodic)."""
-    return TransitionKernel(_dirichlet_rows(rng, (n, n), min_prob))
+    return TransitionKernel(_dirichlet_rows(rng, (n, n)))
 
 
 def random_structured_kernel(rng: np.random.Generator, n: int) -> TransitionKernel:
@@ -42,33 +40,31 @@ def random_structured_kernel(rng: np.random.Generator, n: int) -> TransitionKern
 
 
 def random_environment(rng: np.random.Generator, n_symbols: int = 2,
-                       n_hidden: int = 2, min_prob: float = 1e-3,
-                       action_invariant: bool = False) -> EnvironmentModel:
+                       n_hidden: int = 2, action_invariant: bool = False) -> EnvironmentModel:
     alphabet = tuple(str(i) for i in range(n_symbols))
     hidden = tuple(f"z{i}" for i in range(n_hidden))
-    phi = _dirichlet_rows(rng, (n_symbols, n_hidden, n_symbols * n_hidden),
-                          min_prob).reshape(n_symbols, n_hidden, n_symbols, n_hidden)
+    phi = _dirichlet_rows(rng, (n_symbols, n_hidden, n_symbols * n_hidden)).reshape(
+        n_symbols, n_hidden, n_symbols, n_hidden)
     if action_invariant:
         phi = np.broadcast_to(phi[0], phi.shape).copy()
-    initial = _dirichlet_rows(rng, (1, n_hidden), min_prob)[0]
+    initial = _dirichlet_rows(rng, (1, n_hidden))[0]
     return EnvironmentModel(alphabet, hidden, phi, initial)
 
 
 def random_agent(rng: np.random.Generator, n_symbols: int = 2,
-                 n_memory: int = 2, min_prob: float = 1e-3) -> AgentModel:
+                 n_memory: int = 2) -> AgentModel:
     alphabet = tuple(str(i) for i in range(n_symbols))
     memory = tuple(f"m{i}" for i in range(n_memory))
-    theta = _dirichlet_rows(rng, (n_symbols, n_memory, n_symbols * n_memory),
-                            min_prob).reshape(n_symbols, n_memory, n_symbols, n_memory)
-    initial = _dirichlet_rows(rng, (1, n_symbols * n_memory),
-                              min_prob)[0].reshape(n_symbols, n_memory)
+    theta = _dirichlet_rows(rng, (n_symbols, n_memory, n_symbols * n_memory)).reshape(
+        n_symbols, n_memory, n_symbols, n_memory)
+    initial = _dirichlet_rows(rng, (1, n_symbols * n_memory))[0].reshape(n_symbols, n_memory)
     return AgentModel(alphabet, memory, theta, initial)
 
 
-def random_memoryless_environment(rng: np.random.Generator, n_symbols: int = 2,
-                                  min_prob: float = 1e-3) -> EnvironmentModel:
+def random_memoryless_environment(rng: np.random.Generator,
+                                  n_symbols: int = 2) -> EnvironmentModel:
     """One hidden state, random reduced kernel phi(s|a)."""
     alphabet = tuple(str(i) for i in range(n_symbols))
-    reduced = _dirichlet_rows(rng, (n_symbols, n_symbols), min_prob)
+    reduced = _dirichlet_rows(rng, (n_symbols, n_symbols))
     phi = reduced.reshape(n_symbols, 1, n_symbols, 1)
     return EnvironmentModel(alphabet, ("z",), phi, np.ones(1))

@@ -148,7 +148,7 @@ def check_fig5_exclusivity(seed: int = 0) -> str:
 
     opt = capacity.classify_agent_sets(
         env, agents.build_memoryless(env.alphabet, [FIG5_OPT_ACTION, 1 - FIG5_OPT_ACTION]),
-        horizon=4, tol=1e-6, reference_capacity_nats=cap_nats)
+        horizon=4, reference_capacity_nats=cap_nats)
     _require(opt.is_efficient_vs is True, "optimal agent not efficient")
     _require(not opt.in_mea, "optimal agent should not be mea")
     hb = -(FIG5_OPT_ACTION * math.log(FIG5_OPT_ACTION)

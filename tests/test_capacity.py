@@ -1275,6 +1275,6 @@ class TestClassifyAgentSets:
 
         p0 = 2 ** -0.5
         opt = classify_agent_sets(fig5, build_memoryless(fig5.alphabet, [p0, 1 - p0]),
-                                  tol=1e-6, reference_capacity_nats=cap)
+                                  reference_capacity_nats=cap)
         assert opt.is_efficient_vs and not opt.in_mea
         assert opt.pred_estimate > 0.0

@@ -7,7 +7,7 @@ import pytest
 from workcap import (DimensionError, DomainError, EnvironmentModel,
                      ModelFormatError, cascade, is_memoryless_invariant,
                      is_noiseless, is_product, is_unifilar)
-from workcap.capacity import compute_capacity
+from workcap.capacity import check_subadditivity, compute_capacity
 from workcap.channels import (AgentModel, dumps_model,
                               has_action_invariant_kernel, loads_model,
                               reachable_hidden)
@@ -382,6 +382,34 @@ class TestCascade:
         other = EnvironmentModel(("x", "y"), ("z",), fig5.phi, fig5.initial)
         with pytest.raises(DimensionError):
             cascade(fig5, other)
+
+    def test_models_at_the_row_sum_tolerance(self, rng):
+        # every row of both factors sums to 1 + 0.9e-12, within ROW_SUM_TOL,
+        # so both construct; the cascade's rows miss 1 by about twice that,
+        # and neither cascade nor check_subadditivity may reject what
+        # construction took
+        scale = 1.0 + 0.9e-12
+        plain = [random_environment(rng, 2, 1), random_environment(rng, 2, 1)]
+        edge = [EnvironmentModel(e.alphabet, e.hidden_states, e.phi * scale, e.initial)
+                for e in plain]
+        assert min(np.abs(e.phi.sum(axis=(2, 3)) - 1.0).min() for e in edge) > 0.8e-12
+        composed = cascade(*edge)
+        assert np.abs(composed.phi.sum(axis=(2, 3)) - 1.0).max() > ROW_SUM_TOL
+        assert np.abs(composed.phi - cascade(*plain).phi).max() <= 1e-11
+        assert not (composed.phi.flags.writeable or composed.initial.flags.writeable)
+        with pytest.raises(ValueError):
+            composed.phi.setflags(write=True)
+        report, want = check_subadditivity(*edge), check_subadditivity(*plain)
+        assert report.holds is want.holds is True
+        assert abs(report.value_cascade_nats - want.value_cascade_nats) <= 1e-10
+
+    def test_cascade_labels_are_checked(self):
+        # "(a,b,c)" is the pair ("a,b", "c") and the pair ("a", "b,c")
+        phi = np.full((2, 2, 2, 2), 0.25)
+        first = EnvironmentModel(("0", "1"), ("a,b", "a"), phi, np.array([1.0, 0.0]))
+        second = EnvironmentModel(("0", "1"), ("c", "b,c"), phi, np.array([1.0, 0.0]))
+        with pytest.raises(DimensionError, match="duplicate"):
+            cascade(first, second)
 
     def test_associative_channel_law(self, rng):
         a = random_environment(rng, 2, 2)

@@ -199,7 +199,8 @@ class TestEntropyRate:
             phi[a, 1, 0, 0] = 1.0  # state 1 emits 0, moves back
         env = EnvironmentModel(("0", "1"), ("u", "v"), phi, np.array([1.0, 0.0]))
         assert entropy_rate(env) == pytest.approx(0.0, abs=1e-12)
-        # from the uniform start it is not unifilar; the sandwich closes at 0
+        # from the uniform start it is not unifilar, but its transitions are,
+        # so the closed form gives 0 there too
         assert entropy_rate(uniform_start(env)) == 0.0
 
     def test_golden_mean_closed_form_vs_block_oracle(self, golden_mean):
@@ -217,19 +218,16 @@ class TestEntropyRate:
         assert expected == pytest.approx(0.70370896, abs=1e-8)
         assert abs(entropy_rate(env) - expected) <= 1e-12
 
-    def test_reducible_periodic_source_from_a_mixed_start_raises_with_its_interval(self):
+    def test_mixed_start_reducible_periodic_source_takes_the_closed_form(self):
         # half the mass starts in the 2-cycle: that cycle holds 0.5 + 0.5 * 0.3 of
-        # pi; given Z_0 the cycle and its phase are known, so the lower side is
-        # the mixture's rate at once, while the upper side learns the phase of
-        # the 2-cycle (emissions 0.2 and 0.5) too slowly for the budget
+        # pi.  The start is not a delta, but the transitions are unifilar, so
+        # given Z_0 the cycle and its phase are known and the closed form is
+        # the rate; the sandwich's upper side learns the phase of the 2-cycle
+        # (emissions 0.2 and 0.5) too slowly for the budget
+        from workcap.channels import is_unifilar
         env = reducible_periodic_source(np.eye(N_Z_CYCLES)[:2].mean(axis=0))
-        expected = cycle_mixture_rate(0.65)
-        with pytest.raises(ConvergenceError, match="budget") as caught:
-            entropy_rate(env)
-        lower, upper = caught.value.estimates
-        assert lower <= expected <= upper
-        assert abs(lower - expected) <= 1e-12
-        assert upper - lower > 1e-3
+        assert is_unifilar(env) is None
+        assert abs(entropy_rate(env) - cycle_mixture_rate(0.65)) <= 1e-12
 
     def test_non_product_rejected(self, fig5):
         with pytest.raises(ChannelClassError):
@@ -263,7 +261,8 @@ class TestEntropyRate:
 
     def test_golden_mean_from_a_uniform_start(self, golden_mean):
         # a product source that is not unifilar, since is_unifilar needs a
-        # delta start; its rate is still exactly 2/3 bit
+        # delta start, but whose transitions are: the closed form gives its
+        # rate, exactly 2/3 bit
         from workcap.channels import is_unifilar
         env = uniform_start(golden_mean)
         assert is_unifilar(env) is None

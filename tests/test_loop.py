@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from workcap import (AgentModel, BudgetError, DimensionError, DomainError,
+from workcap import (AgentModel, BudgetError, DimensionError,
                      EnvironmentModel, PerceptActionLoop, build_global_chain,
                      build_identity, build_memoryless, build_predictive,
                      build_uniform, build_last_action, trajectory_distribution,
@@ -331,8 +331,7 @@ class TestContraction:
     def test_factors_are_built_once_per_loop_and_pattern(self, rng, monkeypatch):
         # every entry point reuses the env, agent and read-out factors its
         # loop built before, one per kind and pattern of the kept variables
-        # it reads; a second loop on the same models builds its own, and no
-        # combined round factor (as large as a round's output) stays
+        # it reads, and a second loop on the same models builds its own
         built = []
         for name in ("_env_factor", "_agent_factor"):
             def spy(*args, _name=name, _real=getattr(loop_mod, name)):
@@ -358,12 +357,10 @@ class TestContraction:
         assert len(built) == 2 * once
         assert second._factors.keys() == first._factors.keys()
 
-    def test_pass_runs_each_round_once_in_one_of_two_forms(self, rng, monkeypatch):
-        # shape (3, 2, 2, 2): (M_t, A_t, Z_t) has 12 values and each round
-        # keeps A_t and S_t, so the past has 1, 4, 16 and 64 rows before
-        # rounds 0-3.  Rounds 0 and 1 run as two products; the rest are one
-        # product against the combined matrix, built once, by the two
-        # products on the 12-row identity.
+    def test_pass_runs_each_round_once_in_one_form(self, rng, monkeypatch):
+        # shape (3, 2, 2, 2), each round keeping A_t and S_t: the past has
+        # 1, 4, 16 and 64 rows before rounds 0-3, and each round is one call
+        # of the round function, phi's product and then theta's
         pal = PerceptActionLoop(random_agent(rng, 2, 3), random_environment(rng, 2, 2))
         rows = []
         real = loop_mod._two_products
@@ -373,7 +370,14 @@ class TestContraction:
             return real(msg, *args)
         monkeypatch.setattr(loop_mod, "_two_products", spy)
         am_predictiveness(pal, 5)
-        assert rows == [1, 4, 12]
+        assert rows == [1, 4, 16, 64]
+
+    def test_one_step_future_is_the_score(self, rng, fig5, golden_mean):
+        # at future_len 1 the pass and the 4-axis view are the score's, so
+        # the two agree bit for bit
+        for pal in oracle_loops(rng, fig5, golden_mean):
+            for t in range(4):
+                assert future_predictiveness(pal, t, 1) == predictiveness_score(pal, t)
 
     def test_pass_checks_the_budget_before_any_product(self, golden_mean, monkeypatch):
         # the pass's arrays are those of its rounds' scores together, so its
@@ -421,13 +425,11 @@ class TestContraction:
         assert predictiveness_score(pal, 8) <= 1e-10
 
     def test_budget_counts_hidden_state_summed_early(self, rng, monkeypatch):
-        # shape (1, 2, 2, 3), keeping S_0..S_3: (M_t, A_t, Z_t) has 6 values,
-        # more than the past's 2^t rows before rounds 0-2, so each of them
-        # runs as two products.  Phi's forms [S_0..S_t, Z_{t+1}] (Z_t and A_t
-        # summed inside it), 2^t * 6 entries, and theta's [S_0..S_t, A_{t+1},
-        # Z_{t+1}], 2^t * 12, which at t = 2 is the largest, 48.  Keeping Z_t
-        # one product longer would form 2^t * 18 = 72 entries, as would the
-        # combined matrix of phi and theta.
+        # shape (1, 2, 2, 3), keeping S_0..S_3: each of rounds 0-2 is phi's
+        # product and then theta's.  Phi's forms [S_0..S_t, Z_{t+1}] (Z_t
+        # and A_t summed inside it), 2^t * 6 entries, and theta's [S_0..S_t,
+        # A_{t+1}, Z_{t+1}], 2^t * 12, which at t = 2 is the largest, 48.
+        # Keeping Z_t one product longer would form 2^t * 18 = 72 entries.
         pal = PerceptActionLoop(build_uniform(("0", "1")), random_environment(rng, 2, 3))
         assert pal.shape == (1, 2, 2, 3)
         percepts = {"S0", "S1", "S2", "S3"}
@@ -959,20 +961,6 @@ class TestBatchedWorkRates:
             for agent, batched in zip(agents, rates):
                 assert batched == work_rate(PerceptActionLoop(agent, env), rounds=0,
                                             base="nats").rate
-
-    def test_non_stochastic_member_raises(self, rng):
-        env = random_environment(rng, 2, 2)
-        theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
-        theta[1, 0, 1] *= 1.1
-        with pytest.raises(DomainError, match="member 1"):
-            _rate_gradients(env, theta, init)
-
-    def test_nan_member_raises(self, rng):
-        env = random_environment(rng, 2, 2)
-        theta, init = stack([random_agent(rng, 2, 2) for _ in range(3)])
-        theta[2, 1, 0, 0, 1] = np.nan
-        with pytest.raises(DomainError):
-            _rate_gradients(env, theta, init)
 
 
 def invariance_gap(P: np.ndarray, tables: np.ndarray) -> float:
