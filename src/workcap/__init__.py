@@ -25,7 +25,7 @@ from .loop import (GlobalChain, PerceptActionLoop, TrajectoryDistribution,
                    WorkReport, am_predictiveness, build_global_chain,
                    future_predictiveness, predictiveness_score,
                    trajectory_distribution, work_rate)
-from .markov import (Distribution, FirstPassageStats, StateClassification,
-                     TransitionKernel, classify_states, first_passage)
+from .markov import (Distribution, StateClassification, TransitionKernel,
+                     classify_states)
 
 __version__ = "0.1.0"

@@ -63,9 +63,12 @@ class CapacityResult:
     witness: agents.AgentModel | None = None
     witness_params: dict | None = None
     optimizer_trace: tuple[tuple[int, float], ...] = ()
-    exact: bool = True
     stalled: bool = False
     upper_nats: float | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.method != NUMERIC_LOWER_BOUND
 
     @property
     def value_bits(self) -> float:
@@ -606,7 +609,7 @@ def capacity_lower_bound(env: channels.EnvironmentModel, memory_size: int = 2,
                                 theta[0], init[0])
     return CapacityResult(float(values[best]), NUMERIC_LOWER_BOUND, witness=witness,
                           optimizer_trace=tuple((r, float(v)) for r, v in enumerate(values)),
-                          exact=False, stalled=bool(stalled.any()))
+                          stalled=bool(stalled.any()))
 
 
 def compute_capacity(env: channels.EnvironmentModel, memory_size: int = 2,

@@ -271,10 +271,12 @@ def _decide_unifilar(env: EnvironmentModel) -> np.ndarray | None:
 def cascade(first: EnvironmentModel, second: EnvironmentModel) -> EnvironmentModel:
     """Feed ``first``'s percepts into ``second`` as actions.
 
-    Hidden states are pairs (z1, z2); the composite kernel marginalizes the
+    Hidden states are pairs (z1, z2), labelled "(z1,z2)" after a backslash
+    is put before each backslash and comma inside z1 and z2, so distinct
+    pairs get distinct labels.  The composite kernel marginalizes the
     intermediate symbol.  Its tables are products of the two checked
     models' and are not checked again (as ``markov._owning`` does for the
-    global chain), so a row may miss 1 by a few ROW_SUM_TOL; the labels are.
+    global chain), so a row may miss 1 by a few ROW_SUM_TOL.
     """
     if first.alphabet != second.alphabet:
         raise DimensionError(
@@ -284,10 +286,12 @@ def cascade(first: EnvironmentModel, second: EnvironmentModel) -> EnvironmentMod
     n = first.n_hidden * second.n_hidden
     # out[a, z1, z2, s, w1, w2] = sum_i phi1[a, z1, i, w1] * phi2[i, z2, s, w2]
     phi = _frozen(np.einsum("axiu,iysv->axysuv", first.phi, second.phi))
-    labels = [f"({l1},{l2})" for l1 in first.hidden_states for l2 in second.hidden_states]
+    z1s, z2s = ([z.replace("\\", "\\\\").replace(",", "\\,") for z in model.hidden_states]
+                for model in (first, second))
+    labels = tuple(f"({l1},{l2})" for l1 in z1s for l2 in z2s)
     env = object.__new__(EnvironmentModel)
     for name, value in (("alphabet", first.alphabet),
-                        ("hidden_states", _check_labels(labels, "hidden_states")),
+                        ("hidden_states", labels),
                         ("phi", phi.reshape(first.n_symbols, n, first.n_symbols, n)),
                         ("initial", _frozen(np.outer(first.initial, second.initial)).reshape(n))):
         object.__setattr__(env, name, value)

@@ -132,7 +132,7 @@ def entropy(joint: JointTable, vars=None, base: str = BITS) -> float:
     if len(vars) == 0:
         raise DomainError("entropy needs at least one variable")
     joint.axes_of(vars)  # raises KeyError on unknown names
-    h = _entropy_nats(joint.marginal(vars).probs)
+    h = _marginal_entropy_nats(joint, vars)
     return _clamp_nonneg(h, "entropy") * _base_factor(base)
 
 

@@ -1,10 +1,12 @@
 """Finite-state homogeneous Markov chain asymptotics.
 
-Communication structure, periods, first-passage statistics, and the
-subsequence-limit laws of given start vectors, whose mean is their Cesàro
-(time-average) limit, for arbitrary finite row-stochastic kernels including
-reducible and periodic ones.  Periods come from graph structure (BFS level
-coloring per strongly connected component), so no tolerance is involved.
+Communication structure, periods, and the subsequence-limit laws of given
+start vectors, whose mean is their Cesàro (time-average) limit, for
+arbitrary finite row-stochastic kernels including reducible and periodic
+ones.  This is the package's one asymptotics engine: every limit it
+reports, work rates and capacities included, comes from here.  Periods
+come from graph structure (BFS level coloring per strongly connected
+component), so no tolerance is involved.
 Structure (the states reached from a start pattern, and the classes,
 closed classes, periods and period lcm of the chain on them) depends only
 on the support pattern, the positions of the nonzero entries, and the start
@@ -538,70 +540,3 @@ def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = Non
         laws[idx], absorb[idx, :, :c], stationary[idx, :c] = _power_limit(
             Q[idx], cyclic.closed, V[idx])
     return structure, laws.reshape(*u.shape[:2], d, -1), (Q, absorb, stationary)
-
-
-@dataclass(frozen=True)
-class FirstPassageStats:
-    """Truncated first-passage aggregates.
-
-    ``hit_prob[i, j]`` is the probability of reaching j from i within
-    ``horizon`` steps (a partial sum of the first-visit distribution);
-    ``residual[i, j]`` is the mass not yet absorbed, so the exact hitting
-    probability lies in ``[hit_prob, hit_prob + residual]``.  ``mean_return[j]``
-    is the truncated mean recurrence time for recurrent j and ``inf`` for
-    transient j (recurrence decided exactly from the graph, not the numbers).
-    """
-
-    hit_prob: np.ndarray
-    mean_return: np.ndarray
-    residual: np.ndarray
-    horizon: int
-
-
-def first_passage(kernel: TransitionKernel, horizon: int) -> FirstPassageStats:
-    """Taboo-probability sums (Chung 1967) up to ``horizon``, by binary
-    doubling.
-
-    With X_j the taboo kernel of target j (P with column j zeroed, so no
-    path passes through j before its first visit), the first visit to j
-    falls at step k + 1 with probability ``X_j^k P[:, j]``.  Hence, with
-    ``S_m = sum_{k<m} X^k`` and ``U_m = sum_{k<m} k X^k`` at m = T,
-    ``hit[:, j] = S_T P[:, j]`` and the truncated mean return time is
-    ``((U_T + S_T) P[:, j])_j``.  All n taboo kernels form one (n, n, n)
-    stack, and the sums follow the bits of T:
-    ``S_2m = S_m + X^m S_m``, ``U_2m = U_m + X^m (U_m + m S_m)``,
-    ``S_m+1 = I + X S_m`` and ``U_m+1 = X (U_m + S_m)``.
-
-    Cost: O(n^4 log T) time and O(n^3) memory, against O(n^3 T) time for
-    stepping the recursion.  With one BLAS thread the doubling takes
-    0.2-0.3 ms at n <= 6, T = 3000, where stepping takes 23 ms; stepping
-    wins only at short horizons (T <= 10, and T <= 30 at n = 16) and on
-    large chains (n >= 50 at T = 3000).
-    """
-    P = kernel.probs
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    recurrent = classify_states(kernel).recurrent
-
-    n = P.shape[0]
-    targets = np.arange(n)
-    X = np.repeat(P[None], n, axis=0)
-    X[targets, :, targets] = 0.0  # X[j] is the taboo kernel of target j
-    eye = np.eye(n)
-    # X^m, S_m and U_m at m = 1, the leading bit of horizon
-    power, total, weighted, m = X, np.broadcast_to(eye, X.shape), np.zeros_like(X), 1
-    for bit in bin(horizon)[3:]:
-        prod = power @ np.concatenate((power, weighted + m * total, total), axis=2)
-        power, weighted, total, m = (prod[..., :n], weighted + prod[..., n:2 * n],
-                                     total + prod[..., 2 * n:], 2 * m)
-        if bit == "1":
-            prod = X @ np.concatenate((power, weighted + total, total), axis=2)
-            power, weighted, total, m = (prod[..., :n], prod[..., n:2 * n],
-                                         eye + prod[..., 2 * n:], m + 1)
-    hit = np.einsum("jik,kj->ij", total, P)
-    m_partial = np.einsum("jjk,kj->j", weighted + total, P)
-    mean_return = np.where(recurrent, m_partial, np.inf)
-    residual = np.clip(1.0 - hit, 0.0, 1.0)
-    for arr in (hit, mean_return, residual):
-        arr.setflags(write=False)
-    return FirstPassageStats(hit, mean_return, residual, horizon)

@@ -403,13 +403,24 @@ class TestCascade:
         assert report.holds is want.holds is True
         assert abs(report.value_cascade_nats - want.value_cascade_nats) <= 1e-10
 
-    def test_cascade_labels_are_checked(self):
-        # "(a,b,c)" is the pair ("a,b", "c") and the pair ("a", "b,c")
+    def test_cascade_labels_are_distinct(self):
+        # joined plainly, the pairs ("a,b", "c") and ("a", "b,c") would both
+        # read "(a,b,c)"; a backslash goes before each comma inside a label
         phi = np.full((2, 2, 2, 2), 0.25)
         first = EnvironmentModel(("0", "1"), ("a,b", "a"), phi, np.array([1.0, 0.0]))
         second = EnvironmentModel(("0", "1"), ("c", "b,c"), phi, np.array([1.0, 0.0]))
-        with pytest.raises(DimensionError, match="duplicate"):
-            cascade(first, second)
+        assert cascade(first, second).hidden_states == (
+            r"(a\,b,c)", r"(a\,b,b\,c)", "(a,c)", r"(a,b\,c)")
+        # and before each backslash, or ("a\", ",b") and ("a,\", "b") would
+        # both read "(a\,\,b)"
+        first = EnvironmentModel(("0", "1"), ("a\\", "a,\\"), phi, np.array([1.0, 0.0]))
+        second = EnvironmentModel(("0", "1"), (",b", "b"), phi, np.array([1.0, 0.0]))
+        labels = cascade(first, second).hidden_states
+        assert labels[0] == r"(a\\,\,b)" and labels[3] == r"(a\,\\,b)"
+        assert len(set(labels)) == 4
+        # labels with neither character come out unchanged
+        plain = EnvironmentModel(("0", "1"), ("z0", "z1"), phi, np.array([1.0, 0.0]))
+        assert cascade(plain, plain).hidden_states == ("(z0,z0)", "(z0,z1)", "(z1,z0)", "(z1,z1)")
 
     def test_associative_channel_law(self, rng):
         a = random_environment(rng, 2, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from workcap import (DimensionError, Distribution, DomainError, PerceptActionLoop,
-                     TransitionKernel, classify_states, first_passage, loop, markov, work_rate)
+                     TransitionKernel, classify_states, loop, markov, verify, work_rate)
 from workcap.channels import load_model
 from workcap.random_models import random_environment, random_kernel, random_structured_kernel
 from workcap.verify import _power_sum
@@ -15,6 +15,8 @@ from workcap.verify import _power_sum
 SWAP = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
 ABSORB = TransitionKernel([[1.0, 0.0], [1.0, 0.0]])
 CYCLE3 = TransitionKernel([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+# leaves state 0 at rate 3e-6 per step, 1:2 to two absorbing states
+SLOW_LEAK = TransitionKernel([[1.0 - 3e-6, 1e-6, 2e-6], [0, 1, 0], [0, 0, 1]])
 
 
 def stationary_by_linear_solve(P: np.ndarray) -> np.ndarray:
@@ -730,62 +732,111 @@ class TestPowerSum:
         assert gap.max() <= 1e-12
 
 
+def first_passage_kernels(rng, kind: str) -> list[TransitionKernel]:
+    """Random, periodic (deterministic cycles, some with a transient state)
+    or reducible kernels, whose taboo recursions all die out geometrically."""
+    if kind == "random":
+        return [random_kernel(rng, n) for n in (2, 4, 7)]
+    if kind == "periodic":
+        return [TransitionKernel([[1.0]]), SWAP, CYCLE3] + [
+            random_structured_kernel(rng, n) for n in (4, 5, 6)]
+    P = np.zeros((6, 6))
+    P[0, 1] = P[1, 0] = 1.0
+    P[2, 3] = P[3, 4] = P[4, 2] = 1.0
+    P[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
+    return [ABSORB, TransitionKernel(P)]
+
+
+def taboo_leftover(P: np.ndarray, hit: np.ndarray, horizon: int) -> np.ndarray:
+    """X_j^horizon hit[:, j] for each target j, X_j being P with column j
+    zeroed: the first-visit mass after ``horizon`` steps, which a taboo
+    recursion truncated there has not collected."""
+    left = np.empty_like(hit)
+    for j in range(len(P)):
+        taboo = P.copy()
+        taboo[:, j] = 0.0
+        left[:, j] = np.linalg.matrix_power(taboo, horizon) @ hit[:, j]
+    return left
+
+
 class TestFirstPassage:
+    """``verify._hits_and_returns``, the dense-solve oracle behind the
+    Cesàro check, against exact values and the per-target recursion."""
+
     def test_swap(self):
-        fp = first_passage(SWAP, horizon=8)
-        assert fp.mean_return[0] == pytest.approx(2.0)
-        assert fp.hit_prob[0, 1] == pytest.approx(1.0)
-        assert np.max(fp.residual) < 1e-12
+        f, m = verify._hits_and_returns(SWAP.probs)
+        np.testing.assert_array_equal(f, np.ones((2, 2)))
+        np.testing.assert_array_equal(m, [2.0, 2.0])
 
     def test_absorbing(self):
-        fp = first_passage(ABSORB, horizon=8)
-        assert fp.hit_prob[1, 1] == pytest.approx(0.0)  # never returns
-        assert fp.hit_prob[1, 0] == pytest.approx(1.0)
-        assert math.isinf(fp.mean_return[1])
+        f, m = verify._hits_and_returns(ABSORB.probs)
+        np.testing.assert_array_equal(f, [[1.0, 0.0], [1.0, 0.0]])  # 1 never returns
+        assert m[0] == 1.0 and math.isinf(m[1])
+
+    def test_cycle3(self):
+        f, m = verify._hits_and_returns(CYCLE3.probs)
+        np.testing.assert_array_equal(f, np.ones((3, 3)))
+        np.testing.assert_array_equal(m, [3.0, 3.0, 3.0])
 
     def test_cesaro_coefficients_formula(self, rng):
-        # Pi[i, j] = f(i, j) / m(j, j) for recurrent j, both sides independent
+        # Pi[i, j] = f(i, j) / m(j, j) in every entry, both sides independent
         kernel = random_kernel(rng, 3)
-        structure, laws = limit_laws(kernel)
-        cesaro = laws.mean(axis=1)
-        fp = first_passage(kernel, horizon=2500)
-        for j in range(3):
-            assert structure.classification.recurrent[j]
-            assert fp.residual[:, j].max() < 1e-8
-            for i in range(3):
-                lhs = cesaro[i, j]
-                rhs = fp.hit_prob[i, j] / fp.mean_return[j]
-                assert abs(lhs - rhs) < 1e-6
+        f, m = verify._hits_and_returns(kernel.probs)
+        assert np.max(np.abs(cesaro_matrix(kernel) - f / m)) <= 1e-12
 
-    def test_horizon_validation(self):
-        with pytest.raises(DomainError):
-            first_passage(SWAP, horizon=0)
+    def test_slow_leak_splits_one_third_two_thirds(self):
+        # a recursion truncated at 2^20 steps still misses 0.029 of the 2/3
+        P = SLOW_LEAK.probs
+        f, m = verify._hits_and_returns(P)
+        assert abs(f[0, 1] - 1 / 3) <= 1e-12 and abs(f[0, 2] - 2 / 3) <= 1e-12
+        assert math.isinf(m[0]) and m[1] == m[2] == 1.0
+        assert taboo_leftover(P, f, 2 ** 20)[0, 2] == pytest.approx(0.0286, abs=1e-4)
 
     @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 255, 256, 300])
     @pytest.mark.parametrize("kind", ["random", "periodic", "reducible"])
     def test_batched_matches_per_target_recursion(self, rng, kind, horizon):
-        # horizons 1, 2 and 3 are the leading bit alone, one doubling and one
-        # doubling plus one; 255 and 256 are all ones and a lone power of two
-        if kind == "random":
-            kernels = [random_kernel(rng, n) for n in (2, 4, 7)]
-        elif kind == "periodic":
-            kernels = [TransitionKernel([[1.0]]), SWAP, CYCLE3] + [
-                random_structured_kernel(rng, n) for n in (4, 5, 6)]
-        else:
-            P = np.zeros((6, 6))
-            P[0, 1] = P[1, 0] = 1.0
-            P[2, 3] = P[3, 4] = P[4, 2] = 1.0
-            P[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
-            kernels = [ABSORB, TransitionKernel(P),
-                       TransitionKernel([[1.0 - 3e-6, 1e-6, 2e-6], [0, 1, 0], [0, 0, 1]])]
+        # at any horizon the recursion's hit probabilities are the oracle's
+        # less the first-visit mass after the horizon, and its mean return
+        # times are partial sums of the oracle's
+        kernels = first_passage_kernels(rng, kind)
+        if kind == "reducible":
+            kernels.append(SLOW_LEAK)
         for kernel in kernels:
-            hit, mean_return = first_passage_per_target(kernel.probs, horizon)
-            fp = first_passage(kernel, horizon)
+            P = kernel.probs
+            f, m = verify._hits_and_returns(P)
+            hit, mean_return = first_passage_per_target(P, horizon)
+            assert np.max(np.abs(hit + taboo_leftover(P, f, horizon) - f)) <= 1e-13
             recurrent = classify_states(kernel).recurrent
-            assert np.max(np.abs(fp.hit_prob - hit)) <= 1e-14
-            assert np.all(np.isinf(fp.mean_return[~recurrent]))
-            gap = np.abs(fp.mean_return[recurrent] - mean_return[recurrent])
-            assert np.max(gap) <= 1e-14
+            assert np.all(np.isinf(m[~recurrent]))
+            assert np.all(mean_return[recurrent] <= m[recurrent] * (1.0 + 1e-13))
+
+    @pytest.mark.parametrize("kind", ["random", "periodic", "reducible"])
+    def test_converged_per_target_recursion_gives_both(self, rng, kind):
+        # once the recursion's leftover is below 1e-14 it agrees with the
+        # oracle on hit probabilities and mean return times
+        horizon = 1000
+        for kernel in first_passage_kernels(rng, kind):
+            P = kernel.probs
+            f, m = verify._hits_and_returns(P)
+            assert np.max(taboo_leftover(P, f, horizon)) < 1e-14
+            hit, mean_return = first_passage_per_target(P, horizon)
+            recurrent = classify_states(kernel).recurrent
+            assert np.max(np.abs(hit - f)) <= 1e-13
+            assert np.max(np.abs(mean_return[recurrent] - m[recurrent])) <= 1e-13
+
+    def test_cesaro_check_fails_on_a_skewed_stationary_law(self, monkeypatch):
+        # every stationary vector off by 1e-9 (relative): far inside the
+        # time average's 1e-3, far outside the f/m comparison's 1e-12
+        gth = markov._gth_stationary
+
+        def skewed(A):
+            x = gth(A)
+            x = x * (1.0 + 1e-9 * (-1.0) ** np.arange(x.shape[-1]))
+            return x / x.sum(axis=-1, keepdims=True)
+
+        monkeypatch.setattr(markov, "_gth_stationary", skewed)
+        result = verify.run_check("cesaro_machinery", verify.check_cesaro_machinery)
+        assert not result.passed and result.detail.startswith("pi = f/m gap")
 
 
 class TestKernelValidation:
