@@ -59,7 +59,7 @@ class Dag:
         object.__setattr__(self, "_parent_bits", tuple(parents))
         object.__setattr__(self, "_child_bits", tuple(children))
         # (node index, conditioning mask) -> _d_connected from that one node;
-        # filled by the triple sampler (see _reach)
+        # filled and read by sample_separated_triples
         object.__setattr__(self, "_reach_memo", {})
         self._check_acyclic()
 
@@ -184,18 +184,6 @@ def _d_connected(dag: Dag, a: int, c: int) -> int:
     return (seen_up | seen_down) & ~c
 
 
-def _reach(dag: Dag, node: int, c: int) -> int:
-    """``_d_connected(dag, 1 << node, c)``, memoised on the dag.  Trails
-    from a set are the union of the trails from its members, so
-    ``_d_connected(dag, a, c)`` is the union of ``_reach`` over the bits
-    of ``a``."""
-    key = (node, c)
-    reach = dag._reach_memo.get(key)
-    if reach is None:
-        reach = dag._reach_memo[key] = _d_connected(dag, 1 << node, c)
-    return reach
-
-
 def _mask(dag: Dag, names) -> int:
     names = (names,) if isinstance(names, str) else tuple(names)
     mask = 0
@@ -235,12 +223,21 @@ def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
     call for the sizes and one ``rng.random`` row per attempt whose argsort
     is the order.  Each attempt has the law of a one-at-a-time draw, but a
     seed gives other triples than the one-at-a-time sampler of earlier
-    versions did.  Trails are read from the dag's memo of single-source
-    walks (:func:`_reach`), so a walk is run once per dag, not per attempt.
+    versions did.  Trails from a set are the union of the trails from its
+    members, read from the dag's memo of single-source walks
+    (``dag._reach_memo``), so a walk is run once per dag, not per attempt.
+    An attempt is rejected, before the pool is scanned, as soon as fewer
+    than |B| pool nodes are outside the blocked mask: one popcount.  So the
+    pool may not repeat a node (``DimensionError``), and an unknown node
+    raises ``KeyError``.
     """
     if n_triples < 1:
         raise DimensionError(f"n_triples must be >= 1, got {n_triples}")
+    pool_mask = _mask(dag, pool)
+    if pool_mask.bit_count() != len(pool):
+        raise DimensionError("pool repeats a node")
     index = [dag._index[n] for n in pool]
+    memo = dag._reach_memo
     found = []
     budget = _ATTEMPTS_PER_TRIPLE * n_triples
     while budget and len(found) < n_triples:
@@ -254,13 +251,18 @@ def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
                 c |= 1 << index[i]
             blocked = c
             for i in order[:k_a]:
-                blocked |= _reach(dag, index[i], c)
+                reach = memo.get((index[i], c))
+                if reach is None:
+                    reach = memo[index[i], c] = _d_connected(dag, 1 << index[i], c)
+                blocked |= reach
+            # the free pool nodes are those after A and C in the order
+            if (pool_mask & ~blocked).bit_count() < k_b:
+                continue
             b = [pool[i] for i in order[k_a + k_c:] if not blocked >> index[i] & 1][:k_b]
-            if len(b) == k_b:
-                found.append((tuple(pool[i] for i in order[:k_a]), tuple(b),
-                              tuple(pool[i] for i in order[k_a:k_a + k_c])))
-                if len(found) == n_triples:
-                    break
+            found.append((tuple(pool[i] for i in order[:k_a]), tuple(b),
+                          tuple(pool[i] for i in order[k_a:k_a + k_c])))
+            if len(found) == n_triples:
+                break
     return found
 
 

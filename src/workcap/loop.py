@@ -45,7 +45,7 @@ from scipy.special import xlogy
 
 from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
-from .info import BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats
+from .info import BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats, _sum_out
 from .markov import (Distribution, TransitionKernel, _limit_laws, _owning, _pattern_groups,
                      bfs_levels)
 
@@ -543,9 +543,12 @@ def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _view_cmi(p: np.ndarray) -> float:
     """I[X, A; F | M] in nats of a 4-axis table p(x, m, a, f), as H(X, M, A)
     + H(M, F) - H(X, M, A, F) - H(M): the entropies of the table's sum over
-    f, of its sum over x and a, of the table, and of its margin over m."""
-    h = (_entropy_nats(p.sum(axis=3)) + _entropy_nats(p.sum(axis=(0, 2)))
-         - _entropy_nats(p) - _entropy_nats(p.sum(axis=(0, 2, 3))))
+    f, of its sum over x and a, of the table, and of its margin over m.
+    Each sum is ``info._sum_out``'s, which sums the same runs of a named
+    table alike, so a score is the generic CMI's bit for bit."""
+    h = (_entropy_nats(_sum_out(p, (True, True, True, False)))
+         + _entropy_nats(_sum_out(p, (False, True, False, True)))
+         - _entropy_nats(p) - _entropy_nats(_sum_out(p, (False, True, False, False))))
     return _clamp_nonneg(h, "conditional mutual information")
 
 

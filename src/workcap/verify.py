@@ -184,9 +184,11 @@ def check_global_markov(seed: int = 0) -> str:
     """Exact T=4 trajectory tables of 10 random loops satisfy the one-step
     Markov and homogeneity conditions within 1e-12.
 
-    Each marginal of a table is summed once and shared by both tests, and
-    each Markov deviation is one pass over its table
-    (:func:`_markov_deviation`)."""
+    Each marginal of a table is summed once and shared by both tests:
+    p(u0, u1) and p(u1, u2) are read off p(u0, u1, u2), and p(u2, u3) is the
+    column sums of the table's (n^2, n^2) view, so no pass walks the
+    4-axis table with strides.  Each Markov deviation is one pass over its
+    table (:func:`_markov_deviation`)."""
     rng = np.random.default_rng(seed)
     worst_markov = 0.0
     worst_homog = 0.0
@@ -200,13 +202,13 @@ def check_global_markov(seed: int = 0) -> str:
         flat = traj.probs.reshape(n_u, n_u, n_u, n_u)
         kernel = loop.build_global_chain(pal).kernel.probs
         p012 = flat.sum(axis=3)
-        p01 = flat.sum(axis=(2, 3))
-        p12 = flat.sum(axis=(0, 3))
-        p23 = flat.sum(axis=(0, 1))
+        p01 = p012.sum(axis=2)
+        p12 = p012.sum(axis=0)
+        p23 = traj.probs.reshape(n_u * n_u, n_u * n_u).sum(axis=0).reshape(n_u, n_u)
 
         # Markov: p(u_t | whole past) equals p(u_t | u_{t-1}), for t = 2 and 3
         worst_markov = max(worst_markov,
-                           _markov_deviation(p012, p012.sum(axis=-1), p12),
+                           _markov_deviation(p012, p01, p12),
                            _markov_deviation(flat, p012, p23))
 
         # homogeneity: each step's conditional equals the one-step kernel

@@ -205,6 +205,16 @@ class TestCompatibility:
         for trip in triples:
             assert d_separated(dag, *trip)
 
+    def test_sampler_rejects_a_repeated_or_unknown_pool_node(self, rng):
+        # an attempt is rejected on the popcount of the free pool mask, which
+        # counts a repeated node once where the scan of the order sees it twice
+        dag = build_loop_dag(3, "general")
+        pool = [f"{v}{t}" for t in range(3) for v in "MASZ"]
+        with pytest.raises(DimensionError, match="repeats"):
+            sample_separated_triples(dag, pool + ["S1"], 10, rng)
+        with pytest.raises(KeyError, match="Q0"):
+            sample_separated_triples(dag, pool + ["Q0"], 10, rng)
+
 
 def parents_and_children(dag: Dag) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     """Each node's parents and children, read from the edge set."""

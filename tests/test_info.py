@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from workcap import (ChannelClassError, DomainError, JointTable,
 from workcap import info
 from workcap.errors import ConvergenceError, InternalConsistencyError
 from workcap.info import LN2
-from workcap.random_models import random_environment
+from workcap.loop import PerceptActionLoop, _trajectory_marginal
+from workcap.random_models import random_agent, random_environment
 
 # frozen high-precision oracle values (evaluated from -sum p log2 p)
 H_34_BITS = 0.8112781244591328  # H(3/4, 1/4)
@@ -98,6 +100,67 @@ class TestJointTable:
             m = j.marginal(keep)
             assert not m.probs.flags.writeable
             np.testing.assert_array_equal(m.probs, expected)
+
+    def test_marginal_over_every_variable_is_fresh(self):
+        # the sum kernel hands back a view when nothing is summed, also when
+        # only axes of one entry are; the marginal still owns its array
+        j = make_joint(["X", "Y", "Z"], [[[0.5], [0.25]], [[0.125], [0.125]]])
+        for keep in (["X", "Y", "Z"], ["X", "Y"]):
+            m = j.marginal(keep)
+            assert m.variables == tuple(keep)
+            assert not np.shares_memory(m.probs, j.probs)
+            assert not m.probs.flags.writeable
+            np.testing.assert_array_equal(m.probs.ravel(), j.probs.ravel())
+
+
+class TestSumOut:
+    @pytest.mark.parametrize("block", [info._SUM_BLOCK, 7, 40])
+    def test_equals_numpy_sum_on_random_shapes_and_flags(self, rng, monkeypatch, block):
+        # small blocks take the sliced routes: along a kept axis, and along a
+        # summed one when a single kept entry's row exceeds the block
+        monkeypatch.setattr(info, "_SUM_BLOCK", block)
+        for _ in range(30):
+            shape = tuple(rng.integers(1, 5, size=rng.integers(1, 7)))
+            probs = rng.random(shape)
+            for pattern in range(2 ** len(shape)):
+                kept = [bool(pattern >> i & 1) for i in range(len(shape))]
+                got = info._sum_out(probs, kept)
+                want = probs.sum(axis=tuple(i for i, k in enumerate(kept) if not k))
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("keep", [range(0, 22, 2), [10]])
+    def test_interleaved_marginal_of_a_large_table_copies_one_block(self, keep):
+        # 2^22 entries, near loop.TRAJECTORY_BUDGET; the summed axes interleave
+        # with the kept ones, and with one kept axis each kept entry's row
+        # (2^21 entries) alone exceeds the block
+        names = tuple(f"X{i}" for i in range(22))
+        j = JointTable._owning(names, np.full((2,) * 22, 2.0 ** -22))
+        tracemalloc.start()
+        try:
+            m = j.marginal([names[i] for i in keep])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.probs.size == 2 ** len(keep)
+        np.testing.assert_allclose(m.probs, 2.0 ** -len(keep), rtol=1e-15)
+        assert peak <= 8 * info._SUM_BLOCK + m.probs.nbytes + 2 ** 16
+
+    def test_marginal_entropies_near_a_long_double_reference(self):
+        # each kept entry sums its past and A_t as one row, pairwise; numpy's
+        # strided multi-axis sum accumulated them one by one, 8.7e-15 nats off
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            pal = PerceptActionLoop(random_agent(rng, 3, 2), random_environment(rng, 3, 2))
+            for t in range(1, 6):
+                past = [f"A{i}" for i in range(t + 1)] + [f"S{i}" for i in range(t)]
+                joint = _trajectory_marginal(pal, t + 1, {*past, f"M{t}", f"S{t}"})
+                keep = (f"M{t}", f"S{t}")
+                axes = tuple(i for i, n in enumerate(joint.variables) if n not in keep)
+                exact = joint.probs.astype(np.longdouble).sum(axis=axes)
+                exact = exact[exact > 0]
+                reference = -(exact * np.log(exact)).sum()
+                assert abs(entropy(joint, keep, base="nats") - reference) <= 1e-15
 
 
 class TestConditionalEntropy:
