@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import agents, channels, info, loop
 from .errors import ChannelClassError, DimensionError, DomainError
-from .info import BITS, LN2, _base_factor
+from .info import BITS, LN2, _base_factor, _xlogy
 
 CLOSED_FORM_NOISELESS = "closed_form_noiseless"
 CLOSED_FORM_MEMORYLESS = "closed_form_memoryless"
@@ -101,7 +100,7 @@ def _memoryless_objective(reduced: np.ndarray, p: np.ndarray) -> float | np.ndar
     ``reduced`` one kernel per row; the result then has one value per row.
     """
     q = _percepts(reduced, p)
-    return xlogy(q, q).sum(axis=-1) - xlogy(p, p).sum(axis=-1)
+    return _xlogy(q, q).sum(axis=-1) - _xlogy(p, p).sum(axis=-1)
 
 
 def _rounding(terms: np.ndarray) -> np.ndarray:
@@ -112,7 +111,7 @@ def _rounding(terms: np.ndarray) -> np.ndarray:
 def _value_rounding(reduced: np.ndarray, p: np.ndarray) -> float:
     """Worst-case rounding of :func:`_memoryless_objective` at one row."""
     q = p @ reduced
-    return float(_rounding(np.concatenate([xlogy(q, q), xlogy(p, p)])))
+    return float(_rounding(np.concatenate([_xlogy(q, q), _xlogy(p, p)])))
 
 
 def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
@@ -132,8 +131,8 @@ def _gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray
     dx = np.concatenate([_percepts(reduced, d), d], axis=-1)
     moved = np.maximum(x + dx, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        near = xlogy(dx, moved) + x * np.log1p(dx / x)
-    terms = np.where((x > 0) & (moved > 0), near, xlogy(moved, moved) - xlogy(x, x))
+        near = _xlogy(dx, moved) + x * np.log1p(dx / x)
+    terms = np.where((x > 0) & (moved > 0), near, _xlogy(moved, moved) - _xlogy(x, x))
     sign = np.repeat([1.0, -1.0], p.shape[-1])
     gain = terms @ sign - d.sum(axis=-1) * _memoryless_objective(reduced, p)
     return gain, _rounding(terms)
@@ -208,8 +207,8 @@ def _ascent(reduced: np.ndarray, start: np.ndarray
         rk, x, hits = reduced[live], p[live], support[live]
         played = x > 0
         q = _percepts(rk, x)
-        c = xlogy(rk, q[:, None, :]).sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
+            c = _xlogy(rk, q[:, None, :]).sum(axis=2)
             log_p = np.log(x)
             g = np.where(played, c - log_p, 0.0)
         mean = (g * x).sum(axis=1)
@@ -289,7 +288,7 @@ def _upper_bound(reduced: np.ndarray, w: np.ndarray) -> float:
     with the others are scaled, so a block :func:`_ascent` emptied enters
     at DUST times its last weights and keeps its bound.
     """
-    terms = np.concatenate([xlogy(reduced, w @ reduced), -np.log(w)[:, None]], axis=1)
+    terms = np.concatenate([_xlogy(reduced, w @ reduced), -np.log(w)[:, None]], axis=1)
     return float((terms.sum(axis=1) + _rounding(terms)).max())
 
 

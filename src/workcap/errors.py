@@ -12,7 +12,8 @@ class DimensionError(WorkcapError, ValueError):
 
 
 class DomainError(WorkcapError, ValueError):
-    """An argument is outside the operation's domain (e.g. a non-return state)."""
+    """An argument is outside the operation's domain (e.g. a table entry
+    outside [0, 1], or an unknown entropy base)."""
 
 
 class ConvergenceError(WorkcapError, RuntimeError):

@@ -7,9 +7,8 @@ transitions are unifilar, from any start, else a block-entropy sandwich
 whose computed width is at most RATE_WIDTH.  All internal arithmetic is in
 nats; the ``base`` argument ("bits" or "nats") only converts the returned
 value.  Zero-probability outcomes are skipped in every sum (0 log 0 = 0).
-Every marginal is summed by one kernel, ``_sum_out``: where summed axes
-interleave with kept ones, each kept entry's terms are summed as one
-contiguous row, pairwise.
+Every marginal is summed by one kernel, ``_sum_out``: each kept entry's
+terms are summed as one contiguous row, pairwise.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import channels
 from .errors import (ChannelClassError, ConvergenceError, DimensionError,
@@ -49,8 +47,19 @@ def _names(vars) -> tuple[str, ...]:
     return (vars,) if isinstance(vars, str) else tuple(vars)
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x log y`` elementwise, broadcast, and 0 wherever x is 0 and y is
+    finite (so 0 log 0 = 0).  Where x is not 0 and y is, it is an infinity
+    of x's opposite sign, with numpy's divide warning, so a caller that may
+    meet that case silences it."""
+    terms = np.where(x, y, 1.0)  # log 1 = 0 where x is 0
+    np.log(terms, out=terms)
+    terms *= x
+    return terms
+
+
 def _entropy_nats(p: np.ndarray) -> float:
-    return float(-xlogy(p, p).sum())
+    return float(-_xlogy(p, p).sum())
 
 
 def _sum_out(probs: np.ndarray, kept) -> np.ndarray:
@@ -59,20 +68,18 @@ def _sum_out(probs: np.ndarray, kept) -> np.ndarray:
     more than one entry.
 
     Axes of one entry are dropped, and adjacent axes that share a flag are
-    merged into runs (:func:`_sum_plan`).  A single summed run is summed
-    where it lies.  Several summed runs are moved last, so that each kept
-    entry sums one contiguous row, which numpy sums pairwise: the rounding
-    error grows with log n, not n (Higham 1993).  The rows are copied in
-    slices of at most _SUM_BLOCK entries (:func:`_row_sums`).  The route
-    depends only on the merged runs, so tables with equal runs (a 4-axis
-    view and its named table, say) are summed alike, bit for bit."""
+    merged into runs (:func:`_sum_plan`).  The summed runs are moved last,
+    so that each kept entry sums one contiguous row, which numpy sums
+    pairwise: the rounding error grows with log n, not n (Higham 1993).
+    The rows are copied in slices of at most _SUM_BLOCK entries
+    (:func:`_row_sums`).  The route depends only on the merged runs, so
+    tables with equal runs (a 4-axis view and its named table, say) are
+    summed alike, bit for bit."""
     sizes, summed, kept_runs, shape = _sum_plan(probs.shape, tuple(kept))
     if not summed:
         return probs.reshape(shape)
-    p = probs.reshape(sizes)
-    if len(summed) == 1:
-        return np.add.reduce(p, axis=summed[0]).reshape(shape)
-    return _row_sums(p.transpose(kept_runs + summed), len(kept_runs)).reshape(shape)
+    p = probs.reshape(sizes).transpose(kept_runs + summed)
+    return _row_sums(p, len(kept_runs)).reshape(shape)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -100,10 +107,16 @@ def _row_sums(t: np.ndarray, n_kept: int) -> np.ndarray:
     """Sums of ``t`` over its axes after the first ``n_kept``, each as one
     contiguous row, copying at most _SUM_BLOCK entries at a time: slices
     along the first axis whose trailing block fits, a kept axis unless
-    one kept entry's row alone exceeds the block, whose slices then add up."""
+    one kept entry's row alone exceeds the block, whose slices then add up.
+    A block is copied where its rows are not contiguous, since numpy then
+    adds the rows up term by term, not pairwise."""
     row = math.prod(t.shape[n_kept:])
+
+    def sums(block):
+        return np.add.reduce(np.ascontiguousarray(block).reshape(-1, row), axis=1)
+
     if t.size <= _SUM_BLOCK:
-        return np.add.reduce(t.reshape(-1, row), axis=1)
+        return sums(t)
     axis, tail = 0, t.size // t.shape[0]
     while tail > _SUM_BLOCK:
         axis += 1
@@ -114,7 +127,7 @@ def _row_sums(t: np.ndarray, n_kept: int) -> np.ndarray:
         for start in range(0, t.shape[axis], step):
             at = index + (slice(start, start + step),)
             if axis < n_kept:
-                out[at] = np.add.reduce(t[at].reshape(-1, row), axis=1).reshape(out[at].shape)
+                out[at] = sums(t[at]).reshape(out[at].shape)
             else:
                 out[index[:n_kept]] += np.add.reduce(t[at].reshape(-1))
     return out

@@ -41,11 +41,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
-from .info import BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats, _sum_out
+from .info import BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats, _sum_out, _xlogy
 from .markov import (Distribution, TransitionKernel, _limit_laws, _owning, _pattern_groups,
                      bfs_levels)
 
@@ -312,10 +311,10 @@ def _work_terms(p_ma: np.ndarray, p_ms: np.ndarray) -> tuple[np.ndarray, np.ndar
     """The work term H(M, A) - H(M, S) = H(A|M) - H(S|M) and H(A|M), in
     nats, of each law with marginals p(m, a) and p(m, s) on the last two
     axes; leading axes stack laws."""
-    neg_h_ma = xlogy(p_ma, p_ma).sum(axis=(-2, -1))
+    neg_h_ma = _xlogy(p_ma, p_ma).sum(axis=(-2, -1))
     p_m = p_ma.sum(axis=-1)
-    return (xlogy(p_ms, p_ms).sum(axis=(-2, -1)) - neg_h_ma,
-            xlogy(p_m, p_m).sum(axis=-1) - neg_h_ma)
+    return (_xlogy(p_ms, p_ms).sum(axis=(-2, -1)) - neg_h_ma,
+            _xlogy(p_m, p_m).sum(axis=-1) - neg_h_ma)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Communication structure, periods, and the subsequence-limit laws of given
 start vectors, whose mean is their Cesàro (time-average) limit, for
 arbitrary finite row-stochastic kernels including reducible and periodic
 ones.  This is the package's one asymptotics engine: every limit it
-reports, work rates and capacities included, comes from here.  Periods
-come from graph structure (BFS level coloring per strongly connected
-component), so no tolerance is involved.
+reports, work rates and capacities included, comes from here.  It needs
+numpy only.  Classes and periods come from graph structure alone, so no
+tolerance is involved: the classes from forward-backward reachability with
+trimming on :func:`bfs_levels` sweeps, and each closed class's period from
+the BFS levels of the search that found it.
 Structure (the states reached from a start pattern, and the classes,
 closed classes, periods and period lcm of the chain on them) depends only
 on the support pattern, the positions of the nonzero entries, and the start
@@ -21,8 +23,9 @@ sum adds numbers of one sign, so sticky, slowly leaking (also through
 transient states that pass mass among themselves), periodic and reducible
 chains keep their digits.  The elimination runs in blocks of
 ``_GTH_BLOCK`` states whose panel and trailing updates are products of
-nonnegative matrices, so it costs n Python-level steps on small arrays
-plus O(n^3) flops in BLAS-3 products.  Every rate needs only the laws of
+nonnegative matrices, as are the blocks' triangular inverses (by block
+doubling), so it costs n Python-level steps on small arrays plus O(n^3)
+flops in BLAS-3 products.  Every rate needs only the laws of
 its start vectors, so no n x n limit matrix is formed.  :func:`_limit_laws`
 acts on a stack of kernels with one structure, also where their support
 patterns differ, so a batch of evaluations shares its Python-level steps,
@@ -40,9 +43,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, DomainError
 
@@ -121,19 +121,76 @@ class StateClassification:
     recurrent: np.ndarray  # bool per state
 
 
-def _classify(support: np.ndarray) -> StateClassification:
-    n_comp, labels = connected_components(csr_matrix(support), directed=True,
-                                          connection="strong")
-    rows, cols = np.nonzero(support)
-    closed = np.ones(n_comp, dtype=bool)
-    closed[labels[rows[labels[rows] != labels[cols]]]] = False  # an edge leaves
+def _classify(support: np.ndarray) -> tuple[StateClassification, tuple[int, ...]]:
+    """The classes of the ``support`` pattern, ordered by their smallest
+    state, and the periods of its closed classes in that order.
+
+    Forward-backward reachability with trimming (Fleischer, Hendrickson &
+    Pinar 2000; McLendon et al. 2005), run on one part of the states at a
+    time, the first part being all states.  States with no in-edge or no
+    out-edge from another state of the part are peeled off as classes of
+    their own, the degrees updated as they go, until none is left.  The
+    middle state of the rest is the pivot, so a line of classes splits in
+    halves: the states it reaches and those reaching it (two
+    :func:`bfs_levels` sweeps, the second backward from its in-neighbours)
+    meet in its class, and every other class lies wholly in the states only
+    the pivot reaches, in those only reaching it or in the others, each a
+    new part.  A class with a loop has period 1.  A closed class is all its
+    pivot reaches, so its period, the gcd of its cycle lengths, is the gcd
+    of ``level[u] + 1 - level[v]`` over its edges (u, v), with the levels
+    of the forward sweep; a closed class peeled off is one state with a
+    loop."""
+    n = len(support)
+    labels = np.empty(n, dtype=np.intp)
+    periods = {}  # label -> period, of a class with a loop or spanning its pivot's reach
+    count = 0
+    parts = [np.arange(n)]
+    while parts:
+        idx = parts.pop()
+        sub = support if len(idx) == n else support[idx][:, idx]
+        loops = sub.diagonal()
+        out_deg, in_deg = sub.sum(axis=1) - loops, sub.sum(axis=0) - loops
+        alive = np.ones(len(idx), dtype=bool)
+        peel = (out_deg == 0) | (in_deg == 0)
+        while peel.any():
+            gone = np.flatnonzero(peel)
+            labels[idx[gone]] = np.arange(count, count + gone.size)
+            count += gone.size
+            alive[gone] = False
+            out_deg -= sub[:, gone].sum(axis=1)
+            in_deg -= sub[gone].sum(axis=0)
+            peel = alive & ((out_deg == 0) | (in_deg == 0))
+        if not alive.any():
+            continue
+        if not alive.all():
+            keep = np.flatnonzero(alive)
+            idx, sub = idx[keep], sub[keep][:, keep]
+        middle = len(idx) // 2
+        pivot = np.arange(len(idx)) == middle
+        level = bfs_levels(pivot, sub)
+        ahead = level >= 0
+        # the pivot and the states that reach its in-neighbours
+        behind = (bfs_levels(sub[:, middle], sub.T) >= 0) | pivot
+        own = ahead & behind
+        labels[idx[own]] = count
+        if sub.diagonal()[own].any():
+            periods[count] = 1
+        elif own.sum() == ahead.sum():  # no edge leaves the reach, so none its rows
+            terms = (level[ahead, None] + 1 - level)[sub[ahead]]
+            periods[count] = int(np.gcd.reduce(np.flatnonzero(np.bincount(terms))))
+        count += 1
+        parts += [idx[part] for part in (ahead & ~own, behind & ~own, ~(ahead | behind))
+                  if part.any()]
+    closed = np.ones(count, dtype=bool)
+    closed[labels[(support & (labels[:, None] != labels)).any(axis=1)]] = False  # an edge leaves
     _, first = np.unique(labels, return_index=True)
     order = np.argsort(first)  # classes by their smallest state
     recurrent = closed[labels]
     recurrent.setflags(write=False)
-    return StateClassification(
+    cls = StateClassification(
         tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in order),
         tuple(closed[order].tolist()), recurrent)
+    return cls, tuple(periods.get(int(c), 1) for c in order[closed[order]])
 
 
 def classify_states(kernel: TransitionKernel) -> StateClassification:
@@ -159,18 +216,6 @@ def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
     return level
 
 
-def _class_period(support: np.ndarray, members: tuple[int, ...]) -> int:
-    """gcd of cycle lengths within one closed class, which always has a
-    cycle since every row of the kernel has mass."""
-    members_arr = np.asarray(members)
-    sub = support[np.ix_(members_arr, members_arr)]
-    # BFS levels from an arbitrary root; each internal edge (u, v)
-    # contributes gcd term level[u] + 1 - level[v].
-    level = bfs_levels(np.arange(len(members)) == 0, sub)
-    u, v = np.nonzero(sub)
-    return int(np.gcd.reduce(level[u] + 1 - level[v]))
-
-
 @dataclass(frozen=True)
 class _Structure:
     """What a kernel's support pattern and a start pattern alone decide: the
@@ -188,18 +233,14 @@ def _structure(support: np.ndarray) -> _Structure:
     """The structure of the chain on every state of ``support``."""
     reach = np.ones(len(support), dtype=bool)
     reach.setflags(write=False)
-    cls = _classify(support)
-    d = 1
+    cls, periods = _classify(support)
     closed = []
     for members, is_rec in zip(cls.classes, cls.class_recurrent):
-        if not is_rec:
-            continue
-        p = _class_period(support, members)
-        d = d * p // math.gcd(d, p)
-        members_arr = np.asarray(members)
-        members_arr.setflags(write=False)
-        closed.append(members_arr)
-    return _Structure(reach, cls, tuple(closed), d)
+        if is_rec:
+            members_arr = np.asarray(members)
+            members_arr.setflags(write=False)
+            closed.append(members_arr)
+    return _Structure(reach, cls, tuple(closed), math.lcm(*periods))
 
 
 # distinct (support, start) patterns remembered; an optimizer's kernels are
@@ -259,10 +300,11 @@ def _structure_of(support: np.ndarray) -> _Structure:
     return _pattern_groups(support[None])[0][1]
 
 
-# states per elimination block: above the block that holds state 0, a
-# block's per-state steps run on its own small array and the rest of the
-# elimination is matrix products (blocks of 32 to 64 timed within noise of
-# each other at n = 256 to 1024 on one BLAS thread, 96 and 128 slower)
+# states per elimination block, a power of two for _triangular_inverses:
+# above the block that holds state 0, a block's per-state steps run on its
+# own small array and the rest of the elimination is matrix products (blocks
+# of 32 to 64 timed within noise of each other at n = 256 to 1024 on one
+# BLAS thread, 96 and 128 slower)
 _GTH_BLOCK = 64
 
 
@@ -302,12 +344,29 @@ def _censor(A: np.ndarray, keep: int) -> tuple[list[np.ndarray], bool]:
     return divisors, careful
 
 
-def _triangular_inverses(T: np.ndarray, lower: bool) -> np.ndarray:
-    """Inverses of a ``(B, m, m)`` stack of lower (else upper) triangular
-    M-matrices that are zero off their triangle, by LAPACK ``dtrtri``.  Its
-    substitution adds same-signed terms only, and it leaves the zeros off
-    the triangle as they are."""
-    return np.stack([dtrtri(t, lower=lower)[0] for t in T])
+def _triangular_inverses(T: np.ndarray) -> np.ndarray:
+    """Inverses of a ``(B, m, m)`` stack of lower triangular M-matrices that
+    are zero above their diagonal, m a power of two, by block doubling: from
+    the inverses of the diagonal blocks of size s, those of size 2s are
+    ``inv([[F, 0], [C, G]]) = [[F^-1, 0], [G^-1 (-C) F^-1, G^-1]]``.  The
+    inverses and -C are nonnegative, so every sum adds same-signed terms,
+    and the zeros above the diagonal stay zeros.  The diagonal blocks of one
+    size are strided views of the stack, so each size costs two batched
+    matrix products."""
+    B, m = T.shape[:2]
+    diag = np.arange(m)
+    negated = -T
+    inverse = np.zeros((B, m, m))
+    inverse[:, diag, diag] = 1.0 / T[:, diag, diag]
+    s = 1
+    while s < m:
+        blocks = (B, m // (2 * s), 2 * s, m // (2 * s), 2 * s)
+        # the diagonal blocks, (B, m / 2s, 2s, 2s) views
+        c = np.einsum("bkikj->bkij", negated.reshape(blocks))[..., s:, :s]
+        x = np.einsum("bkikj->bkij", inverse.reshape(blocks))
+        x[..., s:, :s] = x[..., s:, s:] @ c @ x[..., :s, :s]
+        s *= 2
+    return inverse
 
 
 def _eliminate(A: np.ndarray, keep: int
@@ -334,7 +393,9 @@ def _eliminate(A: np.ndarray, keep: int
     column panel is then ``X = A_RK (D - L)^-1`` and the row panel at
     elimination ``Z = (I - U)^-1 A_KR``; both factors are triangular
     M-matrices with nonnegative inverses, so these products and the update
-    ``A_RR += X Z`` add nonnegative numbers only.  Updates are applied
+    ``A_RR += X Z`` add nonnegative numbers only; ``(I - U)^-1`` is
+    inverted as its transpose, in one stack with ``(D - L)^-1``
+    (:func:`_triangular_inverses`).  Updates are applied
     left-looking: just before a block is censored, its panels receive the
     updates of all blocks above it in two matrix products, so no update of
     the whole trailing matrix is ever formed.  X, Z and ``(I - U)^-1``
@@ -370,14 +431,16 @@ def _eliminate(A: np.ndarray, keep: int
         if not divisors.min() >= sys.float_info.min:
             raise DomainError(f"a subnormal outflow inside a {m}-state GTH elimination "
                               "block is not supported: blocks are not rescaled")
-        factor = np.tril(-W[:, 1:, 1:], -1)
-        factor[:, diag, diag] = divisors  # D - L
-        lower_inverses.append(_triangular_inverses(factor, lower=True))
-        A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ lower_inverses[-1]
-        factor = np.triu(-W[:, 1:, 1:], 1)
-        factor[:, diag, diag] = 1.0  # I - U
+        # D - L and the transpose of I - U, inverted as one stack
+        factors = np.concatenate([np.tril(-W[:, 1:, 1:], -1),
+                                  np.tril(-W[:, 1:, 1:].transpose(0, 2, 1), -1)])
+        factors[:B, diag, diag] = divisors
+        factors[B:, diag, diag] = 1.0
+        inverses = _triangular_inverses(factors)
+        lower_inverses.append(inverses[:B])
+        A[:, :lo, lo:hi] = A[:, :lo, lo:hi] @ inverses[:B]
         # A_KK is spent, so it keeps (I - U)^-1 for the back-substitution
-        A[:, lo:hi, lo:hi] = _triangular_inverses(factor, lower=False)
+        A[:, lo:hi, lo:hi] = inverses[B:].transpose(0, 2, 1)
         A[:, lo:hi, :lo] = A[:, lo:hi, lo:hi] @ A[:, lo:hi, :lo]
     if lo < n:
         A[:, :lo, :lo] += A[:, :lo, lo:] @ A[:, lo:, :lo]

@@ -871,17 +871,27 @@ class TestLowerBound:
         assert 0 < len(searches) == len(set(searches)) <= 20
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the numeric search has its own BFGS, so no path imports it
+        # the numeric search has its own BFGS, and numpy is the only runtime
+        # dependency, so no path imports scipy.optimize or any other scipy
+        # module: not the imports, a capacity search nor a work rate on a
+        # 72-state pre-percept chain, which GTH censors in blocks
         import workcap
         code = ("import sys, numpy as np, workcap, workcap.cli, workcap.verify; "
-                "from workcap.random_models import random_environment; "
-                "workcap.capacity_lower_bound(random_environment(np.random.default_rng(0), 2, 2), "
+                "from workcap import markov; "
+                "from workcap.random_models import random_agent, random_environment; "
+                "rng = np.random.default_rng(0); "
+                "workcap.capacity_lower_bound(random_environment(rng, 2, 2), "
                 "memory_size=1, restarts=2); "
-                "print('scipy.optimize' in sys.modules)")
+                "inverses = markov._triangular_inverses; blocks = []; "
+                "markov._triangular_inverses = lambda T: blocks.append(1) or inverses(T); "
+                "workcap.work_rate(workcap.PerceptActionLoop(random_agent(rng, 2, 4), "
+                "random_environment(rng, 2, 9))); "
+                "print(len(blocks) > 0, "
+                "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(workcap.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert run.stdout.strip() == "False"
+        assert run.stdout.strip() == "True []"
 
     @pytest.mark.parametrize("n_z", [2, 3])
     @pytest.mark.parametrize("memory_size", [1, 2, 3])

@@ -146,6 +146,18 @@ class TestSumOut:
         np.testing.assert_allclose(m.probs, 2.0 ** -len(keep), rtol=1e-15)
         assert peak <= 8 * info._SUM_BLOCK + m.probs.nbytes + 2 ** 16
 
+    @pytest.mark.parametrize("shape", [(1 << 20, 2), (1 << 16, 3, 2)])
+    def test_leading_summed_axis_within_ulps_of_fsum(self, shape):
+        # each kept entry's terms are copied into one contiguous row and summed
+        # pairwise; numpy's sum over a leading axis, or over a strided row,
+        # adds them up one by one, 275 and 64 ulps off on these tables
+        probs = np.random.default_rng(0).random(shape)
+        probs /= probs.sum()
+        got = info._sum_out(probs, [False] + [True] * (len(shape) - 1))
+        rows = np.moveaxis(probs, 0, -1).reshape(got.size, -1)
+        exact = np.array([math.fsum(row) for row in rows]).reshape(got.shape)
+        assert (np.abs(got - exact) <= 4 * np.finfo(float).eps * exact).all()
+
     def test_marginal_entropies_near_a_long_double_reference(self):
         # each kept entry sums its past and A_t as one row, pairwise; numpy's
         # strided multi-axis sum accumulated them one by one, 8.7e-15 nats off
@@ -161,6 +173,50 @@ class TestSumOut:
                 exact = exact[exact > 0]
                 reference = -(exact * np.log(exact)).sum()
                 assert abs(entropy(joint, keep, base="nats") - reference) <= 1e-15
+
+
+class TestXlogy:
+    """``info._xlogy`` against ``scipy.special.xlogy``: 0 wherever x is 0,
+    and otherwise x log y, whose log may differ from libm's by an ulp."""
+
+    @staticmethod
+    def assert_matches_scipy(x, y, got):
+        special = pytest.importorskip("scipy.special")
+        want = special.xlogy(x, y)
+        exact = (x == 0) | (y == 0)  # 0, or an infinity of x's opposite sign
+        assert got.shape == want.shape
+        assert (got[exact] == want[exact]).all()
+        np.testing.assert_allclose(got[~exact], want[~exact], rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_matches_scipy_with_zeros_and_negative_x(self, rng):
+        x = rng.random((300, 6)) * rng.choice([-1.0, 0.0, 1.0], size=(300, 6))
+        y = rng.random((300, 6)) * (rng.random((300, 6)) < 0.8)
+        with np.errstate(divide="ignore"):
+            got = info._xlogy(x, y)
+        assert ((x == 0) & (y == 0)).any() and (got[x == 0] == 0.0).all()
+        self.assert_matches_scipy(x, y, got)
+        # broadcast as capacity._ascent calls it: kernels against percept laws
+        x, y = rng.random((4, 3, 5)), rng.random((4, 1, 5))
+        self.assert_matches_scipy(x, y, info._xlogy(x, y))
+
+    def test_capacity_gain_calls_match_scipy(self, rng, monkeypatch):
+        from workcap import capacity
+        seen = []
+
+        def spy(x, y):
+            seen.append((x, y, info._xlogy(x, y)))
+            return seen[-1][2]
+        monkeypatch.setattr(capacity, "_xlogy", spy)
+        reduced = rng.dirichlet(np.ones(4), size=4)  # [a, s]
+        p = rng.dirichlet(np.ones(4), size=50)
+        p[::3, 0] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        cand = np.where(rng.random((50, 4)) < 0.2, 0.0, rng.dirichlet(np.ones(4), size=50))
+        capacity._gain(reduced, p, cand / cand.sum(axis=1, keepdims=True))
+        assert any((x < 0).any() for x, _, _ in seen)
+        assert any(((x == 0) & (y == 0)).any() for x, y, _ in seen)
+        for x, y, got in seen:
+            self.assert_matches_scipy(x, y, got)
 
 
 class TestConditionalEntropy:

@@ -1,15 +1,19 @@
+import functools
 import math
 import warnings
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from workcap import (DimensionError, Distribution, DomainError, PerceptActionLoop,
-                     TransitionKernel, classify_states, loop, markov, verify, work_rate)
+from workcap import (DimensionError, Distribution, DomainError, EnvironmentModel,
+                     PerceptActionLoop, TransitionKernel, classify_states, loop, markov, verify,
+                     work_rate)
 from workcap.channels import load_model
-from workcap.random_models import random_environment, random_kernel, random_structured_kernel
+from workcap.random_models import (random_agent, random_environment, random_kernel,
+                                   random_structured_kernel)
 from workcap.verify import _power_sum
 
 SWAP = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
@@ -105,11 +109,33 @@ def cesaro_matrix(kernel: TransitionKernel) -> np.ndarray:
     return limit_laws(kernel)[1].mean(axis=1)
 
 
+def bfs_gcd_period(support: np.ndarray, members) -> int:
+    """Independent oracle: the gcd of level[u] + 1 - level[v] over the
+    edges (u, v) inside one closed class, with levels from a queue-based
+    BFS from its first state."""
+    inside = set(members)
+    level = {members[0]: 0}
+    queue = deque([members[0]])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(support[u]).tolist():
+            if v in inside and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return functools.reduce(math.gcd, (level[u] + 1 - level[v] for u in members
+                                       for v in np.flatnonzero(support[u]).tolist()
+                                       if v in inside), 0)
+
+
 def periods(kernel: TransitionKernel) -> dict[int, int]:
-    """Each recurrent state's period: that of its closed class."""
+    """Each recurrent state's period, that of its closed class, as
+    ``markov._classify`` reads it off BFS levels; checked against the
+    gcd-of-BFS oracle."""
     support = kernel.probs > 0.0
-    return {int(s): markov._class_period(support, members)
-            for members in markov._structure_of(support).closed for s in members}
+    cls, class_periods = markov._classify(support)
+    closed = [members for members, rec in zip(cls.classes, cls.class_recurrent) if rec]
+    assert list(class_periods) == [bfs_gcd_period(support, members) for members in closed]
+    return {s: period for members, period in zip(closed, class_periods) for s in members}
 
 
 def invariance_gap(P: np.ndarray, laws: np.ndarray) -> float:
@@ -164,6 +190,120 @@ class TestPeriod:
     def test_non_return_state_rejected(self):
         # state 1 is transient, so the structure gives it no period
         assert periods(ABSORB) == {0: 1}
+
+
+def structured_supports() -> dict[str, np.ndarray]:
+    """Supports whose classes come in long lines, cycles and feeders."""
+    path = np.eye(1024, k=1, dtype=bool)
+    path[-1, -1] = True  # 1,024 classes, the last absorbing
+    two_cycles = np.zeros((300, 300), dtype=bool)  # 150 two-cycles in a line
+    even = np.arange(0, 300, 2)
+    two_cycles[even, even + 1] = two_cycles[even + 1, even] = True
+    two_cycles[even[:-1] + 1, even[1:]] = True
+    # 2-, 3-, 5- and 7-cycles fed by 283 transient states, each moving to one
+    # or two earlier states
+    rng = np.random.default_rng(0)
+    feeders = cycles_fed_by_transients()[0][:17, :17] > 0.0
+    feeders = np.pad(feeders, (0, 283))
+    for t in range(17, 300):
+        feeders[t, rng.choice(t, size=rng.integers(1, 3), replace=False)] = True
+    # the global chain of a memory-1 agent on a channel that enters a 2-, 3-,
+    # 5- or 7-cycle from its start state (period lcm 210)
+    lengths = (2, 3, 5, 7)
+    move = np.zeros((18, 18))
+    entries = np.cumsum((1,) + lengths)[:-1]
+    for entry, length in zip(entries, lengths):
+        for i in range(length):
+            move[entry + i, entry + (i + 1) % length] = 1.0
+    move[0, entries] = 0.25
+    emit = rng.dirichlet(np.ones(2), size=(2, 18))  # [a, z, s]
+    env = EnvironmentModel(("0", "1"), tuple(f"z{z}" for z in range(18)),
+                           emit[..., None] * move[None, :, None, :], np.eye(18)[0])
+    chain = loop.build_global_chain(PerceptActionLoop(random_agent(rng, 2, 1), env))
+    return {"path1024": path, "two_cycles300": two_cycles,
+            "cycles_cut": cycles_fed_by_transients()[0] > 0.0, "cycles_fed300": feeders,
+            "cycles_global72": chain.kernel.probs > 0.0,
+            "dense512": np.ones((512, 512), dtype=bool)}
+
+
+def csgraph_partition(support: np.ndarray):
+    """Independent oracle: the classes by scipy's csgraph, each sorted and
+    in order of their smallest state, and whether each is closed."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(csr_array(support), directed=True, connection="strong")
+    classes = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))
+    rows, cols = np.nonzero(support)
+    leaving = set(labels[rows[labels[rows] != labels[cols]]].tolist())
+    return tuple(classes), tuple(labels[c[0]] not in leaving for c in classes)
+
+
+def check_classes_and_periods(support: np.ndarray):
+    """_classify against csgraph (classes, order and closedness) and its
+    closed classes' periods against the gcd-of-BFS oracle."""
+    cls, class_periods = markov._classify(support)
+    assert (cls.classes, cls.class_recurrent) == csgraph_partition(support)
+    recurrent = np.zeros(len(support), dtype=bool)
+    for members, closed in zip(cls.classes, cls.class_recurrent):
+        recurrent[list(members)] = closed
+    assert cls.recurrent.tolist() == recurrent.tolist()
+    closed = [members for members, rec in zip(cls.classes, cls.class_recurrent) if rec]
+    assert list(class_periods) == [bfs_gcd_period(support, members) for members in closed]
+    return cls, class_periods
+
+
+class TestClassesAgainstOracles:
+    """Forward-backward reachability with trimming gives the strongly
+    connected components that scipy's csgraph and networkx give, and the
+    closed classes' periods that the gcd-of-BFS oracle gives."""
+
+    def test_random_supports_match_csgraph(self):
+        pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(37)
+        for _ in range(5000):
+            n = int(rng.integers(1, 25))
+            support = rng.random((n, n)) < rng.choice([0.02, 0.08, 0.15, 0.3, 0.6])
+            empty = np.flatnonzero(~support.any(axis=1))  # every row of a kernel has mass
+            support[empty, rng.integers(n, size=empty.size)] = True
+            check_classes_and_periods(support)
+
+    @pytest.mark.parametrize("name", list(structured_supports()))
+    def test_structured_supports_match_networkx_and_csgraph(self, name):
+        nx = pytest.importorskip("networkx")
+        pytest.importorskip("scipy.sparse.csgraph")
+        support = structured_supports()[name]
+        cls, class_periods = check_classes_and_periods(support)
+        graph = nx.from_numpy_array(support.astype(int), create_using=nx.DiGraph)
+        components = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(graph))
+        assert cls.classes == tuple(components)
+        if name.startswith("cycles"):
+            assert math.lcm(*class_periods) == 210
+
+
+class TestTriangularInverses:
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_match_lapack_dtrtri(self, lower):
+        # nonnegative, the same zeros, and within a few ulps of LAPACK's
+        # substitution, on M-matrices whose rows span ten orders of magnitude;
+        # an upper one is inverted as its transpose, as GTH's blocks do
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        rng = np.random.default_rng(5)
+        m = markov._GTH_BLOCK
+        diag = np.arange(m)
+        for _ in range(40):
+            W = rng.random((3, m, m)) * (rng.random((3, m, m)) < rng.random())
+            W *= 10.0 ** rng.integers(-8, 3, size=(3, m, 1))
+            T = np.tril(-W, -1) if lower else np.triu(-W, 1)
+            off_diagonal = np.abs(T).sum(axis=2 if lower else 1)
+            T[:, diag, diag] = rng.random((3, m)) + rng.random() * off_diagonal
+            if lower:
+                got = markov._triangular_inverses(T)
+            else:
+                got = markov._triangular_inverses(T.transpose(0, 2, 1).copy()).transpose(0, 2, 1)
+            want = np.stack([lapack.dtrtri(t, lower=lower)[0] for t in T])
+            assert (got >= 0.0).all()
+            assert ((got == 0.0) == (want == 0.0)).all()
+            assert (np.abs(got - want) <= 16 * np.finfo(float).eps * want).all()
 
 
 class TestAsymptoticProfile:
