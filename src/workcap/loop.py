@@ -6,17 +6,25 @@ module builds that chain, computes per-round work terms and the asymptotic
 work rate, and the predictiveness scores that decide membership in the
 predictive agent class.
 
-Every asymptotic rate comes from one Cesàro engine, ``_cesaro_tables``,
+Every asymptotic rate comes from one Cesàro engine, ``_limit_tables``,
 which keeps the state's law under each subsequence limit from
 ``markov._limit_laws`` and forms no limit matrix: ``work_rate`` runs it on
 one agent, and the capacity search's ``_rate_gradients`` (rates with their
 exact gradients, one formula for every chain structure) on a stack.  It
-runs on the pre-percept chain (memory, action, hidden state), |S| times
-smaller than the global chain: the percept is a fresh draw from the
-emission e(s | a, z), so each law of the global chain is a law of that
-chain times the emission (Kemeny & Snell 1960, functions of a Markov
-chain); every work term is read from its marginals p(m, a) and p(m, s).
-``build_global_chain`` keeps the global chain for inspection and checks.
+runs on the pre-percept chain (memory, action, hidden state) of
+``_pre_percept_chain``, |S| times smaller than the global chain: the
+percept is a fresh draw from the emission e(s | a, z), so each law of the
+global chain is a law of that chain times the emission (Kemeny & Snell
+1960, functions of a Markov chain); every work term is read from its
+marginals p(m, a) and p(m, s).  ``build_global_chain`` keeps the global
+chain for inspection and checks.
+
+Each kernel is built by one einsum into one C-ordered buffer, so it is the
+only n x n float array its builder forms.  ``work_rate`` owns the kernel it
+builds: it reads the round laws off it and then hands it to the engine,
+whose elimination runs in it, so a work rate keeps one n x n array alive.
+``_rate_gradients`` reads its kernels after the limit, so it keeps them,
+and the engine eliminates in a copy.
 
 Every finite-horizon trajectory quantity comes from one forward pass,
 ``_forward_pass``: its message, a matrix from the kept past to the current
@@ -72,7 +80,7 @@ class PerceptActionLoop:
 
     @cached_property
     def _factors(self) -> dict:
-        """:func:`_run_pass`'s env, agent and read-out factors, filled on
+        """The forward pass's env, agent and read-out factors, filled on
         first use, one per pattern of the kept variables each reads: the
         models are frozen, so the factors never go stale."""
         return {}
@@ -117,7 +125,9 @@ def build_global_chain(loop: PerceptActionLoop) -> GlobalChain:
     feasible4 = emission > 0.0
     X = phi / np.where(feasible4, emission, 1.0)[..., None]
     n = int(np.prod(loop.shape))
-    K = np.einsum("azsw,smbn,bwt->masznbtw", X, loop.agent.theta, emission).reshape(n, n)
+    K = np.empty(loop.shape * 2)  # one C-ordered buffer: the only n x n array formed
+    np.einsum("azsw,smbn,bwt->masznbtw", X, loop.agent.theta, emission, out=K)
+    K = K.reshape(n, n)
     feasible = np.broadcast_to(feasible4.transpose(0, 2, 1), loop.shape).reshape(n)
     K[~feasible] = 1.0 / n  # uniform placeholder; never entered
     init = np.einsum("am,z,azs->masz", loop.agent.initial_joint, loop.env.initial,
@@ -242,8 +252,7 @@ def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
     read-outs.  The env, agent and read-out factors, one per kind of
     product and pattern of the kept variables it reads, stay on the loop
     after its first pass (``loop._factors``)."""
-    shape = loop.shape
-    n_m, n_a, _, n_z = shape
+    n_m = loop.shape[0]
     factors = loop._factors
     msg = (loop.agent.initial_joint.T[:, :, None] * loop.env.initial).reshape(1, -1)
     tables = []
@@ -256,15 +265,24 @@ def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
             tables.append(msg.reshape(-1, len(emit)) @ emit)
         if step is None:
             return tables
-        # each factor is keyed by the kept variables it reads: phi's by A_t
-        # and Z_t, theta's by M_t and S_t
-        kept_m, kept_a, kept_s, kept_z = step
-        if ("env", kept_a, kept_z) not in factors:
-            factors["env", kept_a, kept_z] = _env_factor(loop.env.phi, kept_a, True, kept_z)
-        if ("agent", kept_m, kept_s) not in factors:
-            factors["agent", kept_m, kept_s] = _agent_factor(loop.agent.theta, kept_m, kept_s)
-        msg = _two_products(msg, shape, step, factors["env", kept_a, kept_z],
-                            factors["agent", kept_m, kept_s])
+        msg = _step(loop, msg, step)
+
+
+def _step(loop: PerceptActionLoop, msg: np.ndarray, kept) -> np.ndarray:
+    """One round of the forward pass: :func:`_two_products` with the
+    loop's env and agent factors for the four flags ``kept``, each factor
+    keyed by the kept variables it reads (phi's by A_t and Z_t, theta's by
+    M_t and S_t) and built on first use.  With no variable kept, it takes
+    laws over the pre-percept states (m, a, z) one step on: ``msg @ Kw``,
+    summed in another order."""
+    kept_m, kept_a, kept_s, kept_z = kept
+    factors = loop._factors
+    if ("env", kept_a, kept_z) not in factors:
+        factors["env", kept_a, kept_z] = _env_factor(loop.env.phi, kept_a, True, kept_z)
+    if ("agent", kept_m, kept_s) not in factors:
+        factors["agent", kept_m, kept_s] = _agent_factor(loop.agent.theta, kept_m, kept_s)
+    return _two_products(msg, loop.shape, kept, factors["env", kept_a, kept_z],
+                         factors["agent", kept_m, kept_s])
 
 
 def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTable:
@@ -299,7 +317,7 @@ def trajectory_distribution(loop: PerceptActionLoop, horizon: int) -> Trajectory
 
 def _marginals(laws: np.ndarray, env: EnvironmentModel) -> tuple[np.ndarray, np.ndarray]:
     """p(m, a) and p(m, s) = sum_{a, z} p(m, a, z) e(s | a, z) from laws
-    over the pre-percept states (m, a, z) of :func:`_cesaro_tables`,
+    over the pre-percept states (m, a, z) of :func:`_pre_percept_chain`,
     flattened on the last axis; leading axes stack laws."""
     emission = env.emission()  # [a, z, s]
     n_a, n_z, n_s = emission.shape
@@ -331,7 +349,7 @@ class WorkReport:
     t_{r+1 mod d}|`` of the d subsequence-limit laws t_r the rate is read
     from, d = ``period_used``, with P the kernel of the pre-percept chain
     (memory, action, hidden state) those laws are solved on (see
-    :func:`_cesaro_tables`); it shows how well they solve their defining
+    :func:`_pre_percept_chain`); it shows how well they solve their defining
     equations, not a bound on the rate's error.
     """
 
@@ -346,48 +364,64 @@ class WorkReport:
     cesaro_law: np.ndarray = field(repr=False, compare=False)
 
 
-def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
-    """The Cesàro engine behind every work rate, for a stack of B agents on
-    ``env`` (``theta`` ``(B, |A|, M, |A|, M)``, ``init`` ``(B, |A|, M)``).
+def _pre_percept_chain(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-percept chain of a stack of B agents on ``env`` (``theta``
+    ``(B, |A|, M, |A|, M)``, ``init`` ``(B, |A|, M)``): its kernels ``Kw``
+    ``(B, n, n)`` and its round-0 vectors ``(B, n)``.
 
-    It runs on the pre-percept chain W_t = (M_t, A_t, Z_t), states indexed
-    row-major in that order: the percept S_t is a fresh draw from e(s | a,
-    z), so W_t is a Markov chain with kernel ``Kw[(m, a, z), (n, b, w)] =
-    sum_s phi(s, w | a, z) theta(b, n | s, m)``, and the law of U_t = (M_t,
-    A_t, S_t, Z_t) is the law of W_t times e(s | a, z) at every t and in
-    every subsequence limit (:func:`_lift`).  This chain is |S| times
-    smaller than the global one, and it has no infeasible states.
-
-    Returns the kernels ``Kw`` ``(B, n, n)``, the round-0 vectors ``(B, n)``
-    and, for each group of members with one structure (by their kernels'
-    and round-0 vectors' support patterns; :func:`markov._pattern_groups`),
-    ``(members, reach, structure, tables, limit)``: the
-    mask of reachable W states, the structure of the reachable subchain,
-    ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as n grows
-    (zero off ``reach``), and ``limit``, Q = P^d and L's factors on
-    ``reach``, with u the round-0 vector, P the reachable subchain, d its
-    period lcm and L = lim Q^n, from :func:`markov._limit_laws`.  The stack
-    shares one kernel einsum, and a group's limit laws are solved at once.
-    Nothing is validated here: the agents' and the environment's arrays are
-    checked at model construction, or are stochastic by construction in the
-    search's stacks (:func:`_rate_gradients`), and ``Kw`` and the round-0
-    vectors are their products, whose rows can miss 1 by about twice what
-    their factors' rows do.  What the patterns decide (the groups' reachable
-    sets and structures) comes from the one structure memo of :mod:`markov`,
-    so it is worked out once per pattern, not once per call.  When every
-    state is reachable, the group's kernels and round-0 vectors go to
-    ``_limit_laws`` as they are and its laws are the tables; otherwise the
-    reachable subchain is gathered and its laws padded with zeros.
-    """
+    W_t = (M_t, A_t, Z_t), states indexed row-major in that order: the
+    percept S_t is a fresh draw from e(s | a, z), so W_t is a Markov chain
+    with kernel ``Kw[(m, a, z), (n, b, w)] = sum_s phi(s, w | a, z)
+    theta(b, n | s, m)``, and the law of U_t = (M_t, A_t, S_t, Z_t) is the
+    law of W_t times e(s | a, z) at every t and in every subsequence limit
+    (:func:`_lift`).  This chain is |S| times smaller than the global one,
+    and it has no infeasible states.  The einsum writes ``Kw`` into one
+    C-ordered buffer, so it is the only n x n array formed.  Nothing is
+    validated: the agents' and the environment's arrays are checked at model
+    construction, or are stochastic by construction in the search's stacks
+    (:func:`_rate_gradients`), and ``Kw`` and the round-0 vectors are their
+    products, whose rows can miss 1 by about twice what their factors' rows
+    do."""
     n_b, n_a, n_m = init.shape
-    n = n_m * n_a * env.n_hidden
-    K = np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta).reshape(n_b, n, n)
-    p0 = np.einsum("Bam,z->Bmaz", init, env.initial).reshape(n_b, n)
+    n_z = env.n_hidden
+    K = np.empty((n_b, n_m, n_a, n_z, n_m, n_a, n_z))
+    np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta, out=K)
+    p0 = np.einsum("Bam,z->Bmaz", init, env.initial)
+    n = n_m * n_a * n_z
+    return K.reshape(n_b, n, n), p0.reshape(n_b, n)
+
+
+def _limit_tables(K: np.ndarray, p0: np.ndarray, overwrite: bool = False) -> list:
+    """The Cesàro engine behind every work rate, on a stack of pre-percept
+    chains (:func:`_pre_percept_chain`): kernels ``K`` ``(B, n, n)`` and
+    round-0 vectors ``p0`` ``(B, n)``.
+
+    Returns, for each group of members with one structure (by their
+    kernels' and round-0 vectors' support patterns;
+    :func:`markov._pattern_groups`), ``(members, reach, structure, tables,
+    limit)``: the mask of reachable W states, the structure of the reachable
+    subchain, ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as
+    n grows (zero off ``reach``), and ``limit``, Q = P^d and L's factors on
+    ``reach``, with u the round-0 vector, P the reachable subchain, d its
+    period lcm and L = lim Q^n, from :func:`markov._limit_laws`.  A group's
+    limit laws are solved at once.  What the patterns decide (the groups'
+    reachable sets and structures) comes from the one structure memo of
+    :mod:`markov`, so it is worked out once per pattern, not once per call.
+    When every state is reachable, the group's kernels and round-0 vectors
+    go to ``_limit_laws`` as they are and its laws are the tables;
+    otherwise the reachable subchain is gathered and its laws padded with
+    zeros.  A caller that reads ``K`` no more hands it over
+    (``overwrite``), and then the elimination may run in it (see
+    ``_limit_laws``), leaving ``K`` and the group's Q spent.
+    """
+    n_b, n = p0.shape
     groups = []
     for members, structure in _pattern_groups(K > 0.0, p0 > 0.0):
         reach = structure.reach
         if reach.all():
-            _, laws, limit = _limit_laws(K[members], p0[members][:, None, :], structure)
+            _, laws, limit = _limit_laws(K[members], p0[members][:, None, :], structure,
+                                         overwrite)
             tables = laws[:, 0]
         else:
             rows = np.arange(n_b)[members]
@@ -396,12 +430,21 @@ def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
             tables = np.zeros((len(rows), structure.period_lcm, n))
             tables[:, :, reach] = laws[:, 0]
         groups.append((members, reach, structure, tables, limit))
-    return K, p0, groups
+    return groups
+
+
+def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
+    """The pre-percept chain of a stack of agents on ``env``
+    (:func:`_pre_percept_chain`) and its Cesàro engine's groups
+    (:func:`_limit_tables`): ``(Kw, round-0 vectors, groups)``, the kernels
+    kept for the caller to read."""
+    K, p0 = _pre_percept_chain(env, theta, init)
+    return K, p0, _limit_tables(K, p0)
 
 
 def _lift(laws: np.ndarray, env: EnvironmentModel) -> np.ndarray:
     """Tables p(m, a, s, z) = p(m, a, z) e(s | a, z) from laws over the
-    pre-percept states (m, a, z) of :func:`_cesaro_tables`, flattened on
+    pre-percept states (m, a, z) of :func:`_pre_percept_chain`, flattened on
     the last axis; leading axes stack laws."""
     emission = env.emission()  # [a, z, s]
     w = laws.reshape(*laws.shape[:-1], -1, *emission.shape[:2])
@@ -412,22 +455,26 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     """Asymptotic expected work per round, H(A_t|M_t) - H(S_t|M_t) averaged.
 
     The rate is the exact Cesàro limit, the mean of the work terms of the
-    subsequence-limit laws from :func:`_cesaro_tables` on a stack of one;
+    subsequence-limit laws from :func:`_limit_tables` on a stack of one;
     ``per_round`` lists the first ``rounds`` finite-t work terms from
-    propagating the round-0 vector through the same kernel.  Every term is
-    read from its law's marginals p(m, a) and p(m, s) (:func:`_work_terms`).
+    propagating the round-0 vector through the pre-percept kernel.  Every
+    term is read from its law's marginals p(m, a) and p(m, s)
+    (:func:`_work_terms`).  The kernel is the one n x n array of the call:
+    the round laws are read off it first, and then it is handed to the
+    engine, whose elimination may run in it.  So the residual applies P
+    through the loop's factors, as a forward-pass step does (:func:`_step`).
     """
     factor = _base_factor(base)
-    K, p0, ((_, reach, structure, tables, _),) = _cesaro_tables(
-        loop.env, loop.agent.theta[None], loop.agent.initial_joint[None])
-    P, p, t = K[0], p0[0], tables[0]
+    K, p0 = _pre_percept_chain(loop.env, loop.agent.theta[None], loop.agent.initial_joint[None])
+    P, p = K[0], p0[0]
     laws = np.empty((rounds, len(p)))
     for r in range(rounds):
         laws[r], p = p, p @ P
     per_round = _work_terms(*_marginals(laws, loop.env))[0] * factor
+    ((_, reach, structure, (t,), _),) = _limit_tables(K, p0, overwrite=True)
     work, h_action = _work_terms(*_marginals(t, loop.env))
     action_entropy = _clamp_nonneg(float(h_action.mean()), "mean action entropy") * factor
-    residual = float(np.max(np.abs(t @ P - np.roll(t, -1, axis=0))))
+    residual = float(np.max(np.abs(_step(loop, t, (False,) * 4) - np.roll(t, -1, axis=0))))
     recurrent = np.zeros_like(reach)
     recurrent[np.flatnonzero(reach)[structure.classification.recurrent]] = True
     return WorkReport(tuple(per_round.tolist()), float(work.mean()) * factor, action_entropy,
@@ -439,7 +486,7 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
 def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
                     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Work rates, in nats, of a stack of B agents on ``env`` (shapes as in
-    :func:`_cesaro_tables`), each its ``work_rate``, and ``grads``, their
+    :func:`_pre_percept_chain`), each its ``work_rate``, and ``grads``, their
     exact gradients in ``theta`` and ``init``, each bit for bit as alone.
 
     On a member's reachable pre-percept chain P with round-0 vector u,
@@ -473,9 +520,13 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     for members, reach, structure, tables, (Q, absorb, stationary) in groups:
         B, d, n = tables.shape
         p_ma, p_ms = _marginals(tables, env)
-        rates[members] = _work_terms(p_ma, p_ms)[0].sum(axis=-1) / d  # np.mean's sum and quotient
-        lam = ((_log_positive(p_ms) @ emission.T).reshape(B, d, n_m, n_a, n_z)
-               - _log_positive(p_ma)[..., None]).reshape(B, d, n) / d  # g_r
+        log_ma, log_ms = _log_positive(p_ma), _log_positive(p_ms)
+        # p log+ p is _xlogy(p, p) bit for bit, so these are _work_terms'
+        # rates, with np.mean's sum and quotient
+        rates[members] = ((p_ms * log_ms).sum(axis=(-2, -1))
+                          - (p_ma * log_ma).sum(axis=(-2, -1))).sum(axis=-1) / d
+        lam = ((log_ms @ emission.T).reshape(B, d, n_m, n_a, n_z)
+               - log_ma[..., None]).reshape(B, d, n) / d  # g_r
         P, ell = K[members], tables
         if not reach.all():
             P = P[np.ix_(np.arange(B), reach, reach)]
@@ -532,7 +583,7 @@ def _solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError:
                 pass  # singular: x stays NaN, so the member has no gradient
     solved = np.isfinite(x).all(axis=1)
-    return np.where(solved[:, None], x, 0.0), solved
+    return (x if solved.all() else np.where(solved[:, None], x, 0.0)), solved
 
 
 # ---------------------------------------------------------------------------

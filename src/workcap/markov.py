@@ -30,6 +30,11 @@ its start vectors, so no n x n limit matrix is formed.  :func:`_limit_laws`
 acts on a stack of kernels with one structure, also where their support
 patterns differ, so a batch of evaluations shares its Python-level steps,
 and it gathers no states when one closed class holds them all.
+The kernels belong to the caller, and the engine writes them only when the
+caller hands them over (``overwrite``): it eliminates in its own gathers,
+and when one closed class holds every state, in the kernels themselves if
+handed over and in a copy otherwise.  ``loop.work_rate`` hands over the
+kernel it built and read, so it makes no n x n copy.
 
 Convention: ``probs[i, j]`` is the probability of moving from state ``i``
 to state ``j``; rows sum to one.
@@ -525,8 +530,8 @@ def _absorption(Q: np.ndarray, closed: tuple[np.ndarray, ...], t: np.ndarray) ->
     return h[:, c:]
 
 
-def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
-                 V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...], V: np.ndarray,
+                 overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``V lim Q^n`` for a ``(B, n, n)`` stack of kernels whose closed
     classes ``closed``, shared by the stack, are aperiodic, and a ``(B, k,
     n)`` stack of row vectors ``V``, with the factors ``(B, n, C)`` and
@@ -540,16 +545,19 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
     censoring the class down to its first state, and absorption by
     censoring the transient states down to one absorbing state per class
     (:func:`_absorption`), so every sum adds nonnegative numbers and slow
-    leaks keep their digits.  No n x n limit is formed.  Every gather
-    (``take``, ``ix_``) is a new C-ordered array, so each member's sums
-    round as they do for that member alone.  When one closed class holds
-    every state, gathers would copy everything, so there are none: GTH gets
-    a copy of ``Q``, which it overwrites, and each row's law is its sum
-    times the stationary vector.
+    leaks keep their digits.  No n x n limit is formed.  The closed classes
+    of one size are gathered into one ``(B C_s, s, s)`` stack and eliminated
+    at once.  Every gather is a new C-ordered array, so each member's and
+    each class's sums round as they do for it alone.  When one closed class
+    holds every state, gathers would copy everything, so there are none:
+    GTH runs in ``Q`` itself if ``overwrite`` (the caller hands ``Q`` over
+    and reads it no more), and otherwise in a copy of it, and each row's
+    law is its sum times the stationary vector.  ``Q`` is read only
+    otherwise.
     """
     B, n = Q.shape[0], Q.shape[-1]
     if len(closed) == 1 and len(closed[0]) == n:
-        pi = _gth_stationary(Q.copy())[:, None, :]
+        pi = _gth_stationary(Q if overwrite else Q.copy())[:, None, :]
         return V.sum(axis=2)[:, :, None] * pi, np.ones((B, n, 1)), pi
     absorb, stationary = np.zeros((B, n, len(closed))), np.zeros((B, len(closed), n))
     transient = np.ones(n, dtype=bool)
@@ -558,8 +566,14 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
         transient[members] = False
         absorb[:, members, c] = 1.0
         weights.append(V.take(members, axis=2).sum(axis=2))
-        # GTH may overwrite this new array
-        stationary[:, c, members] = _gth_stationary(Q[np.ix_(np.arange(B), members, members)])
+    sizes = np.array([len(members) for members in closed])
+    stack = np.arange(B)[:, None, None, None]
+    for size in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == size)
+        idx = np.stack([closed[c] for c in same])  # (C_s, s)
+        # one C-ordered (B, C_s, s, s) gather; GTH may overwrite it
+        pi = _gth_stationary(Q[stack, idx[:, :, None], idx[:, None, :]].reshape(-1, size, size))
+        stationary[:, same[:, None], idx] = pi.reshape(B, len(same), size)
     t = np.flatnonzero(transient)
     if t.size:
         absorb[:, t] = _absorption(Q, closed, t)
@@ -568,7 +582,8 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...],
     return np.stack(weights, axis=2) @ stationary, absorb, stationary
 
 
-def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None
+def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None,
+                overwrite: bool = False
                 ) -> tuple[_Structure, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The structure of a ``(B, n, n)`` stack of kernels with one structure
     (:func:`_pattern_groups`), the subsequence-limit laws ``u P^r L`` for
@@ -577,7 +592,10 @@ def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = Non
     :func:`_power_limit`, padded with zero classes to the most any member
     has; d is the period lcm and ``L = lim Q^n``.  Their mean over r is the
     Cesàro limit of the law from each start.  A caller that knows the
-    structure of the chain on every state passes it as ``structure``.
+    structure of the chain on every state passes it as ``structure``, and
+    one that reads ``P`` no more may hand it over (``overwrite``): when d =
+    1 and one closed class holds every state, the elimination then runs in
+    ``P``, and the ``Q`` returned is spent.  ``P`` is read only otherwise.
     ``P^d``'s closed classes, the cyclic subclasses, are aperiodic; they
     come from each member's numeric pattern of ``P^d``, so underflow counts
     as 0.  Nothing is iterated, so there is no tolerance and no convergence
@@ -587,7 +605,7 @@ def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = Non
         structure = _structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
-        laws, absorb, stationary = _power_limit(P, structure.closed, u)
+        laws, absorb, stationary = _power_limit(P, structure.closed, u, overwrite)
         return structure, laws[:, :, None], (P, absorb, stationary)
     steps = [u]
     for _ in range(d - 1):

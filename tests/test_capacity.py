@@ -1261,12 +1261,14 @@ class TestCapacityProperties:
 
 class TestClassifyAgentSets:
     def test_builds_one_chain_and_profile(self, fig5, call_counts):
-        # one call of the Cesàro engine, which solves one start's limit laws
+        # one pre-percept chain and one call of the Cesàro engine, which
+        # solves one start's limit laws
         from workcap import build_uniform
-        calls = call_counts("loop._cesaro_tables", "loop.build_global_chain",
-                            "markov._limit_laws")
+        calls = call_counts("loop._pre_percept_chain", "loop._limit_tables",
+                            "loop.build_global_chain", "markov._limit_laws")
         classify_agent_sets(fig5, build_uniform(fig5.alphabet), horizon=2)
-        assert calls == {"_cesaro_tables": 1, "build_global_chain": 0, "_limit_laws": 1}
+        assert calls == {"_pre_percept_chain": 1, "_limit_tables": 1, "build_global_chain": 0,
+                         "_limit_laws": 1}
 
     def test_fig5_three_agents(self, fig5):
         from workcap import build_last_action, build_memoryless, build_uniform

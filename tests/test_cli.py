@@ -61,13 +61,15 @@ class TestAnalyze:
         assert all(re.fullmatch(r"\(\d+, \d+, \d+, \d+\)", k) for k in keys)
 
     def test_agent_builds_one_global_chain(self, capsys, tmp_path, call_counts):
-        # the chain summary comes from one call of the Cesàro engine
+        # the chain summary comes from one pre-percept chain and one call of
+        # the Cesàro engine
         agent_file = tmp_path / "pred.json"
         assert main(["build-agent", "predictive", GOLDEN, "--out", str(agent_file)]) == 0
-        calls = call_counts("loop._cesaro_tables", "loop.build_global_chain")
+        calls = call_counts("loop._pre_percept_chain", "loop._limit_tables",
+                            "loop.build_global_chain")
         code, _, _ = run_cli(capsys, "analyze", GOLDEN, "--agent", str(agent_file))
         assert code == 0
-        assert calls == {"_cesaro_tables": 1, "build_global_chain": 0}
+        assert calls == {"_pre_percept_chain": 1, "_limit_tables": 1, "build_global_chain": 0}
 
     def test_malformed_model_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -713,15 +714,13 @@ def gather_limit_laws(P, u):
     return structure, laws.reshape(*u.shape[:2], d, -1), (Q, absorb, stationary)
 
 
-def gather_cesaro_tables(env, theta, init):
-    """Oracle: the gather path of ``loop._cesaro_tables``, which searches
+def gather_limit_tables(K, p0, overwrite=False):
+    """Oracle: the gather path of ``loop._limit_tables``, which searches
     each group's reachable states on every call, gathers the reachable
     subchain with ``ix_`` even when it is the whole chain, and pads its
-    laws from :func:`gather_limit_laws` into zeroed tables."""
-    n_b, n_a, n_m = init.shape
-    n = n_m * n_a * env.n_hidden
-    K = np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta).reshape(n_b, n, n)
-    p0 = np.einsum("Bam,z->Bmaz", init, env.initial).reshape(n_b, n)
+    laws from :func:`gather_limit_laws` into zeroed tables; it never
+    writes ``K``."""
+    n_b, n = p0.shape
     support, start = K > 0.0, p0 > 0.0
     groups = []
     for members in by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
@@ -731,19 +730,29 @@ def gather_cesaro_tables(env, theta, init):
         tables = np.zeros((len(members), structure.period_lcm, n))
         tables[:, :, reach] = laws[:, 0]
         groups.append((members, reach, structure, tables, limit))
-    return K, p0, groups
+    return groups
 
 
 def assert_equals_gather_path(env, agents):
-    """The batched rates and each work_rate report equal, bit for bit,
-    those of the gather path (:func:`gather_cesaro_tables`)."""
+    """The pre-percept kernels are the einsum's reshaped result bit for
+    bit, and the batched rates and each work_rate report equal, bit for
+    bit, those of the gather path (:func:`gather_limit_tables`), which
+    work_rate, handing its kernel over, and _rate_gradients both run."""
     import workcap.loop as loop_mod
+    theta, init = stack(agents)
+    K, p0 = loop_mod._pre_percept_chain(env, theta, init)
+    n = K.shape[-1]
+    assert K.flags.c_contiguous
+    np.testing.assert_array_equal(
+        K, np.einsum("azsw,Bsmbn->Bmaznbw", env.phi, theta).reshape(len(K), n, n))
+    np.testing.assert_array_equal(
+        p0, np.einsum("Bam,z->Bmaz", init, env.initial).reshape(len(K), n))
     loops = [PerceptActionLoop(agent, env) for agent in agents]
-    rates, grads = _rate_gradients(env, *stack(agents))
+    rates, grads = _rate_gradients(env, theta, init)
     reports = [work_rate(pal, rounds=3, base="nats") for pal in loops]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(loop_mod, "_cesaro_tables", gather_cesaro_tables)
-        oracle_rates, oracle_grads = _rate_gradients(env, *stack(agents))
+        patch.setattr(loop_mod, "_limit_tables", gather_limit_tables)
+        oracle_rates, oracle_grads = _rate_gradients(env, theta, init)
         oracles = [work_rate(pal, rounds=3, base="nats") for pal in loops]
     assert rates.tolist() == oracle_rates.tolist()
     for got, want in zip(grads, oracle_grads):
@@ -991,23 +1000,103 @@ class TestResidual:
     def test_residual_is_table_invariance_gap(self, rng, monkeypatch):
         # move 1e-6 of t_0's mass between two reachable states: the residual
         # must be the gap of exactly the tables the rate is read from
+        # (P is kept before the engine, which may eliminate in it)
         import workcap.loop as loop_mod
-        engine, seen = loop_mod._cesaro_tables, []
+        engine, seen = loop_mod._limit_tables, []
 
-        def perturbed(*args):
-            K, p0, groups = engine(*args)
+        def perturbed(K, p0, overwrite=False):
+            P = K[0].copy()
+            groups = engine(K, p0, overwrite)
             ((_, reach, _, tables, _),) = groups
             first, last = np.flatnonzero(reach)[[0, -1]]
             tables[0, 0, first] += 1e-6
             tables[0, 0, last] -= 1e-6
-            seen.append((K[0], tables[0]))
-            return K, p0, groups
-        monkeypatch.setattr(loop_mod, "_cesaro_tables", perturbed)
+            seen.append((P, tables[0]))
+            return groups
+        monkeypatch.setattr(loop_mod, "_limit_tables", perturbed)
         for pal in residual_loops(rng):
             residual = work_rate(pal, rounds=0).residual
             P, tables = seen[-1]
             assert residual > 1e-8
             assert abs(residual - invariance_gap(P, tables)) <= 1e-15
+
+
+class TestKernelBuffer:
+    """work_rate forms one n x n array, the pre-percept kernel: it reads its
+    round laws off the kernel and then hands it to the engine, which may
+    eliminate in it.  build_global_chain forms one N x N array too."""
+
+    def test_donating_run_equals_non_donating_run(self, rng, identity_env, monkeypatch):
+        # reachable, reducible and periodic loops: the fields other than
+        # the residual are the engine's on a copy of the kernel, and the
+        # residual is within rounding of the invariance gap of t P
+        import workcap.loop as loop_mod
+        loops = residual_loops(rng) + [
+            PerceptActionLoop(echo_after_random_first_action(0.1), identity_env),
+            PerceptActionLoop(build_identity(("0", "1")), identity_env),
+            PerceptActionLoop(random_agent(rng, 2, 2), sparse_emission_env(rng))]
+        engine, seen, spent = loop_mod._limit_tables, [], []
+
+        def spy(K, p0, overwrite=False):
+            P = K[0].copy()
+            groups = engine(K, p0, overwrite)
+            seen.append((P, groups[0][3][0]))
+            spent.append(not np.array_equal(K[0], P))
+            return groups
+        monkeypatch.setattr(loop_mod, "_limit_tables", spy)
+        donated = [work_rate(pal, rounds=6) for pal in loops]
+        monkeypatch.setattr(loop_mod, "_limit_tables",
+                            lambda K, p0, overwrite=False: engine(K, p0))
+        kept = [work_rate(pal, rounds=6) for pal in loops]
+        assert spent[0]  # a dense loop's elimination ran in its kernel
+        for report, oracle, (P, tables) in zip(donated, kept, seen):
+            assert replace(report, residual=0.0) == replace(oracle, residual=0.0)
+            assert np.array_equal(report.reachable, oracle.reachable)
+            assert np.array_equal(report.cesaro_law, oracle.cesaro_law)
+            assert abs(report.residual - invariance_gap(P, tables)) <= 1e-15
+        assert [r.period_used for r in donated[:5]] == [1, 1, 1, 6, 210]
+        # transient states, and states off the reachable set
+        assert [(r.recurrent_states, int(r.reachable.sum()), r.reachable.size)
+                for r in donated[5:7]] == [(2, 4, 8), (1, 1, 4)]
+
+    def test_work_rate_forms_one_kernel(self):
+        # a 512-state pre-percept chain, which GTH censors in 7 blocks: the
+        # parent's strided einsum result, its reshape copy and the copy GTH
+        # ran in made a peak of 2.33 kernels
+        rng = np.random.default_rng(0)
+        pal = PerceptActionLoop(random_agent(rng, 2, 16), random_environment(rng, 2, 16))
+        n = 512
+        work_rate(pal)  # the structure memo and the loop's factors are filled
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            work_rate(pal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+    def test_global_chain_forms_one_kernel(self):
+        # the parent's strided einsum result and its reshape copy made a
+        # peak of 2 kernels; the kernel is the reshaped einsum bit for bit
+        rng = np.random.default_rng(0)
+        pal = PerceptActionLoop(random_agent(rng, 2, 16), random_environment(rng, 2, 16))
+        N = 1024
+        build_global_chain(pal)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            chain = build_global_chain(pal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain.n_states == N and chain.kernel.probs.flags.c_contiguous
+        assert peak < 1.5 * 8 * N * N
+        emission = pal.env.emission()
+        X = pal.env.phi / np.where(emission > 0.0, emission, 1.0)[..., None]
+        np.testing.assert_array_equal(
+            chain.kernel.probs,
+            np.einsum("azsw,smbn,bwt->masznbtw", X, pal.agent.theta, emission).reshape(N, N))
 
 
 class TestPrePerceptChain:
@@ -1051,9 +1140,9 @@ class TestPrePerceptChain:
         import workcap.loop as loop_mod
         engine, sizes = loop_mod._limit_laws, []
 
-        def spy(P, u, structure=None):
+        def spy(P, u, structure=None, overwrite=False):
             sizes.append(P.shape[1:])
-            return engine(P, u, structure)
+            return engine(P, u, structure, overwrite)
         monkeypatch.setattr(loop_mod, "_limit_laws", spy)
         for n_a, n_m, n_z in ((2, 1, 1), (2, 2, 3), (3, 2, 2)):
             env = random_environment(rng, n_a, n_z)

@@ -490,6 +490,59 @@ class TestBlockedGTH:
         np.testing.assert_array_equal(markov._gth_stationary(P), alone)
 
 
+def lazy_blocks(rng, blocks, B):
+    """A ``(B, n, n)`` stack with one pattern: the block-diagonal kernels
+    ``blocks``, each member made lazy by its own random holding weights,
+    so every closed class is aperiodic and its stationary vector is not
+    exact."""
+    n = sum(len(b) for b in blocks)
+    P = np.zeros((n, n))
+    start = 0
+    for b in blocks:
+        P[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    hold = rng.uniform(0.2, 0.8, size=(B, n, 1))
+    return hold * np.eye(n) + (1.0 - hold) * P
+
+
+class TestClassStacks:
+    """_power_limit eliminates the closed classes of one size as one
+    C-ordered stack; each class of each member gets the bits it gets alone."""
+
+    @staticmethod
+    def assert_per_class(Q, calls):
+        closed = markov._structure_of(Q[0] > 0.0).closed
+        V = np.ones((len(Q), 1, Q.shape[-1])) / Q.shape[-1]
+        calls.update(dict.fromkeys(calls, 0))
+        _, _, stationary = markov._power_limit(Q, closed, V)
+        assert calls == {"_gth_stationary": len({len(members) for members in closed})}
+        for b, member in enumerate(Q):
+            for c, members in enumerate(closed):
+                alone = markov._gth_stationary(member[np.ix_(members, members)][None])[0]
+                np.testing.assert_array_equal(stationary[b, c, members], alone)
+        return closed
+
+    def test_cycles_2_3_5_7(self, rng, call_counts):
+        # the (2, 3, 5, 7) cycles fed by transients: under P^210 every cycle
+        # state is a class of one, so all 17 are one stack; made lazy, the
+        # cycles are classes of four sizes, and twice over, two of each size
+        calls = call_counts("markov._gth_stationary")
+        P = cycles_fed_by_transients()[0]
+        Q = np.linalg.matrix_power(np.stack([P, P]), 210)
+        assert len(self.assert_per_class(Q, calls)) == 17
+        cycles = [P[start:start + k, start:start + k]
+                  for start, k in zip(*cycles_fed_by_transients()[1:])]
+        closed = self.assert_per_class(lazy_blocks(rng, cycles + cycles, 3), calls)
+        assert [len(members) for members in closed] == [2, 3, 5, 7] * 2
+
+    def test_random_structured_kernels(self, rng, call_counts):
+        calls = call_counts("markov._gth_stationary")
+        for _ in range(5):
+            blocks = [random_structured_kernel(rng, int(k)).probs
+                      for k in rng.integers(2, 6, size=6)]
+            self.assert_per_class(lazy_blocks(rng, blocks, 4), calls)
+
+
 def solve_absorption(Q, closed, t):
     """Oracle: absorption probabilities from a pivoting LU solve of the
     outflow-form system ``(I - Q_TT) H = R``, whose diagonal is each row's
