@@ -28,14 +28,18 @@ and the engine eliminates in a copy.
 
 Every finite-horizon trajectory quantity comes from one forward pass,
 ``_forward_pass``: its message, a matrix from the kept past to the current
-(M_t, A_t, Z_t), takes in each round by phi's product and then theta's, and
-each variable the caller did not ask for is summed inside the product that
-last reads it.  A table is read off the message by one product with the
-emission.  A loop keeps the factors its passes build, one per pattern of
-kept variables.  ``trajectory_distribution`` keeps every variable; the
-predictiveness quantities keep only the ones their conditional mutual
-information reads, so their tables stay near the size of that marginal,
-and each is read off a 4-axis view (past, M_t, A_t, future) of its table.
+(M_t, A_t, Z_t), takes in each round, and each variable the caller did not
+ask for is summed inside the product that last reads it.  On a loop of at
+most _ONE_PRODUCT_STATES states (m, a, z) a round is one product with its
+factor F, the round applied to each point mass, whose rows are in the next
+message's order; on a larger one, where F's n^2 entries per kept value
+cost more than they save, it is phi's product and then theta's.  A table
+is read off the message by one product with the emission.  A loop keeps
+the factors its passes build, one per pattern of kept variables.
+``trajectory_distribution`` keeps every variable; the predictiveness
+quantities keep only the ones their conditional mutual information reads,
+so their tables stay near the size of that marginal, and each is read off
+a 4-axis view (past, M_t, A_t, future) of its table.
 ``am_predictiveness`` reads every round's table off one pass.
 
 Index convention throughout: a range subscript l:m includes l and excludes m,
@@ -57,6 +61,15 @@ from .markov import (Distribution, TransitionKernel, _limit_laws, _owning, _patt
                      bfs_levels)
 
 TRAJECTORY_BUDGET = 10 ** 7
+# The most pre-percept states (m, a, z) on which a forward-pass round is
+# one product with its factor F (:func:`_step`).  F has n^2 entries per
+# kept value, and the product about n times the two products' flops, so
+# above this the two products win.  Measured with one OpenBLAS thread on a
+# 2-vCPU x86-64 host, every variable kept: at 64 states one product takes
+# 165 us against 21 on one message row, at 32 states 11 against 10 on one
+# row and 204 against 989 on 64; with none or A_t and S_t kept it wins up
+# to 64 states and loses from 128.
+_ONE_PRODUCT_STATES = 32
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,9 @@ class PerceptActionLoop:
 
     @cached_property
     def _factors(self) -> dict:
-        """The forward pass's env, agent and read-out factors, filled on
-        first use, one per pattern of the kept variables each reads: the
-        models are frozen, so the factors never go stale."""
+        """The forward pass's env, agent, round and read-out factors,
+        filled on first use, one per pattern of the kept variables each
+        reads: the models are frozen, so the factors never go stale."""
         return {}
 
 
@@ -204,21 +217,24 @@ def _forward_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
     (the variables the steps of rounds before t keep, in round and variable
     order) and one column per value of (M_t, A_t, Z_t).  A read is one
     product with the emission, the marginal over the kept past and the
-    round-t variables it keeps; a step is phi's product and then theta's,
-    which form the next message, keeping the round-t variables it flags
-    and summing the rest inside the product (variable elimination in round
-    order, Zhang & Poole 1994).  Each factor is built once per loop, one
-    per pattern of kept variables (:func:`_run_pass`), and a kept variable
-    of the message's state is copied onto its own column axis of the
-    factor.  A read-out carries a kept M_t in the message's rows, so its
-    factor never copies M_t onto a diagonal; an unkept M_t is summed by
-    the emission's rows repeated for each memory state.
+    round-t variables it keeps; a step forms the next message, keeping the
+    round-t variables it flags and summing the rest inside the product
+    that last reads them (variable elimination in round order, Zhang &
+    Poole 1994): one product with the round's factor F on a loop of at
+    most _ONE_PRODUCT_STATES states (m, a, z), phi's product and then
+    theta's on a larger one (:func:`_step`).  Each factor is built once
+    per loop, one per pattern of kept variables (:func:`_run_pass`), and a
+    kept variable of the message's state is copied onto its own column
+    axis of the factor.  A read-out carries a kept M_t in the message's
+    rows, so its factor never copies M_t onto a diagonal; an unkept M_t is
+    summed by the emission's rows repeated for each memory state.
 
     TRAJECTORY_BUDGET, read at each call, bounds the largest array the pass
-    forms, factors included, which is computed from the shapes before any
-    product; phi's product is never larger than the round's output, since
-    |S| = |A|.  Each read-out is a C-contiguous matrix whose row-major order
-    is the kept past and then round t's kept variables.
+    forms, factors F included, which is computed from the shapes before
+    any product; phi's product is never larger than the round's output,
+    nor than F, since |S| = |A|.  Each read-out is a C-contiguous matrix
+    whose row-major order is the kept past and then round t's kept
+    variables.
     """
     shape = loop.shape
     n_m, n_a, n_s, n_z = shape
@@ -234,11 +250,15 @@ def _forward_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
                            past * k_m * k_a * k_s * k_z)
         if step is not None:
             k_m, k_a, k_s, k_z = [n if k else 1 for n, k in zip(shape, step)]
-            # phi's matrix, theta's matrix and the round's output
+            kept = k_m * k_a * k_s * k_z
+            # phi's matrix, theta's matrix, the round's factor F on a small
+            # loop (phi's product on the identity is no larger, since |S| =
+            # |A|) and the round's output
             required = max(required, n_a * n_z * k_a * n_s * k_z * n_z,
                            n_m * n_s * k_m * k_s * n_m * n_a,
-                           past * k_m * k_a * k_s * k_z * state)
-            past *= k_m * k_a * k_s * k_z
+                           (state * kept * state if state <= _ONE_PRODUCT_STATES else 0),
+                           past * kept * state)
+            past *= kept
     if required > TRAJECTORY_BUDGET:
         raise BudgetError(
             f"trajectory contraction would form a table of {required} entries "
@@ -249,8 +269,8 @@ def _forward_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
 
 def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
     """The products of :func:`_forward_pass`'s ``plan``, returning the
-    read-outs.  The env, agent and read-out factors, one per kind of
-    product and pattern of the kept variables it reads, stay on the loop
+    read-outs.  The env, agent, round and read-out factors, one per kind
+    of product and pattern of the kept variables it reads, stay on the loop
     after its first pass (``loop._factors``)."""
     n_m = loop.shape[0]
     factors = loop._factors
@@ -269,20 +289,41 @@ def _run_pass(loop: PerceptActionLoop, plan) -> list[np.ndarray]:
 
 
 def _step(loop: PerceptActionLoop, msg: np.ndarray, kept) -> np.ndarray:
-    """One round of the forward pass: :func:`_two_products` with the
-    loop's env and agent factors for the four flags ``kept``, each factor
-    keyed by the kept variables it reads (phi's by A_t and Z_t, theta's by
-    M_t and S_t) and built on first use.  With no variable kept, it takes
-    laws over the pre-percept states (m, a, z) one step on: ``msg @ Kw``,
-    summed in another order."""
+    """One round of the forward pass for the four flags ``kept``.  On a
+    loop of at most _ONE_PRODUCT_STATES pre-percept states (m, a, z) it is
+    one product, ``msg @ F``, with the round's factor F
+    (:func:`_round_factor`); on a larger one it is :func:`_two_products`
+    with the loop's env and agent factors.  Each factor is keyed by the
+    kept variables it reads (phi's by A_t and Z_t, theta's by M_t and S_t,
+    F by all four) and built on first use.  With no variable kept, it
+    takes laws over the pre-percept states one step on: F is then the
+    pre-percept kernel ``Kw``, and the two products sum ``msg @ Kw`` in
+    another order."""
     kept_m, kept_a, kept_s, kept_z = kept
     factors = loop._factors
     if ("env", kept_a, kept_z) not in factors:
         factors["env", kept_a, kept_z] = _env_factor(loop.env.phi, kept_a, True, kept_z)
     if ("agent", kept_m, kept_s) not in factors:
         factors["agent", kept_m, kept_s] = _agent_factor(loop.agent.theta, kept_m, kept_s)
-    return _two_products(msg, loop.shape, kept, factors["env", kept_a, kept_z],
-                         factors["agent", kept_m, kept_s])
+    to_env, to_agent = factors["env", kept_a, kept_z], factors["agent", kept_m, kept_s]
+    n_m, n_a, _, n_z = loop.shape
+    state = n_m * n_a * n_z
+    if state > _ONE_PRODUCT_STATES:
+        return _two_products(msg, loop.shape, kept, to_env, to_agent)
+    if ("round", kept) not in factors:
+        factors["round", kept] = _round_factor(loop.shape, kept, to_env, to_agent)
+    return (msg @ factors["round", kept]).reshape(-1, state)
+
+
+def _round_factor(shape, kept, to_env, to_agent) -> np.ndarray:
+    """The round of :func:`_two_products` as one matrix F from (m, a, z) to
+    the kept M_t, A_t, S_t, Z_t and then (n, b, w): the round applied to
+    each point mass of the message's state.  Its rows are already in the
+    row-major order of the next message, so ``msg @ F`` is the round's
+    output with no transposed copy."""
+    n_m, n_a, _, n_z = shape
+    state = n_m * n_a * n_z
+    return _two_products(np.eye(state), shape, kept, to_env, to_agent).reshape(state, -1)
 
 
 def _trajectory_marginal(loop: PerceptActionLoop, horizon: int, keep) -> JointTable:
@@ -462,22 +503,25 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     (:func:`_work_terms`).  The kernel is the one n x n array of the call:
     the round laws are read off it first, and then it is handed to the
     engine, whose elimination may run in it.  So the residual applies P
-    through the loop's factors, as a forward-pass step does (:func:`_step`).
+    through the loop's factors, as a forward-pass step with nothing kept
+    does (:func:`_step`): on a small loop one product with F, which is P,
+    on a larger one phi's product and then theta's.
     """
     factor = _base_factor(base)
     K, p0 = _pre_percept_chain(loop.env, loop.agent.theta[None], loop.agent.initial_joint[None])
-    P, p = K[0], p0[0]
-    laws = np.empty((rounds, len(p)))
-    for r in range(rounds):
-        laws[r], p = p, p @ P
-    per_round = _work_terms(*_marginals(laws, loop.env))[0] * factor
+    per_round = ()
+    if rounds:  # rounds=0, as the search and verify ask, skips the empty stack
+        p, laws = p0[0], np.empty((rounds, p0.shape[1]))
+        for r in range(rounds):
+            laws[r], p = p, p @ K[0]
+        per_round = tuple((_work_terms(*_marginals(laws, loop.env))[0] * factor).tolist())
     ((_, reach, structure, (t,), _),) = _limit_tables(K, p0, overwrite=True)
     work, h_action = _work_terms(*_marginals(t, loop.env))
     action_entropy = _clamp_nonneg(float(h_action.mean()), "mean action entropy") * factor
     residual = float(np.max(np.abs(_step(loop, t, (False,) * 4) - np.roll(t, -1, axis=0))))
     recurrent = np.zeros_like(reach)
     recurrent[np.flatnonzero(reach)[structure.classification.recurrent]] = True
-    return WorkReport(tuple(per_round.tolist()), float(work.mean()) * factor, action_entropy,
+    return WorkReport(per_round, float(work.mean()) * factor, action_entropy,
                       len(t), residual, base, _lift(reach, loop.env).reshape(-1) > 0.0,
                       int(np.count_nonzero(_lift(recurrent, loop.env))),
                       _lift(t.mean(axis=0), loop.env).reshape(-1))
@@ -595,10 +639,19 @@ def _view_cmi(p: np.ndarray) -> float:
     + H(M, F) - H(X, M, A, F) - H(M): the entropies of the table's sum over
     f, of its sum over x and a, of the table, and of its margin over m.
     Each sum is ``info._sum_out``'s, which sums the same runs of a named
-    table alike, so a score is the generic CMI's bit for bit."""
-    h = (_entropy_nats(_sum_out(p, (True, True, True, False)))
-         + _entropy_nats(_sum_out(p, (False, True, False, True)))
-         - _entropy_nats(p) - _entropy_nats(_sum_out(p, (False, True, False, False))))
+    table alike, and the three margins' terms come from one ``_xlogy`` over
+    their concatenation, each entropy one contiguous segment's sum, as
+    ``_entropy_nats`` sums each margin alone, so a score is the generic
+    CMI's bit for bit."""
+    margins = [_sum_out(p, kept).reshape(-1) for kept in ((True, True, True, False),
+                                                          (False, True, False, True),
+                                                          (False, True, False, False))]
+    terms = np.concatenate(margins)
+    terms = _xlogy(terms, terms)
+    ends = np.cumsum([len(m) for m in margins]).tolist()
+    h_xma, h_mf, h_m = (float(-np.add.reduce(terms[start:end]))
+                        for start, end in zip([0] + ends, ends))
+    h = h_xma + h_mf - _entropy_nats(p) - h_m
     return _clamp_nonneg(h, "conditional mutual information")
 
 

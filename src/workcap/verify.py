@@ -28,6 +28,7 @@ FIG5_MEA_RATE_BITS = 1.0 - math.log(256 / 27) / math.log(16)
 # errors and deviations below this print as "< 1e-12": their digits are
 # rounding, and any reordering of floating-point operations changes them
 REPORT_FLOOR = 1e-12
+_DEVIATION_BLOCK = 1 << 15  # entries: the buffer _markov_deviation reuses
 
 
 def bundled_model_path(name: str):
@@ -165,19 +166,32 @@ def _markov_deviation(joint: np.ndarray, mass: np.ndarray, pair: np.ndarray) -> 
     positive mass, in one pass over ``joint`` (axes u_0..u_t).  ``mass`` is
     ``joint.sum(axis=-1)`` and ``pair`` the (u_{t-1}, u_t) marginal.
 
-    The deviations are formed in place in one table of the joint's size.
-    A zero-mass history's row is zero, so it is divided by 1, and its
-    deviations are then set to 0, which no maximum of absolute values can
-    exceed: the history is dropped without a gather of the positive rows."""
+    The deviations are formed in slices of whole u_{t-1} cycles of the
+    joint's rows, at most _DEVIATION_BLOCK entries each, in one reused
+    buffer, so no temporary of the joint's size is formed.  A zero-mass
+    history's row is zero, so it is divided by 1, and its deviations are
+    then set to 0, which no maximum of absolute values can exceed: the
+    history is dropped without a gather of the positive rows."""
     step_mass = pair.sum(axis=-1)
     step = np.divide(pair, step_mass[:, None],
                      out=np.zeros_like(pair), where=step_mass[:, None] > 0)
-    positive = mass > 0
-    dev = joint / np.where(positive, mass, 1.0)[..., None]
-    dev -= step  # p(u_t | u_{t-1}), broadcast over the earlier history axes
-    np.abs(dev, out=dev)
-    dev[~positive] = 0.0
-    return float(dev.max())
+    n = len(step)
+    rows = joint.reshape(-1, n)  # row r has u_{t-1} = r mod n
+    positive = mass.reshape(-1) > 0
+    divisor = np.where(positive, mass.reshape(-1), 1.0)[:, None]
+    block = max(1, _DEVIATION_BLOCK // (n * n)) * n  # rows per slice
+    buf = np.empty((min(block, len(rows)), n))
+    worst = 0.0
+    for start in range(0, len(rows), block):
+        at = slice(start, start + block)
+        dev = buf[:len(rows[at])]
+        np.divide(rows[at], divisor[at], out=dev)
+        cycles = dev.reshape(-1, n, n)
+        cycles -= step  # p(u_t | u_{t-1}), broadcast over the cycles of u_{t-1}
+        np.abs(dev, out=dev)
+        dev[~positive[at]] = 0.0
+        worst = max(worst, float(dev.max()))
+    return worst
 
 
 def check_global_markov(seed: int = 0) -> str:

@@ -16,7 +16,8 @@ from workcap import loop as loop_mod
 from workcap import markov
 from workcap.bayesnet import validate_compatibility
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
-from workcap.info import JointTable, conditional_mutual_information, entropy_rate
+from workcap.info import (JointTable, _entropy_nats, _sum_out, conditional_mutual_information,
+                          entropy_rate)
 from workcap.loop import (GlobalChain, _cesaro_tables, _lift,
                           _rate_gradients, _trajectory_marginal, am_predictiveness,
                           future_predictiveness, predictiveness_score)
@@ -329,12 +330,39 @@ class TestContraction:
                 want = conditional_mutual_information(joint, past, (f"S{t}",), (f"M{t}",))
                 assert abs(predictiveness_score(pal, t) - want) <= 1e-15
 
+    def test_view_entropies_come_from_one_xlogy_bit_for_bit(self, rng, monkeypatch):
+        # the three margins' terms are one _xlogy over their concatenation,
+        # the table's another; each entropy is its segment's sum, which is
+        # the margin's own _entropy_nats bit for bit, zero entries included
+        calls = []
+        real = loop_mod._xlogy
+
+        def xlogy(x, y):
+            calls.append(x.size)
+            return real(x, y)
+        monkeypatch.setattr(loop_mod, "_xlogy", xlogy)
+        for shape in [(1, 1, 1, 2), (3, 2, 2, 2), (256, 3, 2, 2), (5, 1, 7, 3), (64, 4, 2, 8)]:
+            p = rng.random(shape) ** 3
+            p[p < 0.05] = 0.0
+            p.flat[0] = 1.0
+            p /= p.sum()
+            calls.clear()
+            got = loop_mod._view_cmi(p)
+            margins = [_sum_out(p, kept) for kept in ((True, True, True, False),
+                                                      (False, True, False, True),
+                                                      (False, True, False, False))]
+            assert calls == [sum(m.size for m in margins)]
+            want = (_entropy_nats(margins[0]) + _entropy_nats(margins[1])
+                    - _entropy_nats(p) - _entropy_nats(margins[2]))
+            assert got == max(want, 0.0)
+
     def test_factors_are_built_once_per_loop_and_pattern(self, rng, monkeypatch):
-        # every entry point reuses the env, agent and read-out factors its
-        # loop built before, one per kind and pattern of the kept variables
-        # it reads, and a second loop on the same models builds its own
+        # every entry point reuses the env, agent, round and read-out factors
+        # its loop built before, one per kind and pattern of the kept
+        # variables it reads, and a second loop on the same models builds
+        # its own
         built = []
-        for name in ("_env_factor", "_agent_factor"):
+        for name in ("_env_factor", "_agent_factor", "_round_factor"):
             def spy(*args, _name=name, _real=getattr(loop_mod, name)):
                 built.append(_name)
                 return _real(*args)
@@ -351,7 +379,7 @@ class TestContraction:
         every_entry_point(first)
         once = len(built)
         assert once == len(first._factors)
-        assert {key[0] for key in first._factors} == {"env", "agent", "read"}
+        assert {key[0] for key in first._factors} == {"env", "agent", "read", "round"}
         every_entry_point(first)
         assert len(built) == once
         every_entry_point(second)
@@ -359,19 +387,32 @@ class TestContraction:
         assert second._factors.keys() == first._factors.keys()
 
     def test_pass_runs_each_round_once_in_one_form(self, rng, monkeypatch):
-        # shape (3, 2, 2, 2), each round keeping A_t and S_t: the past has
-        # 1, 4, 16 and 64 rows before rounds 0-3, and each round is one call
-        # of the round function, phi's product and then theta's
-        pal = PerceptActionLoop(random_agent(rng, 2, 3), random_environment(rng, 2, 2))
-        rows = []
-        real = loop_mod._two_products
+        # each round keeping A_t and S_t: the past has 1, 4, 16 and 64 rows
+        # before rounds 0-3, and each round is one call of the round
+        # function.  On shape (3, 2, 2, 2), 12 states (m, a, z), a round is
+        # one product with F, which phi's product and then theta's build
+        # once from the 12 point masses; on shape (3, 2, 2, 6), 36 states,
+        # each round is phi's product and then theta's
+        for n_z, form in ((2, [12]), (6, [1, 4, 16, 64])):
+            pal = PerceptActionLoop(random_agent(rng, 2, 3), random_environment(rng, 2, n_z))
+            rows, two = [], []
+            real_step, real_two = loop_mod._step, loop_mod._two_products
 
-        def spy(msg, *args):
-            rows.append(len(msg))
-            return real(msg, *args)
-        monkeypatch.setattr(loop_mod, "_two_products", spy)
-        am_predictiveness(pal, 5)
-        assert rows == [1, 4, 16, 64]
+            def step(loop, msg, kept):
+                rows.append(len(msg))
+                return real_step(loop, msg, kept)
+
+            def two_products(msg, *args):
+                two.append(len(msg))
+                return real_two(msg, *args)
+            monkeypatch.setattr(loop_mod, "_step", step)
+            monkeypatch.setattr(loop_mod, "_two_products", two_products)
+            am_predictiveness(pal, 5)
+            assert rows == [1, 4, 16, 64]
+            assert two == form
+            am_predictiveness(pal, 5)
+            assert two == form + ([] if n_z == 2 else [1, 4, 16, 64])
+            monkeypatch.undo()
 
     def test_one_step_future_is_the_score(self, rng, fig5, golden_mean):
         # at future_len 1 the pass and the 4-axis view are the score's, so
@@ -426,22 +467,43 @@ class TestContraction:
         assert predictiveness_score(pal, 8) <= 1e-10
 
     def test_budget_counts_hidden_state_summed_early(self, rng, monkeypatch):
-        # shape (1, 2, 2, 3), keeping S_0..S_3: each of rounds 0-2 is phi's
-        # product and then theta's.  Phi's forms [S_0..S_t, Z_{t+1}] (Z_t
-        # and A_t summed inside it), 2^t * 6 entries, and theta's [S_0..S_t,
-        # A_{t+1}, Z_{t+1}], 2^t * 12, which at t = 2 is the largest, 48.
-        # Keeping Z_t one product longer would form 2^t * 18 = 72 entries.
+        # shape (1, 2, 2, 3), keeping S_0..S_3.  Each of rounds 0-2 is one
+        # product with the round's factor F [(m, a, z), S_t, (n, b, w)], 6 *
+        # 2 * 6 = 72 entries, the largest array.  As phi's product and then
+        # theta's, phi's forms [S_0..S_t, Z_{t+1}] (Z_t and A_t summed
+        # inside it), 2^t * 6 entries, and theta's [S_0..S_t, A_{t+1},
+        # Z_{t+1}], 2^t * 12, which at t = 2 is the largest, 48.  Keeping
+        # Z_t one product longer would form 2^t * 18 = 72 entries.
         pal = PerceptActionLoop(build_uniform(("0", "1")), random_environment(rng, 2, 3))
         assert pal.shape == (1, 2, 2, 3)
         percepts = {"S0", "S1", "S2", "S3"}
-        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 47)
-        with pytest.raises(BudgetError) as excinfo:
-            _trajectory_marginal(pal, 4, percepts)
-        assert excinfo.value.required == 48
-        monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", 48)
-        got = _trajectory_marginal(pal, 4, percepts)
         want = full_trajectory_table(pal, 4).marginal(percepts)
-        assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+        for bound, required in ((loop_mod._ONE_PRODUCT_STATES, 72), (0, 48)):
+            monkeypatch.setattr(loop_mod, "_ONE_PRODUCT_STATES", bound)
+            monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", required - 1)
+            with pytest.raises(BudgetError) as excinfo:
+                _trajectory_marginal(pal, 4, percepts)
+            assert excinfo.value.required == required
+            monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", required)
+            got = _trajectory_marginal(pal, 4, percepts)
+            assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+
+    def test_budget_counts_the_round_factor(self, rng, monkeypatch):
+        # shape (2, 2, 2, 2), 8 states (m, a, z), every variable kept over
+        # two rounds: F [(m, a, z), M_0, A_0, S_0, Z_0, (n, b, w)] has 8 *
+        # 16 * 8 = 1,024 entries, more than the 256-entry table, and the
+        # pass counts it; as two products the table is the largest array
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
+        for bound, required in ((loop_mod._ONE_PRODUCT_STATES, 8 * 16 * 8), (7, 16 ** 2)):
+            monkeypatch.setattr(loop_mod, "_ONE_PRODUCT_STATES", bound)
+            monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", required - 1)
+            with pytest.raises(BudgetError) as excinfo:
+                trajectory_distribution(pal, 2)
+            assert excinfo.value.required == required
+            monkeypatch.setattr(loop_mod, "TRAJECTORY_BUDGET", required)
+            assert trajectory_distribution(pal, 2).joint.probs.size == 16 ** 2
+        assert ("round", (True,) * 4) in pal._factors
+        assert pal._factors["round", (True,) * 4].size == 8 * 16 * 8
 
     def test_unknown_variable_rejected(self, rng):
         pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
@@ -466,6 +528,143 @@ class TestContraction:
             with pytest.raises(BudgetError) as excinfo:
                 call()
             assert excinfo.value.budget == 7, name
+
+
+class TestOneProductRound:
+    """A round as one product with its factor F, on loops of at most
+    _ONE_PRODUCT_STATES states (m, a, z), against phi's product and then
+    theta's, on loops on both sides of the bound: each quantity is formed
+    with either form forced by moving the bound."""
+
+    SHAPES = ((1, 1), (2, 2), (3, 3), (2, 4), (4, 4), (3, 6), (4, 6), (1, 18))  # (M, Z)
+
+    @staticmethod
+    def both_forms(monkeypatch, agent, env, quantity):
+        """``quantity`` of a fresh loop with every round one product, and
+        with every round two products."""
+        got = []
+        for bound in (10 ** 6, 0):
+            monkeypatch.setattr(loop_mod, "_ONE_PRODUCT_STATES", bound)
+            got.append(quantity(PerceptActionLoop(agent, env)))
+        monkeypatch.undo()
+        return got
+
+    def test_rounds_agree(self, rng, monkeypatch):
+        states = [2 * n_m * n_z for n_m, n_z in self.SHAPES]
+        assert min(states) <= loop_mod._ONE_PRODUCT_STATES < max(states)  # both sides
+        for n_m, n_z in self.SHAPES:
+            agent, env = random_agent(rng, 2, n_m), random_environment(rng, 2, n_z)
+            state = 2 * n_m * n_z
+            for kept in [(False,) * 4, (False, True, True, False), (True,) * 4]:
+                msg = rng.random((5, state))
+                one, two = self.both_forms(monkeypatch, agent, env,
+                                           lambda pal: loop_mod._step(pal, msg, kept))
+                assert one.shape == two.shape and one.flags.c_contiguous
+                assert np.max(np.abs(one - two)) <= 1e-15 * np.max(np.abs(two))
+
+    def test_tables_scores_and_residuals_agree(self, rng, monkeypatch):
+        # a table's entries agree within 1e-15 of its largest; a score is a
+        # difference of entropies of up to log2 of its table's entries, so
+        # it agrees within 1e-15 of that; a residual is a gap between laws
+        for n_m, n_z in self.SHAPES:
+            agent, env = random_agent(rng, 2, n_m), random_environment(rng, 2, n_z)
+            horizon = 2 if 4 * n_m * n_z > 40 else 3
+            one, two = self.both_forms(monkeypatch, agent, env, lambda pal: (
+                trajectory_distribution(pal, horizon).joint.probs,
+                _trajectory_marginal(pal, 3, {"S0", "M1", "S2"}).probs,
+                am_predictiveness(pal, 4).scores,
+                future_predictiveness(pal, 1, 2),
+                work_rate(pal, rounds=0).residual))
+            for table, want in zip(one[:2], two[:2]):
+                assert np.max(np.abs(table - want)) <= 1e-15 * np.max(want)
+            for t, (score, want) in enumerate(zip(one[2], two[2])):
+                entries = 4 ** t * n_m * 2 * 2  # (A_0..A_{t-1}, S_0..S_{t-1}), M_t, A_t, S_t
+                assert abs(score - want) <= 1e-15 * math.log2(entries)
+            assert abs(one[3] - two[3]) <= 1e-15 * math.log2(4 ** 2 * n_m * 2 * 2)
+            assert abs(one[4] - two[4]) <= 1e-15
+
+    def test_small_residual_applies_the_pre_percept_kernel(self, rng):
+        # below the bound the residual's factor F with nothing kept is the
+        # pre-percept kernel Kw
+        for n_m, n_z in self.SHAPES[:5]:
+            pal = PerceptActionLoop(random_agent(rng, 2, n_m), random_environment(rng, 2, n_z))
+            work_rate(pal, rounds=0)
+            K, _ = loop_mod._pre_percept_chain(pal.env, pal.agent.theta[None],
+                                               pal.agent.initial_joint[None])
+            assert np.max(np.abs(pal._factors["round", (False,) * 4] - K[0])) <= 1e-15
+
+    def test_work_rate_without_rounds_skips_the_round_terms(self, rng, monkeypatch):
+        pal = PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 2))
+        calls = []
+        real = loop_mod._work_terms
+
+        def work_terms(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+        monkeypatch.setattr(loop_mod, "_work_terms", work_terms)
+        report = work_rate(pal, rounds=0)
+        assert report.per_round == ()
+        assert len(calls) == 1  # the limit laws' terms only
+        assert replace(work_rate(pal, rounds=3), per_round=()) == report
+
+
+class TestMarkovDeviationSlices:
+    """verify's Markov deviation, formed in slices of one reused buffer,
+    against the deviation formed over the whole table at once."""
+
+    @staticmethod
+    def whole_table(joint, mass, pair):
+        step_mass = pair.sum(axis=-1)
+        step = np.divide(pair, step_mass[:, None],
+                         out=np.zeros_like(pair), where=step_mass[:, None] > 0)
+        positive = mass > 0
+        dev = joint / np.where(positive, mass, 1.0)[..., None]
+        dev -= step
+        np.abs(dev, out=dev)
+        dev[~positive] = 0.0
+        return float(dev.max())
+
+    def deviations(self, pal):
+        n = int(np.prod(pal.shape))
+        flat = trajectory_distribution(pal, 4).joint.probs.reshape(n, n, n, n)
+        p012 = flat.sum(axis=3)
+        return ((p012, p012.sum(axis=-1), flat.sum(axis=(0, 3))),
+                (flat, p012, flat.sum(axis=(0, 1))))
+
+    def test_slices_equal_the_whole_table(self, rng, fig5, identity_env, monkeypatch):
+        # deterministic agents on fig5 and identity leave histories of zero
+        # mass; blocks of one, two and three u_{t-1} cycles, the last
+        # slice ragged, and the default block
+        loops = [PerceptActionLoop(build_identity(fig5.alphabet), fig5),
+                 PerceptActionLoop(build_last_action(identity_env.alphabet, [0.3, 0.7]),
+                                   identity_env),
+                 PerceptActionLoop(random_agent(rng, 2, 2), random_environment(rng, 2, 3))]
+        for pal in loops:
+            n = int(np.prod(pal.shape))
+            for args in self.deviations(pal):
+                want = self.whole_table(*args)
+                for block in (n * n, 2 * n * n, 3 * n * n, verify_mod._DEVIATION_BLOCK):
+                    monkeypatch.setattr(verify_mod, "_DEVIATION_BLOCK", block)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        assert _markov_deviation(*args) == want
+        assert (self.deviations(loops[0])[0][1] == 0).any()
+
+    def test_no_table_sized_temporary(self, rng):
+        # verify's largest loop, 36 states per round: the T=4 table takes
+        # 13.4 MB, and the deviation's temporaries stay under an eighth of it
+        pal = PerceptActionLoop(random_agent(rng, 2, 3), random_environment(rng, 2, 3))
+        _, (flat, p012, p23) = self.deviations(pal)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            got = _markov_deviation(flat, p012, p23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flat.size == 36 ** 4
+        assert peak < flat.nbytes / 8
+        assert got == self.whole_table(flat, p012, p23)
 
 
 class TestWorkRate:
