@@ -221,11 +221,10 @@ def sample_separated_triples(dag: Dag, pool: list[str], n_triples: int,
 
     Attempts are drawn in blocks of ``n_triples``: one ``rng.integers``
     call for the sizes and one ``rng.random`` row per attempt whose argsort
-    is the order.  Each attempt has the law of a one-at-a-time draw, but a
-    seed gives other triples than the one-at-a-time sampler of earlier
-    versions did.  Trails from a set are the union of the trails from its
-    members, read from the dag's memo of single-source walks
-    (``dag._reach_memo``), so a walk is run once per dag, not per attempt.
+    is the order.  Each attempt has the law of a one-at-a-time draw.
+    Trails from a set are the union of the trails from its members, read
+    from the dag's memo of single-source walks (``dag._reach_memo``), so a
+    walk is run once per dag, not per attempt.
     An attempt is rejected, before the pool is scanned, as soon as fewer
     than |B| pool nodes are outside the blocked mask: one popcount.  So the
     pool may not repeat a node (``DimensionError``), and an unknown node
@@ -280,8 +279,7 @@ def validate_compatibility(pal: loop.PerceptActionLoop, horizon: int,
     The triples come from :func:`sample_separated_triples` seeded with
     ``seed``: attempts drawn in blocks, each with the law of a single draw,
     at most ``_ATTEMPTS_PER_TRIPLE`` per triple, trails read from the
-    template's shared walk memo.  A seed picks other triples than it did in
-    versions that drew one attempt at a time.  ``n_triples < 1`` raises
+    template's shared walk memo.  ``n_triples < 1`` raises
     ``DimensionError``, since a check of no triples would pass vacuously.
 
     Each triple's CMI is the one :func:`info.conditional_mutual_information`

@@ -145,7 +145,7 @@ def _certain_gain(reduced: np.ndarray, p: np.ndarray, cand: np.ndarray) -> np.nd
     return np.where(gain > np.maximum(bound, DUST), gain, 0.0)
 
 
-def _lift(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
+def _floored(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Each row with every entry raised to at least ``floor``, renormalized;
     a row already above its floor is returned as it is."""
     lifted = np.maximum(rows, floor)
@@ -216,7 +216,7 @@ def _ascent(reduced: np.ndarray, start: np.ndarray
         # the fixed-point, Newton, tiny-entry Newton and emptying moves
         rows = np.empty((len(live), 4, n))
 
-        rows[:, 0] = _lift(_softmax_rows(c), floor)
+        rows[:, 0] = _floored(_softmax_rows(c), floor)
         rises = _memoryless_objective(rk, rows[:, 0]) > _memoryless_objective(rk, x)
 
         post = np.where(q[:, None, :] > 0,
@@ -228,7 +228,7 @@ def _ascent(reduced: np.ndarray, start: np.ndarray
         tiny = played & (x < FACE_TOL)
         for k, direction in ((1, du), (2, np.where(tiny, du, 0.0))):
             with np.errstate(invalid="ignore"):
-                rows[:, k] = _lift(_softmax_rows(np.where(played, log_p + direction, -np.inf)),
+                rows[:, k] = _floored(_softmax_rows(np.where(played, log_p + direction, -np.inf)),
                                    floor)
 
         block = np.arange(n) == np.argmin(np.where(played, g, np.inf), axis=1)[:, None]
@@ -307,19 +307,11 @@ def capacity_memoryless(env: channels.EnvironmentModel) -> CapacityResult:
     reduced = channels.is_memoryless_invariant(env)
     if reduced is None:
         raise ChannelClassError("capacity_memoryless needs a memoryless invariant environment")
-    return _memoryless_forms([env], [reduced])[0]
-
-
-def _memoryless_forms(envs: list[channels.EnvironmentModel], reduceds: list[np.ndarray]
-                      ) -> list[CapacityResult]:
-    """:func:`capacity_memoryless` of each of ``envs``, whose reduced
-    kernels are ``reduceds``, from :func:`_memoryless_bounds`; the witness
-    is the memoryless agent playing the returned distribution."""
-    return [CapacityResult(value, CLOSED_FORM_MEMORYLESS,
-                           witness=agents.build_memoryless(env.alphabet, best),
-                           witness_params={"action_distribution": tuple(float(x) for x in best)},
-                           stalled=stalled, upper_nats=upper)
-            for env, (best, value, upper, stalled) in zip(envs, _memoryless_bounds(reduceds))]
+    ((best, value, upper, stalled),) = _memoryless_bounds([reduced])
+    return CapacityResult(value, CLOSED_FORM_MEMORYLESS,
+                          witness=agents.build_memoryless(env.alphabet, best),
+                          witness_params={"action_distribution": tuple(float(x) for x in best)},
+                          stalled=stalled, upper_nats=upper)
 
 
 def _memoryless_bounds(reduceds: list[np.ndarray]

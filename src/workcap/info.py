@@ -270,7 +270,7 @@ def _cmi_nats(entropy_of, a: tuple[str, ...], b: tuple[str, ...],
 def _stationary_law(env) -> np.ndarray:
     """The Cesàro limit of the hidden state's law under action 0."""
     hidden_step = env.phi[0].sum(axis=1)  # [z, z']
-    _, laws, _ = _limit_laws(hidden_step[None], env.initial[None, None])
+    ((_, _, laws, _, _),) = _limit_laws(hidden_step[None], env.initial[None, None])
     return laws[0, 0].mean(axis=0)
 
 

@@ -6,12 +6,12 @@ module builds that chain, computes per-round work terms and the asymptotic
 work rate, and the predictiveness scores that decide membership in the
 predictive agent class.
 
-Every asymptotic rate comes from one Cesàro engine, ``_limit_tables``,
-which keeps the state's law under each subsequence limit from
-``markov._limit_laws`` and forms no limit matrix: ``work_rate`` runs it on
-one agent, and the capacity search's ``_rate_gradients`` (rates with their
-exact gradients, one formula for every chain structure) on a stack.  It
-runs on the pre-percept chain (memory, action, hidden state) of
+Every asymptotic rate comes from one Cesàro engine, ``markov._limit_laws``,
+which gives the state's law under each subsequence limit and forms no
+limit matrix: ``work_rate`` runs it on one agent, and the capacity search's
+``_rate_gradients`` (rates with their exact gradients, one formula for
+every chain structure) on a stack, whose members it groups by structure.
+It runs on the pre-percept chain (memory, action, hidden state) of
 ``_pre_percept_chain``, |S| times smaller than the global chain: the
 percept is a fresh draw from the emission e(s | a, z), so each law of the
 global chain is a law of that chain times the emission (Kemeny & Snell
@@ -23,8 +23,8 @@ Each kernel is built by one einsum into one C-ordered buffer, so it is the
 only n x n float array its builder forms.  ``work_rate`` owns the kernel it
 builds: it reads the round laws off it and then hands it to the engine,
 whose elimination runs in it, so a work rate keeps one n x n array alive.
-``_rate_gradients`` reads its kernels after the limit, so it keeps them,
-and the engine eliminates in a copy.
+``_rate_gradients`` reads the kernels the engine solved on, and Q, after
+the limit, so it keeps them, and the engine eliminates in a copy.
 
 Every finite-horizon trajectory quantity comes from one forward pass,
 ``_forward_pass``: its message, a matrix from the kept past to the current
@@ -57,8 +57,7 @@ import numpy as np
 from .channels import AgentModel, EnvironmentModel
 from .errors import BudgetError, DimensionError
 from .info import BITS, JointTable, _base_factor, _clamp_nonneg, _entropy_nats, _sum_out, _xlogy
-from .markov import (Distribution, TransitionKernel, _limit_laws, _owning, _pattern_groups,
-                     bfs_levels)
+from .markov import Distribution, TransitionKernel, _limit_laws, _owning, bfs_levels
 
 TRAJECTORY_BUDGET = 10 ** 7
 # The most pre-percept states (m, a, z) on which a forward-pass round is
@@ -68,7 +67,9 @@ TRAJECTORY_BUDGET = 10 ** 7
 # 2-vCPU x86-64 host, every variable kept: at 64 states one product takes
 # 165 us against 21 on one message row, at 32 states 11 against 10 on one
 # row and 204 against 989 on 64; with none or A_t and S_t kept it wins up
-# to 64 states and loses from 128.
+# to 64 states and loses from 128.  Two products on every loop took the
+# benchmark's verify wall_s from 75.8 to 83.5 ms and predictiveness from
+# 2.39 to 2.52 ms.
 _ONE_PRODUCT_STATES = 32
 
 
@@ -433,56 +434,6 @@ def _pre_percept_chain(env: EnvironmentModel, theta: np.ndarray, init: np.ndarra
     return K.reshape(n_b, n, n), p0.reshape(n_b, n)
 
 
-def _limit_tables(K: np.ndarray, p0: np.ndarray, overwrite: bool = False) -> list:
-    """The Cesàro engine behind every work rate, on a stack of pre-percept
-    chains (:func:`_pre_percept_chain`): kernels ``K`` ``(B, n, n)`` and
-    round-0 vectors ``p0`` ``(B, n)``.
-
-    Returns, for each group of members with one structure (by their
-    kernels' and round-0 vectors' support patterns;
-    :func:`markov._pattern_groups`), ``(members, reach, structure, tables,
-    limit)``: the mask of reachable W states, the structure of the reachable
-    subchain, ``tables[i, r] = u P^r L`` for r < d, the laws of W_{nd+r} as
-    n grows (zero off ``reach``), and ``limit``, Q = P^d and L's factors on
-    ``reach``, with u the round-0 vector, P the reachable subchain, d its
-    period lcm and L = lim Q^n, from :func:`markov._limit_laws`.  A group's
-    limit laws are solved at once.  What the patterns decide (the groups'
-    reachable sets and structures) comes from the one structure memo of
-    :mod:`markov`, so it is worked out once per pattern, not once per call.
-    When every state is reachable, the group's kernels and round-0 vectors
-    go to ``_limit_laws`` as they are and its laws are the tables;
-    otherwise the reachable subchain is gathered and its laws padded with
-    zeros.  A caller that reads ``K`` no more hands it over
-    (``overwrite``), and then the elimination may run in it (see
-    ``_limit_laws``), leaving ``K`` and the group's Q spent.
-    """
-    n_b, n = p0.shape
-    groups = []
-    for members, structure in _pattern_groups(K > 0.0, p0 > 0.0):
-        reach = structure.reach
-        if reach.all():
-            _, laws, limit = _limit_laws(K[members], p0[members][:, None, :], structure,
-                                         overwrite)
-            tables = laws[:, 0]
-        else:
-            rows = np.arange(n_b)[members]
-            _, laws, limit = _limit_laws(K[np.ix_(rows, reach, reach)],
-                                         p0[np.ix_(rows, reach)][:, None, :], structure)
-            tables = np.zeros((len(rows), structure.period_lcm, n))
-            tables[:, :, reach] = laws[:, 0]
-        groups.append((members, reach, structure, tables, limit))
-    return groups
-
-
-def _cesaro_tables(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray):
-    """The pre-percept chain of a stack of agents on ``env``
-    (:func:`_pre_percept_chain`) and its Cesàro engine's groups
-    (:func:`_limit_tables`): ``(Kw, round-0 vectors, groups)``, the kernels
-    kept for the caller to read."""
-    K, p0 = _pre_percept_chain(env, theta, init)
-    return K, p0, _limit_tables(K, p0)
-
-
 def _lift(laws: np.ndarray, env: EnvironmentModel) -> np.ndarray:
     """Tables p(m, a, s, z) = p(m, a, z) e(s | a, z) from laws over the
     pre-percept states (m, a, z) of :func:`_pre_percept_chain`, flattened on
@@ -496,7 +447,7 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
     """Asymptotic expected work per round, H(A_t|M_t) - H(S_t|M_t) averaged.
 
     The rate is the exact Cesàro limit, the mean of the work terms of the
-    subsequence-limit laws from :func:`_limit_tables` on a stack of one;
+    subsequence-limit laws from :func:`markov._limit_laws` on a stack of one;
     ``per_round`` lists the first ``rounds`` finite-t work terms from
     propagating the round-0 vector through the pre-percept kernel.  Every
     term is read from its law's marginals p(m, a) and p(m, s)
@@ -515,12 +466,13 @@ def work_rate(loop: PerceptActionLoop, rounds: int = 8, base: str = BITS) -> Wor
         for r in range(rounds):
             laws[r], p = p, p @ K[0]
         per_round = tuple((_work_terms(*_marginals(laws, loop.env))[0] * factor).tolist())
-    ((_, reach, structure, (t,), _),) = _limit_tables(K, p0, overwrite=True)
+    ((_, structure, laws, _, _),) = _limit_laws(K, p0[:, None], overwrite=True)
+    reach, t = structure.reach, laws[0, 0]
     work, h_action = _work_terms(*_marginals(t, loop.env))
     action_entropy = _clamp_nonneg(float(h_action.mean()), "mean action entropy") * factor
     residual = float(np.max(np.abs(_step(loop, t, (False,) * 4) - np.roll(t, -1, axis=0))))
     recurrent = np.zeros_like(reach)
-    recurrent[np.flatnonzero(reach)[structure.classification.recurrent]] = True
+    recurrent[np.flatnonzero(reach)[np.concatenate(structure.closed)]] = True
     return WorkReport(per_round, float(work.mean()) * factor, action_entropy,
                       len(t), residual, base, _lift(reach, loop.env).reshape(-1) > 0.0,
                       int(np.count_nonzero(_lift(recurrent, loop.env))),
@@ -556,12 +508,13 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
     exponential or an exact vertex (``capacity._agent_rows``).
     """
     n_b, n_a, n_m = init.shape
-    K, p0, groups = _cesaro_tables(env, theta, init)
+    K, p0 = _pre_percept_chain(env, theta, init)
     n_z = env.n_hidden
     emission = env.emission().reshape(n_a * n_z, -1)  # [(a, z), s]
     rates = np.empty(n_b)
     grads = np.zeros(theta.shape), np.zeros(init.shape)
-    for members, reach, structure, tables, (Q, absorb, stationary) in groups:
+    for members, structure, laws, P, (Q, absorb, stationary) in _limit_laws(K, p0[:, None]):
+        reach, tables = structure.reach, laws[:, 0]
         B, d, n = tables.shape
         p_ma, p_ms = _marginals(tables, env)
         log_ma, log_ms = _log_positive(p_ma), _log_positive(p_ms)
@@ -571,12 +524,14 @@ def _rate_gradients(env: EnvironmentModel, theta: np.ndarray, init: np.ndarray
                           - (p_ma * log_ma).sum(axis=(-2, -1))).sum(axis=-1) / d
         lam = ((log_ms @ emission.T).reshape(B, d, n_m, n_a, n_z)
                - log_ma[..., None]).reshape(B, d, n) / d  # g_r
-        P, ell = K[members], tables
+        ell = tables
         if not reach.all():
-            P = P[np.ix_(np.arange(B), reach, reach)]
             lam, ell = lam[..., reach], ell[..., reach]
         for r in range(d - 1, 0, -1):  # the reverse sweep turns g into λ
             lam[:, r - 1] += (P @ lam[:, r, :, None])[..., 0]
+        # this shortcut keeps the benchmark's capacity_numeric wall_s at 82.1
+        # ms; forming the terms through Lh on one class too took it to 101.5
+        # (2-vCPU x86-64 host)
         one_class = len(structure.closed) == 1 and d == 1
         L = ell[:, :1] if one_class else absorb @ stationary  # on one class, L = 1π = 1ℓ_0
         M = np.eye(len(P[0])) - Q + L

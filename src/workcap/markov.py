@@ -9,13 +9,13 @@ numpy only.  Classes and periods come from graph structure alone, so no
 tolerance is involved: the classes from forward-backward reachability with
 trimming on :func:`bfs_levels` sweeps, and each closed class's period from
 the BFS levels of the search that found it.
-Structure (the states reached from a start pattern, and the classes,
-closed classes, periods and period lcm of the chain on them) depends only
-on the support pattern, the positions of the nonzero entries, and the start
-pattern, so it is computed once per pair of patterns and shared through one
-LRU memo of the ``_STRUCTURE_MEMO_SIZE`` most recent pairs; an optimizer's
-positive kernels all share one pair.  Callers that ask about the whole chain
-start from every state.  Limit laws come from one direct elimination,
+Structure (the states reached from a start pattern, and the closed
+classes and period lcm of the chain on them) depends only on the support
+pattern, the positions of the nonzero entries, and the start pattern, so it
+is computed once per pair of patterns and shared through one LRU memo of
+the ``_STRUCTURE_MEMO_SIZE`` most recent pairs; an optimizer's positive
+kernels all share one pair.  Callers that ask about the whole chain start
+from every state.  Limit laws come from one direct elimination,
 GTH's censoring of states, with no iteration or tolerance: a closed class
 is censored down to one state for its stationary vector, and the transient
 states down to one absorbing state per closed class for absorption.  Every
@@ -27,9 +27,11 @@ nonnegative matrices, as are the blocks' triangular inverses (by block
 doubling), so it costs n Python-level steps on small arrays plus O(n^3)
 flops in BLAS-3 products.  Every rate needs only the laws of
 its start vectors, so no n x n limit matrix is formed.  :func:`_limit_laws`
-acts on a stack of kernels with one structure, also where their support
-patterns differ, so a batch of evaluations shares its Python-level steps,
-and it gathers no states when one closed class holds them all.
+is the engine's one entry.  It takes any stack of kernels and start
+vectors and groups the members by structure, also where their support
+patterns differ, so each group shares its Python-level steps; it gathers a
+group's reachable subchain only when some state is unreachable, and no
+states when one closed class holds them all.
 The kernels belong to the caller, and the engine writes them only when the
 caller hands them over (``overwrite``): it eliminates in its own gathers,
 and when one closed class holds every state, in the kernels themselves if
@@ -45,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,9 +128,10 @@ class StateClassification:
     recurrent: np.ndarray  # bool per state
 
 
-def _classify(support: np.ndarray) -> tuple[StateClassification, tuple[int, ...]]:
-    """The classes of the ``support`` pattern, ordered by their smallest
-    state, and the periods of its closed classes in that order.
+def _classify(support: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The classes of the ``support`` pattern, numbered in order of their
+    smallest state: each state's class, whether each class is closed, and
+    the periods of the closed classes in that order.
 
     Forward-backward reachability with trimming (Fleischer, Hendrickson &
     Pinar 2000; McLendon et al. 2005), run on one part of the states at a
@@ -190,12 +193,19 @@ def _classify(support: np.ndarray) -> tuple[StateClassification, tuple[int, ...]
     closed[labels[(support & (labels[:, None] != labels)).any(axis=1)]] = False  # an edge leaves
     _, first = np.unique(labels, return_index=True)
     order = np.argsort(first)  # classes by their smallest state
-    recurrent = closed[labels]
-    recurrent.setflags(write=False)
-    cls = StateClassification(
-        tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in order),
-        tuple(closed[order].tolist()), recurrent)
-    return cls, tuple(periods.get(int(c), 1) for c in order[closed[order]])
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    return rank[labels], closed[order], tuple(periods.get(int(c), 1) for c in order[closed[order]])
+
+
+def _class_members(labels: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
+    """The states of each class c with ``keep[c]``, classes numbered as by
+    :func:`_classify`, in class order and each ascending: read-only views
+    of one stable argsort, so no class costs a scan of every state."""
+    states = np.flatnonzero(keep[labels])
+    states = states[np.argsort(labels[states], kind="stable")]
+    states.setflags(write=False)
+    return np.split(states, np.cumsum(np.bincount(labels, minlength=len(keep))[keep])[:-1])
 
 
 def classify_states(kernel: TransitionKernel) -> StateClassification:
@@ -204,7 +214,12 @@ def classify_states(kernel: TransitionKernel) -> StateClassification:
     Classes are the strongly connected components of the positive-probability
     digraph; a class is recurrent iff it is closed (no edge leaves it).
     """
-    return _structure_of(kernel.probs > 0.0).classification
+    labels, closed, _ = _classify(kernel.probs > 0.0)
+    recurrent = closed[labels]
+    recurrent.setflags(write=False)
+    classes = _class_members(labels, np.ones_like(closed))
+    return StateClassification(tuple(tuple(c.tolist()) for c in classes),
+                               tuple(closed.tolist()), recurrent)
 
 
 def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -223,29 +238,15 @@ def bfs_levels(start: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Structure:
-    """What a kernel's support pattern and a start pattern alone decide: the
-    mask ``reach`` of states reached from the start and, for the subchain on
-    those states indexed in their order, the classes, the closed classes (as
-    index arrays) and the lcm of the closed classes' periods."""
+    """What a kernel's support pattern and a start pattern alone decide, and
+    so what every member of a group of :func:`_pattern_groups` shares: the
+    mask ``reach`` of states reached from the start and, for the subchain
+    on those states indexed in their order, the closed classes (as index
+    arrays) and the lcm of their periods."""
 
     reach: np.ndarray
-    classification: StateClassification
     closed: tuple[np.ndarray, ...]
     period_lcm: int
-
-
-def _structure(support: np.ndarray) -> _Structure:
-    """The structure of the chain on every state of ``support``."""
-    reach = np.ones(len(support), dtype=bool)
-    reach.setflags(write=False)
-    cls, periods = _classify(support)
-    closed = []
-    for members, is_rec in zip(cls.classes, cls.class_recurrent):
-        if is_rec:
-            members_arr = np.asarray(members)
-            members_arr.setflags(write=False)
-            closed.append(members_arr)
-    return _Structure(reach, cls, tuple(closed), math.lcm(*periods))
 
 
 # distinct (support, start) patterns remembered; an optimizer's kernels are
@@ -260,13 +261,10 @@ def _memo_structure(shape: tuple[int, int], packed: bytes) -> _Structure:
     n = shape[0]
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n + n).view(bool)
     support, start = bits[:n * n].reshape(shape), bits[n * n:]
-    if start.all():
-        return _structure(support)
-    reach = bfs_levels(start, support) >= 0
-    if reach.all():  # the whole chain's entry, shared with every start that reaches it
-        return _structure_of(support)
+    reach = start.copy() if start.all() else bfs_levels(start, support) >= 0
     reach.setflags(write=False)
-    return replace(_structure(support[np.ix_(reach, reach)]), reach=reach)
+    labels, closed, periods = _classify(support if reach.all() else support[np.ix_(reach, reach)])
+    return _Structure(reach, tuple(_class_members(labels, closed)), math.lcm(*periods))
 
 
 def _pattern_groups(support: np.ndarray, start: np.ndarray | None = None
@@ -274,13 +272,11 @@ def _pattern_groups(support: np.ndarray, start: np.ndarray | None = None
     """A stack's members grouped by structure, in order of first
     appearance, from their support patterns (``support``, ``(B, n, n)``)
     and start patterns (``start``, ``(B, n)``; every state if None).
-    Members share a group when their structures agree on all the limit
-    engine reads: the reachable states, the closed classes and the period
-    lcm.  A group comes with its first member's structure; the others' may
-    differ from it only in their transient classes.  A stack of one group is
-    the one group ``slice(None)``, so taking it copies nothing.  Structures
-    are computed once per pair of patterns and shared between callers, so
-    they must not be mutated."""
+    Members share a group when their structures are equal, though their
+    transient classes may differ.  A stack of one group is the one group
+    ``slice(None)``, so taking it copies nothing.  Structures are computed
+    once per pair of patterns and shared between callers, so they must not
+    be mutated."""
     B, n = support.shape[:2]
     if start is None:
         start = np.ones((B, n), dtype=bool)
@@ -298,11 +294,6 @@ def _pattern_groups(support: np.ndarray, start: np.ndarray | None = None
         groups.setdefault(read, ([], structure))[0].extend(members)
     merged = [(sorted(members), structure) for members, structure in groups.values()]
     return [(slice(None), merged[0][1])] if len(merged) == 1 else merged
-
-
-def _structure_of(support: np.ndarray) -> _Structure:
-    """The structure of the chain on every state of the pattern ``support``."""
-    return _pattern_groups(support[None])[0][1]
 
 
 # states per elimination block, a power of two for _triangular_inverses:
@@ -582,42 +573,59 @@ def _power_limit(Q: np.ndarray, closed: tuple[np.ndarray, ...], V: np.ndarray,
     return np.stack(weights, axis=2) @ stationary, absorb, stationary
 
 
-def _limit_laws(P: np.ndarray, u: np.ndarray, structure: _Structure | None = None,
-                overwrite: bool = False
-                ) -> tuple[_Structure, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The structure of a ``(B, n, n)`` stack of kernels with one structure
-    (:func:`_pattern_groups`), the subsequence-limit laws ``u P^r L`` for
-    r < d of each member's ``(k, n)`` start vectors ``u``, as a ``(B, k,
-    d, n)`` array, and ``Q = P^d`` with L's factors from
-    :func:`_power_limit`, padded with zero classes to the most any member
-    has; d is the period lcm and ``L = lim Q^n``.  Their mean over r is the
-    Cesàro limit of the law from each start.  A caller that knows the
-    structure of the chain on every state passes it as ``structure``, and
-    one that reads ``P`` no more may hand it over (``overwrite``): when d =
-    1 and one closed class holds every state, the elimination then runs in
-    ``P``, and the ``Q`` returned is spent.  ``P`` is read only otherwise.
-    ``P^d``'s closed classes, the cyclic subclasses, are aperiodic; they
-    come from each member's numeric pattern of ``P^d``, so underflow counts
-    as 0.  Nothing is iterated, so there is no tolerance and no convergence
-    failure.
+def _limit_laws(P: np.ndarray, u: np.ndarray, overwrite: bool = False) -> list[tuple]:
+    """The engine's one entry: the subsequence-limit laws of any ``(B, n,
+    n)`` stack of kernels ``P`` from each member's ``(k, n)`` start vectors
+    ``u``, by groups of members with one structure.
+
+    Members are grouped by their support patterns and start patterns, a
+    start pattern being the states where some start vector is positive
+    (:func:`_pattern_groups`).  Each group is ``(members, structure, laws,
+    solved, limit)``: ``laws[i, j, r] = u_j P^r L`` for r < d, a ``(B_g,
+    k, d, n)`` array whose mean over r is the Cesàro limit of the law from
+    u_j, with d the period lcm and ``L = lim Q^n``, Q = P^d; ``solved`` is
+    the kernels the laws were solved on, and ``limit`` is Q with L's
+    factors from :func:`_power_limit`, padded with zero classes to the most
+    any member has.  When some state is unreachable, ``solved`` is the
+    group's gathered reachable subchain, ``limit`` lives on it and the laws
+    are padded with zeros back to n.  A caller that reads ``P`` no more may
+    hand it over (``overwrite``): when d = 1 and one closed class holds
+    every reachable state, the elimination then runs in ``solved``, which
+    is ``P`` itself for a group of the whole stack, and ``solved`` and Q
+    are spent.  ``P`` is read only otherwise.  ``P^d``'s closed classes,
+    the cyclic subclasses, are aperiodic; they come from each member's
+    numeric pattern of ``P^d``, so underflow counts as 0.  Nothing is
+    iterated, so there is no tolerance and no convergence failure.
     """
-    if structure is None:
-        structure = _structure_of(P[0] > 0.0)
-    d = structure.period_lcm
-    if d == 1:
-        laws, absorb, stationary = _power_limit(P, structure.closed, u, overwrite)
-        return structure, laws[:, :, None], (P, absorb, stationary)
-    steps = [u]
-    for _ in range(d - 1):
-        steps.append(steps[-1] @ P)
-    V = np.stack(steps, axis=2).reshape(len(P), -1, P.shape[-1])
-    Q = np.linalg.matrix_power(P, d)
-    groups = _pattern_groups(Q > 0.0)
-    C = max(len(cyclic.closed) for _, cyclic in groups)
-    laws = np.empty_like(V)
-    absorb, stationary = np.zeros((*P.shape[:2], C)), np.zeros((len(P), C, P.shape[-1]))
-    for idx, cyclic in groups:
-        c = len(cyclic.closed)
-        laws[idx], absorb[idx, :, :c], stationary[idx, :c] = _power_limit(
-            Q[idx], cyclic.closed, V[idx])
-    return structure, laws.reshape(*u.shape[:2], d, -1), (Q, absorb, stationary)
+    B, k, n = u.shape
+    groups = []
+    for members, structure in _pattern_groups(P > 0.0, (u > 0.0).any(axis=1)):
+        reach, d = structure.reach, structure.period_lcm
+        if reach.all():
+            solved, V = P[members], u[members]
+        else:
+            rows = np.arange(B)[members]
+            solved, V = P[np.ix_(rows, reach, reach)], u[rows][:, :, reach]
+        if d == 1:
+            laws, absorb, stationary = _power_limit(solved, structure.closed, V, overwrite)
+            Q = solved
+        else:
+            steps = [V]
+            for _ in range(d - 1):
+                steps.append(steps[-1] @ solved)
+            V = np.stack(steps, axis=2).reshape(len(solved), -1, solved.shape[-1])
+            Q = np.linalg.matrix_power(solved, d)
+            cyclic_groups = _pattern_groups(Q > 0.0)
+            C = max(len(cyclic.closed) for _, cyclic in cyclic_groups)
+            laws = np.empty_like(V)
+            absorb, stationary = np.zeros((*Q.shape[:2], C)), np.zeros((len(Q), C, Q.shape[-1]))
+            for idx, cyclic in cyclic_groups:
+                c = len(cyclic.closed)
+                laws[idx], absorb[idx, :, :c], stationary[idx, :c] = _power_limit(
+                    Q[idx], cyclic.closed, V[idx])
+        laws = laws.reshape(len(solved), k, d, -1)
+        if not reach.all():
+            laws, gathered = np.zeros((*laws.shape[:-1], n)), laws
+            laws[..., reach] = gathered
+        groups.append((members, structure, laws, solved, (Q, absorb, stationary)))
+    return groups

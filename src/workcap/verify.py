@@ -301,7 +301,7 @@ def check_cesaro_machinery(seed: int = 0) -> str:
         else:
             kernel = random_kernel(rng, n)
         # the Cesàro limit laws of the n point starts, row i from state i
-        structure, laws, _ = markov._limit_laws(kernel.probs[None], np.eye(n)[None])
+        ((_, structure, laws, _, _),) = markov._limit_laws(kernel.probs[None], np.eye(n)[None])
         cesaro = laws[0].mean(axis=1)
         d = structure.period_lcm
 
@@ -318,7 +318,7 @@ def check_cesaro_machinery(seed: int = 0) -> str:
             f"over {entries} entries")
 
 
-def check_subadditivity(seed: int = 0) -> str:
+def check_cascade_subadditivity(seed: int = 0) -> str:
     """50 random binary memoryless channel pairs satisfy cascade
     subadditivity: the cascade's certified upper bound is at most the sum of
     the two attained capacities (up to capacity.SUBADDITIVITY_SLACK).  The
@@ -345,8 +345,7 @@ def check_dsep_soundness(seed: int = 0) -> str:
     :func:`bayesnet.sample_separated_triples`: attempts drawn in blocks with
     the law of single draws, at most ``_ATTEMPTS_PER_TRIPLE`` per triple,
     trails read from the walk memo of each shared template, so the seven
-    loops reuse their walks.  A seed picks other triples than it did in
-    versions that drew one attempt at a time.  Each loop's CMIs read every
+    loops reuse their walks.  Each loop's CMIs read every
     distinct marginal entropy from one sum (see
     :func:`bayesnet.validate_compatibility`): 471 sums for the 1,017 CMI
     terms at seed 0."""
@@ -403,7 +402,7 @@ ALL_CHECKS = (
     ("fig5_agent_set_exclusivity", check_fig5_exclusivity),
     ("global_markov_chain", check_global_markov),
     ("cesaro_machinery", check_cesaro_machinery),
-    ("cascade_subadditivity", check_subadditivity),
+    ("cascade_subadditivity", check_cascade_subadditivity),
     ("d_separation_soundness", check_dsep_soundness),
 )
 

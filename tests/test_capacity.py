@@ -18,13 +18,14 @@ from workcap import (AgentModel, ChannelClassError, DimensionError, EnvironmentM
 from workcap.capacity import (_ARMIJO, _CURVATURE, ASCENT_STEPS, BFGS_FTOL, BFGS_GTOL,
                               BFGS_STEPS, DUST, FACE_TOL, NEWTON_FLAT, VERTEX_TOL,
                               _ascent, _bfgs, _gain, _kernels_from_params,
-                              _memoryless_forms, _memoryless_objective,
+                              _memoryless_bounds, _memoryless_objective,
                               _search_objective, _softmax_rows, _subadditivity_reports,
                               _upper_bound, compute_capacity)
 from workcap.channels import dumps_model, is_memoryless_invariant, save_model
 from workcap.errors import DomainError
 from workcap.info import LN2
-from workcap.loop import _cesaro_tables, _rate_gradients
+from workcap.loop import _pre_percept_chain, _rate_gradients
+from workcap.markov import _limit_laws
 from workcap.random_models import (random_environment,
                                    random_memoryless_environment)
 from workcap.verify import load_bundled
@@ -527,25 +528,27 @@ class TestStackedAscent:
             assert np.abs(rows[k] - last).max() <= 1e-12
 
     def test_forms_group_sizes_and_equal_solo_results(self):
+        # the stacked bounds of channels of mixed sizes are each channel's
+        # capacity_memoryless bit for bit
         channels = mixed_sizes()
-        forms = _memoryless_forms([memoryless_env(r) for r in channels], channels)
-        for reduced, form in zip(channels, forms):
+        for reduced, (best, value, upper, stalled) in zip(channels,
+                                                          _memoryless_bounds(channels)):
             alone = capacity_memoryless(memoryless_env(reduced))
-            assert form.value_nats == alone.value_nats
-            assert form.upper_nats == alone.upper_nats
-            assert form.stalled == alone.stalled
-            assert form.witness_params == alone.witness_params
-            assert form.value_nats <= form.upper_nats <= math.log(reduced.shape[0])
+            assert value == alone.value_nats
+            assert upper == alone.upper_nats
+            assert stalled == alone.stalled
+            assert alone.witness_params == {"action_distribution": tuple(best.tolist())}
+            assert value <= upper <= math.log(reduced.shape[0])
 
     def test_one_step_stalls_every_member_and_certifies(self, monkeypatch):
         import workcap.capacity as capacity_mod
         channels = mixed_sizes()
-        envs = [memoryless_env(r) for r in channels]
-        full = _memoryless_forms(envs, channels)
+        full = _memoryless_bounds(channels)
         monkeypatch.setattr(capacity_mod, "ASCENT_STEPS", 1)
-        for form, short in zip(full, _memoryless_forms(envs, channels)):
-            assert short.stalled
-            assert short.value_nats <= form.value_nats <= short.upper_nats
+        for (_, value, _, _), (_, short, upper, stalled) in zip(full,
+                                                                _memoryless_bounds(channels)):
+            assert stalled
+            assert short <= value <= upper
 
     def test_subadditivity_reports_equal_pairwise_checks(self, rng):
         pairs = [(random_memoryless_environment(rng), random_memoryless_environment(rng))
@@ -827,17 +830,17 @@ class TestLowerBound:
         import workcap.loop as loop_mod
         from workcap import markov
         patterns, points = [], []
-        structure, tables = markov._structure, loop_mod._cesaro_tables
+        classify, chain = markov._classify, loop_mod._pre_percept_chain
 
-        def spy_structure(support):
+        def spy_classify(support):
             patterns.append((support.shape, np.packbits(support).tobytes()))
-            return structure(support)
+            return classify(support)
 
-        def spy_tables(env, theta, init):
+        def spy_chain(env, theta, init):
             points.append(len(theta))
-            return tables(env, theta, init)
-        monkeypatch.setattr(markov, "_structure", spy_structure)
-        monkeypatch.setattr(loop_mod, "_cesaro_tables", spy_tables)
+            return chain(env, theta, init)
+        monkeypatch.setattr(markov, "_classify", spy_classify)
+        monkeypatch.setattr(loop_mod, "_pre_percept_chain", spy_chain)
         markov._memo_structure.cache_clear()
         capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
                              restarts=3, seed=0)
@@ -851,19 +854,19 @@ class TestLowerBound:
         import workcap.loop as loop_mod
         from workcap import markov
         searches, points = [], []
-        bfs, tables = markov.bfs_levels, loop_mod._cesaro_tables
+        bfs, chain = markov.bfs_levels, loop_mod._pre_percept_chain
 
         def spy_bfs(start, support):
             searches.append((support.shape, np.packbits(support).tobytes(),
                              np.packbits(start).tobytes()))
             return bfs(start, support)
 
-        def spy_tables(env, theta, init):
+        def spy_chain(env, theta, init):
             points.append(len(theta))
-            return tables(env, theta, init)
+            return chain(env, theta, init)
         monkeypatch.setattr(markov, "bfs_levels", spy_bfs)
         monkeypatch.setattr(loop_mod, "bfs_levels", spy_bfs)
-        monkeypatch.setattr(loop_mod, "_cesaro_tables", spy_tables)
+        monkeypatch.setattr(loop_mod, "_pre_percept_chain", spy_chain)
         markov._memo_structure.cache_clear()
         capacity_lower_bound(random_environment(rng, 2, 2), memory_size=1,
                              restarts=3, seed=0)
@@ -986,11 +989,12 @@ class TestLowerBound:
         snapped = theta.copy()
         snapped[0, 0, 0] = np.eye(4)[3].reshape(2, 2)  # percept 0 in memory 0: action 1, memory 1
         theta, init = np.concatenate([theta, snapped]), np.concatenate([init, init])
-        K, _, groups = _cesaro_tables(env, theta, init)
-        assert not np.array_equal(K[0] > 0.0, K[1] > 0.0) and len(groups) == 1
-        calls = call_counts("markov._limit_laws")
+        K, p0 = _pre_percept_chain(env, theta, init)
+        assert not np.array_equal(K[0] > 0.0, K[1] > 0.0)
+        assert len(_limit_laws(K, p0[:, None])) == 1
+        calls = call_counts("markov._power_limit")
         rates, grads = _rate_gradients(env, theta, init)
-        assert calls == {"_limit_laws": 1}
+        assert calls == {"_power_limit": 1}
         for k in range(2):
             alone = _rate_gradients(env, theta[k:k + 1], init[k:k + 1])
             assert rates[k] == alone[0][0]
@@ -1049,9 +1053,9 @@ class TestLowerBound:
         env = make()
         rows = 2 * memory_size
         points = rng.normal(scale=1.5, size=(3, rows * rows + rows))
-        calls = call_counts("loop._cesaro_tables")
+        calls = call_counts("markov._limit_laws")
         values, slopes = _search_objective(env, memory_size)(points)
-        assert calls == {"_cesaro_tables": 1}
+        assert calls == {"_limit_laws": 1}
         assert values.tolist() == _rate_gradients(
             env, *_kernels_from_params(points, 2, memory_size))[0].tolist()
         for x, slope in zip(points, slopes):
@@ -1264,11 +1268,10 @@ class TestClassifyAgentSets:
         # one pre-percept chain and one call of the Cesàro engine, which
         # solves one start's limit laws
         from workcap import build_uniform
-        calls = call_counts("loop._pre_percept_chain", "loop._limit_tables",
-                            "loop.build_global_chain", "markov._limit_laws")
+        calls = call_counts("loop._pre_percept_chain", "loop.build_global_chain",
+                            "markov._limit_laws")
         classify_agent_sets(fig5, build_uniform(fig5.alphabet), horizon=2)
-        assert calls == {"_pre_percept_chain": 1, "_limit_tables": 1, "build_global_chain": 0,
-                         "_limit_laws": 1}
+        assert calls == {"_pre_percept_chain": 1, "build_global_chain": 0, "_limit_laws": 1}
 
     def test_fig5_three_agents(self, fig5):
         from workcap import build_last_action, build_memoryless, build_uniform

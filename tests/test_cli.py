@@ -65,11 +65,11 @@ class TestAnalyze:
         # the Cesàro engine
         agent_file = tmp_path / "pred.json"
         assert main(["build-agent", "predictive", GOLDEN, "--out", str(agent_file)]) == 0
-        calls = call_counts("loop._pre_percept_chain", "loop._limit_tables",
+        calls = call_counts("loop._pre_percept_chain", "markov._limit_laws",
                             "loop.build_global_chain")
         code, _, _ = run_cli(capsys, "analyze", GOLDEN, "--agent", str(agent_file))
         assert code == 0
-        assert calls == {"_pre_percept_chain": 1, "_limit_tables": 1, "build_global_chain": 0}
+        assert calls == {"_pre_percept_chain": 1, "_limit_laws": 1, "build_global_chain": 0}
 
     def test_malformed_model_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -18,7 +18,7 @@ from workcap.bayesnet import validate_compatibility
 from workcap.capacity import _kernels_from_params, _params_from_agent, classify_agent_sets
 from workcap.info import (JointTable, _entropy_nats, _sum_out, conditional_mutual_information,
                           entropy_rate)
-from workcap.loop import (GlobalChain, _cesaro_tables, _lift,
+from workcap.loop import (GlobalChain, _lift, _pre_percept_chain,
                           _rate_gradients, _trajectory_marginal, am_predictiveness,
                           future_predictiveness, predictiveness_score)
 from workcap.markov import TransitionKernel, _limit_laws, classify_states
@@ -886,10 +886,17 @@ def gather_power_limit(Q, closed, V):
     return laws, absorb, stationary
 
 
-def gather_limit_laws(P, u):
-    """Oracle: ``markov._limit_laws`` on :func:`gather_power_limit`, with
-    the structure worked out from ``P`` on every call."""
-    structure = markov._structure_of(P[0] > 0.0)
+def structure_of(support):
+    """The structure of the chain on every state of the pattern ``support``."""
+    return markov._pattern_groups(support[None])[0][1]
+
+
+def gather_group_laws(P, u):
+    """Oracle: the laws and limit of ``markov._limit_laws`` on a stack of
+    one pattern whose every state is reachable, by
+    :func:`gather_power_limit`, with the structure worked out from ``P`` on
+    every call."""
+    structure = structure_of(P[0] > 0.0)
     d = structure.period_lcm
     if d == 1:
         laws, absorb, stationary = gather_power_limit(P, structure.closed, u)
@@ -903,7 +910,7 @@ def gather_limit_laws(P, u):
     parts = []
     for idx in by_pattern(Q > 0.0):
         laws[idx], *factors = gather_power_limit(
-            Q[idx], markov._structure_of(Q[idx[0]] > 0.0).closed, V[idx])
+            Q[idx], structure_of(Q[idx[0]] > 0.0).closed, V[idx])
         parts.append((idx, *factors))
     C = max(a.shape[-1] for _, a, _ in parts)
     absorb, stationary = np.zeros((*P.shape[:2], C)), np.zeros((len(P), C, P.shape[-1]))
@@ -913,29 +920,30 @@ def gather_limit_laws(P, u):
     return structure, laws.reshape(*u.shape[:2], d, -1), (Q, absorb, stationary)
 
 
-def gather_limit_tables(K, p0, overwrite=False):
-    """Oracle: the gather path of ``loop._limit_tables``, which searches
-    each group's reachable states on every call, gathers the reachable
-    subchain with ``ix_`` even when it is the whole chain, and pads its
-    laws from :func:`gather_limit_laws` into zeroed tables; it never
-    writes ``K``."""
-    n_b, n = p0.shape
-    support, start = K > 0.0, p0 > 0.0
+def gather_limit_laws(P, u, overwrite=False):
+    """Oracle: ``markov._limit_laws`` by its gather path, which groups the
+    members by equal patterns, searches each group's reachable states on
+    every call, gathers the reachable subchain with ``ix_`` even when it is
+    the whole chain, and pads its laws from :func:`gather_group_laws` into
+    zeroed arrays; it never writes ``P``."""
+    B, k, n = u.shape
+    support, start = P > 0.0, (u > 0.0).any(axis=1)
     groups = []
-    for members in by_pattern(np.concatenate([support.reshape(n_b, -1), start], axis=1)):
+    for members in by_pattern(np.concatenate([support.reshape(B, -1), start], axis=1)):
         reach = markov.bfs_levels(start[members[0]], support[members[0]]) >= 0
-        structure, laws, limit = gather_limit_laws(K[np.ix_(members, reach, reach)],
-                                                   p0[np.ix_(members, reach)][:, None, :])
-        tables = np.zeros((len(members), structure.period_lcm, n))
-        tables[:, :, reach] = laws[:, 0]
-        groups.append((members, reach, structure, tables, limit))
+        solved = P[np.ix_(members, reach, reach)]
+        sub, laws, limit = gather_group_laws(solved, u[np.ix_(members, range(k), reach)])
+        padded = np.zeros((len(members), k, sub.period_lcm, n))
+        padded[..., reach] = laws
+        groups.append((members, markov._Structure(reach, sub.closed, sub.period_lcm), padded,
+                       solved, limit))
     return groups
 
 
 def assert_equals_gather_path(env, agents):
     """The pre-percept kernels are the einsum's reshaped result bit for
     bit, and the batched rates and each work_rate report equal, bit for
-    bit, those of the gather path (:func:`gather_limit_tables`), which
+    bit, those of the gather path (:func:`gather_limit_laws`), which
     work_rate, handing its kernel over, and _rate_gradients both run."""
     import workcap.loop as loop_mod
     theta, init = stack(agents)
@@ -950,7 +958,7 @@ def assert_equals_gather_path(env, agents):
     rates, grads = _rate_gradients(env, theta, init)
     reports = [work_rate(pal, rounds=3, base="nats") for pal in loops]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(loop_mod, "_limit_tables", gather_limit_tables)
+        patch.setattr(loop_mod, "_limit_laws", gather_limit_laws)
         oracle_rates, oracle_grads = _rate_gradients(env, theta, init)
         oracles = [work_rate(pal, rounds=3, base="nats") for pal in loops]
     assert rates.tolist() == oracle_rates.tolist()
@@ -969,7 +977,7 @@ def limit_state_tables(chain: GlobalChain):
     with the round-0 vector."""
     reach = np.flatnonzero(chain.reachable)
     sub = chain.kernel.probs[np.ix_(reach, reach)]
-    structure, (laws,), _ = _limit_laws(sub[None], np.eye(reach.size)[None])
+    ((_, structure, (laws,), _, _),) = _limit_laws(sub[None], np.eye(reach.size)[None])
     init = chain.initial.probs[reach]
     tables = []
     for r in range(structure.period_lcm):
@@ -1018,7 +1026,9 @@ def assert_matches_scalar(env, agents):
         assert abs(report.action_entropy - h_action) <= 1e-12
         assert report.period_used == structure.period_lcm
         assert (report.reachable == chain.reachable).all()
-        assert report.recurrent_states == int(structure.classification.recurrent.sum())
+        reach = np.flatnonzero(chain.reachable)
+        labels, closed, _ = markov._classify(chain.kernel.probs[np.ix_(reach, reach)] > 0.0)
+        assert report.recurrent_states == int(closed[labels].sum())
         law = chain.initial.probs[chain.reachable] @ cesaro
         assert np.max(np.abs(report.cesaro_law[chain.reachable] - law)) <= 1e-12
         assert (report.cesaro_law[~chain.reachable] == 0.0).all()
@@ -1201,18 +1211,18 @@ class TestResidual:
         # must be the gap of exactly the tables the rate is read from
         # (P is kept before the engine, which may eliminate in it)
         import workcap.loop as loop_mod
-        engine, seen = loop_mod._limit_tables, []
+        engine, seen = loop_mod._limit_laws, []
 
-        def perturbed(K, p0, overwrite=False):
+        def perturbed(K, u, overwrite=False):
             P = K[0].copy()
-            groups = engine(K, p0, overwrite)
-            ((_, reach, _, tables, _),) = groups
-            first, last = np.flatnonzero(reach)[[0, -1]]
-            tables[0, 0, first] += 1e-6
-            tables[0, 0, last] -= 1e-6
-            seen.append((P, tables[0]))
+            groups = engine(K, u, overwrite)
+            ((_, structure, laws, _, _),) = groups
+            first, last = np.flatnonzero(structure.reach)[[0, -1]]
+            laws[0, 0, 0, first] += 1e-6
+            laws[0, 0, 0, last] -= 1e-6
+            seen.append((P, laws[0, 0]))
             return groups
-        monkeypatch.setattr(loop_mod, "_limit_tables", perturbed)
+        monkeypatch.setattr(loop_mod, "_limit_laws", perturbed)
         for pal in residual_loops(rng):
             residual = work_rate(pal, rounds=0).residual
             P, tables = seen[-1]
@@ -1234,18 +1244,18 @@ class TestKernelBuffer:
             PerceptActionLoop(echo_after_random_first_action(0.1), identity_env),
             PerceptActionLoop(build_identity(("0", "1")), identity_env),
             PerceptActionLoop(random_agent(rng, 2, 2), sparse_emission_env(rng))]
-        engine, seen, spent = loop_mod._limit_tables, [], []
+        engine, seen, spent = loop_mod._limit_laws, [], []
 
-        def spy(K, p0, overwrite=False):
+        def spy(K, u, overwrite=False):
             P = K[0].copy()
-            groups = engine(K, p0, overwrite)
-            seen.append((P, groups[0][3][0]))
+            groups = engine(K, u, overwrite)
+            seen.append((P, groups[0][2][0, 0]))
             spent.append(not np.array_equal(K[0], P))
             return groups
-        monkeypatch.setattr(loop_mod, "_limit_tables", spy)
+        monkeypatch.setattr(loop_mod, "_limit_laws", spy)
         donated = [work_rate(pal, rounds=6) for pal in loops]
-        monkeypatch.setattr(loop_mod, "_limit_tables",
-                            lambda K, p0, overwrite=False: engine(K, p0))
+        monkeypatch.setattr(loop_mod, "_limit_laws",
+                            lambda K, u, overwrite=False: engine(K, u))
         kept = [work_rate(pal, rounds=6) for pal in loops]
         assert spent[0]  # a dense loop's elimination ran in its kernel
         for report, oracle, (P, tables) in zip(donated, kept, seen):
@@ -1310,8 +1320,8 @@ class TestPrePerceptChain:
                   PerceptActionLoop(echo_after_random_first_action(0.1), identity_env)]
         for pal in loops:
             chain = build_global_chain(pal)
-            K, p0, _ = _cesaro_tables(pal.env, pal.agent.theta[None],
-                                      pal.agent.initial_joint[None])
+            K, p0 = _pre_percept_chain(pal.env, pal.agent.theta[None],
+                                       pal.agent.initial_joint[None])
             u, w = chain.initial.probs, p0[0]
             for _ in range(6):
                 assert np.max(np.abs(u - _lift(w, pal.env).reshape(-1))) <= 1e-15
@@ -1339,9 +1349,9 @@ class TestPrePerceptChain:
         import workcap.loop as loop_mod
         engine, sizes = loop_mod._limit_laws, []
 
-        def spy(P, u, structure=None, overwrite=False):
+        def spy(P, u, overwrite=False):
             sizes.append(P.shape[1:])
-            return engine(P, u, structure, overwrite)
+            return engine(P, u, overwrite)
         monkeypatch.setattr(loop_mod, "_limit_laws", spy)
         for n_a, n_m, n_z in ((2, 1, 1), (2, 2, 3), (3, 2, 2)):
             env = random_environment(rng, n_a, n_z)

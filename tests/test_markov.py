@@ -95,13 +95,30 @@ def cycles_fed_by_transients():
     return P, starts, lengths
 
 
+def group_laws(P: np.ndarray, u: np.ndarray):
+    """The structure and laws of ``markov._limit_laws`` on a stack whose
+    members form one group."""
+    ((_, structure, laws, _, _),) = markov._limit_laws(P, u)
+    return structure, laws
+
+
 def limit_laws(kernel: TransitionKernel):
     """The kernel's structure and the subsequence-limit laws of its n point
     starts as an ``(n, d, n)`` array: ``laws[i, r]`` is row i of ``P^r L``,
     L = lim P^{nd}."""
     P = kernel.probs
-    structure, laws, _ = markov._limit_laws(P[None], np.eye(len(P))[None])
+    structure, laws = group_laws(P[None], np.eye(len(P))[None])
     return structure, laws[0]
+
+
+def structure_of(support: np.ndarray):
+    """The structure of the chain on every state of the pattern ``support``."""
+    return markov._pattern_groups(support[None])[0][1]
+
+
+def transient_states(structure) -> np.ndarray:
+    """The states in no closed class of ``structure``, ascending."""
+    return np.setdiff1d(np.arange(structure.reach.sum()), np.concatenate(structure.closed))
 
 
 def cesaro_matrix(kernel: TransitionKernel) -> np.ndarray:
@@ -132,8 +149,8 @@ def periods(kernel: TransitionKernel) -> dict[int, int]:
     ``markov._classify`` reads it off BFS levels; checked against the
     gcd-of-BFS oracle."""
     support = kernel.probs > 0.0
-    cls, class_periods = markov._classify(support)
-    closed = [members for members, rec in zip(cls.classes, cls.class_recurrent) if rec]
+    labels, closed, class_periods = markov._classify(support)
+    closed = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(closed)]
     assert list(class_periods) == [bfs_gcd_period(support, members) for members in closed]
     return {s: period for members, period in zip(closed, class_periods) for s in members}
 
@@ -239,14 +256,18 @@ def csgraph_partition(support: np.ndarray):
 
 
 def check_classes_and_periods(support: np.ndarray):
-    """_classify against csgraph (classes, order and closedness) and its
-    closed classes' periods against the gcd-of-BFS oracle."""
-    cls, class_periods = markov._classify(support)
+    """classify_states, on a kernel with the pattern ``support``, against
+    csgraph (classes, order and closedness), the class labels of _classify
+    against its classes, and the closed classes' periods against the
+    gcd-of-BFS oracle."""
+    cls = classify_states(TransitionKernel(support / support.sum(axis=1, keepdims=True)))
     assert (cls.classes, cls.class_recurrent) == csgraph_partition(support)
+    labels, closed, class_periods = markov._classify(support)
     recurrent = np.zeros(len(support), dtype=bool)
-    for members, closed in zip(cls.classes, cls.class_recurrent):
-        recurrent[list(members)] = closed
-    assert cls.recurrent.tolist() == recurrent.tolist()
+    for c, members in enumerate(cls.classes):
+        assert (labels[list(members)] == c).all()
+        recurrent[list(members)] = cls.class_recurrent[c]
+    assert cls.recurrent.tolist() == recurrent.tolist() == closed[labels].tolist()
     closed = [members for members, rec in zip(cls.classes, cls.class_recurrent) if rec]
     assert list(class_periods) == [bfs_gcd_period(support, members) for members in closed]
     return cls, class_periods
@@ -266,6 +287,11 @@ class TestClassesAgainstOracles:
             empty = np.flatnonzero(~support.any(axis=1))  # every row of a kernel has mass
             support[empty, rng.integers(n, size=empty.size)] = True
             check_classes_and_periods(support)
+        # a 1,024-state path and a line of 150 two-cycles: every class is
+        # listed from one argsort, not by one scan of all states per class
+        lines = structured_supports()
+        for name in ("path1024", "two_cycles300"):
+            check_classes_and_periods(lines[name])
 
     @pytest.mark.parametrize("name", list(structured_supports()))
     def test_structured_supports_match_networkx_and_csgraph(self, name):
@@ -472,11 +498,10 @@ class TestBlockedGTH:
         np.testing.assert_array_equal(markov._gth_stationary(P.copy()), expected)
         start = np.zeros((13, 1, n))
         start[:, 0, 0] = 1.0
-        _, laws, _ = markov._limit_laws(P, start)
+        _, laws = group_laws(P, start)
         np.testing.assert_array_equal(laws[:, 0, 0], expected)
         for member, law in zip(P, laws[:, 0, 0]):
-            np.testing.assert_array_equal(markov._limit_laws(member[None], start[:1])[1][0, 0, 0],
-                                          law)
+            np.testing.assert_array_equal(group_laws(member[None], start[:1])[1][0, 0, 0], law)
 
     @pytest.mark.parametrize("n", [33, 100, 257, 600])
     def test_long_chains_within_rounding(self, rng, n):
@@ -511,7 +536,7 @@ class TestClassStacks:
 
     @staticmethod
     def assert_per_class(Q, calls):
-        closed = markov._structure_of(Q[0] > 0.0).closed
+        closed = structure_of(Q[0] > 0.0).closed
         V = np.ones((len(Q), 1, Q.shape[-1])) / Q.shape[-1]
         calls.update(dict.fromkeys(calls, 0))
         _, _, stationary = markov._power_limit(Q, closed, V)
@@ -561,7 +586,7 @@ def solved_limit_laws(P, u):
     """Oracle: ``markov._limit_laws`` with absorption by :func:`solve_absorption`."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(markov, "_absorption", solve_absorption)
-        return markov._limit_laws(P, u)[1]
+        return group_laws(P, u)[1]
 
 
 def fraction_absorption(P: np.ndarray, closed, t) -> np.ndarray:
@@ -665,8 +690,8 @@ class TestAbsorptionByCensoring:
     def test_slow_leaks_through_random_transient_states(self, rng, leak):
         for _ in range(5):
             P = leaky_cycles(rng, leak)
-            structure = markov._structure_of(P > 0.0)
-            t = np.flatnonzero(~structure.classification.recurrent)
+            structure = structure_of(P > 0.0)
+            t = transient_states(structure)
             H = markov._absorption(P[None], structure.closed, t)[0]
             expected = fraction_absorption(P, [c.tolist() for c in structure.closed], t.tolist())
             assert np.all(np.abs(H - expected) <= 1e-13 * expected)
@@ -676,18 +701,18 @@ class TestAbsorptionByCensoring:
         # 300 transient states are 4 blocks of 64 and 44 censored alone
         P = np.stack([transient_ladder(rng, n_transient) for _ in range(3)])
         u = np.broadcast_to(np.eye(len(P[0])), P.shape)
-        _, laws, _ = markov._limit_laws(P, u)
+        _, laws = group_laws(P, u)
         assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
         assert np.max(np.abs(laws.sum(axis=-1) - 1.0)) <= 1e-14
         for member, law in zip(P, laws):
-            np.testing.assert_array_equal(markov._limit_laws(member[None], u[:1])[1][0], law)
+            np.testing.assert_array_equal(group_laws(member[None], u[:1])[1][0], law)
 
     def test_periodic_reducible_chains_match_the_solve(self, rng):
         for _ in range(10):
             P = leaky_cycles(rng, float(rng.uniform(0.05, 0.5)))[None]
             u = np.eye(P.shape[-1])[None]
-            structure, laws, _ = markov._limit_laws(P, u)
-            assert not structure.classification.recurrent.all()
+            structure, laws = group_laws(P, u)
+            assert transient_states(structure).size
             assert np.max(np.abs(laws - solved_limit_laws(P, u))) <= 1e-13
 
     def test_one_gather_gives_the_two_take_elimination_array(self, rng, monkeypatch):
@@ -714,8 +739,8 @@ class TestAbsorptionByCensoring:
             wide[:, lo:lo + 20, lo:lo + 20] = rng.dirichlet(np.ones(20), size=(3, 20))
         wide[:, 20:40] = rng.dirichlet(np.ones(60), size=(3, 20))
         for P in (circulating_pair(1e-12)[None], ladders, wide):
-            structure = markov._structure_of(P[0] > 0.0)
-            t = np.flatnonzero(~structure.classification.recurrent)
+            structure = structure_of(P[0] > 0.0)
+            t = transient_states(structure)
             markov._absorption(P, structure.closed, t)
             np.testing.assert_array_equal(seen.pop(), two_takes(P, structure.closed, t))
 
@@ -726,7 +751,7 @@ class TestAbsorptionByCensoring:
         monkeypatch.setattr(np.linalg, "solve", spy)
         P, _, _ = cycles_fed_by_transients()
         for chain in (P, circulating_pair(1e-9), transient_ladder(rng, 100)):
-            _, laws, _ = markov._limit_laws(chain[None], np.eye(len(chain))[None])
+            _, laws = group_laws(chain[None], np.eye(len(chain))[None])
             assert np.max(np.abs(laws.sum(axis=-1) - 1.0)) <= 1e-14
 
 
@@ -749,7 +774,7 @@ class TestSubnormalGTH:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = markov._gth_stationary(P[None].copy())[0]
-            _, laws, _ = markov._limit_laws(P[None], np.eye(len(P))[:1][None])
+            _, laws = group_laws(P[None], np.eye(len(P))[:1][None])
         assert_matches_fractions(got, fraction_stationary(P))
         np.testing.assert_array_equal(laws[0, 0, 0], got)
 
@@ -774,8 +799,8 @@ class TestSubnormalGTH:
                       [0.0, 1.0, 0.0, 0.0],
                       [0.25, 0.25, 0.0, 0.5],
                       [2e-310, 1e-310, 0.0, 1.0]])
-        structure = markov._structure_of(P > 0.0)
-        t = np.flatnonzero(~structure.classification.recurrent)
+        structure = structure_of(P > 0.0)
+        t = transient_states(structure)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             H = markov._absorption(P[None], structure.closed, t)[0]
@@ -809,10 +834,10 @@ class TestSubnormalGTH:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = work_rate(PerceptActionLoop(agent, env), base="nats")
-            K, _, ((_, _, _, tables, _),) = loop._cesaro_tables(
-                env, agent.theta[None], agent.initial_joint[None])
+            K, p0 = loop._pre_percept_chain(env, agent.theta[None], agent.initial_joint[None])
+            _, laws = group_laws(K, p0[:, None])
         exact = fraction_stationary(K[0])
-        assert_matches_fractions(tables[0, 0], exact)
+        assert_matches_fractions(laws[0, 0, 0], exact)
         law = np.array([float(x) for x in exact])
         rate = float(loop._work_terms(*loop._marginals(law, env))[0])
         assert abs(report.rate - rate) <= 1e-12
@@ -840,11 +865,15 @@ class TestStructureMemo:
 
     def test_shared_recurrent_arrays_are_read_only(self, rng):
         kernel = random_structured_kernel(rng, 5)
-        for recurrent in (classify_states(kernel).recurrent,
-                          limit_laws(kernel)[0].classification.recurrent):
-            assert not recurrent.flags.writeable
+        structure = limit_laws(kernel)[0]
+        for mask in (classify_states(kernel).recurrent, structure.reach):
+            assert not mask.flags.writeable
             with pytest.raises(ValueError):
-                recurrent[0] = not recurrent[0]
+                mask[0] = not mask[0]
+        for members in structure.closed:
+            assert not members.flags.writeable
+            with pytest.raises(ValueError):
+                members[0] = 0
 
     def test_cold_and_warm_memo_agree(self, rng):
         chains = [np.array([[1.0 - f, f], [3.0 * f, 1.0 - 3.0 * f]])
@@ -857,7 +886,7 @@ class TestStructureMemo:
         def fields(P):
             structure, laws = limit_laws(TransitionKernel(P))
             return (structure.period_lcm, periods(TransitionKernel(P)),
-                    structure.classification.recurrent.tolist(), laws.tobytes())
+                    [members.tolist() for members in structure.closed], laws.tobytes())
 
         cold = []
         for P in chains:
@@ -875,19 +904,25 @@ class TestStructureMemo:
         markov._memo_structure.cache_clear()
         a = TransitionKernel([[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]])
         b = TransitionKernel([[0.9, 0.1, 0], [0, 0, 1], [1, 0, 0]])
-        assert classify_states(a) is classify_states(b)
+        assert limit_laws(a)[0] is limit_laws(b)[0]
+        assert classify_states(a).classes == classify_states(b).classes
         assert periods(a) == periods(b)
         assert periods(a)[1] == 1
         assert markov._memo_structure.cache_info().misses == 1
 
     def test_start_pattern_selects_the_reachable_subchain(self):
         markov._memo_structure.cache_clear()
-        # a 3-cycle: state 0 alone reaches every state, so that start shares
-        # the entry of the whole chain
+        # a 3-cycle: state 0 alone reaches every state, so that start has
+        # the structure of the whole chain, and a stack of both is one group
         cycle = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)
         ((_, whole),) = markov._pattern_groups(cycle[None])
         ((_, from_0),) = markov._pattern_groups(cycle[None], np.array([[True, False, False]]))
-        assert from_0 is whole and whole.reach.all() and whole.period_lcm == 3
+        assert whole.reach.all() and whole.period_lcm == 3
+        assert from_0.reach.all() and from_0.period_lcm == 3
+        assert [c.tolist() for c in from_0.closed] == [c.tolist() for c in whole.closed]
+        ((members, _),) = markov._pattern_groups(np.stack([cycle] * 2),
+                                                 np.array([[1, 1, 1], [1, 0, 0]], dtype=bool))
+        assert members == slice(None)
         # state 2 leaks into the closed class {0, 1}, which never leaves it
         leaky = np.array([[1, 1, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
         groups = markov._pattern_groups(np.stack([leaky] * 3),
@@ -895,9 +930,65 @@ class TestStructureMemo:
         (first, part), (second, whole) = groups
         assert (first, second) == ([0, 2], [1])
         assert part.reach.tolist() == [True, True, False] and not part.reach.flags.writeable
-        assert part.classification.classes == ((0, 1),) and part.classification.recurrent.all()
-        assert whole is markov._structure_of(leaky) and whole.reach.all()
-        assert whole.classification.recurrent.tolist() == [True, True, False]
+        assert [members.tolist() for members in part.closed] == [[0, 1]]
+        assert whole.reach.all() and whole.period_lcm == 1
+        assert [members.tolist() for members in whole.closed] == [[0, 1]]
+
+
+def mixed_stack(rng):
+    """Six 6-state kernels with two start vectors each: two positive
+    kernels of one pattern (one started from every state, one from two),
+    a period-6 chain (a 2-cycle and a 3-cycle fed by state 5), a closed
+    class {0, 1, 2} fed by transient states started inside the class and
+    started outside it, and the period-6 chain started on its 3-cycle."""
+    cycles = np.zeros((6, 6))
+    cycles[0, 1] = cycles[1, 0] = 1.0
+    cycles[2, 3] = cycles[3, 4] = cycles[4, 2] = 1.0
+    cycles[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
+    leaky = np.zeros((6, 6))
+    leaky[:3, :3] = rng.dirichlet(np.ones(3), size=3)
+    leaky[3:] = rng.dirichlet(np.ones(6), size=3)
+    P = np.stack([random_kernel(rng, 6).probs, random_kernel(rng, 6).probs, cycles,
+                  leaky, leaky, cycles])
+    eye = np.eye(6)
+    u = np.stack([rng.dirichlet(np.ones(6), size=2), eye[[0, 3]],
+                  [eye[5], (eye[0] + eye[1]) / 2], [[0.5, 0.5, 0, 0, 0, 0], eye[0]],
+                  eye[[3, 4]], eye[[2, 3]]])
+    return P, u
+
+
+class TestMixedStacks:
+    """``markov._limit_laws`` takes any stack and groups it itself: each
+    member gets, bit for bit, what it gets alone."""
+
+    def test_each_member_gets_its_laws_alone(self, rng):
+        P, u = mixed_stack(rng)
+        groups = markov._limit_laws(P, u)
+        assert [list(np.arange(6)[members]) for members, *_ in groups] == [
+            [0, 1], [2], [3], [4], [5]]
+        reaches = {}
+        for members, structure, laws, solved, (Q, _, _) in groups:
+            for j, i in enumerate(np.arange(6)[members]):
+                ((_, alone, want, solved_alone, (Q_alone, _, _)),) = markov._limit_laws(
+                    P[i:i + 1], u[i:i + 1])
+                reach = structure.reach
+                reaches[int(i)] = reach.tolist()
+                assert np.array_equal(reach, alone.reach)
+                assert structure.period_lcm == alone.period_lcm
+                assert [c.tolist() for c in structure.closed] == [c.tolist()
+                                                                  for c in alone.closed]
+                np.testing.assert_array_equal(laws[j], want[0])
+                # solved is the gathered reachable subchain, and Q = solved^d
+                np.testing.assert_array_equal(solved[j], P[i][np.ix_(reach, reach)])
+                np.testing.assert_array_equal(solved_alone[0], solved[j])
+                np.testing.assert_array_equal(Q[j], Q_alone[0])
+                assert laws.shape[1:] == (2, structure.period_lcm, 6)
+                assert (laws[j][..., ~reach] == 0.0).all()
+                assert np.max(np.abs(laws[j].sum(axis=-1) - 1.0)) <= 1e-14
+        assert [groups[k][1].period_lcm for k in range(5)] == [1, 6, 1, 1, 3]
+        assert reaches[3] == [True] * 3 + [False] * 3 and reaches[5] == [False, False, True,
+                                                                          True, True, False]
+        assert all(reaches[i] == [True] * 6 for i in (0, 1, 2, 4))
 
 
 class TestPowerSum:
@@ -918,7 +1009,7 @@ class TestPowerSum:
         P[0, 1] = P[1, 0] = 1.0
         P[2, 3] = P[3, 4] = P[4, 2] = 1.0
         P[5, [0, 2, 5]] = [0.3, 0.3, 0.4]
-        d = markov._structure_of(P > 0.0).period_lcm
+        d = structure_of(P > 0.0).period_lcm
         assert d == 6
         N = 20_000 * d
         gap = np.abs(_power_sum(P, N) / N - brute_force_cesaro(P, N))
